@@ -23,16 +23,6 @@ let log2 x = log x /. log 2.0
    from --domains. *)
 let domains = ref (Engine.default_domains ())
 
-(* Trial-count multiplier for every statistical batch; bench/main.ml
-   sets it from --scale. 1.0 runs the full tables; the perf subcommand
-   uses a small scale so timing every experiment family stays cheap
-   enough for `make perf-regress`. Scaling changes statistical
-   resolution only, never which claim a table checks. *)
-let scale = ref 1.0
-
-let scaled trials =
-  max 1 (int_of_float ((float_of_int trials *. !scale) +. 0.5))
-
 let derive = Sim.Rng.derive
 
 (* Base seed of every experiment batch. Trials derive from it by index,
@@ -43,7 +33,7 @@ let base_seed = 0x0E17A5EEDL
    fresh system. [f] receives the trial's base seed and mints sub-seeds
    with [derive ~stream]. *)
 let avg_runs ~trials f =
-  Engine.mean ~domains:!domains ~trials:(scaled trials) ~seed:base_seed
+  Engine.mean ~domains:!domains ~trials ~seed:base_seed
     (fun ~trial:_ ~seed -> f seed)
 
 (* {1 E1 — Lemma 2.2: performance parameter of the Figure 1 GroupElect} *)
@@ -116,7 +106,7 @@ let run_e3 () =
   line ();
   let probs = Groupelect.Ge_sift.probability_schedule ~n in
   let counts = Array.make (Array.length probs + 1) 0.0 in
-  let trials = scaled 20 in
+  let trials = 20 in
   (* Each trial returns its own survivor counts; the fold into [counts]
      happens in trial order on the caller. *)
   let per_trial =
@@ -361,7 +351,7 @@ let run_e8 () =
   line ();
   List.iter
     (fun t ->
-      let p = Lowerbound.Yao.measure ~trials:(scaled 300) ~make:tas_pair ~t () in
+      let p = Lowerbound.Yao.measure ~trials:300 ~make:tas_pair ~t () in
       pr "%6d %12d %14.4f %12.6f %8s@." t p.Lowerbound.Yao.schedules_tested
         p.Lowerbound.Yao.max_prob p.Lowerbound.Yao.bound
         (if p.Lowerbound.Yao.max_prob >= p.Lowerbound.Yao.bound then "yes"
@@ -432,7 +422,7 @@ let run_e10 () =
   pr "%-14s %16s@." "implementation" "ns/op (mean)";
   line ();
   let time_one ?(domains = 4) make =
-    let trials = scaled 300 in
+    let trials = 300 in
     let t0 = Unix.gettimeofday () in
     for trial = 1 to trials do
       let tas = make () in
@@ -647,7 +637,7 @@ let run_e13 () =
   line ();
   List.iter
     (fun k ->
-      let trials = scaled 60 in
+      let trials = 60 in
       let per_trial =
         Engine.run ~domains:!domains ~trials ~seed:base_seed
           (fun ~trial:_ ~seed ->
@@ -708,227 +698,6 @@ let run_e14 () =
     "@.RMRs track steps for these one-shot algorithms (few re-reads), so@.\
      the step hierarchy carries over to the RMR cost measure of Golab,@.\
      Hendler and Woelfel's O(1)-RMR leader election [11].@."
-
-(* {1 Perf sweep — the machine-readable speedup benchmark}
-
-   A reduced E1/E2-style workload: each trial runs one Figure-1
-   GroupElect round and one log* election, both at k = 64. Trials
-   return exact integer outcomes so callers can check that different
-   domain counts produce bit-identical per-trial results.
-
-   The trial hot path is allocation-lean: each worker builds its two
-   simulated systems (memory arenas, algorithm structures — thousands of
-   registers with formatted debug names — schedulers, program arrays)
-   {e once}, in [make_perf_arena], and every trial merely resets and
-   reruns them. [Sim.Memory.reset] restores every register,
-   [Sim.Sched.reset] restores the scheduler in place, so a reused trial
-   is bit-identical to one on freshly built structures (pinned by
-   test_engine.ml's reuse-vs-fresh test). *)
-
-type perf_arena = {
-  ge_mem : Sim.Memory.t;
-  ge_progs : (Sim.Ctx.t -> int) array;
-  ge_sched : Sim.Sched.t;
-  le_mem : Sim.Memory.t;
-  le_progs : (Sim.Ctx.t -> int) array;
-  le_sched : Sim.Sched.t;
-}
-
-let perf_n = 512
-let perf_k = 64
-
-let make_perf_arena () =
-  let ge_mem = Sim.Memory.create () in
-  let ge = Groupelect.Ge_logstar.create ge_mem ~n:perf_n in
-  let ge_progs =
-    Array.init perf_k (fun _ ctx ->
-        if ge.Groupelect.Ge.elect ctx then 1 else 0)
-  in
-  let ge_sched = Sim.Sched.create ge_progs in
-  let le_mem = Sim.Memory.create () in
-  let le = Leaderelect.Le_logstar.make le_mem ~n:perf_n in
-  let le_progs = Leaderelect.Le.programs le ~k:perf_k in
-  let le_sched = Sim.Sched.create le_progs in
-  { ge_mem; ge_progs; ge_sched; le_mem; le_progs; le_sched }
-
-(* One trial on a (possibly reused) arena: reset both systems to their
-   freshly built state, then run them with the trial's derived seeds. *)
-let perf_trial arena ~seed =
-  Sim.Memory.reset arena.ge_mem;
-  Sim.Sched.reset ~seed:(derive seed ~stream:0) arena.ge_sched arena.ge_progs;
-  Sim.Sched.run arena.ge_sched
-    (Sim.Adversary.random_oblivious ~seed:(derive seed ~stream:1));
-  let elected = ref 0 in
-  for pid = 0 to perf_k - 1 do
-    if Sim.Sched.result arena.ge_sched pid = Some 1 then incr elected
-  done;
-  Sim.Memory.reset arena.le_mem;
-  Sim.Sched.reset ~seed:(derive seed ~stream:2) arena.le_sched arena.le_progs;
-  Sim.Sched.run arena.le_sched
-    (Sim.Adversary.random_oblivious ~seed:(derive seed ~stream:3));
-  (!elected, Sim.Sched.max_steps arena.le_sched)
-
-type sweep_run = {
-  sr_elected : int array;  (* per-trial GroupElect winners *)
-  sr_steps : int array;  (* per-trial election max steps *)
-  sr_workers : Engine.worker_stats array;
-}
-
-let sweep_results_equal a b =
-  a.sr_elected = b.sr_elected && a.sr_steps = b.sr_steps
-
-let perf_sweep ~domains ?chunk ~trials () =
-  (* Into-style sinks: plain int arrays the trials write in place — the
-     engine materialises no per-trial boxes at all. *)
-  let sr_elected = Array.make trials 0 in
-  let sr_steps = Array.make trials 0 in
-  let sr_workers =
-    Engine.run_into ~domains ?chunk ~trials ~seed:base_seed
-      ~local:make_perf_arena
-      (fun arena ~trial ~seed ->
-        let elected, steps = perf_trial arena ~seed in
-        sr_elected.(trial) <- elected;
-        sr_steps.(trial) <- steps)
-  in
-  { sr_elected; sr_steps; sr_workers }
-
-(* {1 The same perf workload compiled to the flat kernel}
-
-   [flat_perf_trial] is [perf_trial] re-expressed over
-   [Flatsim.Machine]: one GroupElect round ([Programs.ge_round]) and one
-   log* election ([Programs.logstar]) at the same n, k and derive
-   streams (0 GE schedule, 1 GE adversary, 2 LE schedule, 3 LE
-   adversary). Because the flat kernel is bit-identical to the effect
-   path (test_flatsim's differential suite), the two trials return the
-   same [(elected, steps)] for every seed — [sweep_results_equal] across
-   kernels is the bench's in-run integrity check, and the wall-clock
-   ratio between the two sweeps is the kernel speedup the perf gate
-   enforces. *)
-
-type flat_perf_arena = {
-  fge : Flatsim.Machine.t;
-  fle : Flatsim.Machine.t;
-}
-
-let make_flat_perf_arena () =
-  {
-    fge =
-      Flatsim.Machine.create ~procs:perf_k
-        (Flatsim.Programs.ge_round ~n:perf_n);
-    fle =
-      Flatsim.Machine.create ~procs:perf_k
-        (Flatsim.Programs.logstar ~n:perf_n);
-  }
-
-let flat_perf_trial arena ~seed =
-  let open Flatsim in
-  Machine.reset ~seed:(derive seed ~stream:0) arena.fge;
-  Machine.run_random arena.fge ~seed:(derive seed ~stream:1);
-  let elected = ref 0 in
-  let results = arena.fge.Machine.results in
-  for pid = 0 to perf_k - 1 do
-    if Array.unsafe_get results pid = 1 then incr elected
-  done;
-  Machine.reset ~seed:(derive seed ~stream:2) arena.fle;
-  Machine.run_random arena.fle ~seed:(derive seed ~stream:3);
-  (!elected, Machine.max_steps arena.fle)
-
-let flat_sweep ~domains ?chunk ~trials () =
-  let sr_elected = Array.make trials 0 in
-  let sr_steps = Array.make trials 0 in
-  let sr_workers =
-    Engine.run_into ~domains ?chunk ~trials ~seed:base_seed
-      ~local:make_flat_perf_arena
-      (fun arena ~trial ~seed ->
-        let elected, steps = flat_perf_trial arena ~seed in
-        sr_elected.(trial) <- elected;
-        sr_steps.(trial) <- steps)
-  in
-  { sr_elected; sr_steps; sr_workers }
-
-(* {1 The PoisonPill election across kernels}
-
-   One PoisonPill election ([Leaderelect.Poison_le]) at the perf
-   sweep's n and k, run once on the hand-compiled flat program
-   ([Programs.poison]) and once on the effect path, with the same
-   derive streams (0 schedule, 1 adversary). The per-trial outcome is
-   [(winner, max steps)]: cross-kernel equality is the bench-level
-   flat-vs-effect differential for the poison registry entry, and the
-   flat side's trials/s and minor-words/trial feed the poison gates in
-   scripts/perf_regress.sh. *)
-
-let make_poison_flat_arena () =
-  Flatsim.Machine.create ~procs:perf_k (Flatsim.Programs.poison ~n:perf_n)
-
-let poison_flat_trial m ~seed =
-  let open Flatsim in
-  Machine.reset ~seed:(derive seed ~stream:0) m;
-  Machine.run_random m ~seed:(derive seed ~stream:1);
-  let winner = ref (-1) in
-  let results = m.Machine.results in
-  for pid = 0 to perf_k - 1 do
-    if Array.unsafe_get results pid = 1 then winner := pid
-  done;
-  (!winner, Machine.max_steps m)
-
-type poison_effect_arena = {
-  po_mem : Sim.Memory.t;
-  po_progs : (Sim.Ctx.t -> int) array;
-  po_sched : Sim.Sched.t;
-}
-
-let make_poison_effect_arena () =
-  let po_mem = Sim.Memory.create () in
-  let le = Leaderelect.Poison_le.make po_mem ~n:perf_n in
-  let po_progs = Leaderelect.Le.programs le ~k:perf_k in
-  let po_sched = Sim.Sched.create po_progs in
-  { po_mem; po_progs; po_sched }
-
-let poison_effect_trial a ~seed =
-  Sim.Memory.reset a.po_mem;
-  Sim.Sched.reset ~seed:(derive seed ~stream:0) a.po_sched a.po_progs;
-  Sim.Sched.run a.po_sched
-    (Sim.Adversary.random_oblivious ~seed:(derive seed ~stream:1));
-  let winner = ref (-1) in
-  for pid = 0 to perf_k - 1 do
-    if Sim.Sched.result a.po_sched pid = Some 1 then winner := pid
-  done;
-  (!winner, Sim.Sched.max_steps a.po_sched)
-
-type poison_sweep_run = {
-  po_winner : int array;  (* per-trial winning pid *)
-  po_steps : int array;  (* per-trial election max steps *)
-  po_workers : Engine.worker_stats array;
-}
-
-let poison_results_equal a b =
-  a.po_winner = b.po_winner && a.po_steps = b.po_steps
-
-let poison_flat_sweep ~domains ?chunk ~trials () =
-  let po_winner = Array.make trials 0 in
-  let po_steps = Array.make trials 0 in
-  let po_workers =
-    Engine.run_into ~domains ?chunk ~trials ~seed:base_seed
-      ~local:make_poison_flat_arena
-      (fun arena ~trial ~seed ->
-        let winner, steps = poison_flat_trial arena ~seed in
-        po_winner.(trial) <- winner;
-        po_steps.(trial) <- steps)
-  in
-  { po_winner; po_steps; po_workers }
-
-let poison_effect_sweep ~domains ?chunk ~trials () =
-  let po_winner = Array.make trials 0 in
-  let po_steps = Array.make trials 0 in
-  let po_workers =
-    Engine.run_into ~domains ?chunk ~trials ~seed:base_seed
-      ~local:make_poison_effect_arena
-      (fun arena ~trial ~seed ->
-        let winner, steps = poison_effect_trial arena ~seed in
-        po_winner.(trial) <- winner;
-        po_steps.(trial) <- steps)
-  in
-  { po_winner; po_steps; po_workers }
 
 (* {1 E20 — Successor algorithms: PoisonPill steps, opt-space registers} *)
 

@@ -1,15 +1,13 @@
-(* Benchmark & experiment driver.
+(* Experiment driver.
 
    dune exec bench/main.exe                         -- every experiment table
    dune exec bench/main.exe -- e5 e8                -- selected experiments
    dune exec bench/main.exe -- --domains 4 e1       -- table runs on 4 domains
-   dune exec bench/main.exe -- perf --domains 4     -- parallel speedup bench
    dune exec bench/main.exe -- bechamel             -- Bechamel microbenches
 
-   Every run that executes experiments or the perf sweep also writes a
-   machine-readable BENCH_results.json (override with --out FILE) so
-   the perf trajectory of the repo can be tracked PR over PR; the
-   schema is documented in EXPERIMENTS.md. *)
+   The tables check the paper's claims; performance is measured by the
+   declared benchmark instead (rtasbench/, run with
+   `sh rtasbench/run.sh`). *)
 
 open Bechamel
 open Toolkit
@@ -129,765 +127,7 @@ let run_bechamel () =
       end)
     merged
 
-(* {1 BENCH_results.json}
-
-   Hand-rolled emitter (no JSON dependency in the container): the
-   schema is flat and fully under our control; see EXPERIMENTS.md. *)
-
-type sweep_result = {
-  workload : string;
-  sw_kernel : string;  (* "flat" or "effect": which kernel was timed *)
-  sw_trials : int;
-  sw_domains : int;
-  sw_domains_requested : int;
-  sw_chunk : int;
-  wall_s_domains_1 : float;
-  wall_s : float;
-  workers_domains_1 : Engine.worker_stats array;
-  workers : Engine.worker_stats array;
-  bit_identical : bool;
-}
-
-(* The in-run cross-kernel comparison: the same trials executed once on
-   the flat kernel and once on the effect kernel, both at domains=1.
-   [kc_outcomes_match] is the full per-trial outcome-vector equality —
-   the bench-level differential check riding on every perf run. *)
-type kernel_compare = {
-  kc_trials : int;
-  kc_flat_wall_s : float;
-  kc_effect_wall_s : float;
-  kc_outcomes_match : bool;
-}
-
-(* The PoisonPill election run once on its hand-compiled flat program
-   and once on the effect path, both at domains=1: the successor-TAS
-   counterpart of [kernel_compare]. [pf_outcomes_match] is the full
-   per-trial (winner, steps) equality — the bench-level differential
-   for the poison registry entry — and the flat side's throughput and
-   allocation feed the poison gates in scripts/perf_regress.sh. *)
-type poison_flat = {
-  pf_trials : int;
-  pf_flat_wall_s : float;
-  pf_effect_wall_s : float;
-  pf_minor_words_per_trial : float;
-  pf_outcomes_match : bool;
-}
-
-(* One point of the multi-domain scaling sweep (flat kernel). *)
-type scaling_point = {
-  sc_domains : int;
-  sc_trials : int;
-  sc_wall_s : float;
-  sc_workers : Engine.worker_stats array;
-}
-
-let add_workers buf key (workers : Engine.worker_stats array) =
-  let add = Buffer.add_string buf in
-  add (Printf.sprintf "    \"%s\": [" key);
-  Array.iteri
-    (fun i (w : Engine.worker_stats) ->
-      if i > 0 then add ",";
-      add
-        (Printf.sprintf
-           "\n      {\"worker\": %d, \"trials\": %d, \"chunks\": %d, \
-            \"minor_words\": %.0f, \"promoted_words\": %.0f, \
-            \"major_words\": %.0f, \"minor_collections\": %d, \
-            \"major_collections\": %d}"
-           w.Engine.w_worker w.Engine.w_trials w.Engine.w_chunks
-           w.Engine.w_minor_words w.Engine.w_promoted_words
-           w.Engine.w_major_words w.Engine.w_minor_collections
-           w.Engine.w_major_collections))
-    workers;
-  if Array.length workers > 0 then add "\n    ";
-  add "]"
-
-let total_minor_words (workers : Engine.worker_stats array) =
-  Array.fold_left (fun a w -> a +. w.Engine.w_minor_words) 0.0 workers
-
-type service_result = {
-  svc_algorithm : string;
-  svc_kernel : string;
-  svc_events : string;  (* "wheel" or "heap": which engine was timed *)
-  svc_clients : int;
-  svc_wall_s : float;
-  svc_report : Service.Report.t;
-  svc_reproducible : bool;
-}
-
-(* The same overload workload run once per event engine: the headline
-   wheel-vs-heap ratio the perf gate holds (scripts/perf_regress.sh).
-   [wh_reports_match] is full report-JSON equality across engines. *)
-type wheel_vs_heap = {
-  wh_clients : int;
-  wh_wheel_wall_s : float;
-  wh_heap_wall_s : float;
-  wh_reports_match : bool;
-}
-
-(* One point of the service scaling sweep (wheel engine, histogram
-   latency): clients/s as the population grows 10k -> 1M. *)
-type svc_scaling_point = {
-  ss_clients : int;
-  ss_wall_s : float;
-  ss_completed : int;
-  ss_p999 : float;
-}
-
-(* The wheel_vs_heap overload workload run once more with a telemetry
-   sink attached: the on/off wall-clock ratio is the overhead the perf
-   gate caps, [tb_report_unperturbed] is report-JSON equality against
-   the sink-free run, and [tb_sums_match] is the per-window counter
-   sums against the report totals. *)
-type telemetry_bench = {
-  tb_clients : int;
-  tb_window_ticks : float;
-  tb_windows : int;
-  tb_off_wall_s : float;
-  tb_on_wall_s : float;
-  tb_report_unperturbed : bool;
-  tb_sums_match : bool;
-}
-
-let write_json ~path ~domains ~domains_requested ~scale ~kernel ~experiments
-    ~sweep ~compare ~poison_flat ~scaling ~service ~wheel_vs_heap
-    ~service_scaling ~telemetry =
-  let buf = Buffer.create 1024 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add "  \"schema_version\": 7,\n";
-  add (Printf.sprintf "  \"domains\": %d,\n" domains);
-  add (Printf.sprintf "  \"domains_requested\": %d,\n" domains_requested);
-  add
-    (Printf.sprintf "  \"recommended_domains\": %d,\n"
-       (Domain.recommended_domain_count ()));
-  add (Printf.sprintf "  \"experiments_scale\": %.4f,\n" scale);
-  add (Printf.sprintf "  \"kernel\": \"%s\",\n" kernel);
-  add "  \"experiments\": [";
-  List.iteri
-    (fun i (id, wall_s) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "\n    {\"id\": \"%s\", \"wall_s\": %.6f}" id wall_s))
-    experiments;
-  if experiments <> [] then add "\n  ";
-  add "],\n";
-  (match sweep with
-  | None -> add "  \"parallel_sweep\": null"
-  | Some s ->
-      let per_sec wall = float_of_int s.sw_trials /. Float.max wall 1e-9 in
-      let per_trial words =
-        words /. float_of_int (max s.sw_trials 1)
-      in
-      add "  \"parallel_sweep\": {\n";
-      add (Printf.sprintf "    \"workload\": \"%s\",\n" s.workload);
-      add (Printf.sprintf "    \"kernel\": \"%s\",\n" s.sw_kernel);
-      add (Printf.sprintf "    \"trials\": %d,\n" s.sw_trials);
-      add (Printf.sprintf "    \"domains\": %d,\n" s.sw_domains);
-      add
-        (Printf.sprintf "    \"domains_requested\": %d,\n"
-           s.sw_domains_requested);
-      add (Printf.sprintf "    \"chunk\": %d,\n" s.sw_chunk);
-      add (Printf.sprintf "    \"wall_s_domains_1\": %.6f,\n" s.wall_s_domains_1);
-      add (Printf.sprintf "    \"wall_s\": %.6f,\n" s.wall_s);
-      add
-        (Printf.sprintf "    \"trials_per_sec_domains_1\": %.2f,\n"
-           (per_sec s.wall_s_domains_1));
-      add (Printf.sprintf "    \"trials_per_sec\": %.2f,\n" (per_sec s.wall_s));
-      (* At domains=1 there is a single measured run, so the speedup is
-         1.0 by definition — report exactly that instead of the ratio of
-         two timings of the same code (scripts/perf_regress.sh checks
-         the exact value). *)
-      add
-        (Printf.sprintf "    \"speedup_vs_domains_1\": %.4f,\n"
-           (if s.sw_domains = 1 then 1.0
-            else s.wall_s_domains_1 /. Float.max s.wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"minor_words_per_trial_domains_1\": %.1f,\n"
-           (per_trial (total_minor_words s.workers_domains_1)));
-      add_workers buf "gc_domains_1" s.workers_domains_1;
-      add ",\n";
-      add_workers buf "gc" s.workers;
-      add ",\n";
-      (* Records that these numbers were measured with the Probe layer
-         compiled into the hot path but no sink installed — the
-         configuration the throughput gate doubles as an overhead gate
-         for (scripts/perf_regress.sh). *)
-      add
-        (Printf.sprintf
-           "    \"probe\": {\"compiled_in\": true, \"sink_installed\": %b},\n"
-           (Obs.Probe.enabled ()));
-      add (Printf.sprintf "    \"bit_identical\": %b\n" s.bit_identical);
-      add "  }");
-  (match compare with
-  | None -> add ",\n  \"flat_vs_effect\": null"
-  | Some c ->
-      let per_sec wall = float_of_int c.kc_trials /. Float.max wall 1e-9 in
-      add ",\n  \"flat_vs_effect\": {\n";
-      add (Printf.sprintf "    \"trials\": %d,\n" c.kc_trials);
-      add (Printf.sprintf "    \"flat_wall_s\": %.6f,\n" c.kc_flat_wall_s);
-      add
-        (Printf.sprintf "    \"flat_trials_per_sec\": %.2f,\n"
-           (per_sec c.kc_flat_wall_s));
-      add (Printf.sprintf "    \"effect_wall_s\": %.6f,\n" c.kc_effect_wall_s);
-      add
-        (Printf.sprintf "    \"effect_trials_per_sec\": %.2f,\n"
-           (per_sec c.kc_effect_wall_s));
-      add
-        (Printf.sprintf "    \"speedup\": %.2f,\n"
-           (c.kc_effect_wall_s /. Float.max c.kc_flat_wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"outcomes_match\": %b\n" c.kc_outcomes_match);
-      add "  }");
-  (match poison_flat with
-  | None -> add ",\n  \"poison_flat\": null"
-  | Some p ->
-      let per_sec wall = float_of_int p.pf_trials /. Float.max wall 1e-9 in
-      add ",\n  \"poison_flat\": {\n";
-      add (Printf.sprintf "    \"trials\": %d,\n" p.pf_trials);
-      add (Printf.sprintf "    \"flat_wall_s\": %.6f,\n" p.pf_flat_wall_s);
-      add
-        (Printf.sprintf "    \"trials_per_sec\": %.2f,\n"
-           (per_sec p.pf_flat_wall_s));
-      add
-        (Printf.sprintf "    \"effect_wall_s\": %.6f,\n" p.pf_effect_wall_s);
-      add
-        (Printf.sprintf "    \"effect_trials_per_sec\": %.2f,\n"
-           (per_sec p.pf_effect_wall_s));
-      add
-        (Printf.sprintf "    \"speedup\": %.2f,\n"
-           (p.pf_effect_wall_s /. Float.max p.pf_flat_wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"minor_words_per_trial\": %.1f,\n"
-           p.pf_minor_words_per_trial);
-      add
-        (Printf.sprintf "    \"outcomes_match\": %b\n" p.pf_outcomes_match);
-      add "  }");
-  (match scaling with
-  | None -> add ",\n  \"scaling\": null"
-  | Some points ->
-      add ",\n  \"scaling\": [";
-      List.iteri
-        (fun i p ->
-          if i > 0 then add ",";
-          let minor = total_minor_words p.sc_workers in
-          let minor_cols =
-            Array.fold_left
-              (fun a w -> a + w.Engine.w_minor_collections)
-              0 p.sc_workers
-          in
-          let major_cols =
-            Array.fold_left
-              (fun a w -> a + w.Engine.w_major_collections)
-              0 p.sc_workers
-          in
-          add
-            (Printf.sprintf
-               "\n    {\"domains\": %d, \"trials\": %d, \"wall_s\": %.6f, \
-                \"trials_per_sec\": %.2f, \"minor_words_per_trial\": %.1f, \
-                \"minor_collections\": %d, \"major_collections\": %d}"
-               p.sc_domains p.sc_trials p.sc_wall_s
-               (float_of_int p.sc_trials /. Float.max p.sc_wall_s 1e-9)
-               (minor /. float_of_int (max p.sc_trials 1))
-               minor_cols major_cols))
-        points;
-      if points <> [] then add "\n  ";
-      add "]");
-  (match service with
-  | None -> ()
-  | Some s ->
-      let r = s.svc_report in
-      let c = r.Service.Report.counts in
-      add ",\n  \"service\": {\n";
-      add (Printf.sprintf "    \"algorithm\": \"%s\",\n" s.svc_algorithm);
-      add (Printf.sprintf "    \"kernel\": \"%s\",\n" s.svc_kernel);
-      add (Printf.sprintf "    \"events\": \"%s\",\n" s.svc_events);
-      add (Printf.sprintf "    \"clients\": %d,\n" s.svc_clients);
-      add (Printf.sprintf "    \"wall_s\": %.6f,\n" s.svc_wall_s);
-      add
-        (Printf.sprintf "    \"clients_per_sec\": %.2f,\n"
-           (float_of_int c.Service.Report.completed
-           /. Float.max s.svc_wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"completed\": %d,\n" c.Service.Report.completed);
-      add
-        (Printf.sprintf "    \"throughput_per_ktick\": %.6f,\n"
-           r.Service.Report.throughput);
-      (match r.Service.Report.latency with
-      | Some l ->
-          add
-            (Printf.sprintf "    \"p99_ticks\": %.3f,\n"
-               l.Service.Report.l_p99)
-      | None -> add "    \"p99_ticks\": null,\n");
-      add
-        (Printf.sprintf "    \"reproducible\": %b\n" s.svc_reproducible);
-      add "  }");
-  (match wheel_vs_heap with
-  | None -> add ",\n  \"wheel_vs_heap\": null"
-  | Some w ->
-      add ",\n  \"wheel_vs_heap\": {\n";
-      add (Printf.sprintf "    \"clients\": %d,\n" w.wh_clients);
-      add (Printf.sprintf "    \"wheel_wall_s\": %.6f,\n" w.wh_wheel_wall_s);
-      add (Printf.sprintf "    \"heap_wall_s\": %.6f,\n" w.wh_heap_wall_s);
-      add
-        (Printf.sprintf "    \"speedup\": %.4f,\n"
-           (w.wh_heap_wall_s /. Float.max w.wh_wheel_wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"reports_match\": %b\n" w.wh_reports_match);
-      add "  }");
-  (match telemetry with
-  | None -> add ",\n  \"telemetry\": null"
-  | Some t ->
-      add ",\n  \"telemetry\": {\n";
-      add (Printf.sprintf "    \"clients\": %d,\n" t.tb_clients);
-      add (Printf.sprintf "    \"window_ticks\": %g,\n" t.tb_window_ticks);
-      add (Printf.sprintf "    \"windows\": %d,\n" t.tb_windows);
-      add (Printf.sprintf "    \"off_wall_s\": %.6f,\n" t.tb_off_wall_s);
-      add (Printf.sprintf "    \"on_wall_s\": %.6f,\n" t.tb_on_wall_s);
-      add
-        (Printf.sprintf "    \"overhead\": %.4f,\n"
-           (t.tb_on_wall_s /. Float.max t.tb_off_wall_s 1e-9));
-      add
-        (Printf.sprintf "    \"report_unperturbed\": %b,\n"
-           t.tb_report_unperturbed);
-      add
-        (Printf.sprintf "    \"sums_match_totals\": %b\n" t.tb_sums_match);
-      add "  }");
-  (match service_scaling with
-  | None -> add ",\n  \"service_scaling\": null"
-  | Some points ->
-      add ",\n  \"service_scaling\": [";
-      List.iteri
-        (fun i p ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n    {\"clients\": %d, \"wall_s\": %.6f, \
-                \"clients_per_sec\": %.2f, \"completed\": %d, \
-                \"p999_ticks\": %.3f}"
-               p.ss_clients p.ss_wall_s
-               (float_of_int p.ss_clients /. Float.max p.ss_wall_s 1e-9)
-               p.ss_completed p.ss_p999))
-        points;
-      if points <> [] then add "\n  ";
-      add "]");
-  add "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "@.wrote %s@." path
-
-(* {1 The perf sweep: wall-clock speedup of the parallel trial engine} *)
-
-let resolve_bench_domains ~exact requested =
-  let recommended = Domain.recommended_domain_count () in
-  if exact || requested <= recommended then requested
-  else begin
-    Fmt.epr
-      "perf: clamping --domains %d to the recommended %d (results are \
-       identical either way; pass --exact-domains to overcommit anyway)@."
-      requested recommended;
-    recommended
-  end
-
-let pp_workers label (workers : Engine.worker_stats array) =
-  Array.iter
-    (fun (w : Engine.worker_stats) ->
-      Fmt.pr
-        "  %s worker %d: %d trials in %d chunks, minor %.2fM words, major \
-         %.2fM words, %d minor / %d major collections@."
-        label w.Engine.w_worker w.Engine.w_trials w.Engine.w_chunks
-        (w.Engine.w_minor_words /. 1e6)
-        (w.Engine.w_major_words /. 1e6)
-        w.Engine.w_minor_collections w.Engine.w_major_collections)
-    workers
-
-let run_perf ~kernel ~domains_requested ~exact ~trials ~scale ~out () =
-  let domains = resolve_bench_domains ~exact domains_requested in
-  let kernel_name =
-    match kernel with `Flat -> "flat" | `Effect -> "effect"
-  in
-  Fmt.pr "== Parallel trial engine: reduced E1/E2 sweep, %d trials, %s kernel ==@."
-    trials kernel_name;
-  (* Adaptive chunking, calibrated per kernel: size chunks off one timed
-     calibration trial so a chunk costs ~10ms regardless of how fast the
-     workload gets. Both kernels get a chunk because both get timed (the
-     primary sweep on [kernel], the cross-kernel comparison on the
-     other). *)
-  let flat_chunk =
-    let arena = Experiments.make_flat_perf_arena () in
-    Engine.calibrated_chunk ~domains ~trials (fun () ->
-        ignore
-          (Experiments.flat_perf_trial arena
-             ~seed:(Sim.Rng.derive Experiments.base_seed ~stream:0)))
-  in
-  let effect_chunk =
-    let arena = Experiments.make_perf_arena () in
-    Engine.calibrated_chunk ~domains ~trials (fun () ->
-        ignore
-          (Experiments.perf_trial arena
-             ~seed:(Sim.Rng.derive Experiments.base_seed ~stream:0)))
-  in
-  let sweep_of = function
-    | `Flat -> fun ~domains ~trials () ->
-        Experiments.flat_sweep ~domains ~chunk:flat_chunk ~trials ()
-    | `Effect -> fun ~domains ~trials () ->
-        Experiments.perf_sweep ~domains ~chunk:effect_chunk ~trials ()
-  in
-  let chunk =
-    match kernel with `Flat -> flat_chunk | `Effect -> effect_chunk
-  in
-  Fmt.pr "  calibrated chunk: %d trials (%s kernel)@." chunk kernel_name;
-  let primary = sweep_of kernel in
-  (* Untimed warmup pass: the first run of a sweep pays page faults and
-     cold predictors (measurably ~20% on the flat kernel), which would
-     skew both the domains=1 figure and the kernel comparison below. *)
-  ignore (primary ~domains:1 ~trials ());
-  let r1, t1 = Engine.timed (fun () -> primary ~domains:1 ~trials ()) in
-  Fmt.pr "  domains=1: %.3fs (%.1f trials/s)@." t1 (float_of_int trials /. t1);
-  (* At domains=1 the domains=n run would be the same measured code
-     path run twice: reuse the single run and report speedup exactly
-     1.0 (satellite of ISSUE 7; checked by scripts/perf_regress.sh). *)
-  let rn, tn, bit_identical =
-    if domains = 1 then (r1, t1, true)
-    else begin
-      let rn, tn = Engine.timed (fun () -> primary ~domains ~trials ()) in
-      Fmt.pr "  domains=%d: %.3fs (%.1f trials/s)@." domains tn
-        (float_of_int trials /. tn);
-      (rn, tn, Experiments.sweep_results_equal r1 rn)
-    end
-  in
-  Fmt.pr "  per-trial results bit-identical across domain counts: %b@."
-    bit_identical;
-  Fmt.pr "  speedup vs domains=1: %.2fx@."
-    (if domains = 1 then 1.0 else t1 /. Float.max tn 1e-9);
-  pp_workers "gc" rn.Experiments.sr_workers;
-  if not bit_identical then begin
-    Fmt.epr "perf: determinism violation — results differ across domains@.";
-    exit 1
-  end;
-  (* Cross-kernel comparison: run the same trials on the other kernel
-     (domains=1) and require the full per-trial outcome vectors to
-     match — the bench-level flat-vs-effect differential. *)
-  let other = match kernel with `Flat -> `Effect | `Effect -> `Flat in
-  (* Time each kernel as the min of 3 repetitions (first rep doubles
-     as the other kernel's warmup): min-of-N is the noise-robust
-     estimator on a contended host, and both sides get the identical
-     treatment so the ratio is fair. *)
-  let timed_min f =
-    let best = ref infinity and res = ref None in
-    for _ = 1 to 3 do
-      let r, w = Engine.timed f in
-      if w < !best then best := w;
-      res := Some r
-    done;
-    (Option.get !res, !best)
-  in
-  let ro, to_ = timed_min (fun () -> (sweep_of other) ~domains:1 ~trials ()) in
-  let _, t1_min = timed_min (fun () -> primary ~domains:1 ~trials ()) in
-  let outcomes_match = Experiments.sweep_results_equal r1 ro in
-  let kc_flat_wall_s, kc_effect_wall_s =
-    match kernel with `Flat -> (t1_min, to_) | `Effect -> (to_, t1_min)
-  in
-  Fmt.pr "  flat vs effect (domains=1): %.3fs vs %.3fs (%.1fx), outcomes match: %b@."
-    kc_flat_wall_s kc_effect_wall_s
-    (kc_effect_wall_s /. Float.max kc_flat_wall_s 1e-9)
-    outcomes_match;
-  if not outcomes_match then begin
-    Fmt.epr
-      "perf: kernel divergence — flat and effect outcome vectors differ@.";
-    exit 1
-  end;
-  let compare =
-    { kc_trials = trials; kc_flat_wall_s; kc_effect_wall_s;
-      kc_outcomes_match = outcomes_match }
-  in
-  (* PoisonPill cross-kernel bench: the successor election's flat
-     compilation against its effect oracle, same treatment as the
-     primary kernel comparison (min of 3, domains=1, first rep as
-     warmup, full per-trial outcome equality). *)
-  let poison_flat_chunk =
-    let m = Experiments.make_poison_flat_arena () in
-    Engine.calibrated_chunk ~domains:1 ~trials (fun () ->
-        ignore
-          (Experiments.poison_flat_trial m
-             ~seed:(Sim.Rng.derive Experiments.base_seed ~stream:0)))
-  in
-  let poison_effect_chunk =
-    let a = Experiments.make_poison_effect_arena () in
-    Engine.calibrated_chunk ~domains:1 ~trials (fun () ->
-        ignore
-          (Experiments.poison_effect_trial a
-             ~seed:(Sim.Rng.derive Experiments.base_seed ~stream:0)))
-  in
-  let pf_r, pf_wall =
-    timed_min (fun () ->
-        Experiments.poison_flat_sweep ~domains:1 ~chunk:poison_flat_chunk
-          ~trials ())
-  in
-  let pe_r, pe_wall =
-    timed_min (fun () ->
-        Experiments.poison_effect_sweep ~domains:1 ~chunk:poison_effect_chunk
-          ~trials ())
-  in
-  let poison_match = Experiments.poison_results_equal pf_r pe_r in
-  let poison_words =
-    total_minor_words pf_r.Experiments.po_workers
-    /. float_of_int (max trials 1)
-  in
-  Fmt.pr
-    "  poison flat vs effect (domains=1): %.3fs vs %.3fs (%.1fx), %.1f minor \
-     words/trial, outcomes match: %b@."
-    pf_wall pe_wall
-    (pe_wall /. Float.max pf_wall 1e-9)
-    poison_words poison_match;
-  if not poison_match then begin
-    Fmt.epr
-      "perf: kernel divergence — poison flat and effect outcome vectors \
-       differ@.";
-    exit 1
-  end;
-  let poison_flat =
-    {
-      pf_trials = trials;
-      pf_flat_wall_s = pf_wall;
-      pf_effect_wall_s = pe_wall;
-      pf_minor_words_per_trial = poison_words;
-      pf_outcomes_match = poison_match;
-    }
-  in
-  (* Multi-domain scaling sweep, always on the flat kernel: one timed
-     point per domain count from 1 to the resolved pool width. *)
-  Fmt.pr "@.== Flat-kernel scaling sweep (1..%d domains) ==@." domains;
-  let scaling =
-    List.init domains (fun i ->
-        let d = i + 1 in
-        let r, w =
-          Engine.timed (fun () ->
-              Experiments.flat_sweep ~domains:d ~chunk:flat_chunk ~trials ())
-        in
-        Fmt.pr "  domains=%d: %.3fs (%.1f trials/s)@." d w
-          (float_of_int trials /. Float.max w 1e-9);
-        { sc_domains = d; sc_trials = trials; sc_wall_s = w;
-          sc_workers = r.Experiments.sr_workers })
-  in
-  (* Time every experiment family (at --scale, so the whole trajectory
-     stays regression-guarded without hour-long runs). *)
-  Experiments.domains := domains;
-  Experiments.scale := scale;
-  Fmt.pr "@.== Experiment families (scale %.2f) ==@." scale;
-  let experiments =
-    List.map
-      (fun (id, _, run) ->
-        let (), wall = Engine.timed run in
-        (id, wall))
-      Experiments.all
-  in
-  Fmt.pr "@.== Family wall-clock (scale %.2f) ==@." scale;
-  List.iter (fun (id, wall) -> Fmt.pr "  %-5s %8.3fs@." id wall) experiments;
-  (* The lock-service workload, run twice with one seed: the wall clock
-     feeds the perf gate's clients_per_sec floor and the JSON equality
-     of the two runs feeds its exact reproducibility check. *)
-  let svc_cfg =
-    {
-      (Service.Driver.default ~algorithm:"log*") with
-      Service.Driver.clients = 2000;
-      kernel;
-      seed = 42L;
-    }
-  in
-  let svc_r1, svc_wall = Engine.timed (fun () -> Service.Driver.run svc_cfg) in
-  let svc_r2 = Service.Driver.run svc_cfg in
-  let svc_reproducible =
-    Service.Report.to_json svc_r1 = Service.Report.to_json svc_r2
-  in
-  Fmt.pr "@.== Lock service (sim, %s kernel, %d clients) ==@." kernel_name
-    svc_cfg.Service.Driver.clients;
-  Fmt.pr "  %.3fs wall (%.0f clients/s), reproducible: %b@." svc_wall
-    (float_of_int svc_r1.Service.Report.counts.Service.Report.completed
-    /. Float.max svc_wall 1e-9)
-    svc_reproducible;
-  if not svc_reproducible then begin
-    Fmt.epr "perf: service determinism violation — reruns differ@.";
-    exit 1
-  end;
-  (* Wheel vs heap on the event-dominated workload: sustained overload
-     (Poisson 20/tick onto 4 keys, queues capped at 16, backoff capped
-     at 256 ticks so clients keep bouncing) with client-side retry, so
-     nearly every event is a cheap backoff timer and the event engine
-     is the bottleneck — elections are five orders of magnitude rarer
-     than timer events (~44 against ~22M). min-of-2 per engine; the
-     reports must match byte for byte (the engines share one total
-     event order). *)
-  let overload clients =
-    {
-      (Service.Driver.default ~algorithm:"tournament") with
-      Service.Driver.clients;
-      keys = 4;
-      zipf_s = 0.0;
-      arrival = Service.Arrival.Poisson { rate = 20.0 };
-      backoff = Service.Backoff.Exp { base = 8.0; cap = 256.0 };
-      contenders = 2;
-      max_waiters = 16;
-      hold = 2000.0;
-      on_shed = `Retry;
-      kernel = `Flat;
-      latency = `Hist;
-      seed = 42L;
-    }
-  in
-  let timed_min2 cfg =
-    let r1, w1 = Engine.timed (fun () -> Service.Driver.run cfg) in
-    let _, w2 = Engine.timed (fun () -> Service.Driver.run cfg) in
-    (r1, Float.min w1 w2)
-  in
-  let gate_cfg = overload 100_000 in
-  Fmt.pr "@.== Event engine: wheel vs heap (%d clients, overload + retry) ==@."
-    gate_cfg.Service.Driver.clients;
-  let wh_r, wh_wall = timed_min2 gate_cfg in
-  let hp_r, hp_wall =
-    timed_min2 { gate_cfg with Service.Driver.events = `Heap }
-  in
-  let wh_match =
-    Service.Report.to_json wh_r = Service.Report.to_json hp_r
-  in
-  Fmt.pr "  wheel %.3fs, heap %.3fs: %.2fx, reports match: %b@." wh_wall
-    hp_wall
-    (hp_wall /. Float.max wh_wall 1e-9)
-    wh_match;
-  if not wh_match then begin
-    Fmt.epr "perf: event-engine divergence — wheel and heap reports differ@.";
-    exit 1
-  end;
-  (* The same workload with a telemetry sink attached (1000-tick
-     windows). The wheel run above is the telemetry-off baseline: the
-     sink must not perturb the report byte for byte, every windowed
-     counter must sum to its report total, and the on/off wall-clock
-     ratio is the overhead scripts/perf_regress.sh caps at 15%. *)
-  let tel_window = 1000.0 in
-  let tel_once () =
-    let s = Service.Telemetry.sink ~window:tel_window () in
-    let r = Service.Driver.run ~telemetry:s gate_cfg in
-    (r, s)
-  in
-  let (tel_r, tel_s), tel_w1 = Engine.timed tel_once in
-  let _, tel_w2 = Engine.timed tel_once in
-  let tel_wall = Float.min tel_w1 tel_w2 in
-  let tel_snap = tel_s.Service.Telemetry.snapshot in
-  let tel_unperturbed =
-    Service.Report.to_json tel_r = Service.Report.to_json wh_r
-  in
-  let tel_sums_match =
-    Service.Telemetry.counter_mismatches tel_snap tel_r = []
-  in
-  Fmt.pr
-    "  telemetry on: %.3fs (%.2fx off), %d windows, report unperturbed: %b, \
-     sums match: %b@."
-    tel_wall
-    (tel_wall /. Float.max wh_wall 1e-9)
-    (Obs.Timeseries.windows tel_snap)
-    tel_unperturbed tel_sums_match;
-  if not tel_unperturbed then begin
-    Fmt.epr "perf: telemetry sink perturbed the service report@.";
-    exit 1
-  end;
-  if not tel_sums_match then begin
-    Fmt.epr "perf: windowed counter sums diverge from the report totals@.";
-    exit 1
-  end;
-  (* Service scaling: clients/s as the population grows 10k -> 1M under
-     moderate overload (most arrivals shed terminally, ~17% complete),
-     wheel engine, bounded-memory histogram latency. *)
-  let scaling_cfg clients =
-    {
-      (Service.Driver.default ~algorithm:"tournament") with
-      Service.Driver.clients;
-      keys = 256;
-      zipf_s = 0.5;
-      arrival = Service.Arrival.Poisson { rate = 20.0 };
-      backoff = Service.Backoff.Exp { base = 8.0; cap = 512.0 };
-      contenders = 2;
-      max_waiters = 32;
-      hold = 50.0;
-      kernel = `Flat;
-      latency = `Hist;
-      seed = 42L;
-    }
-  in
-  Fmt.pr "@.== Service scaling (wheel engine, histogram latency) ==@.";
-  let service_scaling =
-    List.map
-      (fun clients ->
-        let r, w =
-          Engine.timed (fun () -> Service.Driver.run (scaling_cfg clients))
-        in
-        let p999 =
-          match r.Service.Report.latency with
-          | Some l -> l.Service.Report.l_p999
-          | None -> 0.0
-        in
-        Fmt.pr "  %8d clients: %.3fs (%.0f clients/s), p999 %.0f ticks@."
-          clients w
-          (float_of_int clients /. Float.max w 1e-9)
-          p999;
-        {
-          ss_clients = clients;
-          ss_wall_s = w;
-          ss_completed = r.Service.Report.counts.Service.Report.completed;
-          ss_p999 = p999;
-        })
-      [ 10_000; 100_000; 1_000_000 ]
-  in
-  write_json ~path:out ~domains ~domains_requested ~scale ~kernel:kernel_name
-    ~experiments
-    ~service:
-      (Some
-         {
-           svc_algorithm = "log*";
-           svc_kernel = kernel_name;
-           svc_events = "wheel";
-           svc_clients = svc_cfg.Service.Driver.clients;
-           svc_wall_s = svc_wall;
-           svc_report = svc_r1;
-           svc_reproducible;
-         })
-    ~wheel_vs_heap:
-      (Some
-         {
-           wh_clients = gate_cfg.Service.Driver.clients;
-           wh_wheel_wall_s = wh_wall;
-           wh_heap_wall_s = hp_wall;
-           wh_reports_match = wh_match;
-         })
-    ~telemetry:
-      (Some
-         {
-           tb_clients = gate_cfg.Service.Driver.clients;
-           tb_window_ticks = tel_window;
-           tb_windows = Obs.Timeseries.windows tel_snap;
-           tb_off_wall_s = wh_wall;
-           tb_on_wall_s = tel_wall;
-           tb_report_unperturbed = tel_unperturbed;
-           tb_sums_match = tel_sums_match;
-         })
-    ~service_scaling:(Some service_scaling)
-    ~compare:(Some compare) ~poison_flat:(Some poison_flat)
-    ~scaling:(Some scaling)
-    ~sweep:
-      (Some
-         {
-           workload = "e1e2-reduced";
-           sw_kernel = kernel_name;
-           sw_trials = trials;
-           sw_domains = domains;
-           sw_domains_requested = domains_requested;
-           sw_chunk = chunk;
-           wall_s_domains_1 = t1;
-           wall_s = tn;
-           workers_domains_1 = r1.Experiments.sr_workers;
-           workers = rn.Experiments.sr_workers;
-           bit_identical;
-         })
-
-let run_tables ~domains ~out ids =
+let run_tables ~domains ids =
   Experiments.domains := domains;
   let chosen =
     match ids with
@@ -904,33 +144,16 @@ let run_tables ~domains ~out ids =
                 exit 1)
           ids
   in
-  let timed =
-    List.map
-      (fun (id, _, run) ->
-        let (), wall = Engine.timed run in
-        (id, wall))
-      chosen
-  in
-  write_json ~path:out ~domains ~domains_requested:domains ~scale:1.0
-    ~kernel:"effect" ~experiments:timed ~sweep:None ~compare:None
-    ~poison_flat:None ~scaling:None ~service:None ~wheel_vs_heap:None
-    ~service_scaling:None ~telemetry:None
+  List.iter (fun (_, _, run) -> run ()) chosen
 
 let usage () =
   Fmt.pr
-    "usage: main.exe [--domains N] [--out FILE] [ids...]@.\
-    \       main.exe perf [--domains N] [--exact-domains] [--trials T]@.\
-    \                     [--scale S] [--kernel flat|effect] [--out FILE]@.\
+    "usage: main.exe [--domains N] [ids...]@.\
     \       main.exe bechamel | list@."
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let domains = ref (Engine.default_domains ()) in
-  let out = ref "BENCH_results.json" in
-  let trials = ref 400 in
-  let scale = ref 0.05 in
-  let exact = ref false in
-  let kernel = ref `Flat in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--domains" :: v :: rest -> (
@@ -941,58 +164,21 @@ let () =
         | _ ->
             Fmt.epr "--domains expects a positive integer@.";
             exit 1)
-    | "--exact-domains" :: rest ->
-        exact := true;
-        parse acc rest
-    | "--kernel" :: v :: rest -> (
-        match v with
-        | "flat" ->
-            kernel := `Flat;
-            parse acc rest
-        | "effect" ->
-            kernel := `Effect;
-            parse acc rest
-        | _ ->
-            Fmt.epr "--kernel expects flat or effect@.";
-            exit 1)
-    | "--out" :: v :: rest ->
-        out := v;
-        parse acc rest
-    | "--trials" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some t when t >= 1 ->
-            trials := t;
-            parse acc rest
-        | _ ->
-            Fmt.epr "--trials expects a positive integer@.";
-            exit 1)
-    | "--scale" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some s when s > 0.0 && s <= 1.0 ->
-            scale := s;
-            parse acc rest
-        | _ ->
-            Fmt.epr "--scale expects a float in (0, 1]@.";
-            exit 1)
     | ("--help" | "-h") :: _ ->
         usage ();
         exit 0
     | a :: rest -> parse (a :: acc) rest
   in
   match parse [] args with
-  | [ "perf" ] ->
-      run_perf ~kernel:!kernel ~domains_requested:!domains ~exact:!exact
-        ~trials:!trials ~scale:!scale ~out:!out ()
   | [ "bechamel" ] -> run_bechamel ()
   | [ "list" ] ->
       List.iter (fun (id, doc, _) -> Fmt.pr "%-5s %s@." id doc) Experiments.all;
-      Fmt.pr "%-5s %s@." "bechamel" "Bechamel microbenches";
-      Fmt.pr "%-5s %s@." "perf" "Parallel engine speedup sweep (writes JSON)"
+      Fmt.pr "%-5s %s@." "bechamel" "Bechamel microbenches"
   | [] ->
-      run_tables ~domains:!domains ~out:!out [];
+      run_tables ~domains:!domains [];
       run_bechamel ()
   | ids when List.mem "bechamel" ids ->
       let tables = List.filter (fun id -> id <> "bechamel") ids in
-      if tables <> [] then run_tables ~domains:!domains ~out:!out tables;
+      if tables <> [] then run_tables ~domains:!domains tables;
       run_bechamel ()
-  | ids -> run_tables ~domains:!domains ~out:!out ids
+  | ids -> run_tables ~domains:!domains ids

@@ -49,10 +49,6 @@ let resolve_domains = function
   | Some _ -> invalid_arg "Engine: domains must be >= 1"
   | None -> default_domains ()
 
-let effective_domains ~requested =
-  if requested < 1 then invalid_arg "Engine: domains must be >= 1";
-  min requested (recommended ())
-
 (* Dynamic chunked distribution over [lo, hi): workers repeatedly grab
    the next chunk of indices from a shared atomic cursor. Chunks
    amortise the cursor contention; the default aims for ~8 chunks per
@@ -62,21 +58,6 @@ let chunk_size ~chunk ~domains ~trials =
   | Some c when c >= 1 -> c
   | Some _ -> invalid_arg "Engine: chunk must be >= 1"
   | None -> max 1 (trials / (domains * 8))
-
-let calibrated_chunk ?(target_s = 0.01) ~domains ~trials sample =
-  if trials < 1 then invalid_arg "Engine.calibrated_chunk: trials must be >= 1";
-  sample ();
-  (* One warm-up, then time a second run: the first execution pays
-     one-time costs (page faults, lazy growth) that a steady-state
-     chunk should not be sized by. *)
-  let t0 = Unix.gettimeofday () in
-  sample ();
-  let per_trial = Float.max (Unix.gettimeofday () -. t0) 1e-9 in
-  let ideal = int_of_float (target_s /. per_trial) in
-  (* Never fewer than ~4 chunks per domain (stragglers must be able to
-     rebalance), never below 1. *)
-  let cap = max 1 (trials / (domains * 4)) in
-  max 1 (min ideal cap)
 
 type worker_stats = {
   w_worker : int;
@@ -308,11 +289,6 @@ let mean ?domains ?chunk ~trials ~seed f =
   let sum = ref 0.0 in
   Float.Array.iter (fun x -> sum := !sum +. x) results;
   !sum /. float_of_int trials
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
 
 (* {1 Parallel bounded exploration}
 

@@ -31,22 +31,6 @@ val default_domains : unit -> int
 (** [RTAS_DOMAINS] from the environment if set to a positive integer,
     else [Domain.recommended_domain_count ()]. *)
 
-val effective_domains : requested:int -> int
-(** [requested] clamped to [Domain.recommended_domain_count ()] (and to
-    at least 1): the pool size that can actually run in parallel on
-    this host. Benchmarks use it so wall-clock numbers are not poisoned
-    by overcommitted domains; raises [Invalid_argument] when
-    [requested < 1]. *)
-
-val calibrated_chunk :
-  ?target_s:float -> domains:int -> trials:int -> (unit -> unit) -> int
-(** [calibrated_chunk ~domains ~trials sample] sizes chunks adaptively:
-    it runs [sample] (one representative trial) twice — a warm-up, then
-    a timed run — and returns the chunk size whose cost is roughly
-    [target_s] (default 10ms), clamped to keep at least ~4 chunks per
-    domain so stragglers can rebalance, and to at least 1. Chunk size
-    never affects results, only scheduling granularity. *)
-
 type worker_stats = {
   w_worker : int;  (** Worker index; 0 is the calling domain. *)
   w_trials : int;  (** Trials this worker executed. *)
@@ -61,7 +45,8 @@ type worker_stats = {
     balanced the work, and the worker domain's [Gc.quick_stat] deltas
     over its whole participation (arena construction included). The
     allocation columns are the direct measure of trial-loop allocation
-    discipline — [make perf-regress] tracks them per PR. *)
+    discipline — the benchmark reports them as
+    [engine.minor_words_per_trial] (rtasbench/). *)
 
 val run :
   ?domains:int ->
@@ -195,9 +180,6 @@ val mean :
 (** Arithmetic mean of a float-valued batch, accumulated in trial order
     over the unboxed {!run_float} sink. Raises [Invalid_argument] when
     [trials <= 0]. *)
-
-val timed : (unit -> 'a) -> 'a * float
-(** [timed f] is [(f (), wall-clock seconds it took)]. *)
 
 type explore_result = {
   executions : int;  (** Executions run and checked. *)

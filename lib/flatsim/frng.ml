@@ -7,8 +7,8 @@
    we store the immutable Int64 base plus a native-int draw counter and
    recompute the state on the fly. Every Int64 intermediate then lives
    only inside [next_int], where the native compiler keeps it unboxed:
-   a draw allocates {e nothing} (verified by the GC gate in
-   scripts/perf_regress.sh and test_flatsim's allocation test).
+   a draw allocates {e nothing} (pinned by test_flatsim's "gc zero
+   steady-state allocation" test, which runs every flat entry).
 
    Parity contract, pinned by test_flatsim:
    - [int t b] equals [Sim.Rng.int t' b] draw-for-draw when both start

@@ -554,38 +554,3 @@ let tas2 =
         done)
   in
   { M.p_name = "tas2"; p_regs = 3; p_frame = 3; p_start; p_resume; p_start_all }
-
-(* A single standalone Figure-1 GroupElect round sized for [n]
-   potential participants — the bench perf-arena's GE workload
-   (bench/experiments.ml [make_perf_arena]). Result 1 = elected into
-   the group. *)
-let ge_round ~n =
-  if n < 1 then invalid_arg "Programs.ge_round: n must be >= 1";
-  let l = Groupelect.Ge_logstar.level n in
-  let p_start m pid =
-    let b = pid * 2 in
-    m.M.frames.(b) <- 0;
-    m.M.frames.(b + 1) <- 0
-  in
-  let p_resume m pid =
-    let r = ge_resume m pid ~b:(pid * 2) ~rb:0 ~l in
-    if r >= 0 then M.finish m pid r
-  in
-  let p_start_all =
-    Some
-      (fun m procs ->
-        let fr = m.M.frames in
-        for pid = 0 to procs - 1 do
-          let b = pid * 2 in
-          uset fr b 0;
-          uset fr (b + 1) 0
-        done)
-  in
-  {
-    M.p_name = "ge_round";
-    p_regs = l + 2;
-    p_frame = 2;
-    p_start;
-    p_resume;
-    p_start_all;
-  }

@@ -25,7 +25,3 @@ val sift : n:int -> Machine.program
 val tas2 : Machine.program
 (** The 2-process TAS base: doorway around a duel, ports by pid —
     exactly the E8 [tas_pair] wiring. *)
-
-val ge_round : n:int -> Machine.program
-(** One standalone Figure-1 GroupElect round sized for [n] — the bench
-    perf-arena GE workload. *)

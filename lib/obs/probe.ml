@@ -5,8 +5,9 @@
    call its callbacks when one is installed. With no sink installed
    every probe point is a load-and-branch — no allocation, no callback,
    no change to any execution — which is what keeps the arena hot path
-   at full throughput with Probe compiled in (gated by
-   scripts/perf_regress.sh).
+   at full throughput with Probe compiled in (test_obs's "bit-identity"
+   cases pin the unchanged execution; the benchmark's sim.*.ns_per_step
+   metrics in rtasbench/ time the probed-off hot path).
 
    The slot is domain-local rather than global so parallel Engine
    workers can each collect into their own sink without synchronisation;
@@ -36,7 +37,6 @@ let slot : sink option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let install s = Domain.DLS.set slot (Some s)
 let uninstall () = Domain.DLS.set slot None
 let current () = Domain.DLS.get slot
-let enabled () = current () <> None
 
 let with_sink s f =
   let prev = current () in

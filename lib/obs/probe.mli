@@ -6,8 +6,9 @@
     and forwards typed events when a sink is installed; with no sink the
     probe points are a load and a branch — no allocation and no
     behaviour change, so a probed-off run is bit-identical to an
-    uninstrumented one (tested in [test_obs.ml], gated by
-    [make perf-regress]). Parallel Engine workers each install their own
+    uninstrumented one (tested in [test_obs.ml]'s "bit-identity" cases;
+    the benchmark's [sim.*.ns_per_step] metrics in rtasbench/ time the
+    probed-off path). Parallel Engine workers each install their own
     sink ([Engine.run_probed]); merging happens on snapshots after the
     join. *)
 
@@ -47,7 +48,6 @@ val install : sink -> unit
 
 val uninstall : unit -> unit
 val current : unit -> sink option
-val enabled : unit -> bool
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Scoped install; restores the previous sink (or none) afterwards,

@@ -12,12 +12,17 @@ let describe = function
 
 let validate = function
   | Poisson { rate } ->
-      if rate <= 0.0 then invalid_arg "Arrival: rate must be > 0"
+      if not (Float.is_finite rate && rate > 0.0) then
+        invalid_arg "Arrival: rate must be finite and > 0"
   | Bursty { rate; burst_len; idle_len; boost } ->
-      if rate <= 0.0 then invalid_arg "Arrival: rate must be > 0";
-      if burst_len <= 0.0 || idle_len < 0.0 then
-        invalid_arg "Arrival: burst_len must be > 0 and idle_len >= 0";
-      if boost < 1.0 then invalid_arg "Arrival: boost must be >= 1"
+      if not (Float.is_finite rate && rate > 0.0) then
+        invalid_arg "Arrival: rate must be finite and > 0";
+      if not (Float.is_finite burst_len && burst_len > 0.0) then
+        invalid_arg "Arrival: burst_len must be finite and > 0";
+      if not (Float.is_finite idle_len && idle_len >= 0.0) then
+        invalid_arg "Arrival: idle_len must be finite and >= 0";
+      if not (Float.is_finite boost && boost >= 1.0) then
+        invalid_arg "Arrival: boost must be finite and >= 1"
 
 type t = { kind : kind; rng : Sim.Rng.t; mutable now : float }
 

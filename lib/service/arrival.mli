@@ -27,7 +27,8 @@ val describe : kind -> string
 (** Round-trippable parameter summary for reports. *)
 
 val validate : kind -> unit
-(** Raises [Invalid_argument] on nonsense parameters. *)
+(** Raises [Invalid_argument], naming the parameter, on nonsense
+    parameters, NaN and infinities included. *)
 
 type t
 (** A stateful arrival stream. *)

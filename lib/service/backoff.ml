@@ -11,9 +11,13 @@ let describe = function
 let validate = function
   | Immediate -> ()
   | Exp { base; cap } ->
-      if base <= 0.0 || cap < base then
-        invalid_arg "Backoff: need 0 < base <= cap"
-  | Rand { max } -> if max < 1.0 then invalid_arg "Backoff: max must be >= 1"
+      if not (Float.is_finite base && base > 0.0) then
+        invalid_arg "Backoff: base must be finite and > 0";
+      if not (Float.is_finite cap && cap >= base) then
+        invalid_arg "Backoff: cap must be finite and >= base"
+  | Rand { max } ->
+      if not (Float.is_finite max && max >= 1.0) then
+        invalid_arg "Backoff: max must be finite and >= 1"
 
 (* Jitter is deterministic: the (client, attempt) pair mints its own
    splitmix stream via two Rng.derive hops, so a retry schedule is a

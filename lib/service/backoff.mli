@@ -20,7 +20,8 @@ type t =
 val describe : t -> string
 
 val validate : t -> unit
-(** Raises [Invalid_argument] on nonsense parameters. *)
+(** Raises [Invalid_argument], naming the parameter, on nonsense
+    parameters, NaN and infinities included. *)
 
 val delay : t -> seed:int64 -> client:int -> attempt:int -> float
 (** Delay before retry number [attempt] (1-based; values below 1 are

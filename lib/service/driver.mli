@@ -106,7 +106,8 @@ val default : algorithm:string -> config
     ticks, no chaos, seed 1. *)
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on out-of-range fields. *)
+(** Raises [Invalid_argument], naming the field, on out-of-range fields
+    and on NaN or infinite floats. *)
 
 val run :
   ?metrics:Obs.Metrics.t ->

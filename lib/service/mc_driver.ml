@@ -32,10 +32,15 @@ let default ~algorithm =
 let validate cfg =
   if cfg.clients < 1 then invalid_arg "Mc_driver: clients must be >= 1";
   if cfg.keys < 1 then invalid_arg "Mc_driver: keys must be >= 1";
-  if cfg.deadline <= 0.0 then invalid_arg "Mc_driver: deadline must be > 0";
-  if cfg.hold < 0.0 then invalid_arg "Mc_driver: hold must be >= 0";
+  if not (Float.is_finite cfg.deadline && cfg.deadline > 0.0) then
+    invalid_arg "Mc_driver: deadline must be finite and > 0";
+  if not (Float.is_finite cfg.hold && cfg.hold >= 0.0) then
+    invalid_arg "Mc_driver: hold must be finite and >= 0";
+  if not (Float.is_finite cfg.zipf_s && cfg.zipf_s >= 0.0) then
+    invalid_arg "Mc_driver: zipf_s must be finite and >= 0";
   if cfg.workers < 1 then invalid_arg "Mc_driver: workers must be >= 1";
-  if cfg.timeout <= 0.0 then invalid_arg "Mc_driver: timeout must be > 0";
+  if not (Float.is_finite cfg.timeout && cfg.timeout > 0.0) then
+    invalid_arg "Mc_driver: timeout must be finite and > 0";
   if not (cfg.crash_prob >= 0.0 && cfg.crash_prob <= 1.0) then
     invalid_arg "Mc_driver: crash_prob must be in [0, 1]";
   Arrival.validate cfg.arrival;

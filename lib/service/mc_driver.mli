@@ -47,7 +47,8 @@ type config = {
 val default : algorithm:string -> config
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on out-of-range fields. *)
+(** Raises [Invalid_argument], naming the field, on out-of-range fields
+    and on NaN or infinite floats. *)
 
 val run :
   ?metrics:Obs.Metrics.t -> ?telemetry:Telemetry.sink -> config -> Report.t

@@ -2,7 +2,8 @@ type t = { cdf : float array; prob : float array; alias : int array }
 
 let create ~n ~s =
   if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
-  if s < 0.0 then invalid_arg "Zipf.create: s must be >= 0";
+  if not (Float.is_finite s && s >= 0.0) then
+    invalid_arg "Zipf.create: s must be finite and >= 0";
   let cdf = Array.make n 0.0 in
   let total = ref 0.0 in
   for i = 0 to n - 1 do

@@ -20,7 +20,8 @@ type t
 
 val create : n:int -> s:float -> t
 (** [create ~n ~s] prepares a sampler over keys [0 .. n-1] with skew
-    [s]. Raises [Invalid_argument] when [n < 1] or [s < 0]. *)
+    [s]. Raises [Invalid_argument] when [n < 1], or when [s] is negative,
+    NaN or infinite. *)
 
 val size : t -> int
 

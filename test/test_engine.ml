@@ -186,20 +186,6 @@ let test_run_local_arena_per_worker () =
     (Array.init 12 (fun i -> i + 1))
     r
 
-let test_perf_arena_reuse_matches_fresh () =
-  (* The benchmark workload itself: a reused arena must reproduce the
-     trial-by-trial outputs of freshly built systems. *)
-  let arena = Experiments.make_perf_arena () in
-  for trial = 0 to 4 do
-    let seed = Sim.Rng.derive Experiments.base_seed ~stream:trial in
-    let reused = Experiments.perf_trial arena ~seed in
-    let fresh_arena = Experiments.make_perf_arena () in
-    let fresh = Experiments.perf_trial fresh_arena ~seed in
-    checkb
-      (Printf.sprintf "trial %d: reused = fresh" trial)
-      true (reused = fresh)
-  done
-
 (* {1 Aggregated tables: chaos reports across domain counts} *)
 
 let test_chaos_report_domain_independent () =
@@ -469,8 +455,6 @@ let () =
             test_run_into_writer;
           Alcotest.test_case "one arena per worker" `Quick
             test_run_local_arena_per_worker;
-          Alcotest.test_case "perf arena reuse = fresh" `Quick
-            test_perf_arena_reuse_matches_fresh;
         ] );
       ( "aggregate",
         [

@@ -166,28 +166,6 @@ let test_tas2_differential () =
       [ Seq [| 0; 1 |]; Seq [| 1; 0 |]; Random aseed; Rr ]
   done
 
-(* The bench's GE-round workload: one Figure-1 GroupElect round. *)
-let test_ge_round_differential () =
-  let n = 64 and k = 16 in
-  let m =
-    Flatsim.Machine.create ~record_flips:true ~procs:k
-      (Flatsim.Programs.ge_round ~n)
-  in
-  for seed_int = 1 to 120 do
-    let seed = Int64.of_int (seed_int * 7919) in
-    let aseed = Sim.Rng.derive seed ~stream:1 in
-    let mem = Sim.Memory.create () in
-    let ge = Groupelect.Ge_logstar.create mem ~n in
-    let e =
-      effect_run
-        (Array.init k (fun _ ctx -> if ge.Groupelect.Ge.elect ctx then 1 else 0))
-        ~seed ~schedule:(Random aseed)
-    in
-    Flatsim.Machine.reset ~seed m;
-    let f = flat_run m ~schedule:(Random aseed) in
-    check_equal ~ctx:(Printf.sprintf "ge_round seed %d" seed_int) e f
-  done
-
 (* --- Arena reuse: reset runs are identical to fresh machines ---------- *)
 
 let test_reset_identity () =
@@ -262,27 +240,31 @@ let test_engine_domain_independence () =
 (* --- The kernel's zero-allocation claim ------------------------------- *)
 
 let test_zero_allocation_steady_state () =
-  let prog = Flatsim.Programs.logstar ~n:32 in
-  let m = Flatsim.Machine.create ~procs:32 prog in
-  let trial seed =
-    Flatsim.Machine.reset ~seed m;
-    Flatsim.Machine.run_random m ~seed:(Sim.Rng.derive seed ~stream:1)
-  in
-  (* Warm up, then measure: steady-state trials must allocate nothing
-     (the minor-words delta of 50 trials stays under one small
-     constant's worth of incidental allocation). *)
-  for i = 1 to 10 do
-    trial (Int64.of_int i)
-  done;
-  let s0 = (Gc.quick_stat ()).Gc.minor_words in
-  for i = 1 to 50 do
-    trial (Int64.of_int i)
-  done;
-  let dw = (Gc.quick_stat ()).Gc.minor_words -. s0 in
-  checkb
-    (Printf.sprintf "steady-state trials allocate nothing (got %.1f words)" dw)
-    true
-    (dw < 100.0)
+  List.iter
+    (fun (entry : Rtas.Registry.entry) ->
+      let make_flat = Option.get entry.Rtas.Registry.make_flat in
+      let m = Flatsim.Machine.create ~procs:32 (make_flat ~n:32) in
+      let trial seed =
+        Flatsim.Machine.reset ~seed m;
+        Flatsim.Machine.run_random m ~seed:(Sim.Rng.derive seed ~stream:1)
+      in
+      (* Warm up, then measure: steady-state trials must allocate nothing
+         (the minor-words delta of 50 trials stays under one small
+         constant's worth of incidental allocation). *)
+      for i = 1 to 10 do
+        trial (Int64.of_int i)
+      done;
+      let s0 = (Gc.quick_stat ()).Gc.minor_words in
+      for i = 1 to 50 do
+        trial (Int64.of_int i)
+      done;
+      let dw = (Gc.quick_stat ()).Gc.minor_words -. s0 in
+      checkb
+        (Printf.sprintf "%s: steady-state trials allocate nothing (got %.1f words)"
+           entry.Rtas.Registry.name dw)
+        true
+        (dw < 100.0))
+    (Rtas.Registry.flat ())
 
 let differential_cases =
   List.map
@@ -312,7 +294,6 @@ let () =
       ( "base-cases",
         [
           Alcotest.test_case "tas2" `Quick test_tas2_differential;
-          Alcotest.test_case "ge_round" `Quick test_ge_round_differential;
         ] );
       ( "arena-reuse",
         [

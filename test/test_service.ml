@@ -895,6 +895,55 @@ let test_registry_dual () =
        (fun n -> List.mem n (Rtas.Registry.names ()))
        (Rtas.Registry.dual_names ()))
 
+(* {1 Config validation}
+
+   Every float field the service validates must also reject NaN and
+   both infinities, with an error that names the field. Otherwise an
+   infinite deadline lands in the report as [inf] (not JSON) and a NaN
+   hold dies inside the event loop. *)
+
+let test_non_finite_config_rejected () =
+  let cfg = small_cfg () and mc = Service.Mc_driver.default ~algorithm:"log*" in
+  let run c = ignore (Service.Driver.run c) in
+  let arrival a = run { cfg with Service.Driver.arrival = a } in
+  let bursty ?(burst_len = 100.0) ?(idle_len = 400.0) ?(boost = 10.0) () =
+    arrival (Service.Arrival.Bursty { rate = 0.01; burst_len; idle_len; boost })
+  in
+  let backoff b = run { cfg with Service.Driver.backoff = b } in
+  let mc_validate c = Service.Mc_driver.validate c in
+  let cases =
+    [
+      ("deadline", fun x -> run { cfg with Service.Driver.deadline = x });
+      ("hold", fun x -> run { cfg with Service.Driver.hold = x });
+      ("zipf_s", fun x -> run { cfg with Service.Driver.zipf_s = x });
+      ("rate", fun x -> arrival (Service.Arrival.Poisson { rate = x }));
+      ("burst_len", fun x -> bursty ~burst_len:x ());
+      ("idle_len", fun x -> bursty ~idle_len:x ());
+      ("boost", fun x -> bursty ~boost:x ());
+      ("base", fun x -> backoff (Service.Backoff.Exp { base = x; cap = 512.0 }));
+      ("cap", fun x -> backoff (Service.Backoff.Exp { base = 8.0; cap = x }));
+      ("max", fun x -> backoff (Service.Backoff.Rand { max = x }));
+      ("deadline", fun x -> mc_validate { mc with Service.Mc_driver.deadline = x });
+      ("hold", fun x -> mc_validate { mc with Service.Mc_driver.hold = x });
+      ("zipf_s", fun x -> mc_validate { mc with Service.Mc_driver.zipf_s = x });
+      ("timeout", fun x -> mc_validate { mc with Service.Mc_driver.timeout = x });
+      ("s", fun x -> ignore (Service.Zipf.create ~n:8 ~s:x));
+    ]
+  in
+  List.iter
+    (fun (field, set) ->
+      List.iter
+        (fun x ->
+          match set x with
+          | () -> Alcotest.failf "%s = %g was accepted" field x
+          | exception Invalid_argument msg ->
+              checkb
+                (Printf.sprintf "%s = %g: %S names the field" field x msg)
+                true
+                (contains msg (field ^ " must")))
+        [ Float.nan; Float.infinity; Float.neg_infinity ])
+    cases
+
 let () =
   Alcotest.run "service"
     [
@@ -923,6 +972,8 @@ let () =
             test_driver_retry_on_shed;
           Alcotest.test_case "shards are report-invisible" `Quick
             test_driver_shards_identical;
+          Alcotest.test_case "non-finite config fields rejected" `Quick
+            test_non_finite_config_rejected;
         ] );
       ( "events",
         [

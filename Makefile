@@ -14,6 +14,7 @@ test: check
 check:
 	git check-ignore -q _build
 	dune build && dune runtest
+	$(MAKE) chaos-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) mc-smoke
 	$(MAKE) registry-smoke
@@ -24,10 +25,14 @@ check:
 
 # Fast chaos smoke: small system, few trials, fixed seed, both the
 # simulated sweep and the real-multicore implementations. Exits
-# non-zero on any safety violation.
+# non-zero on any safety violation. An unknown algorithm name must be
+# a usage error (exit 2), not a sweep of failed trials (exit 1).
 chaos-smoke:
 	dune exec bin/rtas_cli.exe -- chaos -n 16 -k 6 --trials 5 \
 	  --probs 0,0.05,0.2 --seed 42 --mc
+	dune exec bin/rtas_cli.exe -- chaos --algorithms nope >/dev/null 2>&1; \
+	  test $$? -eq 2
+	@echo "chaos-smoke: sweep clean, unknown name exits 2"
 
 # Multicore smoke: every registry algorithm with an Atomic_mem backend
 # races real domains (2-way and 4-way) and must elect a unique winner

@@ -311,6 +311,14 @@ let chaos_cmd =
               Fmt.epr "rtas chaos: %s@." msg;
               exit 2)
     in
+    List.iter
+      (fun algorithm ->
+        if Rtas.Registry.find algorithm = None then begin
+          Fmt.epr "rtas chaos: unknown algorithm %S; try one of: %s@." algorithm
+            (String.concat ", " (Rtas.Registry.names ()));
+          exit 2
+        end)
+      algorithms;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let seed64 = Int64.of_int seed in
     (* One Probe registry accumulates the whole sweep's fault totals. *)
@@ -318,9 +326,9 @@ let chaos_cmd =
     Fmt.pr "%-14s %-4s %6s %7s %8s %8s %9s %10s@." "impl" "mode" "prob"
       "trials" "crashes" "timeouts" "viols" "steps";
     let failures = ref [] in
-    let note impl seeds violations timeouts =
+    let note impl seeds last_failure violations timeouts =
       if violations > 0 || timeouts > 0 then
-        failures := (impl, seeds) :: !failures
+        failures := (impl, seeds, last_failure) :: !failures
     in
     List.iter
       (fun algorithm ->
@@ -332,7 +340,8 @@ let chaos_cmd =
             in
             Fmt.pr "%a@." Fault.Chaos.pp_report r;
             note r.Fault.Chaos.impl r.Fault.Chaos.failure_seeds
-              r.Fault.Chaos.violations r.Fault.Chaos.timeouts)
+              r.Fault.Chaos.last_failure r.Fault.Chaos.violations
+              r.Fault.Chaos.timeouts)
           probs)
       algorithms;
     if mc then
@@ -346,7 +355,8 @@ let chaos_cmd =
               in
               Fmt.pr "%a@." Fault.Mc_chaos.pp_report r;
               note r.Fault.Mc_chaos.impl r.Fault.Mc_chaos.failure_seeds
-                r.Fault.Mc_chaos.violations r.Fault.Mc_chaos.timeouts)
+                r.Fault.Mc_chaos.last_failure r.Fault.Mc_chaos.violations
+                r.Fault.Mc_chaos.timeouts)
             probs)
         (Fault.Mc_chaos.impl_names ());
     Fmt.pr "%a" Obs.Metrics.pp_snapshot (Obs.Metrics.snapshot metrics);
@@ -354,10 +364,15 @@ let chaos_cmd =
     | [] -> Fmt.pr "chaos: no safety violations (seed %d).@." seed
     | failures ->
         List.iter
-          (fun (impl, seeds) ->
-            Fmt.pr "FAIL %s: reproduce with seeds [%a]@." impl
+          (fun (impl, seeds, last_failure) ->
+            Fmt.pr "FAIL %s: reproduce with seeds [%a]%a@." impl
               Fmt.(list ~sep:semi int64)
-              seeds)
+              seeds
+              Fmt.(
+                option
+                  (any " (last watchdog failure: " ++ Fault.Watchdog.pp_reason
+                 ++ any ")"))
+              last_failure)
           failures;
         exit 1
   in

@@ -13,6 +13,7 @@ type report = {
   violations : int;
   timeouts : int;
   failure_seeds : int64 list;
+  last_failure : Watchdog.reason option;
   max_elapsed : float;
   mean_steps : float;
 }
@@ -79,6 +80,13 @@ let trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
 
 let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
     ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed () =
+  (* An unknown name would raise inside every watchdog attempt and be
+     tallied as timeouts; reject it before any trial runs. *)
+  if Rtas.Registry.find algorithm = None then
+    invalid_arg
+      (Printf.sprintf
+         "Chaos.run_point: unknown algorithm %S (expected one of: %s)" algorithm
+         (String.concat ", " (Rtas.Registry.names ())));
   (* Trials are independent — fan them out over the engine. Trial [t]
      always runs with [Rng.derive seed ~stream:t], and the watchdog
      outcomes are folded below in trial order, so the report (including
@@ -92,6 +100,7 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
   let violations = ref 0 in
   let timeouts = ref 0 in
   let failure_seeds = ref [] in
+  let last_failure = ref None in
   let max_elapsed = ref 0.0 in
   let total_steps = ref 0 in
   Array.iter
@@ -113,7 +122,8 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
           | None -> ())
       | Error f ->
           incr timeouts;
-          failure_seeds := f.Watchdog.seeds_tried @ !failure_seeds)
+          failure_seeds := f.Watchdog.seeds_tried @ !failure_seeds;
+          last_failure := Some f.Watchdog.last_reason)
     outcomes;
   (* Chaos totals flow into the shared Probe registry next to whatever
      else the caller is counting — same snapshot/merge machinery as the
@@ -134,6 +144,7 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
     violations = !violations;
     timeouts = !timeouts;
     failure_seeds = List.rev !failure_seeds;
+    last_failure = !last_failure;
     max_elapsed = !max_elapsed;
     mean_steps =
       (if trials = 0 then 0.0

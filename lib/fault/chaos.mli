@@ -21,6 +21,10 @@ type report = {
   failure_seeds : int64 list;
       (** Seeds of violating trials and of every watchdog attempt that
           failed — the reproduction recipe. *)
+  last_failure : Watchdog.reason option;
+      (** Why the watchdog gave up on the last trial it gave up on — a
+          timeout or a raise; [None] when every trial returned in time.
+          Tells a livelock apart from a trial that crashed the harness. *)
   max_elapsed : float;  (** Slowest successful trial, seconds. *)
   mean_steps : float;  (** Mean total shared-memory steps per trial. *)
 }
@@ -63,7 +67,10 @@ val run_point :
     registry as the counters [chaos.trials], [chaos.crashes],
     [chaos.violations] and [chaos.livelock_timeouts], so chaos results
     aggregate and print through the same [Obs.Metrics] snapshot
-    machinery as everything else. *)
+    machinery as everything else.
+
+    Raises [Invalid_argument] before running any trial if [algorithm]
+    is not a {!Rtas.Registry} name. *)
 
 val sweep :
   ?timeout:float ->

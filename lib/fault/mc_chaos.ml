@@ -7,6 +7,7 @@ type report = {
   violations : int;
   timeouts : int;
   failure_seeds : int64 list;
+  last_failure : Watchdog.reason option;
   max_elapsed : float;
 }
 
@@ -85,6 +86,7 @@ let run_point ?(timeout = 10.0) ?(retries = 2) ~impl ~k ~crash_prob ~trials
   let violations = ref 0 in
   let timeouts = ref 0 in
   let failure_seeds = ref [] in
+  let last_failure = ref None in
   let max_elapsed = ref 0.0 in
   for _ = 1 to trials do
     let trial_seed = Sim.Rng.next seeds in
@@ -103,7 +105,8 @@ let run_point ?(timeout = 10.0) ?(retries = 2) ~impl ~k ~crash_prob ~trials
         | None -> ())
     | Error f ->
         incr timeouts;
-        failure_seeds := f.Watchdog.seeds_tried @ !failure_seeds
+        failure_seeds := f.Watchdog.seeds_tried @ !failure_seeds;
+        last_failure := Some f.Watchdog.last_reason
   done;
   {
     impl;
@@ -114,6 +117,7 @@ let run_point ?(timeout = 10.0) ?(retries = 2) ~impl ~k ~crash_prob ~trials
     violations = !violations;
     timeouts = !timeouts;
     failure_seeds = List.rev !failure_seeds;
+    last_failure = !last_failure;
     max_elapsed = !max_elapsed;
   }
 

@@ -21,6 +21,9 @@ type report = {
   violations : int;
   timeouts : int;
   failure_seeds : int64 list;
+  last_failure : Watchdog.reason option;
+      (** Why the watchdog gave up on the last trial it gave up on;
+          [None] when every trial returned in time. *)
   max_elapsed : float;
 }
 

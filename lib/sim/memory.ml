@@ -1,29 +1,59 @@
-(* Register allocator, space accounting, and the arena-reuse hook.
+(* Register allocator, space accounting, and the arena-reuse path.
 
    [reset] exists so a trial harness can build an algorithm structure
    (thousands of registers, each with a formatted debug name) once and
-   then recycle it across a whole batch of trials: every register
-   allocated from this memory registers a reset thunk at creation, and
-   [reset] replays them, restoring the freshly-allocated state without
-   re-allocating anything. *)
+   then recycle it across a whole batch of trials. A trial touches a
+   small fraction of a large structure, so the arena keeps a dirty list
+   of the registers written since the last reset and [reset] restores
+   exactly those: its cost is the number of registers the trial wrote,
+   not the number allocated. *)
 
-type t = {
-  mutable count : int;
-  (* Reset thunks of every register allocated from this memory, in
-     reverse allocation order. Order is irrelevant: each thunk touches
-     only its own register. *)
-  mutable resets : (unit -> unit) list;
+type reg = {
+  id : int;
+  name : string;
+  mutable value : int;
+  mutable last_writer : int;
+  arena : t;
 }
 
-let create () = { count = 0; resets = [] }
+and t = {
+  mutable count : int;
+  (* Registers written since the last reset, in [dirty.(0 .. n_dirty-1)].
+     A register enters on its first write after a reset, which is the
+     write that moves [last_writer] off [-1], so it appears at most
+     once. Slots past [n_dirty] hold stale entries, never read. *)
+  mutable dirty : reg array;
+  mutable n_dirty : int;
+}
 
-let alloc t =
+let create () = { count = 0; dirty = [||]; n_dirty = 0 }
+
+let register ?(name = "r") t =
   let id = t.count in
   t.count <- id + 1;
-  id
+  { id; name; value = 0; last_writer = -1; arena = t }
 
-let on_reset t f = t.resets <- f :: t.resets
+let mark_dirty t r =
+  let len = Array.length t.dirty in
+  if t.n_dirty = len then begin
+    let grown = Array.make (max 16 (2 * len)) r in
+    Array.blit t.dirty 0 grown 0 len;
+    t.dirty <- grown
+  end;
+  Array.unsafe_set t.dirty t.n_dirty r;
+  t.n_dirty <- t.n_dirty + 1
 
-let reset t = List.iter (fun f -> f ()) t.resets
+let write r ~writer v =
+  if r.last_writer < 0 then mark_dirty r.arena r;
+  r.value <- v;
+  r.last_writer <- writer
+
+let reset t =
+  for i = 0 to t.n_dirty - 1 do
+    let r = Array.unsafe_get t.dirty i in
+    r.value <- 0;
+    r.last_writer <- -1
+  done;
+  t.n_dirty <- 0
 
 let allocated t = t.count

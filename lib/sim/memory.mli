@@ -8,26 +8,38 @@
     every register allocated from it to its freshly-created state
     (value [0], no last writer) without allocating, so trial batches can
     build an algorithm structure once and recycle it per trial instead
-    of rebuilding it (see [Engine.run_local] and DESIGN.md §9). *)
+    of rebuilding it (see [Engine.run_local] and DESIGN.md §9). The
+    arena tracks the registers written since the last reset, so a reset
+    costs O(registers written), however many registers exist. *)
 
 type t
 
+type reg = private {
+  id : int;  (** Allocation id, unique within a {!t}. *)
+  name : string;  (** Debug name, e.g. ["ge[3].R[5]"]. *)
+  mutable value : int;
+  mutable last_writer : int;
+  arena : t;  (** The memory the register was allocated from. *)
+}
+(** The register record; {!Register.t} re-exports it with its
+    operations. *)
+
 val create : unit -> t
 
-val alloc : t -> int
-(** Allocate a fresh register id. *)
+val register : ?name:string -> t -> reg
+(** Allocate a fresh register with value [0] and no last writer. *)
 
-val on_reset : t -> (unit -> unit) -> unit
-(** [on_reset t f] registers [f] to run on every {!reset}.
-    {!Register.create} uses this to enrol each register's
-    state-restoring thunk; other stateful structures allocated from the
-    arena may enrol their own. *)
+val write : reg -> writer:int -> int -> unit
+(** Store a value and its writer. [writer] must be [>= 0]: the first
+    write after a reset (or after allocation) is recognised by
+    [last_writer < 0] and puts the register on its arena's dirty list. *)
 
 val reset : t -> unit
-(** Run every registered reset thunk, restoring all registers (and any
-    other enrolled state) to the state immediately after allocation.
-    The allocation count is unchanged — {!allocated} still reports the
-    space complexity of the structure. *)
+(** Restore every register written since the last reset to the state
+    immediately after allocation ([value = 0], [last_writer = -1]).
+    Registers never written are already in that state. The allocation
+    count is unchanged — {!allocated} still reports the space
+    complexity of the structure. *)
 
 val allocated : t -> int
 (** Total number of registers allocated so far. *)

@@ -1,21 +1,12 @@
-type t = {
+type t = Memory.reg = private {
   id : int;
   name : string;
   mutable value : int;
   mutable last_writer : int;
+  arena : Memory.t;
 }
 
-let create ?(name = "r") mem =
-  let t = { id = Memory.alloc mem; name; value = 0; last_writer = -1 } in
-  Memory.on_reset mem (fun () ->
-      t.value <- 0;
-      t.last_writer <- -1);
-  t
-
+let create = Memory.register
 let read t = t.value
-
-let write t ~writer v =
-  t.value <- v;
-  t.last_writer <- writer
-
+let write = Memory.write
 let pp ppf t = Fmt.pf ppf "%s#%d=%d" t.name t.id t.value

@@ -67,10 +67,15 @@ type t = {
   flip_oracle : (pid:int -> bound:int -> int option) option;
   (* Cache-coherence bookkeeping for RMR accounting: per register (by
      allocation id) a bitset over pids of the processes holding a valid
-     cached copy. Flat bytes instead of hashtables: the pid universe is
-     fixed at [create], so membership is a bit test. *)
-  mutable caches : Bytes.t array;
+     cached copy, [cache_len] bytes at offset [id * cache_len] of one flat
+     [Bytes.t]. The pid universe is fixed at [create], so membership is
+     a bit test. [cache] grows by doubling to cover the largest id seen;
+     [touched.(0 .. n_touched-1)] lists the ids whose bitset is
+     non-empty, so [reset] clears those and nothing else. *)
+  mutable cache : Bytes.t;
   cache_len : int;  (* bytes per register bitset: ceil(nprocs / 8) *)
+  mutable touched : int array;
+  mutable n_touched : int;
   (* [runnable] is recomputed only when some process stops running. *)
   mutable n_running : int;
   mutable runnable_cache : int array option;
@@ -79,54 +84,78 @@ type t = {
   all_pids : int array;
 }
 
-(* [caches] is sized lazily by the largest register id seen. *)
-let cache_bits t reg_id =
-  let cur = Array.length t.caches in
-  if reg_id >= cur then begin
-    let len = max (reg_id + 1) (max 8 (2 * cur)) in
-    t.caches <-
-      Array.init len (fun i ->
-          if i < cur then t.caches.(i) else Bytes.make t.cache_len '\000')
+(* Offset of [reg_id]'s bitset in [cache], growing [cache] on demand. *)
+let cache_off t reg_id =
+  let off = reg_id * t.cache_len in
+  let cur = Bytes.length t.cache in
+  if off >= cur then begin
+    let len = max (off + t.cache_len) (max (8 * t.cache_len) (2 * cur)) in
+    let grown = Bytes.make len '\000' in
+    Bytes.blit t.cache 0 grown 0 cur;
+    t.cache <- grown
   end;
-  t.caches.(reg_id)
+  off
+
+let is_clear t off =
+  let rec go i =
+    i = t.cache_len
+    || (Bytes.unsafe_get t.cache (off + i) = '\000' && go (i + 1))
+  in
+  go 0
+
+(* Record that [reg_id]'s bitset is about to become non-empty. A set
+   bitset stays non-empty until [reset] (a write leaves the writer's
+   bit), so each id is pushed at most once per run. *)
+let touch t reg_id =
+  let len = Array.length t.touched in
+  if t.n_touched = len then begin
+    let grown = Array.make (max 16 (2 * len)) 0 in
+    Array.blit t.touched 0 grown 0 len;
+    t.touched <- grown
+  end;
+  Array.unsafe_set t.touched t.n_touched reg_id;
+  t.n_touched <- t.n_touched + 1
 
 (* CC-model RMR accounting: a read is local iff the reader holds a valid
    cached copy; it caches the register. A write always counts as an RMR
    and invalidates every other copy. *)
 let account_read t p reg_id =
-  let bits = cache_bits t reg_id in
-  let byte = p.pid lsr 3 and mask = 1 lsl (p.pid land 7) in
-  let b = Char.code (Bytes.unsafe_get bits byte) in
+  let off = cache_off t reg_id in
+  let byte = off + (p.pid lsr 3) and mask = 1 lsl (p.pid land 7) in
+  let b = Char.code (Bytes.unsafe_get t.cache byte) in
   if b land mask = 0 then begin
+    if is_clear t off then touch t reg_id;
     p.p_rmrs <- p.p_rmrs + 1;
-    Bytes.unsafe_set bits byte (Char.unsafe_chr (b lor mask));
+    Bytes.unsafe_set t.cache byte (Char.unsafe_chr (b lor mask));
     true
   end
   else false
 
 let account_write t p reg_id =
-  let bits = cache_bits t reg_id in
-  Bytes.fill bits 0 t.cache_len '\000';
-  Bytes.unsafe_set bits (p.pid lsr 3) (Char.unsafe_chr (1 lsl (p.pid land 7)));
+  let off = cache_off t reg_id in
+  if is_clear t off then touch t reg_id;
+  Bytes.fill t.cache off t.cache_len '\000';
+  Bytes.unsafe_set t.cache (off + (p.pid lsr 3))
+    (Char.unsafe_chr (1 lsl (p.pid land 7)));
   p.p_rmrs <- p.p_rmrs + 1
 
 (* Cached copies a write by [pid] would invalidate (register
    contention). Off the hot path: only evaluated when a probe sink is
    installed, before [account_write] clears the bitset. *)
 let count_other_cached t reg_id pid =
-  if reg_id >= Array.length t.caches then 0
+  let off = reg_id * t.cache_len in
+  if off >= Bytes.length t.cache then 0
   else begin
-    let bits = t.caches.(reg_id) in
     let n = ref 0 in
-    for i = 0 to t.cache_len - 1 do
-      let b = ref (Char.code (Bytes.unsafe_get bits i)) in
+    for i = off to off + t.cache_len - 1 do
+      let b = ref (Char.code (Bytes.unsafe_get t.cache i)) in
       while !b <> 0 do
         b := !b land (!b - 1);
         incr n
       done
     done;
-    let byte = pid lsr 3 and mask = 1 lsl (pid land 7) in
-    if Char.code (Bytes.get bits byte) land mask <> 0 then !n - 1 else !n
+    let byte = off + (pid lsr 3) and mask = 1 lsl (pid land 7) in
+    if Char.code (Bytes.get t.cache byte) land mask <> 0 then !n - 1 else !n
   end
 
 let draw t pid bound =
@@ -222,8 +251,10 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
          each program to its first operation already reach the sink. *)
       probe = Obs.Probe.current ();
       flip_oracle;
-      caches = [||];
+      cache = Bytes.empty;
       cache_len = (n + 7) / 8;
+      touched = [||];
+      n_touched = 0;
       n_running = n;
       runnable_cache = Some all_pids;
       all_pids;
@@ -235,7 +266,8 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
 (* The arena-reuse path: restore a scheduler to the state [create]
    would produce — same process count, same [record_trace] and
    [flip_oracle] — without re-allocating the proc records, the cache
-   bitsets or the scheduler record itself. Shared registers are {e not}
+   or the scheduler record itself; only the bitsets the last run
+   touched are cleared. Shared registers are {e not}
    reset here: the caller resets its [Memory.t] arenas (which restores
    every register) and then resets the scheduler; see [Engine.run_local]
    for the per-worker pattern. *)
@@ -250,7 +282,10 @@ let reset ?(seed = 0x5EEDL) t programs =
   t.probe <- Obs.Probe.current ();
   t.n_running <- Array.length t.procs;
   t.runnable_cache <- Some t.all_pids;
-  Array.iter (fun bits -> Bytes.fill bits 0 t.cache_len '\000') t.caches;
+  for i = 0 to t.n_touched - 1 do
+    Bytes.fill t.cache (t.touched.(i) * t.cache_len) t.cache_len '\000'
+  done;
+  t.n_touched <- 0;
   Array.iter
     (fun p ->
       p.p_status <- Running;

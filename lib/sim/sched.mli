@@ -77,9 +77,11 @@ val reset : ?seed:int64 -> t -> (Ctx.t -> int) array -> unit
 (** [reset ~seed t programs] restores [t] to the state
     [create ~seed programs] would produce — every process Running and
     poised at its first operation, time 0, empty trace, reseeded RNG —
-    {e without} allocating new proc records, cache bitsets or runnable
-    arrays. [record_trace] and [flip_oracle] keep their [create]-time
-    values. [programs] must have the same length as at [create]; other
+    {e without} allocating new proc records, RMR cache or runnable
+    arrays. It clears only the cache bitsets of registers the previous
+    run touched, so its cost is O(processes + registers touched), not
+    O(registers allocated). [record_trace] and [flip_oracle] keep their
+    [create]-time values. [programs] must have the same length as at [create]; other
     lengths raise [Invalid_argument].
 
     Shared registers are not touched: callers recycling an algorithm

@@ -239,6 +239,7 @@ let test_chaos_smoke () =
   checki "all trials ran" 8 r.Fault.Chaos.trials;
   checki "no violations" 0 r.Fault.Chaos.violations;
   checki "no timeouts" 0 r.Fault.Chaos.timeouts;
+  checkb "no watchdog failure" true (r.Fault.Chaos.last_failure = None);
   checkb "storm actually crashed somebody" true (r.Fault.Chaos.crashes > 0)
 
 let test_chaos_le_mode () =
@@ -259,6 +260,17 @@ let test_chaos_plan_override () =
   in
   checki "one crash per trial" 4 r.Fault.Chaos.crashes;
   checki "no violations" 0 r.Fault.Chaos.violations
+
+let test_chaos_unknown_algorithm () =
+  (* Rejected up front, not retried until the watchdog calls it a
+     livelock. *)
+  checkb "unknown name raises Invalid_argument" true
+    (try
+       ignore
+         (Fault.Chaos.run_point ~mode:Fault.Chaos.Tas ~algorithm:"nope" ~n:8
+            ~k:4 ~crash_prob:0.0 ~trials:3 ~seed:1L ());
+       false
+     with Invalid_argument _ -> true)
 
 let test_mc_chaos_smoke () =
   let r =
@@ -313,6 +325,8 @@ let () =
           Alcotest.test_case "simulated smoke" `Quick test_chaos_smoke;
           Alcotest.test_case "leader-election mode" `Quick test_chaos_le_mode;
           Alcotest.test_case "plan override" `Quick test_chaos_plan_override;
+          Alcotest.test_case "unknown algorithm rejected" `Quick
+            test_chaos_unknown_algorithm;
           Alcotest.test_case "multicore smoke" `Quick test_mc_chaos_smoke;
         ] );
     ]

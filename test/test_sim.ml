@@ -170,7 +170,26 @@ let test_memory_reset () =
   let r3 = Sim.Register.create mem in
   Sim.Register.write r3 ~writer:1 9;
   Sim.Memory.reset mem;
-  checki "late register also reset" 0 (Sim.Register.read r3)
+  checki "late register also reset" 0 (Sim.Register.read r3);
+  (* Written twice before one reset: the second write must not leave a
+     stale entry behind (it is restored once, like any other). *)
+  Sim.Register.write r1 ~writer:3 4;
+  Sim.Register.write r1 ~writer:5 6;
+  Sim.Memory.reset mem;
+  checki "twice-written register back to initial" 0 (Sim.Register.read r1);
+  checki "twice-written register writer cleared" (-1)
+    r1.Sim.Register.last_writer;
+  (* Two resets with no write between them: the second finds nothing to
+     restore, and the next write after it is still tracked. *)
+  Sim.Memory.reset mem;
+  Sim.Memory.reset mem;
+  checki "double reset leaves r1 initial" 0 (Sim.Register.read r1);
+  checki "double reset leaves r3 initial" 0 (Sim.Register.read r3);
+  Sim.Register.write r2 ~writer:1 8;
+  Sim.Memory.reset mem;
+  checki "write after a double reset is reset" 0 (Sim.Register.read r2);
+  checki "write after a double reset: writer cleared" (-1)
+    r2.Sim.Register.last_writer
 
 (* {1 Scheduler} *)
 
@@ -365,11 +384,12 @@ let test_max_total_steps_boundary () =
    reads a neighbour and returns a value mixing both — so results are
    sensitive to the RNG stream, the schedule, and leftover register
    state alike. *)
-let reuse_progs regs n =
+let reuse_progs ?(base = 0) ?(sparse = false) regs n =
   Array.init n (fun pid ctx ->
       let draw = Sim.Ctx.flip ctx 1000 in
-      Sim.Ctx.write ctx regs.(pid) (draw + 1);
-      let seen = Sim.Ctx.read ctx regs.((pid + 1) mod n) in
+      if pid = 0 || (not sparse) || draw mod 2 = 0 then
+        Sim.Ctx.write ctx regs.(base + pid) (draw + 1);
+      let seen = Sim.Ctx.read ctx regs.(base + ((pid + 1) mod n)) in
       (draw * 10_000) + seen)
 
 let reuse_fingerprint sched n =
@@ -379,33 +399,48 @@ let reuse_fingerprint sched n =
         Sim.Sched.flips sched pid,
         Sim.Sched.rmrs sched pid ))
 
-let test_sched_reset_bit_identical () =
-  let n = 8 in
-  let fresh_run seed =
+(* [blocks] disjoint blocks of [n] registers; trial [i] runs on block
+   [i mod blocks]. With [blocks > 1] consecutive trials touch disjoint
+   registers, so a reset that forgot what an earlier trial wrote or
+   cached would leak it into the next trial on the same block. With
+   [sparse], only p0 and the processes drawing an even number write, so
+   some registers are only read (and cached) in a trial. *)
+let check_reset_bit_identical ~n ~blocks ~sparse seeds =
+  let block_progs regs b = reuse_progs ~base:(b * n) ~sparse regs n in
+  let fresh_run seed block =
     let mem = Sim.Memory.create () in
-    let regs = Array.init n (fun _ -> Sim.Register.create mem) in
-    let sched = Sim.Sched.create ~seed (reuse_progs regs n) in
+    let regs = Array.init (n * blocks) (fun _ -> Sim.Register.create mem) in
+    let sched = Sim.Sched.create ~seed (block_progs regs block) in
     Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed);
     reuse_fingerprint sched n
   in
   (* One arena, reset per trial — the engine's hot-path pattern. *)
   let mem = Sim.Memory.create () in
-  let regs = Array.init n (fun _ -> Sim.Register.create mem) in
-  let progs = reuse_progs regs n in
-  let sched = Sim.Sched.create progs in
-  let reused_run seed =
+  let regs = Array.init (n * blocks) (fun _ -> Sim.Register.create mem) in
+  let progs = Array.init blocks (block_progs regs) in
+  let sched = Sim.Sched.create progs.(0) in
+  let reused_run seed block =
     Sim.Memory.reset mem;
-    Sim.Sched.reset ~seed sched progs;
+    Sim.Sched.reset ~seed sched progs.(block);
     Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed);
     reuse_fingerprint sched n
   in
-  List.iter
-    (fun seed ->
+  List.iteri
+    (fun i seed ->
+      let block = i mod blocks in
       checkb
-        (Printf.sprintf "seed %Ld: reused arena matches fresh system" seed)
+        (Printf.sprintf "n=%d seed %Ld block %d: reused arena matches fresh"
+           n seed block)
         true
-        (fresh_run seed = reused_run seed))
-    [ 1L; 2L; 3L; 0xDEADL; 0x5EEDL ]
+        (fresh_run seed block = reused_run seed block))
+    seeds
+
+let test_sched_reset_bit_identical () =
+  check_reset_bit_identical ~n:8 ~blocks:1 ~sparse:false
+    [ 1L; 2L; 3L; 0xDEADL; 0x5EEDL ];
+  (* Nine processes make each RMR bitset two bytes wide. *)
+  check_reset_bit_identical ~n:9 ~blocks:3 ~sparse:true
+    (List.init 12 (fun i -> Int64.of_int (i + 1)))
 
 let test_sched_reset_process_count_mismatch () =
   let mem = Sim.Memory.create () in
@@ -478,6 +513,33 @@ let test_rmr_max () =
   let sched = Sim.Sched.create progs in
   Sim.Sched.run sched (Sim.Adversary.round_robin ());
   checki "max over processes" 3 (Sim.Sched.max_rmrs sched)
+
+(* The RMR cache costs what a trial touches, not the largest register
+   id: a first trial on one register with id 100,000 must not allocate
+   per-id storage for every id below it (that would be at least three
+   words per id). *)
+let test_rmr_cache_sparse_ids () =
+  let mem = Sim.Memory.create () in
+  for _ = 1 to 100_000 do
+    ignore (Sim.Register.create mem)
+  done;
+  let r = Sim.Register.create mem in
+  checki "register id" 100_000 r.Sim.Register.id;
+  let prog ctx =
+    Sim.Ctx.write ctx r (Sim.Ctx.read ctx r + 1);
+    0
+  in
+  let before = Gc.allocated_bytes () in
+  let sched = Sim.Sched.create [| prog; prog |] in
+  Sim.Sched.run sched (Sim.Adversary.round_robin ());
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  checki "p0: read and write are RMRs" 2 (Sim.Sched.rmrs sched 0);
+  checki "p1: read and write are RMRs" 2 (Sim.Sched.rmrs sched 1);
+  checkb
+    (Printf.sprintf "first trial allocated %.0f words (< 100000)" words)
+    true (words < 100_000.)
 
 (* {1 Visibility (Section 5 relations)} *)
 
@@ -804,6 +866,8 @@ let () =
           Alcotest.test_case "write invalidates" `Quick test_rmr_write_invalidates;
           Alcotest.test_case "writes always count" `Quick test_rmr_writes_always_count;
           Alcotest.test_case "max over processes" `Quick test_rmr_max;
+          Alcotest.test_case "cache sized by touched ids" `Quick
+            test_rmr_cache_sparse_ids;
         ] );
       ( "visibility",
         [

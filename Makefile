@@ -102,8 +102,8 @@ service-scale-smoke:
 # Probe smoke: export a Perfetto trace from a small run and validate
 # its structure with jq (every event carries ph/ts/pid/tid; spans
 # balance: as many B as E events), then run a small profile batch and
-# check the JSON report names the expected phases. Scratch files live
-# in the build tree.
+# check the JSON report names the expected phases and carries the
+# pinned RMR totals of this seed. Scratch files live in the build tree.
 trace-smoke:
 	dune exec bin/rtas_cli.exe -- trace --algo rr_classic -n 8 --seed 3 \
 	  -o _build/trace.json
@@ -115,7 +115,8 @@ trace-smoke:
 	jq -e '.algos | keys == ["chain", "ge_logstar", "rr_classic"]' _build/profile.json >/dev/null
 	jq -e '[.algos.rr_classic.phases[].phase] | contains(["rr_tree", "rr_ascend", "rr_top"])' _build/profile.json >/dev/null
 	jq -e '.algos.ge_logstar.phases[] | select(.phase == "ge_round") | .calls > 0 and .steps > 0' _build/profile.json >/dev/null
-	@echo "trace-smoke: trace.json + profile.json OK"
+	jq -e '.algos.rr_classic.totals.rmrs == 4265 and .algos.chain.totals.rmrs == 722 and .algos.ge_logstar.totals.rmrs == 340' _build/profile.json >/dev/null
+	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) OK"
 
 # Telemetry smoke: a chaos run through `rtas telemetry` (which itself
 # exits non-zero if any windowed counter fails to sum to its report

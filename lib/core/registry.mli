@@ -21,8 +21,8 @@ type entry = {
           ({!Flatsim.Programs}), when one exists. Bit-identical to
           [make] under matching seeds and schedules (pinned by the
           flat-vs-effect differential test); the hot-election set the
-          bench, the perf gate and the service driver's [--kernel flat]
-          path run on. *)
+          benchmark's [trials] workload and the service driver's
+          [--kernel flat] path run on. *)
   adversary : Sim.Sched.klass;
       (** Strongest adversary class against which the step bound holds. *)
   steps : string;  (** Expected step complexity, as stated in the paper. *)
@@ -45,7 +45,7 @@ val dual_names : unit -> string list
 
 val flat : unit -> entry list
 (** The entries carrying a flat-kernel compilation ([make_flat]
-    present) — the ones the flat differential test, the bench scaling
-    sweep and [rtas service --kernel flat] can iterate. *)
+    present) — the ones the flat differential test, the benchmark's
+    [trials] workload and [rtas service --kernel flat] can iterate. *)
 
 val flat_names : unit -> string list

@@ -40,7 +40,7 @@ type t = {
   mutable n_dirty : int;
   mutable epoch : int;
   frames : int array;  (* capacity * frame_words process locals *)
-  rng : Frng.t;  (* shared flip stream, exactly as Sched's [t.rng] *)
+  rng : Sim.Rng.t;  (* shared flip stream, exactly as Sched's [t.rng] *)
   status : int array;  (* 0 running / 1 finished *)
   results : int array;
   steps : int array;
@@ -100,14 +100,14 @@ let[@inline] write_reg m r v =
   end
 
 let[@inline] flip m pid bound =
-  let v = Frng.int m.rng bound in
+  let v = Sim.Rng.int m.rng bound in
   Array.unsafe_set m.flips pid (Array.unsafe_get m.flips pid + 1);
   if m.record_flips then
     m.flip_log <- (m.time, pid, bound, v) :: m.flip_log;
   v
 
 let[@inline] flip_geom m pid l =
-  let v = Frng.geometric_capped m.rng l in
+  let v = Sim.Rng.geometric_capped m.rng l in
   Array.unsafe_set m.flips pid (Array.unsafe_get m.flips pid + 1);
   if m.record_flips then m.flip_log <- (m.time, pid, -l, v) :: m.flip_log;
   v
@@ -159,7 +159,7 @@ let reset ?(seed = default_seed) ?procs m =
           invalid_arg "Machine.reset: procs out of range";
         k
   in
-  Frng.reseed m.rng seed;
+  Sim.Rng.reseed m.rng seed;
   m.time <- 0;
   m.active <- procs;
   m.n_running <- procs;
@@ -208,7 +208,7 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
       n_dirty = 0;
       epoch = 1;
       frames = Array.make (procs * max 1 prog.p_frame) 0;
-      rng = Frng.create seed;
+      rng = Sim.Rng.create seed;
       status = Array.make procs 0;
       results = Array.make procs 0;
       steps = Array.make procs 0;
@@ -272,17 +272,17 @@ let run_rr ?(max_total_steps = default_max_steps) m =
   done
 
 (* Replicates {!Sim.Adversary.random_oblivious}: one [Rng.int] draw per
-   decision, indexing the ascending runnable array. [Frng] keeps the
-   draw stream identical to the effect path's [Sim.Rng]. *)
+   decision, indexing the ascending runnable array, on the same
+   [Sim.Rng] stream the effect path's adversary draws from. *)
 let run_random ?(max_total_steps = default_max_steps) m ~seed =
   let resume = m.prog.p_resume in
   let steps = m.steps in
   let run_arr = m.run_arr in
-  (* The adversary stream is Frng hand-inlined (constants as in
-     frng.ml): recomputing [seed + i * golden] per draw inside one
+  (* The adversary stream is [Sim.Rng.int] hand-inlined (constants as
+     in rng.ml): recomputing [seed + i * golden] per draw inside one
      local function keeps every Int64 unboxed and skips the record
-     traffic of a heap generator. Draw i here = Frng draw i = Sim.Rng
-     draw i from [seed].
+     traffic of a heap generator. Draw i here = Sim.Rng draw i from
+     [seed].
 
      Software-pipelined: each iteration carries the already-mixed
      value [v] for the current draw and mixes draw i+1 before calling

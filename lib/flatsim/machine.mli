@@ -28,7 +28,7 @@ type t = {
   mutable n_dirty : int;
   mutable epoch : int;
   frames : int array;  (** [capacity * frame_words] process locals *)
-  rng : Frng.t;  (** shared flip stream (the image of Sched's rng) *)
+  rng : Sim.Rng.t;  (** shared flip stream (the image of Sched's rng) *)
   status : int array;  (** 0 running / 1 finished *)
   results : int array;
   steps : int array;

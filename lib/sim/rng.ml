@@ -1,23 +1,39 @@
-type t = { mutable state : int64 }
+(* splitmix64 whose state never leaves a register.
+
+   The state recurrence is linear — after [i] draws the state is
+   [base + i * golden_gamma (mod 2^64)] — so instead of storing the
+   Int64 state (each update would box it) we store the seed as [base]
+   plus a native-int draw counter and recompute the state per draw.
+   Every Int64 intermediate of a draw then lives inside one function
+   body, where ocamlopt keeps it unboxed: [int], [bool] and
+   [geometric_capped] allocate nothing, and [float] only its result
+   when a call returns it boxed. *)
+
+type t = { mutable base : int64; mutable idx : int }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed = { base = seed; idx = 0 }
 
-let copy t = { state = t.state }
+let copy t = { base = t.base; idx = t.idx }
 
-let reseed t seed = t.state <- seed
+let reseed t seed =
+  t.base <- seed;
+  t.idx <- 0
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+(* The next raw output. Inlined into each draw below so the result
+   never crosses a function boundary boxed. *)
+let[@inline] raw t =
+  let i = t.idx + 1 in
+  t.idx <- i;
+  mix (Int64.add t.base (Int64.mul golden_gamma (Int64.of_int i)))
 
-let split t = create (next t)
+let next t = raw t
 
 (* Splitmix-style stream derivation: feed the stream index through the
    output mixer before combining, so nearby streams (0, 1, 2, ...) land
@@ -59,23 +75,22 @@ let jitter_of_seed seed ~client ~attempt =
   let v = Int64.shift_right_logical (mix (Int64.add s2 golden_gamma)) 11 in
   Int64.to_float v *. 0x1p-53
 
-let int t bound =
+let mask63 = Int64.of_int max_int
+
+let[@inline] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (next t) mask) in
-  v mod bound
+  Int64.to_int (Int64.logand (raw t) mask63) mod bound
 
-let bool t = Int64.logand (next t) 1L = 1L
+let[@inline] bool t = Int64.logand (raw t) 1L = 1L
 
-let float t =
-  let v = Int64.shift_right_logical (next t) 11 in
+let[@inline] float t =
+  let v = Int64.shift_right_logical (raw t) 11 in
   Int64.to_float v *. 0x1p-53 (* exact: same bits as dividing by 2^53 *)
 
 let geometric_capped t l =
   if l < 1 then invalid_arg "Rng.geometric_capped: l must be >= 1";
-  let rec loop i =
-    if i >= l then l
-    else if bool t then i
-    else loop (i + 1)
-  in
-  loop 1
+  let i = ref 1 in
+  while !i < l && not (bool t) do
+    incr i
+  done;
+  !i

@@ -1,7 +1,14 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
     Every source of randomness in the simulator flows through a value of
-    type {!t}, so a simulation is fully reproducible from its seed. *)
+    type {!t}, so a simulation is fully reproducible from its seed. The
+    effect scheduler, the adversaries and the flat kernel
+    ([Flatsim.Machine]) all draw from this one stream.
+
+    The state is the seed plus a native-int draw counter (splitmix's
+    state after [i] draws is [seed + i * golden_gamma]), so no draw
+    stores an [int64]: {!int}, {!bool} and {!geometric_capped} allocate
+    nothing; {!float} and {!next} allocate only their boxed result. *)
 
 type t
 
@@ -18,10 +25,6 @@ val reseed : t -> int64 -> unit
     without allocating. The reuse path of batch trials ({!Sched.reset})
     depends on [reseed t s] making [t] indistinguishable from a fresh
     generator, so reseeded and freshly created runs stay bit-identical. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator seeded from it,
-    suitable for an independent sub-stream. *)
 
 val derive : int64 -> stream:int -> int64
 (** [derive seed ~stream] deterministically mints the seed of an

@@ -34,18 +34,25 @@ type adversary = {
   decide : view -> decision;
 }
 
-(* A process suspended at its pending shared-memory operation: the
-   effect continuation plus the operation descriptor, in one block.
-   [step] performs the operation and resumes the continuation directly,
-   so no per-operation resume closure is ever allocated. *)
-type susp =
-  | Blocked_read of Register.t * (int, unit) Effect.Deep.continuation
-  | Blocked_write of Register.t * int * (unit, unit) Effect.Deep.continuation
+(* The operation a running process is poised at, if any. *)
+type poised = Nothing | Reading | Writing
 
 type proc = {
   pid : int;
+  ctx : Ctx.t;
   mutable p_status : status;
-  mutable p_susp : susp option;
+  (* The pending operation sits in plain fields, so suspending a
+     process allocates nothing of the scheduler's own: [p_op] names it,
+     [p_reg]/[p_value] are its register and write value, and exactly
+     one continuation slot is live — the other holds a placeholder that
+     is never resumed. [p_bound] carries a flip's bound from the effect
+     to the handler's prebuilt flip closure. *)
+  mutable p_op : poised;
+  mutable p_reg : Register.t;
+  mutable p_value : int;
+  mutable p_bound : int;
+  mutable p_read_k : (int, unit) Effect.Deep.continuation;
+  mutable p_write_k : (unit, unit) Effect.Deep.continuation;
   mutable p_steps : int;
   mutable p_flips : int;
   mutable p_rmrs : int;
@@ -53,9 +60,26 @@ type proc = {
   mutable p_finish : int;
 }
 
+(* Placeholders for an empty pending slot; see [proc]. The
+   continuation placeholders are immediates behind an abstract type:
+   [p_op] guarantees they are never resumed. *)
+let no_reg = Register.create ~name:"none" (Memory.create ())
+let no_read_k : (int, unit) Effect.Deep.continuation = Obj.magic ()
+let no_write_k : (unit, unit) Effect.Deep.continuation = Obj.magic ()
+
+let clear_pending p =
+  p.p_op <- Nothing;
+  p.p_reg <- no_reg;
+  p.p_read_k <- no_read_k;
+  p.p_write_k <- no_write_k
+
 type t = {
   rng : Rng.t;
   procs : proc array;
+  (* One effect handler per process, built once at [create] and reused
+     by every [reset]: starting a program allocates no handler
+     closures. *)
+  mutable handlers : (int, unit) Effect.Deep.handler array;
   mutable s_time : int;
   record_trace : bool;
   mutable events : Op.event list;  (* reversed *)
@@ -67,39 +91,52 @@ type t = {
   flip_oracle : (pid:int -> bound:int -> int option) option;
   (* Cache-coherence bookkeeping for RMR accounting: per register (by
      allocation id) a bitset over pids of the processes holding a valid
-     cached copy, [cache_len] bytes at offset [id * cache_len] of one flat
-     [Bytes.t]. The pid universe is fixed at [create], so membership is
-     a bit test. [cache] grows by doubling to cover the largest id seen;
+     cached copy, [cache_len] bytes each. The pid universe is fixed at
+     [create], so membership is a bit test. Bitsets live in pages of
+     [page_regs] registers: page [id lsr page_bits] is allocated on the
+     first touch of any of its registers ([Bytes.empty] until then), so
+     memory follows the registers a run touches, not the largest id.
      [touched.(0 .. n_touched-1)] lists the ids whose bitset is
      non-empty, so [reset] clears those and nothing else. *)
-  mutable cache : Bytes.t;
+  mutable pages : Bytes.t array;
   cache_len : int;  (* bytes per register bitset: ceil(nprocs / 8) *)
   mutable touched : int array;
   mutable n_touched : int;
-  (* [runnable] is recomputed only when some process stops running. *)
-  mutable n_running : int;
-  mutable runnable_cache : int array option;
+  (* The running pids, ascending. Never mutated in place: a process
+     leaving derives a fresh array, because adversaries may keep the
+     arrays they were handed. *)
+  mutable runnable : int array;
   (* [|0; 1; ...; n-1|], the runnable array while everyone runs: shared
      by every run through this scheduler instead of re-allocated. *)
   all_pids : int array;
 }
 
-(* Offset of [reg_id]'s bitset in [cache], growing [cache] on demand. *)
-let cache_off t reg_id =
-  let off = reg_id * t.cache_len in
-  let cur = Bytes.length t.cache in
-  if off >= cur then begin
-    let len = max (off + t.cache_len) (max (8 * t.cache_len) (2 * cur)) in
-    let grown = Bytes.make len '\000' in
-    Bytes.blit t.cache 0 grown 0 cur;
-    t.cache <- grown
-  end;
-  off
+let page_bits = 8
+let page_regs = 1 lsl page_bits
 
-let is_clear t off =
+(* [reg_id]'s page, allocated on first touch. *)
+let page t reg_id =
+  let i = reg_id lsr page_bits in
+  let len = Array.length t.pages in
+  if i >= len then begin
+    let grown = Array.make (max (i + 1) (2 * len)) Bytes.empty in
+    Array.blit t.pages 0 grown 0 len;
+    t.pages <- grown
+  end;
+  let pg = Array.unsafe_get t.pages i in
+  if Bytes.length pg > 0 then pg
+  else begin
+    let pg = Bytes.make (page_regs * t.cache_len) '\000' in
+    Array.unsafe_set t.pages i pg;
+    pg
+  end
+
+(* Offset of [reg_id]'s bitset within its page. *)
+let slot t reg_id = (reg_id land (page_regs - 1)) * t.cache_len
+
+let is_clear t pg off =
   let rec go i =
-    i = t.cache_len
-    || (Bytes.unsafe_get t.cache (off + i) = '\000' && go (i + 1))
+    i = t.cache_len || (Bytes.unsafe_get pg (off + i) = '\000' && go (i + 1))
   in
   go 0
 
@@ -120,22 +157,22 @@ let touch t reg_id =
    cached copy; it caches the register. A write always counts as an RMR
    and invalidates every other copy. *)
 let account_read t p reg_id =
-  let off = cache_off t reg_id in
+  let pg = page t reg_id and off = slot t reg_id in
   let byte = off + (p.pid lsr 3) and mask = 1 lsl (p.pid land 7) in
-  let b = Char.code (Bytes.unsafe_get t.cache byte) in
+  let b = Char.code (Bytes.unsafe_get pg byte) in
   if b land mask = 0 then begin
-    if is_clear t off then touch t reg_id;
+    if is_clear t pg off then touch t reg_id;
     p.p_rmrs <- p.p_rmrs + 1;
-    Bytes.unsafe_set t.cache byte (Char.unsafe_chr (b lor mask));
+    Bytes.unsafe_set pg byte (Char.unsafe_chr (b lor mask));
     true
   end
   else false
 
 let account_write t p reg_id =
-  let off = cache_off t reg_id in
-  if is_clear t off then touch t reg_id;
-  Bytes.fill t.cache off t.cache_len '\000';
-  Bytes.unsafe_set t.cache (off + (p.pid lsr 3))
+  let pg = page t reg_id and off = slot t reg_id in
+  if is_clear t pg off then touch t reg_id;
+  Bytes.fill pg off t.cache_len '\000';
+  Bytes.unsafe_set pg (off + (p.pid lsr 3))
     (Char.unsafe_chr (1 lsl (p.pid land 7)));
   p.p_rmrs <- p.p_rmrs + 1
 
@@ -143,19 +180,20 @@ let account_write t p reg_id =
    contention). Off the hot path: only evaluated when a probe sink is
    installed, before [account_write] clears the bitset. *)
 let count_other_cached t reg_id pid =
-  let off = reg_id * t.cache_len in
-  if off >= Bytes.length t.cache then 0
+  let pi = reg_id lsr page_bits in
+  if pi >= Array.length t.pages || Bytes.length t.pages.(pi) = 0 then 0
   else begin
+    let pg = t.pages.(pi) and off = slot t reg_id in
     let n = ref 0 in
     for i = off to off + t.cache_len - 1 do
-      let b = ref (Char.code (Bytes.unsafe_get t.cache i)) in
+      let b = ref (Char.code (Bytes.unsafe_get pg i)) in
       while !b <> 0 do
         b := !b land (!b - 1);
         incr n
       done
     done;
     let byte = off + (pid lsr 3) and mask = 1 lsl (pid land 7) in
-    if Char.code (Bytes.get t.cache byte) land mask <> 0 then !n - 1 else !n
+    if Char.code (Bytes.get pg byte) land mask <> 0 then !n - 1 else !n
   end
 
 let draw t pid bound =
@@ -167,18 +205,46 @@ let draw t pid bound =
   | None ->
       if bound < 0 then Rng.geometric_capped t.rng (-bound) else Rng.int t.rng bound
 
-let stopped_running t =
-  t.n_running <- t.n_running - 1;
-  t.runnable_cache <- None
+(* [pid] stopped running: derive the next runnable array from the
+   current one by dropping it. *)
+let stopped_running t pid =
+  let a = t.runnable in
+  let m = Array.length a - 1 in
+  let i = ref 0 in
+  while a.(!i) <> pid do
+    incr i
+  done;
+  let b = Array.make m 0 in
+  Array.blit a 0 b 0 !i;
+  Array.blit a (!i + 1) b !i (m - !i);
+  t.runnable <- b
 
-let start t p (body : Ctx.t -> int) =
+(* Process [p]'s effect handler. Everything it hands the runtime — the
+   handler record and one continuation closure per effect kind — is
+   built here once, so a shared-memory operation only fills [p]'s
+   pending fields and a flip only sets [p_bound]. *)
+let handler t p =
   let open Effect.Deep in
-  let ctx = Ctx.make ~pid:p.pid in
+  let on_read = Some (fun k -> p.p_read_k <- k)
+  and on_write = Some (fun k -> p.p_write_k <- k)
+  and on_flip =
+    Some
+      (fun k ->
+        let bound = p.p_bound in
+        let outcome = draw t p.pid bound in
+        p.p_flips <- p.p_flips + 1;
+        if t.record_trace then
+          t.events <-
+            Op.Flip { time = t.s_time; pid = p.pid; bound; outcome } :: t.events;
+        (match t.probe with
+        | None -> ()
+        | Some s -> s.on_flip ~time:t.s_time ~pid:p.pid ~bound ~outcome);
+        continue k outcome)
+  in
   let retc result =
     p.p_status <- Finished result;
-    p.p_susp <- None;
     p.p_finish <- t.s_time;
-    stopped_running t;
+    stopped_running t p.pid;
     if t.record_trace then
       t.events <- Op.Finish { time = t.s_time; pid = p.pid; result } :: t.events;
     match t.probe with
@@ -186,40 +252,28 @@ let start t p (body : Ctx.t -> int) =
     | Some s -> s.on_finish ~time:t.s_time ~pid:p.pid ~result
   in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-    fun eff ->
-    match eff with
-    | Ctx.Read_eff r -> Some (fun k -> p.p_susp <- Some (Blocked_read (r, k)))
+    function
+    | Ctx.Read_eff r ->
+        p.p_op <- Reading;
+        p.p_reg <- r;
+        on_read
     | Ctx.Write_eff (r, v) ->
-        Some (fun k -> p.p_susp <- Some (Blocked_write (r, v, k)))
+        p.p_op <- Writing;
+        p.p_reg <- r;
+        p.p_value <- v;
+        on_write
     | Ctx.Flip_eff bound ->
-        Some
-          (fun k ->
-            let outcome = draw t p.pid bound in
-            p.p_flips <- p.p_flips + 1;
-            if t.record_trace then
-              t.events <-
-                Op.Flip { time = t.s_time; pid = p.pid; bound; outcome }
-                :: t.events;
-            (match t.probe with
-            | None -> ()
-            | Some s -> s.on_flip ~time:t.s_time ~pid:p.pid ~bound ~outcome);
-            continue k outcome)
+        p.p_bound <- bound;
+        on_flip
     | Ctx.Flip_geom_eff l ->
-        Some
-          (fun k ->
-            let outcome = draw t p.pid (-l) in
-            p.p_flips <- p.p_flips + 1;
-            if t.record_trace then
-              t.events <-
-                Op.Flip { time = t.s_time; pid = p.pid; bound = -l; outcome }
-                :: t.events;
-            (match t.probe with
-            | None -> ()
-            | Some s -> s.on_flip ~time:t.s_time ~pid:p.pid ~bound:(-l) ~outcome);
-            continue k outcome)
+        p.p_bound <- -l;
+        on_flip
     | _ -> None
   in
-  match_with body ctx { retc; exnc = raise; effc }
+  { retc; exnc = raise; effc }
+
+let start t pid body =
+  Effect.Deep.match_with body t.procs.(pid).ctx t.handlers.(pid)
 
 let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
   let rng = Rng.create seed in
@@ -228,8 +282,14 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
       (fun pid _ ->
         {
           pid;
+          ctx = Ctx.make ~pid;
           p_status = Running;
-          p_susp = None;
+          p_op = Nothing;
+          p_reg = no_reg;
+          p_value = 0;
+          p_bound = 0;
+          p_read_k = no_read_k;
+          p_write_k = no_write_k;
           p_steps = 0;
           p_flips = 0;
           p_rmrs = 0;
@@ -244,6 +304,7 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
     {
       rng;
       procs;
+      handlers = [||];
       s_time = 0;
       record_trace;
       events = [];
@@ -251,26 +312,26 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
          each program to its first operation already reach the sink. *)
       probe = Obs.Probe.current ();
       flip_oracle;
-      cache = Bytes.empty;
+      pages = [||];
       cache_len = (n + 7) / 8;
       touched = [||];
       n_touched = 0;
-      n_running = n;
-      runnable_cache = Some all_pids;
+      runnable = all_pids;
       all_pids;
     }
   in
-  Array.iteri (fun pid body -> start t procs.(pid) body) programs;
+  t.handlers <- Array.map (handler t) procs;
+  Array.iteri (start t) programs;
   t
 
 (* The arena-reuse path: restore a scheduler to the state [create]
    would produce — same process count, same [record_trace] and
-   [flip_oracle] — without re-allocating the proc records, the cache
-   or the scheduler record itself; only the bitsets the last run
-   touched are cleared. Shared registers are {e not}
-   reset here: the caller resets its [Memory.t] arenas (which restores
-   every register) and then resets the scheduler; see [Engine.run_local]
-   for the per-worker pattern. *)
+   [flip_oracle] — without re-allocating the proc records, their
+   handlers, the cache pages or the scheduler record itself; only the
+   bitsets the last run touched are cleared. Shared registers are
+   {e not} reset here: the caller resets its [Memory.t] arenas (which
+   restores every register) and then resets the scheduler; see
+   [Engine.run_local] for the per-worker pattern. *)
 let reset ?(seed = 0x5EEDL) t programs =
   if Array.length programs <> Array.length t.procs then
     invalid_arg "Sched.reset: process count differs from create";
@@ -280,23 +341,23 @@ let reset ?(seed = 0x5EEDL) t programs =
   (* Re-read the ambient sink: a probe installed (or removed) since
      [create] takes effect on the next trial, before programs restart. *)
   t.probe <- Obs.Probe.current ();
-  t.n_running <- Array.length t.procs;
-  t.runnable_cache <- Some t.all_pids;
+  t.runnable <- t.all_pids;
   for i = 0 to t.n_touched - 1 do
-    Bytes.fill t.cache (t.touched.(i) * t.cache_len) t.cache_len '\000'
+    let id = t.touched.(i) in
+    Bytes.fill t.pages.(id lsr page_bits) (slot t id) t.cache_len '\000'
   done;
   t.n_touched <- 0;
   Array.iter
     (fun p ->
       p.p_status <- Running;
-      p.p_susp <- None;
+      clear_pending p;
       p.p_steps <- 0;
       p.p_flips <- 0;
       p.p_rmrs <- 0;
       p.p_first_step <- -1;
       p.p_finish <- -1)
     t.procs;
-  Array.iteri (fun pid body -> start t t.procs.(pid) body) programs
+  Array.iteri (start t) programs
 
 let n t = Array.length t.procs
 let time t = t.s_time
@@ -309,10 +370,11 @@ let max_rmrs t =
   Array.fold_left (fun acc p -> max acc p.p_rmrs) 0 t.procs
 
 let pending t pid =
-  match t.procs.(pid).p_susp with
-  | None -> None
-  | Some (Blocked_read (reg, _)) -> Some { Op.reg; kind = Op.Read }
-  | Some (Blocked_write (reg, v, _)) -> Some { Op.reg; kind = Op.Write v }
+  let p = t.procs.(pid) in
+  match p.p_op with
+  | Nothing -> None
+  | Reading -> Some { Op.reg = p.p_reg; kind = Op.Read }
+  | Writing -> Some { Op.reg = p.p_reg; kind = Op.Write p.p_value }
 
 let first_step_time t pid = t.procs.(pid).p_first_step
 let finish_time t pid = t.procs.(pid).p_finish
@@ -320,87 +382,76 @@ let finish_time t pid = t.procs.(pid).p_finish
 let result t pid =
   match t.procs.(pid).p_status with Finished r -> Some r | _ -> None
 
-let runnable t =
-  match t.runnable_cache with
-  | Some a -> a
-  | None ->
-      let a = Array.make t.n_running 0 in
-      let j = ref 0 in
-      Array.iter
-        (fun p ->
-          if p.p_status = Running then begin
-            a.(!j) <- p.pid;
-            incr j
-          end)
-        t.procs;
-      t.runnable_cache <- Some a;
-      a
+let runnable t = t.runnable
+let any_running t = Array.length t.runnable > 0
 
-let any_running t = t.n_running > 0
+let begin_step t p =
+  t.s_time <- t.s_time + 1;
+  p.p_steps <- p.p_steps + 1;
+  if p.p_first_step < 0 then p.p_first_step <- t.s_time;
+  p.p_op <- Nothing
 
 let step t pid =
   let p = t.procs.(pid) in
-  match (p.p_status, p.p_susp) with
-  | Running, Some susp -> (
-      t.s_time <- t.s_time + 1;
-      p.p_steps <- p.p_steps + 1;
-      if p.p_first_step < 0 then p.p_first_step <- t.s_time;
-      p.p_susp <- None;
-      match susp with
-      | Blocked_read (r, k) ->
-          let rmr = account_read t p r.Register.id in
-          let v = Register.read r in
-          if t.record_trace then
-            t.events <-
-              Op.Step
-                {
-                  time = t.s_time;
-                  pid = p.pid;
-                  reg = r.Register.id;
-                  reg_name = r.Register.name;
-                  kind = Op.Read;
-                  read_value = Some v;
-                  seen_writer = r.Register.last_writer;
-                }
-              :: t.events;
-          (match t.probe with
-          | None -> ()
-          | Some s ->
-              s.on_step ~time:t.s_time ~pid:p.pid ~reg:r.Register.id
-                ~reg_name:r.Register.name ~write:false ~value:v ~rmr
-                ~invalidated:0);
-          Effect.Deep.continue k v
-      | Blocked_write (r, v, k) ->
-          (* Contention (copies this write invalidates) must be read off
-             the bitset before [account_write] clears it. *)
-          let invalidated =
-            match t.probe with
-            | None -> 0
-            | Some _ -> count_other_cached t r.Register.id p.pid
-          in
-          account_write t p r.Register.id;
-          Register.write r ~writer:p.pid v;
-          if t.record_trace then
-            t.events <-
-              Op.Step
-                {
-                  time = t.s_time;
-                  pid = p.pid;
-                  reg = r.Register.id;
-                  reg_name = r.Register.name;
-                  kind = Op.Write v;
-                  read_value = None;
-                  seen_writer = -1;
-                }
-              :: t.events;
-          (match t.probe with
-          | None -> ()
-          | Some s ->
-              s.on_step ~time:t.s_time ~pid:p.pid ~reg:r.Register.id
-                ~reg_name:r.Register.name ~write:true ~value:v ~rmr:true
-                ~invalidated);
-          Effect.Deep.continue k ())
-  | Running, None ->
+  match (p.p_status, p.p_op) with
+  | Running, Reading ->
+      begin_step t p;
+      let r = p.p_reg in
+      let rmr = account_read t p r.Register.id in
+      let v = Register.read r in
+      if t.record_trace then
+        t.events <-
+          Op.Step
+            {
+              time = t.s_time;
+              pid = p.pid;
+              reg = r.Register.id;
+              reg_name = r.Register.name;
+              kind = Op.Read;
+              read_value = Some v;
+              seen_writer = r.Register.last_writer;
+            }
+          :: t.events;
+      (match t.probe with
+      | None -> ()
+      | Some s ->
+          s.on_step ~time:t.s_time ~pid:p.pid ~reg:r.Register.id
+            ~reg_name:r.Register.name ~write:false ~value:v ~rmr
+            ~invalidated:0);
+      Effect.Deep.continue p.p_read_k v
+  | Running, Writing ->
+      begin_step t p;
+      let r = p.p_reg and v = p.p_value in
+      (* Contention (copies this write invalidates) must be read off
+         the bitset before [account_write] clears it. *)
+      let invalidated =
+        match t.probe with
+        | None -> 0
+        | Some _ -> count_other_cached t r.Register.id p.pid
+      in
+      account_write t p r.Register.id;
+      Register.write r ~writer:p.pid v;
+      if t.record_trace then
+        t.events <-
+          Op.Step
+            {
+              time = t.s_time;
+              pid = p.pid;
+              reg = r.Register.id;
+              reg_name = r.Register.name;
+              kind = Op.Write v;
+              read_value = None;
+              seen_writer = -1;
+            }
+          :: t.events;
+      (match t.probe with
+      | None -> ()
+      | Some s ->
+          s.on_step ~time:t.s_time ~pid:p.pid ~reg:r.Register.id
+            ~reg_name:r.Register.name ~write:true ~value:v ~rmr:true
+            ~invalidated);
+      Effect.Deep.continue p.p_write_k ()
+  | Running, Nothing ->
       (* A running process is always poised at an operation: [create]
          runs every program to its first effect. *)
       invalid_arg "Sched.step: process has no pending operation"
@@ -412,8 +463,8 @@ let crash t pid =
   match p.p_status with
   | Running ->
       p.p_status <- Crashed;
-      p.p_susp <- None;
-      stopped_running t;
+      clear_pending p;
+      stopped_running t pid;
       if t.record_trace then
         t.events <- Op.Crash { time = t.s_time; pid } :: t.events;
       (match t.probe with
@@ -423,12 +474,15 @@ let crash t pid =
 
 let filter_pending klass p =
   let kind, reg, reg_name, value =
-    match p.p_susp with
-    | None -> (None, None, None, None)
-    | Some (Blocked_read (r, _)) ->
-        (Some `Read, Some r.Register.id, Some r.Register.name, None)
-    | Some (Blocked_write (r, v, _)) ->
-        (Some `Write, Some r.Register.id, Some r.Register.name, Some v)
+    match p.p_op with
+    | Nothing -> (None, None, None, None)
+    | Reading ->
+        (Some `Read, Some p.p_reg.Register.id, Some p.p_reg.Register.name, None)
+    | Writing ->
+        ( Some `Write,
+          Some p.p_reg.Register.id,
+          Some p.p_reg.Register.name,
+          Some p.p_value )
   in
   match klass with
   | Adaptive ->
@@ -471,7 +525,7 @@ let filter_pending klass p =
 let view t klass =
   {
     view_time = t.s_time;
-    runnable = runnable t;
+    runnable = t.runnable;
     pending_of = (fun pid -> filter_pending klass t.procs.(pid));
   }
 
@@ -487,12 +541,11 @@ let run ?(max_total_steps = 10_000_000) t adv =
         (Printf.sprintf "Sched.run: exceeded %d steps under adversary %s"
            max_total_steps adv.adv_name);
     match
-      adv.decide { view_time = t.s_time; runnable = runnable t; pending_of }
+      adv.decide { view_time = t.s_time; runnable = t.runnable; pending_of }
     with
     | Schedule pid -> step t pid
     | Crash_proc pid -> crash t pid
-    | Halt ->
-        Array.iter (fun p -> if p.p_status = Running then crash t p.pid) t.procs
+    | Halt -> Array.iter (crash t) t.runnable
   done
 
 let trace t = List.rev t.events

@@ -35,7 +35,10 @@ type pending_view = {
 
 type view = {
   view_time : int;
-  runnable : int array;  (** Pids of processes that can be scheduled, ascending. *)
+  runnable : int array;
+      (** Pids of processes that can be scheduled, ascending. The
+          scheduler never mutates an array it has handed out, so an
+          adversary may keep it. *)
   pending_of : int -> pending_view;
 }
 
@@ -77,10 +80,10 @@ val reset : ?seed:int64 -> t -> (Ctx.t -> int) array -> unit
 (** [reset ~seed t programs] restores [t] to the state
     [create ~seed programs] would produce — every process Running and
     poised at its first operation, time 0, empty trace, reseeded RNG —
-    {e without} allocating new proc records, RMR cache or runnable
-    arrays. It clears only the cache bitsets of registers the previous
-    run touched, so its cost is O(processes + registers touched), not
-    O(registers allocated). [record_trace] and [flip_oracle] keep their
+    {e without} allocating new proc records, effect handlers, RMR cache
+    pages or runnable arrays. It clears only the cache bitsets of
+    registers the previous run touched, so its cost is
+    O(processes + registers touched), not O(registers allocated). [record_trace] and [flip_oracle] keep their
     [create]-time values. [programs] must have the same length as at [create]; other
     lengths raise [Invalid_argument].
 
@@ -112,7 +115,11 @@ val rmrs : t -> int -> int
     copies; a read is an RMR only when the reader holds no valid cached
     copy (it then caches the register). This is the cost measure of
     Golab, Hendler and Woelfel's O(1)-RMR leader election, the paper's
-    reference for the TAS-from-LeaderElect construction. *)
+    reference for the TAS-from-LeaderElect construction.
+
+    The cache bitsets live in pages of 256 registers allocated on first
+    touch, so their memory follows the registers a run touches, not the
+    largest register id. *)
 
 val max_rmrs : t -> int
 val pending : t -> int -> Op.pending option
@@ -126,6 +133,9 @@ val result : t -> int -> int option
 (** Return value of the process's program, if finished. *)
 
 val runnable : t -> int array
+(** The running pids, ascending: a fresh array whenever the set
+    changes, never mutated afterwards. *)
+
 val any_running : t -> bool
 
 val step : t -> int -> unit

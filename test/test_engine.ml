@@ -334,6 +334,42 @@ let test_rmr_bitset_matches_hashtbl () =
       ("loglog", 64, 16, 16L);
     ]
 
+(* The same oracle over every effect-only registry entry (no flat
+   kernel, so the effect scheduler is their only path) at n=64 and
+   k in {2, 16, 64}, ten seeds each on one scheduler per k reused
+   through [reset]: pages, the touched stack and the runnable set must
+   carry nothing from one trial into the next. *)
+let test_rmr_oracle_effect_only () =
+  let n = 64 in
+  List.iter
+    (fun (e : Rtas.Registry.entry) ->
+      let mem = Sim.Memory.create () in
+      let le = e.Rtas.Registry.make mem ~n in
+      List.iter
+        (fun k ->
+          let progs = Leaderelect.Le.programs le ~k in
+          let sched = Sim.Sched.create ~record_trace:true progs in
+          for s = 1 to 10 do
+            let seed = Sim.Rng.derive (Int64.of_int s) ~stream:0 in
+            Sim.Memory.reset mem;
+            Sim.Sched.reset ~seed sched progs;
+            Sim.Sched.run sched
+              (Sim.Adversary.random_oblivious
+                 ~seed:(Sim.Rng.derive (Int64.of_int s) ~stream:1));
+            let expect = rmrs_reference (Sim.Sched.trace sched) k in
+            for pid = 0 to k - 1 do
+              checki
+                (Printf.sprintf "%s k=%d seed %d: rmrs of p%d"
+                   e.Rtas.Registry.name k s pid)
+                expect.(pid)
+                (Sim.Sched.rmrs sched pid)
+            done
+          done)
+        [ 2; 16; 64 ])
+    (List.filter
+       (fun (e : Rtas.Registry.entry) -> e.Rtas.Registry.make_flat = None)
+       Rtas.Registry.all)
+
 (* {1 Stats: array implementations vs naive references} *)
 
 let naive_percentile p l =
@@ -473,6 +509,8 @@ let () =
         [
           Alcotest.test_case "bitset matches hashtbl" `Quick
             test_rmr_bitset_matches_hashtbl;
+          Alcotest.test_case "oracle: effect-only entries" `Quick
+            test_rmr_oracle_effect_only;
         ] );
       ( "stats",
         [

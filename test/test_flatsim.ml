@@ -11,30 +11,6 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* --- Frng vs Sim.Rng -------------------------------------------------- *)
-
-let test_frng_parity () =
-  let seeds = [ 0L; 1L; 0x5EEDL; 0xDEADBEEFL; Int64.min_int; -1L ] in
-  List.iter
-    (fun seed ->
-      let s = Sim.Rng.create seed and f = Flatsim.Frng.create seed in
-      for i = 1 to 2_000 do
-        let bound = 1 + (i mod 97) in
-        checki "int draw" (Sim.Rng.int s bound) (Flatsim.Frng.int f bound)
-      done;
-      (* interleave geometric draws on the same stream *)
-      for _ = 1 to 2_000 do
-        checki "geometric draw"
-          (Sim.Rng.geometric_capped s 9)
-          (Flatsim.Frng.geometric_capped f 9)
-      done;
-      Sim.Rng.reseed s 42L;
-      Flatsim.Frng.reseed f 42L;
-      for _ = 1 to 200 do
-        checki "after reseed" (Sim.Rng.int s 1_000_000) (Flatsim.Frng.int f 1_000_000)
-      done)
-    seeds
-
 (* --- Outcome extraction ----------------------------------------------- *)
 
 let flip_events sched =
@@ -288,7 +264,6 @@ let test_flat_registry_coverage () =
 let () =
   Alcotest.run "flatsim"
     [
-      ("frng", [ Alcotest.test_case "parity with Sim.Rng" `Quick test_frng_parity ]);
       ("differential-120", differential_cases);
       ("schedule-parity", schedule_cases);
       ( "base-cases",

@@ -127,6 +127,44 @@ let test_rng_reseed_matches_fresh () =
       (Sim.Rng.next used)
   done
 
+(* The stream pinned to the values the boxed-[int64] generator
+   produced: first draws of each kind from six seeds (including the
+   sign-bit extremes), plus draw 1000, which exercises the counter
+   recurrence far from the seed. *)
+let rng_goldens =
+  [
+    (0L, 443823, 0x2220a8397b1dcdaf, 0x1.c4415072f63b9p-1, true, 1,
+     0x14e0abb2bfcf7c3e);
+    (1L, 46657, 0x110a2dec89025cc1, 0x1.22145bd91204bp-1, true, 1,
+     0x271894b1b5034fb7);
+    (0x5EEDL, 416052, 0x9f1fd9d03f0a9b4, 0x1.3e3fb3a07e15p-5, false, 2,
+     0x10aaf3c862ac6d8b);
+    (0xDEADBEEFL, 467163, 0xadfb90f68c9eb9b, 0x1.2b7ee43da327ap-2, true, 1,
+     0x9425e84566f3c44);
+    (Int64.min_int, 106011, 0x81ec0a212a9f3db, 0x1.207b02884aa7cp-2, true, 1,
+     0x136d315c07c16ea2);
+    (-1L, 280224, 0x24d971771b652c20, 0x1.c9b2e2ee36ca5p-1, false, 2,
+     0x2bd385046d33fbf);
+  ]
+
+let test_rng_golden_draws () =
+  List.iter
+    (fun (seed, int_m, int_max, fl, b, geo, int_1000) ->
+      let fresh () = Sim.Rng.create seed in
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      checki (name "int 1e6") int_m (Sim.Rng.int (fresh ()) 1_000_000);
+      checki (name "int max_int") int_max (Sim.Rng.int (fresh ()) max_int);
+      check (Alcotest.float 0.) (name "float") fl (Sim.Rng.float (fresh ()));
+      checkb (name "bool") b (Sim.Rng.bool (fresh ()));
+      checki (name "geometric_capped 9") geo
+        (Sim.Rng.geometric_capped (fresh ()) 9);
+      let r = fresh () in
+      for _ = 1 to 999 do
+        ignore (Sim.Rng.next r)
+      done;
+      checki (name "draw 1000") int_1000 (Sim.Rng.int r max_int))
+    rng_goldens
+
 (* {1 Memory and registers} *)
 
 let test_memory_counts () =
@@ -452,6 +490,66 @@ let test_sched_reset_process_count_mismatch () =
        false
      with Invalid_argument _ -> true)
 
+(* The runnable contract adversaries rely on: every [view.runnable] is
+   a fresh snapshot — never mutated after it is handed out, even by the
+   next trial on a reused scheduler — ascending, and exactly the pids
+   running at that decision. 64 processes of flip-driven lengths, with
+   scheduled crashes so removals come from both exits and crashes. *)
+let test_runnable_contract () =
+  let k = 64 in
+  let mem = Sim.Memory.create () in
+  let regs = Array.init 8 (fun _ -> Sim.Register.create mem) in
+  let prog ctx =
+    for _ = 0 to Sim.Ctx.flip ctx 20 do
+      let r = regs.(Sim.Ctx.flip ctx (Array.length regs)) in
+      if Sim.Ctx.flip_bool ctx then Sim.Ctx.write ctx r (Sim.Ctx.pid ctx)
+      else ignore (Sim.Ctx.read ctx r)
+    done;
+    0
+  in
+  let progs = Array.make k prog in
+  let sched = Sim.Sched.create progs in
+  (* (array as handed out, its contents then, the running pids then) *)
+  let kept = ref [] in
+  let crashed = ref 0 in
+  for seed = 1 to 20 do
+    let seed = Int64.of_int seed in
+    Sim.Memory.reset mem;
+    Sim.Sched.reset ~seed:(Sim.Rng.derive seed ~stream:0) sched progs;
+    let rng = Sim.Rng.create (Sim.Rng.derive seed ~stream:2) in
+    let crashes =
+      List.init 8 (fun _ -> (Sim.Rng.int rng k, Sim.Rng.int rng 6))
+    in
+    let inner =
+      Sim.Adversary.with_crashes crashes
+        (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
+    in
+    let decide (v : Sim.Sched.view) =
+      let running =
+        List.filter
+          (fun pid -> Sim.Sched.status sched pid = Sim.Sched.Running)
+          (List.init k Fun.id)
+      in
+      kept := (v.runnable, Array.copy v.runnable, running) :: !kept;
+      inner.Sim.Sched.decide v
+    in
+    Sim.Sched.run sched { inner with Sim.Sched.decide };
+    for pid = 0 to k - 1 do
+      if Sim.Sched.status sched pid = Sim.Sched.Crashed then incr crashed
+    done
+  done;
+  checkb "crashes removed processes" true (!crashed > 0);
+  List.iter
+    (fun (handed, copy, running) ->
+      checkb "never mutated" true (handed = copy);
+      let ascending = ref true in
+      for i = 1 to Array.length handed - 1 do
+        if handed.(i - 1) >= handed.(i) then ascending := false
+      done;
+      checkb "ascending" true !ascending;
+      check Alcotest.(list int) "the running pids" running (Array.to_list handed))
+    !kept
+
 (* {1 RMR accounting (cache-coherent model)} *)
 
 let test_rmr_cached_reads_free () =
@@ -518,28 +616,62 @@ let test_rmr_max () =
    id: a first trial on one register with id 100,000 must not allocate
    per-id storage for every id below it (that would be at least three
    words per id). *)
+(* The RMR cache costs what a run touches: one register far out in the
+   id space (a classic RatRace structure at n=64 allocates 3.17M
+   registers) must not make the first run pay for every id below it. *)
 let test_rmr_cache_sparse_ids () =
   let mem = Sim.Memory.create () in
-  for _ = 1 to 100_000 do
+  for _ = 1 to 3_000_000 do
     ignore (Sim.Register.create mem)
   done;
   let r = Sim.Register.create mem in
-  checki "register id" 100_000 r.Sim.Register.id;
+  checki "register id" 3_000_000 r.Sim.Register.id;
   let prog ctx =
     Sim.Ctx.write ctx r (Sim.Ctx.read ctx r + 1);
     0
   in
   let before = Gc.allocated_bytes () in
-  let sched = Sim.Sched.create [| prog; prog |] in
+  let sched = Sim.Sched.create (Array.make 64 prog) in
   Sim.Sched.run sched (Sim.Adversary.round_robin ());
   let words =
     (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
   in
-  checki "p0: read and write are RMRs" 2 (Sim.Sched.rmrs sched 0);
-  checki "p1: read and write are RMRs" 2 (Sim.Sched.rmrs sched 1);
+  for pid = 0 to 63 do
+    checki (Printf.sprintf "p%d: read and write are RMRs" pid) 2
+      (Sim.Sched.rmrs sched pid)
+  done;
   checkb
-    (Printf.sprintf "first trial allocated %.0f words (< 100000)" words)
-    true (words < 100_000.)
+    (Printf.sprintf "first trial allocated %.0f words (< 50000)" words)
+    true (words < 50_000.)
+
+(* Minor words per scheduled step on the effect path, reset and
+   adversary included: two processes doing 200 reads each on a reused
+   scheduler. The figure is a count, identical on every run. *)
+let test_step_allocation_ceiling () =
+  let mem = Sim.Memory.create () in
+  let r = Sim.Register.create mem in
+  let prog ctx =
+    for _ = 1 to 200 do
+      ignore (Sim.Ctx.read ctx r)
+    done;
+    0
+  in
+  let progs = [| prog; prog |] in
+  let sched = Sim.Sched.create progs in
+  let trial seed =
+    Sim.Sched.reset ~seed sched progs;
+    Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed)
+  in
+  trial 1L;
+  let before = Gc.minor_words () in
+  trial 2L;
+  let per_step =
+    (Gc.minor_words () -. before) /. float_of_int (Sim.Sched.time sched)
+  in
+  checki "steps" 400 (Sim.Sched.time sched);
+  checkb
+    (Printf.sprintf "%.2f minor words per step (<= 20)" per_step)
+    true (per_step <= 20.)
 
 (* {1 Visibility (Section 5 relations)} *)
 
@@ -828,6 +960,7 @@ let () =
             test_rng_derive_adjacent_disjoint;
           Alcotest.test_case "reseed matches fresh" `Quick
             test_rng_reseed_matches_fresh;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden_draws;
         ] );
       ( "memory",
         [
@@ -859,6 +992,7 @@ let () =
             test_sched_reset_bit_identical;
           Alcotest.test_case "reset rejects size change" `Quick
             test_sched_reset_process_count_mismatch;
+          Alcotest.test_case "runnable contract" `Quick test_runnable_contract;
         ] );
       ( "rmr",
         [
@@ -868,6 +1002,8 @@ let () =
           Alcotest.test_case "max over processes" `Quick test_rmr_max;
           Alcotest.test_case "cache sized by touched ids" `Quick
             test_rmr_cache_sparse_ids;
+          Alcotest.test_case "step allocation ceiling" `Quick
+            test_step_allocation_ceiling;
         ] );
       ( "visibility",
         [

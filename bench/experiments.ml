@@ -213,34 +213,34 @@ let run_e5 () =
     ignore (make mem ~n);
     Sim.Memory.allocated mem
   in
+  (* Classic RatRace declares its Theta(n^3) registers at every n but
+     builds only the nodes a trial touches (DESIGN.md §9), so its row
+     costs microseconds even at n = 1024 (1.3e10 registers). *)
   let algorithms =
     [
-      ("log*", Leaderelect.Le_logstar.make, max_int);
-      ("loglog", Leaderelect.Le_loglog.make, max_int);
-      ("aa", Leaderelect.Aa.make, max_int);
-      ("tournament", Leaderelect.Tournament.make, max_int);
-      ("ratrace-lean", Leaderelect.Rr_le.make_lean, max_int);
-      ("combined-log*", Combined.Combine.make_logstar, max_int);
-      ("ratrace(n^3)", Leaderelect.Rr_le.make_original, 64);
+      ("log*", Leaderelect.Le_logstar.make);
+      ("loglog", Leaderelect.Le_loglog.make);
+      ("aa", Leaderelect.Aa.make);
+      ("tournament", Leaderelect.Tournament.make);
+      ("ratrace-lean", Leaderelect.Rr_le.make_lean);
+      ("combined-log*", Combined.Combine.make_logstar);
+      ("ratrace(n^3)", Leaderelect.Rr_le.make_original);
     ]
   in
   let sizes = [ 8; 16; 32; 64; 256; 1024 ] in
   pr "%-14s" "algorithm";
-  List.iter (fun n -> pr "%10d" n) sizes;
+  List.iter (fun n -> pr "%12d" n) sizes;
   pr "@.";
   line ();
   List.iter
-    (fun (name, make, cap) ->
+    (fun (name, make) ->
       pr "%-14s" name;
-      List.iter
-        (fun n ->
-          if n <= cap then pr "%10d" (allocate make n) else pr "%10s" "-")
-        sizes;
+      List.iter (fun n -> pr "%12d" (allocate make n)) sizes;
       pr "@.")
     algorithms;
   pr "%-14s" "Omega(log n)";
   List.iter
-    (fun n -> pr "%10d" (Lowerbound.Covering.register_lower_bound ~n))
+    (fun n -> pr "%12d" (Lowerbound.Covering.register_lower_bound ~n))
     sizes;
   pr "@.@.Shape check: every upper bound is linear in n except the classic@.";
   pr "RatRace (cubic); all dominate the Omega(log n) lower bound row.@."
@@ -393,7 +393,9 @@ let run_e9 () =
         pr "@."
       end)
     Rtas.Registry.all;
-  (* classic ratrace at its affordable size *)
+  (* Classic ratrace at n = 64 only. Its nodes are built lazily, but at
+     n = k = 1024 Sim.Sched's RMR cache would give each touched node a
+     32 KB page of its own (EXPERIMENTS.md, E5). *)
   pr "%-16s" "ratrace (n=64)";
   List.iter
     (fun k ->

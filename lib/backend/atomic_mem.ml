@@ -9,6 +9,28 @@ let alloc m ~name:_ =
   m.count <- m.count + 1;
   Atomic.make 0
 
+(* Eager: every entry exists before the table is shared, so domains only
+   ever read the array and no publication protocol is needed. *)
+type 'a table = 'a array
+
+let table m ~name len build =
+  if len < 1 then
+    invalid_arg (Printf.sprintf "Atomic_mem.table %s: length %d < 1" name len);
+  let stride = ref 0 in
+  Array.init len (fun i ->
+      let before = m.count in
+      let x = build i in
+      let used = m.count - before in
+      if i = 0 then stride := used
+      else if used <> !stride then
+        invalid_arg
+          (Printf.sprintf
+             "Atomic_mem.table %s: entry %d allocated %d registers but entry \
+              0 allocated %d"
+             name i used !stride);
+      x)
+
+let get = Array.get
 let ctx ?rng ~slot () = { rng; slot }
 let self c = c.slot
 let read _ r = Atomic.get r

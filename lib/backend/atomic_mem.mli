@@ -19,6 +19,14 @@ val allocated : mem -> int
 
 val alloc : mem -> name:string -> reg
 
+type 'a table
+(** Built eagerly, as a plain array: {!table} builds every entry before
+    it returns, so an instantiated algorithm is complete before any
+    domain runs it and lookups are plain array reads. *)
+
+val table : mem -> name:string -> int -> (int -> 'a) -> 'a table
+val get : 'a table -> int -> 'a
+
 val ctx : ?rng:Random.State.t -> slot:int -> unit -> ctx
 (** [rng] may be omitted for purely deterministic algorithms (e.g. the
     Moir–Anderson splitter); a coin flip without one raises

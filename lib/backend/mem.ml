@@ -22,7 +22,9 @@
 
 module type S = sig
   type mem
-  (** Register arena; allocation happens only at construction time. *)
+  (** Register arena. Algorithms allocate from it while they are
+      constructed; only a {!table}'s nodes may be built later, on first
+      access, at ids reserved during construction. *)
 
   type reg
   (** One atomic integer register, initially 0. *)
@@ -34,6 +36,28 @@ module type S = sig
   (** Allocate a fresh register. [name] is diagnostic (trace/metric
       labels in the simulator; ignored on atomics) but backends must not
       let it affect behaviour. *)
+
+  type 'a table
+  (** A fixed-length table of uniform nodes: a tree's or a grid's
+      splitters, elections, ... *)
+
+  val table : mem -> name:string -> int -> (int -> 'a) -> 'a table
+  (** [table mem ~name len build] is the table whose entry [i] is
+      [build i]; [build] allocates its registers from [mem]. The
+      registers are numbered as if the entries were built eagerly in
+      index order: entry [i]'s come [i] strides after entry 0's, where
+      the stride is the number of registers entry 0 allocates. Every
+      entry must allocate exactly that many registers; a builder that
+      does not, and a [len < 1], raise [Invalid_argument] naming the
+      table. [Sim_mem] builds entry 0 at once, reserves the ids of the
+      rest and builds entry [i] on its first {!get}, so a table's memory
+      is O(entries touched); its space figure is O(len) at once.
+      [Atomic_mem] builds every entry here, before any domain can race
+      on the table. *)
+
+  val get : 'a table -> int -> 'a
+  (** [get t i] is entry [i], [0 <= i < len]. Allocation-free once the
+      entry is built. *)
 
   val self : ctx -> int
   (** The caller's contender slot, [0 .. n-1]. Algorithms use it for

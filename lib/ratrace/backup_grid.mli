@@ -7,11 +7,23 @@
     splitter — guaranteed before it leaves the diagonal [i + j < n] when
     at most [n] processes enter (Moir–Anderson) — and then retraces its
     path, winning the election of every node on it; the process that
-    wins the election at [(0, 0)] wins the grid. Space is Theta(n^2). *)
+    wins the election at [(0, 0)] wins the grid. Space is Theta(n^2)
+    declared registers; on the simulator a node's registers are built
+    when a process first reaches it (see {!Backend.Mem.S.table}).
 
-type t
+    Written over {!Backend.Mem.S} like the primary tree; classic RatRace
+    instantiates it on the simulator only. *)
 
 type outcome = Lost | Won
+
+module Make (M : Backend.Mem.S) : sig
+  type t
+
+  val create : ?name:string -> M.mem -> n:int -> t
+  val run : ?notify_stop:(unit -> unit) -> t -> M.ctx -> outcome
+end
+
+type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 

@@ -4,9 +4,12 @@ module Make (M : Backend.Mem.S) = struct
   module Rsp = Primitives.Rsplitter.Make (M)
   module Duel3 = Primitives.Le3.Make (M)
 
+  (* Heap layout, index 1..2^(h+1)-1; slot 0 is declared but unused. A
+     trial touches O(k h) of the 2^(h+1) nodes, so on the simulator the
+     tables build a node on first access. *)
   type t = {
-    rsps : Rsp.t array;  (* heap layout, index 1..2^(h+1)-1 *)
-    les : Duel3.t array;
+    rsps : Rsp.t M.table;
+    les : Duel3.t M.table;
     h : int;
   }
 
@@ -15,10 +18,10 @@ module Make (M : Backend.Mem.S) = struct
     let nodes = (1 lsl (height + 1)) - 1 in
     {
       rsps =
-        Array.init (nodes + 1) (fun v ->
+        M.table mem ~name:(name ^ ".rsp") (nodes + 1) (fun v ->
             Rsp.create ~name:(Printf.sprintf "%s.rsp[%d]" name v) mem);
       les =
-        Array.init (nodes + 1) (fun v ->
+        M.table mem ~name:(name ^ ".le") (nodes + 1) (fun v ->
             Duel3.create ~name:(Printf.sprintf "%s.le[%d]" name v) mem);
       h = height;
     }
@@ -31,7 +34,7 @@ module Make (M : Backend.Mem.S) = struct
      [port]. Moving up from a left child uses port 1, from a right child
      port 2. *)
   let rec ascend_loop t ctx v ~port =
-    if Duel3.elect t.les.(v) ctx ~port then
+    if Duel3.elect (M.get t.les v) ctx ~port then
       if v = 1 then true
       else ascend_loop t ctx (v / 2) ~port:(if v land 1 = 0 then 1 else 2)
     else false
@@ -45,7 +48,7 @@ module Make (M : Backend.Mem.S) = struct
   let run ?(notify_stop = fun () -> ()) t ctx =
     let first_leaf = 1 lsl t.h in
     let rec descend v =
-      match Rsp.split t.rsps.(v) ctx with
+      match Rsp.split (M.get t.rsps v) ctx with
       | Primitives.Splitter.S ->
           notify_stop ();
           M.leave ctx "rr_tree";

@@ -11,7 +11,14 @@
     winner at that node (port 0) and the winners coming up from its left
     and right subtrees (ports 1 and 2). At a leaf, port 1 is reserved
     for a process re-entering the tree from outside (the elimination
-    paths of the lean variant use this). *)
+    paths of the lean variant use this).
+
+    The nodes live in two {!Backend.Mem.S.table}s, one of splitters and
+    one of elections, each indexed by heap slot [0 .. 2^(height+1) - 1]
+    (slot 0 is declared but unused). On the simulator a node's registers
+    are built when a process first reaches it, at the ids and names
+    eager construction would give them; the declared count is exact
+    from [create] on. *)
 
 type outcome = Lost | Won | Fell_off of int  (** Leaf index, 0-based. *)
 

@@ -5,7 +5,10 @@
     the two winners meet in a final 2-process election. Expected step
     complexity O(log k) against the adaptive adversary, but
     Theta(n^3) registers — the space cost the paper's Section 3
-    eliminates. *)
+    eliminates. [create] declares all of them ({!Sim.Memory.allocated}
+    is 3,170,306 at n=64), but a tree or grid node's registers are built
+    only when a process first reaches it, so a trial's memory follows
+    the nodes it touches. *)
 
 type t
 

@@ -6,7 +6,13 @@
    small fraction of a large structure, so the arena keeps a dirty list
    of the registers written since the last reset and [reset] restores
    exactly those: its cost is the number of registers the trial wrote,
-   not the number allocated. *)
+   not the number allocated.
+
+   [count] is both the space figure and the allocation cursor. A lazily
+   built structure [reserve]s a node range up front, so the figure is
+   the declared count at once, and builds a node later with [build_at],
+   which runs the node's ordinary constructor with the cursor rewound to
+   the node's base id. *)
 
 type reg = {
   id : int;
@@ -32,6 +38,21 @@ let register ?(name = "r") t =
   let id = t.count in
   t.count <- id + 1;
   { id; name; value = 0; last_writer = -1; arena = t }
+
+let reserve t k =
+  if k < 0 then invalid_arg "Memory.reserve: negative register count";
+  let base = t.count in
+  t.count <- base + k;
+  base
+
+let build_at t ~base f =
+  let saved = t.count in
+  t.count <- base;
+  Fun.protect
+    ~finally:(fun () -> t.count <- saved)
+    (fun () ->
+      let x = f () in
+      (x, t.count - base))
 
 let mark_dirty t r =
   let len = Array.length t.dirty in

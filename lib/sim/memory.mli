@@ -10,7 +10,18 @@
     build an algorithm structure once and recycle it per trial instead
     of rebuilding it (see [Engine.run_local] and DESIGN.md §9). The
     arena tracks the registers written since the last reset, so a reset
-    costs O(registers written), however many registers exist. *)
+    costs O(registers written), however many registers exist.
+
+    {b Declared vs built registers.} The space figure, {!allocated}, is
+    the number of registers {e declared}: every id handed out, whether
+    or not a register record exists behind it. Most structures build
+    every register at construction, so the two coincide. A structure
+    with millions of nodes of which a trial touches a few (classic
+    RatRace's Theta(n^3) primary tree) instead {!reserve}s its nodes' id
+    range at construction and builds a node on first access with
+    {!build_at}, at exactly the ids and names eager construction would
+    have given it. The count stays exact; the memory follows what is
+    touched (see [Backend.Sim_mem.table] and DESIGN.md §9). *)
 
 type t
 
@@ -42,4 +53,20 @@ val reset : t -> unit
     complexity of the structure. *)
 
 val allocated : t -> int
-(** Total number of registers allocated so far. *)
+(** Total number of registers declared so far: allocated by {!register}
+    or reserved by {!reserve}. This is the space complexity. *)
+
+val reserve : t -> int -> int
+(** [reserve t k] declares [k] registers without building them and
+    returns the first of their [k] consecutive ids. They count towards
+    {!allocated} at once; {!build_at} builds them later. Raises
+    [Invalid_argument] if [k < 0]. *)
+
+val build_at : t -> base:int -> (unit -> 'a) -> 'a * int
+(** [build_at t ~base f] runs [f] — typically an existing constructor
+    such as [Rsplitter.create ~name mem] — with the allocation cursor
+    rewound to [base], so the registers [f] allocates get the ids
+    [base], [base + 1], ... that a {!reserve} handed out. Returns [f]'s
+    result and the number of registers it allocated. The cursor is
+    restored afterwards, also when [f] raises; [f] must stay inside the
+    reserved range, which the caller checks with the returned count. *)

@@ -313,7 +313,14 @@ let test_read_priority_cannot_hurt_logstar_much () =
    the pre-refactor code (fixed seeds, fixed adversaries, full event
    traces including flips) and pin the instantiations over [Le2] to the
    exact original executions — register names, operation order and coin
-   stream included. *)
+   stream included.
+
+   The RatRace cases were captured from the eager register arena, before
+   classic RatRace's tree and grid nodes became lazily built tables: they
+   pin the lazy layout (ids and names) to the eager one. The n=2 seed 747
+   case falls off the primary tree and descends the backup grid from
+   (0,0) to (1,0), so it pins the grid's row-major indexing too; lean
+   RatRace shares [Primary_tree]. *)
 
 let trace_fingerprint sched =
   Digest.to_hex
@@ -335,6 +342,18 @@ let golden_cases =
      "690e8b436f2bc4c66dd7a46ec1054ce6", 32);
     ("log*", Leaderelect.Le_logstar.make, 16, 5, 3L, `Rand,
      "b94ce997bc5544e31c1bfc06df2c3fa6", 136);
+    ("ratrace", Leaderelect.Rr_le.make_original, 8, 8, 5L, `Rand,
+     "c1ff6e37886f8e73969e08719d122e81", 6530);
+    ("ratrace", Leaderelect.Rr_le.make_original, 8, 8, 9L, `Rr,
+     "36f64752ed21e397748d6316d5bf39f8", 6530);
+    ("ratrace", Leaderelect.Rr_le.make_original, 16, 5, 3L, `Rand,
+     "e4d70121d491a9bb281b68124f850d98", 50690);
+    ("ratrace", Leaderelect.Rr_le.make_original, 2, 2, 747L, `Rand,
+     "2b71e7f8d3638b3edf6759fa89247641", 122);
+    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 8, 8, 5L, `Rand,
+     "e5de16f6f11bf1d04845df7d71342ae0", 274);
+    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 16, 5, 3L, `Rand,
+     "94df6d52f0f350df726331bc9ee3c32a", 514);
   ]
 
 let test_golden_traces () =

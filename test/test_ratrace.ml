@@ -418,6 +418,226 @@ let test_lean_step_complexity_logarithmic () =
     true
     (a256 < a4 *. 8.0)
 
+(* {1 Lazy node tables}
+
+   The primary tree and the backup grid keep their nodes in
+   [Backend.Mem.S] tables, which [Sim_mem] builds on first access. The
+   oracle is the eager layout: the same functors instantiated over a
+   test backend whose tables are [Array.init], so every entry is built
+   at construction, in index order. Both test backends log every
+   register they allocate as (id, name). *)
+
+let built = ref []
+
+module Logged_sim = struct
+  type mem = Sim.Memory.t
+  type reg = Sim.Register.t
+  type ctx = Sim.Ctx.t
+
+  let alloc mem ~name =
+    let r = Backend.Sim_mem.alloc mem ~name in
+    built := (r.Sim.Register.id, r.Sim.Register.name) :: !built;
+    r
+
+  let self = Backend.Sim_mem.self
+  let read = Backend.Sim_mem.read
+  let write = Backend.Sim_mem.write
+  let flip = Backend.Sim_mem.flip
+  let flip_bool = Backend.Sim_mem.flip_bool
+  let flip_geometric = Backend.Sim_mem.flip_geometric
+  let enter = Backend.Sim_mem.enter
+  let leave = Backend.Sim_mem.leave
+end
+
+module Eager_mem = struct
+  include Logged_sim
+
+  type 'a table = 'a array
+
+  let table _ ~name:_ len build = Array.init len build
+  let get = Array.get
+end
+
+(* One (length, touch entry i) pair per table created, newest first. *)
+let tables = ref []
+
+module Lazy_mem = struct
+  include Logged_sim
+
+  type 'a table = 'a Backend.Sim_mem.table
+
+  let table mem ~name len build =
+    let t = Backend.Sim_mem.table mem ~name len build in
+    tables := (len, fun i -> ignore (Backend.Sim_mem.get t i)) :: !tables;
+    t
+
+  let get = Backend.Sim_mem.get
+end
+
+module Eager_tree = Ratrace.Primary_tree.Make (Eager_mem)
+module Lazy_tree = Ratrace.Primary_tree.Make (Lazy_mem)
+module Eager_grid = Ratrace.Backup_grid.Make (Eager_mem)
+module Lazy_grid = Ratrace.Backup_grid.Make (Lazy_mem)
+
+let pp_reg ppf (id, name) = Fmt.pf ppf "%d:%s" id name
+let reg_list = Alcotest.(list (testable pp_reg ( = )))
+
+(* Every (table, entry) of a lazily built structure, highest index first
+   (the tree's leaves and the grid's far corner before entry 0), then
+   shuffled when [seed] is given. *)
+let touch_order ?seed () =
+  let all =
+    List.concat_map
+      (fun (len, touch) -> List.init len (fun i -> (i, touch)))
+      !tables
+  in
+  let desc = List.stable_sort (fun (a, _) (b, _) -> compare b a) all in
+  match seed with
+  | None -> desc
+  | Some seed ->
+      let st = Random.State.make [| seed |] in
+      let a = Array.of_list desc in
+      for i = Array.length a - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      Array.to_list a
+
+let check_layout what ~eager ~lazy_ =
+  built := [];
+  let emem = Sim.Memory.create () in
+  eager emem;
+  let reference = List.sort compare !built in
+  let declared = Sim.Memory.allocated emem in
+  checki (what ^ ": eager layout is dense") declared (List.length reference);
+  List.iter
+    (fun seed ->
+      built := [];
+      tables := [];
+      let mem = Sim.Memory.create () in
+      lazy_ mem;
+      checki (what ^ ": declared at create") declared (Sim.Memory.allocated mem);
+      let order = touch_order ?seed () in
+      let half = List.length order / 2 in
+      List.iteri (fun i (e, touch) -> if i < half then touch e) order;
+      List.iter
+        (fun r ->
+          if not (List.mem r reference) then
+            Alcotest.failf "%s: built %a, not in the eager layout" what pp_reg r)
+        !built;
+      List.iter (fun (e, touch) -> touch e) order;
+      Alcotest.check reg_list
+        (what ^ ": every entry touched = eager layout")
+        reference (List.sort compare !built);
+      checki (what ^ ": touching declares nothing") declared
+        (Sim.Memory.allocated mem))
+    [ None; Some 1; Some 2 ]
+
+let test_lazy_tree_layout () =
+  for height = 0 to 4 do
+    check_layout
+      (Printf.sprintf "tree h=%d" height)
+      ~eager:(fun mem -> ignore (Eager_tree.create mem ~height))
+      ~lazy_:(fun mem -> ignore (Lazy_tree.create mem ~height))
+  done
+
+let test_lazy_grid_layout () =
+  for n = 1 to 5 do
+    check_layout
+      (Printf.sprintf "grid n=%d" n)
+      ~eager:(fun mem -> ignore (Eager_grid.create mem ~n))
+      ~lazy_:(fun mem -> ignore (Lazy_grid.create mem ~n))
+  done
+
+let test_classic_declared_count () =
+  let declared n =
+    let mem = Sim.Memory.create () in
+    let w0 = Gc.minor_words () in
+    ignore (Ratrace.Rr_classic.create mem ~n);
+    (Sim.Memory.allocated mem, Gc.minor_words () -. w0)
+  in
+  let r64, _ = declared 64 in
+  checki "n=64 declares the full Theta(n^3) arena" 3_170_306 r64;
+  let r1024, words = declared 1024 in
+  checki "n=1024 declares 1.3e10 registers" 12_891_193_346 r1024;
+  checkb
+    (Printf.sprintf "n=1024 create allocated %.0f minor words (<= 2000)" words)
+    true (words <= 2000.)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let raises_naming name f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument naming %s" name
+  | exception Invalid_argument msg ->
+      checkb (Printf.sprintf "%S names %s" msg name) true (contains ~sub:name msg)
+
+(* Entry [i] allocates [i + 1] registers: no uniform stride. *)
+let uneven alloc mem i =
+  for _ = 0 to i do
+    ignore (alloc mem ~name:"r")
+  done
+
+let test_table_fails_loudly () =
+  let mem = Sim.Memory.create () in
+  let t =
+    Backend.Sim_mem.table mem ~name:"uneven-sim" 4
+      (uneven Backend.Sim_mem.alloc mem)
+  in
+  checki "entry 0 built, entries 1-3 reserved" 4 (Sim.Memory.allocated mem);
+  raises_naming "uneven-sim" (fun () -> Backend.Sim_mem.get t 1);
+  raises_naming "uneven-sim" (fun () -> Backend.Sim_mem.get t 4);
+  raises_naming "empty-sim" (fun () ->
+      Backend.Sim_mem.table mem ~name:"empty-sim" 0 (fun _ -> ()));
+  checki "failed builds declare nothing" 4 (Sim.Memory.allocated mem);
+  let raising =
+    Backend.Sim_mem.table mem ~name:"raising" 3 (fun i ->
+        let r = Backend.Sim_mem.alloc mem ~name:"r" in
+        if i = 2 then failwith "builder failed";
+        r)
+  in
+  (match Backend.Sim_mem.get raising 2 with
+  | _ -> Alcotest.fail "builder exception swallowed"
+  | exception Failure _ -> ());
+  checki "cursor restored after a raising build" 7 (Sim.Memory.allocated mem);
+  checki "later entry keeps its reserved id" 5
+    (Backend.Sim_mem.get raising 1).Sim.Register.id;
+  let amem = Backend.Atomic_mem.create () in
+  raises_naming "uneven-atomic" (fun () ->
+      Backend.Atomic_mem.table amem ~name:"uneven-atomic" 3
+        (uneven Backend.Atomic_mem.alloc amem));
+  raises_naming "empty-atomic" (fun () ->
+      Backend.Atomic_mem.table amem ~name:"empty-atomic" 0 (fun _ -> ()))
+
+let test_table_get_allocation_free () =
+  let mem = Sim.Memory.create () in
+  let t =
+    Backend.Sim_mem.table mem ~name:"t" 1_000 (fun i ->
+        Backend.Sim_mem.alloc mem ~name:(string_of_int i))
+  in
+  for i = 0 to 999 do
+    ignore (Backend.Sim_mem.get t i)
+  done;
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  for _ = 1 to 100 do
+    for i = 0 to 999 do
+      sum := !sum + (Backend.Sim_mem.get t i).Sim.Register.id
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  checki "entry i is register i" (100 * (999 * 1000 / 2)) !sum;
+  checkb
+    (Printf.sprintf "100k gets of built entries allocated %.0f words" words)
+    true (words <= 10.)
+
 let () =
   Alcotest.run "ratrace"
     [
@@ -442,6 +662,17 @@ let () =
           Alcotest.test_case "solo wins" `Quick test_grid_solo_wins;
           Alcotest.test_case "exactly one winner" `Quick test_grid_one_winner;
           Alcotest.test_case "nobody leaves" `Quick test_grid_nobody_leaves;
+        ] );
+      ( "lazy-tables",
+        [
+          Alcotest.test_case "tree layout = eager" `Quick test_lazy_tree_layout;
+          Alcotest.test_case "grid layout = eager" `Quick test_lazy_grid_layout;
+          Alcotest.test_case "classic declared count" `Quick
+            test_classic_declared_count;
+          Alcotest.test_case "bad tables fail loudly" `Quick
+            test_table_fails_loudly;
+          Alcotest.test_case "get is allocation-free" `Quick
+            test_table_get_allocation_free;
         ] );
       ( "ratrace",
         [

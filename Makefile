@@ -36,10 +36,13 @@ chaos-smoke:
 
 # Multicore smoke: every registry algorithm with an Atomic_mem backend
 # races real domains (2-way and 4-way) and must elect a unique winner
-# in every trial; the CLI exits non-zero otherwise.
+# in every trial; the CLI exits non-zero otherwise. The mutex example
+# then asserts exactly-once initialisation through the TAS over every
+# such election and the native Atomic.exchange.
 mc-smoke:
 	dune exec bin/rtas_cli.exe -- mc --domains 2 --trials 10 --seed 7
 	dune exec bin/rtas_cli.exe -- mc --domains 4 --trials 10 --seed 7
+	dune exec examples/mutex.exe
 
 # Registry smoke: the capability table itself exits non-zero if any
 # dual entry's Atomic.t register count diverges from the simulator's;

@@ -423,7 +423,8 @@ let run_e10 () =
   header "E10  Multicore - wall-clock ns per one-shot TAS (4 domains racing)";
   pr "%-14s %16s@." "implementation" "ns/op (mean)";
   line ();
-  let time_one ?(domains = 4) make =
+  let domains = 4 in
+  let time_one make =
     let trials = 300 in
     let t0 = Unix.gettimeofday () in
     for trial = 1 to trials do
@@ -431,25 +432,24 @@ let run_e10 () =
       List.init domains (fun slot ->
           Domain.spawn (fun () ->
               let rng = Random.State.make [| trial; slot |] in
-              Multicore.Mc_tas.apply tas rng ~slot))
+              Primitives.Atomic_tas.apply tas rng ~slot))
       |> List.iter (fun d -> ignore (Domain.join d))
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int trials
   in
   List.iter
-    (fun (name, domains, make) ->
+    (fun (name, make) ->
       pr "%-14s %16.0f   (%d domains, incl. spawn overhead)@." name
-        (time_one ~domains make) domains)
-    [
-      ("native", 4, fun () -> Multicore.Mc_tas.native ());
-      (* the raw duel is a 2-process object *)
-      ("le2", 2, fun () -> Multicore.Mc_tas.of_le2 ());
-      ("tournament", 4, fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-      ("sift", 4, fun () -> Multicore.Mc_tas.of_sift ~n:4);
-      ("elim", 4, fun () -> Multicore.Mc_tas.of_elim ~n:4);
-      ("rr-lean", 4, fun () -> Multicore.Mc_tas.of_rr_lean ~n:4);
-    ];
-  pr "@.Run the `bechamel` subcommand for statistically sound single-op costs.@."
+        (time_one make) domains)
+    (("native", Primitives.Atomic_tas.native)
+    :: List.map
+         (fun (e : Rtas.Registry.entry) ->
+           let make_mc = Option.get e.Rtas.Registry.make_mc in
+           ( e.Rtas.Registry.name,
+             fun () ->
+               Primitives.Atomic_tas.create (fun mem ->
+                   (make_mc mem ~n:domains).Leaderelect.Le.elect) ))
+         (Rtas.Registry.dual ()))
 
 (* {1 E11 — Adversary-class separations} *)
 

@@ -119,7 +119,9 @@ let registry_cmd =
           match e.Rtas.Registry.make_mc with
           | None -> "-"
           | Some f ->
-              let mc_regs = Multicore.Mc_le.registers (f ~n) in
+              let mc_mem = Backend.Atomic_mem.create () in
+              ignore (f mc_mem ~n);
+              let mc_regs = Backend.Atomic_mem.allocated mc_mem in
               if mc_regs <> regs then begin
                 ok := false;
                 Printf.sprintf "%d!=sim" mc_regs
@@ -586,8 +588,9 @@ let mc_cmd =
             let registers = ref 0 in
             let violations = ref 0 in
             for trial = 1 to trials do
-              let le = make_mc ~n:domains in
-              registers := Multicore.Mc_le.registers le;
+              let mem = Backend.Atomic_mem.create () in
+              let le = make_mc mem ~n:domains in
+              registers := Backend.Atomic_mem.allocated mem;
               (* The domain race goes through the watchdog: the monitor
                  polls per-slot done-flags and, past the timeout, leaks
                  the stuck domains and reports which slots made it. *)
@@ -599,7 +602,8 @@ let mc_cmd =
                     let rng =
                       Random.State.make [| seed; trial; slot; 0x3C0 |]
                     in
-                    Multicore.Mc_le.elect le rng ~slot)
+                    le.Leaderelect.Le.elect
+                      (Backend.Atomic_mem.ctx ~rng ~slot ()))
               with
               | Ok results ->
                   let winners =

@@ -2,12 +2,12 @@
 
    The canonical TAS use: several domains race to initialize a shared
    resource; the TAS winner performs the initialization exactly once.
-   We run the race with the paper-derived implementations (tournament,
-   sifting) and with the hardware Atomic.exchange for reference.
+   We run the race with every registry election that has an Atomic.t
+   backend and with the hardware Atomic.exchange for reference.
 
    dune exec examples/mutex.exe *)
 
-let race ~name (make : unit -> Multicore.Mc_tas.t) =
+let race ~name (make : unit -> Primitives.Atomic_tas.t) =
   (* More domains than cores is fine - preemption gives real interleaving. *)
   let domains = 4 in
   let trials = 200 in
@@ -19,7 +19,7 @@ let race ~name (make : unit -> Multicore.Mc_tas.t) =
       List.init domains (fun slot ->
           Domain.spawn (fun () ->
               let rng = Random.State.make [| trial; slot; 0xC0FFEE |] in
-              let won = Multicore.Mc_tas.apply tas rng ~slot = 0 in
+              let won = Primitives.Atomic_tas.apply tas rng ~slot = 0 in
               if won then Atomic.incr initialized;
               won))
       |> List.map Domain.join
@@ -34,7 +34,12 @@ let race ~name (make : unit -> Multicore.Mc_tas.t) =
 let () =
   Fmt.pr "== one-shot initialization race on %d cores ==@.@."
     (Domain.recommended_domain_count ());
-  race ~name:"tournament" (fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-  race ~name:"sift" (fun () -> Multicore.Mc_tas.of_sift ~n:4);
-  race ~name:"native" (fun () -> Multicore.Mc_tas.native ());
+  List.iter
+    (fun (e : Rtas.Registry.entry) ->
+      let make_mc = Option.get e.Rtas.Registry.make_mc in
+      race ~name:e.Rtas.Registry.name (fun () ->
+          Primitives.Atomic_tas.create (fun mem ->
+              (make_mc mem ~n:4).Leaderelect.Le.elect)))
+    (Rtas.Registry.dual ());
+  race ~name:"native" Primitives.Atomic_tas.native;
   Fmt.pr "@.All implementations initialized the resource exactly once.@."

@@ -31,7 +31,10 @@ let table m ~name len build =
       x)
 
 let get = Array.get
-let ctx ?rng ~slot () = { rng; slot }
+let ctx ?rng ~slot () =
+  if slot < 0 then
+    invalid_arg (Printf.sprintf "Atomic_mem.ctx: slot %d is negative" slot);
+  { rng; slot }
 let self c = c.slot
 let read _ r = Atomic.get r
 let write _ r v = Atomic.set r v

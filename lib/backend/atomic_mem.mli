@@ -31,7 +31,8 @@ val ctx : ?rng:Random.State.t -> slot:int -> unit -> ctx
 (** [rng] may be omitted for purely deterministic algorithms (e.g. the
     Moir–Anderson splitter); a coin flip without one raises
     [Invalid_argument]. [slot] must be in [0 .. n-1], distinct per
-    participant. *)
+    participant; a negative [slot] raises [Invalid_argument] naming
+    it. *)
 
 val self : ctx -> int
 val read : ctx -> reg -> int

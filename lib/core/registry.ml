@@ -1,7 +1,9 @@
 type entry = {
   name : string;
   make : Sim.Memory.t -> n:int -> Leaderelect.Le.t;
-  make_mc : (n:int -> Multicore.Mc_le.t) option;
+  make_mc :
+    (Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Leaderelect.Le.elect)
+    option;
   make_flat : (n:int -> Flatsim.Machine.program) option;
   adversary : Sim.Sched.klass;
   steps : string;
@@ -54,7 +56,7 @@ let all =
     {
       name = "ratrace-lean";
       make = Leaderelect.Rr_le.make_lean;
-      make_mc = Some (fun ~n -> Multicore.Mc_rr_lean.le ~n);
+      make_mc = Some Leaderelect.Rr_le.make_atomic;
       make_flat = None;
       adversary = Sim.Sched.Adaptive;
       steps = "O(log k)";
@@ -64,7 +66,7 @@ let all =
     {
       name = "tournament";
       make = Leaderelect.Tournament.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_tournament.le ~n);
+      make_mc = Some Leaderelect.Tournament.make_atomic;
       make_flat = Some (fun ~n -> Flatsim.Programs.tournament ~n);
       adversary = Sim.Sched.Adaptive;
       steps = "O(log n)";
@@ -94,7 +96,7 @@ let all =
     {
       name = "sift";
       make = Leaderelect.Sift_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_sift.le ~n);
+      make_mc = Some Leaderelect.Sift_le.make_atomic;
       make_flat = Some (fun ~n -> Flatsim.Programs.sift ~n);
       adversary = Sim.Sched.Rw_oblivious;
       steps = "O(log log n + log n)";
@@ -104,7 +106,7 @@ let all =
     {
       name = "poison";
       make = Leaderelect.Poison_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_poison.le ~n);
+      make_mc = Some Leaderelect.Poison_le.make_atomic;
       make_flat = Some (fun ~n -> Flatsim.Programs.poison ~n);
       adversary = Sim.Sched.Adaptive;
       steps = "O(log log k) rounds";
@@ -114,7 +116,7 @@ let all =
     {
       name = "opt-space";
       make = Leaderelect.Opt_space_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_opt_space.le ~n);
+      make_mc = Some Leaderelect.Opt_space_le.make_atomic;
       make_flat = None;
       adversary = Sim.Sched.Rw_oblivious;
       steps = "O(log log k) rounds";
@@ -124,7 +126,7 @@ let all =
     {
       name = "elim";
       make = Leaderelect.Elim_le.make;
-      make_mc = Some (fun ~n -> Multicore.Mc_elim.le ~n);
+      make_mc = Some Leaderelect.Elim_le.make_atomic;
       make_flat = None;
       adversary = Sim.Sched.Adaptive;
       steps = "O(k) worst, O(1) typical";

@@ -7,15 +7,19 @@
     {!Backend.Mem.S} — and an entry exposes whichever backends that
     functor has been instantiated at: [make] builds the simulator
     instantiation, and [make_mc] (when present) the [Atomic.t]-backed
-    one for real domains. *)
+    one for real domains. Either arena's [allocated] count is the
+    entry's register count. *)
 
 type entry = {
   name : string;
   make : Sim.Memory.t -> n:int -> Leaderelect.Le.t;
-  make_mc : (n:int -> Multicore.Mc_le.t) option;
-      (** Multicore backend of the same functor, when the algorithm does
-          not need simulator-only machinery (adversary hooks, crash
-          injection) to run. *)
+  make_mc :
+    (Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Leaderelect.Le.elect)
+    option;
+      (** [Backend.Atomic_mem] instantiation of the same functor, built
+          in the given arena as [make] builds in its [Sim.Memory.t], when
+          the algorithm does not need simulator-only machinery
+          (adversary hooks, crash injection) to run. *)
   make_flat : (n:int -> Flatsim.Machine.program) option;
       (** Flat-kernel compilation of the same algorithm
           ({!Flatsim.Programs}), when one exists. Bit-identical to

@@ -7,8 +7,8 @@
     - {!Registry} catalogs the algorithms and their proven bounds;
     - the re-exported libraries give full access to every layer, from
       the shared-memory simulator ({!Sim}) to the lower-bound machinery
-      ({!Lowerbound}) and the real-multicore implementations
-      ({!Multicore}). *)
+      ({!Lowerbound}). Each dual registry entry also runs on real
+      domains through [Backend.Atomic_mem]. *)
 
 module Registry = Registry
 module Election = Election
@@ -43,9 +43,6 @@ module Combined = Combined
 (** Lower bounds (Sections 5-6): covering recurrences, hitting times,
     Yao-style 2-process experiments. *)
 module Lowerbound = Lowerbound
-
-(** Real multicore implementations on [Atomic.t]. *)
-module Multicore = Multicore
 
 (** 2-process consensus from TAS and back (paper introduction). *)
 module Consensus = Consensus

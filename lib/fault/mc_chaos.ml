@@ -15,14 +15,15 @@ type report = {
    TAS, plus the Atomic.exchange reference. Adding a backend to a
    registry entry automatically puts it under chaos. *)
 let impls =
-  List.filter_map
+  List.map
     (fun (e : Rtas.Registry.entry) ->
-      Option.map
-        (fun make_mc ->
-          (e.Rtas.Registry.name, fun ~k -> Multicore.Mc_tas.of_le (make_mc ~n:k)))
-        e.Rtas.Registry.make_mc)
-    Rtas.Registry.all
-  @ [ ("native", fun ~k:_ -> Multicore.Mc_tas.native ()) ]
+      let make_mc = Option.get e.Rtas.Registry.make_mc in
+      ( e.Rtas.Registry.name,
+        fun ~k ->
+          Primitives.Atomic_tas.create (fun mem ->
+              (make_mc mem ~n:k).Leaderelect.Le.elect) ))
+    (Rtas.Registry.dual ())
+  @ [ ("native", fun ~k:_ -> Primitives.Atomic_tas.native ()) ]
 
 let impl_names () = List.map fst impls
 
@@ -55,7 +56,7 @@ let trial ~make ~k ~crash_prob ~seed =
           Some
             (Domain.spawn (fun () ->
                  let rng = state_of_seed seed (0x7919 * (slot + 1)) in
-                 Multicore.Mc_tas.apply tas rng ~slot))
+                 Primitives.Atomic_tas.apply tas rng ~slot))
         else None)
   in
   let results = List.filter_map (Option.map Domain.join) domains in

@@ -28,9 +28,9 @@ type report = {
 }
 
 val impl_names : unit -> string list
-(** The {!Multicore.Mc_tas} constructions under test: every
-    {!Rtas.Registry} entry with a multicore backend ([make_mc]), plus
-    the [Atomic.exchange]-based native reference. *)
+(** The {!Primitives.Atomic_tas} constructions under test: a TAS over
+    every {!Rtas.Registry} entry with an atomic backend ([make_mc]),
+    plus the [Atomic.exchange]-based native reference. *)
 
 val run_point :
   ?timeout:float ->

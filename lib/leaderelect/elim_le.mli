@@ -9,8 +9,8 @@
     Falling off the right end raises [Failure].
 
     One source for both backends: the simulator instantiation below
-    feeds the registry, and [Make (Backend.Atomic_mem)] is
-    {!Multicore.Mc_elim}. *)
+    feeds the registry's [make], and {!make_atomic} packages
+    [Make (Backend.Atomic_mem)] as its [make_mc]. *)
 
 module Make (M : Backend.Mem.S) : sig
   type t
@@ -31,3 +31,7 @@ val elect : t -> Sim.Ctx.t -> bool
 val to_le : t -> Le.t
 
 val make : Sim.Memory.t -> n:int -> Le.t
+
+val make_atomic :
+  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
+(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

@@ -1,7 +1,9 @@
-type t = {
+type 'ctx elect = {
   le_name : string;
-  elect : Sim.Ctx.t -> bool;
+  elect : 'ctx -> bool;
 }
+
+type t = Sim.Ctx.t elect
 
 let programs t ~k =
   Array.init k (fun _ ctx -> if t.elect ctx then 1 else 0)

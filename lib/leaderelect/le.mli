@@ -1,12 +1,18 @@
 (** Common shape of an n-process leader-election object.
 
     [elect] may be called at most once per process; at most one call
-    returns [true], and if no participant crashes exactly one does. *)
+    returns [true], and if no participant crashes exactly one does.
 
-type t = {
+    The record is polymorphic in the backend's execution context: [t]
+    is the simulator's, and a dual algorithm's [make_atomic] returns a
+    [Backend.Atomic_mem.ctx elect] for real domains. *)
+
+type 'ctx elect = {
   le_name : string;
-  elect : Sim.Ctx.t -> bool;
+  elect : 'ctx -> bool;
 }
+
+type t = Sim.Ctx.t elect
 
 val programs : t -> k:int -> (Sim.Ctx.t -> int) array
 (** [programs le ~k] is [k] copies of a program that calls [elect] once

@@ -41,3 +41,7 @@ val elect : t -> Sim.Ctx.t -> bool
 val to_le : t -> Le.t
 
 val make : Sim.Memory.t -> n:int -> Le.t
+
+val make_atomic :
+  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
+(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

@@ -12,8 +12,8 @@
     R/W-oblivious adversary.
 
     One source for both backends: the simulator instantiation below
-    feeds the registry, and [Make (Backend.Atomic_mem)] is
-    {!Multicore.Mc_sift}. *)
+    feeds the registry's [make], and {!make_atomic} packages
+    [Make (Backend.Atomic_mem)] as its [make_mc]. *)
 
 module Make (M : Backend.Mem.S) : sig
   type t
@@ -34,3 +34,7 @@ val elect : t -> Sim.Ctx.t -> bool
 val to_le : t -> Le.t
 
 val make : Sim.Memory.t -> n:int -> Le.t
+
+val make_atomic :
+  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
+(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

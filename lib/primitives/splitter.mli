@@ -8,8 +8,7 @@
     Written once over the {!Backend.Mem.S} signature; the unprefixed
     values below are the {!Backend.Sim_mem} instantiation (identical to
     the historical hand-written simulator code), and
-    [Make (Backend.Atomic_mem)] is the real-multicore version behind
-    {!Multicore.Mc_splitter}. *)
+    [Make (Backend.Atomic_mem)] is the real-multicore version. *)
 
 type outcome = L | R | S
 

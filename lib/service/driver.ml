@@ -200,7 +200,7 @@ type inst =
 
 module TS = Obs.Timeseries
 
-let run ?metrics ?telemetry ?(domains = 1) cfg =
+let run ?telemetry ?(domains = 1) cfg =
   validate cfg;
   (match telemetry with
   | Some s when s.Telemetry.trace && cfg.shards > 1 ->
@@ -873,17 +873,6 @@ let run ?metrics ?telemetry ?(domains = 1) cfg =
       diagnosis = None;
     }
   in
-  Option.iter
-    (fun m ->
-      let h = Obs.Metrics.histogram m "service.latency_ticks" in
-      Histo.iter_values
-        (fun ~value ~count ->
-          for _ = 1 to count do
-            Obs.Metrics.observe h (int_of_float value)
-          done)
-        hist;
-      Report.observe_metrics m report)
-    metrics;
   (match telemetry with
   | None -> ()
   | Some s ->

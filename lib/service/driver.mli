@@ -109,19 +109,10 @@ val validate : config -> unit
 (** Raises [Invalid_argument], naming the field, on out-of-range fields
     and on NaN or infinite floats. *)
 
-val run :
-  ?metrics:Obs.Metrics.t ->
-  ?telemetry:Telemetry.sink ->
-  ?domains:int ->
-  config ->
-  Report.t
+val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
 (** Run the workload to completion (the event engine drains — open-loop
     arrivals are finite). [~domains] (default 1) caps the domain pool
-    used when [shards > 1]; it never affects the report. When [metrics]
-    is given, completion latencies feed a [service.latency_ticks]
-    histogram (after the shard merge — exact samples in [`Exact] mode,
-    bucket midpoints in [`Hist]) and the final totals the [service.*]
-    counters.
+    used when [shards > 1]; it never affects the report.
 
     When [telemetry] is given, each shard records the windowed
     time-series schema of {!Telemetry.recorder} (windows in virtual

@@ -148,16 +148,3 @@ let snapshot t =
         s_max = t.mx;
       }
   end
-
-(* Replay observed values (exact samples, or bucket midpoints with
-   multiplicity) — used to feed the Obs.Metrics histogram after a
-   sharded run merges. *)
-let iter_values f t =
-  if t.log then
-    Array.iteri
-      (fun b c -> if c > 0 then f ~value:(LB.midpoint b) ~count:c)
-      t.counts
-  else
-    for i = 0 to t.n - 1 do
-      f ~value:t.xs.(i) ~count:1
-    done

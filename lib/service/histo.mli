@@ -39,7 +39,3 @@ type snapshot = {
 
 val snapshot : t -> snapshot option
 (** [None] when no samples were observed. *)
-
-val iter_values : (value:float -> count:int -> unit) -> t -> unit
-(** Replay observed values: exact samples one by one, or bucket
-    midpoints with multiplicity. *)

@@ -65,7 +65,7 @@ let sum = Array.fold_left ( + ) 0
 
 module TS = Obs.Timeseries
 
-let run ?metrics ?telemetry cfg =
+let run ?telemetry cfg =
   validate cfg;
   let entry =
     match Rtas.Registry.find cfg.algorithm with
@@ -109,9 +109,9 @@ let run ?metrics ?telemetry cfg =
      and the per-worker round stamp enforces at-most-once per
      instance. *)
   let module E = struct
-    type instance = Multicore.Mc_le.t
+    type instance = Backend.Atomic_mem.ctx Leaderelect.Le.elect
 
-    let fresh ~key:_ ~round:_ = make_mc ~n:w
+    let fresh ~key:_ ~round:_ = make_mc (Backend.Atomic_mem.create ()) ~n:w
   end in
   let module R = Resettable.Make (E) in
   let keys = Array.init cfg.keys (fun k -> R.create ~key:k ~now:0.0) in
@@ -212,7 +212,9 @@ let run ?metrics ?telemetry cfg =
               end
               else begin
                 stamps.(key) <- round;
-                if Multicore.Mc_le.elect inst rng ~slot:wi then begin
+                if inst.Leaderelect.Le.elect
+                     (Backend.Atomic_mem.ctx ~rng ~slot:wi ())
+                then begin
                   let u = Random.State.float rng 1.0 in
                   if u < cfg.crash_prob /. 2.0 then begin
                     (* Crash between winning and claiming: the round
@@ -329,7 +331,6 @@ let run ?metrics ?telemetry cfg =
       diagnosis;
     }
   in
-  Option.iter (fun m -> Report.observe_metrics m report) metrics;
   (match (telemetry, tels) with
   | Some s, Some recs ->
       s.Telemetry.snapshot <-

@@ -50,8 +50,7 @@ val validate : config -> unit
 (** Raises [Invalid_argument], naming the field, on out-of-range fields
     and on NaN or infinite floats. *)
 
-val run :
-  ?metrics:Obs.Metrics.t -> ?telemetry:Telemetry.sink -> config -> Report.t
+val run : ?telemetry:Telemetry.sink -> config -> Report.t
 (** Run the workload. Requires the entry to have an [Atomic_mem] port
     ([make_mc]); raises [Invalid_argument] otherwise.
 

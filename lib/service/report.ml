@@ -182,20 +182,3 @@ let pp ppf t =
           Fmt.pf ppf "@ LIVELOCKED: %s"
             (Option.value ~default:"(no diagnosis)" t.diagnosis))
     t.livelocked
-
-(* Accumulate a finished report's totals into a Probe metrics registry,
-   so service results aggregate and print through the same
-   [Obs.Metrics] snapshot machinery as the chaos and profile layers. *)
-let observe_metrics m t =
-  let c = t.counts in
-  let bump name v = Obs.Metrics.add (Obs.Metrics.counter m name) v in
-  bump "service.clients" c.clients;
-  bump "service.completed" c.completed;
-  bump "service.deadline_exceeded" c.deadline_exceeded;
-  bump "service.crashed_clients" c.crashed_clients;
-  bump "service.holder_crashes" c.holder_crashes;
-  bump "service.forced_expiries" c.forced_expiries;
-  bump "service.shed" c.shed;
-  bump "service.retries" c.retries;
-  bump "service.rounds" c.rounds;
-  bump "service.stale_wins" c.stale_wins

@@ -75,7 +75,3 @@ val to_json : t -> string
     run emits byte-identical JSON. *)
 
 val pp : t Fmt.t
-
-val observe_metrics : Obs.Metrics.t -> t -> unit
-(** Add the report's totals to a metrics registry as
-    [service.*] counters. *)

@@ -1,8 +1,8 @@
 (* Telemetry schema and sink for the service drivers. See the mli for
-   the model; the schema names deliberately mirror the counter names
-   [Report.observe_metrics] feeds into Obs.Metrics, so the windowed
-   sums line up with the end-of-run totals by construction (and
-   [counter_mismatches] checks that they do). *)
+   the model; the counter names deliberately mirror the report's
+   [counts] fields ([service.<field>]), so the windowed sums line up
+   with the end-of-run totals by construction (and [counter_mismatches]
+   checks that they do). *)
 
 module TS = Obs.Timeseries
 module LB = Sim.Stats.Logbucket

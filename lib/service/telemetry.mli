@@ -11,8 +11,8 @@
 
     Window units are whatever clock the driver runs on: virtual ticks
     for [Driver], wall-clock microseconds for [Mc_driver]. The series
-    schema is shared (names mirror [Report.observe_metrics]); each
-    driver records the subset it can observe. *)
+    schema is shared (counter names mirror the report's [counts]
+    fields); each driver records the subset it can observe. *)
 
 val logbucket : Obs.Timeseries.bucketing
 (** The [Sim.Stats.Logbucket] scheme (32 sub-buckets per octave) as a

@@ -1,4 +1,4 @@
-(* Tests for the real-multicore (Atomic/Domain) implementations.
+(* Tests for the real-multicore (Atomic/Domain) backend.
 
    These exercise the algorithms across true parallel domains; the
    adversary is the OS scheduler, so assertions are safety properties
@@ -22,137 +22,140 @@ let run_domains ~k body =
   in
   List.map Domain.join domains
 
+let count_true results = List.length (List.filter Fun.id results)
+
+let ctx ?rng slot = Backend.Atomic_mem.ctx ?rng ~slot ()
+
+(* {1 Primitives, instantiated over Atomic_mem directly} *)
+
+module Le2 = Primitives.Le2.Make (Backend.Atomic_mem)
+module Splitter = Primitives.Splitter.Make (Backend.Atomic_mem)
+
+let fresh_le2 () = Le2.create (Backend.Atomic_mem.create ())
+let le2_elect le rng ~slot = Le2.elect le (ctx ~rng slot) ~port:slot
+
 let test_mc_le2_single_thread () =
   (* Sequential: first caller wins, second loses. *)
   for _ = 1 to 50 do
-    let le = Multicore.Mc_le2.create () in
+    let le = fresh_le2 () in
     let rng = Random.State.make [| 1 |] in
-    let a = Multicore.Mc_le2.elect le rng ~slot:0 in
-    let b = Multicore.Mc_le2.elect le rng ~slot:1 in
+    let a = le2_elect le rng ~slot:0 in
+    let b = le2_elect le rng ~slot:1 in
     checkb "first wins" true a;
     checkb "second loses" false b
   done
 
 let test_mc_le2_parallel () =
   for _ = 1 to 100 do
-    let le = Multicore.Mc_le2.create () in
-    let results =
-      run_domains ~k:2 (fun slot rng -> Multicore.Mc_le2.elect le rng ~slot)
-    in
-    let winners = List.length (List.filter Fun.id results) in
-    checki "exactly one winner" 1 winners
+    let le = fresh_le2 () in
+    let results = run_domains ~k:2 (fun slot rng -> le2_elect le rng ~slot) in
+    checki "exactly one winner" 1 (count_true results)
   done
 
 let test_mc_le2_solo () =
-  let le = Multicore.Mc_le2.create () in
+  let le = fresh_le2 () in
   let rng = Random.State.make [| 3 |] in
-  checkb "solo wins" true (Multicore.Mc_le2.elect le rng ~slot:1)
+  checkb "solo wins" true (le2_elect le rng ~slot:1)
 
-let test_mc_tournament_parallel () =
-  List.iter
-    (fun k ->
-      for _ = 1 to 50 do
-        let le = Multicore.Mc_tournament.create ~n:k in
-        let results =
-          run_domains ~k (fun slot rng ->
-              Multicore.Mc_tournament.elect le rng ~slot)
-        in
-        let winners = List.length (List.filter Fun.id results) in
-        checki "exactly one winner" 1 winners
-      done)
-    [ 2; 3; 4 ]
-
-let test_mc_tournament_sequential () =
-  let le = Multicore.Mc_tournament.create ~n:4 in
-  let rng = Random.State.make [| 5 |] in
-  let results =
-    List.init 4 (fun slot -> Multicore.Mc_tournament.elect le rng ~slot)
-  in
-  checki "one winner" 1 (List.length (List.filter Fun.id results))
-
-let test_mc_sift_parallel () =
-  for _ = 1 to 50 do
-    let le = Multicore.Mc_sift.create ~n:4 in
-    let results =
-      run_domains ~k:4 (fun slot rng -> Multicore.Mc_sift.elect le rng ~slot)
-    in
-    let winners = List.length (List.filter Fun.id results) in
-    checki "exactly one winner" 1 winners
-  done
-
-let test_mc_sift_solo () =
-  let le = Multicore.Mc_sift.create ~n:64 in
-  let rng = Random.State.make [| 7 |] in
-  checkb "solo wins" true (Multicore.Mc_sift.elect le rng ~slot:13)
+let fresh_splitter () = Splitter.create (Backend.Atomic_mem.create ())
 
 let test_mc_splitter_solo () =
-  let sp = Multicore.Mc_splitter.create () in
-  checkb "solo stops" true
-    (Multicore.Mc_splitter.split sp ~slot:5 = Multicore.Mc_splitter.S)
+  let sp = fresh_splitter () in
+  checkb "solo stops" true (Splitter.split sp (ctx 5) = Primitives.Splitter.S)
 
 let test_mc_splitter_parallel () =
   for _ = 1 to 100 do
-    let sp = Multicore.Mc_splitter.create () in
+    let sp = fresh_splitter () in
     let results =
-      run_domains ~k:3 (fun slot _rng -> Multicore.Mc_splitter.split sp ~slot)
+      run_domains ~k:3 (fun slot _rng -> Splitter.split sp (ctx slot))
     in
     let count v = List.length (List.filter (fun r -> r = v) results) in
-    checkb "at most one S" true (count Multicore.Mc_splitter.S <= 1);
-    checkb "not all L" true (count Multicore.Mc_splitter.L <= 2);
-    checkb "not all R" true (count Multicore.Mc_splitter.R <= 2)
+    checkb "at most one S" true (count Primitives.Splitter.S <= 1);
+    checkb "not all L" true (count Primitives.Splitter.L <= 2);
+    checkb "not all R" true (count Primitives.Splitter.R <= 2)
   done
 
-let test_mc_elim_parallel () =
-  for _ = 1 to 50 do
-    let le = Multicore.Mc_elim.create ~n:4 in
-    let results =
-      run_domains ~k:4 (fun slot rng -> Multicore.Mc_elim.elect le rng ~slot)
+let test_mc_tas_le2_pair () =
+  for _ = 1 to 100 do
+    let tas =
+      Primitives.Atomic_tas.create (fun mem ->
+          let duel = Le2.create mem in
+          fun c -> Le2.elect duel c ~port:(Backend.Atomic_mem.self c))
     in
-    checki "exactly one winner" 1 (List.length (List.filter Fun.id results))
+    let results =
+      run_domains ~k:2 (fun slot rng -> Primitives.Atomic_tas.apply tas rng ~slot)
+    in
+    checki "exactly one 0" 1 (List.length (List.filter (fun r -> r = 0) results))
   done
 
-let test_mc_elim_sequential () =
-  let le = Multicore.Mc_elim.create ~n:4 in
-  let rng = Random.State.make [| 9 |] in
-  let results = List.init 4 (fun slot -> Multicore.Mc_elim.elect le rng ~slot) in
-  checki "one winner" 1 (List.length (List.filter Fun.id results))
+(* {1 Every dual registry entry, through its [make_mc]} *)
 
-let tas_impls =
-  [
-    ("tournament", fun () -> Multicore.Mc_tas.of_tournament ~n:4);
-    ("sift", fun () -> Multicore.Mc_tas.of_sift ~n:4);
-    ("elim", fun () -> Multicore.Mc_tas.of_elim ~n:4);
-    ("rr-lean", fun () -> Multicore.Mc_tas.of_rr_lean ~n:4);
-    ("native", fun () -> Multicore.Mc_tas.native ());
-  ]
+let make_le (e : Rtas.Registry.entry) ~n =
+  (Option.get e.Rtas.Registry.make_mc) (Backend.Atomic_mem.create ()) ~n
 
-let test_mc_tas_unique_zero (name, make) () =
-  ignore name;
+let elect le rng ~slot = le.Leaderelect.Le.elect (ctx ~rng slot)
+
+let make_tas (e : Rtas.Registry.entry) ~n () =
+  Primitives.Atomic_tas.create (fun mem ->
+      ((Option.get e.Rtas.Registry.make_mc) mem ~n).Leaderelect.Le.elect)
+
+let test_race e ~k ~trials () =
+  for _ = 1 to trials do
+    let le = make_le e ~n:k in
+    let results = run_domains ~k (fun slot rng -> elect le rng ~slot) in
+    checki "exactly one winner" 1 (count_true results)
+  done
+
+let test_solo e () =
+  let le = make_le e ~n:8 in
+  checkb "solo wins" true (elect le (Random.State.make [| 21 |]) ~slot:3)
+
+let test_sequential e () =
+  let le = make_le e ~n:4 in
+  let rng = Random.State.make [| 23 |] in
+  let results = List.init 4 (fun slot -> elect le rng ~slot) in
+  checki "one winner" 1 (count_true results)
+
+let test_negative_slot e () =
+  let le = make_le e ~n:4 in
+  Alcotest.check_raises "slot -1 rejected"
+    (Invalid_argument "Atomic_mem.ctx: slot -1 is negative") (fun () ->
+      ignore (elect le (Random.State.make [| 25 |]) ~slot:(-1)))
+
+let entry_cases (e : Rtas.Registry.entry) =
+  ( e.Rtas.Registry.name,
+    [
+      Alcotest.test_case "parallel" `Quick (test_race e ~k:4 ~trials:50);
+      Alcotest.test_case "larger crowd" `Quick (test_race e ~k:8 ~trials:10);
+      Alcotest.test_case "solo" `Quick (test_solo e);
+      Alcotest.test_case "sequential" `Quick (test_sequential e);
+      Alcotest.test_case "negative slot" `Quick (test_negative_slot e);
+    ] )
+
+let test_mc_tas_unique_zero make () =
   for _ = 1 to 50 do
     let tas = make () in
     let results =
-      run_domains ~k:4 (fun slot rng -> Multicore.Mc_tas.apply tas rng ~slot)
+      run_domains ~k:4 (fun slot rng -> Primitives.Atomic_tas.apply tas rng ~slot)
     in
     let zeros = List.length (List.filter (fun r -> r = 0) results) in
     checki "exactly one 0" 1 zeros;
     checki "others get 1" 3 (List.length (List.filter (fun r -> r = 1) results))
   done
 
-let test_mc_tas_le2_pair () =
-  for _ = 1 to 100 do
-    let tas = Multicore.Mc_tas.of_le2 () in
-    let results =
-      run_domains ~k:2 (fun slot rng -> Multicore.Mc_tas.apply tas rng ~slot)
-    in
-    checki "exactly one 0" 1 (List.length (List.filter (fun r -> r = 0) results))
-  done
+let tas_impls =
+  List.map
+    (fun (e : Rtas.Registry.entry) -> (e.Rtas.Registry.name, make_tas e ~n:4))
+    (Rtas.Registry.dual ())
+  @ [ ("native", Primitives.Atomic_tas.native) ]
 
 let test_mc_tas_sequential_semantics () =
-  let tas = Multicore.Mc_tas.of_tournament ~n:4 in
+  let tas = make_tas (Option.get (Rtas.Registry.find "tournament")) ~n:4 () in
   let rng = Random.State.make [| 11 |] in
-  checki "first gets 0" 0 (Multicore.Mc_tas.apply tas rng ~slot:0);
-  checki "second gets 1" 1 (Multicore.Mc_tas.apply tas rng ~slot:1);
-  checki "third gets 1" 1 (Multicore.Mc_tas.apply tas rng ~slot:2)
+  let apply slot = Primitives.Atomic_tas.apply tas rng ~slot in
+  checki "first gets 0" 0 (apply 0);
+  checki "second gets 1" 1 (apply 1);
+  checki "third gets 1" 1 (apply 2)
 
 (* --- Differential backend test ---------------------------------------
 
@@ -196,23 +199,23 @@ let sim_outcomes entry ~k ~order ~seed =
   Sim.Sched.run sched (seq_order_adversary order);
   Array.map (fun r -> r = Some 1) (Sim.Sched.results sched)
 
-let atomic_outcomes make_mc ~k ~order ~seed =
-  let le = make_mc ~n:k in
+let atomic_outcomes entry ~k ~order ~seed =
+  let le = make_le entry ~n:k in
   let results = Array.make k false in
   Array.iter
     (fun slot ->
       let rng = Random.State.make [| Int64.to_int seed; slot; 0x5EED |] in
-      results.(slot) <- Multicore.Mc_le.elect le rng ~slot)
+      results.(slot) <- elect le rng ~slot)
     order;
   results
 
-let test_differential entry make_mc () =
+let test_differential entry () =
   let k = 4 in
   for seed_int = 1 to 120 do
     let seed = Int64.of_int (seed_int * 7919) in
     let order = permutation (Random.State.make [| seed_int; 0xD1FF |]) k in
     let sim = sim_outcomes entry ~k ~order ~seed in
-    let atomic = atomic_outcomes make_mc ~k ~order ~seed in
+    let atomic = atomic_outcomes entry ~k ~order ~seed in
     checkb "backends agree" true (sim = atomic);
     let winners a = Array.to_list a |> List.filter Fun.id |> List.length in
     checki "sim: exactly one winner" 1 (winners sim);
@@ -221,108 +224,54 @@ let test_differential entry make_mc () =
   done
 
 let differential_cases =
-  List.filter_map
+  List.map
     (fun (e : Rtas.Registry.entry) ->
-      Option.map
-        (fun make_mc ->
-          Alcotest.test_case e.Rtas.Registry.name `Quick
-            (test_differential e make_mc))
-        e.Rtas.Registry.make_mc)
-    Rtas.Registry.all
+      Alcotest.test_case e.Rtas.Registry.name `Quick (test_differential e))
+    (Rtas.Registry.dual ())
 
 let test_registry_backends_present () =
-  let with_mc =
-    List.filter
-      (fun (e : Rtas.Registry.entry) -> e.Rtas.Registry.make_mc <> None)
-      Rtas.Registry.all
-  in
-  checkb "at least 4 dual-backend entries" true (List.length with_mc >= 4);
+  let dual = Rtas.Registry.dual () in
+  checkb "at least 4 dual-backend entries" true (List.length dual >= 4);
   List.iter
     (fun (e : Rtas.Registry.entry) ->
-      let le = (Option.get e.Rtas.Registry.make_mc) ~n:4 in
+      let mem = Backend.Atomic_mem.create () in
+      let le = (Option.get e.Rtas.Registry.make_mc) mem ~n:4 in
       checkb "mc name matches registry" true
-        (Multicore.Mc_le.name le = e.Rtas.Registry.name);
-      checkb "allocates registers" true (Multicore.Mc_le.registers le > 0))
-    with_mc
+        (le.Leaderelect.Le.le_name = e.Rtas.Registry.name);
+      checkb "allocates registers" true (Backend.Atomic_mem.allocated mem > 0))
+    dual
 
 let () =
   Alcotest.run "multicore"
-    [
-      ( "le2",
-        [
-          Alcotest.test_case "sequential" `Quick test_mc_le2_single_thread;
-          Alcotest.test_case "parallel" `Quick test_mc_le2_parallel;
-          Alcotest.test_case "solo" `Quick test_mc_le2_solo;
-        ] );
-      ( "tournament",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_tournament_parallel;
-          Alcotest.test_case "sequential" `Quick test_mc_tournament_sequential;
-        ] );
-      ( "sift",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_sift_parallel;
-          Alcotest.test_case "solo" `Quick test_mc_sift_solo;
-        ] );
-      ( "splitter",
-        [
-          Alcotest.test_case "solo" `Quick test_mc_splitter_solo;
-          Alcotest.test_case "parallel" `Quick test_mc_splitter_parallel;
-        ] );
-      ( "elim",
-        [
-          Alcotest.test_case "parallel" `Quick test_mc_elim_parallel;
-          Alcotest.test_case "sequential" `Quick test_mc_elim_sequential;
-        ] );
-      ( "rr-lean",
-        [
-          Alcotest.test_case "parallel" `Quick (fun () ->
-              for _ = 1 to 50 do
-                let le = Multicore.Mc_rr_lean.create ~n:4 in
-                let results =
-                  run_domains ~k:4 (fun slot rng ->
-                      Multicore.Mc_rr_lean.elect le rng ~slot)
-                in
-                checki "exactly one winner" 1
-                  (List.length (List.filter Fun.id results))
-              done);
-          Alcotest.test_case "larger crowd" `Quick (fun () ->
-              for _ = 1 to 10 do
-                let le = Multicore.Mc_rr_lean.create ~n:8 in
-                let results =
-                  run_domains ~k:8 (fun slot rng ->
-                      Multicore.Mc_rr_lean.elect le rng ~slot)
-                in
-                checki "exactly one winner" 1
-                  (List.length (List.filter Fun.id results))
-              done);
-          Alcotest.test_case "solo" `Quick (fun () ->
-              let le = Multicore.Mc_rr_lean.create ~n:8 in
-              let rng = Random.State.make [| 21 |] in
-              checkb "solo wins" true (Multicore.Mc_rr_lean.elect le rng ~slot:3));
-          Alcotest.test_case "sequential" `Quick (fun () ->
-              let le = Multicore.Mc_rr_lean.create ~n:4 in
-              let rng = Random.State.make [| 23 |] in
-              let results =
-                List.init 4 (fun slot ->
-                    Multicore.Mc_rr_lean.elect le rng ~slot)
-              in
-              checki "one winner" 1 (List.length (List.filter Fun.id results)));
-        ] );
-      ( "tas",
-        List.map
-          (fun (name, make) ->
-            Alcotest.test_case name `Quick (test_mc_tas_unique_zero (name, make)))
-          tas_impls
-        @ [
-            Alcotest.test_case "le2 pair" `Quick test_mc_tas_le2_pair;
-            Alcotest.test_case "sequential semantics" `Quick
-              test_mc_tas_sequential_semantics;
+    ([
+       ( "le2",
+         [
+           Alcotest.test_case "sequential" `Quick test_mc_le2_single_thread;
+           Alcotest.test_case "parallel" `Quick test_mc_le2_parallel;
+           Alcotest.test_case "solo" `Quick test_mc_le2_solo;
+         ] );
+       ( "splitter",
+         [
+           Alcotest.test_case "solo" `Quick test_mc_splitter_solo;
+           Alcotest.test_case "parallel" `Quick test_mc_splitter_parallel;
+         ] );
+     ]
+    @ List.map entry_cases (Rtas.Registry.dual ())
+    @ [
+        ( "tas",
+          List.map
+            (fun (name, make) ->
+              Alcotest.test_case name `Quick (test_mc_tas_unique_zero make))
+            tas_impls
+          @ [
+              Alcotest.test_case "le2 pair" `Quick test_mc_tas_le2_pair;
+              Alcotest.test_case "sequential semantics" `Quick
+                test_mc_tas_sequential_semantics;
+            ] );
+        ("differential", differential_cases);
+        ( "registry",
+          [
+            Alcotest.test_case "dual backends" `Quick
+              test_registry_backends_present;
           ] );
-      ("differential", differential_cases);
-      ( "registry",
-        [
-          Alcotest.test_case "dual backends" `Quick
-            test_registry_backends_present;
-        ] );
-    ]
+      ])

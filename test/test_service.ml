@@ -95,9 +95,10 @@ let test_atomic_rounds_unique_winner () =
     (fun (e : Rtas.Registry.entry) ->
       let make_mc = Option.get e.Rtas.Registry.make_mc in
       let module E = struct
-        type instance = Multicore.Mc_le.t
+        type instance = Backend.Atomic_mem.ctx Leaderelect.Le.elect
 
-        let fresh ~key:_ ~round:_ = make_mc ~n:domains
+        let fresh ~key:_ ~round:_ =
+          make_mc (Backend.Atomic_mem.create ()) ~n:domains
       end in
       let module R = Service.Resettable.Make (E) in
       for seed = 1 to 10 do
@@ -113,7 +114,8 @@ let test_atomic_rounds_unique_winner () =
             match
               Fault.Watchdog.race ~timeout:20.0 ~n:domains (fun slot ->
                   let rng = Random.State.make [| seed; round; slot; 0x5E |] in
-                  Multicore.Mc_le.elect inst rng ~slot)
+                  inst.Leaderelect.Le.elect
+                    (Backend.Atomic_mem.ctx ~rng ~slot ()))
             with
             | Ok r -> r
             | Error stuck ->

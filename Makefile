@@ -69,7 +69,11 @@ flat-smoke:
 # Lock-service smoke: a Poisson run on each backend plus a chaos
 # variant, each validated with jq — the report must account for every
 # client, complete work, and (under chaos) recover every crashed
-# holder without wedging a key. Scratch files live in the build tree.
+# holder without wedging a key. The poison run is repeated on the
+# effect kernel and on the heap event queue, and both reports must
+# equal the flat/wheel one byte for byte. A malformed --backoff or a
+# zero telemetry window must be a usage error (exit 2). Scratch files
+# live in the build tree.
 service-smoke:
 	dune exec bin/rtas_cli.exe -- service --alg log* --backend sim \
 	  --arrival poisson --clients 500 --keys 8 --seed 11 -o _build/SVC_sim.json
@@ -86,7 +90,21 @@ service-smoke:
 	  --kernel flat --arrival poisson --clients 500 --keys 8 --seed 11 \
 	  -o _build/SVC_poison.json
 	jq -e '.counts.clients == 500 and (.counts.completed + .counts.deadline_exceeded + .counts.crashed_clients + .counts.shed == 500) and .counts.completed > 0 and .livelocked == false' _build/SVC_poison.json >/dev/null
-	@echo "service-smoke: sim + atomic + chaos + poison-flat OK"
+	dune exec bin/rtas_cli.exe -- service --alg poison --backend sim \
+	  --kernel effect --arrival poisson --clients 500 --keys 8 --seed 11 \
+	  -o _build/SVC_poison_effect.json
+	cmp _build/SVC_poison_effect.json _build/SVC_poison.json
+	dune exec bin/rtas_cli.exe -- service --alg poison --backend sim \
+	  --kernel flat --events heap --arrival poisson --clients 500 --keys 8 \
+	  --seed 11 -o _build/SVC_poison_heap.json
+	cmp _build/SVC_poison_heap.json _build/SVC_poison.json
+	dune exec bin/rtas_cli.exe -- service --backoff exp:x:1 >/dev/null 2>&1; \
+	  test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- service --backoff rand:abc >/dev/null 2>&1; \
+	  test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- service --window 0 \
+	  --telemetry _build/SVC_bad_window.json >/dev/null 2>&1; test $$? -eq 2
+	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) OK, bad input exits 2"
 
 # Million-client scale smoke: one sim run at 1M clients on the timing
 # wheel with sharded execution and the bounded-memory latency
@@ -121,9 +139,9 @@ trace-smoke:
 	jq -e '.algos.rr_classic.totals.rmrs == 4265 and .algos.chain.totals.rmrs == 722 and .algos.ge_logstar.totals.rmrs == 340' _build/profile.json >/dev/null
 	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) OK"
 
-# Telemetry smoke: a chaos run through `rtas telemetry` (which itself
-# exits non-zero if any windowed counter fails to sum to its report
-# total), then a `rtas service` run emitting the JSON time-series, the
+# Telemetry smoke: a bursty chaos run with a telemetry sink (`rtas
+# service` exits non-zero if any windowed counter fails to sum to its
+# report total), then a `rtas service` run emitting the JSON time-series, the
 # OpenMetrics exposition and a Perfetto trace, each validated
 # structurally with jq — the time-series must carry the schema tag and
 # account for every client across windows, the trace must contain
@@ -131,9 +149,10 @@ trace-smoke:
 # end with the mandatory EOF marker. Scratch files live in the build
 # tree.
 telemetry-smoke:
-	dune exec bin/rtas_cli.exe -- telemetry --alg log* --arrival bursty \
-	  --clients 2000 --keys 8 --chaos 0.2 --window 1000 --seed 11 \
-	  --json _build/TEL_table.json >/dev/null
+	dune exec bin/rtas_cli.exe -- service --alg log* --arrival bursty \
+	  --rate 0.05 --clients 2000 --keys 8 --chaos 0.2 --window 1000 \
+	  --seed 11 --telemetry _build/TEL_table.json \
+	  -o _build/TEL_table_report.json >/dev/null
 	dune exec bin/rtas_cli.exe -- service --alg log* --backend sim \
 	  --arrival bursty --clients 1000 --keys 8 --chaos 0.2 --seed 11 \
 	  --window 500 --telemetry _build/TEL_ts.json \

@@ -848,22 +848,16 @@ let service_cmd =
              plus one counter track per telemetry series, in virtual \
              microseconds. Sim backend with $(b,--shards) 1 only.")
   in
-  let parse_backoff s =
-    match String.split_on_char ':' s with
-    | [ "immediate" ] -> Service.Backoff.Immediate
-    | [ "exp" ] -> Service.Backoff.Exp { base = 8.0; cap = 512.0 }
-    | [ "exp"; b; c ] ->
-        Service.Backoff.Exp { base = float_of_string b; cap = float_of_string c }
-    | [ "rand" ] -> Service.Backoff.Rand { max = 256.0 }
-    | [ "rand"; m ] -> Service.Backoff.Rand { max = float_of_string m }
-    | _ ->
-        Fmt.epr "rtas service: bad --backoff %S@." s;
-        exit 2
-  in
   let service alg backend kernel arrival rate clients keys zipf backoff
       deadline hold chaos max_waiters contenders plan_str events shards latency
       on_shed timeout domains seed out window telemetry_out openmetrics_out
       trace_out =
+    (* Bad input — an unparsable policy or plan, an unknown algorithm or
+       capability, an out-of-range config field — is a usage error. *)
+    let usage msg =
+      Fmt.epr "rtas service: %s@." msg;
+      exit 2
+    in
     let arrival =
       match arrival with
       | `Poisson -> Service.Arrival.Poisson { rate }
@@ -871,23 +865,36 @@ let service_cmd =
           Service.Arrival.Bursty
             { rate; burst_len = 500.0; idle_len = 2000.0; boost = 8.0 }
     in
-    let backoff = parse_backoff backoff in
+    let backoff =
+      let num x =
+        match float_of_string_opt x with
+        | Some f -> f
+        | None ->
+            usage (Printf.sprintf "bad --backoff %S: %S is not a number" backoff x)
+      in
+      match String.split_on_char ':' backoff with
+      | [ "immediate" ] -> Service.Backoff.Immediate
+      | [ "exp" ] -> Service.Backoff.Exp { base = 8.0; cap = 512.0 }
+      | [ "exp"; b; c ] -> Service.Backoff.Exp { base = num b; cap = num c }
+      | [ "rand" ] -> Service.Backoff.Rand { max = 256.0 }
+      | [ "rand"; m ] -> Service.Backoff.Rand { max = num m }
+      | _ -> usage (Printf.sprintf "bad --backoff %S" backoff)
+    in
     let plan =
-      match plan_str with
-      | None -> None
-      | Some s -> (
-          match Fault.Plan.of_string s with
-          | Ok p -> Some p
-          | Error msg ->
-              Fmt.epr "rtas service: %s@." msg;
-              exit 2)
+      Option.map
+        (fun s ->
+          match Fault.Plan.of_string s with Ok p -> p | Error msg -> usage msg)
+        plan_str
     in
     let seed = Int64.of_int seed in
     let sink =
-      if telemetry_out <> None || openmetrics_out <> None || trace_out <> None
-      then
-        Some (Service.Telemetry.sink ~trace:(trace_out <> None) ~window ())
-      else None
+      try
+        if
+          telemetry_out <> None || openmetrics_out <> None
+          || trace_out <> None
+        then Some (Service.Telemetry.sink ~trace:(trace_out <> None) ~window ())
+        else None
+      with Invalid_argument msg -> usage msg
     in
     let report =
       try
@@ -938,11 +945,7 @@ let service_cmd =
                 timeout;
                 seed;
               }
-      with Invalid_argument msg ->
-        (* Bad algorithm name, missing Atomic_mem port, out-of-range
-           config: a usage error, not an internal one. *)
-        Fmt.epr "rtas service: %s@." msg;
-        exit 2
+      with Invalid_argument msg -> usage msg
     in
     let json = Service.Report.to_json report in
     let write_file file contents =
@@ -951,36 +954,53 @@ let service_cmd =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc contents)
     in
-    (match out with
-    | None ->
-        print_string json;
-        Fmt.epr "%a@." Service.Report.pp report
-    | Some file ->
-        write_file file json;
-        Fmt.pr "wrote %s@.%a@." file Service.Report.pp report);
-    (match sink with
-    | None -> ()
-    | Some s ->
-        let snap = s.Service.Telemetry.snapshot in
-        Option.iter
-          (fun f ->
-            write_file f (Obs.Timeseries.to_json snap);
-            Fmt.epr "telemetry: wrote %s@." f)
-          telemetry_out;
-        Option.iter
-          (fun f ->
-            write_file f (Obs.Timeseries.to_openmetrics snap);
-            Fmt.epr "telemetry: wrote %s@." f)
-          openmetrics_out;
-        Option.iter
-          (fun f ->
-            match s.Service.Telemetry.trace_json with
-            | Some t ->
-                write_file f t;
-                Fmt.epr "telemetry: wrote %s@." f
-            | None -> Fmt.epr "rtas service: no trace produced for %s@." f)
-          trace_out);
-    if report.Service.Report.livelocked then exit 1
+    (* The human summary, and with a sink the per-window table, go to
+       stderr — or to stdout when the JSON report goes to a file. *)
+    let human =
+      match out with
+      | None ->
+          print_string json;
+          Fmt.stderr
+      | Some file ->
+          write_file file json;
+          Fmt.pr "wrote %s@." file;
+          Fmt.stdout
+    in
+    Fmt.pf human "%a@." Service.Report.pp report;
+    let mismatched =
+      match sink with
+      | None -> false
+      | Some s ->
+          let snap = s.Service.Telemetry.snapshot in
+          Fmt.pf human "%a@." Obs.Timeseries.pp snap;
+          Option.iter
+            (fun f ->
+              write_file f (Obs.Timeseries.to_json snap);
+              Fmt.epr "telemetry: wrote %s@." f)
+            telemetry_out;
+          Option.iter
+            (fun f ->
+              write_file f (Obs.Timeseries.to_openmetrics snap);
+              Fmt.epr "telemetry: wrote %s@." f)
+            openmetrics_out;
+          Option.iter
+            (fun f ->
+              match s.Service.Telemetry.trace_json with
+              | Some t ->
+                  write_file f t;
+                  Fmt.epr "telemetry: wrote %s@." f
+              | None -> Fmt.epr "rtas service: no trace produced for %s@." f)
+            trace_out;
+          (* Every windowed counter must sum to its report total. *)
+          let ms = Service.Telemetry.counter_mismatches snap report in
+          List.iter
+            (fun (name, sum, total) ->
+              Fmt.epr "rtas service: %s windows sum to %d, report says %d@."
+                name sum total)
+            ms;
+          ms <> []
+    in
+    if report.Service.Report.livelocked || mismatched then exit 1
   in
   Cmd.v
     (Cmd.info "service"
@@ -997,159 +1017,6 @@ let service_cmd =
       $ plan_arg $ events_arg $ shards_arg $ latency_arg $ on_shed_arg
       $ svc_timeout_arg $ svc_domains_arg $ seed_arg $ out_arg $ window_arg
       $ telemetry_arg $ openmetrics_arg $ trace_out_arg)
-
-(* {1 Windowed telemetry at a glance}
-
-   `rtas telemetry` runs a deterministic sim-backend service workload
-   with a telemetry sink attached and renders the per-window table on
-   stdout — the quickest way to watch a chaos run's recovery transient
-   without opening Perfetto. It also cross-checks that every windowed
-   counter sums to its end-of-run report total, which is what `make
-   telemetry-smoke` leans on. *)
-
-let telemetry_cmd =
-  let alg_arg =
-    let doc =
-      Printf.sprintf "Algorithm backing every key; one of: %s."
-        (String.concat ", " (Rtas.Registry.names ()))
-    in
-    Arg.(value & opt string "log*" & info [ "alg" ] ~docv:"NAME" ~doc)
-  in
-  let arrival_arg =
-    Arg.(
-      value
-      & opt (enum [ ("poisson", `Poisson); ("bursty", `Bursty) ]) `Bursty
-      & info [ "arrival" ] ~docv:"poisson|bursty"
-          ~doc:
-            "Arrival process; bursty (the default here) makes the \
-             per-window shed and latency columns move.")
-  in
-  let rate_arg =
-    Arg.(
-      value & opt float 0.05
-      & info [ "rate" ] ~docv:"R" ~doc:"Arrivals per tick (base rate).")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt int 4000
-      & info [ "clients" ] ~docv:"C" ~doc:"Total arrivals to generate.")
-  in
-  let keys_arg =
-    Arg.(value & opt int 8 & info [ "keys" ] ~docv:"K" ~doc:"Lock keys.")
-  in
-  let chaos_arg =
-    Arg.(
-      value
-      & opt ~vopt:0.15 float 0.0
-      & info [ "chaos" ] ~docv:"P"
-          ~doc:"Holder-crash probability per round; $(b,--chaos) alone is 0.15.")
-  in
-  let window_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "window" ] ~docv:"W"
-          ~doc:"Window width in virtual ticks.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the time-series as JSON here.")
-  in
-  let openmetrics_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "openmetrics" ] ~docv:"FILE"
-          ~doc:"Also write the time-series as OpenMetrics text here.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Also write a Perfetto (Chrome trace-event JSON) file here: \
-             per-key round spans plus one counter track per series.")
-  in
-  let telemetry alg arrival rate clients keys chaos window seed json_out
-      openmetrics_out trace_out =
-    let arrival =
-      match arrival with
-      | `Poisson -> Service.Arrival.Poisson { rate }
-      | `Bursty ->
-          Service.Arrival.Bursty
-            { rate; burst_len = 500.0; idle_len = 2000.0; boost = 8.0 }
-    in
-    let sink =
-      Service.Telemetry.sink ~trace:(trace_out <> None) ~window ()
-    in
-    let report =
-      try
-        Service.Driver.run ~telemetry:sink
-          {
-            (Service.Driver.default ~algorithm:alg) with
-            clients;
-            keys;
-            arrival;
-            crash_prob = chaos;
-            seed = Int64.of_int seed;
-          }
-      with Invalid_argument msg ->
-        Fmt.epr "rtas telemetry: %s@." msg;
-        exit 2
-    in
-    let snap = sink.Service.Telemetry.snapshot in
-    Fmt.pr "%a@." Obs.Timeseries.pp snap;
-    Fmt.epr "%a@." Service.Report.pp report;
-    let write_file file contents =
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    Option.iter
-      (fun f ->
-        write_file f (Obs.Timeseries.to_json snap);
-        Fmt.pr "wrote %s@." f)
-      json_out;
-    Option.iter
-      (fun f ->
-        write_file f (Obs.Timeseries.to_openmetrics snap);
-        Fmt.pr "wrote %s@." f)
-      openmetrics_out;
-    Option.iter
-      (fun f ->
-        match sink.Service.Telemetry.trace_json with
-        | Some t ->
-            write_file f t;
-            Fmt.pr "wrote %s@." f
-        | None -> Fmt.epr "rtas telemetry: no trace produced for %s@." f)
-      trace_out;
-    (match Service.Telemetry.counter_mismatches snap report with
-    | [] -> Fmt.pr "windowed counter sums match the report totals@."
-    | ms ->
-        List.iter
-          (fun (name, sum, total) ->
-            Fmt.epr "rtas telemetry: %s windows sum to %d, report says %d@."
-              name sum total)
-          ms;
-        exit 1);
-    if report.Service.Report.livelocked then exit 1
-  in
-  Cmd.v
-    (Cmd.info "telemetry"
-       ~doc:
-         "Run a deterministic sim-backend service workload with windowed \
-          telemetry attached and print the per-window table (arrivals, \
-          completions, sheds, latency quantiles per window). Checks that \
-          every windowed counter sums to its end-of-run report total; \
-          exits nonzero on mismatch.")
-    Term.(
-      const telemetry $ alg_arg $ arrival_arg $ rate_arg $ clients_arg
-      $ keys_arg $ chaos_arg $ window_arg $ seed_arg $ json_arg
-      $ openmetrics_arg $ trace_out_arg)
 
 (* {1 The flat-kernel smoke: effect-parity plus a real domain fan-out}
 
@@ -1266,7 +1133,6 @@ let main =
       profile_cmd;
       mc_cmd;
       service_cmd;
-      telemetry_cmd;
       flat_cmd;
     ]
 

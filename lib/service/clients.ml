@@ -1,18 +1,12 @@
 (* Flat per-client state, flatsim-style: parallel scalar arrays indexed
    by client id, so client count scales without per-client records or
-   GC pressure. Reset is epoch-clear — bumping [epoch] is O(1) and
-   invalidates every slot; [init] re-stamps a slot for the current
-   epoch and rewrites all its fields, so stale state can never leak
-   between runs sharing an arena.
+   GC pressure.
 
    [qnext] makes each client an intrusive FIFO-queue link: the driver
    keeps per-key head/tail indices and chains waiting clients through
    this array instead of boxing them into a [Queue.t]. *)
 
 type t = {
-  capacity : int;
-  mutable epoch : int;
-  estamp : int array;  (* epoch the slot was last initialised in *)
   arrival : float array;
   key : int array;
   attempts : int array;
@@ -21,29 +15,25 @@ type t = {
   qnext : int array;  (* intrusive wait-queue link, -1 = end *)
 }
 
-let create capacity =
-  if capacity < 1 then invalid_arg "Clients.create: capacity must be >= 1";
-  {
-    capacity;
-    epoch = 0;
-    estamp = Array.make capacity (-1);
-    arrival = Array.make capacity 0.0;
-    key = Array.make capacity 0;
-    attempts = Array.make capacity 0;
-    stamp = Array.make capacity (-1);
-    state = Array.make capacity 0;
-    qnext = Array.make capacity (-1);
-  }
-
-let reset t = t.epoch <- t.epoch + 1
-
-let init t i ~arrival ~key =
-  t.estamp.(i) <- t.epoch;
-  t.arrival.(i) <- arrival;
-  t.key.(i) <- key;
-  t.attempts.(i) <- 0;
-  t.stamp.(i) <- -1;
-  t.state.(i) <- 0;
-  t.qnext.(i) <- -1
-
-let initialised t i = t.estamp.(i) = t.epoch
+let schedule ~seed kind ~keys ~zipf_s n =
+  if n < 1 then invalid_arg "Clients.schedule: need at least one client";
+  let arrivals =
+    Arrival.create kind (Sim.Rng.create (Sim.Rng.derive seed ~stream:10))
+  in
+  let zipf = Zipf.create ~n:keys ~s:zipf_s in
+  let zrng = Sim.Rng.create (Sim.Rng.derive seed ~stream:11) in
+  let t =
+    {
+      arrival = Array.make n 0.0;
+      key = Array.make n 0;
+      attempts = Array.make n 0;
+      stamp = Array.make n (-1);
+      state = Array.make n 0;
+      qnext = Array.make n (-1);
+    }
+  in
+  for i = 0 to n - 1 do
+    t.arrival.(i) <- Arrival.next arrivals;
+    t.key.(i) <- Zipf.sample zipf zrng
+  done;
+  t

@@ -1,24 +1,13 @@
-(** Flat per-client state arrays with epoch-clear reset.
+(** The open-loop workload both service drivers replay, with the sim
+    driver's per-client state.
 
-    Per-client bookkeeping for the service driver held in parallel
-    scalar arrays indexed by client id — no per-client records, no GC
-    pressure as the client dial turns up. The record is exposed
-    flatsim-style so the driver's hot path reads and writes fields as
-    direct array loads/stores.
-
-    [reset] is O(1): it bumps the arena epoch, logically invalidating
-    every slot. [init] stamps a slot for the current epoch and rewrites
-    all of its per-run fields, so arenas can be reused across runs
-    without any stale-state hazard ([initialised] checks the stamp).
-
-    [qnext] is an intrusive FIFO link: the driver chains waiting
-    clients per key through it (with per-key head/tail indices) instead
-    of allocating queue nodes. *)
+    Per-client bookkeeping lives in parallel scalar arrays indexed by
+    client id — no per-client records, no GC pressure as the client
+    dial turns up — exposed flatsim-style, so the driver's hot path
+    reads and writes fields as direct array loads/stores. [qnext]
+    chains each key's waiting clients into an intrusive FIFO. *)
 
 type t = {
-  capacity : int;
-  mutable epoch : int;
-  estamp : int array;
   arrival : float array;  (** arrival time, ticks *)
   key : int array;  (** Zipfian lock key *)
   attempts : int array;  (** election attempts so far (backoff stage) *)
@@ -27,14 +16,8 @@ type t = {
   qnext : int array;  (** intrusive wait-queue link, -1 = end *)
 }
 
-val create : int -> t
-(** [create capacity] — raises [Invalid_argument] on [capacity < 1]. *)
-
-val reset : t -> unit
-(** O(1) epoch bump; every slot must be re-[init]ed before use. *)
-
-val init : t -> int -> arrival:float -> key:int -> unit
-(** Initialise slot [i] for the current epoch. *)
-
-val initialised : t -> int -> bool
-(** Whether slot [i] was [init]ed since the last [reset]. *)
+val schedule :
+  seed:int64 -> Arrival.kind -> keys:int -> zipf_s:float -> int -> t
+(** [n] pending clients: arrival times (increasing) from derive stream
+    10 of [seed], keys Zipfian over [keys] from stream 11. Raises
+    [Invalid_argument] on [n < 1]. *)

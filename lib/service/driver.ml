@@ -12,8 +12,6 @@ type config = {
   contenders : int;
   crash_prob : float;
   plan : Fault.Plan.t option;
-  adversary : [ `Random | `Round_robin ];
-  max_round_steps : int;
   kernel : [ `Effect | `Flat ];
   events : [ `Heap | `Wheel ];
   shards : int;
@@ -36,8 +34,6 @@ let default ~algorithm =
     contenders = 32;
     crash_prob = 0.0;
     plan = None;
-    adversary = `Random;
-    max_round_steps = 1_000_000;
     kernel = `Effect;
     events = `Wheel;
     shards = 1;
@@ -73,132 +69,262 @@ let validate cfg =
   Arrival.validate cfg.arrival;
   Backoff.validate cfg.backoff
 
+(* A livelocked election round is cut off after this many steps; its
+   unfinished contenders leave as crashed. *)
+let max_round_steps = 1_000_000
+
+let names entries =
+  String.concat ", " (List.map (fun e -> e.Rtas.Registry.name) entries)
+
+let lookup ~who name =
+  match Rtas.Registry.find name with
+  | Some e -> e
+  | None ->
+      invalid_arg
+        (Printf.sprintf "%s: unknown algorithm %S (expected one of: %s)" who
+           name (names Rtas.Registry.all))
+
+let require ~who (e : Rtas.Registry.entry) ~what pick =
+  match pick e with
+  | Some x -> x
+  | None ->
+      let able =
+        List.filter (fun e -> Option.is_some (pick e)) Rtas.Registry.all
+      in
+      invalid_arg
+        (Printf.sprintf "%s: algorithm %S has no %s (entries with one: %s)" who
+           e.name what (names able))
+
+module TS = Obs.Timeseries
+
 (* {1 Event encoding}
 
    One event is (time, key, per-key sequence, kind, two payload ints).
-   The total order is (at, key, kseq) lexicographic — notably {e not}
-   the PR 6 global insertion sequence: keys never interact, so breaking
-   time ties by key and then by per-key insertion order makes the order
-   (and hence the whole simulation) independent of how the keyspace is
-   partitioned across shards, while still being a deterministic
-   function of the config. Both event engines implement exactly this
-   order, which is what makes `--events heap|wheel` reports
-   byte-identical. *)
+   The total order is (at, key, kseq) lexicographic: keys never
+   interact, so breaking time ties by key and then by per-key insertion
+   order makes the order (and hence the whole simulation) independent
+   of how the keyspace is partitioned across shards, while still being
+   a deterministic function of the config. Both event queues store the
+   wheel's packed encoding — [at], [ord = key lsl 42 lor kseq] and
+   [meta = kind lsl 60 lor a lsl 30 lor b] (wheel.mli) — and pop in
+   exactly this order, which is what makes `--events heap|wheel`
+   reports byte-identical. *)
 
 let k_arrive = 0
 let k_retry = 1
 let k_release = 2
 let k_expire = 3
 
-(* {1 The heap oracle}
+(* {2 The heap oracle}
 
-   The PR 6 event engine, kept as the differential oracle for the
-   wheel: a binary min-heap of boxed entries (one record + one variant
-   allocation per push, O(log n) sift per operation). The wheel must
-   match its reports byte-for-byte: test_service's differential cases
-   and the benchmark's "wheel = heap" check on svc-overload (rtasbench/)
-   hold that; its speed is the benchmark's wheel.ns_per_event metric. *)
+   A binary min-heap over the packed encoding, kept as the differential
+   oracle for the wheel: test_service's differential cases and the
+   benchmark's "wheel = heap" check on svc-overload (rtasbench/) hold
+   the two to byte-identical reports. [pop] swaps the minimum to the
+   end of the live prefix and returns its index, readable until the
+   next [push]. *)
 
 module Heap = struct
-  type hev =
-    | HArrive of int
-    | HRetry of int
-    | HRelease of { round : int; owner : int }
-    | HExpire of { round : int }
+  type t = {
+    mutable at : float array;
+    mutable ord : int array;
+    mutable meta : int array;
+    mutable len : int;
+  }
 
-  type entry = { at : float; okey : int; kseq : int; ev : hev }
+  let create () = { at = [||]; ord = [||]; meta = [||]; len = 0 }
 
-  type t = { mutable arr : entry array; mutable len : int }
+  let lt t i j =
+    t.at.(i) < t.at.(j) || (t.at.(i) = t.at.(j) && t.ord.(i) < t.ord.(j))
 
-  let create () = { arr = [||]; len = 0 }
+  let swap t i j =
+    let at = t.at.(i) and ord = t.ord.(i) and meta = t.meta.(i) in
+    t.at.(i) <- t.at.(j);
+    t.ord.(i) <- t.ord.(j);
+    t.meta.(i) <- t.meta.(j);
+    t.at.(j) <- at;
+    t.ord.(j) <- ord;
+    t.meta.(j) <- meta
 
-  let lt a b =
-    a.at < b.at
-    || (a.at = b.at
-       && (a.okey < b.okey || (a.okey = b.okey && a.kseq < b.kseq)))
-
-  let push t ~at ~okey ~kseq ev =
-    let e = { at; okey; kseq; ev } in
-    if t.len = Array.length t.arr then begin
+  let push t ~at ~key ~kseq ~kind ~a ~b =
+    if t.len = Array.length t.at then begin
       let cap = max 64 (2 * t.len) in
-      let bigger = Array.make cap e in
-      Array.blit t.arr 0 bigger 0 t.len;
-      t.arr <- bigger
+      let grow arr zero =
+        let bigger = Array.make cap zero in
+        Array.blit arr 0 bigger 0 t.len;
+        bigger
+      in
+      t.at <- grow t.at 0.0;
+      t.ord <- grow t.ord 0;
+      t.meta <- grow t.meta 0
     end;
-    t.arr.(t.len) <- e;
+    let i = ref t.len in
     t.len <- t.len + 1;
-    (* sift up *)
-    let i = ref (t.len - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      lt t.arr.(!i) t.arr.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = t.arr.(p) in
-      t.arr.(p) <- t.arr.(!i);
-      t.arr.(!i) <- tmp;
-      i := p
+    t.at.(!i) <- at;
+    t.ord.(!i) <- (key lsl 42) lor kseq;
+    t.meta.(!i) <- (kind lsl 60) lor (a lsl 30) lor b;
+    while !i > 0 && lt t !i ((!i - 1) / 2) do
+      swap t !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
     done
 
   let pop t =
-    if t.len = 0 then None
+    if t.len = 0 then -1
     else begin
-      let top = t.arr.(0) in
       t.len <- t.len - 1;
-      if t.len > 0 then begin
-        t.arr.(0) <- t.arr.(t.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < t.len && lt t.arr.(l) t.arr.(!smallest) then smallest := l;
-          if r < t.len && lt t.arr.(r) t.arr.(!smallest) then smallest := r;
-          if !smallest = !i then continue := false
-          else begin
-            let tmp = t.arr.(!smallest) in
-            t.arr.(!smallest) <- t.arr.(!i);
-            t.arr.(!i) <- tmp;
-            i := !smallest
-          end
-        done
-      end;
-      Some top
+      swap t 0 t.len;
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        let m = if l < t.len && lt t l !i then l else !i in
+        let m = if l + 1 < t.len && lt t (l + 1) m then l + 1 else m in
+        if m = !i then sifting := false
+        else begin
+          swap t m !i;
+          i := m
+        end
+      done;
+      t.len
     end
 end
 
-type equeue = Qheap of Heap.t | Qwheel of Wheel.t
+(* {2 The queue the event loop runs on}
 
-(* {1 Per-shard partial results}
+   Either engine behind one interface, so the loop is written once.
+   [sample] is the engine's own telemetry, run per popped event when a
+   sink is attached. *)
 
-   Every field merges associatively (sums, max, Histo.merge_into), so
-   folding partials in shard order yields the same report for any
-   shard count. *)
-
-type partial = {
-  mutable p_completed : int;
-  mutable p_deadline : int;
-  mutable p_crashed : int;
-  mutable p_holder_crashes : int;
-  mutable p_forced : int;
-  mutable p_shed : int;
-  mutable p_retries : int;
-  mutable p_rounds : int;
-  p_hist : Histo.t;
-  p_last : float array;  (* singleton: latest effective event time *)
+type queue = {
+  schedule :
+    at:float -> key:int -> kseq:int -> kind:int -> a:int -> b:int -> unit;
+  pop : unit -> int;  (* the earliest event's id, -1 once drained *)
+  at : int -> float;
+  ord : int -> int;
+  meta : int -> int;
+  sample : Telemetry.recorder -> float -> unit;
 }
 
-(* A key's reusable election arena, one per configured kernel. Both
-   carry the same algorithm; [Flat] is its registry [make_flat]
-   compilation, bit-identical to [Eff] under the driver's derived seeds
-   and adversaries, so the final report does not depend on the kernel. *)
-type inst =
-  | Eff of Leaderelect.Le.t
-  | Flat of Flatsim.Machine.t
+(* The wheel samples the event-loop lag (fire tick minus due tick —
+   nonzero only for events scheduled at or before the wheel's clock)
+   per event, and its occupancy / pool gauges once per window
+   crossing. *)
+let wheel_queue ~capacity =
+  let w = Wheel.create ~capacity () in
+  let last_win = ref (-1) in
+  let sample (r : Telemetry.recorder) at =
+    let lag = Wheel.now_tick w - int_of_float at in
+    TS.observe r.lag ~at (float_of_int (if lag > 0 then lag else 0));
+    let wdx = int_of_float (at /. TS.window r.ts) in
+    if wdx > !last_win then begin
+      last_win := wdx;
+      TS.set r.wheel_live ~at (float_of_int (Wheel.live w));
+      TS.set r.wheel_pool_hw ~at (float_of_int (Wheel.high_water w));
+      TS.set r.wheel_slots ~at (float_of_int (Wheel.slots_occupied w))
+    end
+  in
+  {
+    schedule = Wheel.schedule w;
+    pop = (fun () -> Wheel.pop w);
+    at = (fun id -> w.Wheel.ev_at.(id));
+    ord = (fun id -> w.Wheel.ev_ord.(id));
+    meta = (fun id -> w.Wheel.ev_meta.(id));
+    sample;
+  }
 
-module TS = Obs.Timeseries
+let heap_queue () =
+  let h = Heap.create () in
+  {
+    schedule = Heap.push h;
+    pop = (fun () -> Heap.pop h);
+    at = (fun i -> h.Heap.at.(i));
+    ord = (fun i -> h.Heap.ord.(i));
+    meta = (fun i -> h.Heap.meta.(i));
+    sample = (fun _ _ -> ());
+  }
+
+(* {1 Rounds}
+
+   A key's election arena, built once on the key's first touch from the
+   registry entry and [cfg.kernel], and reused by every later round of
+   the key — the arena-reuse idiom of DESIGN.md §9 lifted from trial
+   batches to service rounds. [elect seed nc] resets the arena, elects
+   among pids [0, nc) under the round seed and returns the round's
+   span; [status] then reads each pid's outcome, and [cost] records the
+   round's span and its coin flips (flat machine) or RMRs (effect
+   arena). Both kernels use the same derived seeds and decision
+   procedures, so spans and outcomes are bit-identical between them
+   (pinned by test_service's flat = effect differential). *)
+
+type round = {
+  elect : int64 -> int -> float;
+  status : int -> [ `Won | `Lost | `Gone ];
+  cost : Telemetry.recorder -> float -> unit;
+}
+
+let flat_round prog ~n =
+  let module M = Flatsim.Machine in
+  let m = M.create ~procs:n prog in
+  let span () = Float.max 1.0 (float_of_int (M.time m)) in
+  {
+    elect =
+      (fun seed nc ->
+        M.reset ~seed ~procs:nc m;
+        (try
+           M.run_random ~max_total_steps:max_round_steps m
+             ~seed:(Sim.Rng.derive seed ~stream:1)
+         with Failure _ -> (* livelock cut-off *) ());
+        span ());
+    status =
+      (fun pid ->
+        if M.running m pid then `Gone
+        else if m.M.results.(pid) = 1 then `Won
+        else `Lost);
+    cost =
+      (fun r at ->
+        TS.observe r.round_steps ~at (span ());
+        TS.observe r.round_flips ~at (float_of_int (M.total_flips m)));
+  }
+
+let effect_round (entry : Rtas.Registry.entry) ~n ~plan =
+  let mem = Sim.Memory.create () in
+  let le = entry.make mem ~n in
+  (* The last round's scheduler and contender count. *)
+  let last = ref None in
+  let span s = Float.max 1.0 (float_of_int (Sim.Sched.time s)) in
+  {
+    elect =
+      (fun seed nc ->
+        Sim.Memory.reset mem;
+        let adv =
+          Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
+        in
+        let adv =
+          match plan with
+          | None -> adv
+          | Some p ->
+              Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2) p adv
+        in
+        let s = Sim.Sched.create ~seed (Leaderelect.Le.programs le ~k:nc) in
+        last := Some (s, nc);
+        (try Sim.Sched.run ~max_total_steps:max_round_steps s adv
+         with Failure _ -> (* livelock cut-off *) ());
+        span s);
+    status =
+      (fun pid ->
+        match Sim.Sched.status (fst (Option.get !last)) pid with
+        | Sim.Sched.Finished 1 -> `Won
+        | Sim.Sched.Finished _ -> `Lost
+        | Sim.Sched.Running | Sim.Sched.Crashed -> `Gone);
+    cost =
+      (fun r at ->
+        let s, nc = Option.get !last in
+        let rmrs = ref 0 in
+        for pid = 0 to nc - 1 do
+          rmrs := !rmrs + Sim.Sched.rmrs s pid
+        done;
+        TS.observe r.round_steps ~at (span s);
+        TS.observe r.round_rmrs ~at (float_of_int !rmrs));
+  }
 
 let run ?telemetry ?(domains = 1) cfg =
   validate cfg;
@@ -206,32 +332,22 @@ let run ?telemetry ?(domains = 1) cfg =
   | Some s when s.Telemetry.trace && cfg.shards > 1 ->
       invalid_arg "Driver: telemetry trace requires shards = 1"
   | _ -> ());
-  let entry =
-    match Rtas.Registry.find cfg.algorithm with
-    | Some e -> e
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Driver: unknown algorithm %S (expected one of: %s)"
-             cfg.algorithm
-             (String.concat ", " (Rtas.Registry.names ())))
-  in
-  let flat_prog =
+  let entry = lookup ~who:"Driver" cfg.algorithm in
+  let n = cfg.contenders in
+  let make_round =
     match cfg.kernel with
-    | `Effect -> None
+    | `Effect -> fun () -> effect_round entry ~n ~plan:cfg.plan
     | `Flat ->
         if cfg.plan <> None then
           invalid_arg
             "Driver: fault plans hook the effect scheduler; use kernel = \
              `Effect with plan";
-        (match entry.Rtas.Registry.make_flat with
-        | Some mk -> Some (mk ~n:cfg.contenders)
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Driver: algorithm %S has no flat-kernel compilation \
-                  (flat entries: %s)"
-                 cfg.algorithm
-                 (String.concat ", " (Rtas.Registry.flat_names ()))))
+        let mk =
+          require ~who:"Driver" entry ~what:"flat-kernel compilation"
+            (fun e -> e.make_flat)
+        in
+        let prog = mk ~n in
+        fun () -> flat_round prog ~n
   in
   let seed = cfg.seed in
   let lmode =
@@ -241,26 +357,19 @@ let run ?telemetry ?(domains = 1) cfg =
     | `Auto -> if cfg.clients <= auto_exact_max then `Exact else `Log
   in
   (* Dedicated derive streams, in the repo-wide convention: 10 arrival,
-     11 key choice, 12 chaos, 13 round scheduling. Chaos and round
-     streams are split per key and then per round, so a key's whole
-     timeline is a function of (seed, key) alone — the property that
-     makes the keyspace shardable without reordering any stream. *)
-  let arrivals =
-    Arrival.create cfg.arrival (Sim.Rng.create (Sim.Rng.derive seed ~stream:10))
+     11 key choice (both drawn by [Clients.schedule]), 12 chaos, 13
+     round scheduling. Chaos and round streams are split per key and
+     then per round, so a key's whole timeline is a function of (seed,
+     key) alone — the property that makes the keyspace shardable
+     without reordering any stream. The arrival schedule is shared by
+     all shards; each shard replays only the clients whose key it
+     owns. *)
+  let cl =
+    Clients.schedule ~seed cfg.arrival ~keys:cfg.keys ~zipf_s:cfg.zipf_s
+      cfg.clients
   in
-  let zipf = Zipf.create ~n:cfg.keys ~s:cfg.zipf_s in
-  let zrng = Sim.Rng.create (Sim.Rng.derive seed ~stream:11) in
   let chaos_base = Sim.Rng.derive seed ~stream:12 in
   let round_base = Sim.Rng.derive seed ~stream:13 in
-  (* Generate the whole open-loop arrival schedule up front (times
-     strictly increasing, keys Zipfian) into the flat client arrays.
-     This phase is shared by all shards; each shard replays only the
-     clients whose key it owns. *)
-  let cl = Clients.create cfg.clients in
-  for i = 0 to cfg.clients - 1 do
-    Clients.init cl i ~arrival:(Arrival.next arrivals)
-      ~key:(Zipf.sample zipf zrng)
-  done;
   let nshards = cfg.shards in
   (* The per-key round spans go into one Perfetto trace; with one shard
      the whole run executes in the calling domain, so the trace needs
@@ -271,51 +380,22 @@ let run ?telemetry ?(domains = 1) cfg =
     | _ -> None
   in
   let run_shard shard =
-    (* Telemetry recorder, one per shard: off is [None] and every
-       instrumentation point below is a load-and-branch, the Probe
-       no-sink discipline — the report is byte-identical either way
-       (pinned by test_service's differential). *)
-    let tel =
-      match telemetry with
-      | None -> None
-      | Some s -> Some (Telemetry.recorder ~window:s.Telemetry.window ())
-    in
-    (* Per-key arenas, built once on first touch; every later round is
-       a [Memory.reset] of the same structure — the arena-reuse idiom
-       of DESIGN.md §9 lifted from trial batches to service rounds. *)
-    let arenas : (int, Sim.Memory.t * Leaderelect.Le.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let flat_arenas : (int, Flatsim.Machine.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let module E = struct
-      type instance = inst
+    (* One tally per shard; without a sink its telemetry side is a
+       load-and-branch per count, and the report is byte-identical
+       either way (pinned by test_service's differential). *)
+    let tally = Tally.create ?sink:telemetry lmode in
+    let arenas = Array.make cfg.keys None in
+    let module R = Resettable.Make (struct
+      type instance = round
 
       let fresh ~key ~round:_ =
-        match flat_prog with
-        | Some prog -> (
-            (* The flat machine resets per round (it needs the round
-               seed and contender count), so [fresh] only
-               finds-or-builds. *)
-            match Hashtbl.find_opt flat_arenas key with
-            | Some m -> Flat m
-            | None ->
-                let m = Flatsim.Machine.create ~procs:cfg.contenders prog in
-                Hashtbl.add flat_arenas key m;
-                Flat m)
-        | None -> (
-            match Hashtbl.find_opt arenas key with
-            | Some (mem, le) ->
-                Sim.Memory.reset mem;
-                Eff le
-            | None ->
-                let mem = Sim.Memory.create () in
-                let le = entry.Rtas.Registry.make mem ~n:cfg.contenders in
-                Hashtbl.add arenas key (mem, le);
-                Eff le)
-    end in
-    let module R = Resettable.Make (E) in
+        match arenas.(key) with
+        | Some a -> a
+        | None ->
+            let a = make_round () in
+            arenas.(key) <- Some a;
+            a
+    end) in
     let res : R.t option array = Array.make cfg.keys None in
     let get_res k =
       match res.(k) with
@@ -331,84 +411,27 @@ let run ?telemetry ?(domains = 1) cfg =
     and qlen = Array.make cfg.keys 0
     and kseq = Array.make cfg.keys 0
     and burned = Array.make cfg.keys false in
-    let p =
-      {
-        p_completed = 0;
-        p_deadline = 0;
-        p_crashed = 0;
-        p_holder_crashes = 0;
-        p_forced = 0;
-        p_shed = 0;
-        p_retries = 0;
-        p_rounds = 0;
-        p_hist = Histo.create lmode;
-        p_last = Array.make 1 0.0;
-      }
-    in
     let q =
       match cfg.events with
-      | `Wheel ->
-          Qwheel (Wheel.create ~capacity:((cfg.clients / nshards) + 256) ())
-      | `Heap -> Qheap (Heap.create ())
+      | `Wheel -> wheel_queue ~capacity:((cfg.clients / nshards) + 256)
+      | `Heap -> heap_queue ()
     in
-    (* The engine dispatch is hoisted out of the per-event path: [push]
-       is bound once to the engine-specific closure, and the event loop
-       below is specialised per engine (no cursor record between pop
-       and dispatch). *)
-    let push =
-      match q with
-      | Qwheel w ->
-          fun ~at ~key ~kind ~a ~b ->
-            let s = kseq.(key) in
-            kseq.(key) <- s + 1;
-            Wheel.schedule w ~at ~key ~kseq:s ~kind ~a ~b
-      | Qheap h ->
-          fun ~at ~key ~kind ~a ~b ->
-            let s = kseq.(key) in
-            kseq.(key) <- s + 1;
-            let ev =
-              if kind = k_arrive then Heap.HArrive a
-              else if kind = k_retry then Heap.HRetry a
-              else if kind = k_release then
-                Heap.HRelease { round = a; owner = b }
-              else Heap.HExpire { round = a }
-            in
-            Heap.push h ~at ~okey:key ~kseq:s ev
+    let push ~at ~key ~kind ~a ~b =
+      let s = kseq.(key) in
+      kseq.(key) <- s + 1;
+      q.schedule ~at ~key ~kseq:s ~kind ~a ~b
     in
-    let bump_last now = if now > p.p_last.(0) then p.p_last.(0) <- now in
     let resolve c =
       assert (cl.Clients.state.(c) = 0);
       cl.Clients.state.(c) <- 1
     in
-    let complete c ~now =
-      resolve c;
-      p.p_completed <- p.p_completed + 1;
-      Histo.observe p.p_hist (now -. cl.Clients.arrival.(c));
-      match tel with
-      | None -> ()
-      | Some r ->
-          TS.bump r.Telemetry.completions ~at:now;
-          TS.observe r.Telemetry.latency ~at:now (now -. cl.Clients.arrival.(c))
-    in
     (* Replay this shard's arrivals, in global client order so per-key
        [kseq] sequences are identical for every shard count. *)
-    if nshards = 1 then
-      for i = 0 to cfg.clients - 1 do
-        push ~at:cl.Clients.arrival.(i) ~key:cl.Clients.key.(i) ~kind:k_arrive
-          ~a:i ~b:0
-      done
-    else
-      for i = 0 to cfg.clients - 1 do
-        let k = cl.Clients.key.(i) in
-        if k mod nshards = shard then
-          push ~at:cl.Clients.arrival.(i) ~key:k ~kind:k_arrive ~a:i ~b:0
-      done;
-    let base_adversary sseed =
-      match cfg.adversary with
-      | `Round_robin -> Sim.Adversary.round_robin ()
-      | `Random ->
-          Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive sseed ~stream:1)
-    in
+    for i = 0 to cfg.clients - 1 do
+      let k = cl.Clients.key.(i) in
+      if k mod nshards = shard then
+        push ~at:cl.Clients.arrival.(i) ~key:k ~kind:k_arrive ~a:i ~b:0
+    done;
     let scratch = Array.make cfg.contenders 0 in
     (* The per-key burned flag: the current round's one-shot instance
        has hosted its election (its contender slots are consumed), so
@@ -420,7 +443,7 @@ let run ?telemetry ?(domains = 1) cfg =
       | Some r -> (
           match R.state r with
           | Resettable.Held _ -> ()
-          | Resettable.Open { round; inst; _ } ->
+          | Resettable.Open { round; inst = arena; _ } ->
               if burned.(k) || qlen.(k) = 0 then ()
               else begin
                 (* Pick contenders FIFO: drop expired waiters, skip
@@ -433,10 +456,7 @@ let run ?telemetry ?(domains = 1) cfg =
                   let nxt = cl.Clients.qnext.(!c) in
                   if now -. cl.Clients.arrival.(!c) > cfg.deadline then begin
                     resolve !c;
-                    p.p_deadline <- p.p_deadline + 1;
-                    match tel with
-                    | None -> ()
-                    | Some r -> TS.bump r.Telemetry.deadline_miss ~at:now
+                    Tally.bump tally Deadline ~at:now
                   end
                   else if
                     cl.Clients.stamp.(!c) < round
@@ -457,13 +477,9 @@ let run ?telemetry ?(domains = 1) cfg =
                 qhead.(k) <- !rhead;
                 qtail.(k) <- !rtail;
                 qlen.(k) <- !rlen;
-                if !npicked > 0 then run_round k r round inst !npicked now
+                if !npicked > 0 then run_round k r round arena !npicked now
               end)
-    and run_round k r round inst nc now =
-      p.p_rounds <- p.p_rounds + 1;
-      (match tel with
-      | None -> ()
-      | Some tr -> TS.bump tr.Telemetry.rounds ~at:now);
+    and run_round k r round arena nc now =
       burned.(k) <- true;
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in
@@ -477,91 +493,20 @@ let run ?telemetry ?(domains = 1) cfg =
       let sseed =
         Sim.Rng.derive (Sim.Rng.derive round_base ~stream:k) ~stream:round
       in
-      (* Run the round on the configured kernel. Both paths use the
-         same derived seeds and decision procedures, so [status] and
-         [duration] are bit-identical between them (pinned by
-         test_flatsim's driver-equality test). *)
-      let duration, status =
-        match inst with
-        | Flat m ->
-            Flatsim.Machine.reset ~seed:sseed ~procs:nc m;
-            (match
-               match cfg.adversary with
-               | `Round_robin ->
-                   Flatsim.Machine.run_rr ~max_total_steps:cfg.max_round_steps
-                     m
-               | `Random ->
-                   Flatsim.Machine.run_random
-                     ~max_total_steps:cfg.max_round_steps m
-                     ~seed:(Sim.Rng.derive sseed ~stream:1)
-             with
-            | () -> ()
-            | exception Failure _ -> (* livelock cut-off *) ());
-            let duration =
-              Float.max 1.0 (float_of_int (Flatsim.Machine.time m))
-            in
-            let status pid =
-              if Flatsim.Machine.running m pid then `Gone
-              else if m.Flatsim.Machine.results.(pid) = 1 then `Won
-              else `Lost
-            in
-            (match tel with
-            | None -> ()
-            | Some r ->
-                TS.observe r.Telemetry.round_flips ~at:now
-                  (float_of_int (Flatsim.Machine.total_flips m)));
-            (duration, status)
-        | Eff inst ->
-            let adv = base_adversary sseed in
-            let adv =
-              match cfg.plan with
-              | None -> adv
-              | Some plan ->
-                  Fault.Plan.apply ~seed:(Sim.Rng.derive sseed ~stream:2) plan
-                    adv
-            in
-            let sched =
-              Sim.Sched.create ~seed:sseed (Leaderelect.Le.programs inst ~k:nc)
-            in
-            (match
-               Sim.Sched.run ~max_total_steps:cfg.max_round_steps sched adv
-             with
-            | () -> ()
-            | exception Failure _ -> (* livelock cut-off *) ());
-            let duration =
-              Float.max 1.0 (float_of_int (Sim.Sched.time sched))
-            in
-            let status pid =
-              match Sim.Sched.status sched pid with
-              | Sim.Sched.Finished 1 -> `Won
-              | Sim.Sched.Finished _ -> `Lost
-              | Sim.Sched.Running | Sim.Sched.Crashed -> `Gone
-            in
-            (match tel with
-            | None -> ()
-            | Some r ->
-                let rmrs = ref 0 in
-                for pid = 0 to nc - 1 do
-                  rmrs := !rmrs + Sim.Sched.rmrs sched pid
-                done;
-                TS.observe r.Telemetry.round_rmrs ~at:now
-                  (float_of_int !rmrs));
-            (duration, status)
-      in
-      (match tel with
-      | None -> ()
-      | Some r -> TS.observe r.Telemetry.round_steps ~at:now duration);
+      let span = arena.elect sseed nc in
+      Tally.bump tally Round ~at:now;
+      Tally.record tally arena.cost now;
       (match trace with
       | None -> ()
       | Some tr ->
           Obs.Chrome_trace.name_thread tr ~tid:k (Printf.sprintf "key%d" k);
           Obs.Chrome_trace.complete tr ~name:"round" ~ts:(int_of_float now)
-            ~dur:(int_of_float duration) ~tid:k
+            ~dur:(int_of_float span) ~tid:k
             ~args:
               (Printf.sprintf "\"round\":%d,\"contenders\":%d,\"steps\":%d"
-                 round nc (int_of_float duration))
+                 round nc (int_of_float span))
             ());
-      let t_end = now +. duration in
+      let t_end = now +. span in
       (* One chaos draw per (key, round), from the key's own derived
          stream — alignment never depends on other keys' rounds. *)
       let u =
@@ -576,17 +521,14 @@ let run ?telemetry ?(domains = 1) cfg =
       let winner = ref (-1) in
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in
-        match status pid with
+        match arena.status pid with
         | `Won -> winner := c
         | `Lost -> ()
         | `Gone ->
             (* Crashed mid-election by the fault plan (or cut off by a
                livelock bound): the client is gone. *)
             resolve c;
-            p.p_crashed <- p.p_crashed + 1;
-            (match tel with
-            | None -> ()
-            | Some r -> TS.bump r.Telemetry.crashes ~at:t_end)
+            Tally.bump tally Crashed ~at:t_end
       done;
       (if !winner >= 0 then begin
          let wc = !winner in
@@ -599,21 +541,14 @@ let run ?telemetry ?(domains = 1) cfg =
             firing after a clean release finds the round moved on and
             is ignored. *)
          push ~at:(t_end +. cfg.deadline) ~key:k ~kind:k_expire ~a:round ~b:0;
-         if u < cfg.crash_prob then begin
+         resolve wc;
+         if u < cfg.crash_prob then
            (* The holder crashes without releasing: the key recovers
               through the round-stamp expiry path when the lease runs
               out. *)
-           p.p_holder_crashes <- p.p_holder_crashes + 1;
-           resolve wc;
-           p.p_crashed <- p.p_crashed + 1;
-           match tel with
-           | None -> ()
-           | Some r ->
-               TS.bump r.Telemetry.holder_crashes ~at:t_end;
-               TS.bump r.Telemetry.crashes ~at:t_end
-         end
+           Tally.bump tally Holder_crashed ~at:t_end
          else begin
-           complete wc ~now:t_end;
+           Tally.complete tally ~at:t_end (t_end -. cl.Clients.arrival.(wc));
            push ~at:(t_end +. cfg.hold) ~key:k ~kind:k_release ~a:round
              ~b:wc
          end
@@ -627,7 +562,7 @@ let run ?telemetry ?(domains = 1) cfg =
          happens when the retry fires. *)
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in
-        match status pid with
+        match arena.status pid with
         | `Lost when cl.Clients.state.(c) = 0 ->
             let d =
               Backoff.delay cfg.backoff ~seed ~client:c
@@ -646,10 +581,7 @@ let run ?telemetry ?(domains = 1) cfg =
            fires), so under sustained overload a client bounces off
            the full queue until it completes or its deadline runs
            out — the closed retry loop of a client-side SDK. *)
-        p.p_shed <- p.p_shed + 1;
-        (match tel with
-        | None -> ()
-        | Some r -> TS.bump r.Telemetry.sheds ~at:now);
+        Tally.bump tally Shed ~at:now;
         match cfg.on_shed with
         | `Drop -> resolve c
         | `Retry ->
@@ -659,9 +591,7 @@ let run ?telemetry ?(domains = 1) cfg =
             push ~at:(now +. d) ~key:k ~kind:k_retry ~a:c ~b:0
       end
       else begin
-        (match res.(k) with
-        | None -> ignore (get_res k : R.t)
-        | Some _ -> ());
+        ignore (get_res k : R.t);
         cl.Clients.qnext.(c) <- -1;
         if qtail.(k) < 0 then qhead.(k) <- c
         else cl.Clients.qnext.(qtail.(k)) <- c;
@@ -670,188 +600,83 @@ let run ?telemetry ?(domains = 1) cfg =
         maybe_round k now
       end
     in
+    (* Arrivals, pending retries and the release or expiry that reopens
+       a key count as activity for the run's duration. *)
     let handle now k kind a b =
       if kind = k_arrive then begin
-        bump_last now;
-        (match tel with
-        | None -> ()
-        | Some r -> TS.bump r.Telemetry.arrivals ~at:now);
+        Tally.touch tally now;
+        Tally.bump tally Arrived ~at:now;
         join a now
       end
       else if kind = k_retry then begin
-        let c = a in
-        if cl.Clients.state.(c) = 0 then begin
-          bump_last now;
-          p.p_retries <- p.p_retries + 1;
-          (match tel with
-          | None -> ()
-          | Some r -> TS.bump r.Telemetry.retries ~at:now);
-          if now -. cl.Clients.arrival.(c) > cfg.deadline then begin
-            resolve c;
-            p.p_deadline <- p.p_deadline + 1;
-            match tel with
-            | None -> ()
-            | Some r -> TS.bump r.Telemetry.deadline_miss ~at:now
+        if cl.Clients.state.(a) = 0 then begin
+          Tally.touch tally now;
+          Tally.bump tally Retried ~at:now;
+          if now -. cl.Clients.arrival.(a) > cfg.deadline then begin
+            resolve a;
+            Tally.bump tally Deadline ~at:now
           end
-          else join c now
-        end
-      end
-      else if kind = k_release then begin
-        let r = get_res k in
-        if R.release r ~round:a ~owner:b ~now then begin
-          bump_last now;
-          burned.(k) <- false;
-          maybe_round k now
+          else join a now
         end
       end
       else begin
-        (* k_expire: the always-armed lease. Stale for every round
-           that released cleanly — [force_expire] refuses and the
-           event is a no-op (it does not even count as activity for
-           the run duration). *)
+        (* A release by the holder, or the always-armed lease. The
+           lease is stale for every round that released cleanly:
+           [force_expire] refuses and the event is a no-op. *)
         let r = get_res k in
-        if R.force_expire r ~round:a ~now then begin
-          bump_last now;
-          (match tel with
-          | None -> ()
-          | Some r -> TS.bump r.Telemetry.recoveries ~at:now);
+        let reopened =
+          if kind = k_release then R.release r ~round:a ~owner:b ~now
+          else R.force_expire r ~round:a ~now
+        in
+        if reopened then begin
+          Tally.touch tally now;
+          if kind = k_expire then Tally.bump tally Recovered ~at:now;
           burned.(k) <- false;
           maybe_round k now
         end
       end
     in
-    (match q with
-    | Qwheel w ->
-        (* Wheel-level telemetry, sampled in the pop loop: the
-           event-loop lag (fire tick minus due tick — nonzero only for
-           events scheduled at or before the wheel's clock) per event,
-           and the occupancy / pool gauges once per window crossing. *)
-        let last_win = ref (-1) in
-        let twin =
-          match telemetry with None -> 1.0 | Some s -> s.Telemetry.window
-        in
-        let sample_wheel r at =
-          let wdx = int_of_float (at /. twin) in
-          if wdx > !last_win then begin
-            last_win := wdx;
-            TS.set r.Telemetry.wheel_live ~at
-              (float_of_int (Wheel.live w));
-            TS.set r.Telemetry.wheel_pool_hw ~at
-              (float_of_int (Wheel.high_water w));
-            TS.set r.Telemetry.wheel_slots ~at
-              (float_of_int (Wheel.slots_occupied w))
-          end
-        in
-        let rec loop () =
-          let id = Wheel.pop w in
-          if id >= 0 then begin
-            let at = w.Wheel.ev_at.(id) in
-            (match tel with
-            | None -> ()
-            | Some r ->
-                let lag = Wheel.now_tick w - int_of_float at in
-                TS.observe r.Telemetry.lag ~at
-                  (float_of_int (if lag > 0 then lag else 0));
-                sample_wheel r at);
-            let meta = w.Wheel.ev_meta.(id) in
-            handle at
-              (Wheel.key_of_ord w.Wheel.ev_ord.(id))
-              (Wheel.kind_of_meta meta) (Wheel.a_of_meta meta)
-              (Wheel.b_of_meta meta);
-            loop ()
-          end
-        in
+    let rec loop () =
+      let id = q.pop () in
+      if id >= 0 then begin
+        let at = q.at id and meta = q.meta id in
+        Tally.record tally q.sample at;
+        handle at
+          (Wheel.key_of_ord (q.ord id))
+          (Wheel.kind_of_meta meta) (Wheel.a_of_meta meta)
+          (Wheel.b_of_meta meta);
         loop ()
-    | Qheap h ->
-        let rec loop () =
-          match Heap.pop h with
-          | None -> ()
-          | Some e ->
-              (match e.Heap.ev with
-              | Heap.HArrive c -> handle e.Heap.at e.Heap.okey k_arrive c 0
-              | Heap.HRetry c -> handle e.Heap.at e.Heap.okey k_retry c 0
-              | Heap.HRelease { round; owner } ->
-                  handle e.Heap.at e.Heap.okey k_release round owner
-              | Heap.HExpire { round } ->
-                  handle e.Heap.at e.Heap.okey k_expire round 0);
-              loop ()
-        in
-        loop ());
+      end
+    in
+    loop ();
     (* Defensive drain: a waiter still queued here could only have been
        stranded by a driver bug; account it as deadline-exceeded rather
-       than losing it. *)
+       than losing it. There is no event clock here; the client's own
+       deadline instant is the honest timestamp for the miss. *)
     for k = 0 to cfg.keys - 1 do
       let c = ref qhead.(k) in
       while !c >= 0 do
         if cl.Clients.state.(!c) = 0 then begin
           resolve !c;
-          p.p_deadline <- p.p_deadline + 1;
-          (match tel with
-          | None -> ()
-          | Some r ->
-              (* No event clock here; the client's own deadline instant
-                 is the honest timestamp for the miss. *)
-              TS.bump r.Telemetry.deadline_miss
-                ~at:(cl.Clients.arrival.(!c) +. cfg.deadline))
+          Tally.bump tally Deadline
+            ~at:(cl.Clients.arrival.(!c) +. cfg.deadline)
         end;
         c := cl.Clients.qnext.(!c)
       done
     done;
-    Array.iter
-      (function
-        | None -> ()
-        | Some r -> p.p_forced <- p.p_forced + R.expiries r)
-      res;
-    (p, Option.map Telemetry.snapshot tel)
+    tally
   in
-  let partials =
-    if nshards = 1 then [| run_shard 0 |]
-    else begin
-      let domains = max 1 (min domains nshards) in
-      if domains = 1 then Array.init nshards run_shard
-      else Engine.tasks ~domains ~n:nshards run_shard
-    end
+  let domains = min domains nshards in
+  let tallies =
+    if domains <= 1 then Array.init nshards run_shard
+    else Engine.tasks ~domains ~n:nshards run_shard
   in
   (* Associative merge in shard order. *)
-  let hist = Histo.create lmode in
-  let completed = ref 0
-  and deadline_exceeded = ref 0
-  and crashed_clients = ref 0
-  and holder_crashes = ref 0
-  and forced = ref 0
-  and shed = ref 0
-  and retries = ref 0
-  and rounds = ref 0
-  and last_time = ref 0.0 in
-  Array.iter
-    (fun (p, _) ->
-      completed := !completed + p.p_completed;
-      deadline_exceeded := !deadline_exceeded + p.p_deadline;
-      crashed_clients := !crashed_clients + p.p_crashed;
-      holder_crashes := !holder_crashes + p.p_holder_crashes;
-      forced := !forced + p.p_forced;
-      shed := !shed + p.p_shed;
-      retries := !retries + p.p_retries;
-      rounds := !rounds + p.p_rounds;
-      if p.p_last.(0) > !last_time then last_time := p.p_last.(0);
-      Histo.merge_into ~into:hist p.p_hist)
-    partials;
-  let counts =
-    {
-      Report.clients = cfg.clients;
-      completed = !completed;
-      deadline_exceeded = !deadline_exceeded;
-      crashed_clients = !crashed_clients;
-      holder_crashes = !holder_crashes;
-      forced_expiries = !forced;
-      shed = !shed;
-      retries = !retries;
-      rounds = !rounds;
-      stale_wins = 0;
-    }
-  in
+  let total = Tally.create lmode in
+  Array.iter (Tally.merge_into ~into:total) tallies;
+  let counts = Tally.counts total ~clients:cfg.clients in
   assert (Report.balanced ~shed_terminal:(cfg.on_shed = `Drop) counts);
-  let duration = Float.max 1.0 !last_time in
+  let duration = Float.max 1.0 (Tally.last total) in
   let report =
     {
       Report.backend = "sim";
@@ -866,28 +691,21 @@ let run ?telemetry ?(domains = 1) cfg =
       workers = 1;
       seed;
       duration;
-      throughput = float_of_int !completed /. duration *. 1000.0;
+      throughput = float_of_int counts.completed /. duration *. 1000.0;
       counts;
-      latency = Report.latency_of_histo hist;
+      latency = Tally.latency total;
       livelocked = false;
       diagnosis = None;
     }
   in
-  (match telemetry with
-  | None -> ()
-  | Some s ->
-      (* Associative merge keyed by window index, in shard order — the
-         same fold shape as the partials above. *)
-      let merged =
-        Array.fold_left
-          (fun acc (_, snap) ->
-            match snap with None -> acc | Some sn -> TS.merge acc sn)
-          TS.empty_snapshot partials
-      in
+  Option.iter
+    (fun s ->
+      let merged = Tally.snapshot total in
       s.Telemetry.snapshot <- merged;
-      (match trace with
-      | None -> ()
-      | Some tr ->
+      Option.iter
+        (fun tr ->
           TS.to_chrome merged tr;
-          s.Telemetry.trace_json <- Some (Obs.Chrome_trace.to_string tr)));
+          s.Telemetry.trace_json <- Some (Obs.Chrome_trace.to_string tr))
+        trace)
+    telemetry;
   report

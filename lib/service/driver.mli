@@ -4,13 +4,13 @@
     Clients arrive on a Poisson or bursty schedule ({!Arrival}), pick a
     key Zipfian-ly ({!Zipf}), and queue on it. Whenever a key is [Open]
     with a fresh one-shot instance and has eligible waiters, the driver
-    runs one election {e round}: it stamps the contenders with the round
-    number, runs the registered algorithm's programs to completion under
-    a derived-seed {!Sim.Sched} (optionally under a {!Fault.Plan}
-    adversary), and advances virtual time by the election's span. The
-    winner claims the round; losers retry after a {!Backoff} delay;
-    clients whose age exceeds the deadline resolve as deadline-exceeded;
-    arrivals that find the key's queue full are shed.
+    runs one election {e round} among them on the key's arena — the flat
+    machine or the effect simulator, under a derived-seed random-oblivious
+    schedule (plus an optional {!Fault.Plan}), cut off after 1,000,000
+    steps — and advances virtual time by its span. The winner claims the
+    round; losers retry after a {!Backoff} delay; clients whose age
+    exceeds the deadline resolve as deadline-exceeded; arrivals that find
+    the key's queue full are shed.
 
     Chaos ([crash_prob]): each round's winner crashes with that
     probability {e after} claiming and never releases — the key recovers
@@ -25,15 +25,15 @@
     pinned by a differential test:
 
     - [events]: the {!Wheel} timing-wheel engine (O(1), allocation-free
-      in steady state) versus the PR 6 binary-heap oracle. Both order
-      events by (time, key, per-key sequence).
+      in steady state) versus the binary-heap oracle. Both order events
+      by (time, key, per-key sequence).
     - [shards]: the keyspace is partitioned [key mod shards]; every
       per-key stream (round seeds, chaos draws, event sequence) is
       derived from (seed, key), and keys never interact, so per-shard
       partial reports merge associatively into the single-shard report
       byte for byte. With [~domains > 1] shards run on the engine's
       domain pool.
-    - [kernel]: flat machines versus effect scheduler, as of PR 7.
+    - [kernel]: flat machines versus effect scheduler.
 
     Every claimed round arms a lease timer (the deadline): recovery
     from holder crashes does not rely on foreseeing the crash, and a
@@ -70,27 +70,17 @@ type config = {
           and a round admits at most this many contenders. *)
   crash_prob : float;  (** Per-round holder-crash probability. *)
   plan : Fault.Plan.t option;  (** Mid-election crash/delay storms. *)
-  adversary : [ `Random | `Round_robin ];  (** Intra-round scheduler. *)
-  max_round_steps : int;  (** Livelock bound on a single round. *)
   kernel : [ `Effect | `Flat ];
-      (** Execution kernel for election rounds. [`Flat] runs every round
-          on the algorithm's preallocated {!Flatsim.Machine} (the
-          registry's [make_flat] compilation): the report is
-          bit-identical to [`Effect] — same derived seeds, same
-          adversary decisions, same winners and round spans — but a
-          round allocates nothing. Requires a flat-registered algorithm
-          and is incompatible with [plan] (fault plans hook the effect
-          scheduler); {!run} raises [Invalid_argument] otherwise. *)
+      (** Election kernel. [`Flat] runs rounds on the registry's
+          preallocated {!Flatsim.Machine} compilation: same seeds,
+          schedules, winners and spans as [`Effect], but a round
+          allocates nothing. It needs a flat-registered algorithm and no
+          [plan]; {!run} raises [Invalid_argument] otherwise. *)
   events : [ `Heap | `Wheel ];
-      (** Event engine. [`Wheel] (the default) is the hierarchical
-          timing wheel: O(1) schedule/advance, zero allocation per
-          event in steady state. [`Heap] is the PR 6 binary heap, kept
-          as the byte-identical differential oracle and benchmark
-          baseline. *)
+      (** Event engine: the timing wheel (default) or the heap oracle. *)
   shards : int;
-      (** Keyspace partitions (default 1). The report is byte-identical
-          for any value; >1 enables parallel execution via
-          {!run}'s [~domains]. *)
+      (** Keyspace partitions (default 1); report-invariant, run in
+          parallel up to {!run}'s [~domains]. *)
   latency : [ `Auto | `Exact | `Hist ];
       (** Latency recording: exact per-sample percentiles, or the
           bounded-memory log-bucketed histogram (percentiles within
@@ -109,17 +99,22 @@ val validate : config -> unit
 (** Raises [Invalid_argument], naming the field, on out-of-range fields
     and on NaN or infinite floats. *)
 
+val lookup : who:string -> string -> Rtas.Registry.entry
+val require :
+  who:string -> Rtas.Registry.entry -> what:string ->
+  (Rtas.Registry.entry -> 'a option) -> 'a
+(** An entry and a capability of it, or [Invalid_argument] naming the
+    valid choices. *)
+
 val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
 (** Run the workload to completion (the event engine drains — open-loop
     arrivals are finite). [~domains] (default 1) caps the domain pool
     used when [shards > 1]; it never affects the report.
 
-    When [telemetry] is given, each shard records the windowed
-    time-series schema of {!Telemetry.recorder} (windows in virtual
-    ticks) and the sink receives the cross-shard merge; the wheel
-    engine additionally records per-event loop lag and occupancy / pool
-    gauges sampled at window crossings. A sink with [trace] set (only
-    with [shards = 1]; rejected otherwise) also receives a Perfetto
-    trace: per-key round spans plus counter tracks for every series.
-    Without a sink no telemetry code runs beyond a per-site
-    load-and-branch, and the report is byte-identical. *)
+    With [telemetry], each shard's {!Tally} records the windowed
+    {!Telemetry.recorder} schema (windows in virtual ticks), the wheel
+    adds per-event loop lag and occupancy / pool gauges at window
+    crossings, and the sink receives the cross-shard merge. A sink with
+    [trace] set (only with [shards = 1]) also receives a Perfetto trace:
+    per-key round spans plus counter tracks for every series. The
+    report is byte-identical with or without a sink. *)

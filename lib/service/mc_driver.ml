@@ -46,100 +46,46 @@ let validate cfg =
   Arrival.validate cfg.arrival;
   Backoff.validate cfg.backoff
 
-(* Per-worker tallies live in plain int arrays indexed by worker: each
-   slot is written by one domain only, and the merge happens after the
-   watchdog saw every done-flag (or gave up, in which case the partial
-   values only feed the diagnosis, never a balanced report). *)
-type tally = {
-  t_completed : int array;
-  t_deadline : int array;
-  t_crashed : int array;
-  t_holder : int array;
-  t_retries : int array;
-  t_stale : int array;
-  t_attempts : int array;
-  mutable t_latencies : float list array;
-}
-
-let sum = Array.fold_left ( + ) 0
-
 module TS = Obs.Timeseries
 
 let run ?telemetry cfg =
   validate cfg;
-  let entry =
-    match Rtas.Registry.find cfg.algorithm with
-    | Some e -> e
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Mc_driver: unknown algorithm %S" cfg.algorithm)
-  in
   let make_mc =
-    match entry.Rtas.Registry.make_mc with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Mc_driver: %S has no Atomic_mem port (dual-backend entries: %s)"
-             cfg.algorithm
-             (String.concat ", " (Rtas.Registry.dual_names ())))
+    Driver.require ~who:"Mc_driver"
+      (Driver.lookup ~who:"Mc_driver" cfg.algorithm)
+      ~what:"Atomic_mem port"
+      (fun e -> e.make_mc)
   in
   let w = cfg.workers in
   (* One tick = one microsecond of wall clock. *)
   let t0 = Unix.gettimeofday () in
   let now_ticks () = (Unix.gettimeofday () -. t0) *. 1e6 in
   let sleep_ticks t = if t > 0.0 then Unix.sleepf (t *. 1e-6) in
-  (* The arrival schedule and key choices are drawn exactly like the sim
-     driver's (same derive streams), so the two backends face the same
-     offered load for the same seed. *)
-  let arrivals =
-    Arrival.create cfg.arrival
-      (Sim.Rng.create (Sim.Rng.derive cfg.seed ~stream:10))
+  (* The sim driver's arrival schedule and key choices, so the two
+     backends face the same offered load for the same seed. *)
+  let cl =
+    Clients.schedule ~seed:cfg.seed cfg.arrival ~keys:cfg.keys
+      ~zipf_s:cfg.zipf_s cfg.clients
   in
-  let zipf = Zipf.create ~n:cfg.keys ~s:cfg.zipf_s in
-  let zrng = Sim.Rng.create (Sim.Rng.derive cfg.seed ~stream:11) in
-  let arrival_at = Array.make cfg.clients 0.0 in
-  let key_of = Array.make cfg.clients 0 in
-  for i = 0 to cfg.clients - 1 do
-    arrival_at.(i) <- Arrival.next arrivals;
-    key_of.(i) <- Zipf.sample zipf zrng
-  done;
   (* Election width = worker count: a worker's slot in every one-shot
      instance is its own index, so slots never collide across domains
      and the per-worker round stamp enforces at-most-once per
      instance. *)
-  let module E = struct
+  let module R = Resettable.Make (struct
     type instance = Backend.Atomic_mem.ctx Leaderelect.Le.elect
 
     let fresh ~key:_ ~round:_ = make_mc (Backend.Atomic_mem.create ()) ~n:w
-  end in
-  let module R = Resettable.Make (E) in
+  end) in
   let keys = Array.init cfg.keys (fun k -> R.create ~key:k ~now:0.0) in
-  let tally =
-    {
-      t_completed = Array.make w 0;
-      t_deadline = Array.make w 0;
-      t_crashed = Array.make w 0;
-      t_holder = Array.make w 0;
-      t_retries = Array.make w 0;
-      t_stale = Array.make w 0;
-      t_attempts = Array.make w 0;
-      t_latencies = Array.make w [];
-    }
-  in
+  (* One tally per worker domain (single-domain mutable state), its
+     telemetry windows in wall-clock microseconds — the same clock as
+     [now_ticks]. [attempts] is the watchdog's per-worker progress
+     counter. *)
+  let tallies = Array.init w (fun _ -> Tally.create ?sink:telemetry `Exact) in
+  let attempts = Array.make w 0 in
   let lease = cfg.deadline in
-  (* One telemetry recorder per worker domain (they are single-domain
-     mutable state); windows are wall-clock microseconds — the same
-     clock as [now_ticks] — and the merged snapshot lands in the sink
-     after the watchdog joins every worker. *)
-  let tels =
-    match telemetry with
-    | None -> None
-    | Some s ->
-        Some (Array.init w (fun _ -> Telemetry.recorder ~window:s.Telemetry.window ()))
-  in
   let worker wi =
-    let tel = match tels with None -> None | Some a -> Some a.(wi) in
+    let tally = tallies.(wi) in
     let rng =
       Random.State.make
         [|
@@ -148,7 +94,6 @@ let run ?telemetry cfg =
         |]
     in
     let stamps = Array.make cfg.keys (-1) in
-    let bump a = a.(wi) <- a.(wi) + 1 in
     (* Clients are sharded round-robin over workers; each worker serves
        its share in arrival order, open-loop: it sleeps until the
        scheduled arrival, then drives the attempt loop. *)
@@ -156,58 +101,49 @@ let run ?telemetry cfg =
     while !ci < cfg.clients do
       let c = !ci in
       ci := !ci + w;
-      let key = key_of.(c) in
+      let key = cl.Clients.key.(c) in
       let res = keys.(key) in
-      sleep_ticks (arrival_at.(c) -. now_ticks ());
-      (match tel with
-      | None -> ()
-      | Some r -> TS.bump r.Telemetry.arrivals ~at:(now_ticks ()));
+      sleep_ticks (cl.Clients.arrival.(c) -. now_ticks ());
+      Tally.bump tally Arrived ~at:(now_ticks ());
       let attempt = ref 0 in
       let running = ref true in
       while !running do
-        bump tally.t_attempts;
+        attempts.(wi) <- attempts.(wi) + 1;
         let now = now_ticks () in
-        if now -. arrival_at.(c) > cfg.deadline then begin
-          bump tally.t_deadline;
-          (match tel with
-          | None -> ()
-          | Some r -> TS.bump r.Telemetry.deadline_miss ~at:now);
+        if now -. cl.Clients.arrival.(c) > cfg.deadline then begin
+          Tally.bump tally Deadline ~at:now;
           running := false
         end
         else begin
           let backoff_retry () =
-            if !attempt > 0 then begin
-              bump tally.t_retries;
-              match tel with
-              | None -> ()
-              | Some r -> TS.bump r.Telemetry.retries ~at:now
-            end;
+            if !attempt > 0 then Tally.bump tally Retried ~at:now;
             incr attempt;
             sleep_ticks
               (Backoff.delay cfg.backoff ~seed:cfg.seed ~client:c
                  ~attempt:!attempt)
           in
+          (* A round that outlives its lease — its holder crashed or
+             is wedged, or its winner died before claiming — may be
+             recovered by anyone. *)
+          let expire_stale round since =
+            if now -. since > lease && R.force_expire res ~round ~now then begin
+              Tally.bump tally Recovered ~at:now;
+              Tally.bump tally Round ~at:now
+            end
+          in
+          let crash () =
+            Tally.bump tally Holder_crashed ~at:(now_ticks ());
+            running := false
+          in
           match R.state res with
           | Resettable.Held { round; since; _ } ->
-              (* A holder that outlives its lease crashed (or is
-                 wedged); anyone may recover the key. *)
-              if now -. since > lease then
-                if R.force_expire res ~round ~now then
-                  (match tel with
-                  | None -> ()
-                  | Some r -> TS.bump r.Telemetry.recoveries ~at:now);
+              expire_stale round since;
               backoff_retry ()
           | Resettable.Open { round; inst; since } ->
               if stamps.(key) >= round then begin
                 (* This worker already burned its slot in this round's
-                   instance. If the round's winner crashed before
-                   claiming, the [Open] state itself goes stale and
-                   must be expired here. *)
-                if now -. since > lease then
-                  if R.force_expire res ~round ~now then
-                    (match tel with
-                    | None -> ()
-                    | Some r -> TS.bump r.Telemetry.recoveries ~at:now);
+                   instance. *)
+                expire_stale round since;
                 backoff_retry ()
               end
               else begin
@@ -216,59 +152,31 @@ let run ?telemetry cfg =
                      (Backend.Atomic_mem.ctx ~rng ~slot:wi ())
                 then begin
                   let u = Random.State.float rng 1.0 in
-                  if u < cfg.crash_prob /. 2.0 then begin
+                  if u < cfg.crash_prob /. 2.0 then
                     (* Crash between winning and claiming: the round
                        stays [Open] and only lease expiry can move it
                        on. *)
-                    bump tally.t_holder;
-                    bump tally.t_crashed;
-                    (match tel with
-                    | None -> ()
-                    | Some r ->
-                        let at = now_ticks () in
-                        TS.bump r.Telemetry.holder_crashes ~at;
-                        TS.bump r.Telemetry.crashes ~at);
-                    running := false
-                  end
+                    crash ()
                   else if R.claim res ~round ~owner:c ~now:(now_ticks ())
                   then
-                    if u < cfg.crash_prob then begin
+                    if u < cfg.crash_prob then
                       (* Crash while holding: no release ever comes. *)
-                      bump tally.t_holder;
-                      bump tally.t_crashed;
-                      (match tel with
-                      | None -> ()
-                      | Some r ->
-                          let at = now_ticks () in
-                          TS.bump r.Telemetry.holder_crashes ~at;
-                          TS.bump r.Telemetry.crashes ~at);
-                      running := false
-                    end
+                      crash ()
                     else begin
-                      let lat = now_ticks () -. arrival_at.(c) in
-                      tally.t_latencies.(wi) <- lat :: tally.t_latencies.(wi);
-                      bump tally.t_completed;
-                      (match tel with
-                      | None -> ()
-                      | Some r ->
-                          let at = now_ticks () in
-                          TS.bump r.Telemetry.completions ~at;
-                          TS.observe r.Telemetry.latency ~at lat);
+                      let at = now_ticks () in
+                      Tally.complete tally ~at (at -. cl.Clients.arrival.(c));
                       sleep_ticks cfg.hold;
                       (* A false release means the lease expired under
-                         us; the expiry counter already recorded it. *)
-                      ignore
-                        (R.release res ~round ~owner:c ~now:(now_ticks ()));
+                         us, and the expiry moved the key on. *)
+                      let at = now_ticks () in
+                      if R.release res ~round ~owner:c ~now:at then
+                        Tally.bump tally Round ~at;
                       running := false
                     end
                   else begin
                     (* Won the election but the round moved on before
                        the claim: a stale win, voided by the CAS. *)
-                    bump tally.t_stale;
-                    (match tel with
-                    | None -> ()
-                    | Some r ->
-                        TS.bump r.Telemetry.stale_wins ~at:(now_ticks ()));
+                    Tally.bump tally Stale_win ~at:(now_ticks ());
                     backoff_retry ()
                   end
                 end
@@ -280,62 +188,46 @@ let run ?telemetry cfg =
   in
   let outcome =
     Fault.Watchdog.race ~timeout:cfg.timeout ~n:w
-      ~progress:(fun i -> tally.t_attempts.(i))
+      ~progress:(fun i -> attempts.(i))
       ~label:(fun i -> Printf.sprintf "worker %d" i)
       worker
   in
   let duration = Float.max 1.0 (now_ticks ()) in
+  (* A worker the watchdog gave up on is leaked and may still be
+     writing its tally, so only finished workers' tallies are read. *)
+  let total = Tally.create `Exact in
   let livelocked, diagnosis =
     match outcome with
-    | Ok _ -> (false, None)
+    | Ok _ ->
+        Array.iter (Tally.merge_into ~into:total) tallies;
+        (false, None)
     | Error stuck ->
+        List.iter
+          (fun (p : Fault.Watchdog.domain_progress) ->
+            if p.dp_finished then
+              Tally.merge_into ~into:total tallies.(p.dp_index))
+          stuck.stuck_progress;
         (true, Some (Format.asprintf "%a" Fault.Watchdog.pp_stuck stuck))
   in
-  let completed = sum tally.t_completed in
-  let counts =
-    {
-      Report.clients = cfg.clients;
-      completed;
-      deadline_exceeded = sum tally.t_deadline;
-      crashed_clients = sum tally.t_crashed;
-      holder_crashes = sum tally.t_holder;
-      forced_expiries = Array.fold_left (fun a r -> a + R.expiries r) 0 keys;
-      shed = 0;
-      retries = sum tally.t_retries;
-      rounds = Array.fold_left (fun a r -> a + R.round r) 0 keys;
-      stale_wins = sum tally.t_stale;
-    }
-  in
+  let counts = Tally.counts total ~clients:cfg.clients in
   if not livelocked then assert (Report.balanced counts);
-  let latencies =
-    Array.of_list (List.concat (Array.to_list tally.t_latencies))
-  in
-  let report =
-    {
-      Report.backend = "atomic";
-      algorithm = cfg.algorithm;
-      keys = cfg.keys;
-      zipf_s = cfg.zipf_s;
-      arrival = Arrival.describe cfg.arrival;
-      backoff = Backoff.describe cfg.backoff;
-      deadline = cfg.deadline;
-      hold = cfg.hold;
-      crash_prob = cfg.crash_prob;
-      workers = w;
-      seed = cfg.seed;
-      duration;
-      throughput = float_of_int completed /. duration *. 1000.0;
-      counts;
-      latency = Report.latency_of_samples latencies;
-      livelocked;
-      diagnosis;
-    }
-  in
-  (match (telemetry, tels) with
-  | Some s, Some recs ->
-      s.Telemetry.snapshot <-
-        Array.fold_left
-          (fun acc r -> TS.merge acc (Telemetry.snapshot r))
-          TS.empty_snapshot recs
-  | _ -> ());
-  report
+  Option.iter (fun s -> s.Telemetry.snapshot <- Tally.snapshot total) telemetry;
+  {
+    Report.backend = "atomic";
+    algorithm = cfg.algorithm;
+    keys = cfg.keys;
+    zipf_s = cfg.zipf_s;
+    arrival = Arrival.describe cfg.arrival;
+    backoff = Backoff.describe cfg.backoff;
+    deadline = cfg.deadline;
+    hold = cfg.hold;
+    crash_prob = cfg.crash_prob;
+    workers = w;
+    seed = cfg.seed;
+    duration;
+    throughput = float_of_int counts.completed /. duration *. 1000.0;
+    counts;
+    latency = Tally.latency total;
+    livelocked;
+    diagnosis;
+  }

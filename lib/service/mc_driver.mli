@@ -6,11 +6,9 @@
     One tick is one microsecond: deadlines, holds and backoff delays
     become [Unix.sleepf] intervals, latencies and throughput come from
     [Unix.gettimeofday], and the report shares the sim driver's schema
-    and units. The arrival schedule and Zipfian key choices are drawn
-    from the same derived streams as the sim driver, so both backends
-    face the same offered load for a given seed — though wall-clock
-    interleaving makes the atomic run's outcomes nondeterministic, as
-    real hardware is.
+    and units. It replays the sim driver's {!Clients.schedule}, so both
+    backends face the same offered load for a given seed; wall-clock
+    interleaving makes the outcomes nondeterministic.
 
     Clients are sharded round-robin over [workers] domains. A worker's
     slot in every one-shot instance is its own index ([n = workers]),
@@ -25,9 +23,10 @@
     deadline) has run out and fires {!Resettable.Make.force_expire} —
     the crashed holder cannot wedge the key.
 
-    If the watchdog gives up, unfinished worker domains are leaked, the
-    report carries [livelocked = true] plus a per-worker progress
-    diagnosis, and the caller should exit nonzero. *)
+    If the watchdog gives up, unfinished worker domains are leaked; the
+    report counts only the finished workers' tallies and carries
+    [livelocked = true] plus a per-worker progress diagnosis, and the
+    caller should exit nonzero. *)
 
 type config = {
   algorithm : string;  (** A dual-backend {!Rtas.Registry} entry. *)

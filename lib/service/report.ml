@@ -11,20 +11,6 @@ type counts = {
   stale_wins : int;
 }
 
-let zero_counts ~clients =
-  {
-    clients;
-    completed = 0;
-    deadline_exceeded = 0;
-    crashed_clients = 0;
-    holder_crashes = 0;
-    forced_expiries = 0;
-    shed = 0;
-    retries = 0;
-    rounds = 0;
-    stale_wins = 0;
-  }
-
 type latency = {
   l_mode : string;  (* "exact" or "hist" *)
   l_n : int;
@@ -55,26 +41,6 @@ type t = {
   livelocked : bool;
   diagnosis : string option;
 }
-
-let latency_of_samples samples =
-  if Array.length samples = 0 then None
-  else begin
-    let sorted = Array.copy samples in
-    Array.sort Float.compare sorted;
-    let s = Sim.Stats.summarize_sorted sorted in
-    let p q = Sim.Stats.percentile_sorted sorted q in
-    Some
-      {
-        l_mode = "exact";
-        l_n = s.Sim.Stats.count;
-        l_mean = s.Sim.Stats.mean;
-        l_p50 = p 0.5;
-        l_p95 = s.Sim.Stats.p95;
-        l_p99 = p 0.99;
-        l_p999 = s.Sim.Stats.p999;
-        l_max = s.Sim.Stats.max;
-      }
-  end
 
 let latency_of_histo h =
   match Histo.snapshot h with

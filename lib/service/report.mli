@@ -1,5 +1,5 @@
-(** Lock-service run reports: per-run counts, exact completion-latency
-    percentiles, machine-readable JSON, and {!Obs.Metrics} feeding.
+(** Lock-service run reports: per-run counts, completion-latency
+    percentiles and machine-readable JSON.
 
     All times are in ticks — the simulator's virtual step unit; the
     atomic driver maps one tick to a microsecond — so the two backends
@@ -19,8 +19,6 @@ type counts = {
   rounds : int;  (** Election rounds run. *)
   stale_wins : int;  (** Wins voided because the round had expired. *)
 }
-
-val zero_counts : clients:int -> counts
 
 val balanced : ?shed_terminal:bool -> counts -> bool
 (** Every client ended in exactly one terminal bucket:
@@ -61,10 +59,6 @@ type t = {
   livelocked : bool;  (** Watchdog gave up on a real-domain run. *)
   diagnosis : string option;  (** Per-worker progress when livelocked. *)
 }
-
-val latency_of_samples : float array -> latency option
-(** Exact nearest-rank percentiles (one sort); [None] on the empty
-    sample. Does not mutate its argument. *)
 
 val latency_of_histo : Histo.t -> latency option
 (** Latency block from a {!Histo} in either mode; [None] when nothing

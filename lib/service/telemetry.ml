@@ -72,8 +72,6 @@ let recorder ~window () =
     wheel_slots = TS.gauge ts "service.wheel_slots";
   }
 
-let snapshot r = TS.snapshot r.ts
-
 (* Which report total each counter series must sum to. [arrivals] is
    every client's first service contact, so it sums to the client
    count on any run that drains its schedule. *)

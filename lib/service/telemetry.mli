@@ -1,11 +1,9 @@
 (** Service-engine telemetry: the windowed [Obs.Timeseries] schema the
     drivers record into, and its export plumbing.
 
-    The drivers take a {!sink} (a request plus a result slot): off is
-    the [option]'s [None] and costs one load-and-branch per
-    instrumentation point, the Probe no-sink discipline — reports are
-    byte-identical with and without a sink (pinned by test). With a
-    sink, each shard or worker records into its own {!recorder}
+    The drivers take a {!sink} (a request plus a result slot). Without
+    one, reports are byte-identical (pinned by test); with one, each
+    shard or worker's {!Tally} records into its own {!recorder}
     (single-domain mutable state) and the driver stores the
     associatively merged snapshot into the sink on the way out.
 
@@ -13,11 +11,6 @@
     for [Driver], wall-clock microseconds for [Mc_driver]. The series
     schema is shared (counter names mirror the report's [counts]
     fields); each driver records the subset it can observe. *)
-
-val logbucket : Obs.Timeseries.bucketing
-(** The [Sim.Stats.Logbucket] scheme (32 sub-buckets per octave) as a
-    Timeseries bucketing — the same buckets [Histo]'s [`Log] mode uses,
-    injected here because [lib/obs] sits below [lib/sim]. *)
 
 type sink = {
   window : float;  (** Window width, in driver clock units. *)
@@ -59,13 +52,10 @@ type recorder = {
 
 val recorder : window:float -> unit -> recorder
 
-val snapshot : recorder -> Obs.Timeseries.snapshot
-
 (** {1 Consistency against the final report} *)
 
 val counter_mismatches :
   Obs.Timeseries.snapshot -> Report.t -> (string * int * int) list
 (** [(series, windowed_sum, report_total)] for every counter series
     present in the snapshot whose cross-window sum disagrees with the
-    corresponding report total — empty on a consistent run. Series
-    without a report total (none today) are skipped. *)
+    corresponding report total — empty on a consistent run. *)

@@ -197,19 +197,33 @@ let test_driver_deterministic () =
 
 (* The flat kernel must be report-invisible: same derived seeds, same
    adversary decisions, same winners and round spans, so the JSON is
-   byte-identical. Chaos included — the holder-crash draws live outside
-   the election kernel and must not shift either. *)
+   byte-identical. Every flat-registered entry, 20 seeds each, chaos
+   included — the holder-crash draws live outside the election kernel
+   and must not shift either. *)
 let test_driver_flat_matches_effect () =
   List.iter
-    (fun chaos ->
-      let cfg = small_cfg ~chaos () in
-      let eff = Service.Report.to_json (Service.Driver.run cfg) in
-      let flat =
-        Service.Report.to_json
-          (Service.Driver.run { cfg with Service.Driver.kernel = `Flat })
-      in
-      Alcotest.(check string) "flat report = effect report" eff flat)
-    [ 0.0; 0.4 ]
+    (fun (e : Rtas.Registry.entry) ->
+      for s = 1 to 20 do
+        List.iter
+          (fun chaos ->
+            let cfg =
+              {
+                (small_cfg ~chaos ~seed:(Int64.of_int s) ()) with
+                Service.Driver.algorithm = e.Rtas.Registry.name;
+              }
+            in
+            let eff = Service.Report.to_json (Service.Driver.run cfg) in
+            let flat =
+              Service.Report.to_json
+                (Service.Driver.run { cfg with Service.Driver.kernel = `Flat })
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s seed %d chaos %g: flat report = effect report"
+                 e.Rtas.Registry.name s chaos)
+              eff flat)
+          [ 0.0; 0.4 ]
+      done)
+    (Rtas.Registry.flat ())
 
 let test_driver_flat_rejects_plan () =
   let cfg =
@@ -371,6 +385,46 @@ let test_driver_retry_on_shed () =
    + c.Service.Report.crashed_clients);
   checkb "partition predicate agrees" true
     (Service.Report.balanced ~shed_terminal:false c)
+
+(* The service loop's allocation ceiling with telemetry off, on a
+   svc-overload-shaped run (retry on shed, flat kernel, wheel): minor
+   words per unit of work, a unit being a client, a retry or a round.
+   The loop measured 8.28 words per unit when this ceiling was set at
+   10% above it, so an always-on cost in the tally or the event loop —
+   a closure, a boxed float or an option per event — fails here. *)
+let test_driver_alloc_ceiling () =
+  let cfg =
+    {
+      (Service.Driver.default ~algorithm:"tournament") with
+      Service.Driver.clients = 100_000;
+      keys = 64;
+      zipf_s = 0.0;
+      arrival = Service.Arrival.Poisson { rate = 20.0 };
+      backoff = Service.Backoff.Exp { base = 8.0; cap = 256.0 };
+      contenders = 2;
+      max_waiters = 16;
+      hold = 20.0;
+      on_shed = `Retry;
+      kernel = `Flat;
+      events = `Wheel;
+      latency = `Hist;
+      seed = 7L;
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let c = (Service.Driver.run cfg).Service.Report.counts in
+  let words = Gc.minor_words () -. w0 in
+  let units =
+    c.Service.Report.clients + c.Service.Report.retries + c.Service.Report.rounds
+  in
+  let per_unit = words /. float_of_int units in
+  (* The run's heap is garbage now: hand it back, so the tests after
+     this one that count exact minor words start from a small heap. *)
+  Gc.compact ();
+  checkb
+    (Printf.sprintf "%.3f minor words per unit <= %.3f" per_unit (8.28 *. 1.1))
+    true
+    (per_unit <= 8.28 *. 1.1)
 
 (* {1 The wheel in isolation} *)
 
@@ -743,8 +797,7 @@ let test_mc_driver_chaos_no_wedge () =
 
 (* The atomic driver records the same telemetry schema on wall-clock
    microsecond windows; arrivals and completions must still sum to the
-   report totals (the counters it does not drive — rounds, sheds — are
-   simply absent from the snapshot and skipped by the checker). *)
+   report totals. *)
 let test_mc_driver_telemetry () =
   let cfg =
     {
@@ -974,6 +1027,8 @@ let () =
             test_driver_retry_on_shed;
           Alcotest.test_case "shards are report-invisible" `Quick
             test_driver_shards_identical;
+          Alcotest.test_case "allocation ceiling, telemetry off" `Slow
+            test_driver_alloc_ceiling;
           Alcotest.test_case "non-finite config fields rejected" `Quick
             test_non_finite_config_rejected;
         ] );

@@ -59,12 +59,17 @@ registry-smoke:
 
 # Flat-kernel smoke: every flat-registered algorithm must be
 # bit-identical to the effect simulator over fresh seeds (outcome
-# vectors and spans), then a flat trial batch is fanned out over real
-# domains and must match the single-domain run. The CLI exits non-zero
-# on any divergence.
+# vectors, spans and flip streams), then a flat trial batch is fanned
+# out over real domains and must match the single-domain run. The CLI
+# exits non-zero on any divergence. A zero size and an unknown
+# algorithm must be usage errors (exit 2), not uncaught exceptions.
 flat-smoke:
 	dune exec bin/rtas_cli.exe -- flat -n 64 -k 16 --seeds 10 \
 	  --trials 32 --domains 2 --seed 9
+	dune exec bin/rtas_cli.exe -- flat -n 0 >/dev/null 2>&1; test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- run --alg nope >/dev/null 2>&1; \
+	  test $$? -eq 2
+	@echo "flat-smoke: kernels agree, bad input exits 2"
 
 # Lock-service smoke: a Poisson run on each backend plus a chaos
 # variant, each validated with jq — the report must account for every

@@ -42,6 +42,21 @@ let domains_arg =
            for every value). Defaults to $(b,RTAS_DOMAINS) or the \
            recommended domain count.")
 
+(* Bad input is a usage error: the message on stderr and exit 2, never
+   an uncaught exception. *)
+let usage cmd msg =
+  Fmt.epr "rtas %s: %s@." cmd msg;
+  exit 2
+
+let require_positive cmd flag v =
+  if v < 1 then usage cmd (Printf.sprintf "%s must be >= 1 (got %d)" flag v)
+
+let require_algorithm cmd flag name =
+  if Rtas.Registry.find name = None then
+    usage cmd
+      (Printf.sprintf "unknown %s %S; try one of: %s" flag name
+         (String.concat ", " (Rtas.Registry.names ())))
+
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
 
@@ -62,6 +77,8 @@ let make_adversary name seed =
 
 let run_cmd =
   let run algorithm n k seed adversary tas trace =
+    require_positive "run" "-n" n;
+    require_algorithm "run" "--algorithm" algorithm;
     let seed = Int64.of_int seed in
     let adv = make_adversary adversary seed in
     let outcome =
@@ -106,6 +123,7 @@ let registry_cmd =
      with the simulator's — the backends allocate through one functor,
      so a divergence is a wiring bug. *)
   let registry n =
+    require_positive "registry" "-n" n;
     Fmt.pr "%-16s %10s %10s %10s %-14s %-22s %s@." "name"
       (Printf.sprintf "regs(n=%d)" n)
       "mc" "flat" "adversary" "space" "reference";
@@ -309,18 +327,9 @@ let chaos_cmd =
       | Some s -> (
           match Fault.Plan.of_string s with
           | Ok p -> Some p
-          | Error msg ->
-              Fmt.epr "rtas chaos: %s@." msg;
-              exit 2)
+          | Error msg -> usage "chaos" msg)
     in
-    List.iter
-      (fun algorithm ->
-        if Rtas.Registry.find algorithm = None then begin
-          Fmt.epr "rtas chaos: unknown algorithm %S; try one of: %s@." algorithm
-            (String.concat ", " (Rtas.Registry.names ()));
-          exit 2
-        end)
-      algorithms;
+    List.iter (require_algorithm "chaos" "--algorithms") algorithms;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let seed64 = Int64.of_int seed in
     (* One Probe registry accumulates the whole sweep's fault totals. *)
@@ -413,6 +422,7 @@ let trace_cmd =
           ~doc:"Where to write the Perfetto-loadable trace-event JSON.")
   in
   let trace algo n k seed adversary out =
+    require_positive "trace" "-n" n;
     let target = find_target algo in
     let k = min k n in
     let seed = Int64.of_int seed in
@@ -576,7 +586,7 @@ let mc_cmd =
              instead of hanging the suite.")
   in
   let mc domains trials seed timeout =
-    if domains < 1 then failwith "mc: --domains must be >= 1";
+    require_positive "mc" "--domains" domains;
     let failed = ref false in
     Fmt.pr "%-16s %8s %7s %10s  %s@." "algorithm" "domains" "trials"
       "registers" "unique winner";
@@ -854,10 +864,7 @@ let service_cmd =
       trace_out =
     (* Bad input — an unparsable policy or plan, an unknown algorithm or
        capability, an out-of-range config field — is a usage error. *)
-    let usage msg =
-      Fmt.epr "rtas service: %s@." msg;
-      exit 2
-    in
+    let usage msg = usage "service" msg in
     let arrival =
       match arrival with
       | `Poisson -> Service.Arrival.Poisson { rate }
@@ -1022,9 +1029,9 @@ let service_cmd =
 
    `make flat-smoke` runs this; it is the CLI face of test_flatsim's
    differential suite — every flat-registered algorithm is run on both
-   kernels over fresh seeds and must produce identical winners, result
-   vectors and spans, then a flat trial batch is fanned out over real
-   domains and must be domain-count independent. *)
+   kernels over fresh seeds and must produce identical result vectors,
+   spans and flip streams, then a flat trial batch is fanned out over
+   real domains and must be domain-count independent. *)
 
 let flat_cmd =
   let seeds_arg =
@@ -1040,6 +1047,9 @@ let flat_cmd =
           ~doc:"Trials for the engine domain-independence check.")
   in
   let flat n k seeds trials seed domains =
+    require_positive "flat" "-n" n;
+    require_positive "flat" "-k" k;
+    require_positive "flat" "--domains" domains;
     let k = min k n in
     let base = Int64.of_int seed in
     let failures = ref 0 in
@@ -1048,7 +1058,9 @@ let flat_cmd =
         match e.Rtas.Registry.make_flat with
         | None -> ()
         | Some mk ->
-            let m = Flatsim.Machine.create ~procs:k (mk ~n) in
+            let m =
+              Flatsim.Machine.create ~record_flips:true ~procs:k (mk ~n)
+            in
             let mismatches = ref 0 in
             for i = 0 to seeds - 1 do
               let s = Sim.Rng.derive base ~stream:i in
@@ -1058,7 +1070,7 @@ let flat_cmd =
               let le = e.Rtas.Registry.make mem ~n in
               let sched =
                 Sim.Sched.create ~seed:(Sim.Rng.derive s ~stream:0)
-                  (Leaderelect.Le.programs le ~k)
+                  ~record_trace:true (Leaderelect.Le.programs le ~k)
               in
               Sim.Sched.run sched
                 (Sim.Adversary.random_oblivious
@@ -1066,10 +1078,19 @@ let flat_cmd =
               Flatsim.Machine.reset ~seed:(Sim.Rng.derive s ~stream:0) m;
               Flatsim.Machine.run_random m
                 ~seed:(Sim.Rng.derive s ~stream:1);
+              let flips =
+                List.filter_map
+                  (function
+                    | Sim.Op.Flip { time; pid; bound; outcome } ->
+                        Some (time, pid, bound, outcome)
+                    | _ -> None)
+                  (Sim.Sched.trace sched)
+              in
               if
                 not
                   (Flatsim.Machine.results m = Sim.Sched.results sched
-                  && Flatsim.Machine.time m = Sim.Sched.time sched)
+                  && Flatsim.Machine.time m = Sim.Sched.time sched
+                  && Flatsim.Machine.flip_log m = flips)
               then incr mismatches
             done;
             failures := !failures + !mismatches;
@@ -1111,8 +1132,9 @@ let flat_cmd =
        ~doc:
          "Check the flat kernel against the effect simulator: every \
           flat-registered algorithm must be bit-identical on both kernels \
-          over fresh seeds, and a flat trial batch fanned out over real \
-          domains must be domain-count independent.")
+          over fresh seeds (results, spans and flip streams), and a flat \
+          trial batch fanned out over real domains must be domain-count \
+          independent.")
     Term.(
       const flat $ n_arg $ k_arg $ seeds_arg $ trials_arg $ seed_arg
       $ domains_arg)

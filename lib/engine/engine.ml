@@ -7,8 +7,7 @@
    land in slot [t] of the result sink, so the output is bit-identical
    no matter how many domains execute the batch (including 1) or how
    the dynamic chunking interleaves. Aggregation folds that sink in
-   trial order (or merges per-chunk accumulators in chunk order), which
-   keeps every reduction deterministic as well.
+   trial order, which keeps every reduction deterministic as well.
 
    Allocation discipline: the boxed ['a option array] sink is gone —
    [run] seeds its result array with trial 0's value, [run_float] writes
@@ -245,38 +244,6 @@ let run ?domains ?chunk ~trials ~seed f =
    domain pool and the deterministic result order. *)
 let tasks ?domains ?chunk ~n f =
   run ?domains ?chunk ~trials:n ~seed:0L (fun ~trial ~seed:_ -> f trial)
-
-let fold ?domains ?chunk ~trials ~seed ~init ~add f =
-  Array.fold_left add init (run ?domains ?chunk ~trials ~seed f)
-
-type ('a, 'acc) reducer = {
-  empty : unit -> 'acc;
-  add : 'acc -> 'a -> 'acc;
-  merge : 'acc -> 'acc -> 'acc;
-}
-
-let reduce ?domains ?chunk ~trials ~seed ~reducer f =
-  let domains = resolve_domains domains in
-  let chunk = chunk_size ~chunk ~domains ~trials in
-  (* Chunk boundaries depend only on [trials] and [chunk], never on
-     which domain claimed the chunk, so merging the per-chunk
-     accumulators left-to-right is deterministic. *)
-  let chunks = (trials + chunk - 1) / chunk in
-  let accs = Array.init chunks (fun _ -> None) in
-  let one () t =
-    let ci = t / chunk in
-    let acc = match accs.(ci) with None -> reducer.empty () | Some a -> a in
-    accs.(ci) <-
-      Some (reducer.add acc (f ~trial:t ~seed:(Sim.Rng.derive seed ~stream:t)))
-  in
-  ignore
-    (dispatch ~domains ~chunk:(Some chunk) ~lo:0 ~hi:trials
-       ~local:(fun () -> ())
-       one);
-  Array.fold_left
-    (fun acc slot ->
-      match slot with None -> acc | Some a -> reducer.merge acc a)
-    (reducer.empty ()) accs
 
 let mean ?domains ?chunk ~trials ~seed f =
   if trials <= 0 then invalid_arg "Engine.mean: trials must be >= 1";

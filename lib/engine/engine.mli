@@ -8,9 +8,9 @@
     derived seed [Sim.Rng.derive seed ~stream:t] and deposits its result
     in slot [t]; the chunked work distribution only decides {e which
     domain} runs a trial, never {e what} the trial computes. Hence
-    [run ~domains:1] and [run ~domains:8] return equal arrays, and every
-    aggregation below — an in-order fold, or per-chunk accumulators
-    merged in chunk order — is equally domain-count-independent.
+    [run ~domains:1] and [run ~domains:8] return equal arrays, and an
+    in-order aggregation such as {!mean} is equally
+    domain-count-independent.
 
     {2 Arenas and allocation discipline}
 
@@ -134,41 +134,6 @@ val run_into :
     distinct locations, so concurrent workers never race. Returns the
     per-worker statistics of the batch (slot 0 = the calling domain);
     the other runners discard them. *)
-
-val fold :
-  ?domains:int ->
-  ?chunk:int ->
-  trials:int ->
-  seed:int64 ->
-  init:'b ->
-  add:('b -> 'a -> 'b) ->
-  (trial:int -> seed:int64 -> 'a) ->
-  'b
-(** {!run}, then fold the result array left-to-right: deterministic for
-    any [add]. *)
-
-type ('a, 'acc) reducer = {
-  empty : unit -> 'acc;
-  add : 'acc -> 'a -> 'acc;
-  merge : 'acc -> 'acc -> 'acc;
-}
-(** A mergeable accumulator. [merge] must be associative with [empty ()]
-    as identity for the reduction to be meaningful; it need {e not} be
-    commutative — accumulators are merged in chunk order. *)
-
-val reduce :
-  ?domains:int ->
-  ?chunk:int ->
-  trials:int ->
-  seed:int64 ->
-  reducer:('a, 'acc) reducer ->
-  (trial:int -> seed:int64 -> 'a) ->
-  'acc
-(** Like {!fold} but without materialising the per-trial array: each
-    chunk folds into its own accumulator as its trials complete, and the
-    per-chunk accumulators are merged left-to-right at the end. Chunk
-    boundaries depend only on [trials] and [chunk], so the result is
-    bit-identical for any domain count. *)
 
 val mean :
   ?domains:int ->

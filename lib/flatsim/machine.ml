@@ -70,12 +70,6 @@ and program = {
       (* Execute the pending operation the frame pc names, then run
          local code to the next operation (updating the pc) or call
          [finish]. One call = one scheduled step. *)
-  p_start_all : (t -> int -> unit) option;
-      (* [f m procs]: same observable effect as [p_start m pid] for
-         every pid in [0, procs) in order, as one batch — programs
-         whose entry is a plain frame fill supply a tight loop here so
-         [reset] pays one indirect call instead of one per process.
-         [None] falls back to the per-pid loop. *)
 }
 
 (* {1 Operations available to compiled programs}
@@ -188,12 +182,9 @@ let reset ?(seed = default_seed) ?procs m =
   (* Run every program to its first operation, in pid order — flips
      fired before the first operation draw here, exactly as
      [Sched.create] does. *)
-  match m.prog.p_start_all with
-  | Some f -> f m procs
-  | None ->
-      for pid = 0 to procs - 1 do
-        m.prog.p_start m pid
-      done
+  for pid = 0 to procs - 1 do
+    m.prog.p_start m pid
+  done
 
 let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
   if procs < 1 then invalid_arg "Machine.create: procs must be >= 1";

@@ -45,14 +45,16 @@ type t = {
 
 and program = {
   p_name : string;
-  p_regs : int;
-  p_frame : int;
+  p_regs : int;  (** register-file size *)
+  p_frame : int;  (** locals per process *)
   p_start : t -> int -> unit;
+      (** [p_start m pid]: run [pid] from its entry point to its first
+          shared-memory operation, flipping on the way. {!reset} calls
+          it for every pid in order, as [Sched.create] runs each
+          program to its first effect. *)
   p_resume : t -> int -> unit;
-  p_start_all : (t -> int -> unit) option;
-      (** [f m procs]: batch [p_start] over pids [0, procs) in order
-          (one indirect call per reset instead of one per process);
-          [None] falls back to the per-pid loop. *)
+      (** One scheduled step: execute the pending operation the frame
+          pc names, then run local code to the next one or {!finish}. *)
 }
 
 (** {1 Operations for compiled programs}

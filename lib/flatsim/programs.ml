@@ -5,9 +5,9 @@
    the same order, same inline coin flips between them — so a flat run
    is bit-identical to the effect path under any matching schedule
    (winner, per-process results, flip stream; pinned by test_flatsim).
-   Sources of truth: lib/primitives/{le2,splitter,tas}.ml,
-   lib/groupelect/{ge_logstar,ge_sift}.ml,
-   lib/leaderelect/{tournament,chain,le_logstar,sift_le}.ml.
+   Sources of truth: lib/primitives/{le2,splitter}.ml,
+   lib/groupelect/{ge_logstar,ge_sift,ge_poison}.ml,
+   lib/leaderelect/{tournament,chain,le_logstar,poison_le,sift_le}.ml.
 
    Compilation model (DESIGN.md §13): each election is a set of
    sub-machines (duel, splitter, GroupElect round) with a fixed frame
@@ -17,10 +17,13 @@
    (branches, flips), leaves the pc naming the next operation, and
    returns -1 while more operations remain or a completion code once
    done. The parent dispatches on a phase slot. Sub-machines that are
-   never simultaneously active share frame slots. Registers are dense
-   indices into the machine's register file; layouts below mirror the
-   allocation order of the effect-path constructors (the indices
-   themselves never need to match — only observable outcomes do).
+   never simultaneously active share frame slots. The elections are
+   built like their sources: two spines, the duel [climb] and the
+   [chain], each written once, with the rounds plugged into them.
+   Registers are dense indices into the machine's register file;
+   layouts below mirror the allocation order of the effect-path
+   constructors (the indices themselves never need to match — only
+   observable outcomes do).
 
    Everything here is hot-path: frame and register accesses are
    unchecked (see the contract note in machine.ml) — indices come from
@@ -163,215 +166,83 @@ let[@inline] poison_resume m pid ~b ~cb ~size ~threshold =
         -1
       end
 
-(* {1 Compiled elections} *)
+(* {1 Spines}
 
-let pow2_at_least n =
-  let rec go p = if p >= n then p else go (2 * p) in
-  go 1
+   The two compositions of lib/leaderelect: a tournament tree's duel
+   climb and Theorem 2.3's chain. *)
 
-let ceil_log2 n =
-  let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
-  max 1 (go 0 n)
+(* Duel climb (lib/leaderelect/tournament.ml): from leaf [leaves + pid]
+   to the root, dueling at heap node [v / 2] on port [v land 1].
+   Registers: node d owns [du + 2d] (port 0) and [du + 2d + 1]. Frame:
+   [v; le2.pc; le2.pos] at [b]. The climb finishes the process: 1 at
+   the root, 0 on a lost duel. *)
 
-(* Tournament tree (lib/leaderelect/tournament.ml): pid climbs from
-   leaf [leaves + pid], dueling at node v/2 on port [v land 1].
-   Registers: duel node d owns [2d] (port-0 position) and [2d + 1].
-   Frame: [v; le2.pc; le2.pos]. Result 1 = elected. *)
-let tournament ~n =
-  if n < 1 then invalid_arg "Programs.tournament: n must be >= 1";
-  let leaves = pow2_at_least n in
-  let start_duel m b v =
-    let fr = m.M.frames in
-    uset fr b v;
-    uset fr (b + 1) 0;
-    uset fr (b + 2) 0
-  in
-  let p_start m pid =
-    let v = leaves + pid in
-    if v = 1 then M.finish m pid 1 else start_duel m (pid * 3) v
-  in
-  let p_resume m pid =
-    let b = pid * 3 in
-    let v = uget m.M.frames b in
-    let d2 = 2 * (v / 2) and port = v land 1 in
-    let r = le2_resume m pid ~b:(b + 1) ~mine:(d2 + port) ~other:(d2 + 1 - port) in
-    if r >= 0 then
-      if r = 0 then M.finish m pid 0
-      else
-        let v' = v / 2 in
-        if v' = 1 then M.finish m pid 1 else start_duel m b v'
-  in
-  let p_start_all =
-    (* leaves = 1 means pid 0 finishes at its entry point — keep the
-       general path for that edge. *)
-    if leaves = 1 then None
-    else
-      Some
-        (fun m procs ->
-          let fr = m.M.frames in
-          for pid = 0 to procs - 1 do
-            let b = pid * 3 in
-            uset fr b (leaves + pid);
-            uset fr (b + 1) 0;
-            uset fr (b + 2) 0
-          done)
-  in
-  {
-    M.p_name = "tournament";
-    p_regs = 2 * leaves;
-    p_frame = 3;
-    p_start;
-    p_resume;
-    p_start_all;
-  }
+let[@inline] climb_to m b v =
+  let fr = m.M.frames in
+  uset fr b v;
+  uset fr (b + 1) 0;
+  uset fr (b + 2) 0
 
-(* log* chain (lib/leaderelect/{le_logstar,chain}.ml): [cutoff] real
-   Figure-1 GroupElect levels then dummies, a splitter per level going
-   forward, a duel per level going backward. Register layout mirrors
-   the constructors' allocation order: the GE blocks (cutoff blocks of
-   l + 2), then the n splitters (race, door each), then the n duels.
-   Frame: [phase; level; stopped_at; child0; child1] — phase 0 forward
-   GE, 1 forward splitter, 2 backward duel (level doubles as j). *)
-let logstar ~n =
-  if n < 1 then invalid_arg "Programs.logstar: n must be >= 1";
-  let l = Groupelect.Ge_logstar.level n in
-  let cutoff = min n (3 * ceil_log2 n) in
-  let sp0 = cutoff * (l + 2) in
-  let du0 = sp0 + (2 * n) in
-  let start_splitter m b level =
-    let fr = m.M.frames in
+let[@inline] climb_start m pid ~b ~leaves =
+  let v = leaves + pid in
+  if v = 1 then M.finish m pid 1 else climb_to m b v
+
+let[@inline] climb_resume m pid ~b ~du =
+  let v = uget m.M.frames b in
+  let d2 = du + (2 * (v / 2)) and port = v land 1 in
+  let r =
+    le2_resume m pid ~b:(b + 1) ~mine:(d2 + port) ~other:(d2 + 1 - port)
+  in
+  if r >= 0 then
+    if r = 0 then M.finish m pid 0
+    else if v / 2 = 1 then M.finish m pid 1
+    else climb_to m b (v / 2)
+
+(* What a chain level's round is. The chain's one resume matches on it
+   and calls [ge_resume] / [poison_resume] by name, so both bodies are
+   inlined there: closure-mode ocamlopt would not inline a resume
+   passed in as a function argument (it calls it through
+   [caml_applyN]). *)
+type round =
+  | Ge of { l : int }
+      (** Figure-1 rounds: level i's block of [l + 2] registers starts
+          at [i * (l + 2)]. *)
+  | Poison of { cb : int array; size : int array; threshold : int array }
+      (** PoisonPill rounds: level i scans [size.(i)] cells from
+          [cb.(i)] and goes high below [threshold.(i)]. *)
+
+(* The chain (lib/leaderelect/chain.ml): per level a round, then a
+   splitter; [rounds] real levels, then dummies that elect everyone
+   with no operation. A process stopped at level s descends the duel
+   ladder s, s - 1, .., 0, on port 0 at s and port 1 below. Registers
+   mirror the constructors' allocation order: the round blocks
+   ([round_regs]), then n splitters (race, door each), then n duels.
+   Frame: [phase; level; stopped_at; child0; child1] — phase 0 round,
+   1 splitter, 2 duel (level doubles as the duel index). *)
+let chain ~name ~n ~rounds ~round_regs round =
+  let du0 = round_regs + (2 * n) in
+  let enter_splitter fr b level =
     uset fr b 1;
     uset fr (b + 1) level;
     uset fr (b + 3) 0
   in
-  let start_level m b level =
+  let enter fr b level =
     if level >= n then
       failwith "Chain.elect: ran out of levels (more participants than levels?)"
-    else if level < cutoff then begin
-      let fr = m.M.frames in
+    else if level < rounds then begin
       uset fr b 0;
       uset fr (b + 1) level;
       uset fr (b + 3) 0;
       uset fr (b + 4) 0
     end
-    else
-      (* dummy GroupElect: everyone wins it with no operations *)
-      start_splitter m b level
+    else enter_splitter fr b level
   in
-  let start_duel m b j =
-    let fr = m.M.frames in
+  let enter_duel fr b j =
     uset fr (b + 1) j;
     uset fr (b + 3) 0;
     uset fr (b + 4) 0
   in
-  let p_start m pid = start_level m (pid * 5) 0 in
-  let p_resume m pid =
-    let b = pid * 5 in
-    let fr = m.M.frames in
-    let level = uget fr (b + 1) in
-    match uget fr b with
-    | 0 ->
-        let r = ge_resume m pid ~b:(b + 3) ~rb:(level * (l + 2)) ~l in
-        if r >= 0 then
-          if r = 0 then M.finish m pid 0 else start_splitter m b level
-    | 1 -> (
-        let r =
-          splitter_resume m pid ~b:(b + 3)
-            ~race:(sp0 + (2 * level))
-            ~door:(sp0 + (2 * level) + 1)
-        in
-        match r with
-        | -1 -> ()
-        | 0 -> M.finish m pid 0 (* L: lost the level *)
-        | 1 -> start_level m b (level + 1) (* R: move right *)
-        | _ ->
-            (* S: stopped here; descend the duel ladder on port 0 *)
-            uset fr b 2;
-            uset fr (b + 2) level;
-            start_duel m b level)
-    | _ ->
-        let j = level in
-        let port = if j = uget fr (b + 2) then 0 else 1 in
-        let d2 = du0 + (2 * j) in
-        let r = le2_resume m pid ~b:(b + 3) ~mine:(d2 + port) ~other:(d2 + 1 - port) in
-        if r >= 0 then
-          if r = 0 then M.finish m pid 0
-          else if j = 0 then M.finish m pid 1
-          else start_duel m b (j - 1)
-  in
-  let p_start_all =
-    (* start_level at level 0, unrolled: 0 < cutoff always (cutoff >= 1),
-       so the entry is the 4-slot real-GE frame fill. *)
-    Some
-      (fun m procs ->
-        let fr = m.M.frames in
-        for pid = 0 to procs - 1 do
-          let b = pid * 5 in
-          uset fr b 0;
-          uset fr (b + 1) 0;
-          uset fr (b + 3) 0;
-          uset fr (b + 4) 0
-        done)
-  in
-  {
-    M.p_name = "log*";
-    p_regs = sp0 + (4 * n);
-    p_frame = 5;
-    p_start;
-    p_resume;
-    p_start_all;
-  }
-
-(* PoisonPill chain (lib/leaderelect/poison_le.ml): the poison
-   schedule's rounds as the chain's first levels, then dummies; a
-   splitter per level forward, a duel per level backward. Register
-   layout mirrors the constructors' allocation order: the poison cell
-   blocks, then the n splitters (race, door each), then the n duels.
-   Frame: [phase; level; stopped_at; child0; child1] — phase 0 poison
-   round, 1 forward splitter, 2 backward duel (level doubles as j). *)
-let poison ~n =
-  if n < 1 then invalid_arg "Programs.poison: n must be >= 1";
-  let sched = Groupelect.Ge_poison.schedule ~n in
-  let plen = min (Array.length sched) n in
-  let sizes = Array.init plen (fun i -> snd sched.(i)) in
-  let thresholds =
-    Array.init plen (fun i ->
-        max 1
-          (int_of_float
-             (fst sched.(i) *. float_of_int Groupelect.Ge_sift.resolution)))
-  in
-  let cb = Array.make (plen + 1) 0 in
-  for i = 0 to plen - 1 do
-    cb.(i + 1) <- cb.(i) + sizes.(i)
-  done;
-  let sp0 = cb.(plen) in
-  let du0 = sp0 + (2 * n) in
-  let start_splitter m b level =
-    let fr = m.M.frames in
-    uset fr b 1;
-    uset fr (b + 1) level;
-    uset fr (b + 3) 0
-  in
-  let start_level m b level =
-    if level >= n then
-      failwith "Chain.elect: ran out of levels (more participants than levels?)"
-    else if level < plen then begin
-      let fr = m.M.frames in
-      uset fr b 0;
-      uset fr (b + 1) level;
-      uset fr (b + 3) 0
-    end
-    else
-      (* dummy GroupElect: everyone wins it with no operations *)
-      start_splitter m b level
-  in
-  let start_duel m b j =
-    let fr = m.M.frames in
-    uset fr (b + 1) j;
-    uset fr (b + 3) 0;
-    uset fr (b + 4) 0
-  in
-  let p_start m pid = start_level m (pid * 5) 0 in
+  let p_start m pid = enter m.M.frames (pid * 5) 0 in
   let p_resume m pid =
     let b = pid * 5 in
     let fr = m.M.frames in
@@ -379,26 +250,25 @@ let poison ~n =
     match uget fr b with
     | 0 ->
         let r =
-          poison_resume m pid ~b:(b + 3) ~cb:cb.(level) ~size:sizes.(level)
-            ~threshold:thresholds.(level)
+          match round with
+          | Ge { l } -> ge_resume m pid ~b:(b + 3) ~rb:(level * (l + 2)) ~l
+          | Poison p ->
+              poison_resume m pid ~b:(b + 3) ~cb:p.cb.(level)
+                ~size:p.size.(level) ~threshold:p.threshold.(level)
         in
         if r >= 0 then
-          if r = 0 then M.finish m pid 0 else start_splitter m b level
+          if r = 0 then M.finish m pid 0 else enter_splitter fr b level
     | 1 -> (
-        let r =
-          splitter_resume m pid ~b:(b + 3)
-            ~race:(sp0 + (2 * level))
-            ~door:(sp0 + (2 * level) + 1)
-        in
-        match r with
+        let race = round_regs + (2 * level) in
+        match splitter_resume m pid ~b:(b + 3) ~race ~door:(race + 1) with
         | -1 -> ()
         | 0 -> M.finish m pid 0 (* L: lost the level *)
-        | 1 -> start_level m b (level + 1) (* R: move right *)
+        | 1 -> enter fr b (level + 1) (* R: move right *)
         | _ ->
             (* S: stopped here; descend the duel ladder on port 0 *)
             uset fr b 2;
             uset fr (b + 2) level;
-            start_duel m b level)
+            enter_duel fr b level)
     | _ ->
         let j = level in
         let port = if j = uget fr (b + 2) then 0 else 1 in
@@ -409,105 +279,82 @@ let poison ~n =
         if r >= 0 then
           if r = 0 then M.finish m pid 0
           else if j = 0 then M.finish m pid 1
-          else start_duel m b (j - 1)
+          else enter_duel fr b (j - 1)
   in
-  let p_start_all =
-    (* start_level at level 0, unrolled. Level 0 is a poison round
-       whenever plen >= 1 (every n >= 2); n = 1 starts at the splitter.
-       Neither entry flips or finishes, so both batch cleanly. *)
-    Some
-      (fun m procs ->
-        let fr = m.M.frames in
-        let phase0 = if plen >= 1 then 0 else 1 in
-        for pid = 0 to procs - 1 do
-          let b = pid * 5 in
-          uset fr b phase0;
-          uset fr (b + 1) 0;
-          uset fr (b + 3) 0
-        done)
-  in
+  { M.p_name = name; p_regs = du0 + (2 * n); p_frame = 5; p_start; p_resume }
+
+(* {1 Compiled elections} *)
+
+(* Tournament tree (lib/leaderelect/tournament.ml): the climb alone. *)
+let tournament ~n =
+  if n < 1 then invalid_arg "Programs.tournament: n must be >= 1";
+  let leaves = Leaderelect.Tournament.leaves ~n in
   {
-    M.p_name = "poison";
-    p_regs = sp0 + (4 * n);
-    p_frame = 5;
-    p_start;
-    p_resume;
-    p_start_all;
+    M.p_name = "tournament";
+    p_regs = 2 * leaves;
+    p_frame = 3;
+    p_start = (fun m pid -> climb_start m pid ~b:(pid * 3) ~leaves);
+    p_resume = (fun m pid -> climb_resume m pid ~b:(pid * 3) ~du:0);
   }
 
+(* log* (lib/leaderelect/le_logstar.ml): the chain over Figure-1 rounds
+   on its first [Le_logstar.default_cutoff] levels. *)
+let logstar ~n =
+  if n < 1 then invalid_arg "Programs.logstar: n must be >= 1";
+  let l = Groupelect.Ge_logstar.level n in
+  let rounds = Leaderelect.Le_logstar.default_cutoff ~n in
+  chain ~name:"log*" ~n ~rounds ~round_regs:(rounds * (l + 2)) (Ge { l })
+
+(* PoisonPill (lib/leaderelect/poison_le.ml): the chain over the poison
+   schedule's rounds, their cell blocks laid out back to back. *)
+let poison ~n =
+  if n < 1 then invalid_arg "Programs.poison: n must be >= 1";
+  let sched = Groupelect.Ge_poison.schedule ~n in
+  let rounds = min (Array.length sched) n in
+  let size = Array.init rounds (fun i -> snd sched.(i)) in
+  let threshold =
+    Array.init rounds (fun i -> Groupelect.Ge_sift.threshold (fst sched.(i)))
+  in
+  let cb = Array.make (rounds + 1) 0 in
+  for i = 0 to rounds - 1 do
+    cb.(i + 1) <- cb.(i) + size.(i)
+  done;
+  chain ~name:"poison" ~n ~rounds ~round_regs:cb.(rounds)
+    (Poison { cb; size; threshold })
+
 (* Sifting election (lib/leaderelect/sift_le.ml): the probability
-   schedule's sifting levels, then a tournament finisher. Registers:
-   one per sifting level (level i duels on register i), then the
-   finisher's duels. Frame: [phase; level-or-v; child0; child1]. *)
+   schedule's sifting levels, then the climb. Registers: level i sifts
+   on register i, the climb's duels follow. Frame: [phase; level;
+   sift.pc; _] while sifting (phase 0), [phase; climb frame] after. *)
 let sift ~n =
   if n < 1 then invalid_arg "Programs.sift: n must be >= 1";
-  let probs = Groupelect.Ge_sift.probability_schedule ~n in
-  let nlev = Array.length probs in
-  let thresholds =
-    Array.map
-      (fun p ->
-        max 1 (int_of_float (p *. float_of_int Groupelect.Ge_sift.resolution)))
-      probs
+  let threshold =
+    Array.map Groupelect.Ge_sift.threshold
+      (Groupelect.Ge_sift.probability_schedule ~n)
   in
-  let leaves = pow2_at_least n in
-  let start_sift m pid b i =
+  let nlev = Array.length threshold in
+  let leaves = Leaderelect.Tournament.leaves ~n in
+  let enter m pid b i =
     let fr = m.M.frames in
-    uset fr b 0;
-    uset fr (b + 1) i;
-    sift_start m pid ~b:(b + 2) ~threshold:thresholds.(i)
-  in
-  let start_duel m b v =
-    let fr = m.M.frames in
-    uset fr (b + 1) v;
-    uset fr (b + 2) 0;
-    uset fr (b + 3) 0
-  in
-  let start_tournament m pid b =
-    let v = leaves + pid in
-    if v = 1 then M.finish m pid 1
+    if i < nlev then begin
+      uset fr b 0;
+      uset fr (b + 1) i;
+      sift_start m pid ~b:(b + 2) ~threshold:threshold.(i)
+    end
     else begin
-      m.M.frames.(b) <- 1;
-      start_duel m b v
+      uset fr b 1;
+      climb_start m pid ~b:(b + 1) ~leaves
     end
   in
-  let p_start m pid =
-    let b = pid * 4 in
-    if nlev = 0 then start_tournament m pid b else start_sift m pid b 0
-  in
+  let p_start m pid = enter m pid (pid * 4) 0 in
   let p_resume m pid =
     let b = pid * 4 in
-    let fr = m.M.frames in
-    if uget fr b = 0 then begin
-      let i = uget fr (b + 1) in
-      let r = sift_resume m ~b:(b + 2) ~r:i in
-      if r = 0 then M.finish m pid 0
-      else
-        let i = i + 1 in
-        if i >= nlev then start_tournament m pid b else start_sift m pid b i
+    if uget m.M.frames b = 0 then begin
+      let i = uget m.M.frames (b + 1) in
+      if sift_resume m ~b:(b + 2) ~r:i = 0 then M.finish m pid 0
+      else enter m pid b (i + 1)
     end
-    else begin
-      let v = uget fr (b + 1) in
-      let d2 = nlev + (2 * (v / 2)) and port = v land 1 in
-      let r =
-        le2_resume m pid ~b:(b + 2) ~mine:(d2 + port) ~other:(d2 + 1 - port)
-      in
-      if r >= 0 then
-        if r = 0 then M.finish m pid 0
-        else
-          let v' = v / 2 in
-          if v' = 1 then M.finish m pid 1 else start_duel m b v'
-    end
-  in
-  let p_start_all =
-    (* The entry flips (sift_start draws the level-0 coin), so the
-       batch is a pid-ordered loop over the same start — still one
-       indirect call per reset. nlev = 0 starts in the tournament,
-       whose leaves = 1 edge can finish at entry: fall back. *)
-    if nlev = 0 then None
-    else Some (fun m procs ->
-        for pid = 0 to procs - 1 do
-          start_sift m pid (pid * 4) 0
-        done)
+    else climb_resume m pid ~b:(b + 1) ~du:nlev
   in
   {
     M.p_name = "sift";
@@ -515,42 +362,4 @@ let sift ~n =
     p_frame = 4;
     p_start;
     p_resume;
-    p_start_all;
   }
-
-(* The 2-process TAS base (lib/primitives/{tas,le2}.ml, the E8
-   [tas_pair] wiring: doorway test-and-exit around a duel on port =
-   pid). Registers: duel positions [0; 1], doorway [2]. Frame:
-   [pc; le2.pc; le2.pos] — pc 0 = doorway read pending, 1 = inside the
-   duel, 2 = doorway write pending. Result 0 = won the TAS, 1 = lost —
-   [Tas.apply]'s encoding. *)
-let tas2 =
-  let p_start m pid = m.M.frames.(pid * 3) <- 0 in
-  let p_resume m pid =
-    let b = pid * 3 in
-    let fr = m.M.frames in
-    match uget fr b with
-    | 0 ->
-        if uget m.M.regs 2 = 1 then M.finish m pid 1
-        else begin
-          uset fr b 1;
-          uset fr (b + 1) 0;
-          uset fr (b + 2) 0
-        end
-    | 1 ->
-        let r = le2_resume m pid ~b:(b + 1) ~mine:pid ~other:(1 - pid) in
-        if r >= 0 then
-          if r = 1 then M.finish m pid 0 else uset fr b 2
-    | _ ->
-        M.write_reg m 2 1;
-        M.finish m pid 1
-  in
-  let p_start_all =
-    Some
-      (fun m procs ->
-        let fr = m.M.frames in
-        for pid = 0 to procs - 1 do
-          uset fr (pid * 3) 0
-        done)
-  in
-  { M.p_name = "tas2"; p_regs = 3; p_frame = 3; p_start; p_resume; p_start_all }

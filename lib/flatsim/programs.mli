@@ -2,26 +2,27 @@
     operation- and flip-identical to its effect-handler source (see
     programs.ml for the compilation model and DESIGN.md §13).
 
-    Result encodings match the originals: leader elections finish with
-    1 for the unique leader and 0 for losers; {!tas2} finishes with
-    [Tas.apply]'s 0 = won / 1 = lost. Process counts must not exceed
-    the [n] the program was built for (and [tas2] is strictly
-    2-process). *)
+    Built like lib/leaderelect: two spines, each written once — the
+    duel climb of a tournament tree and the chain of Theorem 2.3 —
+    with the rounds plugged into them. Parameters come from the source
+    modules ({!Leaderelect.Le_logstar.default_cutoff},
+    {!Leaderelect.Tournament.leaves}, {!Groupelect.Ge_sift.threshold}),
+    and so do the register counts: [p_regs] equals the effect path's.
+
+    Leader elections finish with 1 for the unique leader and 0 for
+    losers. Process counts must not exceed the [n] the program was
+    built for. *)
 
 val tournament : n:int -> Machine.program
-(** lib/leaderelect/tournament.ml: the Afek et al. duel tree. *)
+(** lib/leaderelect/tournament.ml: the duel climb alone. *)
 
 val logstar : n:int -> Machine.program
-(** lib/leaderelect/le_logstar.ml: Theorem 2.3's log* chain (Figure-1
-    GroupElect levels, splitters, backward duel ladder). *)
+(** lib/leaderelect/le_logstar.ml: Theorem 2.3's log* chain over
+    Figure-1 GroupElect rounds. *)
 
 val poison : n:int -> Machine.program
-(** lib/leaderelect/poison_le.ml: PoisonPill rounds (AGV 2015) on the
-    chain's first levels, splitters, backward duel ladder. *)
+(** lib/leaderelect/poison_le.ml: the chain over PoisonPill rounds
+    (AGV 2015). *)
 
 val sift : n:int -> Machine.program
-(** lib/leaderelect/sift_le.ml: sifting levels + tournament finisher. *)
-
-val tas2 : Machine.program
-(** The 2-process TAS base: doorway around a duel, ports by pid —
-    exactly the E8 [tas_pair] wiring. *)
+(** lib/leaderelect/sift_le.ml: sifting levels, then the duel climb. *)

@@ -9,9 +9,7 @@ module Make (M : Backend.Mem.S) = struct
       Array.init size (fun i ->
           M.alloc mem ~name:(Printf.sprintf "%s.cell[%d]" name i))
     in
-    let threshold =
-      max 1 (int_of_float (write_prob *. float_of_int Ge_sift.resolution))
-    in
+    let threshold = Ge_sift.threshold write_prob in
     let elect ctx =
       M.enter ctx "poison_round";
       let slot = M.self ctx mod size in

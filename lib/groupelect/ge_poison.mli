@@ -46,5 +46,5 @@ val schedule : n:int -> (float * int) array
     with a single [1/sqrt n] round for small [n] (where the sift
     schedule is empty) so the PoisonPill path is always exercised.
     Flat-kernel compilations must reproduce the coin bit-for-bit: the
-    threshold is [max 1 (int_of_float (p * float Ge_sift.resolution))]
-    drawn against {!Ge_sift.resolution}. *)
+    threshold is {!Ge_sift.threshold}[ p] drawn against
+    {!Ge_sift.resolution}. *)

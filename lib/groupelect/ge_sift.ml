@@ -1,14 +1,14 @@
 let resolution = 1 lsl 20
 
+let threshold write_prob =
+  max 1 (int_of_float (write_prob *. float_of_int resolution))
+
 module Make (M : Backend.Mem.S) = struct
   let create ?(name = "sift") mem ~write_prob =
     if not (write_prob > 0.0 && write_prob <= 1.0) then
       invalid_arg "Ge_sift.create: write_prob must be in (0, 1]";
     let r = M.alloc mem ~name:(name ^ ".r") in
-    let threshold =
-      int_of_float (write_prob *. float_of_int resolution)
-    in
-    let threshold = max 1 threshold in
+    let threshold = threshold write_prob in
     let elect ctx =
       M.enter ctx "sift_round";
       let won =

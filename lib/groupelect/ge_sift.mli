@@ -14,8 +14,13 @@
 val resolution : int
 (** Fixed-point denominator of [write_prob]: a round flips in
     [0, resolution) and writes iff the draw lands below
-    [write_prob * resolution] (rounded down, floored at 1). Exposed so
-    alternative kernels can reproduce the draw bit-for-bit. *)
+    {!threshold}[ write_prob]. Exposed so alternative kernels can
+    reproduce the draw bit-for-bit. *)
+
+val threshold : float -> int
+(** [threshold write_prob] is [write_prob * resolution], rounded down
+    and floored at 1. Shared by {!Ge_poison} and the flat kernel's
+    compiled rounds. *)
 
 module Make (M : Backend.Mem.S) : sig
   val create : ?name:string -> M.mem -> write_prob:float -> M.ctx Ge.gen

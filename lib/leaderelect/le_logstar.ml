@@ -2,12 +2,14 @@ let ceil_log2 n =
   let rec go acc v = if v <= 1 then acc else go (acc + 1) ((v + 1) / 2) in
   max 1 (go 0 n)
 
+let default_cutoff ~n = min n (3 * ceil_log2 n)
+
 type t = { chain : Chain.t }
 
 let create ?(name = "logstar") ?cutoff mem ~n =
   if n < 1 then invalid_arg "Le_logstar.create: n must be >= 1";
   let cutoff =
-    match cutoff with Some c -> min c n | None -> min n (3 * ceil_log2 n)
+    match cutoff with Some c -> min c n | None -> default_cutoff ~n
   in
   let ges =
     Array.init n (fun i ->

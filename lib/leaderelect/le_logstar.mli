@@ -10,6 +10,10 @@
     that elect everyone, leaving the splitters to eliminate at least one
     process per level. Total space: O(log^2 n) + Theta(n) = Theta(n). *)
 
+val default_cutoff : n:int -> int
+(** Real GroupElect levels unless [create ?cutoff] overrides it:
+    [min n (3 * ceil(log2 n))]. *)
+
 type t
 
 val create : ?name:string -> ?cutoff:int -> Sim.Memory.t -> n:int -> t

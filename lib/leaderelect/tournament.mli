@@ -13,6 +13,10 @@
     composes it up the tree. [Make] is the historical instantiation
     over [Le2] — byte-identical to the pre-[Duel.S] code. *)
 
+val leaves : n:int -> int
+(** Leaf count for [n] slots: [n] rounded up to a power of two.
+    Process [p] climbs from heap node [leaves + p] to the root. *)
+
 module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) : sig
   type t
 

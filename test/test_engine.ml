@@ -1,6 +1,6 @@
 (* Tests for the parallel trial engine: the determinism contract
-   (bit-identical results for every domain count), seed derivation, the
-   mergeable reducer, parallel exploration, and the simulator hot-path
+   (bit-identical results for every domain count), seed derivation,
+   parallel exploration, and the simulator hot-path
    rewrites the engine leans on (bitset RMR caches, array statistics). *)
 
 let checki = Alcotest.(check int)
@@ -76,50 +76,6 @@ let test_run_exception_propagates () =
               if trial = 5 then failwith "boom" else trial));
        false
      with Failure m -> m = "boom")
-
-let test_reduce_matches_fold () =
-  let reducer =
-    { Engine.empty = (fun () -> []); add = (fun acc x -> x :: acc);
-      merge = (fun a b -> b @ a) }
-  in
-  (* The reducer builds the reversed trial list; merged in chunk order
-     it must equal the sequential fold for any domains/chunk split. *)
-  let expect =
-    Engine.fold ~domains:1 ~trials:30 ~seed:2L ~init:[]
-      ~add:(fun acc x -> x :: acc)
-      election_trial
-  in
-  List.iter
-    (fun (domains, chunk) ->
-      let got =
-        Engine.reduce ~domains ?chunk ~trials:30 ~seed:2L ~reducer
-          election_trial
-      in
-      checkb "reduce = sequential fold" true (got = expect))
-    [ (1, None); (4, None); (3, Some 1); (2, Some 7) ]
-
-let test_reduce_noncommutative () =
-  (* String concatenation: associative, identity "", emphatically not
-     commutative. Any reordering of trials or chunk merges shows up as a
-     scrambled word. *)
-  let reducer =
-    {
-      Engine.empty = (fun () -> "");
-      add = (fun acc x -> acc ^ x);
-      merge = ( ^ );
-    }
-  in
-  let letter ~trial ~seed:_ =
-    String.make 1 (Char.chr (Char.code 'a' + (trial mod 26)))
-  in
-  let expect = String.init 60 (fun t -> Char.chr (Char.code 'a' + (t mod 26))) in
-  List.iter
-    (fun (domains, chunk) ->
-      Alcotest.(check string)
-        (Printf.sprintf "order preserved at domains=%d" domains)
-        expect
-        (Engine.reduce ~domains ?chunk ~trials:60 ~seed:6L ~reducer letter))
-    [ (1, None); (4, None); (3, Some 1); (2, Some 7); (5, Some 13) ]
 
 let test_mean_domain_independent () =
   let f ~trial:_ ~seed = Int64.to_float (Int64.rem seed 1000L) in
@@ -477,9 +433,6 @@ let () =
           Alcotest.test_case "derived seeds" `Quick test_run_seeds_are_derived;
           Alcotest.test_case "exception propagates" `Quick
             test_run_exception_propagates;
-          Alcotest.test_case "reduce = fold" `Quick test_reduce_matches_fold;
-          Alcotest.test_case "non-commutative reduce ordered" `Quick
-            test_reduce_noncommutative;
           Alcotest.test_case "mean domain independent" `Quick
             test_mean_domain_independent;
         ] );

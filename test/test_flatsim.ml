@@ -2,10 +2,10 @@
 
    The kernel's whole contract is bit-identity with the effect-handler
    simulator: same seeds + same schedule => same winner, same
-   per-process results, same flip stream ((time, pid, bound, outcome)
-   for every draw). Satellite 1 of ISSUE 7: 120 seeds per
-   flat-registered election under run-to-completion schedules, plus
-   random-oblivious and round-robin schedule parity, arena-reuse
+   per-process results and step counts, same flip stream ((time, pid,
+   bound, outcome) for every draw). 120 seeds per flat-registered
+   election under run-to-completion schedules, random-oblivious and
+   round-robin schedule parity at n = k and at n = 64, arena-reuse
    identity, and domain-count independence of flat Engine batches. *)
 
 let checki = Alcotest.(check int)
@@ -51,23 +51,32 @@ let effect_run programs ~seed ~schedule =
   | Seq order -> Sim.Sched.run sched (seq_order_adversary order)
   | Random aseed -> Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:aseed)
   | Rr -> Sim.Sched.run sched (Sim.Adversary.round_robin ()));
-  (Sim.Sched.results sched, flip_events sched, Sim.Sched.time sched)
+  ( Sim.Sched.results sched,
+    flip_events sched,
+    Sim.Sched.time sched,
+    Array.init (Sim.Sched.n sched) (Sim.Sched.steps sched) )
 
 let flat_run m ~schedule =
   (match schedule with
   | Seq order -> Flatsim.Machine.run_seq m ~order
   | Random aseed -> Flatsim.Machine.run_random m ~seed:aseed
   | Rr -> Flatsim.Machine.run_rr m);
-  (Flatsim.Machine.results m, Flatsim.Machine.flip_log m, Flatsim.Machine.time m)
+  ( Flatsim.Machine.results m,
+    Flatsim.Machine.flip_log m,
+    Flatsim.Machine.time m,
+    Array.init (Flatsim.Machine.procs m) (Flatsim.Machine.steps m) )
 
-let check_equal ~ctx (e_res, e_flips, e_time) (f_res, f_flips, f_time) =
+let check_equal ~ctx (e_res, e_flips, e_time, e_steps)
+    (f_res, f_flips, f_time, f_steps) =
   checkb (ctx ^ ": results identical") true (e_res = f_res);
   checkb (ctx ^ ": flip streams identical") true (e_flips = f_flips);
-  checki (ctx ^ ": total steps identical") e_time f_time
+  checki (ctx ^ ": total steps identical") e_time f_time;
+  checkb (ctx ^ ": per-process steps identical") true (e_steps = f_steps)
 
-let effect_election entry ~k ~seed ~schedule =
+let effect_election ?n entry ~k ~seed ~schedule =
+  let n = Option.value n ~default:k in
   let mem = Sim.Memory.create () in
-  let le = entry.Rtas.Registry.make mem ~n:k in
+  let le = entry.Rtas.Registry.make mem ~n in
   effect_run (Leaderelect.Le.programs le ~k) ~seed ~schedule
 
 (* --- Satellite 1: 120-seed flat-vs-effect differential ---------------- *)
@@ -86,7 +95,7 @@ let test_differential (entry : Rtas.Registry.entry) () =
     Flatsim.Machine.reset ~seed m;
     let f = flat_run m ~schedule in
     check_equal ~ctx:(Printf.sprintf "seed %d" seed_int) e f;
-    let e_res, _, _ = e in
+    let e_res, _, _, _ = e in
     checki "exactly one winner" 1
       (Array.fold_left (fun a r -> if r = Some 1 then a + 1 else a) 0 e_res)
   done
@@ -114,33 +123,30 @@ let test_schedule_parity (entry : Rtas.Registry.entry) () =
       done)
     [ 2; 5; 8 ]
 
-(* The 2-process TAS base: doorway around a duel, ports by pid. *)
-let effect_tas ~seed ~schedule =
-  let mem = Sim.Memory.create () in
-  let le = Primitives.Le2.create mem in
-  let tas =
-    Primitives.Tas.create mem ~elect:(fun ctx ->
-        Primitives.Le2.elect le ctx ~port:(Sim.Ctx.pid ctx))
-  in
-  effect_run (Array.init 2 (fun _ ctx -> Primitives.Tas.apply tas ctx)) ~seed
-    ~schedule
-
-let test_tas2_differential () =
-  let m = Flatsim.Machine.create ~record_flips:true ~procs:2 Flatsim.Programs.tas2 in
-  for seed_int = 1 to 120 do
-    let seed = Int64.of_int (seed_int * 7919) in
-    let aseed = Sim.Rng.derive seed ~stream:1 in
-    List.iter
-      (fun schedule ->
-        let e = effect_tas ~seed ~schedule in
-        Flatsim.Machine.reset ~seed m;
-        let f = flat_run m ~schedule in
-        check_equal ~ctx:(Printf.sprintf "tas2 seed %d" seed_int) e f;
-        let e_res, _, _ = e in
-        checki "exactly one 0 (TAS winner)" 1
-          (Array.fold_left (fun a r -> if r = Some 0 then a + 1 else a) 0 e_res))
-      [ Seq [| 0; 1 |]; Seq [| 1; 0 |]; Random aseed; Rr ]
-  done
+(* At n = 64 the sift schedule is non-empty (it is empty for n <= 8,
+   the sizes above), so these cases run sifting levels, poison's decay
+   schedule and log*'s rounds at a system size above the contention.
+   One capacity-64 machine shrinks to each k. *)
+let test_n64_parity (entry : Rtas.Registry.entry) () =
+  let make_flat = Option.get entry.Rtas.Registry.make_flat in
+  let n = 64 in
+  let m = Flatsim.Machine.create ~record_flips:true ~procs:n (make_flat ~n) in
+  List.iter
+    (fun k ->
+      for seed_int = 1 to 30 do
+        let seed = Sim.Rng.derive (Int64.of_int seed_int) ~stream:0 in
+        let aseed = Sim.Rng.derive (Int64.of_int seed_int) ~stream:1 in
+        List.iter
+          (fun schedule ->
+            let e = effect_election entry ~n ~k ~seed ~schedule in
+            Flatsim.Machine.reset ~seed ~procs:k m;
+            let f = flat_run m ~schedule in
+            check_equal
+              ~ctx:(Printf.sprintf "n=64 k=%d seed %d" k seed_int)
+              e f)
+          [ Random aseed; Rr ]
+      done)
+    [ 1; 2; 16; 64 ]
 
 (* --- Arena reuse: reset runs are identical to fresh machines ---------- *)
 
@@ -254,6 +260,12 @@ let schedule_cases =
       Alcotest.test_case e.Rtas.Registry.name `Quick (test_schedule_parity e))
     (Rtas.Registry.flat ())
 
+let n64_cases =
+  List.map
+    (fun (e : Rtas.Registry.entry) ->
+      Alcotest.test_case e.Rtas.Registry.name `Quick (test_n64_parity e))
+    (Rtas.Registry.flat ())
+
 let test_flat_registry_coverage () =
   let names = Rtas.Registry.flat_names () in
   List.iter
@@ -266,10 +278,7 @@ let () =
     [
       ("differential-120", differential_cases);
       ("schedule-parity", schedule_cases);
-      ( "base-cases",
-        [
-          Alcotest.test_case "tas2" `Quick test_tas2_differential;
-        ] );
+      ("n64-parity", n64_cases);
       ( "arena-reuse",
         [
           Alcotest.test_case "reset = fresh" `Quick test_reset_identity;

@@ -1,4 +1,4 @@
-.PHONY: all check test build chaos-smoke flat-smoke trace-smoke mc-smoke registry-smoke service-smoke service-scale-smoke telemetry-smoke clean
+.PHONY: all check test build claims-smoke chaos-smoke flat-smoke trace-smoke mc-smoke registry-smoke service-smoke service-scale-smoke telemetry-smoke clean
 
 all: build
 
@@ -14,6 +14,7 @@ test: check
 check:
 	git check-ignore -q _build
 	dune build && dune runtest
+	$(MAKE) claims-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) mc-smoke
@@ -22,6 +23,16 @@ check:
 	$(MAKE) service-smoke
 	$(MAKE) service-scale-smoke
 	$(MAKE) telemetry-smoke
+
+# Claims smoke: three cheap experiment tables at full scale must pass
+# every check they declare (exit 0, no FAIL line), and an unknown
+# experiment id must be a usage error (exit 2).
+claims-smoke:
+	dune exec bin/rtas_cli.exe -- claims e5 e7 e13 > _build/CLAIMS.txt
+	! grep -q '^FAIL' _build/CLAIMS.txt
+	grep -q '^PASS' _build/CLAIMS.txt
+	dune exec bin/rtas_cli.exe -- claims e99 >/dev/null 2>&1; test $$? -eq 2
+	@echo "claims-smoke: e5 e7 e13 pass, unknown id exits 2"
 
 # Fast chaos smoke: small system, few trials, fixed seed, both the
 # simulated sweep and the real-multicore implementations. Exits

@@ -62,7 +62,7 @@ let trace_arg =
 
 (* Sub-seeds for the adversary are derived from the run seed on
    dedicated streams (1 = schedule randomness, 2 = crash randomness),
-   matching the convention used throughout bench/experiments.ml. *)
+   matching the convention of the claim tables (lib/claims). *)
 let make_adversary name seed =
   match name with
   | "round-robin" -> Sim.Adversary.round_robin ()
@@ -173,38 +173,23 @@ let sweep_cmd =
     Arg.(value & opt int 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point.")
   in
   let sweep algorithm n adversary trials seed domains =
-    let recommended = Domain.recommended_domain_count () in
-    if domains > recommended then
-      Fmt.epr
-        "sweep: --domains %d exceeds the host's recommended %d; the table is \
-         identical either way, the extra domains only add overhead@."
-        domains recommended;
+    require_algorithm "sweep" "--algorithm" algorithm;
+    require_positive "sweep" "-n" n;
+    require_positive "sweep" "--trials" trials;
+    require_positive "sweep" "--domains" domains;
     Fmt.pr "%8s %14s %12s %12s@." "k" "avg max steps" "avg rmrs" "registers";
     let rec points k acc = if k > n then List.rev acc else points (k * 4) (k :: acc) in
     List.iter
       (fun k ->
-        (* Trials per point are independent: fan out over the engine.
-           Trial seeds derive from the sweep seed, so the table is
+        (* Trial seeds derive from the sweep seed, so the table is
            identical for every --domains value. *)
-        let runs =
-          Engine.run ~domains ~trials ~seed:(Int64.of_int seed)
-            (fun ~trial:_ ~seed ->
-              let o =
-                Rtas.Election.run ~seed
-                  ~adversary:(make_adversary adversary seed) ~algorithm ~n ~k
-                  ()
-              in
-              ( float_of_int o.Rtas.Election.max_steps,
-                float_of_int o.Rtas.Election.max_rmrs,
-                o.Rtas.Election.registers ))
+        let s =
+          Claims.Measure.elections ~domains
+            ~adversary:(make_adversary adversary) ~trials
+            ~seed:(Int64.of_int seed) ~algorithm ~n ~k ()
         in
-        let steps = Array.map (fun (s, _, _) -> s) runs in
-        let rmrs = Array.map (fun (_, r, _) -> r) runs in
-        let regs = if trials = 0 then 0 else (fun (_, _, g) -> g) runs.(0) in
-        Fmt.pr "%8d %14.1f %12.1f %12d@." k
-          (Sim.Stats.mean_array steps)
-          (Sim.Stats.mean_array rmrs)
-          regs)
+        Fmt.pr "%8d %14.1f %12.1f %12d@." k s.Claims.Measure.steps
+          s.Claims.Measure.rmrs s.Claims.Measure.registers)
       (points 2 [])
   in
   Cmd.v
@@ -214,56 +199,52 @@ let sweep_cmd =
       const sweep $ algorithm $ n_arg $ adversary_arg $ trials_arg $ seed_arg
       $ domains_arg)
 
-let covering_cmd =
-  let covering n =
-    Fmt.pr "Theorem 5.1 machinery at n = %d:@." n;
-    Fmt.pr "  f(n-4) = %d; guaranteed registers: %d@."
-      (Lowerbound.Covering.f ~n (n - 4))
-      (Lowerbound.Covering.register_lower_bound ~n);
-    List.iter
-      (fun (name, make) ->
-        let r = Lowerbound.Covering_exec.run ~make ~n ~seed:11L () in
-        Fmt.pr "  %-14s %a@." name Lowerbound.Covering_exec.pp_report r)
-      [
-        ("tournament", Leaderelect.Tournament.make);
-        ("ratrace-lean", Leaderelect.Rr_le.make_lean);
-      ]
+(* The paper's claims: every experiment table of EXPERIMENTS.md with one
+   PASS/FAIL line per declared check. *)
+let claims_cmd =
+  let ids_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:"Experiments to run (e1 … e20); all of them by default.")
   in
-  let n_pow2 =
-    Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"Power of two >= 8.")
-  in
-  Cmd.v
-    (Cmd.info "covering"
-       ~doc:"Run the Lemma 5.4 covering-argument rounds on real algorithms.")
-    Term.(const covering $ n_pow2)
-
-let yao_cmd =
-  let yao t trials =
-    let make () =
-      let mem = Sim.Memory.create () in
-      let le = Primitives.Le2.create mem in
-      let tas =
-        Primitives.Tas.create mem ~elect:(fun ctx ->
-            Primitives.Le2.elect le ctx ~port:(Sim.Ctx.pid ctx))
-      in
-      Array.init 2 (fun _ ctx -> Primitives.Tas.apply tas ctx)
+  let claims ids domains =
+    require_positive "claims" "--domains" domains;
+    let chosen =
+      match ids with
+      | [] -> Claims.Experiments.all
+      | ids ->
+          List.map
+            (fun id ->
+              match Claims.Experiments.find id with
+              | Some e -> e
+              | None ->
+                  usage "claims"
+                    (Printf.sprintf "unknown experiment %S; try one of: %s" id
+                       (String.concat ", "
+                          (List.map
+                             (fun e -> e.Claims.Experiments.id)
+                             Claims.Experiments.all))))
+            ids
     in
-    let p = Lowerbound.Yao.measure ~trials ~make ~t () in
-    Fmt.pr
-      "t=%d: tested %d schedules; max Pr[>= t steps] = %.4f; 1/4^t = %.6f; %s@."
-      p.Lowerbound.Yao.t p.Lowerbound.Yao.schedules_tested
-      p.Lowerbound.Yao.max_prob p.Lowerbound.Yao.bound
-      (if p.Lowerbound.Yao.max_prob >= p.Lowerbound.Yao.bound then
-         "bound respected"
-       else "BOUND VIOLATED")
-  in
-  let t_arg = Arg.(value & opt int 4 & info [ "t" ] ~docv:"T" ~doc:"Step bound t.") in
-  let trials_arg =
-    Arg.(value & opt int 400 & info [ "trials" ] ~docv:"R" ~doc:"Runs per schedule.")
+    let failed =
+      List.concat_map
+        (Claims.Experiments.report ~domains Claims.Experiments.Full Fmt.stdout)
+        chosen
+    in
+    match failed with
+    | [] -> Fmt.pr "@.claims: every check passed@."
+    | failed ->
+        Fmt.pr "@.claims: %d check(s) failed@." (List.length failed);
+        exit 1
   in
   Cmd.v
-    (Cmd.info "yao" ~doc:"Reproduce the Theorem 6.1 two-process lower bound.")
-    Term.(const yao $ t_arg $ trials_arg)
+    (Cmd.info "claims"
+       ~doc:
+         "Reproduce the paper's experiments (EXPERIMENTS.md) and check \
+          their claims: prints each table with one PASS/FAIL line per \
+          check and exits 1 if any check fails.")
+    Term.(const claims $ ids_arg $ domains_arg)
 
 let chaos_cmd =
   let algorithms_arg =
@@ -330,6 +311,8 @@ let chaos_cmd =
           | Error msg -> usage "chaos" msg)
     in
     List.iter (require_algorithm "chaos" "--algorithms") algorithms;
+    require_positive "chaos" "-n" n;
+    require_positive "chaos" "-k" k;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let seed64 = Int64.of_int seed in
     (* One Probe registry accumulates the whole sweep's fault totals. *)
@@ -480,6 +463,8 @@ let profile_cmd =
           ~doc:"Also write the per-target profiles as one JSON document.")
   in
   let profile algos n k trials seed adversary domains json =
+    require_positive "profile" "-n" n;
+    require_positive "profile" "-k" k;
     let k = min k n in
     let seed64 = Int64.of_int seed in
     let profiles =
@@ -1148,8 +1133,7 @@ let main =
       list_cmd;
       registry_cmd;
       sweep_cmd;
-      covering_cmd;
-      yao_cmd;
+      claims_cmd;
       chaos_cmd;
       trace_cmd;
       profile_cmd;

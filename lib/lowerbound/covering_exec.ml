@@ -7,12 +7,6 @@ type report = {
   anomalies : int;
 }
 
-let pp_report ppf r =
-  Fmt.pf ppf
-    "rounds=%d reps=%d covered=%d max_cover=%d finished=%d anomalies=%d"
-    r.rounds r.final_reps r.final_covered r.max_cover r.finished_early
-    r.anomalies
-
 (* Union-find over pids. *)
 module Uf = struct
   let create n = Array.init n (fun i -> i)

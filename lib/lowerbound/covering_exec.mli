@@ -47,5 +47,3 @@ val run :
   seed:int64 ->
   unit ->
   report
-
-val pp_report : report Fmt.t

@@ -1,230 +1,55 @@
-(* The metrics core of Probe: integer counters, fixed-bucket histograms
-   and wall-clock span timers, grouped in a registry.
+(* The metrics core of Probe: named integer counters grouped in a
+   registry.
 
    Overhead discipline: a registry is plain mutable state owned by one
    domain (typically one Engine worker); bumping a counter is a field
-   increment, observing a histogram a binary-search-free linear bucket
-   scan over a handful of limits. Nothing here is thread-safe by
-   design — cross-domain aggregation goes through immutable {!snapshot}
-   values and the associative {!merge}, exactly like the engine's
-   per-worker GC deltas. *)
+   increment. Nothing here is thread-safe by design — cross-domain
+   aggregation goes through immutable {!snapshot} values and the
+   associative {!merge}, exactly like the engine's per-worker GC
+   deltas. *)
 
-type counter = { c_name : string; mutable c_value : int }
+type counter = { mutable c_value : int }
+type t = (string, counter) Hashtbl.t
 
-type histogram = {
-  h_name : string;
-  h_limits : int array;  (* ascending inclusive upper bounds *)
-  h_counts : int array;  (* length limits + 1; last bucket = overflow *)
-  mutable h_n : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-}
-
-(* A gauge is a last-write-wins level sample (queue depth, pool
-   high-water): unlike a counter it does not accumulate, and merging
-   snapshots keeps the right-hand (later, in merge order) value. The
-   set flag keeps never-written gauges out of snapshots, so an unset
-   registration can never overwrite a real sample with 0 on merge. *)
-type gauge = { ga_name : string; mutable ga_value : float; mutable ga_set : bool }
-
-type item = Counter of counter | Histogram of histogram | Gauge of gauge
-
-type t = {
-  tbl : (string, item) Hashtbl.t;
-  (* Registration order, for stable listing before sorting. *)
-  mutable order : string list;
-}
-
-let create () = { tbl = Hashtbl.create 16; order = [] }
-
-(* Powers of two up to 4096: wide enough for per-phase step counts of
-   every algorithm family without tuning per call site. *)
-let default_limits = [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096 |]
-
-let kind_name = function
-  | Counter _ -> "counter"
-  | Histogram _ -> "histogram"
-  | Gauge _ -> "gauge"
+let create () : t = Hashtbl.create 16
 
 let counter t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Counter c) -> c
-  | Some it ->
-      invalid_arg
-        (Printf.sprintf "Metrics.counter: %S is a %s" name (kind_name it))
+  match Hashtbl.find_opt t name with
+  | Some c -> c
   | None ->
-      let c = { c_name = name; c_value = 0 } in
-      Hashtbl.add t.tbl name (Counter c);
-      t.order <- name :: t.order;
+      let c = { c_value = 0 } in
+      Hashtbl.add t name c;
       c
-
-let gauge t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Gauge g) -> g
-  | Some it ->
-      invalid_arg
-        (Printf.sprintf "Metrics.gauge: %S is a %s" name (kind_name it))
-  | None ->
-      let g = { ga_name = name; ga_value = 0.0; ga_set = false } in
-      Hashtbl.add t.tbl name (Gauge g);
-      t.order <- name :: t.order;
-      g
-
-let histogram ?(limits = default_limits) t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (Histogram h) ->
-      if h.h_limits <> limits then
-        invalid_arg
-          (Printf.sprintf "Metrics.histogram: %S re-registered with different limits" name);
-      h
-  | Some it ->
-      invalid_arg
-        (Printf.sprintf "Metrics.histogram: %S is a %s" name (kind_name it))
-  | None ->
-      if limits = [||] then invalid_arg "Metrics.histogram: empty limits";
-      Array.iteri
-        (fun i l ->
-          if i > 0 && limits.(i - 1) >= l then
-            invalid_arg "Metrics.histogram: limits must be strictly ascending")
-        limits;
-      let h =
-        {
-          h_name = name;
-          h_limits = limits;
-          h_counts = Array.make (Array.length limits + 1) 0;
-          h_n = 0;
-          h_sum = 0;
-          h_min = max_int;
-          h_max = min_int;
-        }
-      in
-      Hashtbl.add t.tbl name (Histogram h);
-      t.order <- name :: t.order;
-      h
 
 let incr c = c.c_value <- c.c_value + 1
 let add c v = c.c_value <- c.c_value + v
 let value c = c.c_value
 
-let set g v =
-  g.ga_value <- v;
-  g.ga_set <- true
-
-let gauge_value g = g.ga_value
-
-let observe h v =
-  let nb = Array.length h.h_limits in
-  let rec bucket i = if i >= nb || v <= h.h_limits.(i) then i else bucket (i + 1) in
-  let b = bucket 0 in
-  h.h_counts.(b) <- h.h_counts.(b) + 1;
-  h.h_n <- h.h_n + 1;
-  h.h_sum <- h.h_sum + v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v
-
-(* Span timer: a counter accumulating wall-clock nanoseconds. *)
-let timer t name = counter t name
-
-let time c f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      add c (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
-    f
-
 (* {1 Snapshots} *)
 
-type hist_snapshot = {
-  hs_limits : int array;
-  hs_counts : int array;
-  hs_n : int;
-  hs_sum : int;
-  hs_min : int;  (* meaningless when hs_n = 0 *)
-  hs_max : int;
-}
+type snapshot = { counters : (string * int) list (* sorted by name *) }
 
-type snapshot = {
-  counters : (string * int) list;  (* sorted by name *)
-  gauges : (string * float) list;  (* sorted by name; only set gauges *)
-  histograms : (string * hist_snapshot) list;  (* sorted by name *)
-}
-
-let empty_snapshot = { counters = []; gauges = []; histograms = [] }
+let empty_snapshot = { counters = [] }
 
 let snapshot t =
-  let cs = ref [] and gs = ref [] and hs = ref [] in
-  Hashtbl.iter
-    (fun name -> function
-      | Counter c -> cs := (name, c.c_value) :: !cs
-      | Gauge g -> if g.ga_set then gs := (name, g.ga_value) :: !gs
-      | Histogram h ->
-          hs :=
-            ( name,
-              {
-                hs_limits = Array.copy h.h_limits;
-                hs_counts = Array.copy h.h_counts;
-                hs_n = h.h_n;
-                hs_sum = h.h_sum;
-                hs_min = h.h_min;
-                hs_max = h.h_max;
-              } )
-            :: !hs)
-    t.tbl;
-  let by_name (a, _) (b, _) = String.compare a b in
   {
-    counters = List.sort by_name !cs;
-    gauges = List.sort by_name !gs;
-    histograms = List.sort by_name !hs;
+    counters =
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold (fun name c acc -> (name, c.c_value) :: acc) t []);
   }
 
-(* Merge two sorted assoc lists, combining values under equal keys. *)
-let rec merge_assoc combine a b =
+(* Merge two sorted assoc lists, summing values under equal keys. *)
+let rec merge_sum a b =
   match (a, b) with
   | [], rest | rest, [] -> rest
   | (ka, va) :: ta, (kb, vb) :: tb ->
       let c = String.compare ka kb in
-      if c < 0 then (ka, va) :: merge_assoc combine ta b
-      else if c > 0 then (kb, vb) :: merge_assoc combine a tb
-      else (ka, combine ka va vb) :: merge_assoc combine ta tb
+      if c < 0 then (ka, va) :: merge_sum ta b
+      else if c > 0 then (kb, vb) :: merge_sum a tb
+      else (ka, va + vb) :: merge_sum ta tb
 
-let merge_hist name a b =
-  if a.hs_limits <> b.hs_limits then
-    invalid_arg
-      (Printf.sprintf "Metrics.merge: histogram %S has mismatched limits" name);
-  {
-    hs_limits = a.hs_limits;
-    hs_counts = Array.map2 ( + ) a.hs_counts b.hs_counts;
-    hs_n = a.hs_n + b.hs_n;
-    hs_sum = a.hs_sum + b.hs_sum;
-    hs_min =
-      (if a.hs_n = 0 then b.hs_min
-       else if b.hs_n = 0 then a.hs_min
-       else min a.hs_min b.hs_min);
-    hs_max =
-      (if a.hs_n = 0 then b.hs_max
-       else if b.hs_n = 0 then a.hs_max
-       else max a.hs_max b.hs_max);
-  }
-
-let merge a b =
-  {
-    counters = merge_assoc (fun _ x y -> x + y) a.counters b.counters;
-    (* Gauges are level samples: the right-hand side is the later write
-       in merge order, and wins. Right-biased union is associative. *)
-    gauges = merge_assoc (fun _ _ y -> y) a.gauges b.gauges;
-    histograms = merge_assoc merge_hist a.histograms b.histograms;
-  }
-
-let hist_mean hs = if hs.hs_n = 0 then 0.0 else float_of_int hs.hs_sum /. float_of_int hs.hs_n
+let merge a b = { counters = merge_sum a.counters b.counters }
 
 let pp_snapshot ppf s =
-  List.iter (fun (name, v) -> Fmt.pf ppf "%s = %d@." name v) s.counters;
-  List.iter (fun (name, v) -> Fmt.pf ppf "%s = %g (gauge)@." name v) s.gauges;
-  List.iter
-    (fun (name, hs) ->
-      Fmt.pf ppf "%s: n=%d mean=%.2f min=%d max=%d@." name hs.hs_n
-        (hist_mean hs)
-        (if hs.hs_n = 0 then 0 else hs.hs_min)
-        (if hs.hs_n = 0 then 0 else hs.hs_max))
-    s.histograms
+  List.iter (fun (name, v) -> Fmt.pf ppf "%s = %d@." name v) s.counters

@@ -1,5 +1,4 @@
-(** Probe's metrics core: integer counters, fixed-bucket histograms and
-    wall-clock span timers, grouped in a registry.
+(** Probe's metrics core: named integer counters grouped in a registry.
 
     A registry is single-domain mutable state — one per Engine worker in
     parallel runs. Cross-domain aggregation goes through immutable
@@ -10,63 +9,23 @@
     no-observability cost of instrumented code is one branch. *)
 
 type t
-(** A registry of named counters and histograms. Not thread-safe: keep
-    one per domain. *)
+(** A registry of named counters. Not thread-safe: keep one per
+    domain. *)
 
 type counter
-type gauge
-type histogram
 
 val create : unit -> t
 
 val counter : t -> string -> counter
-(** Get-or-create. Raises [Invalid_argument] on a kind clash with an
-    existing registration. *)
-
-val gauge : t -> string -> gauge
-(** Get-or-create a last-write-wins level sample (queue depth, pool
-    high-water). Raises [Invalid_argument] on a kind clash. *)
-
-val histogram : ?limits:int array -> t -> string -> histogram
-(** Get-or-create a fixed-bucket histogram. [limits] are strictly
-    ascending inclusive upper bounds; values above the last limit land
-    in an overflow bucket. Re-registering with different limits raises
-    [Invalid_argument]. The default limits are powers of two up to
-    4096. *)
+(** Get-or-create. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val observe : histogram -> int -> unit
-
-val timer : t -> string -> counter
-(** A span timer is a counter accumulating wall-clock nanoseconds. *)
-
-val time : counter -> (unit -> 'a) -> 'a
-(** [time c f] runs [f] and adds its wall-clock duration (ns) to [c],
-    also on exceptions. *)
-
 (** {1 Snapshots and aggregation} *)
 
-type hist_snapshot = {
-  hs_limits : int array;
-  hs_counts : int array;  (** [length hs_limits + 1]; last = overflow. *)
-  hs_n : int;
-  hs_sum : int;
-  hs_min : int;  (** Meaningless when [hs_n = 0]. *)
-  hs_max : int;
-}
-
-type snapshot = {
-  counters : (string * int) list;  (** Sorted by name. *)
-  gauges : (string * float) list;
-      (** Sorted by name; gauges never written are omitted. *)
-  histograms : (string * hist_snapshot) list;  (** Sorted by name. *)
-}
+type snapshot = { counters : (string * int) list  (** Sorted by name. *) }
 
 val empty_snapshot : snapshot
 (** The identity of {!merge}. *)
@@ -74,13 +33,7 @@ val empty_snapshot : snapshot
 val snapshot : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum (counters), bucket-wise sum (histograms, which must
-    agree on limits), and last-write for gauges (the right-hand value
-    wins where both sides carry the name). Associative, with
-    {!empty_snapshot} as identity — per-worker snapshots may be merged
-    in any grouping; commutative except for gauges present on both
-    sides. *)
-
-val hist_mean : hist_snapshot -> float
+(** Pointwise sum. Associative and commutative, with {!empty_snapshot}
+    as identity — per-worker snapshots may be merged in any grouping. *)
 
 val pp_snapshot : snapshot Fmt.t

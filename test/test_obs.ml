@@ -9,7 +9,7 @@ let checkb = Alcotest.(check bool)
 
 (* {1 Metrics} *)
 
-let test_metrics_basics () =
+let test_metrics_counters () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "steps" in
   Obs.Metrics.incr c;
@@ -17,35 +17,19 @@ let test_metrics_basics () =
   checki "counter value" 5 (Obs.Metrics.value c);
   checkb "get-or-create returns the same counter" true
     (Obs.Metrics.counter m "steps" == c);
-  let h = Obs.Metrics.histogram ~limits:[| 1; 2; 4 |] m "per_trial" in
-  List.iter (Obs.Metrics.observe h) [ 0; 1; 2; 3; 5; 100 ];
-  let sn = Obs.Metrics.snapshot m in
-  (match List.assoc_opt "per_trial" sn.Obs.Metrics.histograms with
-  | None -> Alcotest.fail "histogram missing from snapshot"
-  | Some hs ->
-      check
-        Alcotest.(array int)
-        "bucket counts" [| 2; 1; 1; 2 |] hs.Obs.Metrics.hs_counts;
-      checki "n" 6 hs.Obs.Metrics.hs_n;
-      checki "sum" 111 hs.Obs.Metrics.hs_sum;
-      checki "min" 0 hs.Obs.Metrics.hs_min;
-      checki "max" 100 hs.Obs.Metrics.hs_max);
-  Alcotest.check_raises "counter/histogram kind clash"
-    (Invalid_argument "Metrics.histogram: \"steps\" is a counter") (fun () ->
-      ignore (Obs.Metrics.histogram m "steps"))
+  ignore (Obs.Metrics.counter m "a");
+  checkb "snapshot sorted by name" true
+    ((Obs.Metrics.snapshot m).Obs.Metrics.counters = [ ("a", 0); ("steps", 5) ])
 
-let registry_with pairs hist_vals =
+let registry_with pairs =
   let m = Obs.Metrics.create () in
   List.iter (fun (name, v) -> Obs.Metrics.add (Obs.Metrics.counter m name) v) pairs;
-  List.iter
-    (fun v -> Obs.Metrics.observe (Obs.Metrics.histogram m "h") v)
-    hist_vals;
   Obs.Metrics.snapshot m
 
 let test_metrics_merge_associative () =
-  let a = registry_with [ ("x", 1); ("y", 2) ] [ 3; 9 ] in
-  let b = registry_with [ ("y", 5); ("z", 7) ] [ 1 ] in
-  let c = registry_with [ ("x", 10) ] [ 4000; 2 ] in
+  let a = registry_with [ ("x", 1); ("y", 2) ] in
+  let b = registry_with [ ("y", 5); ("z", 7) ] in
+  let c = registry_with [ ("x", 10) ] in
   let left = Obs.Metrics.merge (Obs.Metrics.merge a b) c in
   let right = Obs.Metrics.merge a (Obs.Metrics.merge b c) in
   checkb "merge associative" true (left = right);
@@ -512,64 +496,12 @@ let test_chrome_trace_crash_closes_spans () =
           checki "crashed span closed by exporter" (count "B") (count "E")
       | _ -> Alcotest.fail "missing traceEvents")
 
-(* {1 Gauges} *)
-
 let checkf = Alcotest.(check (float 1e-9))
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-let test_metrics_gauges () =
-  let m = Obs.Metrics.create () in
-  let g = Obs.Metrics.gauge m "depth" in
-  checkb "unset gauge stays out of the snapshot" true
-    ((Obs.Metrics.snapshot m).Obs.Metrics.gauges = []);
-  Obs.Metrics.set g 3.0;
-  Obs.Metrics.set g 7.5;
-  checkf "last write wins" 7.5 (Obs.Metrics.gauge_value g);
-  checkb "get-or-create returns the same gauge" true
-    (Obs.Metrics.gauge m "depth" == g);
-  (match
-     List.assoc_opt "depth" (Obs.Metrics.snapshot m).Obs.Metrics.gauges
-   with
-  | Some v -> checkf "snapshot carries the level" 7.5 v
-  | None -> Alcotest.fail "set gauge missing from snapshot");
-  Alcotest.check_raises "counter/gauge kind clash"
-    (Invalid_argument "Metrics.counter: \"depth\" is a gauge") (fun () ->
-      ignore (Obs.Metrics.counter m "depth"))
-
-let gauge_registry pairs =
-  let m = Obs.Metrics.create () in
-  List.iter (fun (n, v) -> Obs.Metrics.set (Obs.Metrics.gauge m n) v) pairs;
-  Obs.Metrics.snapshot m
-
-let test_metrics_gauge_merge () =
-  let a = gauge_registry [ ("x", 1.0); ("y", 2.0) ] in
-  let b = gauge_registry [ ("y", 5.0); ("z", 7.0) ] in
-  let c = gauge_registry [ ("y", 9.0) ] in
-  let ab = Obs.Metrics.merge a b in
-  (match List.assoc_opt "y" ab.Obs.Metrics.gauges with
-  | Some v -> checkf "right side wins where both set" 5.0 v
-  | None -> Alcotest.fail "merged gauge missing");
-  checkb "one-sided gauges survive" true
-    (List.assoc_opt "x" ab.Obs.Metrics.gauges = Some 1.0
-    && List.assoc_opt "z" ab.Obs.Metrics.gauges = Some 7.0);
-  checkb "right-biased union is associative" true
-    (Obs.Metrics.merge (Obs.Metrics.merge a b) c
-    = Obs.Metrics.merge a (Obs.Metrics.merge b c));
-  checkb "empty is identity" true
-    (Obs.Metrics.merge Obs.Metrics.empty_snapshot a = a
-    && Obs.Metrics.merge a Obs.Metrics.empty_snapshot = a);
-  (* A registered-but-never-set gauge snapshots as absent, so merging
-     it in cannot clobber a real level with a default 0. *)
-  let unset =
-    let m = Obs.Metrics.create () in
-    ignore (Obs.Metrics.gauge m "y");
-    Obs.Metrics.snapshot m
-  in
-  checkb "unset gauge never clobbers" true (Obs.Metrics.merge a unset = a)
 
 (* {1 Timeseries} *)
 
@@ -708,14 +640,9 @@ let () =
     [
       ( "metrics",
         [
-          Alcotest.test_case "counters and histograms" `Quick
-            test_metrics_basics;
+          Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "merge is associative/commutative" `Quick
             test_metrics_merge_associative;
-          Alcotest.test_case "gauges are last-write levels" `Quick
-            test_metrics_gauges;
-          Alcotest.test_case "gauge merge is a right-biased union" `Quick
-            test_metrics_gauge_merge;
         ] );
       ( "timeseries",
         [

@@ -87,9 +87,9 @@ flat-smoke:
 # client, complete work, and (under chaos) recover every crashed
 # holder without wedging a key. The poison run is repeated on the
 # effect kernel and on the heap event queue, and both reports must
-# equal the flat/wheel one byte for byte. A malformed --backoff or a
-# zero telemetry window must be a usage error (exit 2). Scratch files
-# live in the build tree.
+# equal the flat/wheel one byte for byte. A malformed --backoff, a
+# zero telemetry window or --domains 0 must be a usage error (exit 2).
+# Scratch files live in the build tree.
 service-smoke:
 	dune exec bin/rtas_cli.exe -- service --alg log* --backend sim \
 	  --arrival poisson --clients 500 --keys 8 --seed 11 -o _build/SVC_sim.json
@@ -120,6 +120,8 @@ service-smoke:
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --window 0 \
 	  --telemetry _build/SVC_bad_window.json >/dev/null 2>&1; test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- service --domains 0 >/dev/null 2>&1; \
+	  test $$? -eq 2
 	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) OK, bad input exits 2"
 
 # Million-client scale smoke: one sim run at 1M clients on the timing
@@ -127,13 +129,19 @@ service-smoke:
 # histogram, under a hard wall-clock budget. Validates that the run
 # completes, accounts for every client, and actually used the
 # histogram (an exact latency array at this scale would be the bug).
+# Arrivals stream into the event loop, so the wheel's live-event peak
+# follows the clients in flight (a few thousand here), not the 250k
+# clients of a shard: the telemetry gauge must stay under 20000.
 service-scale-smoke:
 	timeout 120 dune exec bin/rtas_cli.exe -- service --alg tournament \
 	  --backend sim --kernel flat --arrival poisson --rate 20 \
 	  --clients 1000000 --keys 256 --zipf 0.5 --backoff exp \
 	  --max-waiters 32 --hold 50 --events wheel --shards 4 --domains 2 \
-	  --latency hist --seed 42 -o _build/SVC_scale.json
+	  --latency hist --seed 42 -o _build/SVC_scale.json \
+	  --telemetry _build/SVC_scale_ts.json >/dev/null
 	jq -e '.counts.clients == 1000000 and (.counts.completed + .counts.deadline_exceeded + .counts.crashed_clients + .counts.shed == 1000000) and .counts.completed > 0 and .latency.mode == "hist" and .latency.p999 >= .latency.p50 and .livelocked == false' _build/SVC_scale.json >/dev/null
+	jq -e '(.gauges["service.wheel_pool_hw"] | map(.[1]) | max) <= 20000' \
+	  _build/SVC_scale_ts.json >/dev/null
 	@echo "service-scale-smoke: 1M clients OK"
 
 # Probe smoke: export a Perfetto trace from a small run and validate

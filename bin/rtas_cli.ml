@@ -850,6 +850,7 @@ let service_cmd =
     (* Bad input — an unparsable policy or plan, an unknown algorithm or
        capability, an out-of-range config field — is a usage error. *)
     let usage msg = usage "service" msg in
+    require_positive "service" "--domains" domains;
     let arrival =
       match arrival with
       | `Poisson -> Service.Arrival.Poisson { rate }

@@ -225,7 +225,10 @@ let run_local ?domains ?chunk ~trials ~seed ~local f =
     let v0 = f l0 ~trial:0 ~seed:(Sim.Rng.derive seed ~stream:0) in
     let results = Array.make trials v0 in
     if trials > 1 then begin
-      let local = if domains = 1 then fun () -> l0 else local in
+      (* The calling domain keeps the arena it built for trial 0; each
+         helper domain builds its own. *)
+      let caller = Domain.self () in
+      let local () = if Domain.self () = caller then l0 else local () in
       ignore
         (dispatch ~domains ~chunk ~lo:1 ~hi:trials ~local (fun l t ->
              results.(t) <- f l ~trial:t ~seed:(Sim.Rng.derive seed ~stream:t)))
@@ -237,13 +240,6 @@ let run ?domains ?chunk ~trials ~seed f =
   run_local ?domains ?chunk ~trials ~seed
     ~local:(fun () -> ())
     (fun () ~trial ~seed -> f ~trial ~seed)
-
-(* Seedless fan-out for callers that manage their own derived streams
-   per task (e.g. the sharded service driver, whose shard results are a
-   pure function of the shard index): the engine only provides the
-   domain pool and the deterministic result order. *)
-let tasks ?domains ?chunk ~n f =
-  run ?domains ?chunk ~trials:n ~seed:0L (fun ~trial ~seed:_ -> f trial)
 
 let mean ?domains ?chunk ~trials ~seed f =
   if trials <= 0 then invalid_arg "Engine.mean: trials must be >= 1";

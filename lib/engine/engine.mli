@@ -64,15 +64,6 @@ val run :
     first on the calling domain: its value seeds the result array, so
     no per-trial [option] boxing occurs. *)
 
-val tasks : ?domains:int -> ?chunk:int -> n:int -> (int -> 'a) -> 'a array
-(** Seedless task fan-out: evaluate [f i] for [i] in [\[0, n)] on the
-    domain pool and return the results in task order. For callers whose
-    tasks are already pure functions of the task index and manage their
-    own derived streams — the sharded service driver runs its shards
-    through this. The determinism contract is {!run}'s: which domain
-    runs a task never changes what it computes, so the result array is
-    identical for any [domains]. Tasks must not share mutable state. *)
-
 val run_local :
   ?domains:int ->
   ?chunk:int ->
@@ -83,7 +74,8 @@ val run_local :
   'a array
 (** {!run} with a per-worker arena: [f] receives the value [local ()]
     built by the worker that runs the trial (see the module preamble).
-    Trial 0 runs on the calling domain with its own [local ()]. *)
+    Trial 0 runs on the calling domain, which keeps the arena it built
+    for it for every later trial it runs. *)
 
 val run_float :
   ?domains:int ->

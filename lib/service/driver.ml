@@ -192,7 +192,8 @@ end
 
    Either engine behind one interface, so the loop is written once.
    [sample] is the engine's own telemetry, run per popped event when a
-   sink is attached. *)
+   sink is attached. A worker runs all its shards on one queue; [reset]
+   readies the drained queue for the next shard. *)
 
 type queue = {
   schedule :
@@ -202,6 +203,7 @@ type queue = {
   ord : int -> int;
   meta : int -> int;
   sample : Telemetry.recorder -> float -> unit;
+  reset : unit -> unit;
 }
 
 (* The wheel samples the event-loop lag (fire tick minus due tick —
@@ -229,6 +231,7 @@ let wheel_queue ~capacity =
     ord = (fun id -> w.Wheel.ev_ord.(id));
     meta = (fun id -> w.Wheel.ev_meta.(id));
     sample;
+    reset = (fun () -> Wheel.reset w; last_win := -1);
   }
 
 let heap_queue () =
@@ -240,6 +243,7 @@ let heap_queue () =
     ord = (fun i -> h.Heap.ord.(i));
     meta = (fun i -> h.Heap.meta.(i));
     sample = (fun _ _ -> ());
+    reset = ignore;
   }
 
 (* {1 Rounds}
@@ -328,6 +332,7 @@ let effect_round (entry : Rtas.Registry.entry) ~n ~plan =
 
 let run ?telemetry ?(domains = 1) cfg =
   validate cfg;
+  if domains < 1 then invalid_arg "Driver: domains must be >= 1";
   (match telemetry with
   | Some s when s.Telemetry.trace && cfg.shards > 1 ->
       invalid_arg "Driver: telemetry trace requires shards = 1"
@@ -379,7 +384,7 @@ let run ?telemetry ?(domains = 1) cfg =
     | Some s when s.Telemetry.trace -> Some (Obs.Chrome_trace.create ())
     | _ -> None
   in
-  let run_shard shard =
+  let run_shard q shard =
     (* One tally per shard; without a sink its telemetry side is a
        load-and-branch per count, and the report is byte-identical
        either way (pinned by test_service's differential). *)
@@ -411,11 +416,7 @@ let run ?telemetry ?(domains = 1) cfg =
     and qlen = Array.make cfg.keys 0
     and kseq = Array.make cfg.keys 0
     and burned = Array.make cfg.keys false in
-    let q =
-      match cfg.events with
-      | `Wheel -> wheel_queue ~capacity:((cfg.clients / nshards) + 256)
-      | `Heap -> heap_queue ()
-    in
+    q.reset ();
     let push ~at ~key ~kind ~a ~b =
       let s = kseq.(key) in
       kseq.(key) <- s + 1;
@@ -425,13 +426,33 @@ let run ?telemetry ?(domains = 1) cfg =
       assert (cl.Clients.state.(c) = 0);
       cl.Clients.state.(c) <- 1
     in
-    (* Replay this shard's arrivals, in global client order so per-key
-       [kseq] sequences are identical for every shard count. *)
-    for i = 0 to cfg.clients - 1 do
-      let k = cl.Clients.key.(i) in
-      if k mod nshards = shard then
-        push ~at:cl.Clients.arrival.(i) ~key:k ~kind:k_arrive ~a:i ~b:0
-    done;
+    (* Arrivals stream in global client order: the queue holds this
+       shard's next run of equal-time arrivals, and handling the run's
+       last schedules the next. An arrival's kseq is its rank among its
+       key's arrivals and other events number on from the key's arrival
+       count, so every event keeps the kseq, and the pop order, it had
+       when all arrivals were queued up front. *)
+    let arank = Array.make cfg.keys 0 in
+    Array.iter
+      (fun k -> if k mod nshards = shard then kseq.(k) <- kseq.(k) + 1)
+      cl.Clients.key;
+    let cursor = ref 0 and queued = ref 0 in
+    let next_arrivals () =
+      let first = ref (-1) and at = cl.Clients.arrival in
+      while
+        !cursor < cfg.clients && (!first < 0 || at.(!cursor) = at.(!first))
+      do
+        let i = !cursor and k = cl.Clients.key.(!cursor) in
+        if k mod nshards = shard then begin
+          if !first < 0 then first := i;
+          q.schedule ~at:at.(i) ~key:k ~kseq:arank.(k) ~kind:k_arrive ~a:i ~b:0;
+          arank.(k) <- arank.(k) + 1;
+          incr queued
+        end;
+        incr cursor
+      done
+    in
+    next_arrivals ();
     let scratch = Array.make cfg.contenders 0 in
     (* The per-key burned flag: the current round's one-shot instance
        has hosted its election (its contender slots are consumed), so
@@ -604,6 +625,8 @@ let run ?telemetry ?(domains = 1) cfg =
        a key count as activity for the run's duration. *)
     let handle now k kind a b =
       if kind = k_arrive then begin
+        decr queued;
+        if !queued = 0 then next_arrivals ();
         Tally.touch tally now;
         Tally.bump tally Arrived ~at:now;
         join a now
@@ -666,10 +689,17 @@ let run ?telemetry ?(domains = 1) cfg =
     done;
     tally
   in
-  let domains = min domains nshards in
+  (* One queue per worker, its pool sized for a whole shard: under
+     overload with retry on shed most clients really are in flight, and
+     a pool that starts small and grows peaks higher. *)
+  let make_queue () =
+    match cfg.events with
+    | `Wheel -> wheel_queue ~capacity:((cfg.clients / nshards) + 256)
+    | `Heap -> heap_queue ()
+  in
   let tallies =
-    if domains <= 1 then Array.init nshards run_shard
-    else Engine.tasks ~domains ~n:nshards run_shard
+    Engine.run_local ~domains:(min domains nshards) ~trials:nshards ~seed:0L
+      ~local:make_queue (fun q ~trial ~seed:_ -> run_shard q trial)
   in
   (* Associative merge in shard order. *)
   let total = Tally.create lmode in

@@ -109,7 +109,19 @@ val require :
 val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
 (** Run the workload to completion (the event engine drains — open-loop
     arrivals are finite). [~domains] (default 1) caps the domain pool
-    used when [shards > 1]; it never affects the report.
+    used when [shards > 1]; it never affects the report. Raises
+    [Invalid_argument] if [domains < 1].
+
+    Arrivals are streamed: a shard's queue holds only its next run of
+    equal-time arrivals, so the event pool follows the events in flight,
+    not [clients]. Each arrival's per-key sequence number is its rank
+    among its key's arrivals, and every other event of the key numbers
+    on from the key's arrival count, which keeps the (time, key, kseq)
+    order of a queue holding every arrival from the start. Shards run
+    through [Engine.run_local] with one queue per worker, reset between
+    shards; its pool is still sized [clients / shards + 256], since
+    under overload with retry on shed most clients of a shard are in
+    flight at once and a pool grown on demand peaks higher.
 
     With [telemetry], each shard's {!Tally} records the windowed
     {!Telemetry.recorder} schema (windows in virtual ticks), the wheel

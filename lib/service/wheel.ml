@@ -87,6 +87,14 @@ let create ?(capacity = 1024) () =
   }
 
 let live t = t.live
+
+(* An empty wheel has every pool id on the free list, no slot list and
+   an empty due buffer, so only the clock and the mark need rewinding. *)
+let reset t =
+  if t.live > 0 then invalid_arg "Wheel.reset: events still scheduled";
+  t.cur <- 0;
+  t.hw_live <- 0
+
 let now_tick t = t.cur
 let high_water t = t.hw_live
 let pool_capacity t = Array.length t.ev_at
@@ -108,10 +116,15 @@ let slots_occupied t =
 let grow t =
   let cap = Array.length t.ev_at in
   let ncap = 2 * cap in
-  t.ev_at <- Array.append t.ev_at (Array.make cap 0.0);
-  t.ev_ord <- Array.append t.ev_ord (Array.make cap 0);
-  t.ev_meta <- Array.append t.ev_meta (Array.make cap 0);
-  t.ev_next <- Array.append t.ev_next (Array.make cap 0);
+  let extend a zero =
+    let b = Array.make ncap zero in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.ev_at <- extend t.ev_at 0.0;
+  t.ev_ord <- extend t.ev_ord 0;
+  t.ev_meta <- extend t.ev_meta 0;
+  t.ev_next <- extend t.ev_next 0;
   for i = cap to ncap - 1 do
     t.ev_next.(i) <- i + 1
   done;
@@ -294,14 +307,13 @@ let ctz32 x =
    current 256-tick window, or -1. *)
 let scan_level0 t =
   let base = t.cur land slot_mask in
-  let rec words w mask =
-    if w >= occ_words then -1
-    else
-      let x = Array.unsafe_get t.occ w land mask in
-      if x = 0 then words (w + 1) (-1)
-      else (w lsl 5) lor ctz32 x
-  in
-  words (base lsr 5) ((-1) lsl (base land 31))
+  let w = ref (base lsr 5) in
+  let x = ref (Array.unsafe_get t.occ !w land ((-1) lsl (base land 31))) in
+  while !x = 0 && !w < occ_words - 1 do
+    incr w;
+    x := Array.unsafe_get t.occ !w
+  done;
+  if !x = 0 then -1 else (!w lsl 5) lor ctz32 !x
 
 (* Rehash a higher-level slot's events now that [cur] has entered its
    window. Anything at or before [cur] (window-start ticks) goes

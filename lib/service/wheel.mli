@@ -84,6 +84,11 @@ val pop : t -> int
     return its id, or [-1] if the wheel is empty. The id's pool fields
     remain readable until the next [schedule] call. *)
 
+val reset : t -> unit
+(** [reset w] readies a drained wheel for reuse: the clock goes back to
+    tick 0 and {!high_water} to 0, and the pool keeps its capacity.
+    Raises [Invalid_argument] if any event is still scheduled. *)
+
 val live : t -> int
 (** Number of scheduled, not-yet-popped events. *)
 

@@ -140,7 +140,15 @@ let test_run_local_arena_per_worker () =
   checki "one arena for the single worker" 1 (Atomic.get built);
   Alcotest.(check (array int)) "arena state carries across trials"
     (Array.init 12 (fun i -> i + 1))
-    r
+    r;
+  (* On two domains the calling domain keeps trial 0's arena: two
+     workers, two arenas. *)
+  Atomic.set built 0;
+  ignore
+    (Engine.run_local ~domains:2 ~trials:12 ~seed:11L
+       ~local:(fun () -> Atomic.incr built)
+       (fun () ~trial:_ ~seed:_ -> ()));
+  checki "one arena per worker on two domains" 2 (Atomic.get built)
 
 (* {1 Aggregated tables: chaos reports across domain counts} *)
 

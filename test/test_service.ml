@@ -426,6 +426,184 @@ let test_driver_alloc_ceiling () =
     true
     (per_unit <= 8.28 *. 1.1)
 
+(* The benchmark's svc-scale shape, seed 1. *)
+let svc_scale ~clients =
+  {
+    (Service.Driver.default ~algorithm:"tournament") with
+    Service.Driver.clients;
+    keys = 256;
+    zipf_s = 0.5;
+    arrival = Service.Arrival.Poisson { rate = 20.0 };
+    contenders = 2;
+    max_waiters = 32;
+    hold = 50.0;
+    crash_prob = 0.001;
+    kernel = `Flat;
+    latency = `Hist;
+    shards = 4;
+  }
+
+(* The event pool follows the events in flight: arrivals stream into
+   the loop, so on a svc-scale-shaped run (100k clients over 4 shards)
+   the wheel's live-event peak was 5,818 when this bound was set. A
+   queue holding every arrival from the start peaks above the 25k
+   clients of a shard (25,248 on this run). The peak is not smaller
+   because every claimed round arms a 20k-tick lease and the whole run
+   spans 5k ticks. *)
+let test_driver_pool_tracks_in_flight () =
+  let cfg = svc_scale ~clients:100_000 in
+  let sink = Service.Telemetry.sink ~window:1000.0 () in
+  ignore (Service.Driver.run ~telemetry:sink cfg : Service.Report.t);
+  let peak =
+    List.fold_left
+      (fun a (_, v) -> Float.max a v)
+      0.0
+      (List.assoc "service.wheel_pool_hw"
+         sink.Service.Telemetry.snapshot.Obs.Timeseries.s_gauges)
+  in
+  checkb
+    (Printf.sprintf "pool peak %g <= 1.5 x the 5818 measured" peak)
+    true
+    (peak <= 1.5 *. 5_818.0);
+  checkb
+    (Printf.sprintf "pool peak %g <= a third of the 25000 clients per shard"
+       peak)
+    true (peak <= 25_000.0 /. 3.0)
+
+let test_driver_rejects_domains () =
+  List.iter
+    (fun domains ->
+      match Service.Driver.run ~domains (small_cfg ()) with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains %d" domains)
+            "Driver: domains must be >= 1" msg
+      | _ -> Alcotest.failf "domains %d was accepted" domains)
+    [ 0; -3 ]
+
+(* {1 Report bytes, pinned}
+
+   The MD5 of the JSON report of twelve configurations at seeds 1, 2
+   and 3. Both event queues take arrivals through the same streaming
+   path, so wheel = heap cannot see a change in the order arrivals
+   enter the loop; these digests, taken while every arrival was still
+   pre-scheduled, can. The first three rows are the benchmark's
+   service workloads at 1% of their size. *)
+
+let golden_cfgs =
+  let svc = Service.Driver.default ~algorithm:"tournament" in
+  let zipf =
+    {
+      svc with
+      Service.Driver.clients = 8_000;
+      keys = 4096;
+      zipf_s = 0.99;
+      arrival = Service.Arrival.Poisson { rate = 0.1 };
+      contenders = 64;
+      max_waiters = 64;
+      kernel = `Flat;
+      latency = `Hist;
+    }
+  in
+  let overload =
+    {
+      svc with
+      Service.Driver.clients = 1_000;
+      keys = 64;
+      zipf_s = 0.0;
+      arrival = Service.Arrival.Poisson { rate = 20.0 };
+      backoff = Service.Backoff.Exp { base = 8.0; cap = 256.0 };
+      contenders = 2;
+      max_waiters = 16;
+      hold = 20.0;
+      on_shed = `Retry;
+      kernel = `Flat;
+      latency = `Hist;
+    }
+  in
+  let scale = svc_scale ~clients:40_000 in
+  let small = small_cfg () in
+  [
+    ("svc-zipf 1%", zipf);
+    ("svc-overload 1%", overload);
+    ("svc-scale 1%", scale);
+    ("svc-scale 1%, 1 shard", { scale with Service.Driver.shards = 1 });
+    ("svc-overload 1%, heap", { overload with Service.Driver.events = `Heap });
+    ("svc-scale 1%, heap", { scale with Service.Driver.events = `Heap });
+    ("small", small);
+    ("small, 4 heap shards", { small with Service.Driver.shards = 4; events = `Heap });
+    ( "small, retry on shed",
+      {
+        small with
+        Service.Driver.arrival = Service.Arrival.Poisson { rate = 0.5 };
+        max_waiters = 4;
+        on_shed = `Retry;
+      } );
+    ( "crash 0.001, bursty, 2 shards",
+      {
+        small with
+        Service.Driver.clients = 3_000;
+        crash_prob = 0.001;
+        arrival =
+          Service.Arrival.Bursty
+            { rate = 0.02; burst_len = 500.0; idle_len = 2000.0; boost = 8.0 };
+        shards = 2;
+      } );
+    ( "effect kernel, fault plan",
+      {
+        small with
+        Service.Driver.algorithm = "tournament";
+        plan = Some [ Fault.Plan.storm 0.02 ];
+      } );
+    ( "effect kernel, fault plan, heap",
+      {
+        small with
+        Service.Driver.plan = Some [ Fault.Plan.crash_at ~pid:1 ~time:3 ];
+        events = `Heap;
+        crash_prob = 0.2;
+      } );
+  ]
+
+let golden_digests =
+  [
+    ("svc-zipf 1%", [ "7730cf682734930e38e735bc1ee2c306"; "56a3d1c038fc1a4665f864098f6f1b4a"; "56b98373e1351ab0809f5b72e8ca7fa3" ]);
+    ("svc-overload 1%", [ "aba8d5e1b9b4810b161d6c8ba734a432"; "e5a877faca073356b396f6adc48cadc0"; "214535793edfb581bb49f614ddaecba2" ]);
+    ("svc-scale 1%", [ "1263da2c560b0e6f6e27df9ad5e386c6"; "fe0371270e18015826c8f92b9232a54b"; "cc41d8fc9390b3cadee5f1074e9cb38e" ]);
+    ("svc-scale 1%, 1 shard", [ "1263da2c560b0e6f6e27df9ad5e386c6"; "fe0371270e18015826c8f92b9232a54b"; "cc41d8fc9390b3cadee5f1074e9cb38e" ]);
+    ("svc-overload 1%, heap", [ "aba8d5e1b9b4810b161d6c8ba734a432"; "e5a877faca073356b396f6adc48cadc0"; "214535793edfb581bb49f614ddaecba2" ]);
+    ("svc-scale 1%, heap", [ "1263da2c560b0e6f6e27df9ad5e386c6"; "fe0371270e18015826c8f92b9232a54b"; "cc41d8fc9390b3cadee5f1074e9cb38e" ]);
+    ("small", [ "10d1ca758de84b8bab6f1d4102154635"; "1381d29de2c4702543af11f9877eea0d"; "b30a9c07b192747923294ddb993ec72f" ]);
+    ("small, 4 heap shards", [ "10d1ca758de84b8bab6f1d4102154635"; "1381d29de2c4702543af11f9877eea0d"; "b30a9c07b192747923294ddb993ec72f" ]);
+    ("small, retry on shed", [ "2c97936ff606cdeb64cdff71c25bafec"; "c59d24cd2ccca68993e7a2164b4f56dc"; "c8221f749f9e61652134f2772f897f83" ]);
+    ("crash 0.001, bursty, 2 shards", [ "ca5c6ad911b2a24ddf92297969bec710"; "5bf4a271b1ad7f0b1034f917e85fe4a7"; "70c2b0734068db8e89d4c103e876b2bd" ]);
+    ("effect kernel, fault plan", [ "b5e869cd5d2de18894eb21403898f31a"; "4022efcbd0e06700f3e95010aac37ed2"; "05b348390df760781758fd996006a85b" ]);
+    ("effect kernel, fault plan, heap", [ "ff7443d9a22187cb44d7b0450205c595"; "cf88c45b4946bb8fabf852ae3a49cde8"; "fd7e49444c862a8fa0dadaa9aefcd2eb" ]);
+  ]
+
+let test_report_digests_pinned () =
+  let actual =
+    List.map
+      (fun (name, cfg) ->
+        ( name,
+          List.map
+            (fun s ->
+              Digest.to_hex
+                (Digest.string
+                   (Service.Report.to_json
+                      (Service.Driver.run
+                         { cfg with Service.Driver.seed = Int64.of_int s }))))
+            [ 1; 2; 3 ] ))
+      golden_cfgs
+  in
+  if actual <> golden_digests then begin
+    List.iter
+      (fun (name, ds) ->
+        Printf.printf "    (%S, [ %s ]);\n" name
+          (String.concat "; " (List.map (Printf.sprintf "%S") ds)))
+      actual;
+    Alcotest.fail "report digests moved (the current ones are printed above)"
+  end
+
 (* {1 The wheel in isolation} *)
 
 (* Torture the event order: a bulk phase of duplicate-heavy random
@@ -494,28 +672,36 @@ let test_wheel_ordering () =
 
 (* The steady-state zero-allocation pin: after warmup (pool and due
    buffer at capacity), a schedule/pop cycle must not allocate a single
-   minor word — the property the million-client driver leans on. *)
+   minor word — the property the million-client driver leans on.
+   [Gc.minor_words] counts every word; [Gc.quick_stat]'s count only
+   moves at a minor collection, so it read 0 for a cycle that allocated
+   unless a collection fell inside it. The event times are boxed before
+   the count starts: a float argument is boxed by the caller, and that
+   cost belongs to the caller. *)
 let test_wheel_zero_alloc () =
   let w = Service.Wheel.create ~capacity:512 () in
-  let cycle start =
-    for i = 0 to 399 do
-      Service.Wheel.schedule w
-        ~at:(start +. float_of_int (i * 97 mod 10_000))
-        ~key:(i land 15) ~kseq:i ~kind:(i land 3) ~a:i ~b:0
-    done;
-    let last = ref 0.0 in
-    while Service.Wheel.live w > 0 do
-      let id = Service.Wheel.pop w in
-      last := w.Service.Wheel.ev_at.(id)
-    done;
-    !last
+  let times start =
+    List.init 400 (fun i -> start +. float_of_int (i * 97 mod 10_000))
   in
-  let t = cycle 0.0 in
-  let s0 = (Gc.quick_stat ()).Gc.minor_words in
-  let t = cycle t in
-  let dw = (Gc.quick_stat ()).Gc.minor_words -. s0 in
-  checkb "wheel cycles allocation-free after warmup" true (dw = 0.0);
-  checkb "virtual time advanced" true (t > 0.0)
+  let schedule i at =
+    Service.Wheel.schedule w ~at ~key:(i land 15) ~kseq:i ~kind:(i land 3)
+      ~a:i ~b:0
+  in
+  let cycle times =
+    List.iteri schedule times;
+    while Service.Wheel.live w > 0 do
+      ignore (Service.Wheel.pop w : int)
+    done
+  in
+  cycle (times 0.0);
+  let second = times 10_000.0 in
+  let s0 = Gc.minor_words () in
+  cycle second;
+  let dw = Gc.minor_words () -. s0 in
+  checkb
+    (Printf.sprintf "wheel cycle allocated %g minor words" dw)
+    true (dw = 0.0);
+  checkb "virtual time advanced" true (Service.Wheel.now_tick w > 10_000)
 
 (* Occupancy accessors: the live high-water mark is monotone and
    survives drains, the pool capacity tracks free-list growth past the
@@ -558,6 +744,44 @@ let test_wheel_occupancy () =
       ~key:0 ~kseq:i ~kind:0 ~a:0 ~b:0
   done;
   checki "mark is monotone" 20 (Service.Wheel.high_water w)
+
+(* Reset readies a drained wheel for the next shard: refused while an
+   event is scheduled, it rewinds the clock and the high-water mark and
+   keeps the grown pool, and the wheel then orders events from tick 0
+   on. *)
+let test_wheel_reset () =
+  let w = Service.Wheel.create ~capacity:16 () in
+  let sched at kseq =
+    Service.Wheel.schedule w ~at ~key:0 ~kseq ~kind:0 ~a:0 ~b:0
+  in
+  for i = 0 to 39 do
+    sched (float_of_int (1000 + (i * 700))) i
+  done;
+  (match Service.Wheel.reset w with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "reset with live events must raise");
+  checki "a refused reset drops nothing" 40 (Service.Wheel.live w);
+  while Service.Wheel.live w > 0 do
+    ignore (Service.Wheel.pop w)
+  done;
+  let cap = Service.Wheel.pool_capacity w in
+  checkb "the clock moved" true (Service.Wheel.now_tick w > 0);
+  Service.Wheel.reset w;
+  checki "clock back at tick 0" 0 (Service.Wheel.now_tick w);
+  checki "mark back at 0" 0 (Service.Wheel.high_water w);
+  checki "pool kept" cap (Service.Wheel.pool_capacity w);
+  List.iteri (fun i at -> sched at i) [ 70_000.0; 5.0; 300.0; 5.0 ];
+  let popped =
+    List.init 4 (fun _ ->
+        let id = Service.Wheel.pop w in
+        ( w.Service.Wheel.ev_at.(id),
+          Service.Wheel.kseq_of_ord w.Service.Wheel.ev_ord.(id) ))
+  in
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "(at, kseq) order after reset"
+    [ (5.0, 1); (5.0, 3); (300.0, 2); (70_000.0, 0) ]
+    popped;
+  checki "clock at the last event" 70_000 (Service.Wheel.now_tick w)
 
 (* {1 Telemetry}
 
@@ -1031,6 +1255,15 @@ let () =
             test_driver_alloc_ceiling;
           Alcotest.test_case "non-finite config fields rejected" `Quick
             test_non_finite_config_rejected;
+          Alcotest.test_case "domains < 1 rejected" `Quick
+            test_driver_rejects_domains;
+          Alcotest.test_case "event pool tracks in-flight events" `Quick
+            test_driver_pool_tracks_in_flight;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "report digests, 12 configs x 3 seeds" `Quick
+            test_report_digests_pinned;
         ] );
       ( "events",
         [
@@ -1044,6 +1277,7 @@ let () =
             test_wheel_zero_alloc;
           Alcotest.test_case "wheel occupancy accessors" `Quick
             test_wheel_occupancy;
+          Alcotest.test_case "wheel reset" `Quick test_wheel_reset;
         ] );
       ( "telemetry",
         [

@@ -87,7 +87,10 @@ flat-smoke:
 # client, complete work, and (under chaos) recover every crashed
 # holder without wedging a key. The poison run is repeated on the
 # effect kernel and on the heap event queue, and both reports must
-# equal the flat/wheel one byte for byte. A malformed --backoff, a
+# equal the flat/wheel one byte for byte. A contended 512-key log* run
+# must also give the same report on both kernels: every key's rounds
+# share one arena per shard, so state leaking from one key's round into
+# the next would show here. A malformed --backoff, a
 # zero telemetry window or --domains 0 must be a usage error (exit 2).
 # Scratch files live in the build tree.
 service-smoke:
@@ -114,6 +117,11 @@ service-smoke:
 	  --kernel flat --events heap --arrival poisson --clients 500 --keys 8 \
 	  --seed 11 -o _build/SVC_poison_heap.json
 	cmp _build/SVC_poison_heap.json _build/SVC_poison.json
+	dune exec bin/rtas_cli.exe -- service --alg log* --kernel flat --rate 2 \
+	  --clients 20000 --keys 512 --seed 11 -o _build/SVC_shared_flat.json
+	dune exec bin/rtas_cli.exe -- service --alg log* --kernel effect --rate 2 \
+	  --clients 20000 --keys 512 --seed 11 -o _build/SVC_shared_effect.json
+	cmp _build/SVC_shared_effect.json _build/SVC_shared_flat.json
 	dune exec bin/rtas_cli.exe -- service --backoff exp:x:1 >/dev/null 2>&1; \
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --backoff rand:abc >/dev/null 2>&1; \
@@ -122,7 +130,7 @@ service-smoke:
 	  --telemetry _build/SVC_bad_window.json >/dev/null 2>&1; test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --domains 0 >/dev/null 2>&1; \
 	  test $$? -eq 2
-	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) OK, bad input exits 2"
+	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) + contended 512-key flat = effect OK, bad input exits 2"
 
 # Million-client scale smoke: one sim run at 1M clients on the timing
 # wheel with sharded execution and the bounded-memory latency

@@ -40,7 +40,10 @@ type t = {
   mutable n_dirty : int;
   mutable epoch : int;
   frames : int array;  (* capacity * frame_words process locals *)
-  rng : Sim.Rng.t;  (* shared flip stream, exactly as Sched's [t.rng] *)
+  mutable flip_seed : int64;
+      (* The shared flip stream, exactly Sched's [t.rng]: flip i
+         (from 1) is [draw flip_seed i]. *)
+  mutable flip_idx : int;  (* flips drawn since [reset] *)
   status : int array;  (* 0 running / 1 finished *)
   results : int array;
   steps : int array;
@@ -72,79 +75,41 @@ and program = {
          [finish]. One call = one scheduled step. *)
 }
 
-(* {1 Operations available to compiled programs}
-
-   Hot-path array accesses are unchecked ([Array.unsafe_get/set]): the
+(* Hot-path array accesses are unchecked ([Array.unsafe_get/set]): the
    scheduling loops only pass pids drawn from [run_arr] (all in
    [0, active)), and register/frame indices come from the compiled
    programs, whose layouts are sized by [p_regs]/[p_frame] at [create]
-   and pinned by test_flatsim's differential suite. *)
-
-(* All register writes funnel through here so [reset] can clear just
-   the registers a trial touched (a log* machine for n = 512 has ~2.2k
-   registers; a 64-process trial dirties a few dozen). [stamp]/[epoch]
-   dedupe the log, bounding it by the register count. *)
-let[@inline] write_reg m r v =
-  Array.unsafe_set m.regs r v;
-  let e = m.epoch in
-  if Array.unsafe_get m.stamp r <> e then begin
-    Array.unsafe_set m.stamp r e;
-    Array.unsafe_set m.dirty m.n_dirty r;
-    m.n_dirty <- m.n_dirty + 1
-  end
-
-let[@inline] flip m pid bound =
-  let v = Sim.Rng.int m.rng bound in
-  Array.unsafe_set m.flips pid (Array.unsafe_get m.flips pid + 1);
-  if m.record_flips then
-    m.flip_log <- (m.time, pid, bound, v) :: m.flip_log;
-  v
-
-let[@inline] flip_geom m pid l =
-  let v = Sim.Rng.geometric_capped m.rng l in
-  Array.unsafe_set m.flips pid (Array.unsafe_get m.flips pid + 1);
-  if m.record_flips then m.flip_log <- (m.time, pid, -l, v) :: m.flip_log;
-  v
-
-let finish m pid result =
-  m.status.(pid) <- 1;
-  m.results.(pid) <- result;
-  (* Drop [pid] from the running set, keeping it ascending so the
-     runnable view any scheduling loop sees matches the effect
-     scheduler's recomputed [runnable] array index-for-index. [pos]
-     makes the find O(1); whichever side of the hole is shorter gets
-     shifted, with the live window floating upward in [run_arr] (sized
-     2 * capacity) via [base]. (Measured alternatives for this
-     structure: an O(1)-finish rank/select bitmap loses — even with a
-     branch-free SWAR select, the extra ~15ns lands on the serial
-     draw->resume critical path, while the shift is throughput work
-     the core hides; splitting the fused loop into a pos pass and a
-     move pass also measures slower than this form.) *)
-  let run_arr = m.run_arr and pos = m.pos in
-  let i = Array.unsafe_get pos pid in
-  let base = m.base in
-  let hi = base + m.n_running - 1 in
-  if i - base < hi - i then begin
-    for j = i - 1 downto base do
-      let p = Array.unsafe_get run_arr j in
-      Array.unsafe_set run_arr (j + 1) p;
-      Array.unsafe_set pos p (j + 1)
-    done;
-    m.base <- base + 1
-  end
-  else
-    for j = i to hi - 1 do
-      let p = Array.unsafe_get run_arr (j + 1) in
-      Array.unsafe_set run_arr j p;
-      Array.unsafe_set pos p j
-    done;
-  m.n_running <- m.n_running - 1
+   and pinned by test_flatsim's differential suite. The operations a
+   program's resume performs (register write, flips, [finish]) live in
+   programs.ml, beside their only caller. *)
 
 (* {1 Construction and arena reuse} *)
 
+(* Splitmix64 draw [i] of the stream seeded [seed], masked to a
+   non-negative int: [Sim.Rng.int]'s value before its [mod] (constants
+   as in rng.ml). The state after [i] draws is [seed + i * golden], so
+   recomputing it per draw inside the caller keeps every Int64 unboxed
+   and skips the record traffic of a heap generator. programs.ml keeps
+   the flip stream's copy: under [-opaque] a call from there to here
+   would not be inlined. *)
+let[@inline] draw seed i =
+  let s = Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int i)) in
+  let z =
+    Int64.mul
+      (Int64.logxor s (Int64.shift_right_logical s 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
+  in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL)
+
 let default_seed = 0x5EEDL (* Sched.create's default *)
 
-let reset ?(seed = default_seed) ?procs m =
+let reset ~seed ?procs m =
   let procs =
     match procs with
     | None -> m.capacity
@@ -153,7 +118,8 @@ let reset ?(seed = default_seed) ?procs m =
           invalid_arg "Machine.reset: procs out of range";
         k
   in
-  Sim.Rng.reseed m.rng seed;
+  m.flip_seed <- seed;
+  m.flip_idx <- 0;
   m.time <- 0;
   m.active <- procs;
   m.n_running <- procs;
@@ -163,7 +129,8 @@ let reset ?(seed = default_seed) ?procs m =
      Array.unsafe_set run_arr pid pid;
      Array.unsafe_set pos pid pid
    done);
-  (* Clear only the registers the last trial wrote (see [write_reg]). *)
+  (* Clear only the registers the last trial wrote (programs.ml's
+     [write_reg] logs them in [dirty]). *)
   (let regs = m.regs and dirty = m.dirty in
    for i = 0 to m.n_dirty - 1 do
      Array.unsafe_set regs (Array.unsafe_get dirty i) 0
@@ -199,7 +166,8 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
       n_dirty = 0;
       epoch = 1;
       frames = Array.make (procs * max 1 prog.p_frame) 0;
-      rng = Sim.Rng.create seed;
+      flip_seed = seed;
+      flip_idx = 0;
       status = Array.make procs 0;
       results = Array.make procs 0;
       steps = Array.make procs 0;
@@ -264,50 +232,40 @@ let run_rr ?(max_total_steps = default_max_steps) m =
 
 (* Replicates {!Sim.Adversary.random_oblivious}: one [Rng.int] draw per
    decision, indexing the ascending runnable array, on the same
-   [Sim.Rng] stream the effect path's adversary draws from. *)
+   [Sim.Rng] stream the effect path's adversary draws from ([draw]).
+
+   Software-pipelined: each iteration carries the already-mixed value
+   [v] for the current draw and mixes draw i+1 before calling
+   [resume], so the 3-multiply mix latency overlaps the resume body
+   instead of extending the draw -> index -> resume serial chain. Once
+   one process is left every draw would pick it, and draw i depends on
+   i alone, so the solo tail skips the mix and the [mod]: the draws it
+   leaves out are never read. Both loops keep their state in local
+   refs, so a call allocates nothing. *)
 let run_random ?(max_total_steps = default_max_steps) m ~seed =
   let resume = m.prog.p_resume in
   let steps = m.steps in
   let run_arr = m.run_arr in
-  (* The adversary stream is [Sim.Rng.int] hand-inlined (constants as
-     in rng.ml): recomputing [seed + i * golden] per draw inside one
-     local function keeps every Int64 unboxed and skips the record
-     traffic of a heap generator. Draw i here = Sim.Rng draw i from
-     [seed].
-
-     Software-pipelined: each iteration carries the already-mixed
-     value [v] for the current draw and mixes draw i+1 before calling
-     [resume], so the 3-multiply mix latency overlaps the resume body
-     instead of extending the draw -> index -> resume serial chain
-     ([v] is an immediate int, so threading it allocates nothing). *)
-  let[@inline] mixed i =
-    let s = Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int i)) in
-    let z =
-      Int64.mul
-        (Int64.logxor s (Int64.shift_right_logical s 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL)
-  in
-  let rec go i v =
-    if m.n_running > 0 then begin
-      if m.time >= max_total_steps then
-        overrun m max_total_steps "random-oblivious";
-      let v' = mixed (i + 1) in
-      let pid = Array.unsafe_get run_arr (m.base + (v mod m.n_running)) in
-      m.time <- m.time + 1;
-      Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
-      resume m pid;
-      go (i + 1) v'
-    end
-  in
-  go 1 (mixed 1)
+  let i = ref 1 and v = ref (draw seed 1) in
+  while m.n_running > 1 do
+    if m.time >= max_total_steps then
+      overrun m max_total_steps "random-oblivious";
+    let v' = draw seed (!i + 1) in
+    let pid = Array.unsafe_get run_arr (m.base + (!v mod m.n_running)) in
+    m.time <- m.time + 1;
+    Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
+    resume m pid;
+    i := !i + 1;
+    v := v'
+  done;
+  while m.n_running > 0 do
+    if m.time >= max_total_steps then
+      overrun m max_total_steps "random-oblivious";
+    let pid = Array.unsafe_get run_arr m.base in
+    m.time <- m.time + 1;
+    Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
+    resume m pid
+  done
 
 (* Run-to-completion in [order] — the differential-test schedule (the
    flat image of test_multicore's seq_order adversary). *)

@@ -28,7 +28,10 @@ type t = {
   mutable n_dirty : int;
   mutable epoch : int;
   frames : int array;  (** [capacity * frame_words] process locals *)
-  rng : Sim.Rng.t;  (** shared flip stream (the image of Sched's rng) *)
+  mutable flip_seed : int64;
+      (** shared flip stream (the image of Sched's rng): flip [i], from
+          1, is splitmix64 draw [i] of [flip_seed] *)
+  mutable flip_idx : int;  (** flips drawn since {!reset} *)
   status : int array;  (** 0 running / 1 finished *)
   results : int array;
   steps : int array;
@@ -54,32 +57,12 @@ and program = {
           program to its first effect. *)
   p_resume : t -> int -> unit;
       (** One scheduled step: execute the pending operation the frame
-          pc names, then run local code to the next one or {!finish}. *)
+          pc names, then run local code to the next one, or retire
+          the process (set its [status] to 1 and its [results] slot,
+          and drop it from [run_arr]). The register write, the flips
+          and the retirement live in programs.ml, beside their only
+          caller. *)
 }
-
-(** {1 Operations for compiled programs}
-
-    Reads and writes have no install API: a program's [p_resume]
-    executes its pending operation directly against [regs] (the frame
-    pc names it), which keeps the operation at its scheduled step while
-    touching no per-process op buffers. *)
-
-val write_reg : t -> int -> int -> unit
-(** [write_reg m r v]: the register-write primitive. Also logs [r] as
-    dirty so {!reset} clears only the registers a trial touched. Reads
-    go straight to [m.regs]. *)
-
-val flip : t -> int -> int -> int
-(** [flip m pid bound]: inline fair draw in [0, bound), logged like
-    [Ctx.flip]. Flips are not scheduling points, exactly as in the
-    effect path. *)
-
-val flip_geom : t -> int -> int -> int
-(** [flip_geom m pid l]: geometric draw capped at [l], logged with
-    bound [-l] like [Ctx.flip_geometric]. *)
-
-val finish : t -> int -> int -> unit
-(** [finish m pid result] retires the process. *)
 
 (** {1 Construction and arena reuse} *)
 
@@ -87,8 +70,10 @@ val create : ?seed:int64 -> ?record_flips:bool -> procs:int -> program -> t
 (** Allocates the arenas and runs every process to its first operation
     (flipping on the way), in pid order — the flat [Sched.create]. *)
 
-val reset : ?seed:int64 -> ?procs:int -> t -> unit
-(** Restore to the state [create] would produce, allocating nothing.
+val reset : seed:int64 -> ?procs:int -> t -> unit
+(** Restore to the state [create ~seed] would produce, allocating
+    nothing. The seed is required: an optional one would make every
+    caller box it.
     [?procs] may shrink the run below capacity (the service driver's
     per-round contender count); defaults to full capacity. *)
 

@@ -32,8 +32,111 @@
 
 module M = Machine
 
-let uget = Array.unsafe_get
-let uset = Array.unsafe_set
+(* Typed [int array] so every frame and register access is a plain
+   load or store: a polymorphic binding compiles to a generic access
+   that tests the array's tag, and stores through [caml_modify]. *)
+let[@inline] uget (a : int array) i = Array.unsafe_get a i
+let[@inline] uset (a : int array) i (v : int) = Array.unsafe_set a i v
+
+(* {1 Machine operations}
+
+   The primitives every resume calls. They live here, beside their
+   only caller, rather than in machine.ml: dune's dev profile compiles
+   with [-opaque], so a call into another module is an unknown call
+   through [caml_applyN], never inlined. *)
+
+(* All register writes funnel through here so [Machine.reset] can clear
+   just the registers a trial touched (a log* machine for n = 512 has
+   ~2.2k registers; a 64-process trial dirties a few dozen).
+   [stamp]/[epoch] dedupe the log, bounding it by the register count. *)
+let[@inline] write_reg m r v =
+  uset m.M.regs r v;
+  let e = m.M.epoch in
+  if uget m.M.stamp r <> e then begin
+    uset m.M.stamp r e;
+    uset m.M.dirty m.M.n_dirty r;
+    m.M.n_dirty <- m.M.n_dirty + 1
+  end
+
+(* The flip stream: machine.ml's [draw] ([Sim.Rng]'s splitmix64)
+   copied here so it inlines into the resumes. *)
+let[@inline] next_draw m =
+  let i = m.M.flip_idx + 1 in
+  m.M.flip_idx <- i;
+  let seed = m.M.flip_seed in
+  let s = Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int i)) in
+  let z =
+    Int64.mul
+      (Int64.logxor s (Int64.shift_right_logical s 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
+  in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL)
+
+(* Off the hot path: only a run that records flips gets here. *)
+let[@inline never] log_flip m pid bound v =
+  m.M.flip_log <- (m.M.time, pid, bound, v) :: m.M.flip_log
+
+(* Inline fair draw in [0, bound) ([Sim.Rng.int]), logged like
+   [Ctx.flip]. Flips are not scheduling points, exactly as in the
+   effect path. Every [bound] here is a positive constant of the
+   program. *)
+let[@inline] flip m pid bound =
+  let v = next_draw m mod bound in
+  uset m.M.flips pid (uget m.M.flips pid + 1);
+  if m.M.record_flips then log_flip m pid bound v;
+  v
+
+(* Geometric draw capped at [l] ([Sim.Rng.geometric_capped]: fair bits
+   until the first 1, at most [l - 1] of them), logged with bound [-l]
+   like [Ctx.flip_geometric]. *)
+let[@inline] flip_geom m pid l =
+  let v = ref 1 in
+  while !v < l && next_draw m land 1 = 0 do
+    incr v
+  done;
+  uset m.M.flips pid (uget m.M.flips pid + 1);
+  if m.M.record_flips then log_flip m pid (-l) !v;
+  !v
+
+(* Retire [pid] with [result]. Drop it from the running set, keeping
+   it ascending so the runnable view any scheduling loop sees matches
+   the effect scheduler's recomputed [runnable] array index-for-index.
+   [pos] makes the find O(1); whichever side of the hole is shorter
+   gets shifted, with the live window floating upward in [run_arr]
+   (sized 2 * capacity) via [base]. (Measured alternatives for this
+   structure: an O(1)-finish rank/select bitmap loses — even with a
+   branch-free SWAR select, the extra ~15ns lands on the serial
+   draw->resume critical path, while the shift is throughput work the
+   core hides; splitting the fused loop into a pos pass and a move pass
+   also measures slower than this form.) *)
+let finish m pid result =
+  uset m.M.status pid 1;
+  uset m.M.results pid result;
+  let run_arr = m.M.run_arr and pos = m.M.pos in
+  let i = uget pos pid in
+  let base = m.M.base in
+  let hi = base + m.M.n_running - 1 in
+  if i - base < hi - i then begin
+    for j = i - 1 downto base do
+      let p = uget run_arr j in
+      uset run_arr (j + 1) p;
+      uset pos p (j + 1)
+    done;
+    m.M.base <- base + 1
+  end
+  else
+    for j = i to hi - 1 do
+      let p = uget run_arr (j + 1) in
+      uset run_arr j p;
+      uset pos p j
+    done;
+  m.M.n_running <- m.M.n_running - 1
 
 (* {1 Sub-machines}
 
@@ -49,7 +152,7 @@ let[@inline] le2_resume m pid ~b ~mine ~other =
   let fr = m.M.frames and regs = m.M.regs in
   if uget fr b = 1 then begin
     (* execute the position write; loop back to the read *)
-    M.write_reg m mine (uget fr (b + 1));
+    write_reg m mine (uget fr (b + 1));
     uset fr b 0;
     -1
   end
@@ -58,7 +161,7 @@ let[@inline] le2_resume m pid ~b ~mine ~other =
     let pos = uget fr (b + 1) in
     if o >= pos + 2 then 0
     else if o <= pos - 3 then 1
-    else if M.flip m pid 2 = 1 then begin
+    else if flip m pid 2 = 1 then begin
       uset fr (b + 1) (pos + 1);
       uset fr b 1;
       -1
@@ -75,7 +178,7 @@ let[@inline] splitter_resume m pid ~b ~race ~door =
   let fr = m.M.frames and regs = m.M.regs in
   match uget fr b with
   | 0 ->
-      M.write_reg m race (pid + 1);
+      write_reg m race (pid + 1);
       uset fr b 1;
       -1
   | 1 ->
@@ -85,7 +188,7 @@ let[@inline] splitter_resume m pid ~b ~race ~door =
         -1
       end
   | 2 ->
-      M.write_reg m door 1;
+      write_reg m door 1;
       uset fr b 3;
       -1
   | _ -> if uget regs race = pid + 1 then 2 else 1
@@ -106,13 +209,13 @@ let[@inline] ge_resume m pid ~b ~rb ~l =
         -1
       end
   | 1 ->
-      M.write_reg m (rb + l + 1) 1;
-      let x = M.flip_geom m pid l in
+      write_reg m (rb + l + 1) 1;
+      let x = flip_geom m pid l in
       uset fr (b + 1) x;
       uset fr b 2;
       -1
   | 2 ->
-      M.write_reg m (rb + uget fr (b + 1) - 1) 1;
+      write_reg m (rb + uget fr (b + 1) - 1) 1;
       uset fr b 3;
       -1
   | _ -> if uget regs (rb + uget fr (b + 1)) = 0 then 1 else 0
@@ -124,13 +227,13 @@ let[@inline] ge_resume m pid ~b ~rb ~l =
 
 let[@inline] sift_start m pid ~b ~threshold =
   let fr = m.M.frames in
-  if M.flip m pid Groupelect.Ge_sift.resolution < threshold then uset fr b 0
+  if flip m pid Groupelect.Ge_sift.resolution < threshold then uset fr b 0
   else uset fr b 1
 
 let[@inline] sift_resume m ~b ~r =
   let fr = m.M.frames and regs = m.M.regs in
   if uget fr b = 0 then begin
-    M.write_reg m r 1;
+    write_reg m r 1;
     1
   end
   else if uget regs r = 0 then 1
@@ -146,14 +249,14 @@ let[@inline] poison_resume m pid ~b ~cb ~size ~threshold =
   let fr = m.M.frames and regs = m.M.regs in
   match uget fr b with
   | 0 ->
-      M.write_reg m (cb + (pid mod size)) 1;
-      if M.flip m pid Groupelect.Ge_sift.resolution < threshold then 1
+      write_reg m (cb + (pid mod size)) 1;
+      if flip m pid Groupelect.Ge_sift.resolution < threshold then 1
       else begin
         uset fr b 1;
         -1
       end
   | 1 ->
-      M.write_reg m (cb + (pid mod size)) 2;
+      write_reg m (cb + (pid mod size)) 2;
       uset fr b 2;
       uset fr (b + 1) 0;
       -1
@@ -185,7 +288,7 @@ let[@inline] climb_to m b v =
 
 let[@inline] climb_start m pid ~b ~leaves =
   let v = leaves + pid in
-  if v = 1 then M.finish m pid 1 else climb_to m b v
+  if v = 1 then finish m pid 1 else climb_to m b v
 
 let[@inline] climb_resume m pid ~b ~du =
   let v = uget m.M.frames b in
@@ -194,8 +297,8 @@ let[@inline] climb_resume m pid ~b ~du =
     le2_resume m pid ~b:(b + 1) ~mine:(d2 + port) ~other:(d2 + 1 - port)
   in
   if r >= 0 then
-    if r = 0 then M.finish m pid 0
-    else if v / 2 = 1 then M.finish m pid 1
+    if r = 0 then finish m pid 0
+    else if v / 2 = 1 then finish m pid 1
     else climb_to m b (v / 2)
 
 (* What a chain level's round is. The chain's one resume matches on it
@@ -257,12 +360,12 @@ let chain ~name ~n ~rounds ~round_regs round =
                 ~size:p.size.(level) ~threshold:p.threshold.(level)
         in
         if r >= 0 then
-          if r = 0 then M.finish m pid 0 else enter_splitter fr b level
+          if r = 0 then finish m pid 0 else enter_splitter fr b level
     | 1 -> (
         let race = round_regs + (2 * level) in
         match splitter_resume m pid ~b:(b + 3) ~race ~door:(race + 1) with
         | -1 -> ()
-        | 0 -> M.finish m pid 0 (* L: lost the level *)
+        | 0 -> finish m pid 0 (* L: lost the level *)
         | 1 -> enter fr b (level + 1) (* R: move right *)
         | _ ->
             (* S: stopped here; descend the duel ladder on port 0 *)
@@ -277,8 +380,8 @@ let chain ~name ~n ~rounds ~round_regs round =
           le2_resume m pid ~b:(b + 3) ~mine:(d2 + port) ~other:(d2 + 1 - port)
         in
         if r >= 0 then
-          if r = 0 then M.finish m pid 0
-          else if j = 0 then M.finish m pid 1
+          if r = 0 then finish m pid 0
+          else if j = 0 then finish m pid 1
           else enter_duel fr b (j - 1)
   in
   { M.p_name = name; p_regs = du0 + (2 * n); p_frame = 5; p_start; p_resume }
@@ -351,7 +454,7 @@ let sift ~n =
     let b = pid * 4 in
     if uget m.M.frames b = 0 then begin
       let i = uget m.M.frames (b + 1) in
-      if sift_resume m ~b:(b + 2) ~r:i = 0 then M.finish m pid 0
+      if sift_resume m ~b:(b + 2) ~r:i = 0 then finish m pid 0
       else enter m pid b (i + 1)
     end
     else climb_resume m pid ~b:(b + 1) ~du:nlev

@@ -248,9 +248,9 @@ let heap_queue () =
 
 (* {1 Rounds}
 
-   A key's election arena, built once on the key's first touch from the
-   registry entry and [cfg.kernel], and reused by every later round of
-   the key — the arena-reuse idiom of DESIGN.md §9 lifted from trial
+   A shard's election arena, built once per shard from the registry
+   entry and [cfg.kernel], and reused by every round of every key of
+   the shard — the arena-reuse idiom of DESIGN.md §9 lifted from trial
    batches to service rounds. [elect seed nc] resets the arena, elects
    among pids [0, nc) under the round seed and returns the round's
    span; [status] then reads each pid's outcome, and [cost] records the
@@ -389,17 +389,14 @@ let run ?telemetry ?(domains = 1) cfg =
        load-and-branch per count, and the report is byte-identical
        either way (pinned by test_service's differential). *)
     let tally = Tally.create ?sink:telemetry lmode in
-    let arenas = Array.make cfg.keys None in
+    (* One election arena for every key of the shard: a round runs to
+       completion inside one event and [elect] resets the arena fully,
+       so no state outlives a round. *)
+    let arena = make_round () in
     let module R = Resettable.Make (struct
       type instance = round
 
-      let fresh ~key ~round:_ =
-        match arenas.(key) with
-        | Some a -> a
-        | None ->
-            let a = make_round () in
-            arenas.(key) <- Some a;
-            a
+      let fresh ~key:_ ~round:_ = arena
     end) in
     let res : R.t option array = Array.make cfg.keys None in
     let get_res k =
@@ -464,7 +461,7 @@ let run ?telemetry ?(domains = 1) cfg =
       | Some r -> (
           match R.state r with
           | Resettable.Held _ -> ()
-          | Resettable.Open { round; inst = arena; _ } ->
+          | Resettable.Open { round; _ } ->
               if burned.(k) || qlen.(k) = 0 then ()
               else begin
                 (* Pick contenders FIFO: drop expired waiters, skip
@@ -498,9 +495,9 @@ let run ?telemetry ?(domains = 1) cfg =
                 qhead.(k) <- !rhead;
                 qtail.(k) <- !rtail;
                 qlen.(k) <- !rlen;
-                if !npicked > 0 then run_round k r round arena !npicked now
+                if !npicked > 0 then run_round k r round !npicked now
               end)
-    and run_round k r round arena nc now =
+    and run_round k r round nc now =
       burned.(k) <- true;
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in

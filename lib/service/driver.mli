@@ -4,10 +4,12 @@
     Clients arrive on a Poisson or bursty schedule ({!Arrival}), pick a
     key Zipfian-ly ({!Zipf}), and queue on it. Whenever a key is [Open]
     with a fresh one-shot instance and has eligible waiters, the driver
-    runs one election {e round} among them on the key's arena — the flat
-    machine or the effect simulator, under a derived-seed random-oblivious
+    runs one election {e round} among them and advances virtual time by
+    its span. The round runs on its shard's arena (one flat machine or
+    effect-simulator structure per shard, shared by all its keys and
+    reset as each round starts) under a derived-seed random-oblivious
     schedule (plus an optional {!Fault.Plan}), cut off after 1,000,000
-    steps — and advances virtual time by its span. The winner claims the
+    steps. The winner claims the
     round; losers retry after a {!Backoff} delay; clients whose age
     exceeds the deadline resolve as deadline-exceeded; arrivals that find
     the key's queue full are shed.

@@ -37,11 +37,13 @@ module Make (E : ELECTION) = struct
     | _ -> false
 
   (* [release]/[force_expire] build the next round's instance before
-     the CAS; a lost CAS drops it. With the simulator's arena-reuse
-     factory that build is a [Memory.reset] of the key's arena — safe
-     because the sim driver is single-threaded per run, so installing
-     transitions of one key never race. The atomic factory allocates,
-     so a dropped instance is garbage, nothing more. *)
+     the CAS; a lost CAS drops it. The simulator driver's factory hands
+     back its shard's one arena, which every round resets as it starts
+     — safe because a shard is single-threaded and runs each round to
+     completion inside one event, so no round is in flight on the arena
+     when the next one, of this key or another, begins. The atomic
+     factory allocates, so a dropped instance is garbage, nothing
+     more. *)
   let install_next t ~round ~now seen =
     let next =
       Open { round = round + 1; inst = E.fresh ~key:t.rt_key ~round:(round + 1); since = now }

@@ -65,12 +65,13 @@ module type ELECTION = sig
   val fresh : key:int -> round:int -> instance
   (** A fresh one-shot instance for [key]'s round [round]. Called once
       per installed round. The simulator backend implements this as
-      arena reuse — [Sim.Memory.reset] of the key's arena restores the
-      structure built once at key creation — while the atomic backend
-      allocates a new structure. Must be safe to call for a round that
-      then loses its installing CAS (the instance is simply dropped;
-      with arena reuse the installing transitions of one key are never
-      concurrent, see {!Make.release}). *)
+      arena reuse: every key of a shard gets the shard's one arena,
+      built once when the shard starts and reset at the start of each
+      round (a shard runs one round at a time, each to completion) —
+      while the atomic backend allocates a new structure. Must be safe
+      to call for a round that then loses its installing CAS (the
+      instance is simply dropped; with arena reuse the installing
+      transitions are never concurrent, see {!Make.release}). *)
 end
 
 module Make (E : ELECTION) : sig

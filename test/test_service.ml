@@ -580,7 +580,34 @@ let golden_digests =
     ("effect kernel, fault plan, heap", [ "ff7443d9a22187cb44d7b0450205c595"; "cf88c45b4946bb8fabf852ae3a49cde8"; "fd7e49444c862a8fa0dadaa9aefcd2eb" ]);
   ]
 
-let test_report_digests_pinned () =
+(* Many keys on one effect-kernel arena: every round of a shard runs
+   on the same election structure, reset between rounds. Classic
+   RatRace builds its primary-tree nodes on first touch and keeps them
+   across resets, so a key's rounds meet nodes that other keys' rounds
+   built; log* allocates everything up front. Contended (rate 2 over
+   512 keys) so that rounds of 2..8 contenders mix with solo ones.
+   These digests were taken while every key still had an arena of its
+   own. *)
+let shared_arena_cfgs =
+  let cfg algorithm =
+    {
+      (small_cfg ()) with
+      Service.Driver.algorithm;
+      clients = 4_000;
+      keys = 512;
+      contenders = 8;
+      arrival = Service.Arrival.Poisson { rate = 2.0 };
+    }
+  in
+  [ ("ratrace, 512 keys", cfg "ratrace"); ("log*, 512 keys", cfg "log*") ]
+
+let shared_arena_digests =
+  [
+    ("ratrace, 512 keys", [ "2e38df587a47833279e37963215f29a4"; "646f9255dac309d6795208b86dd5d95b"; "6334561d9e48ea37d757f0ee86f4096f" ]);
+    ("log*, 512 keys", [ "514e6c41263a042871a2f7c3baffb94a"; "b7b27ba3f0f21ef9fd0c4a4033d97ad0"; "10a91ee39964f924fb37fbc314e6f999" ]);
+  ]
+
+let check_report_digests cfgs expected =
   let actual =
     List.map
       (fun (name, cfg) ->
@@ -593,9 +620,9 @@ let test_report_digests_pinned () =
                       (Service.Driver.run
                          { cfg with Service.Driver.seed = Int64.of_int s }))))
             [ 1; 2; 3 ] ))
-      golden_cfgs
+      cfgs
   in
-  if actual <> golden_digests then begin
+  if actual <> expected then begin
     List.iter
       (fun (name, ds) ->
         Printf.printf "    (%S, [ %s ]);\n" name
@@ -603,6 +630,12 @@ let test_report_digests_pinned () =
       actual;
     Alcotest.fail "report digests moved (the current ones are printed above)"
   end
+
+let test_report_digests_pinned () =
+  check_report_digests golden_cfgs golden_digests
+
+let test_shared_arena_digests_pinned () =
+  check_report_digests shared_arena_cfgs shared_arena_digests
 
 (* {1 The wheel in isolation} *)
 
@@ -1264,6 +1297,8 @@ let () =
         [
           Alcotest.test_case "report digests, 12 configs x 3 seeds" `Quick
             test_report_digests_pinned;
+          Alcotest.test_case "report digests, many keys on one arena" `Quick
+            test_shared_arena_digests_pinned;
         ] );
       ( "events",
         [

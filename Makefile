@@ -156,20 +156,26 @@ service-scale-smoke:
 # its structure with jq (every event carries ph/ts/pid/tid; spans
 # balance: as many B as E events), then run a small profile batch and
 # check the JSON report names the expected phases and carries the
-# pinned RMR totals of this seed. Scratch files live in the build tree.
+# pinned RMR totals of this seed. A contention outside 1..n must be a
+# usage error (exit 2), on `run` and `trace` alike. Scratch files live
+# in the build tree.
 trace-smoke:
-	dune exec bin/rtas_cli.exe -- trace --algo rr_classic -n 8 --seed 3 \
+	dune exec bin/rtas_cli.exe -- trace --algo ratrace -n 8 --seed 3 \
 	  -o _build/trace.json
 	jq -e '.traceEvents | length > 0' _build/trace.json >/dev/null
 	jq -e '[.traceEvents[] | select((has("ph") and has("ts") and has("pid") and has("tid")) | not)] | length == 0' _build/trace.json >/dev/null
 	jq -e '([.traceEvents[] | select(.ph == "B")] | length) == ([.traceEvents[] | select(.ph == "E")] | length)' _build/trace.json >/dev/null
-	dune exec bin/rtas_cli.exe -- profile --algos ge_logstar,chain,rr_classic \
+	dune exec bin/rtas_cli.exe -- profile --algos 'ge_logstar,log*,ratrace' \
 	  -n 32 -k 8 --trials 20 --seed 3 --json _build/profile.json >/dev/null
-	jq -e '.algos | keys == ["chain", "ge_logstar", "rr_classic"]' _build/profile.json >/dev/null
-	jq -e '[.algos.rr_classic.phases[].phase] | contains(["rr_tree", "rr_ascend", "rr_top"])' _build/profile.json >/dev/null
+	jq -e '.algos | keys == ["ge_logstar", "log*", "ratrace"]' _build/profile.json >/dev/null
+	jq -e '[.algos.ratrace.phases[].phase] | contains(["rr_tree", "rr_ascend", "rr_top"])' _build/profile.json >/dev/null
 	jq -e '.algos.ge_logstar.phases[] | select(.phase == "ge_round") | .calls > 0 and .steps > 0' _build/profile.json >/dev/null
-	jq -e '.algos.rr_classic.totals.rmrs == 4265 and .algos.chain.totals.rmrs == 722 and .algos.ge_logstar.totals.rmrs == 340' _build/profile.json >/dev/null
-	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) OK"
+	jq -e '.algos.ratrace.totals.rmrs == 4265 and .algos["log*"].totals.rmrs == 722 and .algos.ge_logstar.totals.rmrs == 340' _build/profile.json >/dev/null
+	dune exec bin/rtas_cli.exe -- run -a tournament -n 2 -k 40 >/dev/null 2>&1; \
+	  test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- trace -k 0 -o _build/trace_k0.json >/dev/null 2>&1; \
+	  test $$? -eq 2
+	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) OK, bad -k exits 2"
 
 # Telemetry smoke: a bursty chaos run with a telemetry sink (`rtas
 # service` exits non-zero if any windowed counter fails to sum to its

@@ -51,6 +51,11 @@ let usage cmd msg =
 let require_positive cmd flag v =
   if v < 1 then usage cmd (Printf.sprintf "%s must be >= 1 (got %d)" flag v)
 
+(* The contention an election is dimensioned for: 1 <= k <= n. *)
+let require_k cmd ~n k =
+  if k < 1 || k > n then
+    usage cmd (Printf.sprintf "-k must be in 1..%d, the -n value (got %d)" n k)
+
 let require_algorithm cmd flag name =
   if Rtas.Registry.find name = None then
     usage cmd
@@ -79,6 +84,7 @@ let run_cmd =
   let run algorithm n k seed adversary tas trace =
     require_positive "run" "-n" n;
     require_algorithm "run" "--algorithm" algorithm;
+    require_k "run" ~n k;
     let seed = Int64.of_int seed in
     let adv = make_adversary adversary seed in
     let outcome =
@@ -312,7 +318,7 @@ let chaos_cmd =
     in
     List.iter (require_algorithm "chaos" "--algorithms") algorithms;
     require_positive "chaos" "-n" n;
-    require_positive "chaos" "-k" k;
+    require_k "chaos" ~n k;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let seed64 = Int64.of_int seed in
     (* One Probe registry accumulates the whole sweep's fault totals. *)
@@ -382,20 +388,33 @@ let chaos_cmd =
 
 (* {1 Probe subcommands: trace + profile} *)
 
+(* A profiling target builds its structure in [mem] for [n] processes
+   and returns one program per participant ([k] of them); a program
+   returns 1 for a winner. Every registry election is a target, and so
+   is [ge_logstar], one Figure-1 GroupElect round: not an election, so
+   it has no registry row, but profiling it measures f(k) directly
+   (phase: ge_round). *)
+let target_names () = "ge_logstar" :: Rtas.Registry.names ()
+
+let find_target cmd name =
+  if name = "ge_logstar" then (fun mem ~n ~k ->
+    let ge = Groupelect.Ge_logstar.create mem ~n in
+    Array.init k (fun _ ctx -> if ge.Groupelect.Ge.elect ctx then 1 else 0))
+  else
+    match Rtas.Registry.find name with
+    | Some e ->
+        fun mem ~n ~k -> Leaderelect.Le.programs (e.Rtas.Registry.make mem ~n) ~k
+    | None ->
+        usage cmd
+          (Printf.sprintf "unknown profiling target %S; try one of: %s" name
+             (String.concat ", " (target_names ())))
+
 let target_arg =
   let doc =
     Printf.sprintf "Profiling target; one of: %s."
-      (String.concat ", " (Rtas.Probe_target.names ()))
+      (String.concat ", " (target_names ()))
   in
-  Arg.(value & opt string "rr_classic" & info [ "algo" ] ~docv:"NAME" ~doc)
-
-let find_target name =
-  match Rtas.Probe_target.find name with
-  | Some t -> t
-  | None ->
-      Fmt.epr "rtas: unknown profiling target %S; try one of: %s@." name
-        (String.concat ", " (Rtas.Probe_target.names ()));
-      exit 2
+  Arg.(value & opt string "ratrace" & info [ "algo" ] ~docv:"NAME" ~doc)
 
 let trace_cmd =
   let out_arg =
@@ -406,7 +425,8 @@ let trace_cmd =
   in
   let trace algo n k seed adversary out =
     require_positive "trace" "-n" n;
-    let target = find_target algo in
+    require_positive "trace" "-k" k;
+    let programs = find_target "trace" algo in
     let k = min k n in
     let seed = Int64.of_int seed in
     let chrome = Obs.Chrome_trace.create () in
@@ -416,8 +436,7 @@ let trace_cmd =
         (Obs.tee (Obs.Chrome_trace.sink chrome) (Obs.Collector.sink collector))
         (fun () ->
           let mem = Sim.Memory.create () in
-          let progs = target.Rtas.Probe_target.pt_programs mem ~n ~k in
-          let sched = Sim.Sched.create ~seed progs in
+          let sched = Sim.Sched.create ~seed (programs mem ~n ~k) in
           Sim.Sched.run sched (make_adversary adversary seed);
           Obs.Collector.snapshot collector)
     in
@@ -443,11 +462,11 @@ let profile_cmd =
   let algos_arg =
     let doc =
       Printf.sprintf "Comma-separated profiling targets; any of: %s."
-        (String.concat ", " (Rtas.Probe_target.names ()))
+        (String.concat ", " (target_names ()))
     in
     Arg.(
       value
-      & opt (list string) [ "ge_logstar"; "chain"; "rr_classic" ]
+      & opt (list string) [ "ge_logstar"; "log*"; "ratrace" ]
       & info [ "algos" ] ~docv:"NAMES" ~doc)
   in
   let trials_arg =
@@ -467,10 +486,11 @@ let profile_cmd =
     require_positive "profile" "-k" k;
     let k = min k n in
     let seed64 = Int64.of_int seed in
+    (* Every name is checked before any target runs. *)
+    let targets = List.map (fun name -> (name, find_target "profile" name)) algos in
     let profiles =
       List.map
-        (fun name ->
-          let target = find_target name in
+        (fun (name, programs) ->
           (* Per-worker arena + collector: the collector rides in via
              [probe]; each trial resets the arena and re-runs. The arena
              itself is built unobserved (sink set aside) — [Sched.reset]
@@ -485,7 +505,7 @@ let profile_cmd =
                 let cur = Obs.Probe.current () in
                 Obs.Probe.uninstall ();
                 let mem = Sim.Memory.create () in
-                let progs = target.Rtas.Probe_target.pt_programs mem ~n ~k in
+                let progs = programs mem ~n ~k in
                 let sched =
                   Sim.Sched.create ~seed:(Sim.Rng.derive seed64 ~stream:0)
                     progs
@@ -509,7 +529,7 @@ let profile_cmd =
               (List.map Obs.Collector.snapshot collectors)
           in
           (name, snapshot))
-        algos
+        targets
     in
     List.iter
       (fun (name, snapshot) ->

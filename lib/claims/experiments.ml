@@ -305,7 +305,8 @@ let e7 ~domains:_ scale =
     ]
   in
   let tournament = ("tournament", Leaderelect.Tournament.make)
-  and lean = ("ratrace-lean", Leaderelect.Rr_le.make_lean) in
+  and lean = ("ratrace-lean", Leaderelect.Rr_le.make_lean)
+  and obstruction_free = ("obstruction-free", Leaderelect.Le_obstruction.make) in
   [
     table
       [ "n"; "f(n-4)"; "4(log2 n - 1)"; "claim 5.5 holds" ]
@@ -316,7 +317,9 @@ let e7 ~domains:_ scale =
       ];
     table ~caption:"Covering harness (Lemma 5.4 base case) and written registers:"
       [ "algorithm"; "n"; "poised"; "covered"; "written"; "lower bound" ]
-      (per_size [ ("log*", Leaderelect.Le_logstar.make); tournament; lean ] base)
+      (per_size
+         [ ("log*", Leaderelect.Le_logstar.make); tournament; lean; obstruction_free ]
+         base)
       [ Floor (Col "poised", Col "n"); Floor (Col "written", Col "lower bound") ];
     table ~caption:"Lemma 5.4 rounds driven to max cover <= 4 (Covering_exec):"
       [ "algorithm"; "n"; "rounds"; "reps"; "covered"; "bound"; "anomalies" ]
@@ -326,12 +329,13 @@ let e7 ~domains:_ scale =
 
 (* {1 E8 — Theorem 6.1: the 2-process time lower bound} *)
 
-let tas_pair () =
+(* Both processes apply one TAS built over the duel [create]/[elect]. *)
+let tas_pair (create : Sim.Memory.t -> 'd) elect () =
   let mem = Sim.Memory.create () in
-  let le = Primitives.Le2.create mem in
+  let duel = create mem in
   let tas =
     Primitives.Tas.create mem ~elect:(fun ctx ->
-        Primitives.Le2.elect le ctx ~port:(Sim.Ctx.pid ctx))
+        elect duel ctx ~port:(Sim.Ctx.pid ctx))
   in
   Array.init 2 (fun _ ctx -> Primitives.Tas.apply tas ctx)
 
@@ -342,22 +346,35 @@ let e8 ~domains:_ scale =
     | Quick -> [ 1; 2; 3; 4; 5 ]
   in
   let row t =
-    let p = Lowerbound.Yao.measure ~trials:300 ~make:tas_pair ~t () in
+    let measure make = Lowerbound.Yao.measure ~trials:300 ~make ~t () in
+    let p = measure (tas_pair Primitives.Le2.create Primitives.Le2.elect) in
+    let b =
+      measure
+        (tas_pair Primitives.Le2_bounded.create Primitives.Le2_bounded.elect)
+    in
     ( label t,
       [
         Int p.Lowerbound.Yao.schedules_tested;
         Float (4, p.Lowerbound.Yao.max_prob);
+        Float (4, b.Lowerbound.Yao.max_prob);
         Float (6, p.Lowerbound.Yao.bound);
       ] )
   in
+  let bounded = "max Pr (bounded)" in
   [
     table
-      [ "t"; "schedules"; "max Pr"; "1/4^t" ]
+      [ "t"; "schedules"; "max Pr"; bounded; "1/4^t" ]
       (List.map row ts)
       [
         Floor (Col "max Pr", Col "1/4^t");
+        Floor (Col bounded, Col "1/4^t");
         (* Wait-freedom: the adversary's success decays with t. *)
         Order ("max Pr", List.rev_map label ts);
+        Order (bounded, List.rev_map label ts);
+        (* The mod-8 duel flips and decides as Le2 does while the gap
+           stays in [-3, +3], so the two columns are equal. *)
+        Bound (Col bounded, Col "max Pr");
+        Floor (Col bounded, Col "max Pr");
       ];
   ]
 

@@ -8,13 +8,17 @@ type outcome = {
   sched : Sim.Sched.t;
 }
 
-let lookup algorithm =
+let lookup algorithm ~n ~k =
   match Registry.find algorithm with
-  | Some e -> e
   | None ->
       invalid_arg
         (Printf.sprintf "unknown algorithm %S (expected one of: %s)" algorithm
            (String.concat ", " (Registry.names ())))
+  | Some _ when k < 1 || k > n ->
+      invalid_arg
+        (Printf.sprintf "%s: k must be in 1..n (got k = %d, n = %d)" algorithm
+           k n)
+  | Some e -> e
 
 let finish ~mem ~win_value sched =
   let winner = ref None in
@@ -32,7 +36,7 @@ let finish ~mem ~win_value sched =
   }
 
 let run ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
-  let entry = lookup algorithm in
+  let entry = lookup algorithm ~n ~k in
   let adversary =
     match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
   in
@@ -43,7 +47,7 @@ let run ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
   finish ~mem ~win_value:1 sched
 
 let run_tas ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
-  let entry = lookup algorithm in
+  let entry = lookup algorithm ~n ~k in
   let adversary =
     match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
   in

@@ -29,7 +29,8 @@ val run :
   outcome
 (** Runs [k] participants of the named algorithm (see {!Registry.names})
     dimensioned for [n] processes. Default adversary: round-robin.
-    Raises [Invalid_argument] on an unknown algorithm name. *)
+    Raises [Invalid_argument] on an unknown algorithm name, or unless
+    [1 <= k <= n]. *)
 
 val run_tas :
   ?seed:int64 ->

@@ -13,10 +13,8 @@
 module Registry = Registry
 module Election = Election
 
-(** Profiling targets and report rendering for the Probe observability
-    layer ([rtas_cli trace]/[rtas_cli profile]). *)
-module Probe_target = Probe_target
-
+(** Report rendering for the Probe observability layer
+    ([rtas_cli trace]/[rtas_cli profile]). *)
 module Probe_report = Probe_report
 
 (** The simulation substrate: registers, effect-based processes,
@@ -40,12 +38,9 @@ module Leaderelect = Leaderelect
 (** Adversary independence (Section 4). *)
 module Combined = Combined
 
-(** Lower bounds (Sections 5-6): covering recurrences, hitting times,
-    Yao-style 2-process experiments. *)
+(** Lower bounds (Sections 5-6): covering recurrences, the covering
+    harness, Yao-style 2-process experiments. *)
 module Lowerbound = Lowerbound
 
-(** 2-process consensus from TAS and back (paper introduction). *)
+(** n-process randomized consensus from adopt-commit and conciliators. *)
 module Consensus = Consensus
-
-(** Renaming applications: TAS line and Moir-Anderson splitter grid. *)
-module Renaming = Renaming

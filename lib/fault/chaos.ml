@@ -80,13 +80,18 @@ let trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
 
 let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
     ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed () =
-  (* An unknown name would raise inside every watchdog attempt and be
-     tallied as timeouts; reject it before any trial runs. *)
+  (* An unknown name or a k outside 1..n would raise inside every
+     watchdog attempt and be tallied as timeouts; reject them before any
+     trial runs. *)
   if Rtas.Registry.find algorithm = None then
     invalid_arg
       (Printf.sprintf
          "Chaos.run_point: unknown algorithm %S (expected one of: %s)" algorithm
          (String.concat ", " (Rtas.Registry.names ())));
+  if k < 1 || k > n then
+    invalid_arg
+      (Printf.sprintf "Chaos.run_point: k must be in 1..n (got k = %d, n = %d)"
+         k n);
   (* Trials are independent — fan them out over the engine. Trial [t]
      always runs with [Rng.derive seed ~stream:t], and the watchdog
      outcomes are folded below in trial order, so the report (including

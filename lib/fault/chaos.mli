@@ -70,7 +70,7 @@ val run_point :
     machinery as everything else.
 
     Raises [Invalid_argument] before running any trial if [algorithm]
-    is not a {!Rtas.Registry} name. *)
+    is not a {!Rtas.Registry} name, or unless [1 <= k <= n]. *)
 
 val sweep :
   ?timeout:float ->

@@ -207,23 +207,22 @@ let overrun m max_total_steps who =
 
 (* Replicates {!Sim.Adversary.round_robin}: a cursor advances past each
    scheduled pid; the next decision picks the first runnable pid at or
-   after it, cyclically. *)
+   after it, cyclically. The scan is a loop over local refs, so a call
+   allocates nothing. *)
 let run_rr ?(max_total_steps = default_max_steps) m =
   let resume = m.prog.p_resume in
   let steps = m.steps in
+  let run_arr = m.run_arr in
   let counter = ref 0 in
   while m.n_running > 0 do
     if m.time >= max_total_steps then overrun m max_total_steps "round-robin";
     let base = m.base in
     let hi = base + m.n_running in
-    let run_arr = m.run_arr in
-    let rec find i =
-      if i >= hi then Array.unsafe_get run_arr base
-      else
-        let p = Array.unsafe_get run_arr i in
-        if p >= !counter then p else find (i + 1)
-    in
-    let pid = find base in
+    let i = ref base in
+    while !i < hi && Array.unsafe_get run_arr !i < !counter do
+      incr i
+    done;
+    let pid = Array.unsafe_get run_arr (if !i < hi then !i else base) in
     counter := pid + 1;
     m.time <- m.time + 1;
     Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);

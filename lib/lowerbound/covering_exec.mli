@@ -19,8 +19,10 @@
       reaches the theoretical maximum cover.
 
     Coins are fixed by a deterministic per-process stream (the proof
-    fixes nondeterminism up front), and groups are tracked from actual
-    visibility events ({!Sim.Visibility}'s sees-relation) via union-find.
+    fixes nondeterminism up front), and groups are tracked online from
+    actual visibility events via union-find: a process that reads a
+    register last written by another process joins that writer's
+    group (the paper's "sees" relation).
 
     The run stops when the maximum cover is at most [target_cover]
     (Theorem 5.1 uses 4) or no round can make progress; the report's

@@ -20,9 +20,6 @@ type event =
       reg_name : string;
       kind : kind;
       read_value : int option;  (** [Some v] for reads. *)
-      seen_writer : int;
-          (** Last writer of the register at read time, -1 if none; -1
-              for writes. *)
     }
   | Flip of { time : int; pid : int; bound : int; outcome : int }
       (** [bound < 0] encodes the geometric draw with parameter [-bound]. *)

@@ -409,7 +409,6 @@ let step t pid =
               reg_name = r.Register.name;
               kind = Op.Read;
               read_value = Some v;
-              seen_writer = r.Register.last_writer;
             }
           :: t.events;
       (match t.probe with
@@ -441,7 +440,6 @@ let step t pid =
               reg_name = r.Register.name;
               kind = Op.Write v;
               read_value = None;
-              seen_writer = -1;
             }
           :: t.events;
       (match t.probe with

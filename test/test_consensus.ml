@@ -1,105 +1,8 @@
-(* Tests for the 2-process consensus <-> TAS equivalence (paper intro). *)
+(* Tests for n-process randomized consensus: adopt-commit, the
+   conciliator and their composition. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-let cons_programs ?(proposals = [| 7; 9 |]) () =
-  let mem = Sim.Memory.create () in
-  let c = Consensus.Consensus2.from_le2 mem in
-  Array.mapi
-    (fun port v ctx -> Consensus.Consensus2.propose c ctx ~port v)
-    proposals
-
-let test_agreement_validity_random () =
-  for seed = 1 to 1000 do
-    let sched =
-      Sim.Sched.create ~seed:(Int64.of_int seed) (cons_programs ())
-    in
-    Sim.Sched.run sched
-      (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 3)));
-    let a = Option.get (Sim.Sched.result sched 0)
-    and b = Option.get (Sim.Sched.result sched 1) in
-    checki "agreement" a b;
-    checkb "validity" true (a = 7 || a = 9)
-  done
-
-let test_agreement_exhaustive () =
-  let n =
-    Sim.Explore.explore ~depth:12 ~programs:(fun () -> cons_programs ())
-      ~check:(fun sched ->
-        match (Sim.Sched.result sched 0, Sim.Sched.result sched 1) with
-        | Some a, Some b ->
-            if a <> b then Alcotest.fail "disagreement";
-            if a <> 7 && a <> 9 then Alcotest.fail "invalid decision"
-        | Some a, None | None, Some a ->
-            if a <> 7 && a <> 9 then Alcotest.fail "invalid decision"
-        | None, None -> ())
-      ()
-  in
-  checkb "explored" true (n > 1000)
-
-let test_solo_decides_own () =
-  for port = 0 to 1 do
-    let mem = Sim.Memory.create () in
-    let c = Consensus.Consensus2.from_le2 mem in
-    let prog ctx = Consensus.Consensus2.propose c ctx ~port (100 + port) in
-    let sched = Sim.Sched.create [| prog |] in
-    Sim.Sched.run sched (Sim.Adversary.round_robin ());
-    checki "solo decides own proposal" (100 + port)
-      (Option.get (Sim.Sched.result sched 0))
-  done
-
-let test_equal_proposals () =
-  for seed = 1 to 100 do
-    let sched =
-      Sim.Sched.create ~seed:(Int64.of_int seed)
-        (cons_programs ~proposals:[| 5; 5 |] ())
-    in
-    Sim.Sched.run sched
-      (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 7)));
-    checki "decides the common value" 5 (Option.get (Sim.Sched.result sched 0));
-    checki "both" 5 (Option.get (Sim.Sched.result sched 1))
-  done
-
-let test_tas_from_consensus () =
-  (* Close the loop: TAS -> consensus -> TAS. *)
-  for seed = 1 to 500 do
-    let mem = Sim.Memory.create () in
-    let c = Consensus.Consensus2.from_le2 mem in
-    let tas = Consensus.Consensus2.tas_from_consensus c in
-    let programs =
-      Array.init 2 (fun port ctx ->
-          Consensus.Consensus2.apply tas ctx ~port)
-    in
-    let sched = Sim.Sched.create ~seed:(Int64.of_int seed) programs in
-    Sim.Sched.run sched
-      (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 11)));
-    let zeros =
-      Array.fold_left
-        (fun a r -> if r = Some 0 then a + 1 else a)
-        0 (Sim.Sched.results sched)
-    in
-    checki "exactly one 0" 1 zeros
-  done
-
-let test_crash_safety () =
-  for crash_after = 0 to 8 do
-    for seed = 1 to 30 do
-      let sched =
-        Sim.Sched.create ~seed:(Int64.of_int (seed + (100 * crash_after)))
-          (cons_programs ())
-      in
-      let adv =
-        Sim.Adversary.with_crashes [ (1, crash_after) ]
-          (Sim.Adversary.round_robin ())
-      in
-      Sim.Sched.run sched adv;
-      (* p0 must still decide, on a valid value. *)
-      match Sim.Sched.result sched 0 with
-      | Some v -> checkb "valid decision" true (v = 7 || v = 9)
-      | None -> Alcotest.fail "survivor did not decide"
-    done
-  done
 
 (* {1 Adopt-commit} *)
 
@@ -329,16 +232,5 @@ let () =
           Alcotest.test_case "solo" `Quick test_consn_solo;
           Alcotest.test_case "crash safety" `Quick test_consn_crash_safety;
           Alcotest.test_case "expected steps" `Quick test_consn_expected_steps_small;
-        ] );
-      ( "consensus2",
-        [
-          Alcotest.test_case "agreement+validity (random)" `Quick
-            test_agreement_validity_random;
-          Alcotest.test_case "agreement (exhaustive)" `Slow
-            test_agreement_exhaustive;
-          Alcotest.test_case "solo" `Quick test_solo_decides_own;
-          Alcotest.test_case "equal proposals" `Quick test_equal_proposals;
-          Alcotest.test_case "tas from consensus" `Quick test_tas_from_consensus;
-          Alcotest.test_case "crash safety" `Quick test_crash_safety;
         ] );
     ]

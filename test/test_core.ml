@@ -46,6 +46,25 @@ let test_election_unknown_algorithm () =
        false
      with Invalid_argument _ -> true)
 
+let test_election_bad_k () =
+  (* k outside 1..n is the caller's error, for the election and the TAS
+     alike: not a run without a winner, nor a pid-range failure deep
+     inside the algorithm. *)
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun k ->
+      checkb (Printf.sprintf "run k = %d raises" k) true
+        (raises (fun () -> Rtas.Election.run ~algorithm:"tournament" ~n:2 ~k ()));
+      checkb (Printf.sprintf "run_tas k = %d raises" k) true
+        (raises (fun () ->
+             Rtas.Election.run_tas ~algorithm:"tournament" ~n:2 ~k ())))
+    [ 0; 3; 40 ]
+
 let test_election_tas () =
   let o =
     Rtas.Election.run_tas ~algorithm:"tournament" ~n:8 ~k:8
@@ -224,62 +243,6 @@ let prop_stats_constant_sample =
       let s = Sim.Stats.summarize (List.init n (fun _ -> v)) in
       abs_float s.Sim.Stats.stddev < 1e-9 && abs_float (s.Sim.Stats.mean -. v) < 1e-9)
 
-let prop_visibility_groups_consistent =
-  (* Run a random election with tracing; every (p, q) in the sees
-     relation must land p and q in the same group. *)
-  QCheck2.Test.make ~count:60 ~name:"visibility: sees implies same group"
-    QCheck2.Gen.(pair (int_range 2 12) (int_range 1 1000))
-    (fun (k, seed) ->
-      let mem = Sim.Memory.create () in
-      let le = Leaderelect.Tournament.make mem ~n:k in
-      let sched =
-        Sim.Sched.create ~seed:(Int64.of_int seed) ~record_trace:true
-          (Leaderelect.Le.programs le ~k)
-      in
-      Sim.Sched.run sched
-        (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 3)));
-      let trace = Sim.Sched.trace sched in
-      let reps = Sim.Visibility.groups ~n:k trace in
-      List.for_all (fun (p, q) -> reps.(p) = reps.(q)) (Sim.Visibility.sees trace))
-
-let prop_consensus_agreement =
-  QCheck2.Test.make ~count:150 ~name:"consensus2: agreement and validity"
-    QCheck2.Gen.(triple (int_range 0 100) (int_range 0 100) (int_range 1 2000))
-    (fun (va, vb, seed) ->
-      let mem = Sim.Memory.create () in
-      let c = Consensus.Consensus2.from_le2 mem in
-      let programs =
-        [|
-          (fun ctx -> Consensus.Consensus2.propose c ctx ~port:0 va);
-          (fun ctx -> Consensus.Consensus2.propose c ctx ~port:1 vb);
-        |]
-      in
-      let sched = Sim.Sched.create ~seed:(Int64.of_int seed) programs in
-      Sim.Sched.run sched
-        (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 13)));
-      match (Sim.Sched.result sched 0, Sim.Sched.result sched 1) with
-      | Some a, Some b -> a = b && (a = va || a = vb)
-      | _ -> false)
-
-let prop_renaming_distinct =
-  QCheck2.Test.make ~count:60 ~name:"renaming: names distinct and tight"
-    QCheck2.Gen.(pair (int_range 1 10) (int_range 1 1000))
-    (fun (k, seed) ->
-      let mem = Sim.Memory.create () in
-      let line =
-        Renaming.Tas_line.create mem ~names:k
-          ~make_le:Leaderelect.Tournament.make ~n:k
-      in
-      let sched =
-        Sim.Sched.create ~seed:(Int64.of_int seed)
-          (Array.init k (fun _ ctx -> Renaming.Tas_line.acquire line ctx))
-      in
-      Sim.Sched.run sched
-        (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 29)));
-      let names = Array.to_list (Array.map Option.get (Sim.Sched.results sched)) in
-      List.length (List.sort_uniq compare names) = k
-      && List.for_all (fun x -> x >= 0 && x < k) names)
-
 let () =
   Alcotest.run "core"
     [
@@ -294,6 +257,7 @@ let () =
           Alcotest.test_case "basic run" `Quick test_election_run_basic;
           Alcotest.test_case "every algorithm" `Quick test_election_every_algorithm;
           Alcotest.test_case "unknown algorithm" `Quick test_election_unknown_algorithm;
+          Alcotest.test_case "k out of range" `Quick test_election_bad_k;
           Alcotest.test_case "tas wrapper" `Quick test_election_tas;
           Alcotest.test_case "deterministic by seed" `Quick
             test_election_deterministic_given_seed;
@@ -309,8 +273,5 @@ let () =
             prop_unique_winner_adaptive;
             prop_stats_bounds;
             prop_stats_constant_sample;
-            prop_visibility_groups_consistent;
-            prop_consensus_agreement;
-            prop_renaming_distinct;
           ] );
     ]

@@ -270,6 +270,13 @@ let test_chaos_unknown_algorithm () =
          (Fault.Chaos.run_point ~mode:Fault.Chaos.Tas ~algorithm:"nope" ~n:8
             ~k:4 ~crash_prob:0.0 ~trials:3 ~seed:1L ());
        false
+     with Invalid_argument _ -> true);
+  checkb "k > n raises Invalid_argument" true
+    (try
+       ignore
+         (Fault.Chaos.run_point ~mode:Fault.Chaos.Le ~algorithm:"tournament"
+            ~n:4 ~k:16 ~crash_prob:0.0 ~trials:3 ~seed:1L ());
+       false
      with Invalid_argument _ -> true)
 
 let test_mc_chaos_smoke () =

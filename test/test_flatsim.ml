@@ -228,13 +228,19 @@ let test_zero_allocation_steady_state () =
      allocation and nothing of the loop's. *)
   let seeds = Array.init 50 (fun i -> Int64.of_int (i + 1)) in
   let aseeds = Array.map (fun s -> Sim.Rng.derive s ~stream:1) seeds in
+  let schedules =
+    [
+      ("random", fun m i -> Flatsim.Machine.run_random m ~seed:aseeds.(i));
+      ("round-robin", fun m _ -> Flatsim.Machine.run_rr m);
+    ]
+  in
   List.iter
-    (fun (entry : Rtas.Registry.entry) ->
+    (fun ((entry : Rtas.Registry.entry), (schedule, run)) ->
       let make_flat = Option.get entry.Rtas.Registry.make_flat in
       let m = Flatsim.Machine.create ~procs:32 (make_flat ~n:32) in
       let trial i =
         Flatsim.Machine.reset ~seed:seeds.(i) m;
-        Flatsim.Machine.run_random m ~seed:aseeds.(i)
+        run m i
       in
       (* Warm up, then measure: steady-state trials must allocate nothing
          (the minor-words delta of 50 trials stays under one small
@@ -248,11 +254,14 @@ let test_zero_allocation_steady_state () =
       done;
       let dw = Gc.minor_words () -. w0 in
       checkb
-        (Printf.sprintf "%s: steady-state trials allocate nothing (got %.1f words)"
-           entry.Rtas.Registry.name dw)
+        (Printf.sprintf
+           "%s, %s: steady-state trials allocate nothing (got %.1f words)"
+           entry.Rtas.Registry.name schedule dw)
         true
         (dw < 100.0))
-    (Rtas.Registry.flat ())
+    (List.concat_map
+       (fun e -> List.map (fun s -> (e, s)) schedules)
+       (Rtas.Registry.flat ()))
 
 let differential_cases =
   List.map

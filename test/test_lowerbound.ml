@@ -3,7 +3,7 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
-(* {1 log* and hitting times} *)
+(* {1 log* and iterated rates} *)
 
 let test_log_star_values () =
   checki "log* 1" 0 (Lowerbound.Logstar.log_star 1.0);
@@ -38,39 +38,6 @@ let test_iterations_sqrt_rate () =
   in
   checkb "loglog-ish for 2^20" true (iters (2.0 ** 20.0) <= 8);
   checkb "loglog-ish for 2^40" true (iters (2.0 ** 40.0) <= 12)
-
-let test_markov_binomial_mean () =
-  let rng = Sim.Rng.create 5L in
-  let trials = 20_000 in
-  let total = ref 0 in
-  for _ = 1 to trials do
-    total := !total + Lowerbound.Markov.binomial_step rng ~j:100 ~mean:20.0
-  done;
-  let mean = float_of_int !total /. float_of_int trials in
-  checkb (Printf.sprintf "mean %.2f ~ 20" mean) true (abs_float (mean -. 20.0) < 1.0)
-
-let test_markov_hitting_time_logstar () =
-  (* The chain with rate min(f(j)-1, j-1) (f from Lemma 2.2, and the
-     splitter's guaranteed elimination) must hit 0 in few steps even from
-     large n. *)
-  let rate j =
-    Float.min
-      (float_of_int (j - 1))
-      ((2.0 *. Lowerbound.Logstar.log2 (float_of_int j)) +. 5.0)
-  in
-  let h = Lowerbound.Markov.hitting_time_mc ~rate ~n:4096 ~trials:200 ~seed:9L in
-  checkb (Printf.sprintf "hitting time %.2f small" h) true (h < 40.0)
-
-let test_markov_hitting_monotone_in_rate () =
-  let slow = Lowerbound.Markov.hitting_time_mc
-      ~rate:(fun j -> float_of_int j *. 0.9)
-      ~n:512 ~trials:200 ~seed:11L
-  in
-  let fast = Lowerbound.Markov.hitting_time_mc
-      ~rate:(fun j -> sqrt (float_of_int j))
-      ~n:512 ~trials:200 ~seed:11L
-  in
-  checkb (Printf.sprintf "slow %.1f > fast %.1f" slow fast) true (slow > fast)
 
 (* {1 Covering recurrence (Theorem 5.1 / Claim 5.5)}
 
@@ -266,12 +233,6 @@ let () =
           Alcotest.test_case "values" `Quick test_log_star_values;
           Alcotest.test_case "iterations, log rate" `Quick test_iterations_logstar_rate;
           Alcotest.test_case "iterations, sqrt rate" `Quick test_iterations_sqrt_rate;
-        ] );
-      ( "markov",
-        [
-          Alcotest.test_case "binomial mean" `Quick test_markov_binomial_mean;
-          Alcotest.test_case "hitting time log*" `Quick test_markov_hitting_time_logstar;
-          Alcotest.test_case "monotone in rate" `Quick test_markov_hitting_monotone_in_rate;
         ] );
       ( "covering",
         [

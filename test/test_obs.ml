@@ -45,13 +45,15 @@ let test_metrics_merge_associative () =
 
 (* {1 Bit-identity: probing must never change the execution} *)
 
+(* One program per participant of a registry election built in [mem]. *)
+let programs name mem ~n ~k =
+  let e = Option.get (Rtas.Registry.find name) in
+  Leaderelect.Le.programs (e.Rtas.Registry.make mem ~n) ~k
+
 let run_target ?probe_sink ~seed () =
   let go () =
     let mem = Sim.Memory.create () in
-    let progs =
-      Rtas.Probe_target.rr_classic.Rtas.Probe_target.pt_programs mem ~n:16
-        ~k:8
-    in
+    let progs = programs "ratrace" mem ~n:16 ~k:8 in
     let sched = Sim.Sched.create ~record_trace:true ~seed progs in
     Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed);
     ( Sim.Sched.results sched,
@@ -92,10 +94,7 @@ let test_reset_with_sink_bit_identical () =
   let r, t, m, trace =
     Obs.with_sink (Obs.Collector.sink collector) (fun () ->
         let mem = Sim.Memory.create () in
-        let progs =
-          Rtas.Probe_target.rr_classic.Rtas.Probe_target.pt_programs mem ~n:16
-            ~k:8
-        in
+        let progs = programs "ratrace" mem ~n:16 ~k:8 in
         let sched = Sim.Sched.create ~record_trace:true ~seed:1L progs in
         Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:1L);
         (* Reuse the arena: the second (reset) run must match a fresh
@@ -125,9 +124,7 @@ let probed_batch ~domains =
       ~local:(fun c -> c)
       (fun c ~trial:_ ~seed ->
         let mem = Sim.Memory.create () in
-        let progs =
-          Rtas.Probe_target.chain.Rtas.Probe_target.pt_programs mem ~n:16 ~k:6
-        in
+        let progs = programs "log*" mem ~n:16 ~k:6 in
         let sched = Sim.Sched.create ~seed progs in
         Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed);
         let winners = Obs.Metrics.counter (Obs.Collector.metrics c) "winners" in
@@ -402,10 +399,7 @@ let test_chrome_trace_structure () =
   let chrome = Obs.Chrome_trace.create () in
   Obs.with_sink (Obs.Chrome_trace.sink chrome) (fun () ->
       let mem = Sim.Memory.create () in
-      let progs =
-        Rtas.Probe_target.rr_classic.Rtas.Probe_target.pt_programs mem ~n:8
-          ~k:4
-      in
+      let progs = programs "ratrace" mem ~n:8 ~k:4 in
       let sched = Sim.Sched.create ~seed:3L progs in
       Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:3L));
   let doc =

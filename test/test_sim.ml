@@ -687,62 +687,6 @@ let test_step_allocation_ceiling () =
       ("ratrace-lean", Leaderelect.Rr_le.make_lean);
     ]
 
-(* {1 Visibility (Section 5 relations)} *)
-
-let visibility_trace () =
-  (* p0 writes r0; p1 reads r0 (sees p0); p2 reads a fresh register
-     (sees nobody). *)
-  let mem = Sim.Memory.create () in
-  let r0 = Sim.Register.create mem and r1 = Sim.Register.create mem in
-  let progs =
-    [|
-      (fun ctx -> Sim.Ctx.write ctx r0 5; 0);
-      (fun ctx -> Sim.Ctx.read ctx r0);
-      (fun ctx -> Sim.Ctx.read ctx r1);
-    |]
-  in
-  let sched = Sim.Sched.create ~record_trace:true progs in
-  Sim.Sched.run sched (Sim.Adversary.round_robin ());
-  Sim.Sched.trace sched
-
-let test_visibility_sees () =
-  let trace = visibility_trace () in
-  Alcotest.(check (list (pair int int)))
-    "p1 sees p0 only" [ (1, 0) ] (Sim.Visibility.sees trace)
-
-let test_visibility_groups () =
-  let trace = visibility_trace () in
-  let reps = Sim.Visibility.groups ~n:3 trace in
-  checki "p0 and p1 grouped" reps.(0) reps.(1);
-  checkb "p2 alone" true (reps.(2) <> reps.(0));
-  checki "two groups" 2 (Sim.Visibility.group_count ~n:3 trace)
-
-let test_visibility_saw_nobody () =
-  let trace = visibility_trace () in
-  Alcotest.(check (list int))
-    "only p0 and p2 saw nobody" [ 0; 2 ]
-    (Sim.Visibility.saw_nobody ~n:3 trace)
-
-let test_visibility_empty_trace () =
-  checki "n singletons" 4 (Sim.Visibility.group_count ~n:4 []);
-  Alcotest.(check (list int))
-    "all saw nobody" [ 0; 1; 2; 3 ]
-    (Sim.Visibility.saw_nobody ~n:4 [])
-
-let test_visibility_own_writes_invisible () =
-  (* Reading your own write does not make you "see" anyone. *)
-  let mem = Sim.Memory.create () in
-  let r = Sim.Register.create mem in
-  let prog ctx =
-    Sim.Ctx.write ctx r 1;
-    Sim.Ctx.read ctx r
-  in
-  let sched = Sim.Sched.create ~record_trace:true [| prog |] in
-  Sim.Sched.run sched (Sim.Adversary.round_robin ());
-  Alcotest.(check (list (pair int int)))
-    "no sightings" []
-    (Sim.Visibility.sees (Sim.Sched.trace sched))
-
 (* {1 Explorer} *)
 
 let test_explore_counts () =
@@ -1018,15 +962,6 @@ let () =
             test_rmr_cache_sparse_ids;
           Alcotest.test_case "step allocation ceiling" `Quick
             test_step_allocation_ceiling;
-        ] );
-      ( "visibility",
-        [
-          Alcotest.test_case "sees" `Quick test_visibility_sees;
-          Alcotest.test_case "groups" `Quick test_visibility_groups;
-          Alcotest.test_case "saw nobody" `Quick test_visibility_saw_nobody;
-          Alcotest.test_case "empty trace" `Quick test_visibility_empty_trace;
-          Alcotest.test_case "own writes invisible" `Quick
-            test_visibility_own_writes_invisible;
         ] );
       ( "explore",
         [

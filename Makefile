@@ -90,7 +90,10 @@ flat-smoke:
 # equal the flat/wheel one byte for byte. A contended 512-key log* run
 # must also give the same report on both kernels: every key's rounds
 # share one arena per shard, so state leaking from one key's round into
-# the next would show here. A malformed --backoff, a
+# the next would show here. An overload-with-retry run puts about 200
+# events on each tick (4.7M retries over 23k ticks), so the wheel's
+# level-0 slots chain several event chunks; its wheel and heap reports
+# must match byte for byte. A malformed --backoff, a
 # zero telemetry window or --domains 0 must be a usage error (exit 2).
 # Scratch files live in the build tree.
 service-smoke:
@@ -122,6 +125,16 @@ service-smoke:
 	dune exec bin/rtas_cli.exe -- service --alg log* --kernel effect --rate 2 \
 	  --clients 20000 --keys 512 --seed 11 -o _build/SVC_shared_effect.json
 	cmp _build/SVC_shared_effect.json _build/SVC_shared_flat.json
+	dune exec bin/rtas_cli.exe -- service --alg tournament --kernel flat \
+	  --clients 60000 --keys 64 --zipf 0 --rate 20 --backoff exp:8:256 \
+	  --contenders 2 --max-waiters 16 --hold 20 --on-shed retry \
+	  --latency hist --seed 11 -o _build/SVC_dense_wheel.json
+	jq -e '.counts.retries > 4000000' _build/SVC_dense_wheel.json >/dev/null
+	dune exec bin/rtas_cli.exe -- service --alg tournament --kernel flat \
+	  --clients 60000 --keys 64 --zipf 0 --rate 20 --backoff exp:8:256 \
+	  --contenders 2 --max-waiters 16 --hold 20 --on-shed retry \
+	  --latency hist --seed 11 --events heap -o _build/SVC_dense_heap.json
+	cmp _build/SVC_dense_heap.json _build/SVC_dense_wheel.json
 	dune exec bin/rtas_cli.exe -- service --backoff exp:x:1 >/dev/null 2>&1; \
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --backoff rand:abc >/dev/null 2>&1; \
@@ -130,7 +143,7 @@ service-smoke:
 	  --telemetry _build/SVC_bad_window.json >/dev/null 2>&1; test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --domains 0 >/dev/null 2>&1; \
 	  test $$? -eq 2
-	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) + contended 512-key flat = effect OK, bad input exits 2"
+	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) + contended 512-key flat = effect + dense overload wheel = heap OK, bad input exits 2"
 
 # Million-client scale smoke: one sim run at 1M clients on the timing
 # wheel with sharded execution and the bounded-memory latency

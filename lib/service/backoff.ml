@@ -31,8 +31,13 @@ let jitter_u ~seed ~client ~attempt =
      jitter is on the driver's per-event hot path and must not allocate. *)
   Sim.Rng.jitter_of_seed seed ~client ~attempt
 
+(* The comparisons below are monomorphic: Stdlib's [max] is
+   polymorphic (a [compare_val] C call on ints), and [Float.min] /
+   [Float.max] call [caml_signbit]. For a validated policy every
+   operand is finite or [infinity] and never [-0.0], so they give the
+   same floats (pinned bit for bit by test_service). *)
 let delay t ~seed ~client ~attempt =
-  let attempt = max 1 attempt in
+  let attempt = if attempt < 1 then 1 else attempt in
   match t with
   (* A zero delay would re-poll a still-held key at the same instant
      forever; one tick is the smallest forward step. *)
@@ -43,11 +48,14 @@ let delay t ~seed ~client ~attempt =
          past 62 doublings are far beyond any finite cap. *)
       let raw =
         if attempt >= 63 then cap
-        else Float.min cap (base *. float_of_int (1 lsl (attempt - 1)))
+        else
+          let x = base *. float_of_int (1 lsl (attempt - 1)) in
+          if x < cap then x else cap
       in
       let u = jitter_u ~seed ~client ~attempt in
       (* Decorrelate retries: uniform in [raw/2, raw). *)
-      Float.max 1.0 ((raw /. 2.0) +. (u *. raw /. 2.0))
+      let d = (raw /. 2.0) +. (u *. raw /. 2.0) in
+      if d > 1.0 then d else 1.0
   | Rand { max } ->
       let u = jitter_u ~seed ~client ~attempt in
       1.0 +. (u *. (max -. 1.0))

@@ -210,8 +210,8 @@ type queue = {
    nonzero only for events scheduled at or before the wheel's clock)
    per event, and its occupancy / pool gauges once per window
    crossing. *)
-let wheel_queue ~capacity =
-  let w = Wheel.create ~capacity () in
+let wheel_queue () =
+  let w = Wheel.create () in
   let last_win = ref (-1) in
   let sample (r : Telemetry.recorder) at =
     let lag = Wheel.now_tick w - int_of_float at in
@@ -590,8 +590,8 @@ let run ?telemetry ?(domains = 1) cfg =
         | _ -> ()
       done
     in
-    let join c now =
-      let k = cl.Clients.key.(c) in
+    (* [k] is [c]'s key, carried by the arrival or retry event. *)
+    let join c k now =
       if qlen.(k) >= cfg.max_waiters then begin
         (* Overload shed. [`Drop] rejects the client terminally;
            [`Retry] counts the rejection and sends the client back
@@ -626,7 +626,7 @@ let run ?telemetry ?(domains = 1) cfg =
         if !queued = 0 then next_arrivals ();
         Tally.touch tally now;
         Tally.bump tally Arrived ~at:now;
-        join a now
+        join a k now
       end
       else if kind = k_retry then begin
         if cl.Clients.state.(a) = 0 then begin
@@ -636,7 +636,7 @@ let run ?telemetry ?(domains = 1) cfg =
             resolve a;
             Tally.bump tally Deadline ~at:now
           end
-          else join a now
+          else join a k now
         end
       end
       else begin
@@ -686,12 +686,11 @@ let run ?telemetry ?(domains = 1) cfg =
     done;
     tally
   in
-  (* One queue per worker, its pool sized for a whole shard: under
-     overload with retry on shed most clients really are in flight, and
-     a pool that starts small and grows peaks higher. *)
+  (* One queue per worker; the wheel's chunk pool grows with the
+     events in flight. *)
   let make_queue () =
     match cfg.events with
-    | `Wheel -> wheel_queue ~capacity:((cfg.clients / nshards) + 256)
+    | `Wheel -> wheel_queue ()
     | `Heap -> heap_queue ()
   in
   let tallies =

@@ -1,31 +1,42 @@
-(* Hierarchical timing wheel over integer virtual-time ticks, backed by
-   a free-list event pool held in parallel arrays. Schedule and advance
-   are O(1) amortised and allocation-free in steady state: an event is
-   four scalar-array writes, and popping the next event is a bitmap
-   scan plus an array read. The driver's virtual clock only moves
-   forward, which is what makes the wheel applicable where a general
-   priority queue would be needed.
+(* Hierarchical timing wheel over integer virtual-time ticks, with
+   events stored by value in recycled fixed-size chunks. Schedule and
+   advance are O(1) amortised and allocation-free in steady state: an
+   event is three scalar writes into its slot's head chunk, and popping
+   the next event is a bitmap scan plus a read from the due arrays. The
+   driver's virtual clock only moves forward, which is what makes the
+   wheel applicable where a general priority queue would be needed.
 
    Layout: [levels] wheels of 256 slots each; level [l] slot [s] holds
    events whose tick has [s] in bit-field [8l .. 8l+7] and whose delta
    from [cur] is in [256^l, 256^(l+1)). As [cur] crosses a level-l
    window boundary the covering level-(l+1) slot is cascaded — its
-   events rehashed into lower levels — one boundary at a time, so a
-   slot never mixes events from different rotations at drain time.
+   events re-placed by value into lower levels — one boundary at a
+   time, so a slot never mixes events from different rotations at
+   drain time.
 
-   Pool packing: the driver's tie-break pair ([key], [kseq]) packs into
-   one non-negative int ([key] in the top 20 payload bits, [kseq] in
-   the low 42), so the shard-invariant total order (at, key, kseq) is
-   the lexicographic pair (at, ord) — one float compare and one int
+   Chunks: a slot is a list of chunks, each holding up to [chunk]
+   events' (at, ord, meta) contiguously; only the head chunk may be
+   partly full. Chunks come off a free list, and a new one is allocated
+   only when that list is empty, so the pool follows the events in
+   flight (at most one partial chunk per occupied slot) and growth
+   never copies an event. Draining a slot copies its chunks
+   sequentially into the due arrays — one link per chunk, not per
+   event — and returns them to the free list.
+
+   Packing: the driver's tie-break pair ([key], [kseq]) packs into one
+   non-negative int ([key] in the top 20 payload bits, [kseq] in the
+   low 42), so the shard-invariant total order (at, key, kseq) is the
+   lexicographic pair (at, ord) — one float compare and one int
    compare. The payload ([kind], [a], [b]) packs into a second int.
-   Four arrays per event instead of seven is measurably faster on the
-   pre-push-heavy service workload (fewer cache lines per event).
 
    Ordering: ties on the same tick are broken by exact event time,
-   then by [ord], via an insertion-sorted "due" buffer holding the
-   currently-draining slot. Events scheduled at or before [cur] while
-   the due buffer is live are binary-inserted into it, preserving the
-   total order even for zero-delay reschedules. *)
+   then by [ord], in the due arrays, which hold the drained tick sorted
+   descending (pop from the end). Events scheduled at or before [cur]
+   are binary-inserted into them, preserving the total order even for
+   zero-delay reschedules. Wheel events lie after [cur] and due events
+   at or before it (a cascade's window-start events wait in the
+   level-0 slot at [cur] only until the drain that follows it), so a
+   slot is drained only once the due arrays are empty. *)
 
 let bits = 8
 let slots_per_level = 1 lsl bits
@@ -33,6 +44,10 @@ let slot_mask = slots_per_level - 1
 let levels = 6
 let horizon = 1 lsl (bits * levels)
 let occ_words = slots_per_level / 32
+
+(* Events per chunk: one link per 32 events on a drain, and at most 31
+   idle event cells per occupied slot. *)
+let chunk = 32
 
 (* Packing widths. [ord = key lsl 42 lor kseq] stays within 62 bits,
    so it is a non-negative OCaml int and int comparison agrees with
@@ -45,20 +60,25 @@ let max_ab = (1 lsl ab_bits) - 1
 let max_kind = 3
 
 type t = {
-  (* Event pool: parallel arrays indexed by event id; [ev_next] chains
-     both the free list and the per-slot lists. *)
+  (* Due arrays: the draining tick by value, descending (at, ord). *)
   mutable ev_at : float array;
   mutable ev_ord : int array;  (* key lsl 42 lor kseq *)
   mutable ev_meta : int array;  (* kind lsl 60 lor a lsl 30 lor b *)
-  mutable ev_next : int array;
+  mutable due_len : int;
+  (* Chunk pool, indexed by chunk id: chunk [c] holds [ch_len.(c)]
+     events, times in [ch_at.(c)] and (ord, meta) pairs interleaved in
+     [ch_om.(c)]; [ch_next] chains the slot lists and the free list. *)
+  mutable ch_at : float array array;
+  mutable ch_om : int array array;
+  mutable ch_len : int array;
+  mutable ch_next : int array;
+  mutable nchunks : int;
   mutable free : int;
   mutable live : int;
   mutable hw_live : int;  (* high-water mark of [live] over the run *)
-  slots : int array;  (* levels * 256 list heads, -1 = empty *)
+  slots : int array;  (* levels * 256 head chunks, -1 = empty *)
   occ : int array;  (* per-level occupancy bitmap, 8 x 32-bit words *)
   mutable cur : int;  (* current tick; never decreases *)
-  mutable due : int array;  (* event ids, descending order; pop from end *)
-  mutable due_len : int;
 }
 
 let key_of_ord ord = ord lsr kseq_bits
@@ -67,29 +87,59 @@ let kind_of_meta meta = meta lsr (2 * ab_bits)
 let a_of_meta meta = (meta lsr ab_bits) land max_ab
 let b_of_meta meta = meta land max_ab
 
+(* Append one fresh chunk to the pool and the free list. The id-indexed
+   arrays double when full; they hold pointers and lengths, never
+   events. *)
+let alloc_chunk t =
+  let c = t.nchunks in
+  if c = Array.length t.ch_len then begin
+    let n = 2 * c in
+    let extend a zero =
+      let b = Array.make n zero in
+      Array.blit a 0 b 0 c;
+      b
+    in
+    t.ch_at <- extend t.ch_at [||];
+    t.ch_om <- extend t.ch_om [||];
+    t.ch_len <- extend t.ch_len 0;
+    t.ch_next <- extend t.ch_next (-1)
+  end;
+  t.ch_at.(c) <- Array.make chunk 0.0;
+  t.ch_om.(c) <- Array.make (2 * chunk) 0;
+  t.ch_next.(c) <- t.free;
+  t.free <- c;
+  t.nchunks <- c + 1
+
 let create ?(capacity = 1024) () =
-  let cap = max 16 capacity in
-  let ev_next = Array.init cap (fun i -> i + 1) in
-  ev_next.(cap - 1) <- -1;
-  {
-    ev_at = Array.make cap 0.0;
-    ev_ord = Array.make cap 0;
-    ev_meta = Array.make cap 0;
-    ev_next;
-    free = 0;
-    live = 0;
-    hw_live = 0;
-    slots = Array.make (levels * slots_per_level) (-1);
-    occ = Array.make (levels * occ_words) 0;
-    cur = 0;
-    due = Array.make 64 (-1);
-    due_len = 0;
-  }
+  let n = max 1 ((max 16 capacity + chunk - 1) / chunk) in
+  let t =
+    {
+      ev_at = Array.make 64 0.0;
+      ev_ord = Array.make 64 0;
+      ev_meta = Array.make 64 0;
+      due_len = 0;
+      ch_at = Array.make n [||];
+      ch_om = Array.make n [||];
+      ch_len = Array.make n 0;
+      ch_next = Array.make n (-1);
+      nchunks = 0;
+      free = -1;
+      live = 0;
+      hw_live = 0;
+      slots = Array.make (levels * slots_per_level) (-1);
+      occ = Array.make (levels * occ_words) 0;
+      cur = 0;
+    }
+  in
+  for _ = 1 to n do
+    alloc_chunk t
+  done;
+  t
 
 let live t = t.live
 
-(* An empty wheel has every pool id on the free list, no slot list and
-   an empty due buffer, so only the clock and the mark need rewinding. *)
+(* An empty wheel has every chunk on the free list, no slot list and
+   empty due arrays, so only the clock and the mark need rewinding. *)
 let reset t =
   if t.live > 0 then invalid_arg "Wheel.reset: events still scheduled";
   t.cur <- 0;
@@ -97,10 +147,10 @@ let reset t =
 
 let now_tick t = t.cur
 let high_water t = t.hw_live
-let pool_capacity t = Array.length t.ev_at
+let pool_capacity t = t.nchunks * chunk
 
 (* Occupied (level, slot) pairs: a popcount over the occupancy bitmaps
-   plus the due buffer standing in for the slot being drained. Distinct
+   plus the due arrays standing in for the slot being drained. Distinct
    from [live] — hundreds of same-tick events share one slot. *)
 let popcount32 x =
   let x = x - ((x lsr 1) land 0x55555555) in
@@ -113,57 +163,56 @@ let slots_occupied t =
   Array.iter (fun w -> n := !n + popcount32 w) t.occ;
   !n
 
-let grow t =
-  let cap = Array.length t.ev_at in
-  let ncap = 2 * cap in
-  let extend a zero =
-    let b = Array.make ncap zero in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  t.ev_at <- extend t.ev_at 0.0;
-  t.ev_ord <- extend t.ev_ord 0;
-  t.ev_meta <- extend t.ev_meta 0;
-  t.ev_next <- extend t.ev_next 0;
-  for i = cap to ncap - 1 do
-    t.ev_next.(i) <- i + 1
-  done;
-  t.ev_next.(ncap - 1) <- t.free;
-  t.free <- cap
-
-(* Strict total order: (at, key, kseq) lexicographic == (at, ord). *)
 (* Hot-path array accesses below use [unsafe_get]/[unsafe_set] (the
-   flatsim convention): every index is an internal invariant — pool
-   ids come off the free list, slot indices are masked, and due
-   positions are bounds-managed by [due_reserve]. *)
-let ev_lt t i j =
-  let ai = Array.unsafe_get t.ev_at i and aj = Array.unsafe_get t.ev_at j in
-  if ai < aj then true
-  else if ai > aj then false
-  else Array.unsafe_get t.ev_ord i < Array.unsafe_get t.ev_ord j
+   flatsim convention): every index is an internal invariant — chunk
+   ids come off the free list, chunk positions stay below [chunk],
+   slot indices are masked, and due positions are bounds-managed by
+   [due_reserve]. Event times read from an array are only ever stored
+   or held in locals, never passed to a function, so they stay
+   unboxed. *)
 
-let due_reserve t =
-  if t.due_len = Array.length t.due then begin
-    let nd = Array.make (2 * t.due_len) (-1) in
-    Array.blit t.due 0 nd 0 t.due_len;
-    t.due <- nd
+(* Room for [n] more due events; the arrays double as needed. *)
+let due_reserve t n =
+  let cap = Array.length t.ev_at in
+  if t.due_len + n > cap then begin
+    let ncap = ref (2 * cap) in
+    while t.due_len + n > !ncap do
+      ncap := 2 * !ncap
+    done;
+    let extend a zero =
+      let b = Array.make !ncap zero in
+      Array.blit a 0 b 0 t.due_len;
+      b
+    in
+    t.ev_at <- extend t.ev_at 0.0;
+    t.ev_ord <- extend t.ev_ord 0;
+    t.ev_meta <- extend t.ev_meta 0
   end
 
-(* Insert into the descending due buffer at the position keeping it
-   sorted: binary search, then a blit. Only taken for events scheduled
-   at or before [cur] (zero-delay reschedules, cascade leftovers). *)
-let due_insert t id =
-  due_reserve t;
-  let lo = ref 0 and hi = ref t.due_len in
+(* Insert into the descending due arrays at the position keeping them
+   sorted: binary search, then shift the earlier tail up by one. Only
+   taken for events scheduled at or before [cur] (zero-delay
+   reschedules), which land near the end, so the shift is short. *)
+let due_insert t at ord meta =
+  due_reserve t 1;
+  let ea = t.ev_at and eo = t.ev_ord and em = t.ev_meta in
+  let n = t.due_len in
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if ev_lt t (Array.unsafe_get t.due mid) id then hi := mid
+    let am = Array.unsafe_get ea mid in
+    if am < at || (am = at && Array.unsafe_get eo mid < ord) then hi := mid
     else lo := mid + 1
   done;
-  let pos = !lo in
-  Array.blit t.due pos t.due (pos + 1) (t.due_len - pos);
-  Array.unsafe_set t.due pos id;
-  t.due_len <- t.due_len + 1
+  for i = n - 1 downto !lo do
+    Array.unsafe_set ea (i + 1) (Array.unsafe_get ea i);
+    Array.unsafe_set eo (i + 1) (Array.unsafe_get eo i);
+    Array.unsafe_set em (i + 1) (Array.unsafe_get em i)
+  done;
+  Array.unsafe_set ea !lo at;
+  Array.unsafe_set eo !lo ord;
+  Array.unsafe_set em !lo meta;
+  t.due_len <- n + 1
 
 let occ_set t l s =
   let w = (l * occ_words) + (s lsr 5) in
@@ -174,7 +223,14 @@ let occ_clear t l s =
   Array.unsafe_set t.occ w
     (Array.unsafe_get t.occ w land lnot (1 lsl (s land 31)))
 
-let wheel_insert t id tick =
+let free_chunk t c =
+  Array.unsafe_set t.ch_next c t.free;
+  t.free <- c
+
+(* The chunk with room for one more event at [tick] (>= [cur]; equal
+   only in a cascade): the head of the tick's slot, or a fresh chunk
+   pushed in front of it. *)
+let slot_chunk t tick =
   let delta = tick - t.cur in
   if delta >= horizon then
     invalid_arg "Wheel.schedule: event beyond the 2^48-tick horizon";
@@ -187,9 +243,18 @@ let wheel_insert t id tick =
   let l = !l in
   let s = (tick lsr (bits * l)) land slot_mask in
   let idx = (l * slots_per_level) + s in
-  Array.unsafe_set t.ev_next id (Array.unsafe_get t.slots idx);
-  Array.unsafe_set t.slots idx id;
-  occ_set t l s
+  let head = Array.unsafe_get t.slots idx in
+  if head >= 0 && Array.unsafe_get t.ch_len head < chunk then head
+  else begin
+    if t.free < 0 then alloc_chunk t;
+    let c = t.free in
+    t.free <- Array.unsafe_get t.ch_next c;
+    Array.unsafe_set t.ch_len c 0;
+    Array.unsafe_set t.ch_next c head;
+    Array.unsafe_set t.slots idx c;
+    occ_set t l s;
+    c
+  end
 
 let schedule t ~at ~key ~kseq ~kind ~a ~b =
   if not (at >= 0.0) then invalid_arg "Wheel.schedule: negative or NaN time";
@@ -199,59 +264,97 @@ let schedule t ~at ~key ~kseq ~kind ~a ~b =
     lor (kind lsr 2)
     <> 0
   then invalid_arg "Wheel.schedule: field out of packing range";
-  if t.free < 0 then grow t;
-  let id = t.free in
-  t.free <- Array.unsafe_get t.ev_next id;
-  Array.unsafe_set t.ev_at id at;
-  Array.unsafe_set t.ev_ord id ((key lsl kseq_bits) lor kseq);
-  Array.unsafe_set t.ev_meta id
-    ((kind lsl (2 * ab_bits)) lor (a lsl ab_bits) lor b);
-  t.live <- t.live + 1;
-  if t.live > t.hw_live then t.hw_live <- t.live;
+  let ord = (key lsl kseq_bits) lor kseq
+  and meta = (kind lsl (2 * ab_bits)) lor (a lsl ab_bits) lor b in
   let tick = int_of_float at in
-  if tick <= t.cur then due_insert t id else wheel_insert t id tick
+  if tick <= t.cur then due_insert t at ord meta
+  else begin
+    let c = slot_chunk t tick in
+    let n = Array.unsafe_get t.ch_len c in
+    Array.unsafe_set (Array.unsafe_get t.ch_at c) n at;
+    let om = Array.unsafe_get t.ch_om c in
+    Array.unsafe_set om (2 * n) ord;
+    Array.unsafe_set om ((2 * n) + 1) meta;
+    Array.unsafe_set t.ch_len c (n + 1)
+  end;
+  t.live <- t.live + 1;
+  if t.live > t.hw_live then t.hw_live <- t.live
 
-(* Sort the id range [lo, hi] of [t.due] into descending event order,
-   in place and without allocating: median-of-three quicksort with an
-   insertion-sort base case. Dense ticks put hundreds of events in one
-   level-0 slot, where an insertion sort alone goes quadratic. *)
+(* Sort the range [lo, hi] of the due arrays into descending (at, ord)
+   order, in place and without allocating: median-of-three quicksort
+   with an insertion-sort base case. Dense ticks put thousands of
+   events in one level-0 slot, where an insertion sort alone goes
+   quadratic. The comparisons are written out on unboxed locals. *)
 let insertion_range t lo hi =
+  let ea = t.ev_at and eo = t.ev_ord and em = t.ev_meta in
   for i = lo + 1 to hi do
-    let x = Array.unsafe_get t.due i in
+    let at = Array.unsafe_get ea i
+    and ord = Array.unsafe_get eo i
+    and meta = Array.unsafe_get em i in
     let j = ref (i - 1) in
-    while !j >= lo && ev_lt t (Array.unsafe_get t.due !j) x do
-      Array.unsafe_set t.due (!j + 1) (Array.unsafe_get t.due !j);
+    while
+      !j >= lo
+      &&
+      let aj = Array.unsafe_get ea !j in
+      aj < at || (aj = at && Array.unsafe_get eo !j < ord)
+    do
+      Array.unsafe_set ea (!j + 1) (Array.unsafe_get ea !j);
+      Array.unsafe_set eo (!j + 1) (Array.unsafe_get eo !j);
+      Array.unsafe_set em (!j + 1) (Array.unsafe_get em !j);
       decr j
     done;
-    Array.unsafe_set t.due (!j + 1) x
+    Array.unsafe_set ea (!j + 1) at;
+    Array.unsafe_set eo (!j + 1) ord;
+    Array.unsafe_set em (!j + 1) meta
   done
+
+(* Due position [i] sorts after [j] (is earlier in event order). *)
+let due_lt t i j =
+  let ai = Array.unsafe_get t.ev_at i and aj = Array.unsafe_get t.ev_at j in
+  ai < aj || (ai = aj && Array.unsafe_get t.ev_ord i < Array.unsafe_get t.ev_ord j)
+
+let due_swap t i j =
+  let ea = t.ev_at and eo = t.ev_ord and em = t.ev_meta in
+  let at = Array.unsafe_get ea i
+  and ord = Array.unsafe_get eo i
+  and meta = Array.unsafe_get em i in
+  Array.unsafe_set ea i (Array.unsafe_get ea j);
+  Array.unsafe_set eo i (Array.unsafe_get eo j);
+  Array.unsafe_set em i (Array.unsafe_get em j);
+  Array.unsafe_set ea j at;
+  Array.unsafe_set eo j ord;
+  Array.unsafe_set em j meta
 
 let rec qsort_range t lo hi =
   if hi - lo < 24 then insertion_range t lo hi
   else begin
     let mid = lo + ((hi - lo) / 2) in
-    (* Median of three into [mid], descending endpoints. *)
-    let a = Array.unsafe_get t.due lo
-    and b = Array.unsafe_get t.due mid
-    and c = Array.unsafe_get t.due hi in
-    let pivot =
-      if ev_lt t a b then if ev_lt t b c then b else if ev_lt t a c then c else a
-      else if ev_lt t a c then a
-      else if ev_lt t b c then c
-      else b
+    (* Median of three, as a position; its value is the pivot. *)
+    let p =
+      if due_lt t lo mid then
+        if due_lt t mid hi then mid else if due_lt t lo hi then hi else lo
+      else if due_lt t lo hi then lo
+      else if due_lt t mid hi then hi
+      else mid
     in
+    let ea = t.ev_at and eo = t.ev_ord in
+    let pa = Array.unsafe_get ea p and po = Array.unsafe_get eo p in
     let i = ref lo and j = ref hi in
     while !i <= !j do
-      while ev_lt t pivot (Array.unsafe_get t.due !i) do
+      while
+        let a = Array.unsafe_get ea !i in
+        pa < a || (pa = a && po < Array.unsafe_get eo !i)
+      do
         incr i
       done;
-      while ev_lt t (Array.unsafe_get t.due !j) pivot do
+      while
+        let a = Array.unsafe_get ea !j in
+        a < pa || (a = pa && Array.unsafe_get eo !j < po)
+      do
         decr j
       done;
       if !i <= !j then begin
-        let tmp = Array.unsafe_get t.due !i in
-        Array.unsafe_set t.due !i (Array.unsafe_get t.due !j);
-        Array.unsafe_set t.due !j tmp;
+        due_swap t !i !j;
         incr i;
         decr j
       end
@@ -260,37 +363,29 @@ let rec qsort_range t lo hi =
     if !i < hi then qsort_range t !i hi
   end
 
-(* Move one level-0 slot's list into the due buffer and restore
-   descending order. The appended suffix is sorted in place; a new
-   element that belongs inside the pre-existing (already sorted) due
-   prefix then bubbles across the boundary — the prefix is almost
-   always empty here, because [refill] only runs when the due buffer
-   is drained (the exception: cascade leftovers inserted at [cur]). *)
+(* Copy one level-0 slot's chunks into the empty due arrays, return
+   the chunks to the free list, and sort. *)
 let drain_level0 t s =
-  let id = ref t.slots.(s) in
-  t.slots.(s) <- -1;
+  let c = ref (Array.unsafe_get t.slots s) in
+  Array.unsafe_set t.slots s (-1);
   occ_clear t 0 s;
-  let first_new = t.due_len in
-  while !id >= 0 do
-    let nxt = Array.unsafe_get t.ev_next !id in
-    due_reserve t;
-    Array.unsafe_set t.due t.due_len !id;
-    t.due_len <- t.due_len + 1;
-    id := nxt
+  while !c >= 0 do
+    let h = !c in
+    let n = Array.unsafe_get t.ch_len h in
+    due_reserve t n;
+    let at = Array.unsafe_get t.ch_at h and om = Array.unsafe_get t.ch_om h in
+    let ea = t.ev_at and eo = t.ev_ord and em = t.ev_meta in
+    let d = t.due_len in
+    for i = 0 to n - 1 do
+      Array.unsafe_set ea (d + i) (Array.unsafe_get at i);
+      Array.unsafe_set eo (d + i) (Array.unsafe_get om (2 * i));
+      Array.unsafe_set em (d + i) (Array.unsafe_get om ((2 * i) + 1))
+    done;
+    t.due_len <- d + n;
+    c := Array.unsafe_get t.ch_next h;
+    free_chunk t h
   done;
-  if first_new = 0 then qsort_range t 0 (t.due_len - 1)
-  else
-    (* Nonempty prefix: bubble each appended element with floor 0 so it
-       can cross into the prefix (the pre-existing run is sorted). *)
-    for i = max 1 first_new to t.due_len - 1 do
-      let x = Array.unsafe_get t.due i in
-      let j = ref (i - 1) in
-      while !j >= 0 && ev_lt t (Array.unsafe_get t.due !j) x do
-        Array.unsafe_set t.due (!j + 1) (Array.unsafe_get t.due !j);
-        decr j
-      done;
-      Array.unsafe_set t.due (!j + 1) x
-    done
+  qsort_range t 0 (t.due_len - 1)
 
 (* Count-trailing-zeros of a non-zero 32-bit word via the classic
    De Bruijn multiply — branch-free, no loop. *)
@@ -315,20 +410,36 @@ let scan_level0 t =
   done;
   if !x = 0 then -1 else (!w lsl 5) lor ctz32 !x
 
-(* Rehash a higher-level slot's events now that [cur] has entered its
-   window. Anything at or before [cur] (window-start ticks) goes
-   straight to the due buffer. *)
+(* Re-place a higher-level slot's events by value now that [cur] has
+   entered its window. They land in lower levels, so never back in this
+   slot; those at the window's start tick land in the level-0 slot at
+   [cur], beside any events that wrapped into it from the last window,
+   and drain with them. Each chunk goes back on the free list before
+   its events are re-placed, so a cascade needs no more chunks than its
+   destinations hold. That is safe: if the chunk is taken again, the
+   re-placement writes position [k] only after reading position
+   [k' >= k] of it. *)
 let cascade t l s =
   let idx = (l * slots_per_level) + s in
-  let id = ref t.slots.(idx) in
-  if !id >= 0 then begin
-    t.slots.(idx) <- -1;
+  let c = ref (Array.unsafe_get t.slots idx) in
+  if !c >= 0 then begin
+    Array.unsafe_set t.slots idx (-1);
     occ_clear t l s;
-    while !id >= 0 do
-      let nxt = Array.unsafe_get t.ev_next !id in
-      let tick = int_of_float (Array.unsafe_get t.ev_at !id) in
-      if tick <= t.cur then due_insert t !id else wheel_insert t !id tick;
-      id := nxt
+    while !c >= 0 do
+      let h = !c in
+      let at = Array.unsafe_get t.ch_at h and om = Array.unsafe_get t.ch_om h in
+      let n = Array.unsafe_get t.ch_len h in
+      c := Array.unsafe_get t.ch_next h;
+      free_chunk t h;
+      for i = 0 to n - 1 do
+        let dst = slot_chunk t (int_of_float (Array.unsafe_get at i)) in
+        let m = Array.unsafe_get t.ch_len dst in
+        Array.unsafe_set (Array.unsafe_get t.ch_at dst) m (Array.unsafe_get at i);
+        let dom = Array.unsafe_get t.ch_om dst in
+        Array.unsafe_set dom (2 * m) (Array.unsafe_get om (2 * i));
+        Array.unsafe_set dom ((2 * m) + 1) (Array.unsafe_get om ((2 * i) + 1));
+        Array.unsafe_set t.ch_len dst (m + 1)
+      done
     done
   end
 
@@ -345,23 +456,25 @@ let rec step_window t l =
   else t.cur <- ((t.cur lsr w) + 1) lsl w;
   cascade t l ((t.cur lsr w) land slot_mask)
 
+(* Fill the empty due arrays with the next occupied level-0 slot,
+   stepping (and cascading) window by window until one holds events. *)
 let rec refill t =
-  if t.live > t.due_len then begin
+  if t.live > 0 then begin
     let s = scan_level0 t in
     if s >= 0 then begin
       t.cur <- (t.cur land lnot slot_mask) lor s;
       drain_level0 t s
     end
-    else if t.due_len = 0 then begin
+    else begin
       step_window t 1;
       refill t
     end
   end
 
-(* Pop the earliest event and return its id, or -1 when empty. The id
-   is recycled onto the free list immediately, but its fields stay
-   readable until the next [schedule] call — callers copy what they
-   need before scheduling follow-up events. *)
+(* Pop the earliest event and return its position in the due arrays,
+   or -1 when empty. The position's fields stay readable until the
+   next [schedule] call — callers copy what they need before
+   scheduling follow-up events. *)
 let pop t =
   if t.due_len = 0 then refill t;
   if t.due_len = 0 then -1
@@ -369,8 +482,5 @@ let pop t =
     let len = t.due_len - 1 in
     t.due_len <- len;
     t.live <- t.live - 1;
-    let id = Array.unsafe_get t.due len in
-    Array.unsafe_set t.ev_next id t.free;
-    t.free <- id;
-    id
+    len
   end

@@ -639,26 +639,97 @@ let test_shared_arena_digests_pinned () =
 
 (* {1 The wheel in isolation} *)
 
+(* An online reference for the wheel: the set of live events. A
+   correct pop is the (at, key, kseq) minimum of exactly that set. (A
+   plain offline sort would be wrong: an event scheduled at an
+   already-popped instant legitimately pops after its same-time,
+   larger-ord predecessors.) The harness also tracks the most occupied
+   slots seen after any call, for the chunk pool's memory bound. *)
+module Live = Set.Make (struct
+  type t = float * int * int
+
+  let compare = compare
+end)
+
+type wheel_ref = {
+  w : Service.Wheel.t;
+  mutable live : Live.t;
+  mutable kseq : int;
+  mutable peak_slots : int;
+}
+
+let wheel_ref ~capacity =
+  {
+    w = Service.Wheel.create ~capacity ();
+    live = Live.empty;
+    kseq = 0;
+    peak_slots = 0;
+  }
+
+let note_slots r =
+  r.peak_slots <- max r.peak_slots (Service.Wheel.slots_occupied r.w)
+
+let ref_sched r at key =
+  r.kseq <- r.kseq + 1;
+  let kseq = r.kseq in
+  Service.Wheel.schedule r.w ~at ~key ~kseq ~kind:(kseq land 3) ~a:(key + kseq)
+    ~b:kseq;
+  r.live <- Live.add (at, key, kseq) r.live;
+  note_slots r
+
+(* Pop one event, check it against the reference, return its time. *)
+let ref_pop r =
+  let w = r.w in
+  let id = Service.Wheel.pop w in
+  checkb "pop id" true (id >= 0);
+  let ord = w.Service.Wheel.ev_ord.(id) in
+  let meta = w.Service.Wheel.ev_meta.(id) in
+  let key = Service.Wheel.key_of_ord ord in
+  let ks = Service.Wheel.kseq_of_ord ord in
+  (* The payload must round-trip through the packing. *)
+  checki "kind" (ks land 3) (Service.Wheel.kind_of_meta meta);
+  checki "a" (key + ks) (Service.Wheel.a_of_meta meta);
+  checki "b" ks (Service.Wheel.b_of_meta meta);
+  let at = w.Service.Wheel.ev_at.(id) in
+  let min_live = Live.min_elt r.live in
+  if min_live <> (at, key, ks) then begin
+    let a, k, q = min_live in
+    Alcotest.failf "popped (%h, %d, %d), the minimum live event is (%h, %d, %d)"
+      at key ks a k q
+  end;
+  r.live <- Live.remove min_live r.live;
+  note_slots r;
+  at
+
+let ref_drain r =
+  while Service.Wheel.live r.w > 0 do
+    ignore (ref_pop r : float)
+  done;
+  checkb "every scheduled event popped" true (Live.is_empty r.live);
+  checki "wheel drained" (-1) (Service.Wheel.pop r.w)
+
+(* The chunk pool follows the events in flight: past the [create]
+   reservation, every chunk allocated held events of an occupied slot,
+   at most one of them partly full. *)
+let check_pool_bound r ~hint =
+  let cap = Service.Wheel.pool_capacity r.w
+  and hw = Service.Wheel.high_water r.w in
+  let bound = max hint (hw + (Service.Wheel.chunk * r.peak_slots)) in
+  checkb
+    (Printf.sprintf "pool %d <= max(%d, high water %d + %d x %d slots)" cap
+       hint hw Service.Wheel.chunk r.peak_slots)
+    true (cap <= bound)
+
 (* Torture the event order: a bulk phase of duplicate-heavy random
    times (hitting every wheel level), then an interleaved phase where
    each pop triggers a fresh schedule — including zero-delay events
-   landing in the live due buffer. Every popped event must come out in
-   exact (at, key, kseq) lexicographic order. *)
+   landing in the live due arrays — then a dense phase: thousands of
+   events within four ticks, so each of those slots chains dozens of
+   chunks, drained while zero-delay and next-tick events keep
+   arriving. *)
 let test_wheel_ordering () =
-  let w = Service.Wheel.create ~capacity:64 () in
+  let r = wheel_ref ~capacity:64 in
   let rng = Sim.Rng.create 77L in
-  (* Online reference: the set of currently-live events; a correct pop
-     is the (at, key, kseq) minimum of exactly that set. (A plain
-     offline sort would be wrong: an event scheduled at an
-     already-popped instant legitimately pops after its same-time,
-     larger-ord predecessors.) *)
-  let live = ref [] in
-  let sched at key kseq =
-    Service.Wheel.schedule w ~at ~key ~kseq ~kind:(kseq land 3)
-      ~a:(key + kseq) ~b:kseq;
-    live := (at, key, kseq) :: !live
-  in
-  let kseq = ref 0 in
   for _ = 1 to 3_000 do
     (* Times from a few ticks to beyond level 3; integer-heavy so
        same-tick ties are common, with occasional fractional parts. *)
@@ -666,42 +737,83 @@ let test_wheel_ordering () =
       float_of_int (Sim.Rng.int rng 70_000_000)
       +. (if Sim.Rng.int rng 4 = 0 then Sim.Rng.float rng else 0.0)
     in
-    incr kseq;
-    sched at (Sim.Rng.int rng 64) !kseq
+    ref_sched r at (Sim.Rng.int rng 64)
   done;
-  let pop1 () =
-    let id = Service.Wheel.pop w in
-    checkb "pop id" true (id >= 0);
-    let ord = w.Service.Wheel.ev_ord.(id) in
-    let meta = w.Service.Wheel.ev_meta.(id) in
-    let key = Service.Wheel.key_of_ord ord in
-    let ks = Service.Wheel.kseq_of_ord ord in
-    (* The payload must round-trip through the packing. *)
-    checki "kind" (ks land 3) (Service.Wheel.kind_of_meta meta);
-    checki "a" (key + ks) (Service.Wheel.a_of_meta meta);
-    checki "b" ks (Service.Wheel.b_of_meta meta);
-    let at = w.Service.Wheel.ev_at.(id) in
-    let min_live =
-      List.fold_left min (List.hd !live) (List.tl !live)
-    in
-    checkb "pop is the minimum live event" true (min_live = (at, key, ks));
-    live := List.filter (fun e -> e <> min_live) !live;
-    at
-  in
   for _ = 1 to 1_500 do
-    let now = pop1 () in
+    let now = ref_pop r in
     (* Interleave: a zero-delay event at the popped instant and a
-       short-delay one, both landing while the due buffer is live. *)
-    incr kseq;
-    sched now (Sim.Rng.int rng 64) !kseq;
-    incr kseq;
-    sched (now +. float_of_int (Sim.Rng.int rng 1_000)) (Sim.Rng.int rng 64)
-      !kseq
+       short-delay one, both landing while the due arrays are live. *)
+    ref_sched r now (Sim.Rng.int rng 64);
+    ref_sched r
+      (now +. float_of_int (Sim.Rng.int rng 1_000))
+      (Sim.Rng.int rng 64)
   done;
-  while Service.Wheel.live w > 0 do
-    ignore (pop1 ())
+  ref_drain r;
+  let base = float_of_int (Service.Wheel.now_tick r.w + 1) in
+  for _ = 1 to 6_000 do
+    let at =
+      base
+      +. float_of_int (Sim.Rng.int rng 4)
+      +. (if Sim.Rng.int rng 2 = 0 then Sim.Rng.float rng else 0.0)
+    in
+    ref_sched r at (Sim.Rng.int rng 16)
   done;
-  checkb "every scheduled event popped" true (!live = [])
+  for _ = 1 to 3_000 do
+    let now = ref_pop r in
+    ref_sched r now (Sim.Rng.int rng 16);
+    if Sim.Rng.int rng 2 = 0 then
+      ref_sched r (now +. 1.0 +. Sim.Rng.float rng) (Sim.Rng.int rng 16)
+  done;
+  ref_drain r;
+  check_pool_bound r ~hint:64
+
+(* Window starts: a cascade re-places a higher-level slot's events,
+   and those at the window's first tick meet events that wrapped into
+   the same level-0 slot from the previous window. Here a level-2 slot
+   holds eight chunks of events over one 65,536-tick window, a third
+   of them at its first tick with fractional times; just before the
+   window opens, more events at that first tick arrive at level 0
+   (delta < 256), and zero-delay events join the due arrays while they
+   drain. Every event must still pop in (at, key, kseq) order. *)
+let test_wheel_window_start () =
+  let r = wheel_ref ~capacity:16 in
+  let rng = Sim.Rng.create 91L in
+  let w0 = 3 * 65_536 in
+  for i = 1 to 8 * Service.Wheel.chunk do
+    let tick = if i mod 3 = 0 then w0 else w0 + Sim.Rng.int rng 65_536 in
+    ref_sched r (float_of_int tick +. Sim.Rng.float rng) (Sim.Rng.int rng 8)
+  done;
+  (* A marker 10 ticks before the window. *)
+  ref_sched r (float_of_int (w0 - 10)) 0;
+  checkb "marker pops first" true (ref_pop r = float_of_int (w0 - 10));
+  for _ = 1 to 50 do
+    ref_sched r (float_of_int w0 +. Sim.Rng.float rng) (Sim.Rng.int rng 8)
+  done;
+  let popped = ref 0 in
+  while Service.Wheel.live r.w > 0 do
+    let now = ref_pop r in
+    incr popped;
+    if !popped mod 7 = 0 then ref_sched r now (Sim.Rng.int rng 8)
+  done;
+  ref_drain r;
+  check_pool_bound r ~hint:16
+
+(* A sparse run never leaves the [create] reservation: events one per
+   slot, popped as they come. *)
+let test_wheel_sparse_pool () =
+  let w = Service.Wheel.create ~capacity:1024 () in
+  let cap = Service.Wheel.pool_capacity w in
+  checki "reservation" 1024 cap;
+  for i = 0 to 9_999 do
+    Service.Wheel.schedule w
+      ~at:(float_of_int ((i * 37) + 500))
+      ~key:0 ~kseq:i ~kind:0 ~a:0 ~b:0;
+    if i >= 8 then ignore (Service.Wheel.pop w : int)
+  done;
+  while Service.Wheel.pop w >= 0 do
+    ()
+  done;
+  checki "pool stays at the reservation" cap (Service.Wheel.pool_capacity w)
 
 (* The steady-state zero-allocation pin: after warmup (pool and due
    buffer at capacity), a schedule/pop cycle must not allocate a single
@@ -1194,6 +1306,56 @@ let test_backoff () =
   in
   checkb "rand in [1, max)" true (r >= 1.0 && r < 64.0)
 
+(* [Backoff.delay] compares with monomorphic operators, not Stdlib's
+   polymorphic [max] or [Float.min] / [Float.max]; for every validated
+   policy the delay must be the float the old expressions give, bit
+   for bit, including attempts below 1 and past the 62-doubling cap. *)
+let test_backoff_monomorphic () =
+  let reference t ~seed ~client ~attempt =
+    let attempt = max 1 attempt in
+    let u () = Sim.Rng.jitter_of_seed seed ~client ~attempt in
+    match t with
+    | Service.Backoff.Immediate -> 1.0
+    | Service.Backoff.Exp { base; cap } ->
+        let raw =
+          if attempt >= 63 then cap
+          else Float.min cap (base *. float_of_int (1 lsl (attempt - 1)))
+        in
+        let u = u () in
+        Float.max 1.0 ((raw /. 2.0) +. (u *. raw /. 2.0))
+    | Service.Backoff.Rand { max } -> 1.0 +. (u () *. (max -. 1.0))
+  in
+  let policies =
+    Service.Backoff.
+      [
+        Immediate;
+        Exp { base = 8.0; cap = 512.0 };
+        Exp { base = 8.0; cap = 256.0 };
+        Exp { base = 0.25; cap = 3.0 };
+        Exp { base = 0.5; cap = 0.5 };
+        Exp { base = 1e-300; cap = 1e-300 };
+        Exp { base = 1e300; cap = Float.max_float };
+        Exp { base = 1.0; cap = Float.max_float };
+        Rand { max = 1.0 };
+        Rand { max = 64.0 };
+        Rand { max = 1e300 };
+      ]
+  in
+  List.iter
+    (fun p ->
+      Service.Backoff.validate p;
+      List.iter
+        (fun (seed, client) ->
+          for attempt = -1 to 70 do
+            let want = reference p ~seed ~client ~attempt
+            and got = Service.Backoff.delay p ~seed ~client ~attempt in
+            if Int64.bits_of_float want <> Int64.bits_of_float got then
+              Alcotest.failf "%s seed %Ld client %d attempt %d: %h <> %h"
+                (Service.Backoff.describe p) seed client attempt got want
+          done)
+        [ (11L, 0); (11L, 4); (-3L, 999_999); (42L, 17) ])
+    policies
+
 let test_registry_dual () =
   let dual = Rtas.Registry.dual () in
   checkb "some dual entries" true (List.length dual >= 2);
@@ -1308,6 +1470,10 @@ let () =
             test_wheel_matches_heap_chaos;
           Alcotest.test_case "wheel ordering torture" `Quick
             test_wheel_ordering;
+          Alcotest.test_case "wheel window start, multi-chunk level 2" `Quick
+            test_wheel_window_start;
+          Alcotest.test_case "wheel sparse run keeps its reservation" `Quick
+            test_wheel_sparse_pool;
           Alcotest.test_case "wheel steady state allocates nothing" `Quick
             test_wheel_zero_alloc;
           Alcotest.test_case "wheel occupancy accessors" `Quick
@@ -1349,6 +1515,8 @@ let () =
             test_zipf_alias_chi_square;
           Alcotest.test_case "arrival" `Quick test_arrival;
           Alcotest.test_case "backoff" `Quick test_backoff;
+          Alcotest.test_case "backoff = old expressions, bit for bit" `Quick
+            test_backoff_monomorphic;
           Alcotest.test_case "registry dual" `Quick test_registry_dual;
         ] );
     ]

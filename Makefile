@@ -1,4 +1,4 @@
-.PHONY: all check test build claims-smoke chaos-smoke flat-smoke trace-smoke mc-smoke registry-smoke service-smoke service-scale-smoke telemetry-smoke clean
+.PHONY: all check test build claims-smoke chaos-smoke trace-smoke mc-smoke registry-smoke service-smoke service-scale-smoke telemetry-smoke clean
 
 all: build
 
@@ -19,7 +19,6 @@ check:
 	$(MAKE) trace-smoke
 	$(MAKE) mc-smoke
 	$(MAKE) registry-smoke
-	$(MAKE) flat-smoke
 	$(MAKE) service-smoke
 	$(MAKE) service-scale-smoke
 	$(MAKE) telemetry-smoke
@@ -67,20 +66,6 @@ registry-smoke:
 	awk '$$1 == "opt-space" { found = 1; if ($$2 != $$3 || $$4 != "-") exit 1 } \
 	  END { exit !found }' _build/REGISTRY.txt
 	@echo "registry-smoke: capability table OK"
-
-# Flat-kernel smoke: every flat-registered algorithm must be
-# bit-identical to the effect simulator over fresh seeds (outcome
-# vectors, spans and flip streams), then a flat trial batch is fanned
-# out over real domains and must match the single-domain run. The CLI
-# exits non-zero on any divergence. A zero size and an unknown
-# algorithm must be usage errors (exit 2), not uncaught exceptions.
-flat-smoke:
-	dune exec bin/rtas_cli.exe -- flat -n 64 -k 16 --seeds 10 \
-	  --trials 32 --domains 2 --seed 9
-	dune exec bin/rtas_cli.exe -- flat -n 0 >/dev/null 2>&1; test $$? -eq 2
-	dune exec bin/rtas_cli.exe -- run --alg nope >/dev/null 2>&1; \
-	  test $$? -eq 2
-	@echo "flat-smoke: kernels agree, bad input exits 2"
 
 # Lock-service smoke: a Poisson run on each backend plus a chaos
 # variant, each validated with jq — the report must account for every
@@ -169,9 +154,10 @@ service-scale-smoke:
 # its structure with jq (every event carries ph/ts/pid/tid; spans
 # balance: as many B as E events), then run a small profile batch and
 # check the JSON report names the expected phases and carries the
-# pinned RMR totals of this seed. A contention outside 1..n must be a
-# usage error (exit 2), on `run` and `trace` alike. Scratch files live
-# in the build tree.
+# pinned RMR totals of this seed. `run --trace` must print the event
+# trace (at least one `[t] pN ...` line). A contention outside 1..n
+# must be a usage error (exit 2), on `run` and `trace` alike, and so
+# must an unknown `run` algorithm. Scratch files live in the build tree.
 trace-smoke:
 	dune exec bin/rtas_cli.exe -- trace --algo ratrace -n 8 --seed 3 \
 	  -o _build/trace.json
@@ -184,11 +170,16 @@ trace-smoke:
 	jq -e '[.algos.ratrace.phases[].phase] | contains(["rr_tree", "rr_ascend", "rr_top"])' _build/profile.json >/dev/null
 	jq -e '.algos.ge_logstar.phases[] | select(.phase == "ge_round") | .calls > 0 and .steps > 0' _build/profile.json >/dev/null
 	jq -e '.algos.ratrace.totals.rmrs == 4265 and .algos["log*"].totals.rmrs == 722 and .algos.ge_logstar.totals.rmrs == 340' _build/profile.json >/dev/null
+	dune exec bin/rtas_cli.exe -- run -a tournament -n 4 -k 2 --trace \
+	  > _build/run_trace.txt
+	grep -Eq '^\[[0-9]+\] p[0-9]+ ' _build/run_trace.txt
 	dune exec bin/rtas_cli.exe -- run -a tournament -n 2 -k 40 >/dev/null 2>&1; \
+	  test $$? -eq 2
+	dune exec bin/rtas_cli.exe -- run --alg nope >/dev/null 2>&1; \
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- trace -k 0 -o _build/trace_k0.json >/dev/null 2>&1; \
 	  test $$? -eq 2
-	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) OK, bad -k exits 2"
+	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) + run --trace OK, bad -k or algorithm exits 2"
 
 # Telemetry smoke: a bursty chaos run with a telemetry sink (`rtas
 # service` exits non-zero if any windowed counter fails to sum to its

@@ -2,7 +2,7 @@
    algorithm, adversary, size and seed, and print the outcome.
 
    dune exec bin/rtas_cli.exe -- run --algorithm log* -n 64 -k 16
-   dune exec bin/rtas_cli.exe -- list *)
+   dune exec bin/rtas_cli.exe -- registry *)
 
 open Cmdliner
 
@@ -75,8 +75,8 @@ let make_adversary name seed =
       Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
   | "attack" -> Leaderelect.Attacks.ascending_location ()
   | "crashy" ->
-      Sim.Adversary.random_crashes ~seed:(Sim.Rng.derive seed ~stream:2)
-        ~crash_prob:0.02
+      Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2)
+        [ Fault.Plan.storm 0.02 ]
         (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
   | other -> failwith (Printf.sprintf "unknown adversary %S" other)
 
@@ -89,8 +89,11 @@ let run_cmd =
     let adv = make_adversary adversary seed in
     let outcome =
       if tas then
-        Rtas.Election.run_tas ~seed ~adversary:adv ~algorithm ~n ~k ()
-      else Rtas.Election.run ~seed ~adversary:adv ~algorithm ~n ~k ()
+        Rtas.Election.run_tas ~seed ~record_trace:trace ~adversary:adv
+          ~algorithm ~n ~k ()
+      else
+        Rtas.Election.run ~seed ~record_trace:trace ~adversary:adv ~algorithm
+          ~n ~k ()
     in
     Fmt.pr "%a@." Rtas.Election.pp_outcome outcome;
     Fmt.pr "results: %a@."
@@ -107,32 +110,19 @@ let run_cmd =
       const run $ algorithm $ n_arg $ k_arg $ seed_arg $ adversary_arg
       $ tas_arg $ trace_arg)
 
-let list_cmd =
-  let list () =
-    List.iter
-      (fun e ->
-        Fmt.pr "%-16s %-30s %-22s %-12s (%s)@." e.Rtas.Registry.name
-          e.Rtas.Registry.steps e.Rtas.Registry.space
-          (Fmt.str "%a" Sim.Sched.pp_klass e.Rtas.Registry.adversary)
-          e.Rtas.Registry.reference)
-      Rtas.Registry.all
-  in
-  Cmd.v
-    (Cmd.info "list" ~doc:"List the available algorithms and their bounds.")
-    Term.(const list $ const ())
-
 let registry_cmd =
   (* Capability inventory: registers at a sample n on the simulator
      backend, plus whether the entry carries an Atomic.t (`mc`) and a
-     flat-kernel (`flat`) implementation, with their register counts.
+     flat-kernel (`flat`) implementation, with their register counts,
+     then the paper's bounds: steps, adversary class and space.
      Exits non-zero if a dual entry's Atomic.t register count disagrees
      with the simulator's — the backends allocate through one functor,
      so a divergence is a wiring bug. *)
   let registry n =
     require_positive "registry" "-n" n;
-    Fmt.pr "%-16s %10s %10s %10s %-14s %-22s %s@." "name"
+    Fmt.pr "%-16s %10s %10s %10s %-30s %-18s %-22s %s@." "name"
       (Printf.sprintf "regs(n=%d)" n)
-      "mc" "flat" "adversary" "space" "reference";
+      "mc" "flat" "steps" "adversary" "space" "reference";
     let ok = ref true in
     List.iter
       (fun e ->
@@ -157,8 +147,8 @@ let registry_cmd =
           | None -> "-"
           | Some f -> string_of_int (f ~n).Flatsim.Machine.p_regs
         in
-        Fmt.pr "%-16s %10d %10s %10s %-14s %-22s %s@." e.Rtas.Registry.name
-          regs mc flat
+        Fmt.pr "%-16s %10d %10s %10s %-30s %-18s %-22s %s@."
+          e.Rtas.Registry.name regs mc flat e.Rtas.Registry.steps
           (Fmt.str "%a" Sim.Sched.pp_klass e.Rtas.Registry.adversary)
           e.Rtas.Registry.space e.Rtas.Registry.reference)
       Rtas.Registry.all;
@@ -171,7 +161,8 @@ let registry_cmd =
     (Cmd.info "registry"
        ~doc:
          "List every registry entry with its capabilities (register count, \
-          Atomic.t and flat-kernel coverage).")
+          Atomic.t and flat-kernel coverage) and its bounds (steps, \
+          adversary class, space).")
     Term.(const registry $ n_arg)
 
 let sweep_cmd =
@@ -681,7 +672,7 @@ let service_cmd =
             "Election-round execution kernel for the sim backend. $(b,flat) \
              runs rounds on the preallocated flat machine (allocation-free, \
              bit-identical report); it needs a flat-registered algorithm \
-             ($(b,rtas flat) lists them) and is incompatible with \
+             ($(b,rtas registry) lists them) and is incompatible with \
              $(b,--plan).")
   in
   let arrival_arg =
@@ -1031,127 +1022,12 @@ let service_cmd =
       $ svc_timeout_arg $ svc_domains_arg $ seed_arg $ out_arg $ window_arg
       $ telemetry_arg $ openmetrics_arg $ trace_out_arg)
 
-(* {1 The flat-kernel smoke: effect-parity plus a real domain fan-out}
-
-   `make flat-smoke` runs this; it is the CLI face of test_flatsim's
-   differential suite — every flat-registered algorithm is run on both
-   kernels over fresh seeds and must produce identical result vectors,
-   spans and flip streams, then a flat trial batch is fanned out over
-   real domains and must be domain-count independent. *)
-
-let flat_cmd =
-  let seeds_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "seeds" ] ~docv:"S"
-          ~doc:"Seeds per algorithm for the flat-vs-effect parity check.")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "trials" ] ~docv:"T"
-          ~doc:"Trials for the engine domain-independence check.")
-  in
-  let flat n k seeds trials seed domains =
-    require_positive "flat" "-n" n;
-    require_positive "flat" "-k" k;
-    require_positive "flat" "--domains" domains;
-    let k = min k n in
-    let base = Int64.of_int seed in
-    let failures = ref 0 in
-    List.iter
-      (fun (e : Rtas.Registry.entry) ->
-        match e.Rtas.Registry.make_flat with
-        | None -> ()
-        | Some mk ->
-            let m =
-              Flatsim.Machine.create ~record_flips:true ~procs:k (mk ~n)
-            in
-            let mismatches = ref 0 in
-            for i = 0 to seeds - 1 do
-              let s = Sim.Rng.derive base ~stream:i in
-              (* The effect oracle and its flat compilation, on the same
-                 derived schedule/adversary streams. *)
-              let mem = Sim.Memory.create () in
-              let le = e.Rtas.Registry.make mem ~n in
-              let sched =
-                Sim.Sched.create ~seed:(Sim.Rng.derive s ~stream:0)
-                  ~record_trace:true (Leaderelect.Le.programs le ~k)
-              in
-              Sim.Sched.run sched
-                (Sim.Adversary.random_oblivious
-                   ~seed:(Sim.Rng.derive s ~stream:1));
-              Flatsim.Machine.reset ~seed:(Sim.Rng.derive s ~stream:0) m;
-              Flatsim.Machine.run_random m
-                ~seed:(Sim.Rng.derive s ~stream:1);
-              let flips =
-                List.filter_map
-                  (function
-                    | Sim.Op.Flip { time; pid; bound; outcome } ->
-                        Some (time, pid, bound, outcome)
-                    | _ -> None)
-                  (Sim.Sched.trace sched)
-              in
-              if
-                not
-                  (Flatsim.Machine.results m = Sim.Sched.results sched
-                  && Flatsim.Machine.time m = Sim.Sched.time sched
-                  && Flatsim.Machine.flip_log m = flips)
-              then incr mismatches
-            done;
-            failures := !failures + !mismatches;
-            Fmt.pr "%-14s %d/%d seeds bit-identical to the effect path \
-                    (n=%d k=%d)@."
-              e.Rtas.Registry.name (seeds - !mismatches) seeds n k)
-      Rtas.Registry.all;
-    (* Fan a flat trial batch out over real domains: per-worker machine
-       arenas, per-trial derived seeds, outcomes must not depend on the
-       domain count. *)
-    let prog = Flatsim.Programs.logstar ~n in
-    let outcomes d =
-      Engine.run_local ~domains:d ~trials ~seed:base
-        ~local:(fun () -> Flatsim.Machine.create ~procs:k prog)
-        (fun m ~trial:_ ~seed ->
-          Flatsim.Machine.reset ~seed:(Sim.Rng.derive seed ~stream:0) m;
-          Flatsim.Machine.run_random m ~seed:(Sim.Rng.derive seed ~stream:1);
-          let w = ref (-1) in
-          for pid = 0 to k - 1 do
-            if m.Flatsim.Machine.results.(pid) = 1 then w := pid
-          done;
-          (!w, Flatsim.Machine.time m))
-    in
-    let one = outcomes 1 in
-    let many = outcomes domains in
-    let independent = one = many in
-    Fmt.pr
-      "engine: %d flat log* trials identical at --domains 1 vs %d: %b@."
-      trials domains independent;
-    if !failures > 0 || not independent then begin
-      Fmt.epr "rtas flat: kernel divergence detected@.";
-      exit 1
-    end;
-    Fmt.pr "flat: OK (%s)@."
-      (String.concat ", " (Rtas.Registry.flat_names ()))
-  in
-  Cmd.v
-    (Cmd.info "flat"
-       ~doc:
-         "Check the flat kernel against the effect simulator: every \
-          flat-registered algorithm must be bit-identical on both kernels \
-          over fresh seeds (results, spans and flip streams), and a flat \
-          trial batch fanned out over real domains must be domain-count \
-          independent.")
-    Term.(
-      const flat $ n_arg $ k_arg $ seeds_arg $ trials_arg $ seed_arg
-      $ domains_arg)
-
 let main =
   Cmd.group
     (Cmd.info "rtas" ~version:"1.0.0"
        ~doc:"Randomized test-and-set (Giakkoupis-Woelfel PODC 2012) playground.")
     [
       run_cmd;
-      list_cmd;
       registry_cmd;
       sweep_cmd;
       claims_cmd;
@@ -1160,7 +1036,6 @@ let main =
       profile_cmd;
       mc_cmd;
       service_cmd;
-      flat_cmd;
     ]
 
 let () = exit (Cmd.eval main)

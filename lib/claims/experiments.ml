@@ -190,7 +190,7 @@ let e3 ~domains scale =
 
 let e4 ~domains _ =
   let crashy seed =
-    Sim.Adversary.random_crashes ~seed:(derive seed ~stream:2) ~crash_prob:0.005
+    Fault.Plan.apply ~seed:(derive seed ~stream:2) [ Fault.Plan.storm 0.005 ]
       (Measure.oblivious seed)
   in
   let steps algorithm k =

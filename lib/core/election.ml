@@ -35,18 +35,20 @@ let finish ~mem ~win_value sched =
     sched;
   }
 
-let run ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
+let run ?(seed = 1L) ?record_trace ?adversary ~algorithm ~n ~k () =
   let entry = lookup algorithm ~n ~k in
   let adversary =
     match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
   in
   let mem = Sim.Memory.create () in
   let le = entry.Registry.make mem ~n in
-  let sched = Sim.Sched.create ~seed (Leaderelect.Le.programs le ~k) in
+  let sched =
+    Sim.Sched.create ~seed ?record_trace (Leaderelect.Le.programs le ~k)
+  in
   Sim.Sched.run sched adversary;
   finish ~mem ~win_value:1 sched
 
-let run_tas ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
+let run_tas ?(seed = 1L) ?record_trace ?adversary ~algorithm ~n ~k () =
   let entry = lookup algorithm ~n ~k in
   let adversary =
     match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
@@ -55,7 +57,8 @@ let run_tas ?(seed = 1L) ?adversary ~algorithm ~n ~k () =
   let le = entry.Registry.make mem ~n in
   let tas = Primitives.Tas.create mem ~elect:le.Leaderelect.Le.elect in
   let sched =
-    Sim.Sched.create ~seed (Array.init k (fun _ ctx -> Primitives.Tas.apply tas ctx))
+    Sim.Sched.create ~seed ?record_trace
+      (Array.init k (fun _ ctx -> Primitives.Tas.apply tas ctx))
   in
   Sim.Sched.run sched adversary;
   finish ~mem ~win_value:0 sched

@@ -21,6 +21,7 @@ type outcome = {
 
 val run :
   ?seed:int64 ->
+  ?record_trace:bool ->
   ?adversary:Sim.Sched.adversary ->
   algorithm:string ->
   n:int ->
@@ -29,11 +30,14 @@ val run :
   outcome
 (** Runs [k] participants of the named algorithm (see {!Registry.names})
     dimensioned for [n] processes. Default adversary: round-robin.
+    [record_trace] (default [false]) keeps the event log that
+    [Sim.Sched.trace outcome.sched] returns.
     Raises [Invalid_argument] on an unknown algorithm name, or unless
     [1 <= k <= n]. *)
 
 val run_tas :
   ?seed:int64 ->
+  ?record_trace:bool ->
   ?adversary:Sim.Sched.adversary ->
   algorithm:string ->
   n:int ->

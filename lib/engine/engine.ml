@@ -10,9 +10,8 @@
    trial order, which keeps every reduction deterministic as well.
 
    Allocation discipline: the boxed ['a option array] sink is gone —
-   [run] seeds its result array with trial 0's value, [run_float] writes
-   unboxed into a [floatarray], and [run_into] lets the caller own the
-   sink entirely. A worker builds its trial state once ([local], e.g. a
+   [run] seeds its result array with trial 0's value and [run_into]
+   lets the caller own the sink entirely. A worker builds its trial state once ([local], e.g. a
    [Sim.Memory]/[Sim.Sched] arena reset per trial) instead of once per
    trial; per-domain [Gc.quick_stat] deltas make the difference
    measurable (see [worker_stats] and DESIGN.md §9). *)
@@ -203,16 +202,6 @@ let run_into ?domains ?chunk ~trials ~seed ~local write =
   dispatch ~domains ~chunk ~lo:0 ~hi:trials ~local (fun l t ->
       write l ~trial:t ~seed:(Sim.Rng.derive seed ~stream:t))
 
-let run_float ?domains ?chunk ~trials ~seed ~local f =
-  if trials < 0 then invalid_arg "Engine: trials must be >= 0";
-  let domains = resolve_domains domains in
-  let results = Float.Array.create trials in
-  ignore
-    (dispatch ~domains ~chunk ~lo:0 ~hi:trials ~local (fun l t ->
-         Float.Array.unsafe_set results t
-           (f l ~trial:t ~seed:(Sim.Rng.derive seed ~stream:t))));
-  results
-
 let run_local ?domains ?chunk ~trials ~seed ~local f =
   if trials < 0 then invalid_arg "Engine: trials must be >= 0";
   let domains = resolve_domains domains in
@@ -243,15 +232,9 @@ let run ?domains ?chunk ~trials ~seed f =
 
 let mean ?domains ?chunk ~trials ~seed f =
   if trials <= 0 then invalid_arg "Engine.mean: trials must be >= 1";
-  let results =
-    run_float ?domains ?chunk ~trials ~seed
-      ~local:(fun () -> ())
-      (fun () ~trial ~seed -> f ~trial ~seed)
-  in
-  (* In-order fold over the unboxed sink: deterministic and box-free. *)
-  let sum = ref 0.0 in
-  Float.Array.iter (fun x -> sum := !sum +. x) results;
-  !sum /. float_of_int trials
+  let results = run ?domains ?chunk ~trials ~seed f in
+  (* In-order fold: deterministic for every domain count. *)
+  Array.fold_left ( +. ) 0.0 results /. float_of_int trials
 
 (* {1 Parallel bounded exploration}
 

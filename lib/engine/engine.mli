@@ -16,7 +16,7 @@
 
     Trial bodies must not share mutable state across domains. They may
     share mutable state {e within} a worker through the [local] arena of
-    {!run_local}/{!run_float}/{!run_into}: [local ()] is evaluated once
+    {!run_local}/{!run_into}: [local ()] is evaluated once
     per participating worker (in that worker's domain) and handed to
     every trial that worker runs. The intended pattern is a reusable
     simulation arena — build the [Sim.Memory.t], the algorithm structure
@@ -77,18 +77,6 @@ val run_local :
     Trial 0 runs on the calling domain, which keeps the arena it built
     for it for every later trial it runs. *)
 
-val run_float :
-  ?domains:int ->
-  ?chunk:int ->
-  trials:int ->
-  seed:int64 ->
-  local:(unit -> 'w) ->
-  ('w -> trial:int -> seed:int64 -> float) ->
-  floatarray
-(** {!run_local} for float-valued trials, writing results unboxed into
-    a [floatarray]: no per-trial allocation on the result path at all
-    (pass [~local:(fun () -> ())] when no arena is needed). *)
-
 val run_probed :
   ?domains:int ->
   ?chunk:int ->
@@ -134,8 +122,8 @@ val mean :
   seed:int64 ->
   (trial:int -> seed:int64 -> float) ->
   float
-(** Arithmetic mean of a float-valued batch, accumulated in trial order
-    over the unboxed {!run_float} sink. Raises [Invalid_argument] when
+(** Arithmetic mean of a float-valued batch, summed in trial order over
+    {!run}'s result array. Raises [Invalid_argument] when
     [trials <= 0]. *)
 
 type explore_result = {

@@ -81,16 +81,83 @@ let of_string s =
     (Ok []) parts
   |> Result.map List.rev
 
-let runnable_mem runnable pid = Array.exists (fun p -> p = pid) runnable
+let runnable_mem (runnable : int array) pid =
+  let rec go i = i < Array.length runnable && (runnable.(i) = pid || go (i + 1)) in
+  go 0
 
-(* The compiled wrapper keeps per-plan mutable state: one-shot crash
-   actions still pending, the storm's crash budget (computed lazily so
-   the n-1 default can observe the actual number of processes), and the
-   total number of crashes injected so far (shared across actions, so a
-   plan as a whole also respects the tightest storm bound before the
-   last runnable process would die). *)
+(* A storm with its crash budget. [left] is [unset] until the storm's
+   first draw, when the n-1 default can observe the number of runnable
+   processes; a budget is never [unset] once computed, because a
+   negative explicit budget stays negative and [max 0 (m - 1)] cannot
+   be. *)
+type storm = { prob : float; max_crashes : int option; mutable left : int }
+
+let unset = min_int
+
+(* The decision loops below are top-level functions over the plan's
+   split parts, so walking them allocates no closure per decision. *)
+
+let rec halted now = function
+  | [] -> false
+  | time :: rest -> now >= time || halted now rest
+
+(* The pid of the first due one-shot crash, in plan order; [-1] when
+   none is due. *)
+let rec due (view : Sim.Sched.view) = function
+  | [] -> -1
+  | Crash_after { pid; steps } :: _
+    when runnable_mem view.runnable pid
+         && (view.pending_of pid).view_steps >= steps ->
+      pid
+  | Crash_at { pid; time } :: _
+    when runnable_mem view.runnable pid && view.view_time >= time ->
+      pid
+  | _ :: rest -> due view rest
+
+let targets pid = function
+  | Crash_after a -> a.pid = pid
+  | Crash_at a -> a.pid = pid
+  | _ -> false
+
+(* Storms from [i] on draw in plan order: a uniformly chosen runnable
+   victim with the storm's probability, never the last runnable
+   process, and never beyond the storm's budget. [-1] when none
+   strikes. *)
+let rec strike rng storms (runnable : int array) i =
+  if i = Array.length storms then -1
+  else begin
+    let s = storms.(i) and m = Array.length runnable in
+    if s.left = unset then
+      s.left <-
+        (match s.max_crashes with Some c -> c | None -> max 0 (m - 1));
+    if s.left > 0 && m > 1 && Sim.Rng.below rng s.prob then begin
+      s.left <- s.left - 1;
+      runnable.(Sim.Rng.int rng m)
+    end
+    else strike rng storms runnable (i + 1)
+  end
+
+let rec stalled now pid = function
+  | [] -> false
+  | (p, from_t, until_t) :: rest ->
+      (p = pid && now >= from_t && now < until_t) || stalled now pid rest
+
+let rec hides now runnable = function
+  | [] -> false
+  | (pid, from_t, until_t) :: rest ->
+      (now >= from_t && now < until_t && runnable_mem runnable pid)
+      || hides now runnable rest
+
+(* The compiled wrapper splits the plan once: halt times, one-shot
+   crashes still pending (in plan order), storms with their budgets,
+   and stall windows. Stalled processes are filtered out of the base
+   adversary's view only while a window hides a runnable one, and never
+   down to nothing (stalling is a delay, never a deadlock). *)
 let apply ?(seed = 0xFA17L) (plan : t) (adv : Sim.Sched.adversary) =
   let rng = Sim.Rng.create seed in
+  let halts =
+    List.filter_map (function Halt_at { time } -> Some time | _ -> None) plan
+  in
   let oneshots =
     ref
       (List.filter
@@ -98,11 +165,13 @@ let apply ?(seed = 0xFA17L) (plan : t) (adv : Sim.Sched.adversary) =
          plan)
   in
   let storms =
-    List.filter_map
-      (function
-        | Storm { prob; max_crashes } -> Some (prob, max_crashes, ref None)
-        | _ -> None)
-      plan
+    Array.of_list
+      (List.filter_map
+         (function
+           | Storm { prob; max_crashes } ->
+               Some { prob; max_crashes; left = unset }
+           | _ -> None)
+         plan)
   in
   let stalls =
     List.filter_map
@@ -112,86 +181,32 @@ let apply ?(seed = 0xFA17L) (plan : t) (adv : Sim.Sched.adversary) =
         | _ -> None)
       plan
   in
-  let halts =
-    List.filter_map (function Halt_at { time } -> Some time | _ -> None) plan
-  in
   let decide (view : Sim.Sched.view) =
-    let now = view.Sim.Sched.view_time in
-    if List.exists (fun t -> now >= t) halts then Sim.Sched.Halt
-    else begin
-      let m = Array.length view.Sim.Sched.runnable in
-      (* 1. Due one-shot crashes (in plan order). *)
-      let due =
-        List.find_opt
-          (fun a ->
-            match a with
-            | Crash_after { pid; steps } ->
-                runnable_mem view.Sim.Sched.runnable pid
-                && (view.Sim.Sched.pending_of pid).Sim.Sched.view_steps >= steps
-            | Crash_at { pid; time } ->
-                runnable_mem view.Sim.Sched.runnable pid && now >= time
-            | _ -> false)
-          !oneshots
-      in
-      match due with
-      | Some (Crash_after { pid; _ } as a) | Some (Crash_at { pid; _ } as a) ->
-          oneshots := List.filter (fun a' -> a' != a) !oneshots;
-          Sim.Sched.Crash_proc pid
-      | Some _ | None -> (
-          (* 2. Crash storms: a uniformly chosen runnable victim with the
-             storm's probability, never the last runnable process, and
-             never beyond the storm's budget (default n-1, where n is the
-             runnable count at the storm's first decision). *)
-          let struck =
-            List.find_map
-              (fun (prob, max_crashes, budget) ->
-                let left =
-                  match !budget with
-                  | Some left -> left
-                  | None ->
-                      let left =
-                        match max_crashes with
-                        | Some c -> c
-                        | None -> max 0 (m - 1)
-                      in
-                      budget := Some left;
-                      left
-                in
-                if left > 0 && m > 1 && Sim.Rng.float rng < prob then begin
-                  budget := Some (left - 1);
-                  Some view.Sim.Sched.runnable.(Sim.Rng.int rng m)
-                end
-                else None)
-              storms
+    let now = view.view_time in
+    if halted now halts then Sim.Sched.Halt
+    else
+      let pid = due view !oneshots in
+      if pid >= 0 then begin
+        (* A crashed pid's other one-shots can never fire. *)
+        oneshots := List.filter (fun a -> not (targets pid a)) !oneshots;
+        Sim.Sched.Crash_proc pid
+      end
+      else
+        let victim = strike rng storms view.runnable 0 in
+        if victim >= 0 then Sim.Sched.Crash_proc victim
+        else if not (hides now view.runnable stalls) then adv.decide view
+        else
+          let filtered =
+            Array.of_seq
+              (Seq.filter
+                 (fun pid -> not (stalled now pid stalls))
+                 (Array.to_seq view.runnable))
           in
-          match struck with
-          | Some pid -> Sim.Sched.Crash_proc pid
-          | None ->
-              (* 3. Stall windows: hide stalled processes from the base
-                 adversary, unless that would leave it nothing to
-                 schedule (stalling is a delay, never a deadlock). *)
-              let stalled pid =
-                List.exists
-                  (fun (p, from_t, until_t) ->
-                    p = pid && now >= from_t && now < until_t)
-                  stalls
-              in
-              let filtered =
-                Array.of_seq
-                  (Seq.filter
-                     (fun pid -> not (stalled pid))
-                     (Array.to_seq view.Sim.Sched.runnable))
-              in
-              let view' =
-                if Array.length filtered = 0 || Array.length filtered = m then
-                  view
-                else { view with Sim.Sched.runnable = filtered }
-              in
-              adv.Sim.Sched.decide view')
-    end
+          if Array.length filtered = 0 then adv.decide view
+          else adv.decide { view with runnable = filtered }
   in
   {
-    Sim.Sched.adv_name = adv.Sim.Sched.adv_name ^ "+fault";
-    adv_klass = adv.Sim.Sched.adv_klass;
+    Sim.Sched.adv_name = adv.adv_name ^ "+fault";
+    adv_klass = adv.adv_klass;
     decide;
   }

@@ -3,10 +3,16 @@
     A fault plan is a description of the failures an execution should
     suffer — targeted crashes, probabilistic crash storms, stall
     windows, a global halt — that {!apply} compiles onto any base
-    {!Sim.Sched.adversary}. It unifies and supersedes the ad-hoc
-    {!Sim.Adversary.with_crashes} and {!Sim.Adversary.random_crashes}
-    wrappers: those remain as thin conveniences, but every fault shape
-    they express (and several they cannot) is one [action] here.
+    {!Sim.Sched.adversary}. It is the one way to inject crashes into a
+    simulated run: targeted crashes after a step count, probabilistic
+    storms and the rest are each one [action] here, and any list of
+    them compiles onto any base adversary.
+
+    The compiled wrapper costs about what the base adversary costs: its
+    halt, storm and stall checks allocate nothing per decision (a
+    pending [Crash_after] reads its process's view, as any adversary
+    does), and stalled processes are filtered out of the view only
+    while a stall window hides a runnable one.
 
     Fault model: the paper's algorithms are wait-free / solo-
     terminating, so correctness must survive up to [n-1] crash faults at
@@ -16,15 +22,16 @@
 
 type action =
   | Crash_after of { pid : int; steps : int }
-      (** Crash [pid] once it has taken [steps] shared-memory steps
-          (what {!Sim.Adversary.with_crashes} expresses). *)
+      (** Crash [pid] once it has taken [steps] shared-memory steps. *)
   | Crash_at of { pid : int; time : int }
       (** Crash [pid] at the first decision at or after global time
           [time]. *)
   | Storm of { prob : float; max_crashes : int option }
       (** Before each decision, crash a uniformly chosen runnable
-          process with probability [prob]. Never crashes the last
-          runnable process; injects at most [max_crashes] crashes
+          process with probability [prob]: one {!Sim.Rng.below} draw,
+          then one {!Sim.Rng.int} draw for the victim, from the plan's
+          generator. Never crashes the last runnable process; injects
+          at most [max_crashes] crashes
           (default: one fewer than the processes runnable at the
           storm's first decision — the paper's [n-1] fault model). *)
   | Stall of { pid : int; from_time : int; until_time : int }

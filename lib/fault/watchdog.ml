@@ -17,12 +17,6 @@ let pp_reason ppf = function
   | Timed_out s -> Fmt.pf ppf "timed out after %.2fs" s
   | Raised msg -> Fmt.pf ppf "raised %s" msg
 
-let pp_failure ppf f =
-  Fmt.pf ppf "%d attempt%s (seeds %a): %a" f.attempts
-    (if f.attempts = 1 then "" else "s")
-    Fmt.(list ~sep:comma int64)
-    f.seeds_tried pp_reason f.last_reason
-
 (* Deterministic seed rotation: attempt 0 uses the caller's seed, later
    attempts draw from a splitmix stream derived from it, so a failing
    seed is always reported and the retry sequence is reproducible. *)

@@ -32,7 +32,6 @@ type 'a success = {
 }
 
 val pp_reason : reason Fmt.t
-val pp_failure : failure Fmt.t
 
 val run :
   ?timeout:float ->

@@ -54,7 +54,7 @@ type t = {
   run_arr : int array;  (* [base, base + n_running): running pids, ascending *)
   mutable base : int;  (* start of the live window in [run_arr] *)
   pos : int array;  (* index of each running pid in run_arr *)
-  mutable record_flips : bool;
+  record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
       (* (time, pid, bound, outcome), reversed; bound < 0 encodes a
          geometric draw with cap [-bound], mirroring Op.Flip. *)
@@ -305,9 +305,5 @@ let max_steps m =
     if s > !acc then acc := s
   done;
   !acc
-
-let set_record_flips m b =
-  m.record_flips <- b;
-  if not b then m.flip_log <- []
 
 let flip_log m = List.rev m.flip_log

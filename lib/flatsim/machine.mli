@@ -42,7 +42,7 @@ type t = {
   run_arr : int array;  (** [base, base + n_running): running pids, ascending *)
   mutable base : int;
   pos : int array;  (** index of each running pid in [run_arr] *)
-  mutable record_flips : bool;
+  record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
 }
 
@@ -113,8 +113,6 @@ val total_flips : t -> int
     the flat mirror of summing [Sched]'s per-pid flip counts. *)
 
 val max_steps : t -> int
-
-val set_record_flips : t -> bool -> unit
 
 val flip_log : t -> (int * int * int * int) list
 (** [(time, pid, bound, outcome)] in draw order; bound < 0 encodes a

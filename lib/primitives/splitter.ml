@@ -1,8 +1,5 @@
 type outcome = L | R | S
 
-let equal_outcome a b =
-  match (a, b) with L, L | R, R | S, S -> true | _, _ -> false
-
 let pp_outcome ppf = function
   | L -> Fmt.string ppf "L"
   | R -> Fmt.string ppf "R"

@@ -12,7 +12,6 @@
 
 type outcome = L | R | S
 
-val equal_outcome : outcome -> outcome -> bool
 val pp_outcome : outcome Fmt.t
 
 module Make (M : Backend.Mem.S) : sig

@@ -121,9 +121,10 @@ val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
     on from the key's arrival count, which keeps the (time, key, kseq)
     order of a queue holding every arrival from the start. Shards run
     through [Engine.run_local] with one queue per worker, reset between
-    shards; its pool is still sized [clients / shards + 256], since
-    under overload with retry on shed most clients of a shard are in
-    flight at once and a pool grown on demand peaks higher.
+    shards. The wheel queue is [Wheel.create ()] with no capacity: its
+    chunk pool grows one chunk at a time and follows the events in
+    flight, so under overload with retry on shed, when most clients of
+    a shard are in flight at once, it grows to hold them.
 
     With [telemetry], each shard's {!Tally} records the windowed
     {!Telemetry.recorder} schema (windows in virtual ticks), the wheel

@@ -57,54 +57,3 @@ let location_oblivious name decide =
 
 let rw_oblivious name decide =
   { Sched.adv_name = name; adv_klass = Sched.Rw_oblivious; decide }
-
-let with_crashes crashes (adv : Sched.adversary) =
-  let pending_crashes = ref crashes in
-  let decide (view : Sched.view) =
-    let due =
-      List.find_opt
-        (fun (pid, at) ->
-          Array.exists (fun p -> p = pid) view.runnable
-          && (view.pending_of pid).Sched.view_steps >= at)
-        !pending_crashes
-    in
-    match due with
-    | Some (pid, at) ->
-        pending_crashes := List.filter (fun c -> c <> (pid, at)) !pending_crashes;
-        Sched.Crash_proc pid
-    | None -> adv.Sched.decide view
-  in
-  {
-    Sched.adv_name = adv.Sched.adv_name ^ "+crashes";
-    adv_klass = adv.Sched.adv_klass;
-    decide;
-  }
-
-let random_crashes ?max_crashes ~seed ~crash_prob (adv : Sched.adversary) =
-  let rng = Rng.create seed in
-  (* [None] until the first decision, when the paper's n-1 default can
-     be computed from the number of processes still runnable. *)
-  let budget = ref None in
-  let decide (view : Sched.view) =
-    let m = Array.length view.runnable in
-    let left =
-      match !budget with
-      | Some left -> left
-      | None ->
-          let left =
-            match max_crashes with Some c -> c | None -> max 0 (m - 1)
-          in
-          budget := Some left;
-          left
-    in
-    if left > 0 && m > 1 && Rng.float rng < crash_prob then begin
-      budget := Some (left - 1);
-      Sched.Crash_proc view.runnable.(Rng.int rng m)
-    end
-    else adv.Sched.decide view
-  in
-  {
-    Sched.adv_name = adv.Sched.adv_name ^ "+random-crashes";
-    adv_klass = adv.Sched.adv_klass;
-    decide;
-  }

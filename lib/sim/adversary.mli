@@ -4,7 +4,8 @@
     what it may observe) plus a decision function. The strategies here
     are the generic ones used across experiments; algorithm-specific
     attack adversaries (e.g. the adaptive attack on the log* algorithm)
-    live next to the experiments that use them. *)
+    live next to the experiments that use them. Crashes are injected by
+    compiling a [Fault.Plan] onto any of these (lib/fault). *)
 
 val round_robin : unit -> Sched.adversary
 (** Oblivious. Fixed cyclic schedule [0, 1, ..., n-1, 0, ...]; entries
@@ -28,30 +29,3 @@ val location_oblivious :
   string -> (Sched.view -> Sched.decision) -> Sched.adversary
 
 val rw_oblivious : string -> (Sched.view -> Sched.decision) -> Sched.adversary
-
-val with_crashes : (int * int) list -> Sched.adversary -> Sched.adversary
-(** [with_crashes [(pid, s); ...] adv] behaves like [adv] but crashes
-    process [pid] as soon as it has taken [s] steps. The wrapper has the
-    same class as [adv] (crash times are fixed in advance).
-
-    {!Fault.Plan} in [lib/fault] generalises this wrapper (and
-    {!random_crashes}) to declarative fault plans — crash-after-steps,
-    crash storms, stall windows, timed halts — compiled onto any base
-    adversary; prefer it for new code. *)
-
-val random_crashes :
-  ?max_crashes:int ->
-  seed:int64 ->
-  crash_prob:float ->
-  Sched.adversary ->
-  Sched.adversary
-(** Before each decision, crashes a uniformly chosen runnable process
-    with probability [crash_prob], but never crashes the last runnable
-    process (so that a winner can still emerge).
-
-    Invariant (the paper's fault model): at most [max_crashes] processes
-    are ever crashed. The default is [n - 1], where [n] is the number of
-    runnable processes at the wrapper's first decision — the largest
-    number of failures under which wait-free/solo-terminating algorithms
-    must still be correct. Passing a smaller bound restricts the
-    adversary further; the bound can never be exceeded. *)

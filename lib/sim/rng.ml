@@ -87,6 +87,8 @@ let[@inline] float t =
   let v = Int64.shift_right_logical (raw t) 11 in
   Int64.to_float v *. 0x1p-53 (* exact: same bits as dividing by 2^53 *)
 
+let below t p = float t < p
+
 let geometric_capped t l =
   if l < 1 then invalid_arg "Rng.geometric_capped: l must be >= 1";
   let i = ref 1 in

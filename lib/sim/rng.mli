@@ -7,8 +7,9 @@
 
     The state is the seed plus a native-int draw counter (splitmix's
     state after [i] draws is [seed + i * golden_gamma]), so no draw
-    stores an [int64]: {!int}, {!bool} and {!geometric_capped} allocate
-    nothing; {!float} and {!next} allocate only their boxed result. *)
+    stores an [int64]: {!int}, {!bool}, {!below} and {!geometric_capped}
+    allocate nothing; {!float} and {!next} allocate only their boxed
+    result. *)
 
 type t
 
@@ -46,6 +47,10 @@ val bool : t -> bool
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
+
+val below : t -> float -> bool
+(** [below t p] is [float t < p], one draw, without boxing the float:
+    the allocation-free Bernoulli trial. *)
 
 val float_of_seed : int64 -> float
 (** [float_of_seed seed] is exactly [float (create seed)] without

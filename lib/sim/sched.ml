@@ -81,12 +81,13 @@ type t = {
      closures. *)
   mutable handlers : (int, unit) Effect.Deep.handler array;
   mutable s_time : int;
-  record_trace : bool;
-  mutable events : Op.event list;  (* reversed *)
-  (* The ambient Probe sink, captured at [create]/[reset] so the hot
-     path tests one field instead of reading the domain-local slot on
-     every step. [None] costs a load and a branch per step — the same
-     class of overhead as [record_trace]. *)
+  (* [record_trace]'s log (reversed) and the sink that fills it. *)
+  events : Op.event list ref;
+  recorder : Obs.Probe.sink option;
+  (* The sink every event goes to: the recorder teed with the ambient
+     Probe sink, captured at [create]/[reset] so the hot path tests one
+     field instead of reading the domain-local slot on every step.
+     [None] costs a load and a branch per step. *)
   mutable probe : Obs.Probe.sink option;
   flip_oracle : (pid:int -> bound:int -> int option) option;
   (* Cache-coherence bookkeeping for RMR accounting: per register (by
@@ -177,8 +178,8 @@ let account_write t p reg_id =
   p.p_rmrs <- p.p_rmrs + 1
 
 (* Cached copies a write by [pid] would invalidate (register
-   contention). Off the hot path: only evaluated when a probe sink is
-   installed, before [account_write] clears the bitset. *)
+   contention). Off the hot path: only evaluated when events go to a
+   sink, before [account_write] clears the bitset. *)
 let count_other_cached t reg_id pid =
   let pi = reg_id lsr page_bits in
   if pi >= Array.length t.pages || Bytes.length t.pages.(pi) = 0 then 0
@@ -204,6 +205,39 @@ let draw t pid bound =
       | None -> if bound < 0 then Rng.geometric_capped t.rng (-bound) else Rng.int t.rng bound)
   | None ->
       if bound < 0 then Rng.geometric_capped t.rng (-bound) else Rng.int t.rng bound
+
+(* The sink behind [record_trace]: it logs every event as an
+   [Op.event]. *)
+let recorder events =
+  let log e = events := e :: !events in
+  {
+    Obs.Probe.on_step =
+      (fun ~time ~pid ~reg ~reg_name ~write ~value ~rmr:_ ~invalidated:_ ->
+        log
+          (Op.Step
+             {
+               time;
+               pid;
+               reg;
+               reg_name;
+               kind = (if write then Op.Write value else Op.Read);
+               read_value = (if write then None else Some value);
+             }));
+    on_flip =
+      (fun ~time ~pid ~bound ~outcome ->
+        log (Op.Flip { time; pid; bound; outcome }));
+    on_crash = (fun ~time ~pid -> log (Op.Crash { time; pid }));
+    on_finish = (fun ~time ~pid ~result -> log (Op.Finish { time; pid; result }));
+    on_span_enter = (fun ~pid:_ ~phase:_ -> ());
+    on_span_exit = (fun ~pid:_ ~phase:_ -> ());
+  }
+
+(* The recorder, if any, first, then the ambient sink. *)
+let sink recorder =
+  match (recorder, Obs.Probe.current ()) with
+  | None, ambient -> ambient
+  | Some r, None -> Some r
+  | Some r, Some ambient -> Some (Obs.Probe.tee r ambient)
 
 (* [pid] stopped running: derive the next runnable array from the
    current one by dropping it. *)
@@ -233,9 +267,6 @@ let handler t p =
         let bound = p.p_bound in
         let outcome = draw t p.pid bound in
         p.p_flips <- p.p_flips + 1;
-        if t.record_trace then
-          t.events <-
-            Op.Flip { time = t.s_time; pid = p.pid; bound; outcome } :: t.events;
         (match t.probe with
         | None -> ()
         | Some s -> s.on_flip ~time:t.s_time ~pid:p.pid ~bound ~outcome);
@@ -245,8 +276,6 @@ let handler t p =
     p.p_status <- Finished result;
     p.p_finish <- t.s_time;
     stopped_running t p.pid;
-    if t.record_trace then
-      t.events <- Op.Finish { time = t.s_time; pid = p.pid; result } :: t.events;
     match t.probe with
     | None -> ()
     | Some s -> s.on_finish ~time:t.s_time ~pid:p.pid ~result
@@ -300,17 +329,19 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
   in
   let n = Array.length programs in
   let all_pids = Array.init n (fun pid -> pid) in
+  let events = ref [] in
+  let recorder = if record_trace then Some (recorder events) else None in
   let t =
     {
       rng;
       procs;
       handlers = [||];
       s_time = 0;
-      record_trace;
-      events = [];
+      events;
+      recorder;
       (* Captured before the programs start: flips fired while running
          each program to its first operation already reach the sink. *)
-      probe = Obs.Probe.current ();
+      probe = sink recorder;
       flip_oracle;
       pages = [||];
       cache_len = (n + 7) / 8;
@@ -337,10 +368,10 @@ let reset ?(seed = 0x5EEDL) t programs =
     invalid_arg "Sched.reset: process count differs from create";
   Rng.reseed t.rng seed;
   t.s_time <- 0;
-  t.events <- [];
+  t.events := [];
   (* Re-read the ambient sink: a probe installed (or removed) since
      [create] takes effect on the next trial, before programs restart. *)
-  t.probe <- Obs.Probe.current ();
+  t.probe <- sink t.recorder;
   t.runnable <- t.all_pids;
   for i = 0 to t.n_touched - 1 do
     let id = t.touched.(i) in
@@ -399,18 +430,6 @@ let step t pid =
       let r = p.p_reg in
       let rmr = account_read t p r.Register.id in
       let v = Register.read r in
-      if t.record_trace then
-        t.events <-
-          Op.Step
-            {
-              time = t.s_time;
-              pid = p.pid;
-              reg = r.Register.id;
-              reg_name = r.Register.name;
-              kind = Op.Read;
-              read_value = Some v;
-            }
-          :: t.events;
       (match t.probe with
       | None -> ()
       | Some s ->
@@ -430,18 +449,6 @@ let step t pid =
       in
       account_write t p r.Register.id;
       Register.write r ~writer:p.pid v;
-      if t.record_trace then
-        t.events <-
-          Op.Step
-            {
-              time = t.s_time;
-              pid = p.pid;
-              reg = r.Register.id;
-              reg_name = r.Register.name;
-              kind = Op.Write v;
-              read_value = None;
-            }
-          :: t.events;
       (match t.probe with
       | None -> ()
       | Some s ->
@@ -463,8 +470,6 @@ let crash t pid =
       p.p_status <- Crashed;
       clear_pending p;
       stopped_running t pid;
-      if t.record_trace then
-        t.events <- Op.Crash { time = t.s_time; pid } :: t.events;
       (match t.probe with
       | None -> ()
       | Some s -> s.on_crash ~time:t.s_time ~pid)
@@ -546,7 +551,7 @@ let run ?(max_total_steps = 10_000_000) t adv =
     | Halt -> Array.iter (crash t) t.runnable
   done
 
-let trace t = List.rev t.events
+let trace t = List.rev !(t.events)
 
 let max_steps t =
   Array.fold_left (fun acc p -> max acc p.p_steps) 0 t.procs

@@ -65,6 +65,10 @@ val create :
     it is poised at its first shared-memory operation (local computation,
     including coin flips, is free). Process [i] gets pid [i].
 
+    [record_trace] (default [false]) logs every event for {!trace}: the
+    log is filled by a recorder sink that sees each event just before
+    the ambient [Obs.Probe] sink does.
+
     [flip_oracle] overrides coin flips, for model checking: it receives
     the flipping process and the bound ([-l] encodes the geometric draw
     of {!Ctx.flip_geometric} with parameter [l]); returning [None] falls

@@ -74,10 +74,6 @@ let summarize_array xs =
 
 let summarize xs = summarize_sorted (sorted_of_list xs)
 
-let pp_summary ppf s =
-  Fmt.pf ppf "%.2f +/- %.2f (median %.2f, p95 %.2f, p999 %.2f, n=%d)" s.mean
-    s.stddev s.median s.p95 s.p999 s.count
-
 (* Log-spaced bucket indexing for bounded-memory histograms: 32
    sub-buckets per power of two, so any value maps to a bucket whose
    width is at most 1/32 of its lower bound — percentiles read off the

@@ -53,9 +53,6 @@ val percentile_sorted_opt : float array -> float -> float option
     (still raises on [p] outside [\[0, 1\]] — that is a caller bug, not
     a data shape). *)
 
-val pp_summary : summary Fmt.t
-(** ["mean +/- sd (median m, p95 q, p999 r, n)"]. *)
-
 (** Log-spaced bucket indexing for bounded-memory histograms.
 
     Values are mapped to buckets with 32 sub-buckets per power of two:

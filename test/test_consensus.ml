@@ -187,8 +187,8 @@ let test_consn_crash_safety () =
       Sim.Sched.create ~seed:(Int64.of_int seed) (consn_programs ~n:8 inputs ())
     in
     let adv =
-      Sim.Adversary.random_crashes ~seed:(Int64.of_int (seed * 3))
-        ~crash_prob:0.02
+      Fault.Plan.apply ~seed:(Int64.of_int (seed * 3))
+        [ Fault.Plan.storm 0.02 ]
         (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 7)))
     in
     Sim.Sched.run sched adv;

@@ -79,6 +79,28 @@ let test_election_tas () =
   checki "exactly one TAS winner" 1 zeros;
   checkb "winner field matches" true (o.Rtas.Election.winner <> None)
 
+let test_election_record_trace () =
+  (* [record_trace] keeps every event: one finish per finished process,
+     one step per unit of time. Without it the trace is empty. *)
+  List.iter
+    (fun run ->
+      let o = run ~record_trace:true in
+      let trace = Sim.Sched.trace o.Rtas.Election.sched in
+      let count f = List.length (List.filter f trace) in
+      checki "a finish per process" 4
+        (count (function Sim.Op.Finish _ -> true | _ -> false));
+      checki "a step per unit of time" o.Rtas.Election.total_steps
+        (count (function Sim.Op.Step _ -> true | _ -> false));
+      checkb "empty without record_trace" true
+        (Sim.Sched.trace (run ~record_trace:false).Rtas.Election.sched = []))
+    [
+      (fun ~record_trace ->
+        Rtas.Election.run ~record_trace ~algorithm:"tournament" ~n:8 ~k:4 ());
+      (fun ~record_trace ->
+        Rtas.Election.run_tas ~record_trace ~algorithm:"tournament" ~n:8 ~k:4
+          ());
+    ]
+
 let test_election_deterministic_given_seed () =
   let run () =
     Rtas.Election.run ~seed:99L ~algorithm:"ratrace-lean" ~n:16 ~k:16
@@ -106,8 +128,8 @@ let prop_unique_winner =
         | 0 -> Sim.Adversary.round_robin ()
         | 1 -> Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 31))
         | _ ->
-            Sim.Adversary.random_crashes ~seed:(Int64.of_int (seed * 17))
-              ~crash_prob:0.05
+            Fault.Plan.apply ~seed:(Int64.of_int (seed * 17))
+              [ Fault.Plan.storm 0.05 ]
               (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 13)))
       in
       let o =
@@ -259,6 +281,7 @@ let () =
           Alcotest.test_case "unknown algorithm" `Quick test_election_unknown_algorithm;
           Alcotest.test_case "k out of range" `Quick test_election_bad_k;
           Alcotest.test_case "tas wrapper" `Quick test_election_tas;
+          Alcotest.test_case "record_trace" `Quick test_election_record_trace;
           Alcotest.test_case "deterministic by seed" `Quick
             test_election_deterministic_given_seed;
         ] );

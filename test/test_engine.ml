@@ -83,24 +83,7 @@ let test_mean_domain_independent () =
   let m4 = Engine.mean ~domains:4 ~trials:50 ~seed:4L f in
   checkb "identical float mean" true (m1 = m4)
 
-(* {1 Unboxed sinks and the arena-reuse hot path} *)
-
-let test_run_float_matches_run () =
-  let f ~trial ~seed =
-    Int64.to_float (Int64.rem seed 1000L) +. (float_of_int trial /. 7.0)
-  in
-  let boxed = Engine.run ~domains:1 ~trials:40 ~seed:8L f in
-  List.iter
-    (fun domains ->
-      let fa = Engine.run_float ~domains ~trials:40 ~seed:8L
-          ~local:(fun () -> ()) (fun () -> f)
-      in
-      checki "length" 40 (Float.Array.length fa);
-      for t = 0 to 39 do
-        checkb "slot t bit-identical to boxed run" true
-          (Float.Array.get fa t = boxed.(t))
-      done)
-    [ 1; 4 ]
+(* {1 Caller-owned sinks and the arena-reuse hot path} *)
 
 let test_run_into_writer () =
   let sink = Array.make 30 (-1) in
@@ -446,8 +429,6 @@ let () =
         ] );
       ( "sinks",
         [
-          Alcotest.test_case "run_float matches run" `Quick
-            test_run_float_matches_run;
           Alcotest.test_case "run_into writer + stats" `Quick
             test_run_into_writer;
           Alcotest.test_case "one arena per worker" `Quick

@@ -55,7 +55,6 @@ let test_plan_parse_examples () =
 (* {1 Plan: apply semantics} *)
 
 let test_plan_crash_after () =
-  (* Same behaviour as [Adversary.with_crashes [(0, 1)]]. *)
   let sched = incr_sched 2 in
   let adv =
     Fault.Plan.apply
@@ -104,37 +103,41 @@ let test_plan_stall () =
   checkb "both finished (a stall is never a deadlock)" true
     (Array.for_all Option.is_some (Sim.Sched.results sched))
 
+let finished sched =
+  Array.fold_left
+    (fun a r -> if Option.is_some r then a + 1 else a)
+    0
+    (Sim.Sched.results sched)
+
 let test_plan_storm_default_budget () =
   (* A certain storm kills processes at every decision, but never the
      last one: with the default n-1 budget exactly one process
      survives and finishes. *)
-  let sched = incr_sched 4 in
-  let adv =
-    Fault.Plan.apply ~seed:5L [ Fault.Plan.storm 1.0 ]
-      (Sim.Adversary.round_robin ())
-  in
-  Sim.Sched.run sched adv;
-  checki "n-1 crashed" 3 (count_crashed sched);
-  checki "one survivor finished" 1
-    (Array.fold_left
-       (fun a r -> if Option.is_some r then a + 1 else a)
-       0
-       (Sim.Sched.results sched))
+  List.iter
+    (fun seed ->
+      let sched = incr_sched 4 in
+      let adv =
+        Fault.Plan.apply ~seed [ Fault.Plan.storm 1.0 ]
+          (Sim.Adversary.round_robin ())
+      in
+      Sim.Sched.run sched adv;
+      checki "n-1 crashed" 3 (count_crashed sched);
+      checki "one survivor finished" 1 (finished sched))
+    [ 5L; 3L ]
 
 let test_plan_storm_explicit_budget () =
-  let sched = incr_sched 4 in
-  let adv =
-    Fault.Plan.apply ~seed:5L
-      [ Fault.Plan.storm ~max_crashes:1 1.0 ]
-      (Sim.Adversary.round_robin ())
-  in
-  Sim.Sched.run sched adv;
-  checki "exactly one crash" 1 (count_crashed sched);
-  checki "three finished" 3
-    (Array.fold_left
-       (fun a r -> if Option.is_some r then a + 1 else a)
-       0
-       (Sim.Sched.results sched))
+  List.iter
+    (fun (seed, max_crashes) ->
+      let sched = incr_sched 4 in
+      let adv =
+        Fault.Plan.apply ~seed
+          [ Fault.Plan.storm ~max_crashes 1.0 ]
+          (Sim.Adversary.round_robin ())
+      in
+      Sim.Sched.run sched adv;
+      checki "bounded by max_crashes" max_crashes (count_crashed sched);
+      checki "the rest finished" (4 - max_crashes) (finished sched))
+    [ (5L, 1); (3L, 2) ]
 
 let test_plan_reproducible () =
   (* The same seed gives the same faults. *)
@@ -149,27 +152,70 @@ let test_plan_reproducible () =
   in
   checkb "deterministic" true (crashed_set () = crashed_set ())
 
-(* {1 Adversary.random_crashes budget (the Plan.storm special case)} *)
+(* {1 Plan: decisions and cost} *)
 
-let test_random_crashes_default_budget () =
-  let sched = incr_sched 4 in
-  let adv =
-    Sim.Adversary.random_crashes ~seed:3L ~crash_prob:1.0
-      (Sim.Adversary.round_robin ())
+(* Crashes of a tournament election, n = k = 8, as (time, pid). *)
+let tournament_crashes adv =
+  let mem = Sim.Memory.create () in
+  let le =
+    (Option.get (Rtas.Registry.find "tournament")).Rtas.Registry.make mem ~n:8
+  in
+  let sched =
+    Sim.Sched.create ~seed:11L ~record_trace:true
+      (Leaderelect.Le.programs le ~k:8)
   in
   Sim.Sched.run sched adv;
-  checki "at most n-1 crashes, survivor lives" 3 (count_crashed sched);
-  checkb "survivor finished" true
-    (Array.exists Option.is_some (Sim.Sched.results sched))
+  ( List.filter_map
+      (function Sim.Op.Crash { time; pid } -> Some (time, pid) | _ -> None)
+      (Sim.Sched.trace sched),
+    Sim.Sched.results sched )
 
-let test_random_crashes_explicit_budget () =
-  let sched = incr_sched 4 in
-  let adv =
-    Sim.Adversary.random_crashes ~max_crashes:2 ~seed:3L ~crash_prob:1.0
-      (Sim.Adversary.round_robin ())
+let test_plan_storm_golden () =
+  (* A storm draws its coin, then its victim, from its own generator;
+     these crashes are the ones a storm of the same seed and probability
+     produced before plans were the only crash path. *)
+  let crashes, results =
+    tournament_crashes
+      (Fault.Plan.apply ~seed:23L [ Fault.Plan.storm 0.3 ]
+         (Sim.Adversary.round_robin ()))
   in
-  Sim.Sched.run sched adv;
-  checki "bounded by max_crashes" 2 (count_crashed sched)
+  Alcotest.(check (list (pair int int)))
+    "crash list"
+    [ (2, 3); (5, 2); (14, 1); (16, 7); (18, 6); (18, 0); (20, 5) ]
+    crashes;
+  checkb "p4 wins" true (results.(4) = Some 1)
+
+let test_plan_storm_cost () =
+  (* Minor words per step of tournament elections (n = k = 64) under
+     random_oblivious, bare and under a rare storm. The wrapper may add
+     at most 3 words per step: its own per-decision work allocates
+     nothing but the storm's float draw. *)
+  let words_per_step wrap =
+    let w0 = Gc.minor_words () and steps = ref 0 in
+    for i = 0 to 3 do
+      let s = Sim.Rng.derive 7L ~stream:i in
+      let o =
+        Rtas.Election.run ~seed:(Sim.Rng.derive s ~stream:0)
+          ~adversary:
+            (wrap s
+               (Sim.Adversary.random_oblivious
+                  ~seed:(Sim.Rng.derive s ~stream:1)))
+          ~algorithm:"tournament" ~n:64 ~k:64 ()
+      in
+      steps := !steps + o.Rtas.Election.total_steps
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int !steps
+  in
+  let bare = words_per_step (fun _ adv -> adv) in
+  let storm =
+    words_per_step (fun s adv ->
+        Fault.Plan.apply ~seed:(Sim.Rng.derive s ~stream:2)
+          [ Fault.Plan.storm 0.005 ]
+          adv)
+  in
+  if storm -. bare > 3.0 then
+    Alcotest.failf "storm adds %.1f words per step (bare %.1f)" (storm -. bare)
+      bare
 
 (* {1 Watchdog} *)
 
@@ -309,13 +355,10 @@ let () =
           Alcotest.test_case "storm explicit budget" `Quick
             test_plan_storm_explicit_budget;
           Alcotest.test_case "reproducible" `Quick test_plan_reproducible;
-        ] );
-      ( "random-crashes",
-        [
-          Alcotest.test_case "default n-1 budget" `Quick
-            test_random_crashes_default_budget;
-          Alcotest.test_case "explicit budget" `Quick
-            test_random_crashes_explicit_budget;
+          Alcotest.test_case "storm golden crashes" `Quick
+            test_plan_storm_golden;
+          Alcotest.test_case "storm allocation per step" `Quick
+            test_plan_storm_cost;
         ] );
       ( "watchdog",
         [

@@ -192,7 +192,7 @@ let test_le2_survivor_decides_after_crash () =
           (le2_programs ())
       in
       let adv =
-        Sim.Adversary.with_crashes [ (1, crash_after) ]
+        Fault.Plan.apply [ Fault.Plan.crash_after ~pid:1 ~steps:crash_after ]
           (Sim.Adversary.round_robin ())
       in
       Sim.Sched.run sched adv;
@@ -305,7 +305,7 @@ let test_le2b_crash_safety () =
           (le2b_programs ())
       in
       let adv =
-        Sim.Adversary.with_crashes [ (1, crash_after) ]
+        Fault.Plan.apply [ Fault.Plan.crash_after ~pid:1 ~steps:crash_after ]
           (Sim.Adversary.round_robin ())
       in
       Sim.Sched.run sched adv;
@@ -393,8 +393,8 @@ let test_le3_crash_safety () =
     for seed = 1 to 100 do
       let sched = Sim.Sched.create ~seed:(Int64.of_int seed) (le3_programs ()) in
       let adv =
-        Sim.Adversary.with_crashes
-          [ (crashed_port, seed mod 6) ]
+        Fault.Plan.apply
+          [ Fault.Plan.crash_after ~pid:crashed_port ~steps:(seed mod 6) ]
           (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 17)))
       in
       Sim.Sched.run sched adv;
@@ -557,8 +557,8 @@ let test_tas_crash_lincheck () =
           (tas_programs 2 ())
       in
       let adv =
-        Sim.Adversary.with_crashes
-          [ (0, crash_after) ]
+        Fault.Plan.apply
+          [ Fault.Plan.crash_after ~pid:0 ~steps:crash_after ]
           (Sim.Adversary.random_oblivious ~seed:(Int64.of_int ((seed * 7) + 1)))
       in
       Sim.Sched.run sched adv;

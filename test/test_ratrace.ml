@@ -310,7 +310,7 @@ let test_lean_crash_safety () =
       Sim.Sched.create ~seed:(Int64.of_int seed) (rr_programs (lean_make 16) 16 ())
     in
     let adv =
-      Sim.Adversary.random_crashes ~seed:(Int64.of_int (seed * 7)) ~crash_prob:0.02
+      Fault.Plan.apply ~seed:(Int64.of_int (seed * 7)) [ Fault.Plan.storm 0.02 ]
         (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 3)))
     in
     Sim.Sched.run sched adv;

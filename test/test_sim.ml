@@ -372,11 +372,15 @@ let test_first_and_finish_times () =
   checki "p1 finished at 2" 2 (Sim.Sched.finish_time sched 1);
   checki "p0 started at 3" 3 (Sim.Sched.first_step_time sched 0)
 
-let test_with_crashes () =
+let test_crash_injection () =
   let mem = Sim.Memory.create () in
   let reg = Sim.Register.create mem in
   let sched = Sim.Sched.create (Array.init 2 (fun _ -> incr_prog reg)) in
-  let adv = Sim.Adversary.with_crashes [ (0, 1) ] (Sim.Adversary.round_robin ()) in
+  let adv =
+    Fault.Plan.apply
+      [ Fault.Plan.crash_after ~pid:0 ~steps:1 ]
+      (Sim.Adversary.round_robin ())
+  in
   Sim.Sched.run sched adv;
   checkb "p0 crashed after 1 step" true (Sim.Sched.status sched 0 = Sim.Sched.Crashed);
   checki "p0 took exactly 1 step" 1 (Sim.Sched.steps sched 0);
@@ -521,7 +525,10 @@ let test_runnable_contract () =
       List.init 8 (fun _ -> (Sim.Rng.int rng k, Sim.Rng.int rng 6))
     in
     let inner =
-      Sim.Adversary.with_crashes crashes
+      Fault.Plan.apply
+        (List.map
+           (fun (pid, steps) -> Fault.Plan.crash_after ~pid ~steps)
+           crashes)
         (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
     in
     let decide (v : Sim.Sched.view) =
@@ -942,7 +949,7 @@ let () =
           Alcotest.test_case "flips recorded" `Quick test_flips_recorded;
           Alcotest.test_case "flip oracle" `Quick test_flip_oracle;
           Alcotest.test_case "first/finish times" `Quick test_first_and_finish_times;
-          Alcotest.test_case "crash injection" `Quick test_with_crashes;
+          Alcotest.test_case "crash injection" `Quick test_crash_injection;
           Alcotest.test_case "livelock guard" `Quick test_max_total_steps;
           Alcotest.test_case "step bound is inclusive" `Quick
             test_max_total_steps_boundary;

@@ -45,8 +45,8 @@ let safety_sweep ?(trials = 40) ~make ~n ~ks () =
         let crash_prob = if seed mod 2 = 0 then 0.02 else 0.0 in
         let adv =
           if crash_prob > 0.0 then
-            Sim.Adversary.random_crashes ~seed:(Int64.of_int (seed * 31))
-              ~crash_prob
+            Fault.Plan.apply ~seed:(Int64.of_int (seed * 31))
+              [ Fault.Plan.storm crash_prob ]
               (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 13)))
           else Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 13))
         in

@@ -113,31 +113,25 @@ let test_plan_storm_default_budget () =
   (* A certain storm kills processes at every decision, but never the
      last one: with the default n-1 budget exactly one process
      survives and finishes. *)
-  List.iter
-    (fun seed ->
-      let sched = incr_sched 4 in
-      let adv =
-        Fault.Plan.apply ~seed [ Fault.Plan.storm 1.0 ]
-          (Sim.Adversary.round_robin ())
-      in
-      Sim.Sched.run sched adv;
-      checki "n-1 crashed" 3 (count_crashed sched);
-      checki "one survivor finished" 1 (finished sched))
-    [ 5L; 3L ]
+  let sched = incr_sched 4 in
+  let adv =
+    Fault.Plan.apply ~seed:5L [ Fault.Plan.storm 1.0 ]
+      (Sim.Adversary.round_robin ())
+  in
+  Sim.Sched.run sched adv;
+  checki "n-1 crashed" 3 (count_crashed sched);
+  checki "one survivor finished" 1 (finished sched)
 
 let test_plan_storm_explicit_budget () =
-  List.iter
-    (fun (seed, max_crashes) ->
-      let sched = incr_sched 4 in
-      let adv =
-        Fault.Plan.apply ~seed
-          [ Fault.Plan.storm ~max_crashes 1.0 ]
-          (Sim.Adversary.round_robin ())
-      in
-      Sim.Sched.run sched adv;
-      checki "bounded by max_crashes" max_crashes (count_crashed sched);
-      checki "the rest finished" (4 - max_crashes) (finished sched))
-    [ (5L, 1); (3L, 2) ]
+  let sched = incr_sched 4 in
+  let adv =
+    Fault.Plan.apply ~seed:5L
+      [ Fault.Plan.storm ~max_crashes:1 1.0 ]
+      (Sim.Adversary.round_robin ())
+  in
+  Sim.Sched.run sched adv;
+  checki "exactly one crash" 1 (count_crashed sched);
+  checki "three finished" 3 (finished sched)
 
 let test_plan_reproducible () =
   (* The same seed gives the same faults. *)
@@ -151,6 +145,33 @@ let test_plan_reproducible () =
     List.init 4 (fun pid -> Sim.Sched.status sched pid = Sim.Sched.Crashed)
   in
   checkb "deterministic" true (crashed_set () = crashed_set ())
+
+(* {1 Random crashes: a certain storm under its crash budget} *)
+
+(* A random crash adversary is a storm plan; these are its budget
+   cases, kept on their own seed. *)
+
+let test_random_crashes_default_budget () =
+  let sched = incr_sched 4 in
+  let adv =
+    Fault.Plan.apply ~seed:3L [ Fault.Plan.storm 1.0 ]
+      (Sim.Adversary.round_robin ())
+  in
+  Sim.Sched.run sched adv;
+  checki "at most n-1 crashes, survivor lives" 3 (count_crashed sched);
+  checkb "survivor finished" true
+    (Array.exists Option.is_some (Sim.Sched.results sched))
+
+let test_random_crashes_explicit_budget () =
+  let sched = incr_sched 4 in
+  let adv =
+    Fault.Plan.apply ~seed:3L
+      [ Fault.Plan.storm ~max_crashes:2 1.0 ]
+      (Sim.Adversary.round_robin ())
+  in
+  Sim.Sched.run sched adv;
+  checki "bounded by max_crashes" 2 (count_crashed sched);
+  checki "the rest finished" 2 (finished sched)
 
 (* {1 Plan: decisions and cost} *)
 
@@ -359,6 +380,13 @@ let () =
             test_plan_storm_golden;
           Alcotest.test_case "storm allocation per step" `Quick
             test_plan_storm_cost;
+        ] );
+      ( "random-crashes",
+        [
+          Alcotest.test_case "default n-1 budget" `Quick
+            test_random_crashes_default_budget;
+          Alcotest.test_case "explicit budget" `Quick
+            test_random_crashes_explicit_budget;
         ] );
       ( "watchdog",
         [

@@ -59,13 +59,20 @@ mc-smoke:
 # on top of that, assert the successor algorithms carry the coverage
 # the differential suite assumes — poison is dual + flat with all
 # three backends agreeing on the register count, opt-space is dual.
+# Every row's adversary cell must start at the header's `adversary`
+# offset: columns are sized by their widest cell, so none overflows.
 registry-smoke:
 	dune exec bin/rtas_cli.exe -- registry -n 64 > _build/REGISTRY.txt
 	awk '$$1 == "poison" { found = 1; if ($$2 != $$3 || $$3 != $$4) exit 1 } \
 	  END { exit !found }' _build/REGISTRY.txt
 	awk '$$1 == "opt-space" { found = 1; if ($$2 != $$3 || $$4 != "-") exit 1 } \
 	  END { exit !found }' _build/REGISTRY.txt
-	@echo "registry-smoke: capability table OK"
+	awk 'NR == 1 { at = index($$0, "adversary"); next } \
+	  substr($$0, at - 2, 2) != "  " || \
+	  substr($$0, at) !~ /^(adaptive|location-oblivious|rw-oblivious|oblivious) / \
+	  { print "registry-smoke: adversary cell misplaced: " $$0; exit 1 }' \
+	  _build/REGISTRY.txt
+	@echo "registry-smoke: capability table OK, columns aligned"
 
 # Lock-service smoke: a Poisson run on each backend plus a chaos
 # variant, each validated with jq — the report must account for every
@@ -155,7 +162,9 @@ service-scale-smoke:
 # balance: as many B as E events), then run a small profile batch and
 # check the JSON report names the expected phases and carries the
 # pinned RMR totals of this seed. `run --trace` must print the event
-# trace (at least one `[t] pN ...` line). A contention outside 1..n
+# trace (at least one `[t] pN ...` line); a plain `run` prints exactly
+# two lines, the outcome and an unbroken `results:` vector. A
+# contention outside 1..n
 # must be a usage error (exit 2), on `run` and `trace` alike, and so
 # must an unknown `run` algorithm. Scratch files live in the build tree.
 trace-smoke:
@@ -173,13 +182,15 @@ trace-smoke:
 	dune exec bin/rtas_cli.exe -- run -a tournament -n 4 -k 2 --trace \
 	  > _build/run_trace.txt
 	grep -Eq '^\[[0-9]+\] p[0-9]+ ' _build/run_trace.txt
+	dune exec bin/rtas_cli.exe -- run -a tournament -n 8 -k 4 > _build/run.txt
+	test $$(wc -l < _build/run.txt) -eq 2
 	dune exec bin/rtas_cli.exe -- run -a tournament -n 2 -k 40 >/dev/null 2>&1; \
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- run --alg nope >/dev/null 2>&1; \
 	  test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- trace -k 0 -o _build/trace_k0.json >/dev/null 2>&1; \
 	  test $$? -eq 2
-	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) + run --trace OK, bad -k or algorithm exits 2"
+	@echo "trace-smoke: trace.json + profile.json (RMR totals pinned) + run --trace OK, run prints two lines, bad -k or algorithm exits 2"
 
 # Telemetry smoke: a bursty chaos run with a telemetry sink (`rtas
 # service` exits non-zero if any windowed counter fails to sum to its

@@ -97,7 +97,7 @@ let run_cmd =
     in
     Fmt.pr "%a@." Rtas.Election.pp_outcome outcome;
     Fmt.pr "results: %a@."
-      Fmt.(array ~sep:sp (option ~none:(any "-") int))
+      Fmt.(hbox (array ~sep:sp (option ~none:(any "-") int)))
       outcome.Rtas.Election.results;
     if trace then
       List.iter
@@ -120,38 +120,55 @@ let registry_cmd =
      so a divergence is a wiring bug. *)
   let registry n =
     require_positive "registry" "-n" n;
-    Fmt.pr "%-16s %10s %10s %10s %-30s %-18s %-22s %s@." "name"
-      (Printf.sprintf "regs(n=%d)" n)
-      "mc" "flat" "steps" "adversary" "space" "reference";
     let ok = ref true in
+    let row e =
+      let mem = Sim.Memory.create () in
+      ignore (e.Rtas.Registry.make mem ~n);
+      let regs = Sim.Memory.allocated mem in
+      let mc =
+        match e.Rtas.Registry.make_mc with
+        | None -> "-"
+        | Some f ->
+            let mc_mem = Backend.Atomic_mem.create () in
+            ignore (f mc_mem ~n);
+            let mc_regs = Backend.Atomic_mem.allocated mc_mem in
+            if mc_regs <> regs then begin
+              ok := false;
+              Printf.sprintf "%d!=sim" mc_regs
+            end
+            else string_of_int mc_regs
+      in
+      let flat =
+        match e.Rtas.Registry.make_flat with
+        | None -> "-"
+        | Some f -> string_of_int (f ~n).Flatsim.Machine.p_regs
+      in
+      let { Rtas.Registry.name; steps; adversary; space; reference; _ } = e in
+      [ name; string_of_int regs; mc; flat; steps;
+        Fmt.str "%a" Sim.Sched.pp_klass adversary; space; reference ]
+    in
+    let rows =
+      [ "name"; Printf.sprintf "regs(n=%d)" n; "mc"; "flat"; "steps";
+        "adversary"; "space"; "reference" ]
+      :: List.map row Rtas.Registry.all
+    in
+    (* Each column is as wide as its widest cell; the register counts
+       are right-aligned, the last column is not padded. *)
+    let widths =
+      List.fold_left (List.map2 (fun w c -> max w (String.length c)))
+        (List.hd rows |> List.map (fun _ -> 0)) rows
+    in
+    let last = List.length widths - 1 in
     List.iter
-      (fun e ->
-        let mem = Sim.Memory.create () in
-        ignore (e.Rtas.Registry.make mem ~n);
-        let regs = Sim.Memory.allocated mem in
-        let mc =
-          match e.Rtas.Registry.make_mc with
-          | None -> "-"
-          | Some f ->
-              let mc_mem = Backend.Atomic_mem.create () in
-              ignore (f mc_mem ~n);
-              let mc_regs = Backend.Atomic_mem.allocated mc_mem in
-              if mc_regs <> regs then begin
-                ok := false;
-                Printf.sprintf "%d!=sim" mc_regs
-              end
-              else string_of_int mc_regs
-        in
-        let flat =
-          match e.Rtas.Registry.make_flat with
-          | None -> "-"
-          | Some f -> string_of_int (f ~n).Flatsim.Machine.p_regs
-        in
-        Fmt.pr "%-16s %10d %10s %10s %-30s %-18s %-22s %s@."
-          e.Rtas.Registry.name regs mc flat e.Rtas.Registry.steps
-          (Fmt.str "%a" Sim.Sched.pp_klass e.Rtas.Registry.adversary)
-          e.Rtas.Registry.space e.Rtas.Registry.reference)
-      Rtas.Registry.all;
+      (fun cells ->
+        List.iteri
+          (fun i (w, c) ->
+            let fill = String.make (w - String.length c) ' ' in
+            if i = last then Fmt.pr "%s@." c
+            else if i >= 1 && i <= 3 then Fmt.pr "%s%s  " fill c
+            else Fmt.pr "%s%s  " c fill)
+          (List.combine widths cells))
+      rows;
     if not !ok then begin
       Fmt.epr "registry: backend register counts diverge@.";
       exit 1

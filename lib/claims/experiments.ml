@@ -91,12 +91,8 @@ let e1 ~domains scale =
 
 (* {1 E2 — Theorem 2.3: the log* leader election} *)
 
-let e2 ~domains scale =
-  let ks =
-    match scale with
-    | Full -> [ 2; 4; 16; 64; 256; 1024; 4096 ]
-    | Quick -> [ 2; 4; 16; 64; 256; 1024 ]
-  in
+let e2 ~domains _scale =
+  let ks = [ 2; 4; 16; 64; 256; 1024; 4096 ] in
   let row k =
     let s = elections ~domains ~trials:25 ~algorithm:"log*" ~n:4096 k in
     ( label k,
@@ -115,12 +111,8 @@ let e2 ~domains scale =
 
 (* {1 E3 — Section 2.3: sifting decay and the loglog election} *)
 
-let e3 ~domains scale =
-  let n, ks =
-    match scale with
-    | Full -> (4096, [ 2; 4; 16; 64; 256; 1024; 4096 ])
-    | Quick -> (1024, [ 2; 4; 16; 64; 256; 1024 ])
-  in
+let e3 ~domains _scale =
+  let n = 4096 and ks = [ 2; 4; 16; 64; 256; 1024; 4096 ] in
   let trials = 20 in
   let probs = Groupelect.Ge_sift.probability_schedule ~n in
   let levels = Array.length probs in

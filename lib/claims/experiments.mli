@@ -3,10 +3,9 @@
     makes of them. [rtas claims] runs the full scale; the test suite
     runs the quick one. *)
 
-(** [Quick] shrinks the costly grids: E1's k to 512, E2's and E3's k to
-    1024 (E3's sifting to n = 1024), E6 to n = 32, E8's t to 5 and E9
-    to n = 256. It adds n = 128 to E7's recurrence rows. Every check is
-    the same as at [Full]. *)
+(** [Quick] shrinks the costly grids: E1's k to 512, E6 to n = 32, E8's
+    t to 5 and E9 to n = 256. It adds n = 128 to E7's recurrence rows.
+    Every check is the same as at [Full]. *)
 type scale = Quick | Full
 
 type experiment = {

@@ -81,10 +81,6 @@ let of_string s =
     (Ok []) parts
   |> Result.map List.rev
 
-let runnable_mem (runnable : int array) pid =
-  let rec go i = i < Array.length runnable && (runnable.(i) = pid || go (i + 1)) in
-  go 0
-
 (* A storm with its crash budget. [left] is [unset] until the storm's
    first draw, when the n-1 default can observe the number of runnable
    processes; a budget is never [unset] once computed, because a
@@ -106,11 +102,11 @@ let rec halted now = function
 let rec due (view : Sim.Sched.view) = function
   | [] -> -1
   | Crash_after { pid; steps } :: _
-    when runnable_mem view.runnable pid
+    when Sim.Running.mem view.runnable pid
          && (view.pending_of pid).view_steps >= steps ->
       pid
   | Crash_at { pid; time } :: _
-    when runnable_mem view.runnable pid && view.view_time >= time ->
+    when Sim.Running.mem view.runnable pid && view.view_time >= time ->
       pid
   | _ :: rest -> due view rest
 
@@ -123,16 +119,16 @@ let targets pid = function
    victim with the storm's probability, never the last runnable
    process, and never beyond the storm's budget. [-1] when none
    strikes. *)
-let rec strike rng storms (runnable : int array) i =
+let rec strike rng storms runnable i =
   if i = Array.length storms then -1
   else begin
-    let s = storms.(i) and m = Array.length runnable in
+    let s = storms.(i) and m = Sim.Running.length runnable in
     if s.left = unset then
       s.left <-
         (match s.max_crashes with Some c -> c | None -> max 0 (m - 1));
     if s.left > 0 && m > 1 && Sim.Rng.below rng s.prob then begin
       s.left <- s.left - 1;
-      runnable.(Sim.Rng.int rng m)
+      Sim.Running.get runnable (Sim.Rng.int rng m)
     end
     else strike rng storms runnable (i + 1)
   end
@@ -145,7 +141,7 @@ let rec stalled now pid = function
 let rec hides now runnable = function
   | [] -> false
   | (pid, from_t, until_t) :: rest ->
-      (now >= from_t && now < until_t && runnable_mem runnable pid)
+      (now >= from_t && now < until_t && Sim.Running.mem runnable pid)
       || hides now runnable rest
 
 (* The compiled wrapper splits the plan once: halt times, one-shot
@@ -197,12 +193,11 @@ let apply ?(seed = 0xFA17L) (plan : t) (adv : Sim.Sched.adversary) =
         else if not (hides now view.runnable stalls) then adv.decide view
         else
           let filtered =
-            Array.of_seq
-              (Seq.filter
-                 (fun pid -> not (stalled now pid stalls))
-                 (Array.to_seq view.runnable))
+            Sim.Running.filter
+              (fun pid -> not (stalled now pid stalls))
+              view.runnable
           in
-          if Array.length filtered = 0 then adv.decide view
+          if Sim.Running.length filtered = 0 then adv.decide view
           else adv.decide { view with runnable = filtered }
   in
   {

@@ -50,10 +50,7 @@ type t = {
   flips : int array;
   mutable time : int;
   mutable active : int;  (* processes participating in this run *)
-  mutable n_running : int;
-  run_arr : int array;  (* [base, base + n_running): running pids, ascending *)
-  mutable base : int;  (* start of the live window in [run_arr] *)
-  pos : int array;  (* index of each running pid in run_arr *)
+  running : Sim.Running.t;  (* the same running set as Sched's *)
   record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
       (* (time, pid, bound, outcome), reversed; bound < 0 encodes a
@@ -76,7 +73,7 @@ and program = {
 }
 
 (* Hot-path array accesses are unchecked ([Array.unsafe_get/set]): the
-   scheduling loops only pass pids drawn from [run_arr] (all in
+   scheduling loops only pass pids drawn from [running] (all in
    [0, active)), and register/frame indices come from the compiled
    programs, whose layouts are sized by [p_regs]/[p_frame] at [create]
    and pinned by test_flatsim's differential suite. The operations a
@@ -122,13 +119,7 @@ let reset ~seed ?procs m =
   m.flip_idx <- 0;
   m.time <- 0;
   m.active <- procs;
-  m.n_running <- procs;
-  m.base <- 0;
-  (let run_arr = m.run_arr and pos = m.pos in
-   for pid = 0 to procs - 1 do
-     Array.unsafe_set run_arr pid pid;
-     Array.unsafe_set pos pid pid
-   done);
+  Sim.Running.reset m.running procs;
   (* Clear only the registers the last trial wrote (programs.ml's
      [write_reg] logs them in [dirty]). *)
   (let regs = m.regs and dirty = m.dirty in
@@ -174,10 +165,7 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
       flips = Array.make procs 0;
       time = 0;
       active = procs;
-      n_running = procs;
-      run_arr = Array.make (2 * procs) 0;
-      base = 0;
-      pos = Array.make procs 0;
+      running = Sim.Running.create procs;
       record_flips;
       flip_log = [];
     }
@@ -189,7 +177,7 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
 
 (* Execute [pid]'s pending operation and run it to its next one. The
    caller guarantees [pid] is running (the scheduling loops below only
-   draw from [run_arr]); there is deliberately no status check on this
+   draw from [running]); there is deliberately no status check on this
    path. *)
 let step m pid =
   m.time <- m.time + 1;
@@ -198,26 +186,26 @@ let step m pid =
 
 let default_max_steps = 10_000_000 (* Sched.run's default *)
 
-let overrun m max_total_steps who =
+let overrun max_total_steps who =
   (* Same shape (and catchability) as Sched.run's livelock failure. *)
-  ignore m;
   failwith
     (Printf.sprintf "Machine.run: exceeded %d steps under adversary %s"
        max_total_steps who)
 
 (* Replicates {!Sim.Adversary.round_robin}: a cursor advances past each
    scheduled pid; the next decision picks the first runnable pid at or
-   after it, cyclically. The scan is a loop over local refs, so a call
-   allocates nothing. *)
+   after it, cyclically. The scan is a loop over local refs, reading
+   the running set's fields directly, so a call allocates nothing. *)
 let run_rr ?(max_total_steps = default_max_steps) m =
   let resume = m.prog.p_resume in
   let steps = m.steps in
-  let run_arr = m.run_arr in
+  let running = m.running in
+  let run_arr = running.arr in
   let counter = ref 0 in
-  while m.n_running > 0 do
-    if m.time >= max_total_steps then overrun m max_total_steps "round-robin";
-    let base = m.base in
-    let hi = base + m.n_running in
+  while running.n > 0 do
+    if m.time >= max_total_steps then overrun max_total_steps "round-robin";
+    let base = running.base in
+    let hi = base + running.n in
     let i = ref base in
     while !i < hi && Array.unsafe_get run_arr !i < !counter do
       incr i
@@ -244,23 +232,24 @@ let run_rr ?(max_total_steps = default_max_steps) m =
 let run_random ?(max_total_steps = default_max_steps) m ~seed =
   let resume = m.prog.p_resume in
   let steps = m.steps in
-  let run_arr = m.run_arr in
+  let running = m.running in
+  let run_arr = running.arr in
   let i = ref 1 and v = ref (draw seed 1) in
-  while m.n_running > 1 do
+  while running.n > 1 do
     if m.time >= max_total_steps then
-      overrun m max_total_steps "random-oblivious";
+      overrun max_total_steps "random-oblivious";
     let v' = draw seed (!i + 1) in
-    let pid = Array.unsafe_get run_arr (m.base + (!v mod m.n_running)) in
+    let pid = Array.unsafe_get run_arr (running.base + (!v mod running.n)) in
     m.time <- m.time + 1;
     Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
     resume m pid;
     i := !i + 1;
     v := v'
   done;
-  while m.n_running > 0 do
+  while running.n > 0 do
     if m.time >= max_total_steps then
-      overrun m max_total_steps "random-oblivious";
-    let pid = Array.unsafe_get run_arr m.base in
+      overrun max_total_steps "random-oblivious";
+    let pid = Array.unsafe_get run_arr running.base in
     m.time <- m.time + 1;
     Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
     resume m pid
@@ -272,7 +261,7 @@ let run_seq ?(max_total_steps = default_max_steps) m ~order =
   Array.iter
     (fun pid ->
       while m.status.(pid) = 0 do
-        if m.time >= max_total_steps then overrun m max_total_steps "seq-order";
+        if m.time >= max_total_steps then overrun max_total_steps "seq-order";
         step m pid
       done)
     order
@@ -287,22 +276,12 @@ let result m pid = if m.status.(pid) = 1 then Some m.results.(pid) else None
 let results m = Array.init m.active (fun pid -> result m pid)
 
 let steps m pid = m.steps.(pid)
-let flips m pid = m.flips.(pid)
 
 let total_flips m =
   let flips = m.flips in
   let acc = ref 0 in
   for pid = 0 to m.active - 1 do
     acc := !acc + Array.unsafe_get flips pid
-  done;
-  !acc
-
-let max_steps m =
-  let steps = m.steps in
-  let acc = ref 0 in
-  for pid = 0 to m.active - 1 do
-    let s = Array.unsafe_get steps pid in
-    if s > !acc then acc := s
   done;
   !acc
 

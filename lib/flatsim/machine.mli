@@ -38,10 +38,10 @@ type t = {
   flips : int array;
   mutable time : int;
   mutable active : int;
-  mutable n_running : int;
-  run_arr : int array;  (** [base, base + n_running): running pids, ascending *)
-  mutable base : int;
-  pos : int array;  (** index of each running pid in [run_arr] *)
+  running : Sim.Running.t;
+      (** The running pids, ascending: the same set {!Sim.Sched} keeps,
+          so the scheduling loops index it exactly as the effect
+          path's adversaries index their view. *)
   record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
 }
@@ -59,9 +59,9 @@ and program = {
       (** One scheduled step: execute the pending operation the frame
           pc names, then run local code to the next one, or retire
           the process (set its [status] to 1 and its [results] slot,
-          and drop it from [run_arr]). The register write, the flips
-          and the retirement live in programs.ml, beside their only
-          caller. *)
+          and remove it from [running]). The register write, the
+          flips and the retirement live in programs.ml, beside their
+          only caller. *)
 }
 
 (** {1 Construction and arena reuse} *)
@@ -77,14 +77,7 @@ val reset : seed:int64 -> ?procs:int -> t -> unit
     [?procs] may shrink the run below capacity (the service driver's
     per-round contender count); defaults to full capacity. *)
 
-(** {1 Stepping and schedules} *)
-
-val step : t -> int -> unit
-(** One scheduled step of [pid]: bump time and its step count, then
-    [p_resume] (which performs the pending operation). [pid] must be
-    running. *)
-
-val default_max_steps : int
+(** {1 Schedules} *)
 
 val run_rr : ?max_total_steps:int -> t -> unit
 (** Round-robin schedule, decision-identical to
@@ -106,13 +99,10 @@ val running : t -> int -> bool
 val result : t -> int -> int option
 val results : t -> int option array
 val steps : t -> int -> int
-val flips : t -> int -> int
 
 val total_flips : t -> int
-(** Sum of {!flips} over the active pids — the run's total coin cost,
+(** Sum of the active pids' flip counts — the run's total coin cost,
     the flat mirror of summing [Sched]'s per-pid flip counts. *)
-
-val max_steps : t -> int
 
 val flip_log : t -> (int * int * int * int) list
 (** [(time, pid, bound, outcome)] in draw order; bound < 0 encodes a

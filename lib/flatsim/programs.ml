@@ -104,39 +104,15 @@ let[@inline] flip_geom m pid l =
   if m.M.record_flips then log_flip m pid (-l) !v;
   !v
 
-(* Retire [pid] with [result]. Drop it from the running set, keeping
-   it ascending so the runnable view any scheduling loop sees matches
-   the effect scheduler's recomputed [runnable] array index-for-index.
-   [pos] makes the find O(1); whichever side of the hole is shorter
-   gets shifted, with the live window floating upward in [run_arr]
-   (sized 2 * capacity) via [base]. (Measured alternatives for this
-   structure: an O(1)-finish rank/select bitmap loses — even with a
-   branch-free SWAR select, the extra ~15ns lands on the serial
-   draw->resume critical path, while the shift is throughput work the
-   core hides; splitting the fused loop into a pos pass and a move pass
-   also measures slower than this form.) *)
-let finish m pid result =
+(* Retire [pid] with [result], dropping it from the running set the
+   scheduling loops index ([Sim.Running], shared with the effect
+   scheduler). The removal is a call into another module (a
+   [caml_apply] under [-opaque]); kept out of line, it runs once per
+   process exit and stays off the path of a step that goes on. *)
+let[@inline never] finish m pid result =
   uset m.M.status pid 1;
   uset m.M.results pid result;
-  let run_arr = m.M.run_arr and pos = m.M.pos in
-  let i = uget pos pid in
-  let base = m.M.base in
-  let hi = base + m.M.n_running - 1 in
-  if i - base < hi - i then begin
-    for j = i - 1 downto base do
-      let p = uget run_arr j in
-      uset run_arr (j + 1) p;
-      uset pos p (j + 1)
-    done;
-    m.M.base <- base + 1
-  end
-  else
-    for j = i to hi - 1 do
-      let p = uget run_arr (j + 1) in
-      uset run_arr j p;
-      uset pos p j
-    done;
-  m.M.n_running <- m.M.n_running - 1
+  Sim.Running.remove m.M.running pid
 
 (* {1 Sub-machines}
 

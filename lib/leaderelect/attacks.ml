@@ -114,22 +114,20 @@ let chain_attack ~name ~klass ~see_kind =
             | None -> max_int - 1))
   in
   let decide (view : Sim.Sched.view) =
-    match Array.length view.Sim.Sched.runnable with
+    let r = view.Sim.Sched.runnable in
+    match Sim.Running.length r with
     | 0 -> Sim.Sched.Halt
-    | _ ->
+    | m ->
         let best = ref None in
-        Array.iter
-          (fun pid ->
-            let p = view.Sim.Sched.pending_of pid in
-            let s = score p in
-            match !best with
-            | Some (s', _) when s' <= s -> ()
-            | _ -> best := Some (s, pid))
-          view.Sim.Sched.runnable;
-        let pid =
+        for i = 0 to m - 1 do
+          let pid = Sim.Running.get r i in
+          let s = score (view.Sim.Sched.pending_of pid) in
           match !best with
-          | Some (_, pid) -> pid
-          | None -> view.Sim.Sched.runnable.(0)
+          | Some (s', _) when s' <= s -> ()
+          | _ -> best := Some (s, pid)
+        done;
+        let pid =
+          match !best with Some (_, pid) -> pid | None -> Sim.Running.get r 0
         in
         (* Update grant bookkeeping for the chosen process. *)
         (match (view.Sim.Sched.pending_of pid).Sim.Sched.view_reg_name with
@@ -159,18 +157,19 @@ let ascending_location_rw () =
 let read_priority () =
   let rr = ref 0 in
   Sim.Adversary.location_oblivious "read-priority" (fun view ->
-      match Array.length view.Sim.Sched.runnable with
+      let r = view.Sim.Sched.runnable in
+      match Sim.Running.length r with
       | 0 -> Sim.Sched.Halt
       | m ->
           let reads =
-            Array.to_list view.Sim.Sched.runnable
+            List.init m (Sim.Running.get r)
             |> List.filter (fun pid ->
                    (view.Sim.Sched.pending_of pid).Sim.Sched.view_kind
                    = Some `Read)
           in
           incr rr;
           (match reads with
-          | [] -> Sim.Sched.Schedule view.Sim.Sched.runnable.(!rr mod m)
+          | [] -> Sim.Sched.Schedule (Sim.Running.get r (!rr mod m))
           | _ ->
               let n = List.length reads in
               Sim.Sched.Schedule (List.nth reads (!rr mod n))))

@@ -1,10 +1,5 @@
 type outcome = L | R | S
 
-let pp_outcome ppf = function
-  | L -> Fmt.string ppf "L"
-  | R -> Fmt.string ppf "R"
-  | S -> Fmt.string ppf "S"
-
 module Make (M : Backend.Mem.S) = struct
   type t = {
     race : M.reg;  (* holds slot + 1; 0 = untouched *)

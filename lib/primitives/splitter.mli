@@ -12,8 +12,6 @@
 
 type outcome = L | R | S
 
-val pp_outcome : outcome Fmt.t
-
 module Make (M : Backend.Mem.S) : sig
   type t
 

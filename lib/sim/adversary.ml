@@ -1,14 +1,16 @@
 let round_robin () =
   let counter = ref 0 in
   let decide (view : Sched.view) =
-    match Array.length view.runnable with
+    let r = view.runnable in
+    match Running.length r with
     | 0 -> Sched.Halt
     | m ->
         (* Find the next runnable pid at or after the cursor, cyclically. *)
         let rec find i =
-          if i >= m then view.runnable.(0) else
-          if view.runnable.(i) >= !counter then view.runnable.(i)
-          else find (i + 1)
+          if i >= m then Running.get r 0
+          else
+            let pid = Running.get r i in
+            if pid >= !counter then pid else find (i + 1)
         in
         let pid = find 0 in
         counter := pid + 1;
@@ -19,9 +21,9 @@ let round_robin () =
 let random_oblivious ~seed =
   let rng = Rng.create seed in
   let decide (view : Sched.view) =
-    match Array.length view.runnable with
+    match Running.length view.runnable with
     | 0 -> Sched.Halt
-    | m -> Sched.Schedule view.runnable.(Rng.int rng m)
+    | m -> Sched.Schedule (Running.get view.runnable (Rng.int rng m))
   in
   { Sched.adv_name = "random-oblivious"; adv_klass = Sched.Oblivious; decide }
 
@@ -29,13 +31,13 @@ let fixed_schedule ?(then_halt = true) schedule =
   let pos = ref 0 in
   let fallback = round_robin () in
   let decide (view : Sched.view) =
-    if Array.length view.runnable = 0 then Sched.Halt
+    if Running.length view.runnable = 0 then Sched.Halt
     else begin
-      let running pid =
-        Array.exists (fun p -> p = pid) view.runnable
-      in
       (* Skip schedule slots of processes that are no longer running. *)
-      while !pos < Array.length schedule && not (running schedule.(!pos)) do
+      while
+        !pos < Array.length schedule
+        && not (Running.mem view.runnable schedule.(!pos))
+      do
         incr pos
       done;
       if !pos < Array.length schedule then begin
@@ -54,6 +56,3 @@ let adaptive name decide =
 
 let location_oblivious name decide =
   { Sched.adv_name = name; adv_klass = Sched.Location_oblivious; decide }
-
-let rw_oblivious name decide =
-  { Sched.adv_name = name; adv_klass = Sched.Rw_oblivious; decide }

@@ -27,5 +27,3 @@ val adaptive : string -> (Sched.view -> Sched.decision) -> Sched.adversary
 
 val location_oblivious :
   string -> (Sched.view -> Sched.decision) -> Sched.adversary
-
-val rw_oblivious : string -> (Sched.view -> Sched.decision) -> Sched.adversary

@@ -49,7 +49,8 @@ let run_path ~tail_seed ~depth ~max_crashes ~max_total_steps ~programs
   let rr = ref 0 in
   let crashes_left = ref max_crashes in
   let decide (view : Sched.view) =
-    match Array.length view.runnable with
+    let r = view.runnable in
+    match Running.length r with
     | 0 -> Sched.Halt
     | m -> (
         let sched_arity = min m max_branch in
@@ -59,13 +60,13 @@ let run_path ~tail_seed ~depth ~max_crashes ~max_total_steps ~programs
             (* The [crash_arity = 0] guard keeps stale paths (shrinking
                can realign a crash choice onto a budget-exhausted point)
                interpreted as schedules rather than illegal crashes. *)
-            Sched.Schedule view.runnable.(c mod m)
+            Sched.Schedule (Running.get r (c mod m))
         | Some c ->
             decr crashes_left;
-            Sched.Crash_proc view.runnable.((c - sched_arity) mod m)
+            Sched.Crash_proc (Running.get r ((c - sched_arity) mod m))
         | None ->
             incr rr;
-            Sched.Schedule view.runnable.(!rr mod m))
+            Sched.Schedule (Running.get r (!rr mod m)))
   in
   let sched = Sched.create ~seed:tail_seed ~flip_oracle:oracle (programs ()) in
   let outcome =

@@ -19,7 +19,7 @@ type pending_view = {
 
 type view = {
   view_time : int;
-  runnable : int array;
+  runnable : Running.t;
   pending_of : int -> pending_view;
 }
 
@@ -91,25 +91,22 @@ type t = {
   mutable probe : Obs.Probe.sink option;
   flip_oracle : (pid:int -> bound:int -> int option) option;
   (* Cache-coherence bookkeeping for RMR accounting: per register (by
-     allocation id) a bitset over pids of the processes holding a valid
-     cached copy, [cache_len] bytes each. The pid universe is fixed at
-     [create], so membership is a bit test. Bitsets live in pages of
-     [page_regs] registers: page [id lsr page_bits] is allocated on the
-     first touch of any of its registers ([Bytes.empty] until then), so
-     memory follows the registers a run touches, not the largest id.
-     [touched.(0 .. n_touched-1)] lists the ids whose bitset is
-     non-empty, so [reset] clears those and nothing else. *)
+     allocation id) a slot of a touched flag byte followed by a bitset
+     over pids of the processes holding a valid cached copy,
+     [cache_len] bytes. The pid universe is fixed at [create], so
+     membership is a bit test. Slots live in pages of [page_regs]
+     registers: page [id lsr page_bits] is allocated on the first touch
+     of any of its registers ([Bytes.empty] until then), so memory
+     follows the registers a run touches, not the largest id.
+     [touched.(0 .. n_touched-1)] lists the ids whose flag is set, so
+     [reset] clears those and nothing else. *)
   mutable pages : Bytes.t array;
   cache_len : int;  (* bytes per register bitset: ceil(nprocs / 8) *)
   mutable touched : int array;
   mutable n_touched : int;
-  (* The running pids, ascending. Never mutated in place: a process
-     leaving derives a fresh array, because adversaries may keep the
-     arrays they were handed. *)
-  mutable runnable : int array;
-  (* [|0; 1; ...; n-1|], the runnable array while everyone runs: shared
-     by every run through this scheduler instead of re-allocated. *)
-  all_pids : int array;
+  (* The running pids, ascending, shrunk in place as processes stop:
+     the [runnable] every view hands out. *)
+  running : Running.t;
 }
 
 let page_bits = 8
@@ -127,42 +124,39 @@ let page t reg_id =
   let pg = Array.unsafe_get t.pages i in
   if Bytes.length pg > 0 then pg
   else begin
-    let pg = Bytes.make (page_regs * t.cache_len) '\000' in
+    let pg = Bytes.make (page_regs * (t.cache_len + 1)) '\000' in
     Array.unsafe_set t.pages i pg;
     pg
   end
 
-(* Offset of [reg_id]'s bitset within its page. *)
-let slot t reg_id = (reg_id land (page_regs - 1)) * t.cache_len
+(* Offset of [reg_id]'s slot within its page: the touched flag, then
+   the bitset from [off + 1]. *)
+let slot t reg_id = (reg_id land (page_regs - 1)) * (t.cache_len + 1)
 
-let is_clear t pg off =
-  let rec go i =
-    i = t.cache_len || (Bytes.unsafe_get pg (off + i) = '\000' && go (i + 1))
-  in
-  go 0
-
-(* Record that [reg_id]'s bitset is about to become non-empty. A set
-   bitset stays non-empty until [reset] (a write leaves the writer's
-   bit), so each id is pushed at most once per run. *)
-let touch t reg_id =
-  let len = Array.length t.touched in
-  if t.n_touched = len then begin
-    let grown = Array.make (max 16 (2 * len)) 0 in
-    Array.blit t.touched 0 grown 0 len;
-    t.touched <- grown
-  end;
-  Array.unsafe_set t.touched t.n_touched reg_id;
-  t.n_touched <- t.n_touched + 1
+(* [reg_id]'s bitset is about to change: on the first change since
+   [reset], set its flag and push it on [touched]. *)
+let touch t pg off reg_id =
+  if Bytes.unsafe_get pg off = '\000' then begin
+    Bytes.unsafe_set pg off '\001';
+    let len = Array.length t.touched in
+    if t.n_touched = len then begin
+      let grown = Array.make (max 16 (2 * len)) 0 in
+      Array.blit t.touched 0 grown 0 len;
+      t.touched <- grown
+    end;
+    Array.unsafe_set t.touched t.n_touched reg_id;
+    t.n_touched <- t.n_touched + 1
+  end
 
 (* CC-model RMR accounting: a read is local iff the reader holds a valid
    cached copy; it caches the register. A write always counts as an RMR
    and invalidates every other copy. *)
 let account_read t p reg_id =
   let pg = page t reg_id and off = slot t reg_id in
-  let byte = off + (p.pid lsr 3) and mask = 1 lsl (p.pid land 7) in
+  let byte = off + 1 + (p.pid lsr 3) and mask = 1 lsl (p.pid land 7) in
   let b = Char.code (Bytes.unsafe_get pg byte) in
   if b land mask = 0 then begin
-    if is_clear t pg off then touch t reg_id;
+    touch t pg off reg_id;
     p.p_rmrs <- p.p_rmrs + 1;
     Bytes.unsafe_set pg byte (Char.unsafe_chr (b lor mask));
     true
@@ -171,9 +165,9 @@ let account_read t p reg_id =
 
 let account_write t p reg_id =
   let pg = page t reg_id and off = slot t reg_id in
-  if is_clear t pg off then touch t reg_id;
-  Bytes.fill pg off t.cache_len '\000';
-  Bytes.unsafe_set pg (off + (p.pid lsr 3))
+  touch t pg off reg_id;
+  Bytes.fill pg (off + 1) t.cache_len '\000';
+  Bytes.unsafe_set pg (off + 1 + (p.pid lsr 3))
     (Char.unsafe_chr (1 lsl (p.pid land 7)));
   p.p_rmrs <- p.p_rmrs + 1
 
@@ -184,7 +178,7 @@ let count_other_cached t reg_id pid =
   let pi = reg_id lsr page_bits in
   if pi >= Array.length t.pages || Bytes.length t.pages.(pi) = 0 then 0
   else begin
-    let pg = t.pages.(pi) and off = slot t reg_id in
+    let pg = t.pages.(pi) and off = slot t reg_id + 1 in
     let n = ref 0 in
     for i = off to off + t.cache_len - 1 do
       let b = ref (Char.code (Bytes.unsafe_get pg i)) in
@@ -239,20 +233,6 @@ let sink recorder =
   | Some r, None -> Some r
   | Some r, Some ambient -> Some (Obs.Probe.tee r ambient)
 
-(* [pid] stopped running: derive the next runnable array from the
-   current one by dropping it. *)
-let stopped_running t pid =
-  let a = t.runnable in
-  let m = Array.length a - 1 in
-  let i = ref 0 in
-  while a.(!i) <> pid do
-    incr i
-  done;
-  let b = Array.make m 0 in
-  Array.blit a 0 b 0 !i;
-  Array.blit a (!i + 1) b !i (m - !i);
-  t.runnable <- b
-
 (* Process [p]'s effect handler. Everything it hands the runtime — the
    handler record and one continuation closure per effect kind — is
    built here once, so a shared-memory operation only fills [p]'s
@@ -275,7 +255,7 @@ let handler t p =
   let retc result =
     p.p_status <- Finished result;
     p.p_finish <- t.s_time;
-    stopped_running t p.pid;
+    Running.remove t.running p.pid;
     match t.probe with
     | None -> ()
     | Some s -> s.on_finish ~time:t.s_time ~pid:p.pid ~result
@@ -328,7 +308,6 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
       programs
   in
   let n = Array.length programs in
-  let all_pids = Array.init n (fun pid -> pid) in
   let events = ref [] in
   let recorder = if record_trace then Some (recorder events) else None in
   let t =
@@ -347,8 +326,7 @@ let create ?(seed = 0x5EEDL) ?(record_trace = false) ?flip_oracle programs =
       cache_len = (n + 7) / 8;
       touched = [||];
       n_touched = 0;
-      runnable = all_pids;
-      all_pids;
+      running = Running.create n;
     }
   in
   t.handlers <- Array.map (handler t) procs;
@@ -372,10 +350,10 @@ let reset ?(seed = 0x5EEDL) t programs =
   (* Re-read the ambient sink: a probe installed (or removed) since
      [create] takes effect on the next trial, before programs restart. *)
   t.probe <- sink t.recorder;
-  t.runnable <- t.all_pids;
+  Running.reset t.running (Array.length t.procs);
   for i = 0 to t.n_touched - 1 do
     let id = t.touched.(i) in
-    Bytes.fill t.pages.(id lsr page_bits) (slot t id) t.cache_len '\000'
+    Bytes.fill t.pages.(id lsr page_bits) (slot t id) (t.cache_len + 1) '\000'
   done;
   t.n_touched <- 0;
   Array.iter
@@ -412,9 +390,6 @@ let finish_time t pid = t.procs.(pid).p_finish
 
 let result t pid =
   match t.procs.(pid).p_status with Finished r -> Some r | _ -> None
-
-let runnable t = t.runnable
-let any_running t = Array.length t.runnable > 0
 
 let begin_step t p =
   t.s_time <- t.s_time + 1;
@@ -469,66 +444,38 @@ let crash t pid =
   | Running ->
       p.p_status <- Crashed;
       clear_pending p;
-      stopped_running t pid;
+      Running.remove t.running pid;
       (match t.probe with
       | None -> ()
       | Some s -> s.on_crash ~time:t.s_time ~pid)
   | Finished _ | Crashed -> invalid_arg "Sched.crash: process is not running"
 
+(* What a [klass] adversary sees of [p]'s pending operation: the
+   operation type and write value unless it is R/W-oblivious or
+   oblivious, the register unless it is location-oblivious or
+   oblivious. *)
 let filter_pending klass p =
-  let kind, reg, reg_name, value =
-    match p.p_op with
-    | Nothing -> (None, None, None, None)
-    | Reading ->
-        (Some `Read, Some p.p_reg.Register.id, Some p.p_reg.Register.name, None)
-    | Writing ->
-        ( Some `Write,
-          Some p.p_reg.Register.id,
-          Some p.p_reg.Register.name,
-          Some p.p_value )
-  in
-  match klass with
-  | Adaptive ->
-      {
-        view_pid = p.pid;
-        view_kind = kind;
-        view_reg = reg;
-        view_reg_name = reg_name;
-        view_value = value;
-        view_steps = p.p_steps;
-      }
-  | Location_oblivious ->
-      {
-        view_pid = p.pid;
-        view_kind = kind;
-        view_reg = None;
-        view_reg_name = None;
-        view_value = value;
-        view_steps = p.p_steps;
-      }
-  | Rw_oblivious ->
-      {
-        view_pid = p.pid;
-        view_kind = None;
-        view_reg = reg;
-        view_reg_name = reg_name;
-        view_value = None;
-        view_steps = p.p_steps;
-      }
-  | Oblivious ->
-      {
-        view_pid = p.pid;
-        view_kind = None;
-        view_reg = None;
-        view_reg_name = None;
-        view_value = None;
-        view_steps = p.p_steps;
-      }
+  let sees_kind = klass = Adaptive || klass = Location_oblivious
+  and sees_reg = klass = Adaptive || klass = Rw_oblivious in
+  let op = if sees_kind then p.p_op else Nothing
+  and reg = if sees_reg && p.p_op <> Nothing then Some p.p_reg else None in
+  {
+    view_pid = p.pid;
+    view_kind =
+      (match op with
+      | Nothing -> None
+      | Reading -> Some `Read
+      | Writing -> Some `Write);
+    view_reg = Option.map (fun r -> r.Register.id) reg;
+    view_reg_name = Option.map (fun r -> r.Register.name) reg;
+    view_value = (if op = Writing then Some p.p_value else None);
+    view_steps = p.p_steps;
+  }
 
 let view t klass =
   {
     view_time = t.s_time;
-    runnable = t.runnable;
+    runnable = t.running;
     pending_of = (fun pid -> filter_pending klass t.procs.(pid));
   }
 
@@ -536,7 +483,7 @@ let run ?(max_total_steps = 10_000_000) t adv =
   (* The pending_of closure is allocated once per run, not per step. *)
   let klass = adv.adv_klass in
   let pending_of pid = filter_pending klass t.procs.(pid) in
-  while any_running t do
+  while Running.length t.running > 0 do
     (* Inclusive bound: an execution may take exactly [max_total_steps]
        steps; needing even one more fails. *)
     if t.s_time >= max_total_steps then
@@ -544,11 +491,15 @@ let run ?(max_total_steps = 10_000_000) t adv =
         (Printf.sprintf "Sched.run: exceeded %d steps under adversary %s"
            max_total_steps adv.adv_name);
     match
-      adv.decide { view_time = t.s_time; runnable = t.runnable; pending_of }
+      adv.decide { view_time = t.s_time; runnable = t.running; pending_of }
     with
     | Schedule pid -> step t pid
     | Crash_proc pid -> crash t pid
-    | Halt -> Array.iter (crash t) t.runnable
+    | Halt ->
+        (* Lowest pid first, each removal shrinking the set it reads. *)
+        while Running.length t.running > 0 do
+          crash t (Running.get t.running 0)
+        done
   done
 
 let trace t = List.rev !(t.events)

@@ -35,10 +35,12 @@ type pending_view = {
 
 type view = {
   view_time : int;
-  runnable : int array;
-      (** Pids of processes that can be scheduled, ascending. The
-          scheduler never mutates an array it has handed out, so an
-          adversary may keep it. *)
+  runnable : Running.t;
+      (** The pids of processes that can be scheduled, ascending: the
+          scheduler's live running set, not a copy. It is valid only
+          during [decide] — the scheduler shrinks it in place as
+          processes finish or crash — so an adversary that keeps pids
+          must copy them out. *)
   pending_of : int -> pending_view;
 }
 
@@ -85,7 +87,7 @@ val reset : ?seed:int64 -> t -> (Ctx.t -> int) array -> unit
     [create ~seed programs] would produce — every process Running and
     poised at its first operation, time 0, empty trace, reseeded RNG —
     {e without} allocating new proc records, effect handlers, RMR cache
-    pages or runnable arrays. It clears only the cache bitsets of
+    pages or running set. It clears only the cache bitsets of
     registers the previous run touched, so its cost is
     O(processes + registers touched), not O(registers allocated). [record_trace] and [flip_oracle] keep their
     [create]-time values. [programs] must have the same length as at [create]; other
@@ -123,7 +125,8 @@ val rmrs : t -> int -> int
 
     The cache bitsets live in pages of 256 registers allocated on first
     touch, so their memory follows the registers a run touches, not the
-    largest register id. *)
+    largest register id. Each register also carries a touched flag, so
+    finding a register's first touch since {!reset} is O(1). *)
 
 val max_rmrs : t -> int
 val pending : t -> int -> Op.pending option
@@ -136,12 +139,6 @@ val finish_time : t -> int -> int
 val result : t -> int -> int option
 (** Return value of the process's program, if finished. *)
 
-val runnable : t -> int array
-(** The running pids, ascending: a fresh array whenever the set
-    changes, never mutated afterwards. *)
-
-val any_running : t -> bool
-
 val step : t -> int -> unit
 (** Perform the pending operation of the given process and run it to its
     next operation (or to completion). Raises [Invalid_argument] if the
@@ -150,6 +147,8 @@ val step : t -> int -> unit
 val crash : t -> int -> unit
 
 val view : t -> klass -> view
+(** What an adversary of the given class sees now; its [runnable] is
+    the live set, so it goes stale at the next step or crash. *)
 
 val run : ?max_total_steps:int -> t -> adversary -> unit
 (** Drive the execution until no process is running. Raises [Failure]

@@ -2,7 +2,8 @@
    EXPERIMENTS.md must pass each check it declares. E1's grid covers
    Lemma 2.2 at k = 2, 8, 32, 128, 512 and E7's covers Claim 5.5 at
    n = 8, 16, 32, 64, 128, 256, 1024, 4096, 65536 and 2^20 (among
-   others). The table checks themselves are exercised on hand-made
+   others); E2 and E3 run their full grids, up to k = 4096. The table
+   checks themselves are exercised on hand-made
    tables first. *)
 
 open Claims.Table

@@ -209,11 +209,12 @@ let prop_rng_geometric_support =
    adversaries, and safety must hold against all of it. *)
 let hashing_adaptive_adversary seed =
   Sim.Adversary.adaptive "hashing" (fun view ->
-      match Array.length view.Sim.Sched.runnable with
+      let r = view.Sim.Sched.runnable in
+      match Sim.Running.length r with
       | 0 -> Sim.Sched.Halt
       | m ->
           let digest =
-            Array.fold_left
+            List.fold_left
               (fun acc pid ->
                 let p = view.Sim.Sched.pending_of pid in
                 Hashtbl.hash
@@ -224,9 +225,9 @@ let hashing_adaptive_adversary seed =
                     p.Sim.Sched.view_value,
                     p.Sim.Sched.view_steps ))
               (Hashtbl.hash (seed, view.Sim.Sched.view_time))
-              view.Sim.Sched.runnable
+              (List.init m (Sim.Running.get r))
           in
-          Sim.Sched.Schedule view.Sim.Sched.runnable.(abs digest mod m))
+          Sim.Sched.Schedule (Sim.Running.get r (abs digest mod m)))
 
 let prop_unique_winner_adaptive =
   QCheck2.Test.make ~count:100

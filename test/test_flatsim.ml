@@ -27,10 +27,12 @@ let seq_order_adversary order =
   let rank = Array.make (Array.length order) 0 in
   Array.iteri (fun i pid -> rank.(pid) <- i) order;
   Sim.Adversary.adaptive "seq-order" (fun v ->
-      let best = ref v.Sim.Sched.runnable.(0) in
-      Array.iter
-        (fun pid -> if rank.(pid) < rank.(!best) then best := pid)
-        v.Sim.Sched.runnable;
+      let r = v.Sim.Sched.runnable in
+      let best = ref (Sim.Running.get r 0) in
+      for i = 1 to Sim.Running.length r - 1 do
+        let pid = Sim.Running.get r i in
+        if rank.(pid) < rank.(!best) then best := pid
+      done;
       Sim.Sched.Schedule !best)
 
 let permutation rng k =

@@ -58,26 +58,32 @@ mc-smoke:
 # dual entry's Atomic.t register count diverges from the simulator's;
 # on top of that, assert the successor algorithms carry the coverage
 # the differential suite assumes — poison is dual + flat with all
-# three backends agreeing on the register count, opt-space is dual.
+# three backends agreeing on the register count, opt-space is dual,
+# and the paper's headline elections (log*, loglog, aa and both
+# combined ones) carry an Atomic.t instance of the simulator's size.
 # Every row's adversary cell must start at the header's `adversary`
 # offset: columns are sized by their widest cell, so none overflows.
 registry-smoke:
 	dune exec bin/rtas_cli.exe -- registry -n 64 > _build/REGISTRY.txt
-	awk '$$1 == "poison" { found = 1; if ($$2 != $$3 || $$3 != $$4) exit 1 } \
-	  END { exit !found }' _build/REGISTRY.txt
-	awk '$$1 == "opt-space" { found = 1; if ($$2 != $$3 || $$4 != "-") exit 1 } \
-	  END { exit !found }' _build/REGISTRY.txt
+	awk '$$1 == "poison" { found = 1; if ($$2 != $$3 || $$3 != $$4) bad = 1 } \
+	  END { exit bad || !found }' _build/REGISTRY.txt
+	awk '$$1 == "opt-space" { found = 1; if ($$2 != $$3 || $$4 != "-") bad = 1 } \
+	  END { exit bad || !found }' _build/REGISTRY.txt
+	awk '$$1 ~ /^(log\*|loglog|aa|combined-log\*|combined-loglog)$$/ \
+	  { found++; if ($$2 != $$3) bad = 1 } END { exit bad || found != 5 }' \
+	  _build/REGISTRY.txt
 	awk 'NR == 1 { at = index($$0, "adversary"); next } \
 	  substr($$0, at - 2, 2) != "  " || \
 	  substr($$0, at) !~ /^(adaptive|location-oblivious|rw-oblivious|oblivious) / \
 	  { print "registry-smoke: adversary cell misplaced: " $$0; exit 1 }' \
 	  _build/REGISTRY.txt
-	@echo "registry-smoke: capability table OK, columns aligned"
+	@echo "registry-smoke: capability table OK, headline elections dual, columns aligned"
 
-# Lock-service smoke: a Poisson run on each backend plus a chaos
-# variant, each validated with jq — the report must account for every
-# client, complete work, and (under chaos) recover every crashed
-# holder without wedging a key. The poison run is repeated on the
+# Lock-service smoke: a Poisson run on each backend (the atomic one
+# with tournament and with the paper's log*) plus a chaos variant,
+# each validated with jq — the report must account for every client,
+# complete work, and (under chaos) recover every crashed holder
+# without wedging a key. The poison run is repeated on the
 # effect kernel and on the heap event queue, and both reports must
 # equal the flat/wheel one byte for byte. A contended 512-key log* run
 # must also give the same report on both kernels: every key's rounds
@@ -96,6 +102,10 @@ service-smoke:
 	  --arrival poisson --rate 0.005 --clients 150 --keys 4 --domains 4 \
 	  --seed 11 -o _build/SVC_atomic.json
 	jq -e '.backend == "atomic" and .counts.clients == 150 and (.counts.completed + .counts.deadline_exceeded + .counts.crashed_clients + .counts.shed == 150) and .counts.completed > 0 and .livelocked == false' _build/SVC_atomic.json >/dev/null
+	dune exec bin/rtas_cli.exe -- service --alg log* --backend atomic \
+	  --arrival poisson --rate 0.005 --clients 150 --keys 4 --domains 4 \
+	  --seed 11 -o _build/SVC_atomic_logstar.json
+	jq -e '.backend == "atomic" and .counts.clients == 150 and (.counts.completed + .counts.deadline_exceeded + .counts.crashed_clients + .counts.shed == 150) and .counts.completed > 0 and .livelocked == false' _build/SVC_atomic_logstar.json >/dev/null
 	dune exec bin/rtas_cli.exe -- service --alg log* --backend sim \
 	  --arrival bursty --clients 500 --keys 8 --chaos 0.3 --seed 11 \
 	  -o _build/SVC_chaos.json
@@ -135,7 +145,7 @@ service-smoke:
 	  --telemetry _build/SVC_bad_window.json >/dev/null 2>&1; test $$? -eq 2
 	dune exec bin/rtas_cli.exe -- service --domains 0 >/dev/null 2>&1; \
 	  test $$? -eq 2
-	@echo "service-smoke: sim + atomic + chaos + poison-flat (= effect = heap) + contended 512-key flat = effect + dense overload wheel = heap OK, bad input exits 2"
+	@echo "service-smoke: sim + atomic (tournament, log*) + chaos + poison-flat (= effect = heap) + contended 512-key flat = effect + dense overload wheel = heap OK, bad input exits 2"
 
 # Million-client scale smoke: one sim run at 1M clients on the timing
 # wheel with sharded execution and the bounded-memory latency

@@ -329,11 +329,9 @@ let chaos_cmd =
     require_k "chaos" ~n k;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let seed64 = Int64.of_int seed in
-    (* One Probe registry accumulates the whole sweep's fault totals. *)
-    let metrics = Obs.Metrics.create () in
     Fmt.pr "%-14s %-4s %6s %7s %8s %8s %9s %10s@." "impl" "mode" "prob"
       "trials" "crashes" "timeouts" "viols" "steps";
-    let failures = ref [] in
+    let failures = ref [] and reports = ref [] in
     let note impl seeds last_failure violations timeouts =
       if violations > 0 || timeouts > 0 then
         failures := (impl, seeds, last_failure) :: !failures
@@ -343,10 +341,11 @@ let chaos_cmd =
         List.iter
           (fun crash_prob ->
             let r =
-              Fault.Chaos.run_point ~timeout ~retries ~domains ~metrics ?plan
-                ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed:seed64 ()
+              Fault.Chaos.run_point ~timeout ~retries ~domains ?plan ~mode
+                ~algorithm ~n ~k ~crash_prob ~trials ~seed:seed64 ()
             in
             Fmt.pr "%a@." Fault.Chaos.pp_report r;
+            reports := r :: !reports;
             note r.Fault.Chaos.impl r.Fault.Chaos.failure_seeds
               r.Fault.Chaos.last_failure r.Fault.Chaos.violations
               r.Fault.Chaos.timeouts)
@@ -367,7 +366,7 @@ let chaos_cmd =
                 r.Fault.Mc_chaos.timeouts)
             probs)
         (Fault.Mc_chaos.impl_names ());
-    Fmt.pr "%a" Obs.Metrics.pp_snapshot (Obs.Metrics.snapshot metrics);
+    Fmt.pr "%a" Fault.Chaos.pp_totals !reports;
     match List.rev !failures with
     | [] -> Fmt.pr "chaos: no safety violations (seed %d).@." seed
     | failures ->
@@ -499,17 +498,18 @@ let profile_cmd =
     let profiles =
       List.map
         (fun (name, programs) ->
-          (* Per-worker arena + collector: the collector rides in via
-             [probe]; each trial resets the arena and re-runs. The arena
-             itself is built unobserved (sink set aside) — [Sched.reset]
-             re-reads the ambient sink, so every trial is probed while
-             the one-off construction pollutes no phase accounting. *)
-          let _stats, collectors =
+          (* Per-worker arena + collector: the collector and the
+             worker's winner count ride in via [probe]; each trial
+             resets the arena and re-runs. The arena itself is built
+             unobserved (sink set aside) — [Sched.reset] re-reads the
+             ambient sink, so every trial is probed while the one-off
+             construction pollutes no phase accounting. *)
+          let _stats, handles =
             Engine.run_probed ~domains ~trials ~seed:seed64
               ~probe:(fun () ->
                 let c = Obs.Collector.create () in
-                (c, Obs.Collector.sink c))
-              ~local:(fun c ->
+                ((c, ref 0), Obs.Collector.sink c))
+              ~local:(fun (_, winners) ->
                 let cur = Obs.Probe.current () in
                 Obs.Probe.uninstall ();
                 let mem = Sim.Memory.create () in
@@ -519,31 +519,29 @@ let profile_cmd =
                     progs
                 in
                 (match cur with Some s -> Obs.Probe.install s | None -> ());
-                let winners =
-                  Obs.Metrics.counter (Obs.Collector.metrics c) "winners"
-                in
                 (mem, progs, sched, winners))
               (fun (mem, progs, sched, winners) ~trial:_ ~seed ->
                 Sim.Memory.reset mem;
                 Sim.Sched.reset ~seed sched progs;
                 Sim.Sched.run sched (make_adversary adversary seed);
                 for pid = 0 to Sim.Sched.n sched - 1 do
-                  if Sim.Sched.result sched pid = Some 1 then
-                    Obs.Metrics.incr winners
+                  if Sim.Sched.result sched pid = Some 1 then incr winners
                 done)
           in
           let snapshot =
             List.fold_left Obs.Collector.merge Obs.Collector.empty_snapshot
-              (List.map Obs.Collector.snapshot collectors)
+              (List.map (fun (c, _) -> Obs.Collector.snapshot c) handles)
           in
-          (name, snapshot))
+          let winners = List.fold_left (fun a (_, w) -> a + !w) 0 handles in
+          (name, snapshot, winners))
         targets
     in
     List.iter
-      (fun (name, snapshot) ->
+      (fun (name, snapshot, winners) ->
         Fmt.pr "== %s (n=%d k=%d trials=%d adversary=%s) ==@." name n k trials
           adversary;
-        Fmt.pr "%a@." Rtas.Probe_report.pp_profile snapshot)
+        Fmt.pr "%awinners = %d@.@." Rtas.Probe_report.pp_profile snapshot
+          winners)
       profiles;
     match json with
     | None -> ()
@@ -554,11 +552,11 @@ let profile_cmd =
              "{\"n\":%d,\"k\":%d,\"trials\":%d,\"seed\":%d,\"algos\":{" n k
              trials seed);
         List.iteri
-          (fun i (name, snapshot) ->
+          (fun i (name, snapshot, winners) ->
             if i > 0 then Buffer.add_string buf ",";
             Buffer.add_string buf
               (Printf.sprintf "\"%s\":%s" name
-                 (Rtas.Probe_report.snapshot_to_json snapshot)))
+                 (Rtas.Probe_report.snapshot_to_json ~winners snapshot)))
           profiles;
         Buffer.add_string buf "}}\n";
         let oc = open_out file in

@@ -27,7 +27,7 @@ let race ~name (make : unit -> Primitives.Atomic_tas.t) =
     let winners = List.length (List.filter Fun.id results) in
     if winners = 1 && Atomic.get initialized = 1 then incr ok
   done;
-  Fmt.pr "  %-12s %d domains, %d/%d races initialized exactly once@." name
+  Fmt.pr "  %-15s %d domains, %d/%d races initialized exactly once@." name
     domains !ok trials;
   assert (!ok = trials)
 

@@ -29,6 +29,9 @@ let table ?(caption = "") columns rows checks = { caption; columns; rows; checks
 let avg ~domains ~trials f =
   Engine.mean ~domains ~trials ~seed:base_seed (fun ~trial:_ ~seed -> f seed)
 
+(* The registry entry's simulator constructor. *)
+let make name = (Option.get (Rtas.Registry.find name)).Rtas.Registry.make
+
 let elections ~domains ?adversary ~trials ~algorithm ~n k =
   Measure.elections ~domains ?adversary ~trials ~seed:base_seed ~algorithm ~n
     ~k ()
@@ -215,13 +218,13 @@ let e5 ~domains:_ _ =
      costs microseconds even at n = 1024 (1.3e10 registers). *)
   let algorithms =
     [
-      ("log*", Leaderelect.Le_logstar.make);
-      ("loglog", Leaderelect.Le_loglog.make);
-      ("aa", Leaderelect.Aa.make);
-      ("tournament", Leaderelect.Tournament.make);
-      ("ratrace-lean", Leaderelect.Rr_le.make_lean);
-      ("combined-log*", Combined.Combine.make_logstar);
-      ("ratrace(n^3)", Leaderelect.Rr_le.make_original);
+      ("log*", make "log*");
+      ("loglog", make "loglog");
+      ("aa", make "aa");
+      ("tournament", make "tournament");
+      ("ratrace-lean", make "ratrace-lean");
+      ("combined-log*", make "combined-log*");
+      ("ratrace(n^3)", make "ratrace");
     ]
   in
   [
@@ -296,8 +299,8 @@ let e7 ~domains:_ scale =
       Int r.Lowerbound.Covering_exec.anomalies;
     ]
   in
-  let tournament = ("tournament", Leaderelect.Tournament.make)
-  and lean = ("ratrace-lean", Leaderelect.Rr_le.make_lean)
+  let tournament = ("tournament", make "tournament")
+  and lean = ("ratrace-lean", make "ratrace-lean")
   and obstruction_free = ("obstruction-free", Leaderelect.Le_obstruction.make) in
   [
     table
@@ -310,7 +313,7 @@ let e7 ~domains:_ scale =
     table ~caption:"Covering harness (Lemma 5.4 base case) and written registers:"
       [ "algorithm"; "n"; "poised"; "covered"; "written"; "lower bound" ]
       (per_size
-         [ ("log*", Leaderelect.Le_logstar.make); tournament; lean; obstruction_free ]
+         [ ("log*", make "log*"); tournament; lean; obstruction_free ]
          base)
       [ Floor (Col "poised", Col "n"); Floor (Col "written", Col "lower bound") ];
     table ~caption:"Lemma 5.4 rounds driven to max cover <= 4 (Covering_exec):"
@@ -493,7 +496,7 @@ let e12 ~domains _ =
     let n = 1024 in
     ( label c,
       ablation ~k:n (fun mem ->
-          Leaderelect.Le_logstar.elect (Leaderelect.Le_logstar.create ~cutoff:c mem ~n)) )
+          Leaderelect.Le_logstar.(elect (create_cutoff ~cutoff:c mem ~n))) )
   in
   (* The paper's lean RatRace against an ablated one: the primary tree
      plus the single length-k backup path, without the 4 log n
@@ -634,9 +637,9 @@ let e20 ~domains _ =
   let n = 1024 and ks = [ 2; 4; 16; 64; 256; 1024 ] in
   let algorithms =
     [
-      ("tournament", Leaderelect.Tournament.make);
-      ("poison", Leaderelect.Poison_le.make);
-      ("opt-space", Leaderelect.Opt_space_le.make);
+      ("tournament", make "tournament");
+      ("poison", make "poison");
+      ("opt-space", make "opt-space");
     ]
   in
   (* PoisonPill's O(log log k) constant-size rounds keep it at or below

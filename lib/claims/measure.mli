@@ -1,6 +1,6 @@
 (** The one measurement loop behind the step and RMR tables: run an
-    election per trial through [Rtas.Election.run] and average its
-    cost. [rtas sweep] and the claim tables share it. *)
+    election per trial and average its cost. [rtas sweep] and the claim
+    tables share it. *)
 
 type sample = {
   steps : float;  (** Mean over trials of the max steps of a process. *)
@@ -25,6 +25,8 @@ val elections :
     elections of [k] participants over the {!Engine}. Trial [t] has
     seed [s = Sim.Rng.derive seed ~stream:t]; its schedule runs on
     [Sim.Rng.derive s ~stream:0] under [adversary s] (default
-    {!oblivious}). The sample is identical for every [domains].
-    Raises [Invalid_argument] on an unknown algorithm or
-    [trials < 1]. *)
+    {!oblivious}). Each worker builds the election once and resets it
+    per trial ({!Engine.run_local}), which gives the same sample as a
+    fresh system per trial through [Rtas.Election.run]. The sample is
+    identical for every [domains]. Raises [Invalid_argument] on an
+    unknown algorithm, unless [1 <= k <= n], or if [trials < 1]. *)

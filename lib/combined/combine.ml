@@ -1,75 +1,68 @@
-type t = {
-  rr : Ratrace.Ratrace_lean.t;
-  a : Leaderelect.Le.t;
-  top : Primitives.Le2.t;
-  name : string;
-}
+module Make (A : Leaderelect.Le.S) (M : Backend.Mem.S) = struct
+  module S = Coroutine.Stepped (M)
+  module Rr = Ratrace.Ratrace_lean.Make (S)
+  module Ae = A (S)
+  module Duel = Primitives.Le2.Make (M)
 
-let create ?(name = "combined") mem ~n ~make_a =
-  {
-    rr = Ratrace.Ratrace_lean.create ~name:(name ^ ".rr") mem ~n;
-    a = make_a mem ~n;
-    top = Primitives.Le2.create ~name:(name ^ ".top") mem;
-    name;
+  type t = {
+    rr : Rr.t;
+    a : Ae.t;
+    top : Duel.t;
   }
 
-let elect t ctx =
-  let won_splitter = ref false in
-  let rr_sub =
-    Coroutine.spawn (fun () ->
-        Ratrace.Ratrace_lean.elect
-          ~notify_splitter_win:(fun () -> won_splitter := true)
-          t.rr ctx)
-  in
-  let a_sub = Coroutine.spawn (fun () -> t.a.Leaderelect.Le.elect ctx) in
-  let win_top port = Primitives.Le2.elect t.top ctx ~port in
-  (* Rule 3 exception: [A] lost but we hold a splitter — finish RatRace
-     alone. *)
-  let rec rr_alone () =
-    match Coroutine.state rr_sub with
-    | Coroutine.Finished true -> win_top 0
-    | Coroutine.Finished false -> false
-    | Coroutine.Running ->
-        Coroutine.step rr_sub;
-        rr_alone ()
-  in
-  let rec loop () =
-    (* Odd steps belong to RatRace. *)
-    Coroutine.step rr_sub;
-    match Coroutine.state rr_sub with
-    | Coroutine.Finished true ->
-        Coroutine.abandon a_sub;
-        win_top 0
-    | Coroutine.Finished false ->
-        (* Rule 2. *)
-        Coroutine.abandon a_sub;
-        false
-    | Coroutine.Running -> (
-        Coroutine.step a_sub;
-        match Coroutine.state a_sub with
-        | Coroutine.Finished true ->
-            (* Rule 1. *)
-            Coroutine.abandon rr_sub;
-            win_top 1
-        | Coroutine.Finished false ->
-            if !won_splitter then rr_alone ()
-            else begin
-              (* Rule 3. *)
+  let create ?(name = "combined") mem ~n =
+    {
+      rr = Rr.create ~name:(name ^ ".rr") mem ~n;
+      a = Ae.create mem ~n;
+      top = Duel.create ~name:(name ^ ".top") mem;
+    }
+
+  let elect t ctx =
+    let won_splitter = ref false in
+    let rr_sub =
+      Coroutine.spawn (fun () ->
+          Rr.elect_notify
+            ~notify_splitter_win:(fun () -> won_splitter := true)
+            t.rr ctx)
+    in
+    let a_sub = Coroutine.spawn (fun () -> Ae.elect t.a ctx) in
+    let win_top port = Duel.elect t.top ctx ~port in
+    (* Rule 3 exception: [A] lost but we hold a splitter — finish RatRace
+       alone. *)
+    let rec rr_alone () =
+      match Coroutine.state rr_sub with
+      | Coroutine.Finished true -> win_top 0
+      | Coroutine.Finished false -> false
+      | Coroutine.Running ->
+          Coroutine.step rr_sub;
+          rr_alone ()
+    in
+    let rec loop () =
+      (* Odd steps belong to RatRace. *)
+      Coroutine.step rr_sub;
+      match Coroutine.state rr_sub with
+      | Coroutine.Finished true ->
+          Coroutine.abandon a_sub;
+          win_top 0
+      | Coroutine.Finished false ->
+          (* Rule 2. *)
+          Coroutine.abandon a_sub;
+          false
+      | Coroutine.Running -> (
+          Coroutine.step a_sub;
+          match Coroutine.state a_sub with
+          | Coroutine.Finished true ->
+              (* Rule 1. *)
               Coroutine.abandon rr_sub;
-              false
-            end
-        | Coroutine.Running -> loop ())
-  in
-  loop ()
-
-let to_le t = { Leaderelect.Le.le_name = t.name; elect = elect t }
-
-let make_logstar mem ~n =
-  to_le
-    (create ~name:"combined-log*" mem ~n ~make_a:(fun mem ~n ->
-         Leaderelect.Le_logstar.make mem ~n))
-
-let make_loglog mem ~n =
-  to_le
-    (create ~name:"combined-loglog" mem ~n ~make_a:(fun mem ~n ->
-         Leaderelect.Le_loglog.make mem ~n))
+              win_top 1
+          | Coroutine.Finished false ->
+              if !won_splitter then rr_alone ()
+              else begin
+                (* Rule 3. *)
+                Coroutine.abandon rr_sub;
+                false
+              end
+          | Coroutine.Running -> loop ())
+    in
+    loop ()
+end

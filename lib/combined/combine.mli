@@ -15,23 +15,13 @@
 
     The result has the step complexity of [A] against [A]'s weak
     adversary and O(log k) against the adaptive adversary, with
-    Theta(n) registers plus the space of [A]. *)
+    Theta(n) registers plus the space of [A].
 
-type t
+    RatRace and [A] run over {!Coroutine.Stepped}[ (M)], so the
+    alternation works on every backend; [LEtop] runs on [M] directly.
+    [create ~name] names RatRace's registers [<name>.rr] and [LEtop]'s
+    [<name>.top]; [A] keeps its own default name. Corollary 4.2 is
+    [Make (Leaderelect.Le_logstar.Make)] (location-oblivious) and
+    [Make (Leaderelect.Le_loglog.Make)] (R/W-oblivious). *)
 
-val create :
-  ?name:string ->
-  Sim.Memory.t ->
-  n:int ->
-  make_a:(Sim.Memory.t -> n:int -> Leaderelect.Le.t) ->
-  t
-
-val elect : t -> Sim.Ctx.t -> bool
-
-val to_le : t -> Leaderelect.Le.t
-
-val make_logstar : Sim.Memory.t -> n:int -> Leaderelect.Le.t
-(** Corollary 4.2, location-oblivious part: log* + RatRace. *)
-
-val make_loglog : Sim.Memory.t -> n:int -> Leaderelect.Le.t
-(** Corollary 4.2, R/W-oblivious part: log log + RatRace. *)
+module Make (A : Leaderelect.Le.S) : Leaderelect.Le.S

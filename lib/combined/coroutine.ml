@@ -1,3 +1,17 @@
+type _ Effect.t += Step : unit Effect.t
+
+module Stepped (M : Backend.Mem.S) = struct
+  include M
+
+  let read ctx r =
+    Effect.perform Step;
+    M.read ctx r
+
+  let write ctx r v =
+    Effect.perform Step;
+    M.write ctx r v
+end
+
 type state =
   | Running
   | Finished of bool
@@ -15,21 +29,8 @@ let spawn (body : unit -> bool) =
     t.resume <- None
   in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-    fun eff ->
-    match eff with
-    | Sim.Ctx.Read_eff _ ->
-        Some
-          (fun k ->
-            t.resume <- Some (fun () -> continue k (Effect.perform eff)))
-    | Sim.Ctx.Write_eff _ ->
-        Some
-          (fun k ->
-            t.resume <- Some (fun () -> continue k (Effect.perform eff)))
-    | Sim.Ctx.Flip_eff _ ->
-        (* Local step: forward to the scheduler without suspending. *)
-        Some (fun k -> continue k (Effect.perform eff))
-    | Sim.Ctx.Flip_geom_eff _ ->
-        Some (fun k -> continue k (Effect.perform eff))
+    function
+    | Step -> Some (fun k -> t.resume <- Some (fun () -> continue k ()))
     | _ -> None
   in
   match_with body () { retc; exnc = raise; effc };

@@ -19,6 +19,11 @@ type outcome = {
   sched : Sim.Sched.t;  (** For further inspection. *)
 }
 
+val lookup : string -> n:int -> k:int -> Registry.entry
+(** [lookup algorithm ~n ~k] is the registry entry {!run} uses. Raises
+    [Invalid_argument] on an unknown algorithm name, or unless
+    [1 <= k <= n]. *)
+
 val run :
   ?seed:int64 ->
   ?record_trace:bool ->

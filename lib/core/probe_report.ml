@@ -29,10 +29,7 @@ let pp_profile ppf (sn : Obs.Collector.snapshot) =
     "" sn.Obs.Collector.sn_rmrs;
   Fmt.pf ppf "flips=%d finishes=%d crashes=%d span_errors=%d@."
     sn.Obs.Collector.sn_flips sn.Obs.Collector.sn_finishes
-    sn.Obs.Collector.sn_crashes sn.Obs.Collector.sn_span_errors;
-  let counters = sn.Obs.Collector.sn_metrics.Obs.Metrics.counters in
-  if counters <> [] then
-    List.iter (fun (name, v) -> Fmt.pf ppf "%s = %d@." name v) counters
+    sn.Obs.Collector.sn_crashes sn.Obs.Collector.sn_span_errors
 
 (* {1 JSON} *)
 
@@ -69,23 +66,15 @@ let add_phase buf first (ps : Obs.Collector.phase_snapshot) =
        (escape ps.ps_phase) ps.ps_calls ps.ps_unclosed ps.ps_steps ps.ps_rmrs
        ps.ps_writes ps.ps_invalidations mean stddev median p95 rmr_mean)
 
-let snapshot_to_json (sn : Obs.Collector.snapshot) =
+let snapshot_to_json ~winners (sn : Obs.Collector.snapshot) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"phases\":[";
   let first = ref true in
   List.iter (add_phase buf first) sn.Obs.Collector.sn_phases;
   Buffer.add_string buf
     (Printf.sprintf
-       "],\"totals\":{\"steps\":%d,\"rmrs\":%d,\"flips\":%d,\"crashes\":%d,\"finishes\":%d,\"span_errors\":%d},\"counters\":{"
+       "],\"totals\":{\"steps\":%d,\"rmrs\":%d,\"flips\":%d,\"crashes\":%d,\"finishes\":%d,\"span_errors\":%d},\"counters\":{\"winners\":%d}}"
        sn.Obs.Collector.sn_steps sn.Obs.Collector.sn_rmrs
        sn.Obs.Collector.sn_flips sn.Obs.Collector.sn_crashes
-       sn.Obs.Collector.sn_finishes sn.Obs.Collector.sn_span_errors);
-  let firstc = ref true in
-  List.iter
-    (fun (name, v) ->
-      if not !firstc then Buffer.add_string buf ",";
-      firstc := false;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (escape name) v))
-    sn.Obs.Collector.sn_metrics.Obs.Metrics.counters;
-  Buffer.add_string buf "}}";
+       sn.Obs.Collector.sn_finishes sn.Obs.Collector.sn_span_errors winners);
   Buffer.contents buf

@@ -6,9 +6,9 @@
 
 val pp_profile : Obs.Collector.snapshot Fmt.t
 (** Per-phase table (calls, steps, RMRs, share of totals, steps/call
-    mean and p95, unclosed spans), then totals and any custom
-    counters. *)
+    mean and p95, unclosed spans), then totals. *)
 
-val snapshot_to_json : Obs.Collector.snapshot -> string
+val snapshot_to_json : winners:int -> Obs.Collector.snapshot -> string
 (** One JSON object: [{"phases": [...], "totals": {...},
-    "counters": {...}}]. *)
+    "counters": {"winners": ...}}], [winners] being the number of
+    elections' winners the snapshot's trials produced. *)

@@ -11,128 +11,97 @@ type entry = {
   reference : string;
 }
 
+(* Both backends of an entry come from its one election functor: the
+   simulator instance builds [make], the [Atomic.t] one [make_mc]
+   (unless [mc] is false). [prefix] overrides the functor's default
+   register-name prefix. *)
+let entry ?(mc = true) ?prefix ?flat ~adversary ~steps ~space ~reference name
+    (module F : Leaderelect.Le.S) =
+  let module S = F (Backend.Sim_mem) in
+  let make mem ~n =
+    let t = S.create ?name:prefix mem ~n in
+    { Leaderelect.Le.le_name = name; elect = S.elect t }
+  in
+  let make_mc =
+    if not mc then None
+    else
+      let module A = F (Backend.Atomic_mem) in
+      Some
+        (fun mem ~n ->
+          let t = A.create ?name:prefix mem ~n in
+          { Leaderelect.Le.le_name = name; elect = A.elect t })
+  in
+  { name; make; make_mc; make_flat = flat; adversary; steps; space; reference }
+
 let all =
   [
-    {
-      name = "log*";
-      make = Leaderelect.Le_logstar.make;
-      make_mc = None;
-      make_flat = Some (fun ~n -> Flatsim.Programs.logstar ~n);
-      adversary = Sim.Sched.Location_oblivious;
-      steps = "O(log* k)";
-      space = "O(n)";
-      reference = "Theorem 2.3";
-    };
-    {
-      name = "loglog";
-      make = Leaderelect.Le_loglog.make;
-      make_mc = None;
-      make_flat = None;
-      adversary = Sim.Sched.Rw_oblivious;
-      steps = "O(log log k)";
-      space = "O(n)";
-      reference = "Theorem 2.4";
-    };
-    {
-      name = "aa";
-      make = Leaderelect.Aa.make;
-      make_mc = None;
-      make_flat = None;
-      adversary = Sim.Sched.Rw_oblivious;
-      steps = "O(log log n)";
-      space = "O(n) (orig. O(n^3))";
-      reference = "Alistarh-Aspnes 2011";
-    };
-    {
-      name = "ratrace";
-      make = Leaderelect.Rr_le.make_original;
-      make_mc = None;
-      make_flat = None;
-      adversary = Sim.Sched.Adaptive;
-      steps = "O(log k)";
-      space = "Theta(n^3)";
-      reference = "Alistarh et al. 2010";
-    };
-    {
-      name = "ratrace-lean";
-      make = Leaderelect.Rr_le.make_lean;
-      make_mc = Some Leaderelect.Rr_le.make_atomic;
-      make_flat = None;
-      adversary = Sim.Sched.Adaptive;
-      steps = "O(log k)";
-      space = "Theta(n)";
-      reference = "Section 3";
-    };
-    {
-      name = "tournament";
-      make = Leaderelect.Tournament.make;
-      make_mc = Some Leaderelect.Tournament.make_atomic;
-      make_flat = Some (fun ~n -> Flatsim.Programs.tournament ~n);
-      adversary = Sim.Sched.Adaptive;
-      steps = "O(log n)";
-      space = "Theta(n)";
-      reference = "Afek et al. 1992";
-    };
-    {
-      name = "combined-log*";
-      make = Combined.Combine.make_logstar;
-      make_mc = None;
-      make_flat = None;
-      adversary = Sim.Sched.Location_oblivious;
-      steps = "O(log* k) / O(log k) adaptive";
-      space = "Theta(n)";
-      reference = "Corollary 4.2";
-    };
-    {
-      name = "combined-loglog";
-      make = Combined.Combine.make_loglog;
-      make_mc = None;
-      make_flat = None;
-      adversary = Sim.Sched.Rw_oblivious;
-      steps = "O(log log k) / O(log k) adaptive";
-      space = "Theta(n)";
-      reference = "Corollary 4.2";
-    };
-    {
-      name = "sift";
-      make = Leaderelect.Sift_le.make;
-      make_mc = Some Leaderelect.Sift_le.make_atomic;
-      make_flat = Some (fun ~n -> Flatsim.Programs.sift ~n);
-      adversary = Sim.Sched.Rw_oblivious;
-      steps = "O(log log n + log n)";
-      space = "Theta(n)";
-      reference = "Alistarh-Aspnes 2011 + Afek et al. 1992";
-    };
-    {
-      name = "poison";
-      make = Leaderelect.Poison_le.make;
-      make_mc = Some Leaderelect.Poison_le.make_atomic;
-      make_flat = Some (fun ~n -> Flatsim.Programs.poison ~n);
-      adversary = Sim.Sched.Adaptive;
-      steps = "O(log log k) rounds";
-      space = "Theta(n)";
-      reference = "Alistarh-Gelashvili-Vladu 2015";
-    };
-    {
-      name = "opt-space";
-      make = Leaderelect.Opt_space_le.make;
-      make_mc = Some Leaderelect.Opt_space_le.make_atomic;
-      make_flat = None;
-      adversary = Sim.Sched.Rw_oblivious;
-      steps = "O(log log k) rounds";
-      space = "Theta(log n)";
-      reference = "Giakkoupis-Helmi-Higham-Woelfel 2015";
-    };
-    {
-      name = "elim";
-      make = Leaderelect.Elim_le.make;
-      make_mc = Some Leaderelect.Elim_le.make_atomic;
-      make_flat = None;
-      adversary = Sim.Sched.Adaptive;
-      steps = "O(k) worst, O(1) typical";
-      space = "Theta(n)";
-      reference = "Claim 3.1";
-    };
+    entry "log*" (module Leaderelect.Le_logstar.Make)
+      ~flat:(fun ~n -> Flatsim.Programs.logstar ~n)
+      ~adversary:Sim.Sched.Location_oblivious
+      ~steps:"O(log* k)"
+      ~space:"O(n)"
+      ~reference:"Theorem 2.3";
+    entry "loglog" (module Leaderelect.Le_loglog.Make)
+      ~adversary:Sim.Sched.Rw_oblivious
+      ~steps:"O(log log k)"
+      ~space:"O(n)"
+      ~reference:"Theorem 2.4";
+    entry "aa" (module Leaderelect.Aa.Make)
+      ~adversary:Sim.Sched.Rw_oblivious
+      ~steps:"O(log log n)"
+      ~space:"O(n) (orig. O(n^3))"
+      ~reference:"Alistarh-Aspnes 2011";
+    entry "ratrace" (module Ratrace.Rr_classic.Make)
+      ~mc:false
+      ~adversary:Sim.Sched.Adaptive
+      ~steps:"O(log k)"
+      ~space:"Theta(n^3)"
+      ~reference:"Alistarh et al. 2010";
+    entry "ratrace-lean" (module Ratrace.Ratrace_lean.Make)
+      ~adversary:Sim.Sched.Adaptive
+      ~steps:"O(log k)"
+      ~space:"Theta(n)"
+      ~reference:"Section 3";
+    entry "tournament" (module Leaderelect.Tournament.Make)
+      ~flat:(fun ~n -> Flatsim.Programs.tournament ~n)
+      ~adversary:Sim.Sched.Adaptive
+      ~steps:"O(log n)"
+      ~space:"Theta(n)"
+      ~reference:"Afek et al. 1992";
+    entry "combined-log*" (module Combined.Combine.Make (Leaderelect.Le_logstar.Make))
+      ~prefix:"combined-log*"
+      ~adversary:Sim.Sched.Location_oblivious
+      ~steps:"O(log* k) / O(log k) adaptive"
+      ~space:"Theta(n)"
+      ~reference:"Corollary 4.2";
+    entry "combined-loglog" (module Combined.Combine.Make (Leaderelect.Le_loglog.Make))
+      ~prefix:"combined-loglog"
+      ~adversary:Sim.Sched.Rw_oblivious
+      ~steps:"O(log log k) / O(log k) adaptive"
+      ~space:"Theta(n)"
+      ~reference:"Corollary 4.2";
+    entry "sift" (module Leaderelect.Sift_le.Make)
+      ~flat:(fun ~n -> Flatsim.Programs.sift ~n)
+      ~adversary:Sim.Sched.Rw_oblivious
+      ~steps:"O(log log n + log n)"
+      ~space:"Theta(n)"
+      ~reference:"Alistarh-Aspnes 2011 + Afek et al. 1992";
+    entry "poison" (module Leaderelect.Poison_le.Make)
+      ~flat:(fun ~n -> Flatsim.Programs.poison ~n)
+      ~adversary:Sim.Sched.Adaptive
+      ~steps:"O(log log k) rounds"
+      ~space:"Theta(n)"
+      ~reference:"Alistarh-Gelashvili-Vladu 2015";
+    entry "opt-space" (module Leaderelect.Opt_space_le.Make)
+      ~adversary:Sim.Sched.Rw_oblivious
+      ~steps:"O(log log k) rounds"
+      ~space:"Theta(log n)"
+      ~reference:"Giakkoupis-Helmi-Higham-Woelfel 2015";
+    entry "elim" (module Leaderelect.Elim_le.Make)
+      ~adversary:Sim.Sched.Adaptive
+      ~steps:"O(k) worst, O(1) typical"
+      ~space:"Theta(n)"
+      ~reference:"Claim 3.1";
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all

@@ -3,12 +3,19 @@
     each. Used by the benchmarks, the CLI and the examples to iterate
     over algorithms uniformly.
 
-    Each algorithm has exactly one source — a functor over
-    {!Backend.Mem.S} — and an entry exposes whichever backends that
-    functor has been instantiated at: [make] builds the simulator
-    instantiation, and [make_mc] (when present) the [Atomic.t]-backed
-    one for real domains. Either arena's [allocated] count is the
-    entry's register count. *)
+    Each algorithm has exactly one source — a functor matching
+    {!Leaderelect.Le.S} — and one helper applies it to both backends:
+    [make] builds the {!Backend.Sim_mem} instance and [make_mc] the
+    {!Backend.Atomic_mem} one, with the same registers in the same
+    order, so either arena's [allocated] count is the entry's register
+    count. A third backend would be one more application in that
+    helper, not a constructor per algorithm.
+
+    Every entry but classic RatRace is dual. Its Theta(n^3) declared
+    registers (3,170,306 at n = 64) are cheap on the simulator, whose
+    tables build a node on first access, but [Atomic_mem] builds every
+    table entry eagerly before any domain runs, so its [make_mc] is
+    [None]; [ratrace-lean] is its real-multicore counterpart. *)
 
 type entry = {
   name : string;
@@ -17,9 +24,8 @@ type entry = {
     (Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Leaderelect.Le.elect)
     option;
       (** [Backend.Atomic_mem] instantiation of the same functor, built
-          in the given arena as [make] builds in its [Sim.Memory.t], when
-          the algorithm does not need simulator-only machinery
-          (adversary hooks, crash injection) to run. *)
+          in the given arena as [make] builds in its [Sim.Memory.t];
+          [None] for classic RatRace only. *)
   make_flat : (n:int -> Flatsim.Machine.program) option;
       (** Flat-kernel compilation of the same algorithm
           ({!Flatsim.Programs}), when one exists. Bit-identical to

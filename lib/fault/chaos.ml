@@ -78,7 +78,7 @@ let trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
   in
   (count_crashed sched, Sim.Sched.time sched, violation)
 
-let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
+let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan
     ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed () =
   (* An unknown name or a k outside 1..n would raise inside every
      watchdog attempt and be tallied as timeouts; reject them before any
@@ -130,16 +130,6 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?metrics ?plan
           failure_seeds := f.Watchdog.seeds_tried @ !failure_seeds;
           last_failure := Some f.Watchdog.last_reason)
     outcomes;
-  (* Chaos totals flow into the shared Probe registry next to whatever
-     else the caller is counting — same snapshot/merge machinery as the
-     per-phase collectors. *)
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      Obs.Metrics.add (Obs.Metrics.counter m "chaos.trials") trials;
-      Obs.Metrics.add (Obs.Metrics.counter m "chaos.crashes") !crashes;
-      Obs.Metrics.add (Obs.Metrics.counter m "chaos.violations") !violations;
-      Obs.Metrics.add (Obs.Metrics.counter m "chaos.livelock_timeouts") !timeouts);
   {
     impl = algorithm;
     mode;
@@ -171,3 +161,16 @@ let pp_report ppf r =
   Fmt.pf ppf "%-14s %-4s %6.3f %7d %8d %8d %9d %10.1f" r.impl
     (Fmt.str "%a" pp_mode r.mode)
     r.crash_prob r.trials r.crashes r.timeouts r.violations r.mean_steps
+
+let pp_totals ppf = function
+  | [] -> ()
+  | reports ->
+      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+      List.iter
+        (fun (name, v) -> Fmt.pf ppf "chaos.%s = %d@." name v)
+        [
+          ("crashes", sum (fun r -> r.crashes));
+          ("livelock_timeouts", sum (fun r -> r.timeouts));
+          ("trials", sum (fun r -> r.trials));
+          ("violations", sum (fun r -> r.violations));
+        ]

@@ -42,7 +42,6 @@ val run_point :
   ?timeout:float ->
   ?retries:int ->
   ?domains:int ->
-  ?metrics:Obs.Metrics.t ->
   ?plan:Plan.t ->
   mode:mode ->
   algorithm:string ->
@@ -62,12 +61,6 @@ val run_point :
     [Sim.Rng.derive seed ~stream:t] on a pool of [domains] (default 1)
     domains via {!Engine.run}; the report, including [failure_seeds],
     is identical for every domain count.
-
-    [metrics] additionally accumulates the point's totals into a Probe
-    registry as the counters [chaos.trials], [chaos.crashes],
-    [chaos.violations] and [chaos.livelock_timeouts], so chaos results
-    aggregate and print through the same [Obs.Metrics] snapshot
-    machinery as everything else.
 
     Raises [Invalid_argument] before running any trial if [algorithm]
     is not a {!Rtas.Registry} name, or unless [1 <= k <= n]. *)
@@ -92,3 +85,8 @@ val sweep :
 val pp_report : report Fmt.t
 (** One fixed-width table row: impl, mode, prob, trials, crashes,
     timeouts, violations, mean steps. *)
+
+val pp_totals : report list Fmt.t
+(** The sums of the reports' [crashes], [timeouts], [trials] and
+    [violations], one [chaos.<field> = <sum>] line each (timeouts as
+    [livelock_timeouts]), in that name order; nothing for no reports. *)

@@ -1,55 +1,47 @@
-type fallback =
-  | Lean of Ratrace.Ratrace_lean.t
-  | Original of Ratrace.Rr_classic.t
+module Make_fallback (R : Le.S) (M : Backend.Mem.S) = struct
+  module C = Chain.Make (M)
+  module Ge_s = Groupelect.Ge_sift.Make (M)
+  module Rr = R (M)
+  module Duel = Primitives.Le2.Make (M)
 
-type t = {
-  chain : Chain.t;
-  fallback : fallback;
-  top : Primitives.Le2.t;
-}
-
-let create ?(name = "aa") ?(original_fallback = false) mem ~n =
-  if n < 1 then invalid_arg "Aa.create: n must be >= 1";
-  let probs = Groupelect.Ge_sift.probability_schedule ~n in
-  let ges =
-    Array.init
-      (max 1 (Array.length probs))
-      (fun i ->
-        if i < Array.length probs then
-          Groupelect.Ge_sift.create
-            ~name:(Printf.sprintf "%s.sift[%d]" name i)
-            mem ~write_prob:probs.(i)
-        else Groupelect.Ge_dummy.create ())
-  in
-  let fallback =
-    if original_fallback then
-      Original (Ratrace.Rr_classic.create ~name:(name ^ ".rr") mem ~n)
-    else Lean (Ratrace.Ratrace_lean.create ~name:(name ^ ".rr") mem ~n)
-  in
-  {
-    chain = Chain.create mem ~name ges;
-    fallback;
-    top = Primitives.Le2.create ~name:(name ^ ".top") mem;
+  type t = {
+    chain : C.t;
+    fallback : Rr.t;
+    top : Duel.t;
   }
 
-let elect t ctx =
-  match Chain.forward t.chain ctx ~from_level:0 ~upto:(Chain.levels t.chain) with
-  | Chain.F_lost -> false
-  | Chain.F_stopped level ->
-      if Chain.backward t.chain ctx ~stopped_at:level then
-        Primitives.Le2.elect t.top ctx ~port:0
-      else false
-  | Chain.F_exhausted ->
-      let won =
-        match t.fallback with
-        | Lean rr -> Ratrace.Ratrace_lean.elect rr ctx
-        | Original rr -> Ratrace.Rr_classic.elect rr ctx
-      in
-      if won then Primitives.Le2.elect t.top ctx ~port:1 else false
+  let create ?(name = "aa") mem ~n =
+    if n < 1 then invalid_arg "Aa.create: n must be >= 1";
+    let probs = Groupelect.Ge_sift.probability_schedule ~n in
+    let ges =
+      Array.init
+        (max 1 (Array.length probs))
+        (fun i ->
+          if i < Array.length probs then
+            Ge_s.create
+              ~name:(Printf.sprintf "%s.sift[%d]" name i)
+              mem ~write_prob:probs.(i)
+          else Groupelect.Ge_dummy.gen ())
+    in
+    let fallback = Rr.create ~name:(name ^ ".rr") mem ~n in
+    {
+      chain = C.create mem ~name ges;
+      fallback;
+      top = Duel.create ~name:(name ^ ".top") mem;
+    }
 
-let to_le t = { Le.le_name = "aa"; elect = elect t }
+  let elect t ctx =
+    match C.forward t.chain ctx ~from_level:0 ~upto:(C.levels t.chain) with
+    | Chain.F_lost -> false
+    | Chain.F_stopped level ->
+        if C.backward t.chain ctx ~stopped_at:level then
+          Duel.elect t.top ctx ~port:0
+        else false
+    | Chain.F_exhausted ->
+        if Rr.elect t.fallback ctx then Duel.elect t.top ctx ~port:1
+        else false
+end
 
-let make mem ~n = to_le (create mem ~n)
+module Make (M : Backend.Mem.S) = Make_fallback (Ratrace.Ratrace_lean.Make) (M)
 
-let make_original mem ~n =
-  { Le.le_name = "aa-original"; elect = elect (create ~original_fallback:true mem ~n) }
+include Make (Backend.Sim_mem)

@@ -6,21 +6,18 @@
     level's sifting survivors still face that level's splitter) reduce
     the crowd to an expected constant; processes that exhaust the
     sifting levels fall through to a RatRace. In the original paper the
-    fallback is the Theta(n^3) RatRace; we use it with the lean
-    Theta(n) variant by default, with an option to use the original for
-    faithful space accounting. *)
+    fallback is the Theta(n^3) RatRace; [Make] uses the lean Theta(n)
+    variant, and [Make_fallback (Ratrace.Rr_classic.Make)] the original,
+    for faithful space accounting. *)
 
-type t
+module Make_fallback (R : Le.S) : Le.S
+(** The fallback election [R] gets the registers named [<name>.rr]. *)
 
-val create :
-  ?name:string -> ?original_fallback:bool -> Sim.Memory.t -> n:int -> t
+module Make : Le.S
+(** Lean fallback: [Make_fallback (Ratrace.Ratrace_lean.Make)]. *)
+
+type t = Make(Backend.Sim_mem).t
+
+val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t
-(** Lean fallback. *)
-
-val make_original : Sim.Memory.t -> n:int -> Le.t
-(** Theta(n^3) fallback, as in the 2011 paper. *)

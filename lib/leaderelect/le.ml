@@ -5,6 +5,13 @@ type 'ctx elect = {
 
 type t = Sim.Ctx.t elect
 
+module type S = functor (M : Backend.Mem.S) -> sig
+  type t
+
+  val create : ?name:string -> M.mem -> n:int -> t
+  val elect : t -> M.ctx -> bool
+end
+
 let programs t ~k =
   Array.init k (fun _ ctx -> if t.elect ctx then 1 else 0)
 

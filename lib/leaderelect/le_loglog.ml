@@ -10,79 +10,82 @@ let rung_capacities ~n =
   in
   Array.of_list (build [] 2)
 
-type rung = {
-  chain : Chain.t;
-  sift_levels : int;  (** Levels carrying real sifting objects. *)
-  last : bool;
-}
+module Make (M : Backend.Mem.S) = struct
+  module C = Chain.Make (M)
+  module Ge_s = Groupelect.Ge_sift.Make (M)
+  module Duel = Primitives.Le2.Make (M)
 
-type t = {
-  rungs : rung array;
-  finals : Primitives.Le2.t array;  (** One per rung; winner of rung [i]
-      enters [finals.(i)] on port 0 and descends to [finals.(0)]. *)
-}
+  type rung = {
+    chain : C.t;
+    last : bool;
+  }
 
-let make_rung ?(name = "rung") mem ~capacity ~last =
-  let probs = Groupelect.Ge_sift.probability_schedule ~n:capacity in
-  let sift_levels = max 1 (Array.length probs) in
-  let levels = if last then max capacity sift_levels else sift_levels in
-  let ges =
-    Array.init levels (fun i ->
-        if i < Array.length probs then
-          Groupelect.Ge_sift.create
-            ~name:(Printf.sprintf "%s.sift[%d]" name i)
-            mem ~write_prob:probs.(i)
-        else
-          Groupelect.Ge_dummy.create
-            ~name:(Printf.sprintf "%s.dummy[%d]" name i)
-            ())
-  in
-  { chain = Chain.create mem ~name ges; sift_levels; last }
+  type t = {
+    rungs : rung array;
+    finals : Duel.t array;  (** One per rung; winner of rung [i]
+        enters [finals.(i)] on port 0 and descends to [finals.(0)]. *)
+  }
 
-let create ?(name = "loglog") mem ~n =
-  if n < 1 then invalid_arg "Le_loglog.create: n must be >= 1";
-  let caps = rung_capacities ~n in
-  let rungs =
-    Array.mapi
-      (fun i capacity ->
-        make_rung
-          ~name:(Printf.sprintf "%s.rung[%d]" name i)
-          mem ~capacity
-          ~last:(i = Array.length caps - 1))
-      caps
-  in
-  let finals =
-    Array.init (Array.length caps) (fun i ->
-        Primitives.Le2.create ~name:(Printf.sprintf "%s.final[%d]" name i) mem)
-  in
-  { rungs; finals }
+  let make_rung ~name mem ~capacity ~last =
+    let probs = Groupelect.Ge_sift.probability_schedule ~n:capacity in
+    let sift_levels = max 1 (Array.length probs) in
+    let levels = if last then max capacity sift_levels else sift_levels in
+    let ges =
+      Array.init levels (fun i ->
+          if i < Array.length probs then
+            Ge_s.create
+              ~name:(Printf.sprintf "%s.sift[%d]" name i)
+              mem ~write_prob:probs.(i)
+          else
+            Groupelect.Ge_dummy.gen
+              ~name:(Printf.sprintf "%s.dummy[%d]" name i)
+              ())
+    in
+    { chain = C.create mem ~name ges; last }
 
-(* The winner of rung [i] must beat the winner of every higher rung:
-   it enters the final chain at [i] on port 0 (as a rung winner) and
-   moves down; at [j < i] it plays port 1 (as the winner of
-   [finals.(j+1)]). The winner of [finals.(0)] wins. *)
-let rec final_descent t ctx j ~entered_at =
-  let port = if j = entered_at then 0 else 1 in
-  if Primitives.Le2.elect t.finals.(j) ctx ~port then
-    if j = 0 then true else final_descent t ctx (j - 1) ~entered_at
-  else false
+  let create ?(name = "loglog") mem ~n =
+    if n < 1 then invalid_arg "Le_loglog.create: n must be >= 1";
+    let caps = rung_capacities ~n in
+    let rungs =
+      Array.mapi
+        (fun i capacity ->
+          make_rung
+            ~name:(Printf.sprintf "%s.rung[%d]" name i)
+            mem ~capacity
+            ~last:(i = Array.length caps - 1))
+        caps
+    in
+    let finals =
+      Array.init (Array.length caps) (fun i ->
+          Duel.create ~name:(Printf.sprintf "%s.final[%d]" name i) mem)
+    in
+    { rungs; finals }
 
-let elect t ctx =
-  let rec try_rung i =
-    let r = t.rungs.(i) in
-    match Chain.forward r.chain ctx ~from_level:0 ~upto:(Chain.levels r.chain) with
-    | Chain.F_lost -> false
-    | Chain.F_stopped level ->
-        if Chain.backward r.chain ctx ~stopped_at:level then
-          final_descent t ctx i ~entered_at:i
-        else false
-    | Chain.F_exhausted ->
-        if r.last then
-          failwith "Le_loglog.elect: last rung exhausted (contention > n?)"
-        else try_rung (i + 1)
-  in
-  try_rung 0
+  (* The winner of rung [i] must beat the winner of every higher rung:
+     it enters the final chain at [i] on port 0 (as a rung winner) and
+     moves down; at [j < i] it plays port 1 (as the winner of
+     [finals.(j+1)]). The winner of [finals.(0)] wins. *)
+  let rec final_descent t ctx j ~entered_at =
+    let port = if j = entered_at then 0 else 1 in
+    if Duel.elect t.finals.(j) ctx ~port then
+      if j = 0 then true else final_descent t ctx (j - 1) ~entered_at
+    else false
 
-let to_le t = { Le.le_name = "loglog"; elect = elect t }
+  let elect t ctx =
+    let rec try_rung i =
+      let r = t.rungs.(i) in
+      match C.forward r.chain ctx ~from_level:0 ~upto:(C.levels r.chain) with
+      | Chain.F_lost -> false
+      | Chain.F_stopped level ->
+          if C.backward r.chain ctx ~stopped_at:level then
+            final_descent t ctx i ~entered_at:i
+          else false
+      | Chain.F_exhausted ->
+          if r.last then
+            failwith "Le_loglog.elect: last rung exhausted (contention > n?)"
+          else try_rung (i + 1)
+    in
+    try_rung 0
+end
 
-let make mem ~n = to_le (create mem ~n)
+include Make (Backend.Sim_mem)

@@ -16,14 +16,12 @@
     steps, where the sifting probabilities are small enough to thin the
     crowd; hence adaptivity. *)
 
-type t
+val rung_capacities : n:int -> int array
+
+module Make : Le.S
+
+type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-
-val rung_capacities : n:int -> int array
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t

@@ -4,25 +4,29 @@ let ceil_log2 n =
 
 let default_cutoff ~n = min n (3 * ceil_log2 n)
 
-type t = { chain : Chain.t }
+module Make (M : Backend.Mem.S) = struct
+  module C = Chain.Make (M)
+  module Ge_l = Groupelect.Ge_logstar.Make (M)
 
-let create ?(name = "logstar") ?cutoff mem ~n =
-  if n < 1 then invalid_arg "Le_logstar.create: n must be >= 1";
-  let cutoff =
-    match cutoff with Some c -> min c n | None -> default_cutoff ~n
-  in
-  let ges =
-    Array.init n (fun i ->
-        if i < cutoff then
-          Groupelect.Ge_logstar.create
-            ~name:(Printf.sprintf "%s.ge[%d]" name i)
-            mem ~n
-        else Groupelect.Ge_dummy.create ~name:(Printf.sprintf "%s.dummy[%d]" name i) ())
-  in
-  { chain = Chain.create mem ~name ges }
+  type t = { chain : C.t }
 
-let elect t ctx = Chain.elect t.chain ctx
+  let create_cutoff ?(name = "logstar") ~cutoff mem ~n =
+    if n < 1 then invalid_arg "Le_logstar.create: n must be >= 1";
+    let cutoff = min cutoff n in
+    let ges =
+      Array.init n (fun i ->
+          if i < cutoff then
+            Ge_l.create ~name:(Printf.sprintf "%s.ge[%d]" name i) mem ~n
+          else
+            Groupelect.Ge_dummy.gen
+              ~name:(Printf.sprintf "%s.dummy[%d]" name i)
+              ())
+    in
+    { chain = C.create mem ~name ges }
 
-let to_le t = { Le.le_name = "log*"; elect = elect t }
+  let create ?name mem ~n = create_cutoff ?name ~cutoff:(default_cutoff ~n) mem ~n
 
-let make mem ~n = to_le (create mem ~n)
+  let elect t ctx = C.elect t.chain ctx
+end
+
+include Make (Backend.Sim_mem)

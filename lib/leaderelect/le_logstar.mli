@@ -11,15 +11,26 @@
     process per level. Total space: O(log^2 n) + Theta(n) = Theta(n). *)
 
 val default_cutoff : n:int -> int
-(** Real GroupElect levels unless [create ?cutoff] overrides it:
-    [min n (3 * ceil(log2 n))]. *)
+(** Real GroupElect levels of [create]: [min n (3 * ceil(log2 n))]. *)
 
-type t
+(** Matches {!Le.S}. *)
+module Make (M : Backend.Mem.S) : sig
+  type t
 
-val create : ?name:string -> ?cutoff:int -> Sim.Memory.t -> n:int -> t
+  val create : ?name:string -> M.mem -> n:int -> t
+
+  val create_cutoff : ?name:string -> cutoff:int -> M.mem -> n:int -> t
+  (** [create] with the first [min cutoff n] levels real (the E12
+      ablation). *)
+
+  val elect : t -> M.ctx -> bool
+end
+
+type t = Make(Backend.Sim_mem).t
+
+val create : ?name:string -> Sim.Memory.t -> n:int -> t
+
+val create_cutoff :
+  ?name:string -> cutoff:int -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t

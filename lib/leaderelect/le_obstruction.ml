@@ -59,6 +59,4 @@ let elect t ctx =
   in
   forward 0
 
-let to_le t = { Le.le_name = "obstruction-free"; elect = elect t }
-
-let make mem ~n = to_le (create mem ~n)
+let make mem ~n = { Le.le_name = "obstruction-free"; elect = elect (create mem ~n) }

@@ -34,6 +34,4 @@ val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
 
-val to_le : t -> Le.t
-
 val make : Sim.Memory.t -> n:int -> Le.t

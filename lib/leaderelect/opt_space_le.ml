@@ -49,11 +49,3 @@ module Make (M : Backend.Mem.S) = struct
 end
 
 include Make (Backend.Sim_mem)
-
-let to_le t = { Le.le_name = "opt-space"; elect = elect t }
-
-let make mem ~n = to_le (create mem ~n)
-
-let make_atomic mem ~n =
-  let module A = Make (Backend.Atomic_mem) in
-  { Le.le_name = "opt-space"; elect = A.elect (A.create mem ~n) }

@@ -24,24 +24,10 @@
     are O(log log n) arrays of at most {!Ge_poison.max_cells} cells,
     but the chain itself keeps 4 registers per level. *)
 
-module Make (M : Backend.Mem.S) : sig
-  type t
-
-  val create : ?name:string -> M.mem -> n:int -> t
-
-  val elect : t -> M.ctx -> bool
-end
+module Make : Le.S
 
 type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t
-
-val make_atomic :
-  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
-(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

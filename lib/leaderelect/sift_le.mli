@@ -11,30 +11,13 @@
     the depth — to O(1) after O(log log n) levels against the
     R/W-oblivious adversary.
 
-    One source for both backends: the simulator instantiation below
-    feeds the registry's [make], and {!make_atomic} packages
-    [Make (Backend.Atomic_mem)] as its [make_mc]. *)
+    [M.self] is the tournament leaf; it must be below [n] rounded up
+    to a power of two. *)
 
-module Make (M : Backend.Mem.S) : sig
-  type t
-
-  val create : ?name:string -> M.mem -> n:int -> t
-
-  val elect : t -> M.ctx -> bool
-  (** Uses [M.self] as the tournament leaf; requires it below [n]
-      rounded up to a power of two. At most one call per slot. *)
-end
+module Make : Le.S
 
 type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t
-
-val make_atomic :
-  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
-(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

@@ -20,8 +20,6 @@ module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) = struct
       leaves;
     }
 
-  let slots t = t.leaves
-
   let elect t ctx =
     let p = M.self ctx in
     if p >= t.leaves then invalid_arg "Tournament.elect: pid out of range";
@@ -37,11 +35,3 @@ end
 module Make (M : Backend.Mem.S) = Make_duel (Primitives.Le2.Make) (M)
 
 include Make (Backend.Sim_mem)
-
-let to_le t = { Le.le_name = "tournament"; elect = elect t }
-
-let make mem ~n = to_le (create mem ~n)
-
-let make_atomic mem ~n =
-  let module A = Make (Backend.Atomic_mem) in
-  { Le.le_name = "tournament"; elect = A.elect (A.create mem ~n) }

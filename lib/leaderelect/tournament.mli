@@ -11,47 +11,20 @@
     {!Primitives.Duel.S} (the unbounded {!Primitives.Le2}, the
     bounded-register {!Primitives.Le2_bounded}, or a new duel) and
     composes it up the tree. [Make] is the historical instantiation
-    over [Le2] — byte-identical to the pre-[Duel.S] code. *)
+    over [Le2] — byte-identical to the pre-[Duel.S] code. [elect] uses
+    [M.self] as the leaf index; it must be below [n] rounded up to a
+    power of two. *)
 
 val leaves : n:int -> int
 (** Leaf count for [n] slots: [n] rounded up to a power of two.
     Process [p] climbs from heap node [leaves + p] to the root. *)
 
-module Make_duel (D : Primitives.Duel.S) (M : Backend.Mem.S) : sig
-  type t
+module Make_duel (D : Primitives.Duel.S) : Le.S
 
-  val create : ?name:string -> M.mem -> n:int -> t
-
-  val slots : t -> int
-  (** Leaf count ([n] rounded up to a power of two). *)
-
-  val elect : t -> M.ctx -> bool
-  (** Uses [M.self] as the leaf index; requires it below [slots]. *)
-end
-
-module Make (M : Backend.Mem.S) : sig
-  type t
-
-  val create : ?name:string -> M.mem -> n:int -> t
-
-  val slots : t -> int
-  (** Leaf count ([n] rounded up to a power of two). *)
-
-  val elect : t -> M.ctx -> bool
-  (** Uses [M.self] as the leaf index; requires it below [slots]. *)
-end
+module Make : Le.S
 
 type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
 val elect : t -> Sim.Ctx.t -> bool
-(** Uses [Sim.Ctx.pid] as the leaf index; requires [pid < n]. *)
-
-val to_le : t -> Le.t
-
-val make : Sim.Memory.t -> n:int -> Le.t
-
-val make_atomic :
-  Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Le.elect
-(** [Make (Backend.Atomic_mem)], packaged for real domains. *)

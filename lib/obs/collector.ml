@@ -38,7 +38,6 @@ type frame = {
 type t = {
   phases : (string, phase_acc) Hashtbl.t;
   stacks : (int, frame list ref) Hashtbl.t;  (* bottom = base frame *)
-  metrics : Metrics.t;
   mutable c_steps : int;
   mutable c_rmrs : int;
   mutable c_flips : int;
@@ -51,7 +50,6 @@ let create () =
   {
     phases = Hashtbl.create 16;
     stacks = Hashtbl.create 16;
-    metrics = Metrics.create ();
     c_steps = 0;
     c_rmrs = 0;
     c_flips = 0;
@@ -59,8 +57,6 @@ let create () =
     c_finishes = 0;
     c_span_errors = 0;
   }
-
-let metrics t = t.metrics
 
 let phase_acc t name =
   match Hashtbl.find_opt t.phases name with
@@ -175,7 +171,6 @@ type phase_snapshot = {
 
 type snapshot = {
   sn_phases : phase_snapshot list;  (* sorted by phase name *)
-  sn_metrics : Metrics.snapshot;
   sn_steps : int;
   sn_rmrs : int;
   sn_flips : int;
@@ -210,7 +205,6 @@ let snapshot t =
   in
   {
     sn_phases = phases;
-    sn_metrics = Metrics.snapshot t.metrics;
     sn_steps = t.c_steps;
     sn_rmrs = t.c_rmrs;
     sn_flips = t.c_flips;
@@ -222,7 +216,6 @@ let snapshot t =
 let empty_snapshot =
   {
     sn_phases = [];
-    sn_metrics = Metrics.empty_snapshot;
     sn_steps = 0;
     sn_rmrs = 0;
     sn_flips = 0;
@@ -261,7 +254,6 @@ let rec merge_phases a b =
 let merge a b =
   {
     sn_phases = merge_phases a.sn_phases b.sn_phases;
-    sn_metrics = Metrics.merge a.sn_metrics b.sn_metrics;
     sn_steps = a.sn_steps + b.sn_steps;
     sn_rmrs = a.sn_rmrs + b.sn_rmrs;
     sn_flips = a.sn_flips + b.sn_flips;

@@ -22,11 +22,6 @@ val sink : t -> Probe.sink
 (** The sink feeding this collector; install it with [Probe.install] or
     [Probe.with_sink]. *)
 
-val metrics : t -> Metrics.t
-(** A metrics registry riding along with the collector, for custom
-    counters (e.g. winners per trial); its snapshot is embedded in
-    {!snapshot} and merged by {!merge}. *)
-
 (** {1 Snapshots} *)
 
 type phase_snapshot = {
@@ -43,7 +38,6 @@ type phase_snapshot = {
 
 type snapshot = {
   sn_phases : phase_snapshot list;  (** Sorted by phase name. *)
-  sn_metrics : Metrics.snapshot;
   sn_steps : int;
   sn_rmrs : int;
   sn_flips : int;

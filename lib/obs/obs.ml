@@ -1,11 +1,10 @@
-(* Probe, the observability layer: metrics, tracing sinks, per-phase
+(* Probe, the observability layer: tracing sinks, per-phase
    attribution and Perfetto export.
 
    [include Probe] makes the phase annotation points available as
    [Obs.enter]/[Obs.leave]/[Obs.span] directly, which is how algorithm
    code spells them. *)
 
-module Metrics = Metrics
 module Timeseries = Timeseries
 module Probe = Probe
 module Collector = Collector

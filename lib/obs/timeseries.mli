@@ -25,7 +25,7 @@
     A recorder is single-domain mutable state; cross-shard and
     cross-domain aggregation goes through immutable {!snapshot} values
     and the associative {!merge}, keyed by window index — exactly the
-    [Obs.Metrics] discipline with a time axis added. *)
+    {!Collector} discipline with a time axis added. *)
 
 type t
 

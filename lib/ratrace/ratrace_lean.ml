@@ -45,10 +45,7 @@ module Make (M : Backend.Mem.S) = struct
     M.leave ctx "rr_top";
     won
 
-  let elect ?notify_splitter_win t ctx =
-    let notify_stop =
-      match notify_splitter_win with Some f -> f | None -> fun () -> ()
-    in
+  let elect_notify ~notify_splitter_win:notify_stop t ctx =
     let win_tree () = top_elect t ctx ~port:0 in
     let backup () =
       match Path.run ~notify_stop t.backup ctx with
@@ -68,6 +65,8 @@ module Make (M : Backend.Mem.S) = struct
             else false
         | Elim_path.Lost -> false
         | Elim_path.Fell_off -> backup ())
+
+  let elect t ctx = elect_notify ~notify_splitter_win:(fun () -> ()) t ctx
 end
 
 include Make (Backend.Sim_mem)

@@ -13,21 +13,26 @@
     Expected step complexity O(log k) against the adaptive adversary,
     with Theta(n) registers instead of Theta(n^3). *)
 
+(** Matches [Leaderelect.Le.S]. *)
 module Make (M : Backend.Mem.S) : sig
   type t
 
   val create : ?name:string -> M.mem -> n:int -> t
-  val elect : ?notify_splitter_win:(unit -> unit) -> t -> M.ctx -> bool
+
+  val elect : t -> M.ctx -> bool
+  (** At most one call per process; at most [n] processes. *)
+
+  val elect_notify :
+    notify_splitter_win:(unit -> unit) -> t -> M.ctx -> bool
+  (** [elect] that calls [notify_splitter_win] the first time the
+      caller wins any splitter of the structure (Section 4, rule 3). *)
 end
 
 type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
-val elect : ?notify_splitter_win:(unit -> unit) -> t -> Sim.Ctx.t -> bool
-(** At most one call per process; at most [n] processes.
-    [notify_splitter_win] fires the first time the caller wins any
-    splitter of the structure (Section 4, rule 3). *)
+val elect : t -> Sim.Ctx.t -> bool
 
 val tree_height : n:int -> int
 

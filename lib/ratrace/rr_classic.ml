@@ -4,33 +4,39 @@ let ceil_log2 n =
 
 let tree_height ~n = 3 * ceil_log2 n
 
-type t = {
-  tree : Primary_tree.t;
-  grid : Backup_grid.t;
-  top : Primitives.Le2.t;
-}
+module Make (M : Backend.Mem.S) = struct
+  module Tree = Primary_tree.Make (M)
+  module Grid = Backup_grid.Make (M)
+  module Duel = Primitives.Le2.Make (M)
 
-let create ?(name = "ratrace") mem ~n =
-  if n < 1 then invalid_arg "Ratrace.create: n must be >= 1";
-  {
-    tree = Primary_tree.create ~name:(name ^ ".tree") mem ~height:(tree_height ~n);
-    grid = Backup_grid.create ~name:(name ^ ".grid") mem ~n;
-    top = Primitives.Le2.create ~name:(name ^ ".top") mem;
+  type t = {
+    tree : Tree.t;
+    grid : Grid.t;
+    top : Duel.t;
   }
 
-let top_elect t ctx ~port =
-  let pid = Sim.Ctx.pid ctx in
-  Obs.enter ~pid "rr_top";
-  let won = Primitives.Le2.elect t.top ctx ~port in
-  Obs.leave ~pid "rr_top";
-  won
+  let create ?(name = "ratrace") mem ~n =
+    if n < 1 then invalid_arg "Ratrace.create: n must be >= 1";
+    {
+      tree = Tree.create ~name:(name ^ ".tree") mem ~height:(tree_height ~n);
+      grid = Grid.create ~name:(name ^ ".grid") mem ~n;
+      top = Duel.create ~name:(name ^ ".top") mem;
+    }
 
-let elect ?notify_splitter_win t ctx =
-  let notify_stop = match notify_splitter_win with Some f -> f | None -> fun () -> () in
-  match Primary_tree.run ~notify_stop t.tree ctx with
-  | Primary_tree.Won -> top_elect t ctx ~port:0
-  | Primary_tree.Lost -> false
-  | Primary_tree.Fell_off _ -> (
-      match Backup_grid.run ~notify_stop t.grid ctx with
-      | Backup_grid.Won -> top_elect t ctx ~port:1
-      | Backup_grid.Lost -> false)
+  let top_elect t ctx ~port =
+    M.enter ctx "rr_top";
+    let won = Duel.elect t.top ctx ~port in
+    M.leave ctx "rr_top";
+    won
+
+  let elect t ctx =
+    match Tree.run t.tree ctx with
+    | Primary_tree.Won -> top_elect t ctx ~port:0
+    | Primary_tree.Lost -> false
+    | Primary_tree.Fell_off _ -> (
+        match Grid.run t.grid ctx with
+        | Backup_grid.Won -> top_elect t ctx ~port:1
+        | Backup_grid.Lost -> false)
+end
+
+include Make (Backend.Sim_mem)

@@ -6,17 +6,26 @@
     complexity O(log k) against the adaptive adversary, but
     Theta(n^3) registers — the space cost the paper's Section 3
     eliminates. [create] declares all of them ({!Sim.Memory.allocated}
-    is 3,170,306 at n=64), but a tree or grid node's registers are built
-    only when a process first reaches it, so a trial's memory follows
-    the nodes it touches. *)
+    is 3,170,306 at n=64), but on the simulator a tree or grid node's
+    registers are built only when a process first reaches it, so a
+    trial's memory follows the nodes it touches. [Atomic_mem] builds
+    every node eagerly, so the registry runs this election on the
+    simulator only. *)
 
-type t
+(** Matches [Leaderelect.Le.S]. *)
+module Make (M : Backend.Mem.S) : sig
+  type t
+
+  val create : ?name:string -> M.mem -> n:int -> t
+
+  val elect : t -> M.ctx -> bool
+  (** At most one call per process; at most [n] processes. *)
+end
+
+type t = Make(Backend.Sim_mem).t
 
 val create : ?name:string -> Sim.Memory.t -> n:int -> t
 
-val elect : ?notify_splitter_win:(unit -> unit) -> t -> Sim.Ctx.t -> bool
-(** At most one call per process; at most [n] processes.
-    [notify_splitter_win] fires the first time the caller wins any
-    splitter of the structure (Section 4, rule 3). *)
+val elect : t -> Sim.Ctx.t -> bool
 
 val tree_height : n:int -> int

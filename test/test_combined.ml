@@ -3,59 +3,57 @@
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
+module Combined_rr =
+  Combined.Combine.Make (Ratrace.Ratrace_lean.Make) (Backend.Sim_mem)
+
 let combined_impls : (string * (Sim.Memory.t -> n:int -> Leaderelect.Le.t)) list =
   [
-    ("combined-log*", Combined.Combine.make_logstar);
-    ("combined-loglog", Combined.Combine.make_loglog);
+    ("combined-log*", Tutil.make "combined-log*");
+    ("combined-loglog", Tutil.make "combined-loglog");
     ( "combined-ratrace",
       (* A = RatRace itself: the pathological self-combination the paper
          discusses (mutual elimination) — the rules must still produce a
          winner. *)
       fun mem ~n ->
-        Combined.Combine.to_le
-          (Combined.Combine.create mem ~n ~make_a:Leaderelect.Rr_le.make_lean) );
+        { Leaderelect.Le.le_name = "combined-ratrace";
+          elect = Combined_rr.(elect (create mem ~n)) } );
   ]
 
-(* {1 Coroutine interleaver} *)
+(* {1 Coroutine interleaver}
 
-let test_coroutine_counts_steps () =
-  (* A sub-computation's reads/writes each cost exactly one step of the
-     enclosing process, and flips are free. *)
-  let mem = Sim.Memory.create () in
-  let reg = Sim.Register.create mem in
-  let prog ctx =
-    let sub =
-      Combined.Coroutine.spawn (fun () ->
-          ignore (Sim.Ctx.flip ctx 2);
-          Sim.Ctx.write ctx reg 1;
-          ignore (Sim.Ctx.flip ctx 2);
-          Sim.Ctx.read ctx reg = 1)
-    in
-    let rec drive () =
-      match Combined.Coroutine.state sub with
-      | Combined.Coroutine.Finished b -> if b then 1 else 0
-      | Combined.Coroutine.Running ->
-          Combined.Coroutine.step sub;
-          drive ()
-    in
-    drive ()
-  in
-  let sched = Sim.Sched.create [| prog |] in
-  Sim.Sched.run sched (Sim.Adversary.round_robin ());
-  checki "result" 1 (Option.get (Sim.Sched.result sched 0));
-  checki "two shared steps" 2 (Sim.Sched.steps sched 0);
-  checki "two flips" 2 (Sim.Sched.flips sched 0)
+   The cases are written once over the stepped memory of any backend:
+   on the simulator they run inside a scheduled process, on [Atomic_mem]
+   directly in the calling domain. *)
 
-let test_coroutine_interleaves () =
-  (* Two sub-computations of one process alternate their writes. *)
-  let mem = Sim.Memory.create () in
-  let a = Sim.Register.create mem and b = Sim.Register.create mem in
-  let order = ref [] in
-  let prog ctx =
+module Coroutine_cases (M : Backend.Mem.S) = struct
+  module St = Combined.Coroutine.Stepped (M)
+
+  let rec drive sub =
+    match Combined.Coroutine.state sub with
+    | Combined.Coroutine.Finished b -> b
+    | Combined.Coroutine.Running ->
+        Combined.Coroutine.step sub;
+        drive sub
+
+  (* One write and one read between two flips: two steps, two flips. *)
+  let counts mem ctx =
+    let reg = M.alloc mem ~name:"r" in
+    drive
+      (Combined.Coroutine.spawn (fun () ->
+           ignore (St.flip ctx 2);
+           St.write ctx reg 1;
+           ignore (St.flip ctx 2);
+           St.read ctx reg = 1))
+
+  (* Two sub-computations alternate their writes; the order of the
+     writes that landed, most recent first. *)
+  let interleaves mem ctx =
+    let a = M.alloc mem ~name:"a" and b = M.alloc mem ~name:"b" in
+    let order = ref [] in
     let wr reg tag () =
-      Sim.Ctx.write ctx reg 1;
+      St.write ctx reg 1;
       order := tag :: !order;
-      Sim.Ctx.write ctx reg 2;
+      St.write ctx reg 2;
       order := tag :: !order;
       true
     in
@@ -65,31 +63,70 @@ let test_coroutine_interleaves () =
     Combined.Coroutine.step s2;
     Combined.Coroutine.step s1;
     Combined.Coroutine.step s2;
-    0
-  in
-  let sched = Sim.Sched.create [| prog |] in
-  Sim.Sched.run sched (Sim.Adversary.round_robin ());
-  Alcotest.(check (list string)) "alternating" [ "b"; "a"; "b"; "a" ] !order
+    !order
 
-let test_coroutine_abandon () =
-  let mem = Sim.Memory.create () in
-  let reg = Sim.Register.create mem in
-  let prog ctx =
+  (* One step, then abandon: the value the register holds after. *)
+  let abandon mem ctx =
+    let reg = M.alloc mem ~name:"r" in
     let sub =
       Combined.Coroutine.spawn (fun () ->
-          Sim.Ctx.write ctx reg 1;
-          Sim.Ctx.write ctx reg 2;
+          St.write ctx reg 1;
+          St.write ctx reg 2;
           true)
     in
     Combined.Coroutine.step sub;
     Combined.Coroutine.abandon sub;
     Combined.Coroutine.step sub;
     (* further steps are no-ops *)
-    Sim.Ctx.read ctx reg
-  in
-  let sched = Sim.Sched.create [| prog |] in
+    M.read ctx reg
+end
+
+module Sim_cases = Coroutine_cases (Backend.Sim_mem)
+module Atomic_cases = Coroutine_cases (Backend.Atomic_mem)
+
+(* Run [prog] as the only process of a round-robin schedule. *)
+let solo prog =
+  let mem = Sim.Memory.create () in
+  let sched = Sim.Sched.create [| prog mem |] in
   Sim.Sched.run sched (Sim.Adversary.round_robin ());
+  sched
+
+let test_coroutine_counts_steps () =
+  (* A sub-computation's reads/writes each cost exactly one step of the
+     enclosing process, and flips are free. *)
+  let sched =
+    solo (fun mem ctx -> if Sim_cases.counts mem ctx then 1 else 0)
+  in
+  checki "result" 1 (Option.get (Sim.Sched.result sched 0));
+  checki "two shared steps" 2 (Sim.Sched.steps sched 0);
+  checki "two flips" 2 (Sim.Sched.flips sched 0)
+
+let test_coroutine_interleaves () =
+  (* Two sub-computations of one process alternate their writes. *)
+  let order = ref [] in
+  ignore
+    (solo (fun mem ctx ->
+         order := Sim_cases.interleaves mem ctx;
+         0));
+  Alcotest.(check (list string)) "alternating" [ "b"; "a"; "b"; "a" ] !order
+
+let test_coroutine_abandon () =
+  let sched = solo Sim_cases.abandon in
   checki "only first write landed" 1 (Option.get (Sim.Sched.result sched 0))
+
+let test_coroutine_atomic () =
+  (* The same cases on [Atomic.t] registers, in this domain: the
+     coroutines need no scheduler, only the [Step] handler. *)
+  let mem = Backend.Atomic_mem.create () in
+  let ctx =
+    Backend.Atomic_mem.ctx ~rng:(Random.State.make [| 7 |]) ~slot:0 ()
+  in
+  checkb "step accounting result" true (Atomic_cases.counts mem ctx);
+  Alcotest.(check (list string))
+    "alternating" [ "b"; "a"; "b"; "a" ]
+    (Atomic_cases.interleaves mem ctx);
+  checki "only first write landed" 1 (Atomic_cases.abandon mem ctx);
+  checki "registers" 4 (Backend.Atomic_mem.allocated mem)
 
 (* {1 Combined leader election: generic properties} *)
 
@@ -135,8 +172,7 @@ let test_space_is_linear () =
   List.iter
     (fun n ->
       let mem = Sim.Memory.create () in
-      ignore (Combined.Combine.create mem ~n ~make_a:(fun mem ~n ->
-          Leaderelect.Le_logstar.make mem ~n));
+      ignore (Tutil.make "combined-log*" mem ~n);
       let regs = Sim.Memory.allocated mem in
       checkb
         (Printf.sprintf "combined(%d) = %d <= 70n" n regs)
@@ -148,11 +184,11 @@ let test_combined_steps_at_most_twice_a () =
   (* Against an oblivious adversary the combination should stay within a
      small factor of the underlying log* algorithm. *)
   let a_combined =
-    Tutil.avg_max_steps ~trials:20 ~make:Combined.Combine.make_logstar ~n:256
+    Tutil.avg_max_steps ~trials:20 ~make:(Tutil.make "combined-log*") ~n:256
       ~k:256 ()
   in
   let a_plain =
-    Tutil.avg_max_steps ~trials:20 ~make:Leaderelect.Le_logstar.make ~n:256
+    Tutil.avg_max_steps ~trials:20 ~make:(Tutil.make "log*") ~n:256
       ~k:256 ()
   in
   checkb
@@ -169,6 +205,7 @@ let () =
           Alcotest.test_case "step accounting" `Quick test_coroutine_counts_steps;
           Alcotest.test_case "interleaving" `Quick test_coroutine_interleaves;
           Alcotest.test_case "abandon" `Quick test_coroutine_abandon;
+          Alcotest.test_case "atomic backend" `Quick test_coroutine_atomic;
         ] );
       ( "safety",
         per_impl (fun (name, make) ->

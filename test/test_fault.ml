@@ -328,6 +328,40 @@ let test_chaos_plan_override () =
   checki "one crash per trial" 4 r.Fault.Chaos.crashes;
   checki "no violations" 0 r.Fault.Chaos.violations
 
+(* Three reports of one small sweep point, with hand-set counts, and the
+   totals [rtas chaos] must print for them. *)
+let totals_fixture () =
+  let r =
+    Fault.Chaos.run_point ~mode:Fault.Chaos.Tas ~algorithm:"log*" ~n:8 ~k:4
+      ~crash_prob:0.3 ~trials:3 ~seed:11L ()
+  in
+  let a = { r with Fault.Chaos.trials = 5; crashes = 2; violations = 1; timeouts = 0 }
+  and b = { r with Fault.Chaos.trials = 7; crashes = 4; violations = 0; timeouts = 3 } in
+  let expected =
+    Printf.sprintf
+      "chaos.crashes = %d\nchaos.livelock_timeouts = 3\nchaos.trials = 15\n\
+       chaos.violations = 1\n"
+      (6 + r.Fault.Chaos.crashes)
+  in
+  (a, r, b, expected)
+
+let totals reports = Fmt.str "%a" Fault.Chaos.pp_totals reports
+
+let test_chaos_totals () =
+  (* [rtas chaos] prints the sweep's totals as sums over its reports, in
+     name order. *)
+  let a, r, b, expected = totals_fixture () in
+  Alcotest.(check string) "sums" expected (totals [ a; r; b ]);
+  Alcotest.(check string) "no reports, no lines" "" (totals [])
+
+let test_chaos_totals_order_independent () =
+  (* The totals do not depend on the order the reports come in. *)
+  let a, r, b, expected = totals_fixture () in
+  List.iter
+    (fun reports ->
+      Alcotest.(check string) "order-independent" expected (totals reports))
+    [ [ a; b; r ]; [ r; a; b ]; [ r; b; a ]; [ b; a; r ]; [ b; r; a ] ]
+
 let test_chaos_unknown_algorithm () =
   (* Rejected up front, not retried until the watchdog calls it a
      livelock. *)
@@ -403,6 +437,9 @@ let () =
           Alcotest.test_case "simulated smoke" `Quick test_chaos_smoke;
           Alcotest.test_case "leader-election mode" `Quick test_chaos_le_mode;
           Alcotest.test_case "plan override" `Quick test_chaos_plan_override;
+          Alcotest.test_case "totals sum the reports" `Quick test_chaos_totals;
+          Alcotest.test_case "totals are order-independent" `Quick
+            test_chaos_totals_order_independent;
           Alcotest.test_case "unknown algorithm rejected" `Quick
             test_chaos_unknown_algorithm;
           Alcotest.test_case "multicore smoke" `Quick test_mc_chaos_smoke;

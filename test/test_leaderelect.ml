@@ -6,12 +6,12 @@ let checkb = Alcotest.(check bool)
 
 let implementations : (string * (Sim.Memory.t -> n:int -> Leaderelect.Le.t)) list =
   [
-    ("log*", Leaderelect.Le_logstar.make);
-    ("loglog", Leaderelect.Le_loglog.make);
-    ("aa", Leaderelect.Aa.make);
-    ("tournament", Leaderelect.Tournament.make);
-    ("ratrace-lean", Leaderelect.Rr_le.make_lean);
-    ("poison", Leaderelect.Poison_le.make);
+    ("log*", Tutil.make "log*");
+    ("loglog", Tutil.make "loglog");
+    ("aa", Tutil.make "aa");
+    ("tournament", Tutil.make "tournament");
+    ("ratrace-lean", Tutil.make "ratrace-lean");
+    ("poison", Tutil.make "poison");
   ]
 
 (* Opt_space_le is excluded from [implementations]: its crash-free
@@ -147,9 +147,9 @@ let test_logstar_space_linear () =
 let test_logstar_steps_nearly_constant () =
   (* O(log* k): the average max step count should be essentially flat in
      k; allow a generous factor of 2 between k=4 and k=1024. *)
-  let a4 = Tutil.avg_max_steps ~trials:25 ~make:Leaderelect.Le_logstar.make ~n:1024 ~k:4 () in
+  let a4 = Tutil.avg_max_steps ~trials:25 ~make:(Tutil.make "log*") ~n:1024 ~k:4 () in
   let a1024 =
-    Tutil.avg_max_steps ~trials:25 ~make:Leaderelect.Le_logstar.make ~n:1024 ~k:1024 ()
+    Tutil.avg_max_steps ~trials:25 ~make:(Tutil.make "log*") ~n:1024 ~k:1024 ()
   in
   checkb
     (Printf.sprintf "log* steps nearly flat: %.1f -> %.1f" a4 a1024)
@@ -181,20 +181,27 @@ let test_tournament_all_pids_distinct_leaves () =
   let k = 8 in
   let schedule = Array.concat (List.init k (fun pid -> Array.make 200 pid)) in
   let sched, _ =
-    Tutil.run_le ~make:Leaderelect.Tournament.make ~n:8 ~k
+    Tutil.run_le ~make:(Tutil.make "tournament") ~n:8 ~k
       (Sim.Adversary.fixed_schedule ~then_halt:false schedule)
   in
   checki "one winner" 1 (Tutil.count_winners sched)
 
 let test_tournament_steps_logarithmic () =
-  let a = Tutil.avg_max_steps ~trials:25 ~make:Leaderelect.Tournament.make ~n:256 ~k:256 () in
+  let a = Tutil.avg_max_steps ~trials:25 ~make:(Tutil.make "tournament") ~n:256 ~k:256 () in
   (* 8 levels, constant expected steps each. *)
   checkb (Printf.sprintf "tournament steps %.1f <= 150" a) true (a <= 150.0)
 
+module Aa_original =
+  Leaderelect.Aa.Make_fallback (Ratrace.Rr_classic.Make) (Backend.Sim_mem)
+
 let test_aa_original_fallback () =
+  let make mem ~n =
+    { Leaderelect.Le.le_name = "aa-original";
+      elect = Aa_original.(elect (create mem ~n)) }
+  in
   for seed = 1 to 10 do
     let sched, _ =
-      Tutil.run_le ~seed:(Int64.of_int seed) ~make:Leaderelect.Aa.make_original ~n:8
+      Tutil.run_le ~seed:(Int64.of_int seed) ~make ~n:8
         ~k:8
         (Sim.Adversary.random_oblivious ~seed:(Int64.of_int (seed * 3)))
     in
@@ -211,7 +218,7 @@ let test_adaptive_attack_hurts_logstar () =
      near-constant behaviour under oblivious scheduling. *)
   let run adv k seed =
     let sched, _ =
-      Tutil.run_le ~seed:(Int64.of_int seed) ~make:Leaderelect.Le_logstar.make
+      Tutil.run_le ~seed:(Int64.of_int seed) ~make:(Tutil.make "log*")
         ~n:64 ~k (adv seed)
     in
     Sim.Sched.max_steps sched
@@ -241,7 +248,7 @@ let test_rw_attack_hurts_logstar () =
     let t = ref 0 in
     for seed = 1 to 20 do
       let sched, _ =
-        Tutil.run_le ~seed:(Int64.of_int seed) ~make:Leaderelect.Le_logstar.make
+        Tutil.run_le ~seed:(Int64.of_int seed) ~make:(Tutil.make "log*")
           ~n:64 ~k (adv seed)
       in
       t := !t + Sim.Sched.max_steps sched
@@ -320,7 +327,12 @@ let test_read_priority_cannot_hurt_logstar_much () =
    pin the lazy layout (ids and names) to the eager one. The n=2 seed 747
    case falls off the primary tree and descends the backup grid from
    (0,0) to (1,0), so it pins the grid's row-major indexing too; lean
-   RatRace shares [Primary_tree]. *)
+   RatRace shares [Primary_tree].
+
+   The loglog, aa and combined-* cases were captured from the code
+   written against the simulator, before those elections became
+   functors over [Backend.Mem.S]; the combined ones also pin the
+   stepped-memory interleaving to the old effect-catching one. *)
 
 let trace_fingerprint sched =
   Digest.to_hex
@@ -330,30 +342,54 @@ let trace_fingerprint sched =
 
 let golden_cases =
   [
-    ("tournament", Leaderelect.Tournament.make, 8, 8, 5L, `Rand,
+    ("tournament", Tutil.make "tournament", 8, 8, 5L, `Rand,
      "c0ea3b2a67a1d09cc1c0ae70a270173d", 16);
-    ("tournament", Leaderelect.Tournament.make, 8, 8, 9L, `Rr,
+    ("tournament", Tutil.make "tournament", 8, 8, 9L, `Rr,
      "feeb56772916d76ffc1f03644d354c46", 16);
-    ("log*", Leaderelect.Le_logstar.make, 8, 8, 5L, `Rand,
+    ("log*", Tutil.make "log*", 8, 8, 5L, `Rand,
      "c56769ee469e440bc0e13a7b69c5b548", 72);
-    ("log*", Leaderelect.Le_logstar.make, 8, 8, 9L, `Rr,
+    ("log*", Tutil.make "log*", 8, 8, 9L, `Rr,
      "cb1825cf594aad2aef828a1c1f02cd49", 72);
-    ("tournament", Leaderelect.Tournament.make, 16, 5, 3L, `Rand,
+    ("tournament", Tutil.make "tournament", 16, 5, 3L, `Rand,
      "690e8b436f2bc4c66dd7a46ec1054ce6", 32);
-    ("log*", Leaderelect.Le_logstar.make, 16, 5, 3L, `Rand,
+    ("log*", Tutil.make "log*", 16, 5, 3L, `Rand,
      "b94ce997bc5544e31c1bfc06df2c3fa6", 136);
-    ("ratrace", Leaderelect.Rr_le.make_original, 8, 8, 5L, `Rand,
+    ("ratrace", Tutil.make "ratrace", 8, 8, 5L, `Rand,
      "c1ff6e37886f8e73969e08719d122e81", 6530);
-    ("ratrace", Leaderelect.Rr_le.make_original, 8, 8, 9L, `Rr,
+    ("ratrace", Tutil.make "ratrace", 8, 8, 9L, `Rr,
      "36f64752ed21e397748d6316d5bf39f8", 6530);
-    ("ratrace", Leaderelect.Rr_le.make_original, 16, 5, 3L, `Rand,
+    ("ratrace", Tutil.make "ratrace", 16, 5, 3L, `Rand,
      "e4d70121d491a9bb281b68124f850d98", 50690);
-    ("ratrace", Leaderelect.Rr_le.make_original, 2, 2, 747L, `Rand,
+    ("ratrace", Tutil.make "ratrace", 2, 2, 747L, `Rand,
      "2b71e7f8d3638b3edf6759fa89247641", 122);
-    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 8, 8, 5L, `Rand,
+    ("ratrace-lean", Tutil.make "ratrace-lean", 8, 8, 5L, `Rand,
      "e5de16f6f11bf1d04845df7d71342ae0", 274);
-    ("ratrace-lean", Leaderelect.Rr_le.make_lean, 16, 5, 3L, `Rand,
+    ("ratrace-lean", Tutil.make "ratrace-lean", 16, 5, 3L, `Rand,
      "94df6d52f0f350df726331bc9ee3c32a", 514);
+    ("loglog", Tutil.make "loglog", 8, 8, 5L, `Rand,
+     "20857ef15e1b209f893ef8bcafeb2df0", 40);
+    ("loglog", Tutil.make "loglog", 8, 8, 9L, `Rr,
+     "10fcbc56d0b9dd2ff457632e88f49b8b", 40);
+    ("loglog", Tutil.make "loglog", 16, 5, 3L, `Rand,
+     "aebc049f2eab9730b331e522f8e0dabd", 74);
+    ("aa", Tutil.make "aa", 8, 8, 5L, `Rand,
+     "ebd780cd287de525ef49a911fe365248", 280);
+    ("aa", Tutil.make "aa", 8, 8, 9L, `Rr,
+     "034de09790500d45bd55220e6bfa26dc", 280);
+    ("aa", Tutil.make "aa", 16, 5, 3L, `Rand,
+     "d13afadab9067cf6fa031eae022c8211", 526);
+    ("combined-log*", Tutil.make "combined-log*", 8, 8, 5L, `Rand,
+     "1237a62893915ac89662181ebeeab6fd", 348);
+    ("combined-log*", Tutil.make "combined-log*", 8, 8, 9L, `Rr,
+     "f9386f4eb76f681fee1b72a729354529", 348);
+    ("combined-log*", Tutil.make "combined-log*", 16, 5, 3L, `Rand,
+     "6a3191fbcdf55e79465f4f6d50677738", 652);
+    ("combined-loglog", Tutil.make "combined-loglog", 8, 8, 5L, `Rand,
+     "0ced37f8ab0763707d78db1d24bfc15a", 316);
+    ("combined-loglog", Tutil.make "combined-loglog", 8, 8, 9L, `Rr,
+     "4611c6b178e3b0822b614dcf194d13f7", 316);
+    ("combined-loglog", Tutil.make "combined-loglog", 16, 5, 3L, `Rand,
+     "2a8be8e1a77922a6e04063e884f70b74", 590);
   ]
 
 let test_golden_traces () =
@@ -509,12 +545,12 @@ let test_optspace_crash_exhaustive () =
 
 let test_optspace_safety_in_regime () =
   (* The deterministic-liveness regime: k <= chain_levels n. *)
-  Tutil.safety_sweep ~trials:25 ~make:Leaderelect.Opt_space_le.make ~n:32
+  Tutil.safety_sweep ~trials:25 ~make:(Tutil.make "opt-space") ~n:32
     ~ks:[ 1; 2; 3; 8; 15 ] ()
 
 let test_optspace_solo () =
   let sched, _ =
-    Tutil.run_le ~make:Leaderelect.Opt_space_le.make ~n:16 ~k:1
+    Tutil.run_le ~make:(Tutil.make "opt-space") ~n:16 ~k:1
       (Sim.Adversary.round_robin ())
   in
   checki "solo wins" 1 (Tutil.count_winners sched)
@@ -525,7 +561,7 @@ let test_optspace_sequential () =
     Array.concat (List.init k (fun pid -> Array.make 4000 pid))
   in
   let sched, _ =
-    Tutil.run_le ~make:Leaderelect.Opt_space_le.make ~n:16 ~k
+    Tutil.run_le ~make:(Tutil.make "opt-space") ~n:16 ~k
       (Sim.Adversary.fixed_schedule ~then_halt:false schedule)
   in
   checki "exactly one winner" 1 (Tutil.count_winners sched)

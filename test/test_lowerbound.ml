@@ -84,9 +84,9 @@ let test_interval_of () =
 
 let harness_impls =
   [
-    ("log*", Leaderelect.Le_logstar.make);
-    ("tournament", Leaderelect.Tournament.make);
-    ("ratrace-lean", Leaderelect.Rr_le.make_lean);
+    ("log*", Tutil.make "log*");
+    ("tournament", Tutil.make "tournament");
+    ("ratrace-lean", Tutil.make "ratrace-lean");
   ]
 
 let test_base_round (name, make) () =
@@ -124,7 +124,7 @@ let test_covering_exec_tournament () =
   List.iter
     (fun n ->
       let r =
-        Lowerbound.Covering_exec.run ~make:Leaderelect.Tournament.make ~n
+        Lowerbound.Covering_exec.run ~make:(Tutil.make "tournament") ~n
           ~seed:3L ()
       in
       checki "no rounds needed" 0 r.Lowerbound.Covering_exec.rounds;
@@ -139,7 +139,7 @@ let test_covering_exec_ratrace_lean () =
   List.iter
     (fun n ->
       let r =
-        Lowerbound.Covering_exec.run ~make:Leaderelect.Rr_le.make_lean ~n
+        Lowerbound.Covering_exec.run ~make:(Tutil.make "ratrace-lean") ~n
           ~seed:7L ()
       in
       checkb "made progress" true (r.Lowerbound.Covering_exec.rounds > 0);
@@ -161,7 +161,7 @@ let test_covering_exec_reps_dominate_f () =
      f recurrence at the corresponding round. *)
   let n = 32 in
   let r =
-    Lowerbound.Covering_exec.run ~make:Leaderelect.Rr_le.make_lean ~n ~seed:5L ()
+    Lowerbound.Covering_exec.run ~make:(Tutil.make "ratrace-lean") ~n ~seed:5L ()
   in
   let k = min (n - 1) r.Lowerbound.Covering_exec.rounds in
   checkb
@@ -172,7 +172,7 @@ let test_covering_exec_reps_dominate_f () =
 
 let test_covering_exec_deterministic () =
   let run () =
-    Lowerbound.Covering_exec.run ~make:Leaderelect.Rr_le.make_lean ~n:16
+    Lowerbound.Covering_exec.run ~make:(Tutil.make "ratrace-lean") ~n:16
       ~seed:9L ()
   in
   let a = run () and b = run () in

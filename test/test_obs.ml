@@ -1,47 +1,11 @@
-(* Tests for the Probe observability layer: metrics merge algebra, the
-   no-sink bit-identity guarantee, per-worker collector merging across
+(* Tests for the Probe observability layer: the no-sink bit-identity
+   guarantee, per-worker collector merging across
    domain counts, collector span accounting (incl. crashes), and the
    structure of the Perfetto trace-event export. *)
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-(* {1 Metrics} *)
-
-let test_metrics_counters () =
-  let m = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter m "steps" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 4;
-  checki "counter value" 5 (Obs.Metrics.value c);
-  checkb "get-or-create returns the same counter" true
-    (Obs.Metrics.counter m "steps" == c);
-  ignore (Obs.Metrics.counter m "a");
-  checkb "snapshot sorted by name" true
-    ((Obs.Metrics.snapshot m).Obs.Metrics.counters = [ ("a", 0); ("steps", 5) ])
-
-let registry_with pairs =
-  let m = Obs.Metrics.create () in
-  List.iter (fun (name, v) -> Obs.Metrics.add (Obs.Metrics.counter m name) v) pairs;
-  Obs.Metrics.snapshot m
-
-let test_metrics_merge_associative () =
-  let a = registry_with [ ("x", 1); ("y", 2) ] in
-  let b = registry_with [ ("y", 5); ("z", 7) ] in
-  let c = registry_with [ ("x", 10) ] in
-  let left = Obs.Metrics.merge (Obs.Metrics.merge a b) c in
-  let right = Obs.Metrics.merge a (Obs.Metrics.merge b c) in
-  checkb "merge associative" true (left = right);
-  checkb "empty is left identity" true
-    (Obs.Metrics.merge Obs.Metrics.empty_snapshot a = a);
-  checkb "empty is right identity" true
-    (Obs.Metrics.merge a Obs.Metrics.empty_snapshot = a);
-  checkb "merge commutative" true
-    (Obs.Metrics.merge a b = Obs.Metrics.merge b a);
-  match List.assoc_opt "y" left.Obs.Metrics.counters with
-  | Some v -> checki "summed counter" 7 v
-  | None -> Alcotest.fail "merged counter missing"
 
 (* {1 Bit-identity: probing must never change the execution} *)
 
@@ -115,39 +79,38 @@ let test_reset_with_sink_bit_identical () =
 
 (* {1 Engine.run_probed: per-worker collectors merge domain-independently} *)
 
+(* The merged snapshot and the winners counted beside each worker's
+   collector, as [rtas profile] counts them. *)
 let probed_batch ~domains =
-  let _stats, collectors =
+  let _stats, handles =
     Engine.run_probed ~domains ~chunk:2 ~trials:12 ~seed:0xFEEDL
       ~probe:(fun () ->
         let c = Obs.Collector.create () in
-        (c, Obs.Collector.sink c))
-      ~local:(fun c -> c)
-      (fun c ~trial:_ ~seed ->
+        ((c, ref 0), Obs.Collector.sink c))
+      ~local:(fun (_, winners) -> winners)
+      (fun winners ~trial:_ ~seed ->
         let mem = Sim.Memory.create () in
         let progs = programs "log*" mem ~n:16 ~k:6 in
         let sched = Sim.Sched.create ~seed progs in
         Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed);
-        let winners = Obs.Metrics.counter (Obs.Collector.metrics c) "winners" in
         for pid = 0 to Sim.Sched.n sched - 1 do
-          if Sim.Sched.result sched pid = Some 1 then Obs.Metrics.incr winners
+          if Sim.Sched.result sched pid = Some 1 then incr winners
         done)
   in
-  List.fold_left Obs.Collector.merge Obs.Collector.empty_snapshot
-    (List.map Obs.Collector.snapshot collectors)
+  ( List.fold_left Obs.Collector.merge Obs.Collector.empty_snapshot
+      (List.map (fun (c, _) -> Obs.Collector.snapshot c) handles),
+    List.fold_left (fun a (_, w) -> a + !w) 0 handles )
 
 let test_run_probed_domain_independent () =
-  let sn1 = probed_batch ~domains:1 in
-  let sn3 = probed_batch ~domains:3 in
+  let sn1, w1 = probed_batch ~domains:1 in
+  let sn3, w3 = probed_batch ~domains:3 in
   checkb "batch saw work" true (sn1.Obs.Collector.sn_steps > 0);
   checkb "merged snapshots equal across domain counts" true (sn1 = sn3);
-  match
-    List.assoc_opt "winners" sn1.Obs.Collector.sn_metrics.Obs.Metrics.counters
-  with
-  | Some w -> checki "one winner per trial" 12 w
-  | None -> Alcotest.fail "winners counter missing"
+  checki "one winner per trial" 12 w1;
+  checki "winners equal across domain counts" w1 w3
 
 let test_collector_merge_associative () =
-  let sn = probed_batch ~domains:1 in
+  let sn, _ = probed_batch ~domains:1 in
   let e = Obs.Collector.empty_snapshot in
   checkb "empty left identity" true (Obs.Collector.merge e sn = sn);
   checkb "empty right identity" true (Obs.Collector.merge sn e = sn);
@@ -632,12 +595,6 @@ let test_timeseries_export () =
 let () =
   Alcotest.run "obs"
     [
-      ( "metrics",
-        [
-          Alcotest.test_case "counters" `Quick test_metrics_counters;
-          Alcotest.test_case "merge is associative/commutative" `Quick
-            test_metrics_merge_associative;
-        ] );
       ( "timeseries",
         [
           Alcotest.test_case "windowed counters, gauges, quantiles" `Quick

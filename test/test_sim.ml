@@ -620,6 +620,14 @@ let test_rmr_max () =
   Sim.Sched.run sched (Sim.Adversary.round_robin ());
   checki "max over processes" 3 (Sim.Sched.max_rmrs sched)
 
+(* Words allocated so far. [Gc.minor_words ()] counts the minor heap
+   exactly ([Gc.allocated_bytes]'s minor part only moves at a
+   collection); arrays too large for it go straight to the major heap,
+   counted as major minus promoted words. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* The RMR cache costs what a run touches: one register far out in the
    id space (a classic RatRace structure at n=64 declares 3.17M
    registers) must not make the first run pay for every id below it. *)
@@ -632,12 +640,10 @@ let test_rmr_cache_sparse_ids () =
     Sim.Ctx.write ctx r (Sim.Ctx.read ctx r + 1);
     0
   in
-  let before = Gc.allocated_bytes () in
+  let before = allocated_words () in
   let sched = Sim.Sched.create (Array.make 64 prog) in
   Sim.Sched.run sched (Sim.Adversary.round_robin ());
-  let words =
-    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
-  in
+  let words = allocated_words () -. before in
   for pid = 0 to 63 do
     checki (Printf.sprintf "p%d: read and write are RMRs" pid) 2
       (Sim.Sched.rmrs sched pid)
@@ -691,18 +697,15 @@ let test_step_allocation_ceiling () =
       in
       ceiling name w)
     [
-      ("ratrace", Leaderelect.Rr_le.make_original);
-      ("ratrace-lean", Leaderelect.Rr_le.make_lean);
+      ("ratrace", Tutil.make "ratrace");
+      ("ratrace-lean", Tutil.make "ratrace-lean");
     ]
 
 (* Process exits allocate nothing: 1,024 processes each do one read and
    exit, on a reused scheduler. A run is 1,024 steps and 1,024 exits;
    per step it may allocate what a scheduled step costs (the view, the
    decision, the continuation), but no exit may allocate in proportion
-   to the processes still running. [Gc.minor_words ()] counts the minor
-   heap exactly ([Gc.allocated_bytes]'s minor part only moves at a
-   collection); arrays too large for it go straight to the major heap,
-   counted as major minus promoted words. *)
+   to the processes still running (counted by [allocated_words]). *)
 let test_exit_allocation () =
   let k = 1024 in
   let mem = Sim.Memory.create () in
@@ -714,13 +717,9 @@ let test_exit_allocation () =
     Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed)
   in
   trial 1L;
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
-  let before = words () in
+  let before = allocated_words () in
   trial 2L;
-  let words = words () -. before in
+  let words = allocated_words () -. before in
   checki "steps" k (Sim.Sched.time sched);
   checkb
     (Printf.sprintf "%.0f words for %d exits (<= 32 per step)" words k)

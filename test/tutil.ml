@@ -14,6 +14,9 @@ let check_le_outcome ~crash_free sched =
   if crash_free && all_finished sched && winners <> 1 then
     Alcotest.fail "crash-free execution without a winner"
 
+(* The registry entry's simulator constructor. *)
+let make name = (Option.get (Rtas.Registry.find name)).Rtas.Registry.make
+
 (* Build a leader election from [make], run [k] participants under
    [adversary], and return the scheduler (for inspection) and memory
    (for space accounting). *)

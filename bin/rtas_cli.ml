@@ -112,31 +112,30 @@ let run_cmd =
 
 let registry_cmd =
   (* Capability inventory: registers at a sample n on the simulator
-     backend, plus whether the entry carries an Atomic.t (`mc`) and a
-     flat-kernel (`flat`) implementation, with their register counts,
-     then the paper's bounds: steps, adversary class and space.
-     Exits non-zero if a dual entry's Atomic.t register count disagrees
-     with the simulator's — the backends allocate through one functor,
-     so a divergence is a wiring bug. *)
+     backend and on Atomic.t (`mc`), plus whether the entry carries a
+     flat-kernel (`flat`) implementation, with its register count, then
+     the paper's bounds: steps, adversary class and space. Exits
+     non-zero if an entry's Atomic.t register count disagrees with the
+     simulator's — the backends allocate through one functor, so a
+     divergence is a wiring bug. *)
   let registry n =
     require_positive "registry" "-n" n;
     let ok = ref true in
     let row e =
       let mem = Sim.Memory.create () in
-      ignore (e.Rtas.Registry.make mem ~n);
+      let (_ : Leaderelect.Le.t) = e.Rtas.Registry.make mem ~n in
       let regs = Sim.Memory.allocated mem in
+      let mc_mem = Backend.Atomic_mem.create () in
+      let (_ : Backend.Atomic_mem.ctx Leaderelect.Le.elect) =
+        e.Rtas.Registry.make_mc mc_mem ~n
+      in
+      let mc_regs = Backend.Atomic_mem.allocated mc_mem in
       let mc =
-        match e.Rtas.Registry.make_mc with
-        | None -> "-"
-        | Some f ->
-            let mc_mem = Backend.Atomic_mem.create () in
-            ignore (f mc_mem ~n);
-            let mc_regs = Backend.Atomic_mem.allocated mc_mem in
-            if mc_regs <> regs then begin
-              ok := false;
-              Printf.sprintf "%d!=sim" mc_regs
-            end
-            else string_of_int mc_regs
+        if mc_regs = regs then string_of_int mc_regs
+        else begin
+          ok := false;
+          Printf.sprintf "%d!=sim" mc_regs
+        end
       in
       let flat =
         match e.Rtas.Registry.make_flat with
@@ -301,8 +300,9 @@ let chaos_cmd =
       value & flag
       & info [ "mc" ]
           ~doc:
-            "Also stress the real-multicore TAS implementations \
-             (crash-before-invoke fault model on true domains).")
+            "Also stress every registry election, and the native \
+             Atomic.exchange reference, as a TAS on real domains \
+             (crash-before-invoke fault model).")
   in
   let plan_arg =
     Arg.(
@@ -328,53 +328,28 @@ let chaos_cmd =
     require_positive "chaos" "-n" n;
     require_k "chaos" ~n k;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
-    let seed64 = Int64.of_int seed in
-    Fmt.pr "%-14s %-4s %6s %7s %8s %8s %9s %10s@." "impl" "mode" "prob"
-      "trials" "crashes" "timeouts" "viols" "steps";
-    let failures = ref [] and reports = ref [] in
-    let note impl seeds last_failure violations timeouts =
-      if violations > 0 || timeouts > 0 then
-        failures := (impl, seeds, last_failure) :: !failures
+    let sweep mode algorithms =
+      Fault.Chaos.sweep ~timeout ~retries ~domains ?plan ~mode ~algorithms ~n
+        ~k ~probs ~trials ~seed:(Int64.of_int seed) ()
     in
-    List.iter
-      (fun algorithm ->
-        List.iter
-          (fun crash_prob ->
-            let r =
-              Fault.Chaos.run_point ~timeout ~retries ~domains ?plan ~mode
-                ~algorithm ~n ~k ~crash_prob ~trials ~seed:seed64 ()
-            in
-            Fmt.pr "%a@." Fault.Chaos.pp_report r;
-            reports := r :: !reports;
-            note r.Fault.Chaos.impl r.Fault.Chaos.failure_seeds
-              r.Fault.Chaos.last_failure r.Fault.Chaos.violations
-              r.Fault.Chaos.timeouts)
-          probs)
-      algorithms;
-    if mc then
-      List.iter
-        (fun impl ->
-          List.iter
-            (fun crash_prob ->
-              let r =
-                Fault.Mc_chaos.run_point ~timeout:(Float.max timeout 10.0)
-                  ~retries ~impl ~k ~crash_prob ~trials ~seed:seed64 ()
-              in
-              Fmt.pr "%a@." Fault.Mc_chaos.pp_report r;
-              note r.Fault.Mc_chaos.impl r.Fault.Mc_chaos.failure_seeds
-                r.Fault.Mc_chaos.last_failure r.Fault.Mc_chaos.violations
-                r.Fault.Mc_chaos.timeouts)
-            probs)
-        (Fault.Mc_chaos.impl_names ());
-    Fmt.pr "%a" Fault.Chaos.pp_totals !reports;
-    match List.rev !failures with
+    let reports =
+      sweep mode algorithms
+      @ if mc then sweep Fault.Chaos.Mc (Fault.Chaos.impl_names ()) else []
+    in
+    Fmt.pr "%a%a" Fault.Chaos.pp_table reports Fault.Chaos.pp_totals reports;
+    let failures =
+      List.filter
+        (fun r -> r.Fault.Chaos.violations > 0 || r.Fault.Chaos.timeouts > 0)
+        reports
+    in
+    match failures with
     | [] -> Fmt.pr "chaos: no safety violations (seed %d).@." seed
     | failures ->
         List.iter
-          (fun (impl, seeds, last_failure) ->
+          (fun { Fault.Chaos.impl; failure_seeds; last_failure; _ } ->
             Fmt.pr "FAIL %s: reproduce with seeds [%a]%a@." impl
               Fmt.(list ~sep:semi int64)
-              seeds
+              failure_seeds
               Fmt.(
                 option
                   (any " (last watchdog failure: " ++ Fault.Watchdog.pp_reason
@@ -603,68 +578,58 @@ let mc_cmd =
       "registers" "unique winner";
     List.iter
       (fun (e : Rtas.Registry.entry) ->
-        match e.Rtas.Registry.make_mc with
-        | None -> ()
-        | Some make_mc ->
-            let registers = ref 0 in
-            let violations = ref 0 in
-            for trial = 1 to trials do
-              let mem = Backend.Atomic_mem.create () in
-              let le = make_mc mem ~n:domains in
-              registers := Backend.Atomic_mem.allocated mem;
-              (* The domain race goes through the watchdog: the monitor
-                 polls per-slot done-flags and, past the timeout, leaks
-                 the stuck domains and reports which slots made it. *)
-              match
-                Fault.Watchdog.race ~timeout ~n:domains
-                  ~label:(fun slot ->
-                    Printf.sprintf "%s slot %d" e.Rtas.Registry.name slot)
-                  (fun slot ->
-                    let rng =
-                      Random.State.make [| seed; trial; slot; 0x3C0 |]
-                    in
-                    le.Leaderelect.Le.elect
-                      (Backend.Atomic_mem.ctx ~rng ~slot ()))
-              with
-              | Ok results ->
-                  let winners =
-                    Array.fold_left
-                      (fun acc won -> if won then acc + 1 else acc)
-                      0 results
-                  in
-                  if winners <> 1 then incr violations
-              | Error stuck ->
-                  Fmt.epr "mc: %s trial %d (seed %d) %a@."
-                    e.Rtas.Registry.name trial seed Fault.Watchdog.pp_stuck
-                    stuck;
-                  exit 1
-            done;
-            if !violations > 0 then failed := true;
-            Fmt.pr "%-16s %8d %7d %10d  %s@." e.Rtas.Registry.name domains
-              trials !registers
-              (if !violations = 0 then "ok"
-               else Printf.sprintf "VIOLATED in %d/%d trials" !violations trials))
+        let registers = ref 0 in
+        let violations = ref 0 in
+        for trial = 1 to trials do
+          let mem = Backend.Atomic_mem.create () in
+          let elect = e.Rtas.Registry.make_mc mem ~n:domains in
+          registers := Backend.Atomic_mem.allocated mem;
+          (* The domain race goes through the watchdog: the monitor
+             polls per-slot done-flags and, past the timeout, leaks the
+             stuck domains and reports which slots made it. *)
+          match
+            Fault.Watchdog.race ~timeout ~n:domains
+              ~label:(fun slot ->
+                Printf.sprintf "%s slot %d" e.Rtas.Registry.name slot)
+              (fun slot ->
+                let rng = Random.State.make [| seed; trial; slot; 0x3C0 |] in
+                elect (Backend.Atomic_mem.ctx ~rng ~slot ()))
+          with
+          | Ok results ->
+              let winners =
+                Array.fold_left
+                  (fun acc won -> if won then acc + 1 else acc)
+                  0 results
+              in
+              if winners <> 1 then incr violations
+          | Error stuck ->
+              Fmt.epr "mc: %s trial %d (seed %d) %a@." e.Rtas.Registry.name
+                trial seed Fault.Watchdog.pp_stuck stuck;
+              exit 1
+        done;
+        if !violations > 0 then failed := true;
+        Fmt.pr "%-16s %8d %7d %10d  %s@." e.Rtas.Registry.name domains trials
+          !registers
+          (if !violations = 0 then "ok"
+           else Printf.sprintf "VIOLATED in %d/%d trials" !violations trials))
       Rtas.Registry.all;
     if !failed then exit 1
   in
   Cmd.v
     (Cmd.info "mc"
        ~doc:
-         "Run every registry algorithm that has a multicore backend on real \
-          domains (one per slot) and check that each trial elects a unique \
-          winner. Exits nonzero on any violation, and within bounded \
-          wall-clock on a stuck run (watchdog timeout + per-domain \
-          diagnosis).")
+         "Run every registry algorithm on real domains (one per slot) and \
+          check that each trial elects a unique winner. Exits nonzero on \
+          any violation, and within bounded wall-clock on a stuck run \
+          (watchdog timeout + per-domain diagnosis).")
     Term.(const mc $ mc_domains_arg $ trials_arg $ seed_arg $ timeout_arg)
 
 let service_cmd =
   let alg_arg =
     let doc =
       Printf.sprintf
-        "Algorithm backing every key; one of: %s. The atomic backend needs a \
-         dual-backend entry (%s)."
+        "Algorithm backing every key; one of: %s."
         (String.concat ", " (Rtas.Registry.names ()))
-        (String.concat ", " (Rtas.Registry.dual_names ()))
     in
     Arg.(value & opt string "log*" & info [ "alg" ] ~docv:"NAME" ~doc)
   in

@@ -2,8 +2,8 @@
 
    The canonical TAS use: several domains race to initialize a shared
    resource; the TAS winner performs the initialization exactly once.
-   We run the race with every registry election that has an Atomic.t
-   backend and with the hardware Atomic.exchange for reference.
+   We run the race with every registry election on its Atomic.t backend
+   and with the hardware Atomic.exchange for reference.
 
    dune exec examples/mutex.exe *)
 
@@ -36,10 +36,9 @@ let () =
     (Domain.recommended_domain_count ());
   List.iter
     (fun (e : Rtas.Registry.entry) ->
-      let make_mc = Option.get e.Rtas.Registry.make_mc in
       race ~name:e.Rtas.Registry.name (fun () ->
           Primitives.Atomic_tas.create (fun mem ->
-              (make_mc mem ~n:4).Leaderelect.Le.elect)))
-    (Rtas.Registry.dual ());
+              e.Rtas.Registry.make_mc mem ~n:4)))
+    Rtas.Registry.all;
   race ~name:"native" Primitives.Atomic_tas.native;
   Fmt.pr "@.All implementations initialized the resource exactly once.@."

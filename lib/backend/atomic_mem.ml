@@ -1,36 +1,94 @@
-type mem = { mutable count : int }
+type mem = int ref  (* registers declared *)
 type reg = int Atomic.t
 type ctx = { rng : Random.State.t option; slot : int }
 
-let create () = { count = 0 }
-let allocated m = m.count
+let create () = ref 0
+let allocated m = !m
+
+(* The counter an allocation on this domain bumps: the arena's, or, while
+   this domain builds a table entry on first access, that entry's own.
+   A lazy entry's registers were declared with its table, and other
+   domains may be building entries at the same moment, so they never
+   touch the arena's count. *)
+let building : int ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let counter m =
+  match Domain.DLS.get building with Some c -> c | None -> m
 
 let alloc m ~name:_ =
-  m.count <- m.count + 1;
+  incr (counter m);
   Atomic.make 0
 
-(* Eager: every entry exists before the table is shared, so domains only
-   ever read the array and no publication protocol is needed. *)
-type 'a table = 'a array
+(* Entries live in chunks of cells, a chunk allocated on first touch, so
+   an untouched table costs one slot per chunk. A cell holds [None]
+   until its entry is built; builders race with a CAS and a loser adopts
+   the winner's node. *)
+let chunk_bits = 6
+
+type 'a cell = 'a option Atomic.t
+
+type 'a table = {
+  name : string;
+  len : int;
+  stride : int;  (* registers per entry *)
+  build : int -> 'a;
+  chunks : 'a cell array option Atomic.t array;
+}
+
+let publish cell x =
+  if Atomic.compare_and_set cell None (Some x) then x
+  else Option.get (Atomic.get cell)
+
+let chunk t i =
+  let slot = t.chunks.(i lsr chunk_bits) in
+  match Atomic.get slot with
+  | Some c -> c
+  | None ->
+      let c = Array.init (1 lsl chunk_bits) (fun _ -> Atomic.make None) in
+      if Atomic.compare_and_set slot None (Some c) then c
+      else Option.get (Atomic.get slot)
 
 let table m ~name len build =
   if len < 1 then
     invalid_arg (Printf.sprintf "Atomic_mem.table %s: length %d < 1" name len);
-  let stride = ref 0 in
-  Array.init len (fun i ->
-      let before = m.count in
-      let x = build i in
-      let used = m.count - before in
-      if i = 0 then stride := used
-      else if used <> !stride then
-        invalid_arg
-          (Printf.sprintf
-             "Atomic_mem.table %s: entry %d allocated %d registers but entry \
-              0 allocated %d"
-             name i used !stride);
-      x)
+  let c = counter m in
+  let before = !c in
+  let first = build 0 in
+  let stride = !c - before in
+  c := !c + ((len - 1) * stride);
+  let chunks =
+    Array.init (((len - 1) lsr chunk_bits) + 1) (fun _ -> Atomic.make None)
+  in
+  let t = { name; len; stride; build; chunks } in
+  ignore (publish (chunk t 0).(0) first);
+  t
 
-let get = Array.get
+let build_entry t cell i =
+  if i >= t.len then
+    invalid_arg
+      (Printf.sprintf "Atomic_mem.table %s: index %d out of 0..%d" t.name i
+         (t.len - 1));
+  let used = ref 0 in
+  let outer = Domain.DLS.get building in
+  Domain.DLS.set building (Some used);
+  let x =
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set building outer)
+      (fun () -> t.build i)
+  in
+  if !used <> t.stride then
+    invalid_arg
+      (Printf.sprintf
+         "Atomic_mem.table %s: entry %d allocated %d registers but entry 0 \
+          allocated %d"
+         t.name i !used t.stride);
+  publish cell x
+
+let get t i =
+  let cell = (chunk t i).(i land ((1 lsl chunk_bits) - 1)) in
+  match Atomic.get cell with Some x -> x | None -> build_entry t cell i
+
 let ctx ?rng ~slot () =
   if slot < 0 then
     invalid_arg (Printf.sprintf "Atomic_mem.ctx: slot %d is negative" slot);

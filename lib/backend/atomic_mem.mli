@@ -6,7 +6,8 @@
     slot plus an optional per-domain [Random.State] for coin flips.
     [mem] only counts allocations (for space accounting); the probe
     hooks are no-ops. Safe to share one instantiated algorithm across
-    domains: all mutable state lives in the atomics. *)
+    domains: all mutable state lives in the atomics, and table entries
+    built on first access are published atomically. *)
 
 type mem
 type reg = int Atomic.t
@@ -15,14 +16,23 @@ type ctx
 val create : unit -> mem
 
 val allocated : mem -> int
-(** Registers allocated from this arena so far. *)
+(** Registers declared in this arena so far: every register allocated
+    while building an object, plus the not yet built entries of its
+    tables. *)
 
 val alloc : mem -> name:string -> reg
 
 type 'a table
-(** Built eagerly, as a plain array: {!table} builds every entry before
-    it returns, so an instantiated algorithm is complete before any
-    domain runs it and lookups are plain array reads. *)
+(** Lazy, as on the simulator: entry 0 is built at once (it fixes the
+    stride) and entry [i] on its first {!get}, by whichever domain gets
+    there first. Each built entry is published with a compare-and-set;
+    a domain that loses the race drops its own node and returns the
+    winner's, so every caller sees the physically same entry. A
+    lazily built entry's registers are counted in the entry's own
+    tally, checked against the stride, and never in {!allocated}: a
+    table declares all [len * stride] registers when it is created, so
+    {!allocated} equals the simulator's count before and after any
+    access. An untouched table costs one slot per 64 entries. *)
 
 val table : mem -> name:string -> int -> (int -> 'a) -> 'a table
 val get : 'a table -> int -> 'a

@@ -49,11 +49,9 @@ module type S = sig
       the stride is the number of registers entry 0 allocates. Every
       entry must allocate exactly that many registers; a builder that
       does not, and a [len < 1], raise [Invalid_argument] naming the
-      table. [Sim_mem] builds entry 0 at once, reserves the ids of the
-      rest and builds entry [i] on its first {!get}, so a table's memory
-      is O(entries touched); its space figure is O(len) at once.
-      [Atomic_mem] builds every entry here, before any domain can race
-      on the table. *)
+      table. Both backends build entry 0 at once and entry [i] on its
+      first {!get}, so a table's memory is O(entries touched), while
+      its space figure counts all [len] entries at once. *)
 
   val get : 'a table -> int -> 'a
   (** [get t i] is entry [i], [0 <= i < len]. Allocation-free once the

@@ -9,16 +9,12 @@ type outcome = {
 }
 
 let lookup algorithm ~n ~k =
-  match Registry.find algorithm with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown algorithm %S (expected one of: %s)" algorithm
-           (String.concat ", " (Registry.names ())))
-  | Some _ when k < 1 || k > n ->
-      invalid_arg
-        (Printf.sprintf "%s: k must be in 1..n (got k = %d, n = %d)" algorithm
-           k n)
-  | Some e -> e
+  let e = Registry.lookup ~who:"Election" algorithm in
+  if k < 1 || k > n then
+    invalid_arg
+      (Printf.sprintf "%s: k must be in 1..n (got k = %d, n = %d)" algorithm
+         k n);
+  e
 
 let finish ~mem ~win_value sched =
   let winner = ref None in
@@ -55,7 +51,7 @@ let run_tas ?(seed = 1L) ?record_trace ?adversary ~algorithm ~n ~k () =
   in
   let mem = Sim.Memory.create () in
   let le = entry.Registry.make mem ~n in
-  let tas = Primitives.Tas.create mem ~elect:le.Leaderelect.Le.elect in
+  let tas = Primitives.Tas.create mem ~elect:le in
   let sched =
     Sim.Sched.create ~seed ?record_trace
       (Array.init k (fun _ ctx -> Primitives.Tas.apply tas ctx))

@@ -2,8 +2,9 @@ type entry = {
   name : string;
   make : Sim.Memory.t -> n:int -> Leaderelect.Le.t;
   make_mc :
-    (Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Leaderelect.Le.elect)
-    option;
+    Backend.Atomic_mem.mem ->
+    n:int ->
+    Backend.Atomic_mem.ctx Leaderelect.Le.elect;
   make_flat : (n:int -> Flatsim.Machine.program) option;
   adversary : Sim.Sched.klass;
   steps : string;
@@ -12,25 +13,14 @@ type entry = {
 }
 
 (* Both backends of an entry come from its one election functor: the
-   simulator instance builds [make], the [Atomic.t] one [make_mc]
-   (unless [mc] is false). [prefix] overrides the functor's default
-   register-name prefix. *)
-let entry ?(mc = true) ?prefix ?flat ~adversary ~steps ~space ~reference name
+   simulator instance builds [make], the [Atomic.t] one [make_mc].
+   [prefix] overrides the functor's default register-name prefix. *)
+let entry ?prefix ?flat ~adversary ~steps ~space ~reference name
     (module F : Leaderelect.Le.S) =
   let module S = F (Backend.Sim_mem) in
-  let make mem ~n =
-    let t = S.create ?name:prefix mem ~n in
-    { Leaderelect.Le.le_name = name; elect = S.elect t }
-  in
-  let make_mc =
-    if not mc then None
-    else
-      let module A = F (Backend.Atomic_mem) in
-      Some
-        (fun mem ~n ->
-          let t = A.create ?name:prefix mem ~n in
-          { Leaderelect.Le.le_name = name; elect = A.elect t })
-  in
+  let module A = F (Backend.Atomic_mem) in
+  let make mem ~n = S.elect (S.create ?name:prefix mem ~n) in
+  let make_mc mem ~n = A.elect (A.create ?name:prefix mem ~n) in
   { name; make; make_mc; make_flat = flat; adversary; steps; space; reference }
 
 let all =
@@ -52,7 +42,6 @@ let all =
       ~space:"O(n) (orig. O(n^3))"
       ~reference:"Alistarh-Aspnes 2011";
     entry "ratrace" (module Ratrace.Rr_classic.Make)
-      ~mc:false
       ~adversary:Sim.Sched.Adaptive
       ~steps:"O(log k)"
       ~space:"Theta(n^3)"
@@ -108,9 +97,13 @@ let find name = List.find_opt (fun e -> e.name = name) all
 
 let names () = List.map (fun e -> e.name) all
 
-let dual () = List.filter (fun e -> Option.is_some e.make_mc) all
-
-let dual_names () = List.map (fun e -> e.name) (dual ())
+let lookup ~who name =
+  match find name with
+  | Some e -> e
+  | None ->
+      invalid_arg
+        (Printf.sprintf "%s: unknown algorithm %S (expected one of: %s)" who
+           name (String.concat ", " (names ())))
 
 let flat () = List.filter (fun e -> Option.is_some e.make_flat) all
 

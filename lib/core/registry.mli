@@ -9,23 +9,19 @@
     {!Backend.Atomic_mem} one, with the same registers in the same
     order, so either arena's [allocated] count is the entry's register
     count. A third backend would be one more application in that
-    helper, not a constructor per algorithm.
-
-    Every entry but classic RatRace is dual. Its Theta(n^3) declared
-    registers (3,170,306 at n = 64) are cheap on the simulator, whose
-    tables build a node on first access, but [Atomic_mem] builds every
-    table entry eagerly before any domain runs, so its [make_mc] is
-    [None]; [ratrace-lean] is its real-multicore counterpart. *)
+    helper, not a constructor per algorithm. Every entry, classic
+    RatRace's Theta(n^3) declared registers included, runs on both:
+    either backend's tables build a node on first access. *)
 
 type entry = {
   name : string;
   make : Sim.Memory.t -> n:int -> Leaderelect.Le.t;
   make_mc :
-    (Backend.Atomic_mem.mem -> n:int -> Backend.Atomic_mem.ctx Leaderelect.Le.elect)
-    option;
+    Backend.Atomic_mem.mem ->
+    n:int ->
+    Backend.Atomic_mem.ctx Leaderelect.Le.elect;
       (** [Backend.Atomic_mem] instantiation of the same functor, built
-          in the given arena as [make] builds in its [Sim.Memory.t];
-          [None] for classic RatRace only. *)
+          in the given arena as [make] builds in its [Sim.Memory.t]. *)
   make_flat : (n:int -> Flatsim.Machine.program) option;
       (** Flat-kernel compilation of the same algorithm
           ({!Flatsim.Programs}), when one exists. Bit-identical to
@@ -46,12 +42,10 @@ val find : string -> entry option
 
 val names : unit -> string list
 
-val dual : unit -> entry list
-(** The entries carrying both backends ([make_mc] present) — the ones
-    the multicore chaos harness, the [rtas mc] subcommand and the lock
-    service's [atomic] backend can iterate. *)
-
-val dual_names : unit -> string list
+val lookup : who:string -> string -> entry
+(** [lookup ~who name] is the entry called [name]. Raises
+    [Invalid_argument "<who>: unknown algorithm ... (expected one of:
+    ...)"] listing {!names} otherwise. *)
 
 val flat : unit -> entry list
 (** The entries carrying a flat-kernel compilation ([make_flat]

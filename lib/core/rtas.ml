@@ -7,8 +7,8 @@
     - {!Registry} catalogs the algorithms and their proven bounds;
     - the re-exported libraries give full access to every layer, from
       the shared-memory simulator ({!Sim}) to the lower-bound machinery
-      ({!Lowerbound}). Each dual registry entry also runs on real
-      domains through [Backend.Atomic_mem]. *)
+      ({!Lowerbound}). Every registry entry also runs on real domains
+      through [Backend.Atomic_mem]. *)
 
 module Registry = Registry
 module Election = Election

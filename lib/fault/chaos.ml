@@ -1,8 +1,9 @@
-type mode = Le | Tas
+type mode = Le | Tas | Mc
 
 let pp_mode ppf = function
   | Le -> Fmt.string ppf "le"
   | Tas -> Fmt.string ppf "tas"
+  | Mc -> Fmt.string ppf "mc"
 
 type report = {
   impl : string;
@@ -14,8 +15,7 @@ type report = {
   timeouts : int;
   failure_seeds : int64 list;
   last_failure : Watchdog.reason option;
-  max_elapsed : float;
-  mean_steps : float;
+  steps : int;
 }
 
 let count_crashed sched =
@@ -52,10 +52,10 @@ let check_le_outcome sched =
     Some "complete execution finished without a leader"
   else None
 
-(* One chaos trial: the named algorithm under a random-oblivious base
-   schedule wrapped in a crash storm, checked for unique-winner and (in
-   TAS mode) crash-aware linearizability. *)
-let trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
+(* One simulated trial: the named algorithm under a random-oblivious
+   base schedule wrapped in a crash storm, checked for unique-winner and
+   (in TAS mode) crash-aware linearizability. *)
+let sim_trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
   let base =
     Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
   in
@@ -65,61 +65,113 @@ let trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed () =
     | None -> if crash_prob > 0.0 then [ Plan.storm crash_prob ] else []
   in
   let adv = if actions = [] then base else Plan.apply ~seed actions base in
-  let outcome =
-    match mode with
-    | Tas -> Rtas.Election.run_tas ~seed ~adversary:adv ~algorithm ~n ~k ()
-    | Le -> Rtas.Election.run ~seed ~adversary:adv ~algorithm ~n ~k ()
+  let run, check =
+    if mode = Le then (Rtas.Election.run, check_le_outcome)
+    else (Rtas.Election.run_tas, check_tas_outcome)
   in
-  let sched = outcome.Rtas.Election.sched in
+  let sched =
+    (run ~seed ~adversary:adv ~algorithm ~n ~k ()).Rtas.Election.sched
+  in
+  (count_crashed sched, Sim.Sched.time sched, check sched)
+
+let impl_names () = Rtas.Registry.names () @ [ "native" ]
+
+let state_of_seed seed salt =
+  Random.State.make
+    [|
+      Int64.to_int (Int64.logand seed 0x3FFFFFFFL);
+      Int64.to_int (Int64.shift_right_logical seed 30);
+      salt;
+    |]
+
+(* One multicore trial. A real domain cannot be crashed mid-operation
+   (domains cannot be preempted), so the fault model is
+   crash-before-invoke: each participant independently fails to show up
+   with probability [crash_prob] (at least one always invokes). The
+   survivors' TAS calls then race on real domains under the OS
+   scheduler; safety demands exactly one 0 among them — a participant
+   that never invoked can never be the phantom winner, so survivors-all-1
+   is a violation here, unlike in the simulator's mid-operation crash
+   model. The invokers stand in for the steps. *)
+let mc_trial ~tas ~k ~crash_prob ~seed =
+  let rng = state_of_seed seed 0x5EED in
+  let invokes =
+    Array.init k (fun _ -> Random.State.float rng 1.0 >= crash_prob)
+  in
+  if not (Array.exists Fun.id invokes) then
+    invokes.(Random.State.int rng k) <- true;
+  let tas = tas () in
+  let domains =
+    List.init k (fun slot ->
+        if invokes.(slot) then
+          Some
+            (Domain.spawn (fun () ->
+                 let rng = state_of_seed seed (0x7919 * (slot + 1)) in
+                 Primitives.Atomic_tas.apply tas rng ~slot))
+        else None)
+  in
+  let results = List.filter_map (Option.map Domain.join) domains in
+  let invokers = List.length results in
+  let zeros = List.length (List.filter (fun r -> r = 0) results) in
   let violation =
-    match mode with
-    | Tas -> check_tas_outcome sched
-    | Le -> check_le_outcome sched
+    if zeros <> 1 then
+      Some
+        (Printf.sprintf "%d of %d invokers returned 0 (expected exactly 1)"
+           zeros invokers)
+    else None
   in
-  (count_crashed sched, Sim.Sched.time sched, violation)
+  (k - invokers, invokers, violation)
 
 let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan
     ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed () =
   (* An unknown name or a k outside 1..n would raise inside every
      watchdog attempt and be tallied as timeouts; reject them before any
      trial runs. *)
-  if Rtas.Registry.find algorithm = None then
-    invalid_arg
-      (Printf.sprintf
-         "Chaos.run_point: unknown algorithm %S (expected one of: %s)" algorithm
-         (String.concat ", " (Rtas.Registry.names ())));
+  let who = "Chaos.run_point" in
+  let trial =
+    match mode with
+    | Mc ->
+        let tas =
+          if algorithm = "native" then Primitives.Atomic_tas.native
+          else
+            let e = Rtas.Registry.lookup ~who algorithm in
+            fun () ->
+              Primitives.Atomic_tas.create (fun mem ->
+                  e.Rtas.Registry.make_mc mem ~n)
+        in
+        mc_trial ~tas ~k ~crash_prob
+    | Le | Tas ->
+        ignore (Rtas.Registry.lookup ~who algorithm);
+        fun ~seed -> sim_trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed ()
+  in
   if k < 1 || k > n then
     invalid_arg
-      (Printf.sprintf "Chaos.run_point: k must be in 1..n (got k = %d, n = %d)"
-         k n);
-  (* Trials are independent — fan them out over the engine. Trial [t]
-     always runs with [Rng.derive seed ~stream:t], and the watchdog
-     outcomes are folded below in trial order, so the report (including
-     [failure_seeds]) is identical for every domain count. *)
+      (Printf.sprintf "%s: k must be in 1..n (got k = %d, n = %d)" who k n);
+  (* Trials are independent. Simulated ones fan out over the engine; a
+     multicore trial spawns its own domains, so those run one at a time
+     with a longer timeout (domain spawn is slow next to simulation).
+     Trial [t] always runs with [Rng.derive seed ~stream:t], and the
+     watchdog outcomes are folded below in trial order, so a simulated
+     report (including [failure_seeds]) is identical for every domain
+     count. *)
+  let domains, timeout =
+    if mode = Mc then (1, Float.max timeout 10.0) else (domains, timeout)
+  in
   let outcomes =
-    Engine.run ~domains ~trials ~seed (fun ~trial:_ ~seed:trial_seed ->
-        Watchdog.run ~timeout ~retries ~seed:trial_seed (fun ~seed ->
-            trial ?plan ~mode ~algorithm ~n ~k ~crash_prob ~seed ()))
+    Engine.run ~domains ~trials ~seed (fun ~trial:_ ~seed ->
+        Watchdog.run ~timeout ~retries ~seed trial)
   in
   let crashes = ref 0 in
   let violations = ref 0 in
   let timeouts = ref 0 in
   let failure_seeds = ref [] in
   let last_failure = ref None in
-  let max_elapsed = ref 0.0 in
-  let total_steps = ref 0 in
+  let steps = ref 0 in
   Array.iter
     (function
-      | Ok
-          {
-            Watchdog.value = c, steps, violation;
-            seed_used;
-            elapsed;
-            _;
-          } ->
+      | Ok { Watchdog.value = c, s, violation; seed_used; _ } ->
           crashes := !crashes + c;
-          total_steps := !total_steps + steps;
-          if elapsed > !max_elapsed then max_elapsed := elapsed;
+          steps := !steps + s;
           (match violation with
           | Some _ ->
               incr violations;
@@ -140,10 +192,7 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan
     timeouts = !timeouts;
     failure_seeds = List.rev !failure_seeds;
     last_failure = !last_failure;
-    max_elapsed = !max_elapsed;
-    mean_steps =
-      (if trials = 0 then 0.0
-       else float_of_int !total_steps /. float_of_int trials);
+    steps = !steps;
   }
 
 let sweep ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan ?(mode = Tas)
@@ -157,10 +206,21 @@ let sweep ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan ?(mode = Tas)
         probs)
     algorithms
 
-let pp_report ppf r =
-  Fmt.pf ppf "%-14s %-4s %6.3f %7d %8d %8d %9d %10.1f" r.impl
-    (Fmt.str "%a" pp_mode r.mode)
-    r.crash_prob r.trials r.crashes r.timeouts r.violations r.mean_steps
+(* The impl column is as wide as the widest name, and at least 14. *)
+let pp_table ppf reports =
+  let w =
+    List.fold_left (fun w r -> max w (String.length r.impl)) 14 reports
+  in
+  Fmt.pf ppf "%-*s %-4s %6s %7s %8s %8s %9s %10s@." w "impl" "mode" "prob"
+    "trials" "crashes" "timeouts" "viols" "steps";
+  List.iter
+    (fun r ->
+      Fmt.pf ppf "%-*s %-4s %6.3f %7d %8d %8d %9d %10.1f@." w r.impl
+        (Fmt.str "%a" pp_mode r.mode)
+        r.crash_prob r.trials r.crashes r.timeouts r.violations
+        (if r.trials = 0 then 0.0
+         else float_of_int r.steps /. float_of_int r.trials))
+    reports
 
 let pp_totals ppf = function
   | [] -> ()

@@ -1,7 +1,4 @@
-type 'ctx elect = {
-  le_name : string;
-  elect : 'ctx -> bool;
-}
+type 'ctx elect = 'ctx -> bool
 
 type t = Sim.Ctx.t elect
 
@@ -12,8 +9,7 @@ module type S = functor (M : Backend.Mem.S) -> sig
   val elect : t -> M.ctx -> bool
 end
 
-let programs t ~k =
-  Array.init k (fun _ ctx -> if t.elect ctx then 1 else 0)
+let programs elect ~k = Array.init k (fun _ ctx -> if elect ctx then 1 else 0)
 
 let winners sched =
   let out = ref [] in

@@ -5,15 +5,12 @@
 
     Every registry election is written once, as a functor matching
     {!S}; {!Rtas.Registry} applies it to each backend and packages the
-    instance as an {!elect} record. The record is polymorphic in the
-    backend's execution context: [t] is the simulator's, and a dual
+    instance as an {!elect}, the bare function. It is polymorphic in
+    the backend's execution context: [t] is the simulator's, and an
     entry's [make_mc] returns a [Backend.Atomic_mem.ctx elect] for real
     domains. *)
 
-type 'ctx elect = {
-  le_name : string;
-  elect : 'ctx -> bool;
-}
+type 'ctx elect = 'ctx -> bool
 
 type t = Sim.Ctx.t elect
 

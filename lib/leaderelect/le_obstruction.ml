@@ -59,4 +59,4 @@ let elect t ctx =
   in
   forward 0
 
-let make mem ~n = { Le.le_name = "obstruction-free"; elect = elect (create mem ~n) }
+let make mem ~n = elect (create mem ~n)

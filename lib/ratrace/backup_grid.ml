@@ -5,8 +5,8 @@ module Make (M : Backend.Mem.S) = struct
   module Duel3 = Primitives.Le3.Make (M)
 
   (* Node (i, j) is entry [i * n + j] of each table (row-major). A trial
-     touches O(k) of the n^2 nodes, so on the simulator the tables build
-     a node on first access. *)
+     touches O(k) of the n^2 nodes, so the tables build a node on first
+     access. *)
   type t = { sps : Sp.t M.table; les : Duel3.t M.table; n : int }
 
   let create ?(name = "grid") mem ~n =

@@ -8,11 +8,10 @@
     at most [n] processes enter (Moir–Anderson) — and then retraces its
     path, winning the election of every node on it; the process that
     wins the election at [(0, 0)] wins the grid. Space is Theta(n^2)
-    declared registers; on the simulator a node's registers are built
+    declared registers; on either backend a node's registers are built
     when a process first reaches it (see {!Backend.Mem.S.table}).
 
-    Written over {!Backend.Mem.S} like the primary tree; classic RatRace
-    instantiates it on the simulator only. *)
+    Written over {!Backend.Mem.S} like the primary tree. *)
 
 type outcome = Lost | Won
 

@@ -5,8 +5,8 @@ module Make (M : Backend.Mem.S) = struct
   module Duel3 = Primitives.Le3.Make (M)
 
   (* Heap layout, index 1..2^(h+1)-1; slot 0 is declared but unused. A
-     trial touches O(k h) of the 2^(h+1) nodes, so on the simulator the
-     tables build a node on first access. *)
+     trial touches O(k h) of the 2^(h+1) nodes, so the tables build a
+     node on first access. *)
   type t = {
     rsps : Rsp.t M.table;
     les : Duel3.t M.table;

@@ -15,10 +15,10 @@
 
     The nodes live in two {!Backend.Mem.S.table}s, one of splitters and
     one of elections, each indexed by heap slot [0 .. 2^(height+1) - 1]
-    (slot 0 is declared but unused). On the simulator a node's registers
-    are built when a process first reaches it, at the ids and names
-    eager construction would give them; the declared count is exact
-    from [create] on. *)
+    (slot 0 is declared but unused). On either backend a node's
+    registers are built when a process first reaches it (on the
+    simulator at the ids and names eager construction would give them);
+    the declared count is exact from [create] on. *)
 
 type outcome = Lost | Won | Fell_off of int  (** Leaf index, 0-based. *)
 

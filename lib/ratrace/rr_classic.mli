@@ -6,11 +6,9 @@
     complexity O(log k) against the adaptive adversary, but
     Theta(n^3) registers — the space cost the paper's Section 3
     eliminates. [create] declares all of them ({!Sim.Memory.allocated}
-    is 3,170,306 at n=64), but on the simulator a tree or grid node's
+    is 3,170,306 at n=64), but on either backend a tree or grid node's
     registers are built only when a process first reaches it, so a
-    trial's memory follows the nodes it touches. [Atomic_mem] builds
-    every node eagerly, so the registry runs this election on the
-    simulator only. *)
+    run's memory follows the nodes it touches. *)
 
 (** Matches [Leaderelect.Le.S]. *)
 module Make (M : Backend.Mem.S) : sig

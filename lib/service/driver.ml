@@ -73,28 +73,6 @@ let validate cfg =
    unfinished contenders leave as crashed. *)
 let max_round_steps = 1_000_000
 
-let names entries =
-  String.concat ", " (List.map (fun e -> e.Rtas.Registry.name) entries)
-
-let lookup ~who name =
-  match Rtas.Registry.find name with
-  | Some e -> e
-  | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown algorithm %S (expected one of: %s)" who
-           name (names Rtas.Registry.all))
-
-let require ~who (e : Rtas.Registry.entry) ~what pick =
-  match pick e with
-  | Some x -> x
-  | None ->
-      let able =
-        List.filter (fun e -> Option.is_some (pick e)) Rtas.Registry.all
-      in
-      invalid_arg
-        (Printf.sprintf "%s: algorithm %S has no %s (entries with one: %s)" who
-           e.name what (names able))
-
 module TS = Obs.Timeseries
 
 (* {1 Event encoding}
@@ -337,7 +315,7 @@ let run ?telemetry ?(domains = 1) cfg =
   | Some s when s.Telemetry.trace && cfg.shards > 1 ->
       invalid_arg "Driver: telemetry trace requires shards = 1"
   | _ -> ());
-  let entry = lookup ~who:"Driver" cfg.algorithm in
+  let entry = Rtas.Registry.lookup ~who:"Driver" cfg.algorithm in
   let n = cfg.contenders in
   let make_round =
     match cfg.kernel with
@@ -347,11 +325,17 @@ let run ?telemetry ?(domains = 1) cfg =
           invalid_arg
             "Driver: fault plans hook the effect scheduler; use kernel = \
              `Effect with plan";
-        let mk =
-          require ~who:"Driver" entry ~what:"flat-kernel compilation"
-            (fun e -> e.make_flat)
+        let prog =
+          match entry.make_flat with
+          | Some mk -> mk ~n
+          | None ->
+              invalid_arg
+                (Printf.sprintf
+                   "Driver: algorithm %S has no flat-kernel compilation \
+                    (entries with one: %s)"
+                   entry.name
+                   (String.concat ", " (Rtas.Registry.flat_names ())))
         in
-        let prog = mk ~n in
         fun () -> flat_round prog ~n
   in
   let seed = cfg.seed in

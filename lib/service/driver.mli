@@ -101,13 +101,6 @@ val validate : config -> unit
 (** Raises [Invalid_argument], naming the field, on out-of-range fields
     and on NaN or infinite floats. *)
 
-val lookup : who:string -> string -> Rtas.Registry.entry
-val require :
-  who:string -> Rtas.Registry.entry -> what:string ->
-  (Rtas.Registry.entry -> 'a option) -> 'a
-(** An entry and a capability of it, or [Invalid_argument] naming the
-    valid choices. *)
-
 val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
 (** Run the workload to completion (the event engine drains — open-loop
     arrivals are finite). [~domains] (default 1) caps the domain pool

@@ -50,12 +50,7 @@ module TS = Obs.Timeseries
 
 let run ?telemetry cfg =
   validate cfg;
-  let make_mc =
-    Driver.require ~who:"Mc_driver"
-      (Driver.lookup ~who:"Mc_driver" cfg.algorithm)
-      ~what:"Atomic_mem port"
-      (fun e -> e.make_mc)
-  in
+  let make_mc = (Rtas.Registry.lookup ~who:"Mc_driver" cfg.algorithm).make_mc in
   let w = cfg.workers in
   (* One tick = one microsecond of wall clock. *)
   let t0 = Unix.gettimeofday () in
@@ -148,9 +143,7 @@ let run ?telemetry cfg =
               end
               else begin
                 stamps.(key) <- round;
-                if inst.Leaderelect.Le.elect
-                     (Backend.Atomic_mem.ctx ~rng ~slot:wi ())
-                then begin
+                if inst (Backend.Atomic_mem.ctx ~rng ~slot:wi ()) then begin
                   let u = Random.State.float rng 1.0 in
                   if u < cfg.crash_prob /. 2.0 then
                     (* Crash between winning and claiming: the round

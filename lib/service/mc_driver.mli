@@ -29,7 +29,7 @@
     caller should exit nonzero. *)
 
 type config = {
-  algorithm : string;  (** A dual-backend {!Rtas.Registry} entry. *)
+  algorithm : string;  (** A {!Rtas.Registry} entry. *)
   clients : int;
   keys : int;
   zipf_s : float;
@@ -50,8 +50,8 @@ val validate : config -> unit
     and on NaN or infinite floats. *)
 
 val run : ?telemetry:Telemetry.sink -> config -> Report.t
-(** Run the workload. Requires the entry to have an [Atomic_mem] port
-    ([make_mc]); raises [Invalid_argument] otherwise.
+(** Run the workload on the entry's [Atomic_mem] instance ([make_mc]).
+    Raises [Invalid_argument] on an unknown algorithm name.
 
     When [telemetry] is given, each worker domain records the shared
     {!Telemetry.recorder} schema with windows in wall-clock

@@ -14,9 +14,7 @@ let combined_impls : (string * (Sim.Memory.t -> n:int -> Leaderelect.Le.t)) list
       (* A = RatRace itself: the pathological self-combination the paper
          discusses (mutual elimination) — the rules must still produce a
          winner. *)
-      fun mem ~n ->
-        { Leaderelect.Le.le_name = "combined-ratrace";
-          elect = Combined_rr.(elect (create mem ~n)) } );
+      fun mem ~n -> Combined_rr.(elect (create mem ~n)) );
   ]
 
 (* {1 Coroutine interleaver}
@@ -172,7 +170,7 @@ let test_space_is_linear () =
   List.iter
     (fun n ->
       let mem = Sim.Memory.create () in
-      ignore (Tutil.make "combined-log*" mem ~n);
+      let (_ : Leaderelect.Le.t) = Tutil.make "combined-log*" mem ~n in
       let regs = Sim.Memory.allocated mem in
       checkb
         (Printf.sprintf "combined(%d) = %d <= 70n" n regs)

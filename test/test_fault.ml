@@ -352,6 +352,19 @@ let test_chaos_totals () =
      name order. *)
   let a, r, b, expected = totals_fixture () in
   Alcotest.(check string) "sums" expected (totals [ a; r; b ]);
+  (* A multicore row is one more report, summed like the others. *)
+  let m =
+    Fault.Chaos.run_point ~mode:Fault.Chaos.Mc ~algorithm:"native" ~n:4 ~k:4
+      ~crash_prob:0.4 ~trials:2 ~seed:13L ()
+  in
+  Alcotest.(check string) "sums with an mc report"
+    (Printf.sprintf
+       "chaos.crashes = %d\nchaos.livelock_timeouts = %d\nchaos.trials = 17\n\
+        chaos.violations = %d\n"
+       (6 + r.Fault.Chaos.crashes + m.Fault.Chaos.crashes)
+       (3 + m.Fault.Chaos.timeouts)
+       (1 + m.Fault.Chaos.violations))
+    (totals [ a; r; b; m ]);
   Alcotest.(check string) "no reports, no lines" "" (totals [])
 
 let test_chaos_totals_order_independent () =
@@ -382,14 +395,14 @@ let test_chaos_unknown_algorithm () =
 
 let test_mc_chaos_smoke () =
   let r =
-    Fault.Mc_chaos.run_point ~impl:"native" ~k:4 ~crash_prob:0.4 ~trials:4
-      ~seed:13L ()
+    Fault.Chaos.run_point ~mode:Fault.Chaos.Mc ~algorithm:"native" ~n:4 ~k:4
+      ~crash_prob:0.4 ~trials:4 ~seed:13L ()
   in
-  checki "all trials ran" 4 r.Fault.Mc_chaos.trials;
-  checki "no violations" 0 r.Fault.Mc_chaos.violations;
+  checki "all trials ran" 4 r.Fault.Chaos.trials;
+  checki "no violations" 0 r.Fault.Chaos.violations;
+  (* In mc mode the steps are the invokers, the crashes the no-shows. *)
   checkb "everyone accounted for" true
-    (r.Fault.Mc_chaos.participants + r.Fault.Mc_chaos.crashed_participants
-    = 4 * 4)
+    (r.Fault.Chaos.steps + r.Fault.Chaos.crashes = 4 * 4)
 
 let () =
   Alcotest.run "fault"

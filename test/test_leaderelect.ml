@@ -195,10 +195,7 @@ module Aa_original =
   Leaderelect.Aa.Make_fallback (Ratrace.Rr_classic.Make) (Backend.Sim_mem)
 
 let test_aa_original_fallback () =
-  let make mem ~n =
-    { Leaderelect.Le.le_name = "aa-original";
-      elect = Aa_original.(elect (create mem ~n)) }
-  in
+  let make mem ~n = Aa_original.(elect (create mem ~n)) in
   for seed = 1 to 10 do
     let sched, _ =
       Tutil.run_le ~seed:(Int64.of_int seed) ~make ~n:8

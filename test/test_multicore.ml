@@ -88,16 +88,15 @@ let test_mc_tas_le2_pair () =
     checki "exactly one 0" 1 (List.length (List.filter (fun r -> r = 0) results))
   done
 
-(* {1 Every dual registry entry, through its [make_mc]} *)
+(* {1 Every registry entry, through its [make_mc]} *)
 
 let make_le (e : Rtas.Registry.entry) ~n =
-  (Option.get e.Rtas.Registry.make_mc) (Backend.Atomic_mem.create ()) ~n
+  e.Rtas.Registry.make_mc (Backend.Atomic_mem.create ()) ~n
 
-let elect le rng ~slot = le.Leaderelect.Le.elect (ctx ~rng slot)
+let elect le rng ~slot = le (ctx ~rng slot)
 
 let make_tas (e : Rtas.Registry.entry) ~n () =
-  Primitives.Atomic_tas.create (fun mem ->
-      ((Option.get e.Rtas.Registry.make_mc) mem ~n).Leaderelect.Le.elect)
+  Primitives.Atomic_tas.create (fun mem -> e.Rtas.Registry.make_mc mem ~n)
 
 let test_race e ~k ~trials () =
   for _ = 1 to trials do
@@ -146,7 +145,7 @@ let test_mc_tas_unique_zero make () =
 let tas_impls =
   List.map
     (fun (e : Rtas.Registry.entry) -> (e.Rtas.Registry.name, make_tas e ~n:4))
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
   @ [ ("native", Primitives.Atomic_tas.native) ]
 
 let test_mc_tas_sequential_semantics () =
@@ -229,19 +228,98 @@ let differential_cases =
   List.map
     (fun (e : Rtas.Registry.entry) ->
       Alcotest.test_case e.Rtas.Registry.name `Quick (test_differential e))
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
 
 let test_registry_backends_present () =
-  let dual = Rtas.Registry.dual () in
-  checkb "at least 4 dual-backend entries" true (List.length dual >= 4);
   List.iter
     (fun (e : Rtas.Registry.entry) ->
       let mem = Backend.Atomic_mem.create () in
-      let le = (Option.get e.Rtas.Registry.make_mc) mem ~n:4 in
-      checkb "mc name matches registry" true
-        (le.Leaderelect.Le.le_name = e.Rtas.Registry.name);
+      let (_ : Backend.Atomic_mem.ctx Leaderelect.Le.elect) =
+        e.Rtas.Registry.make_mc mem ~n:4
+      in
       checkb "allocates registers" true (Backend.Atomic_mem.allocated mem > 0))
-    dual
+    Rtas.Registry.all
+
+(* {1 Lazy tables: racing first access}
+
+   A table builds an entry on its first [get], from whichever domain
+   gets there first; losers of the publishing CAS adopt the winner's
+   node. Every domain must see the physically same entry, and the
+   declared register count must not move. *)
+
+let splitter_table () =
+  let mem = Backend.Atomic_mem.create () in
+  ( mem,
+    Backend.Atomic_mem.table mem ~name:"race" 1000 (fun _ ->
+        Splitter.create mem) )
+
+let test_lazy_racing_first_access () =
+  let stride =
+    let mem = Backend.Atomic_mem.create () in
+    ignore (Splitter.create mem);
+    Backend.Atomic_mem.allocated mem
+  in
+  for round = 1 to 50 do
+    let mem, t = splitter_table () in
+    let declared = Backend.Atomic_mem.allocated mem in
+    checki "every entry declared" (1000 * stride) declared;
+    let i = (round * 37) mod 1000 in
+    (* All four domains wait at a barrier, then get at once. *)
+    let arrived = Atomic.make 0 in
+    let nodes =
+      run_domains ~k:4 (fun _ _ ->
+          Atomic.incr arrived;
+          while Atomic.get arrived < 4 do
+            Domain.cpu_relax ()
+          done;
+          Backend.Atomic_mem.get t i)
+    in
+    let first = List.hd nodes in
+    checkb "every domain got the same node" true
+      (List.for_all (fun x -> x == first) nodes);
+    checkb "later gets return it too" true
+      (Backend.Atomic_mem.get t i == first);
+    checki "allocated unchanged" declared (Backend.Atomic_mem.allocated mem)
+  done;
+  (* Entry 0 allocates one register, every later entry two: caught when
+     the entry is first built, not when the table is created. *)
+  let mem = Backend.Atomic_mem.create () in
+  let t =
+    Backend.Atomic_mem.table mem ~name:"bad" 8 (fun i ->
+        let r = Backend.Atomic_mem.alloc mem ~name:"r" in
+        if i > 0 then ignore (Backend.Atomic_mem.alloc mem ~name:"extra");
+        r)
+  in
+  Alcotest.check_raises "lazy build with the wrong stride"
+    (Invalid_argument
+       "Atomic_mem.table bad: entry 5 allocated 2 registers but entry 0 \
+        allocated 1") (fun () -> ignore (Backend.Atomic_mem.get t 5));
+  checki "a failed build declares nothing" 8 (Backend.Atomic_mem.allocated mem)
+
+(* Classic RatRace declares Theta(n^3) registers; on atomics it must
+   cost only the nodes a run touches. *)
+let test_ratrace_lazy_build () =
+  let e = Option.get (Rtas.Registry.find "ratrace") in
+  (* [Gc.minor_words ()] is exact; the [Gc.counters] minor count only
+     moves at a minor collection. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  let mem = Backend.Atomic_mem.create () in
+  let le = e.Rtas.Registry.make_mc mem ~n:64 in
+  let built = words () -. before in
+  checki "declares the simulator's count" 3_170_306
+    (Backend.Atomic_mem.allocated mem);
+  checkb
+    (Printf.sprintf "building allocates %.0f words, under 5 MB" built)
+    true
+    (built *. float_of_int (Sys.word_size / 8) < 5e6);
+  let won = run_domains ~k:4 (fun slot rng -> le (ctx ~rng slot)) in
+  checki "one winner" 1 (count_true won);
+  checki "allocated unchanged by the run" 3_170_306
+    (Backend.Atomic_mem.allocated mem)
 
 let () =
   Alcotest.run "multicore"
@@ -258,7 +336,7 @@ let () =
            Alcotest.test_case "parallel" `Quick test_mc_splitter_parallel;
          ] );
      ]
-    @ List.map entry_cases (Rtas.Registry.dual ())
+    @ List.map entry_cases Rtas.Registry.all
     @ [
         ( "tas",
           List.map
@@ -275,5 +353,12 @@ let () =
           [
             Alcotest.test_case "dual backends" `Quick
               test_registry_backends_present;
+          ] );
+        ( "lazy table",
+          [
+            Alcotest.test_case "racing first access" `Quick
+              test_lazy_racing_first_access;
+            Alcotest.test_case "ratrace builds lazily" `Quick
+              test_ratrace_lazy_build;
           ] );
       ])

@@ -610,9 +610,14 @@ let test_table_fails_loudly () =
   checki "later entry keeps its reserved id" 5
     (Backend.Sim_mem.get raising 1).Sim.Register.id;
   let amem = Backend.Atomic_mem.create () in
-  raises_naming "uneven-atomic" (fun () ->
-      Backend.Atomic_mem.table amem ~name:"uneven-atomic" 3
-        (uneven Backend.Atomic_mem.alloc amem));
+  let t =
+    Backend.Atomic_mem.table amem ~name:"uneven-atomic" 3
+      (uneven Backend.Atomic_mem.alloc amem)
+  in
+  checki "atomic: entry 0 built, entries 1-2 declared" 3
+    (Backend.Atomic_mem.allocated amem);
+  raises_naming "uneven-atomic" (fun () -> Backend.Atomic_mem.get t 1);
+  raises_naming "uneven-atomic" (fun () -> Backend.Atomic_mem.get t 3);
   raises_naming "empty-atomic" (fun () ->
       Backend.Atomic_mem.table amem ~name:"empty-atomic" 0 (fun _ -> ()))
 

@@ -15,7 +15,7 @@ let contains hay needle =
    A resettable key that reuses its arena across rounds must behave, in
    every round, exactly like a brand-new one-shot instance: same
    results, same step counts, same RMR counts for the same derived
-   schedule seed. 120 seeds x 3 rounds per dual-backend entry. *)
+   schedule seed. 120 seeds x 3 rounds per registry entry. *)
 
 let k_diff = 4
 let rounds_diff = 3
@@ -85,7 +85,7 @@ let test_round_isolated_vs_fresh () =
             (R.release res ~round ~owner:!w ~now:2.0)
         done
       done)
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
 
 (* {1 Atomic rounds: exactly one winner per round} *)
 
@@ -93,12 +93,11 @@ let test_atomic_rounds_unique_winner () =
   let domains = 4 in
   List.iter
     (fun (e : Rtas.Registry.entry) ->
-      let make_mc = Option.get e.Rtas.Registry.make_mc in
       let module E = struct
         type instance = Backend.Atomic_mem.ctx Leaderelect.Le.elect
 
         let fresh ~key:_ ~round:_ =
-          make_mc (Backend.Atomic_mem.create ()) ~n:domains
+          e.Rtas.Registry.make_mc (Backend.Atomic_mem.create ()) ~n:domains
       end in
       let module R = Service.Resettable.Make (E) in
       for seed = 1 to 10 do
@@ -114,8 +113,7 @@ let test_atomic_rounds_unique_winner () =
             match
               Fault.Watchdog.race ~timeout:20.0 ~n:domains (fun slot ->
                   let rng = Random.State.make [| seed; round; slot; 0x5E |] in
-                  inst.Leaderelect.Le.elect
-                    (Backend.Atomic_mem.ctx ~rng ~slot ()))
+                  inst (Backend.Atomic_mem.ctx ~rng ~slot ()))
             with
             | Ok r -> r
             | Error stuck ->
@@ -135,7 +133,7 @@ let test_atomic_rounds_unique_winner () =
           checkb "release" true (R.release res ~round ~owner:!w ~now:2.0)
         done
       done)
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
 
 (* {1 The round-stamp state machine} *)
 
@@ -279,7 +277,7 @@ let test_driver_sheds_overload () =
 
    The timing wheel must be report-invisible: both engines order events
    by (time, key, per-key sequence), so for any config and seed the
-   JSON report is byte-identical. 120 seeds per dual-backend entry,
+   JSON report is byte-identical. 120 seeds per registry entry,
    plus a chaos variant (lease expiries exercise the long-delay wheel
    levels). *)
 
@@ -309,7 +307,7 @@ let test_wheel_matches_heap () =
           (Printf.sprintf "%s seed %d: wheel = heap" name s)
           heap wheel
       done)
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
 
 let test_wheel_matches_heap_chaos () =
   for s = 1 to 120 do
@@ -959,7 +957,7 @@ let test_telemetry_off_identical () =
           (Printf.sprintf "%s seed %d: telemetry on = off" name s)
           off on
       done)
-    (Rtas.Registry.dual ())
+    Rtas.Registry.all
 
 let test_telemetry_sums_match_totals () =
   List.iter
@@ -1357,17 +1355,19 @@ let test_backoff_monomorphic () =
     policies
 
 let test_registry_dual () =
-  let dual = Rtas.Registry.dual () in
-  checkb "some dual entries" true (List.length dual >= 2);
+  (* Every entry runs on both backends, with one register count. *)
   List.iter
     (fun (e : Rtas.Registry.entry) ->
-      checkb (e.Rtas.Registry.name ^ " has mc port") true
-        (Option.is_some e.Rtas.Registry.make_mc))
-    dual;
-  checkb "dual names subset" true
-    (List.for_all
-       (fun n -> List.mem n (Rtas.Registry.names ()))
-       (Rtas.Registry.dual_names ()))
+      let sim = Sim.Memory.create () and mc = Backend.Atomic_mem.create () in
+      let (_ : Leaderelect.Le.t) = e.Rtas.Registry.make sim ~n:8 in
+      let (_ : Backend.Atomic_mem.ctx Leaderelect.Le.elect) =
+        e.Rtas.Registry.make_mc mc ~n:8
+      in
+      checki
+        (e.Rtas.Registry.name ^ ": same register count")
+        (Sim.Memory.allocated sim)
+        (Backend.Atomic_mem.allocated mc))
+    Rtas.Registry.all
 
 (* {1 Config validation}
 

@@ -159,9 +159,10 @@ service-smoke:
 # histogram, under a hard wall-clock budget. Validates that the run
 # completes, accounts for every client, and actually used the
 # histogram (an exact latency array at this scale would be the bug).
-# Arrivals stream into the event loop, so the wheel's live-event peak
-# follows the clients in flight (a few thousand here), not the 250k
-# clients of a shard: the telemetry gauge must stay under 20000.
+# Arrivals stream into the event loop and per-client state lives in
+# in-flight slots, so the wheel's live-event peak and the live client
+# slots follow the clients in flight (a few thousand here), not the
+# 250k clients of a shard: both telemetry gauges must stay under 20000.
 service-scale-smoke:
 	timeout 120 dune exec bin/rtas_cli.exe -- service --alg tournament \
 	  --backend sim --kernel flat --arrival poisson --rate 20 \
@@ -171,6 +172,8 @@ service-scale-smoke:
 	  --telemetry _build/SVC_scale_ts.json >/dev/null
 	jq -e '.counts.clients == 1000000 and (.counts.completed + .counts.deadline_exceeded + .counts.crashed_clients + .counts.shed == 1000000) and .counts.completed > 0 and .latency.mode == "hist" and .latency.p999 >= .latency.p50 and .livelocked == false' _build/SVC_scale.json >/dev/null
 	jq -e '(.gauges["service.wheel_pool_hw"] | map(.[1]) | max) <= 20000' \
+	  _build/SVC_scale_ts.json >/dev/null
+	jq -e '(.gauges["service.client_slots"] | map(.[1]) | max) <= 20000' \
 	  _build/SVC_scale_ts.json >/dev/null
 	@echo "service-scale-smoke: 1M clients OK"
 

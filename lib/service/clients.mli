@@ -1,23 +1,38 @@
-(** The open-loop workload both service drivers replay, with the sim
-    driver's per-client state.
+(** The open-loop workload both service drivers replay, as a stream.
 
-    Per-client bookkeeping lives in parallel scalar arrays indexed by
-    client id — no per-client records, no GC pressure as the client
-    dial turns up — exposed flatsim-style, so the driver's hot path
-    reads and writes fields as direct array loads/stores. [qnext]
-    chains each key's waiting clients into an intrusive FIFO. *)
+    A value is the next client to arrive: its index (the client id), its
+    arrival time and its key. {!advance} draws the one after it, so a
+    driver holds no per-client state for clients that have not arrived
+    yet. Arrival times (increasing) come from derive stream 10 of the
+    seed and Zipfian keys over [keys] from stream 11; every stream made
+    from the same arguments yields the same clients, which is how each
+    shard of {!Driver} and each worker of {!Mc_driver} replays the one
+    schedule, skipping the clients it does not serve.
 
-type t = {
-  arrival : float array;  (** arrival time, ticks *)
-  key : int array;  (** Zipfian lock key *)
-  attempts : int array;  (** election attempts so far (backoff stage) *)
-  stamp : int array;  (** last round contended in, -1 = none *)
-  state : int array;  (** 0 = pending, 1 = resolved *)
-  qnext : int array;  (** intrusive wait-queue link, -1 = end *)
+    The record is exposed so the drivers read the next client as direct
+    field loads; it is private, so they cannot write it. The arrival
+    time sits in a record of its own: a record of floats only stores
+    them unboxed, so advancing writes the time without a write
+    barrier. *)
+
+type time = private { mutable at : float }
+
+type t = private {
+  arrivals : Arrival.t;
+  zipf : Zipf.t;
+  zrng : Sim.Rng.t;
+  clients : int;  (** Clients in the stream. *)
+  mutable index : int;
+      (** The next client's id; [clients] once the stream is drained. *)
+  time : time;
+      (** Its arrival time [time.at], ticks (stale once drained). *)
+  mutable key : int;  (** Its Zipfian lock key (stale once drained). *)
 }
 
-val schedule :
+val create :
   seed:int64 -> Arrival.kind -> keys:int -> zipf_s:float -> int -> t
-(** [n] pending clients: arrival times (increasing) from derive stream
-    10 of [seed], keys Zipfian over [keys] from stream 11. Raises
+(** A stream of [n] clients, positioned on client 0. Raises
     [Invalid_argument] on [n < 1]. *)
+
+val advance : t -> unit
+(** Move on to the next client. *)

@@ -93,6 +93,16 @@ let k_retry = 1
 let k_release = 2
 let k_expire = 3
 
+(* A key's kseq numbers its events in two ranges. An arrival takes its
+   rank among the key's arrivals, which stays below 2^30 because
+   [validate] caps clients at [Wheel.max_ab]; the key's other events
+   (retries, releases, expiries) take [first_event_kseq + j] in the
+   order they are scheduled. Any two events of one key compare as they
+   would if every arrival had been queued first and the other events
+   numbered on from the key's arrival count, so no pre-count is
+   needed. *)
+let first_event_kseq = Wheel.max_ab + 1
+
 (* {2 The heap oracle}
 
    A binary min-heap over the packed encoding, kept as the differential
@@ -166,6 +176,105 @@ module Heap = struct
     end
 end
 
+(* {1 In-flight client slots}
+
+   Per-client state exists only while a client is in flight: a slot is
+   taken when the client's arrival event is handled and given back when
+   the client resolves. Slots live in chunks of 1024 that are never
+   copied or freed, so a worker's pool grows to the most clients it ever
+   had in flight at once and is reused by its next shard. Each chunk
+   keeps, per slot, four ints side by side — the client id (-1 while
+   the slot is free: the live flag), election attempts, last round
+   stamp, and the wait-queue link — plus the arrival time in a float
+   array. [qnext] chains a key's waiting clients into an intrusive FIFO
+   and, on free slots, the free list.
+
+   The accessors are top-level functions of this module, so the
+   compiler inlines them into the event loop, and they skip bounds
+   checks (the flatsim and wheel convention): a slot index only ever
+   comes off the free list, so its chunk exists, and its position in the
+   chunk is masked. *)
+
+let slot_bits = 10
+let slot_mask = (1 lsl slot_bits) - 1
+
+type slots = {
+  mutable ints : int array array;
+  mutable times : float array array;
+  mutable nchunks : int;
+  mutable free : int;  (* free-list head, -1 = none *)
+  mutable live : int;
+}
+
+let slots_create () =
+  { ints = [||]; times = [||]; nchunks = 0; free = -1; live = 0 }
+
+let f_client = 0
+let f_attempts = 1
+let f_stamp = 2
+let f_qnext = 3
+
+let[@inline] get p s f =
+  Array.unsafe_get
+    (Array.unsafe_get p.ints (s lsr slot_bits))
+    (((s land slot_mask) lsl 2) lor f)
+
+let[@inline] set p s f v =
+  Array.unsafe_set
+    (Array.unsafe_get p.ints (s lsr slot_bits))
+    (((s land slot_mask) lsl 2) lor f)
+    v
+
+let[@inline] client p s = get p s f_client
+let[@inline] live p s = get p s f_client >= 0
+let[@inline] attempts p s = get p s f_attempts
+let[@inline] stamp p s = get p s f_stamp
+let[@inline] qnext p s = get p s f_qnext
+
+let[@inline] arrival p s =
+  Array.unsafe_get
+    (Array.unsafe_get p.times (s lsr slot_bits))
+    (s land slot_mask)
+
+let slots_grow p =
+  let c = p.nchunks in
+  if c = Array.length p.ints then begin
+    let cap = max 8 (2 * c) in
+    let ints = Array.make cap [||] and times = Array.make cap [||] in
+    Array.blit p.ints 0 ints 0 c;
+    Array.blit p.times 0 times 0 c;
+    p.ints <- ints;
+    p.times <- times
+  end;
+  p.ints.(c) <- Array.make (4 lsl slot_bits) (-1);
+  p.times.(c) <- Array.make (1 lsl slot_bits) 0.0;
+  p.nchunks <- c + 1;
+  for i = slot_mask downto 0 do
+    let s = (c lsl slot_bits) lor i in
+    set p s f_qnext p.free;
+    p.free <- s
+  done
+
+let slot_alloc p ~client ~arrival =
+  if p.free < 0 then slots_grow p;
+  let s = p.free in
+  p.free <- qnext p s;
+  set p s f_client client;
+  set p s f_attempts 0;
+  set p s f_stamp (-1);
+  set p s f_qnext (-1);
+  Array.unsafe_set
+    (Array.unsafe_get p.times (s lsr slot_bits))
+    (s land slot_mask) arrival;
+  p.live <- p.live + 1;
+  s
+
+let slot_free p s =
+  set p s f_client (-1);
+  set p s f_qnext p.free;
+  p.free <- s;
+  p.live <- p.live - 1
+
 (* {2 The queue the event loop runs on}
 
    Either engine behind one interface, so the loop is written once.
@@ -186,9 +295,9 @@ type queue = {
 
 (* The wheel samples the event-loop lag (fire tick minus due tick —
    nonzero only for events scheduled at or before the wheel's clock)
-   per event, and its occupancy / pool gauges once per window
-   crossing. *)
-let wheel_queue () =
+   per event, and its occupancy / pool gauges, with the worker's live
+   client slots, once per window crossing. *)
+let wheel_queue slots =
   let w = Wheel.create () in
   let last_win = ref (-1) in
   let sample (r : Telemetry.recorder) at =
@@ -198,6 +307,7 @@ let wheel_queue () =
     if wdx > !last_win then begin
       last_win := wdx;
       TS.set r.wheel_live ~at (float_of_int (Wheel.live w));
+      TS.set r.client_slots ~at (float_of_int slots.live);
       TS.set r.wheel_pool_hw ~at (float_of_int (Wheel.high_water w));
       TS.set r.wheel_slots ~at (float_of_int (Wheel.slots_occupied w))
     end
@@ -346,17 +456,12 @@ let run ?telemetry ?(domains = 1) cfg =
     | `Auto -> if cfg.clients <= auto_exact_max then `Exact else `Log
   in
   (* Dedicated derive streams, in the repo-wide convention: 10 arrival,
-     11 key choice (both drawn by [Clients.schedule]), 12 chaos, 13
+     11 key choice (both drawn by the {!Clients} stream), 12 chaos, 13
      round scheduling. Chaos and round streams are split per key and
      then per round, so a key's whole timeline is a function of (seed,
      key) alone — the property that makes the keyspace shardable
-     without reordering any stream. The arrival schedule is shared by
-     all shards; each shard replays only the clients whose key it
-     owns. *)
-  let cl =
-    Clients.schedule ~seed cfg.arrival ~keys:cfg.keys ~zipf_s:cfg.zipf_s
-      cfg.clients
-  in
+     without reordering any stream. Every shard draws the whole arrival
+     stream itself and replays only the clients whose key it owns. *)
   let chaos_base = Sim.Rng.derive seed ~stream:12 in
   let round_base = Sim.Rng.derive seed ~stream:13 in
   let nshards = cfg.shards in
@@ -368,7 +473,7 @@ let run ?telemetry ?(domains = 1) cfg =
     | Some s when s.Telemetry.trace -> Some (Obs.Chrome_trace.create ())
     | _ -> None
   in
-  let run_shard q shard =
+  let run_shard (q, slots) shard =
     (* One tally per shard; without a sink its telemetry side is a
        load-and-branch per count, and the report is byte-identical
        either way (pinned by test_service's differential). *)
@@ -391,11 +496,11 @@ let run ?telemetry ?(domains = 1) cfg =
           res.(k) <- Some r;
           r
     in
-    (* Per-key wait queues as intrusive lists through [cl.qnext]. *)
+    (* Per-key wait queues of client slots, linked through [qnext]. *)
     let qhead = Array.make cfg.keys (-1)
     and qtail = Array.make cfg.keys (-1)
     and qlen = Array.make cfg.keys 0
-    and kseq = Array.make cfg.keys 0
+    and kseq = Array.make cfg.keys first_event_kseq
     and burned = Array.make cfg.keys false in
     q.reset ();
     let push ~at ~key ~kind ~a ~b =
@@ -404,33 +509,39 @@ let run ?telemetry ?(domains = 1) cfg =
       q.schedule ~at ~key ~kseq:s ~kind ~a ~b
     in
     let resolve c =
-      assert (cl.Clients.state.(c) = 0);
-      cl.Clients.state.(c) <- 1
+      assert (live slots c);
+      slot_free slots c
     in
     (* Arrivals stream in global client order: the queue holds this
        shard's next run of equal-time arrivals, and handling the run's
        last schedules the next. An arrival's kseq is its rank among its
-       key's arrivals and other events number on from the key's arrival
-       count, so every event keeps the kseq, and the pop order, it had
-       when all arrivals were queued up front. *)
-    let arank = Array.make cfg.keys 0 in
-    Array.iter
-      (fun k -> if k mod nshards = shard then kseq.(k) <- kseq.(k) + 1)
-      cl.Clients.key;
-    let cursor = ref 0 and queued = ref 0 in
+       key's arrivals, below [first_event_kseq]; every other event of
+       the key numbers on from there. *)
+    let cl =
+      Clients.create ~seed cfg.arrival ~keys:cfg.keys ~zipf_s:cfg.zipf_s
+        cfg.clients
+    in
+    let arank = Array.make cfg.keys 0
+    and owned = Array.init cfg.keys (fun k -> k mod nshards = shard) in
+    let queued = ref 0 in
     let next_arrivals () =
-      let first = ref (-1) and at = cl.Clients.arrival in
+      let started = ref false and first_at = ref 0.0 in
       while
-        !cursor < cfg.clients && (!first < 0 || at.(!cursor) = at.(!first))
+        cl.Clients.index < cfg.clients
+        && ((not !started) || cl.Clients.time.at = !first_at)
       do
-        let i = !cursor and k = cl.Clients.key.(!cursor) in
-        if k mod nshards = shard then begin
-          if !first < 0 then first := i;
-          q.schedule ~at:at.(i) ~key:k ~kseq:arank.(k) ~kind:k_arrive ~a:i ~b:0;
+        let k = cl.Clients.key in
+        if owned.(k) then begin
+          if not !started then begin
+            started := true;
+            first_at := cl.Clients.time.at
+          end;
+          q.schedule ~at:cl.Clients.time.at ~key:k ~kseq:arank.(k)
+            ~kind:k_arrive ~a:cl.Clients.index ~b:0;
           arank.(k) <- arank.(k) + 1;
           incr queued
         end;
-        incr cursor
+        Clients.advance cl
       done
     in
     next_arrivals ();
@@ -455,22 +566,20 @@ let run ?telemetry ?(domains = 1) cfg =
                 let rhead = ref (-1) and rtail = ref (-1) and rlen = ref 0 in
                 let c = ref qhead.(k) in
                 while !c >= 0 do
-                  let nxt = cl.Clients.qnext.(!c) in
-                  if now -. cl.Clients.arrival.(!c) > cfg.deadline then begin
+                  let nxt = qnext slots !c in
+                  if now -. arrival slots !c > cfg.deadline then begin
                     resolve !c;
                     Tally.bump tally Deadline ~at:now
                   end
-                  else if
-                    cl.Clients.stamp.(!c) < round
-                    && !npicked < cfg.contenders
+                  else if stamp slots !c < round && !npicked < cfg.contenders
                   then begin
                     scratch.(!npicked) <- !c;
                     incr npicked
                   end
                   else begin
-                    cl.Clients.qnext.(!c) <- -1;
+                    set slots !c f_qnext (-1);
                     if !rtail < 0 then rhead := !c
-                    else cl.Clients.qnext.(!rtail) <- !c;
+                    else set slots !rtail f_qnext !c;
                     rtail := !c;
                     incr rlen
                   end;
@@ -485,8 +594,8 @@ let run ?telemetry ?(domains = 1) cfg =
       burned.(k) <- true;
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in
-        cl.Clients.stamp.(c) <- round;
-        cl.Clients.attempts.(c) <- cl.Clients.attempts.(c) + 1
+        set slots c f_stamp round;
+        set slots c f_attempts (attempts slots c + 1)
       done;
       (* The round seed is a pure function of (seed, key, round): the
          per-key stream [derive round_base ~stream:k] split by the
@@ -534,7 +643,8 @@ let run ?telemetry ?(domains = 1) cfg =
       done;
       (if !winner >= 0 then begin
          let wc = !winner in
-         let claimed = R.claim r ~round ~owner:wc ~now:t_end in
+         let owner = client slots wc in
+         let claimed = R.claim r ~round ~owner ~now:t_end in
          (* The shard is single-threaded: nothing can move the round
             between the election and the claim. *)
          assert claimed;
@@ -543,17 +653,17 @@ let run ?telemetry ?(domains = 1) cfg =
             firing after a clean release finds the round moved on and
             is ignored. *)
          push ~at:(t_end +. cfg.deadline) ~key:k ~kind:k_expire ~a:round ~b:0;
-         resolve wc;
          if u < cfg.crash_prob then
            (* The holder crashes without releasing: the key recovers
               through the round-stamp expiry path when the lease runs
               out. *)
            Tally.bump tally Holder_crashed ~at:t_end
          else begin
-           Tally.complete tally ~at:t_end (t_end -. cl.Clients.arrival.(wc));
+           Tally.complete tally ~at:t_end (t_end -. arrival slots wc);
            push ~at:(t_end +. cfg.hold) ~key:k ~kind:k_release ~a:round
-             ~b:wc
-         end
+             ~b:owner
+         end;
+         resolve wc
        end
        else
          (* Zero-winner round: every contender (or at least the
@@ -561,20 +671,21 @@ let run ?telemetry ?(domains = 1) cfg =
             lease runs out. *)
          push ~at:(t_end +. cfg.deadline) ~key:k ~kind:k_expire ~a:round ~b:0);
       (* Losers retry under the backoff policy; the deadline check
-         happens when the retry fires. *)
+         happens when the retry fires. A loser is still in flight: only
+         the winner and the gone resolved in this round. *)
       for pid = 0 to nc - 1 do
         let c = scratch.(pid) in
         match arena.status pid with
-        | `Lost when cl.Clients.state.(c) = 0 ->
+        | `Lost ->
             let d =
-              Backoff.delay cfg.backoff ~seed ~client:c
-                ~attempt:cl.Clients.attempts.(c)
+              Backoff.delay cfg.backoff ~seed ~client:(client slots c)
+                ~attempt:(attempts slots c)
             in
             push ~at:(t_end +. d) ~key:k ~kind:k_retry ~a:c ~b:0
-        | _ -> ()
+        | `Won | `Gone -> ()
       done
     in
-    (* [k] is [c]'s key, carried by the arrival or retry event. *)
+    (* [k] is slot [c]'s key, carried by the arrival or retry event. *)
     let join c k now =
       if qlen.(k) >= cfg.max_waiters then begin
         (* Overload shed. [`Drop] rejects the client terminally;
@@ -587,41 +698,45 @@ let run ?telemetry ?(domains = 1) cfg =
         match cfg.on_shed with
         | `Drop -> resolve c
         | `Retry ->
-            let att = cl.Clients.attempts.(c) + 1 in
-            cl.Clients.attempts.(c) <- att;
-            let d = Backoff.delay cfg.backoff ~seed ~client:c ~attempt:att in
+            let att = attempts slots c + 1 in
+            set slots c f_attempts att;
+            let d =
+              Backoff.delay cfg.backoff ~seed ~client:(client slots c)
+                ~attempt:att
+            in
             push ~at:(now +. d) ~key:k ~kind:k_retry ~a:c ~b:0
       end
       else begin
         ignore (get_res k : R.t);
-        cl.Clients.qnext.(c) <- -1;
+        set slots c f_qnext (-1);
         if qtail.(k) < 0 then qhead.(k) <- c
-        else cl.Clients.qnext.(qtail.(k)) <- c;
+        else set slots qtail.(k) f_qnext c;
         qtail.(k) <- c;
         qlen.(k) <- qlen.(k) + 1;
         maybe_round k now
       end
     in
     (* Arrivals, pending retries and the release or expiry that reopens
-       a key count as activity for the run's duration. *)
+       a key count as activity for the run's duration. An arrival
+       carries the client id and takes a slot; a retry carries the
+       slot, which stays live while its retry is pending. *)
     let handle now k kind a b =
       if kind = k_arrive then begin
         decr queued;
         if !queued = 0 then next_arrivals ();
         Tally.touch tally now;
         Tally.bump tally Arrived ~at:now;
-        join a k now
+        join (slot_alloc slots ~client:a ~arrival:now) k now
       end
       else if kind = k_retry then begin
-        if cl.Clients.state.(a) = 0 then begin
-          Tally.touch tally now;
-          Tally.bump tally Retried ~at:now;
-          if now -. cl.Clients.arrival.(a) > cfg.deadline then begin
-            resolve a;
-            Tally.bump tally Deadline ~at:now
-          end
-          else join a k now
+        assert (live slots a);
+        Tally.touch tally now;
+        Tally.bump tally Retried ~at:now;
+        if now -. arrival slots a > cfg.deadline then begin
+          resolve a;
+          Tally.bump tally Deadline ~at:now
         end
+        else join a k now
       end
       else begin
         (* A release by the holder, or the always-armed lease. The
@@ -660,26 +775,28 @@ let run ?telemetry ?(domains = 1) cfg =
     for k = 0 to cfg.keys - 1 do
       let c = ref qhead.(k) in
       while !c >= 0 do
-        if cl.Clients.state.(!c) = 0 then begin
-          resolve !c;
-          Tally.bump tally Deadline
-            ~at:(cl.Clients.arrival.(!c) +. cfg.deadline)
-        end;
-        c := cl.Clients.qnext.(!c)
+        let nxt = qnext slots !c in
+        Tally.bump tally Deadline ~at:(arrival slots !c +. cfg.deadline);
+        resolve !c;
+        c := nxt
       done
     done;
+    (* Every client of the shard resolved, so its slots are all free
+       for the worker's next shard. *)
+    assert (slots.live = 0);
     tally
   in
-  (* One queue per worker; the wheel's chunk pool grows with the
-     events in flight. *)
-  let make_queue () =
+  (* One queue and one slot pool per worker; both grow with what is in
+     flight. *)
+  let make_local () =
+    let slots = slots_create () in
     match cfg.events with
-    | `Wheel -> wheel_queue ()
-    | `Heap -> heap_queue ()
+    | `Wheel -> (wheel_queue slots, slots)
+    | `Heap -> (heap_queue (), slots)
   in
   let tallies =
     Engine.run_local ~domains:(min domains nshards) ~trials:nshards ~seed:0L
-      ~local:make_queue (fun q ~trial ~seed:_ -> run_shard q trial)
+      ~local:make_local (fun local ~trial ~seed:_ -> run_shard local trial)
   in
   (* Associative merge in shard order. *)
   let total = Tally.create lmode in

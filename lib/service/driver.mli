@@ -107,22 +107,28 @@ val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
     used when [shards > 1]; it never affects the report. Raises
     [Invalid_argument] if [domains < 1].
 
-    Arrivals are streamed: a shard's queue holds only its next run of
-    equal-time arrivals, so the event pool follows the events in flight,
-    not [clients]. Each arrival's per-key sequence number is its rank
-    among its key's arrivals, and every other event of the key numbers
-    on from the key's arrival count, which keeps the (time, key, kseq)
-    order of a queue holding every arrival from the start. Shards run
-    through [Engine.run_local] with one queue per worker, reset between
-    shards. The wheel queue is [Wheel.create ()] with no capacity: its
-    chunk pool grows one chunk at a time and follows the events in
-    flight, so under overload with retry on shed, when most clients of
-    a shard are in flight at once, it grows to hold them.
+    Arrivals are streamed: each shard draws the {!Clients} stream
+    itself, and its queue holds only its next run of equal-time
+    arrivals, so the event pool follows the events in flight, not
+    [clients]. Per-client state (arrival, attempts, round stamp,
+    wait-queue link) lives in a slot taken at the arrival event and
+    given back when the client resolves, from a per-worker pool of
+    fixed-size chunks, so it too follows the clients in flight. Each
+    arrival's per-key sequence number is its rank among its key's
+    arrivals (below 2^30), and every other event of the key numbers on
+    from 2^30, which keeps the (time, key, kseq) order of a queue
+    holding every arrival from the start. Shards run through
+    [Engine.run_local] with one queue and one slot pool per worker,
+    reused between shards. The wheel queue is [Wheel.create ()] with
+    no capacity: its chunk pool grows one chunk at a time and follows
+    the events in flight, so under overload with retry on shed, when
+    most clients of a shard are in flight at once, it grows to hold
+    them, and so does the slot pool.
 
     With [telemetry], each shard's {!Tally} records the windowed
     {!Telemetry.recorder} schema (windows in virtual ticks), the wheel
-    adds per-event loop lag and occupancy / pool gauges at window
-    crossings, and the sink receives the cross-shard merge. A sink with
-    [trace] set (only with [shards = 1]) also receives a Perfetto trace:
-    per-key round spans plus counter tracks for every series. The
-    report is byte-identical with or without a sink. *)
+    adds per-event loop lag and occupancy / pool / live-slot gauges at
+    window crossings, and the sink receives the cross-shard merge. A
+    sink with [trace] set (only with [shards = 1]) also receives a
+    Perfetto trace: per-key round spans plus counter tracks for every
+    series. The report is byte-identical with or without a sink. *)

@@ -56,12 +56,6 @@ let run ?telemetry cfg =
   let t0 = Unix.gettimeofday () in
   let now_ticks () = (Unix.gettimeofday () -. t0) *. 1e6 in
   let sleep_ticks t = if t > 0.0 then Unix.sleepf (t *. 1e-6) in
-  (* The sim driver's arrival schedule and key choices, so the two
-     backends face the same offered load for the same seed. *)
-  let cl =
-    Clients.schedule ~seed:cfg.seed cfg.arrival ~keys:cfg.keys
-      ~zipf_s:cfg.zipf_s cfg.clients
-  in
   (* Election width = worker count: a worker's slot in every one-shot
      instance is its own index, so slots never collide across domains
      and the per-worker round stamp enforces at-most-once per
@@ -89,23 +83,18 @@ let run ?telemetry cfg =
         |]
     in
     let stamps = Array.make cfg.keys (-1) in
-    (* Clients are sharded round-robin over workers; each worker serves
-       its share in arrival order, open-loop: it sleeps until the
-       scheduled arrival, then drives the attempt loop. *)
-    let ci = ref wi in
-    while !ci < cfg.clients do
-      let c = !ci in
-      ci := !ci + w;
-      let key = cl.Clients.key.(c) in
+    (* One client, open-loop: sleep until its scheduled arrival, then
+       drive the attempt loop. *)
+    let serve c key arrival =
       let res = keys.(key) in
-      sleep_ticks (cl.Clients.arrival.(c) -. now_ticks ());
+      sleep_ticks (arrival -. now_ticks ());
       Tally.bump tally Arrived ~at:(now_ticks ());
       let attempt = ref 0 in
       let running = ref true in
       while !running do
         attempts.(wi) <- attempts.(wi) + 1;
         let now = now_ticks () in
-        if now -. cl.Clients.arrival.(c) > cfg.deadline then begin
+        if now -. arrival > cfg.deadline then begin
           Tally.bump tally Deadline ~at:now;
           running := false
         end
@@ -157,7 +146,7 @@ let run ?telemetry cfg =
                       crash ()
                     else begin
                       let at = now_ticks () in
-                      Tally.complete tally ~at (at -. cl.Clients.arrival.(c));
+                      Tally.complete tally ~at (at -. arrival);
                       sleep_ticks cfg.hold;
                       (* A false release means the lease expired under
                          us, and the expiry moved the key on. *)
@@ -177,6 +166,21 @@ let run ?telemetry cfg =
               end
         end
       done
+    in
+    (* Clients are sharded round-robin over workers: every worker draws
+       the sim driver's arrival stream, so the two backends face the
+       same offered load for the same seed, and serves every [w]-th
+       client of it in arrival order. *)
+    let cl =
+      Clients.create ~seed:cfg.seed cfg.arrival ~keys:cfg.keys
+        ~zipf_s:cfg.zipf_s cfg.clients
+    in
+    while cl.Clients.index < cfg.clients do
+      let c = cl.Clients.index
+      and key = cl.Clients.key
+      and arrival = cl.Clients.time.at in
+      Clients.advance cl;
+      if c mod w = wi then serve c key arrival
     done
   in
   let outcome =

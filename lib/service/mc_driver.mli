@@ -6,9 +6,10 @@
     One tick is one microsecond: deadlines, holds and backoff delays
     become [Unix.sleepf] intervals, latencies and throughput come from
     [Unix.gettimeofday], and the report shares the sim driver's schema
-    and units. It replays the sim driver's {!Clients.schedule}, so both
-    backends face the same offered load for a given seed; wall-clock
-    interleaving makes the outcomes nondeterministic.
+    and units. Every worker draws the sim driver's {!Clients} stream
+    and serves every [workers]-th client of it, so both backends face
+    the same offered load for a given seed; wall-clock interleaving
+    makes the outcomes nondeterministic.
 
     Clients are sharded round-robin over [workers] domains. A worker's
     slot in every one-shot instance is its own index ([n = workers]),

@@ -46,6 +46,7 @@ type recorder = {
   wheel_live : TS.gauge;
   wheel_pool_hw : TS.gauge;
   wheel_slots : TS.gauge;
+  client_slots : TS.gauge;
 }
 
 let recorder ~window () =
@@ -70,6 +71,7 @@ let recorder ~window () =
     wheel_live = TS.gauge ts "service.wheel_live";
     wheel_pool_hw = TS.gauge ts "service.wheel_pool_hw";
     wheel_slots = TS.gauge ts "service.wheel_slots";
+    client_slots = TS.gauge ts "service.client_slots";
   }
 
 (* Which report total each counter series must sum to. [arrivals] is

@@ -46,6 +46,7 @@ type recorder = {
   wheel_live : Obs.Timeseries.gauge;
   wheel_pool_hw : Obs.Timeseries.gauge;
   wheel_slots : Obs.Timeseries.gauge;
+  client_slots : Obs.Timeseries.gauge;
 }
 (** Every handle of the schema, resolved once at creation so the
     recording hot path never touches the name table. *)

@@ -61,14 +61,18 @@ let pmf t i =
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)
 
 (* O(1) alias draw. Consumes exactly one [Rng.float], like the CDF
-   oracle below, so the two samplers are drop-in stream-compatible. *)
+   oracle below, so the two samplers are drop-in stream-compatible. The
+   column-or-alias choice is a select, not a branch: its outcome is a
+   coin flip on skewed tables, and a mispredicted branch there cost
+   half the draw. *)
 let sample t rng =
   let u = Sim.Rng.float rng in
   let n = Array.length t.prob in
   let x = u *. float_of_int n in
   let i = int_of_float x in
   let i = if i >= n then n - 1 else i in
-  if x -. float_of_int i < t.prob.(i) then i else t.alias.(i)
+  let a = t.alias.(i) in
+  a + (Bool.to_int (x -. float_of_int i < t.prob.(i)) * (i - a))
 
 (* First index whose cumulative weight exceeds u: binary search. Kept
    as the test oracle for the alias table — same draw count, same

@@ -216,8 +216,10 @@ trace-smoke:
 # service` exits non-zero if any windowed counter fails to sum to its
 # report total), then a `rtas service` run emitting the JSON time-series, the
 # OpenMetrics exposition and a Perfetto trace, each validated
-# structurally with jq — the time-series must carry the schema tag and
-# account for every client across windows, the trace must contain
+# structurally with jq — the time-series must carry the schema tag,
+# account for every client across windows, count every completion in
+# its latency windows and read p50 <= p99 <= max in every quantile
+# window (counter_mismatches covers counters only), the trace must contain
 # counter tracks and per-key round spans, and the OpenMetrics file must
 # end with the mandatory EOF marker. Scratch files live in the build
 # tree.
@@ -233,6 +235,7 @@ telemetry-smoke:
 	  -o _build/TEL_report.json >/dev/null
 	jq -e '.schema == "rtas-timeseries/1" and .window_ticks == 500 and .windows > 0' _build/TEL_ts.json >/dev/null
 	jq -e --slurpfile r _build/TEL_report.json '(.counters["service.arrivals"] | map(.[1]) | add) == $$r[0].counts.clients and (.counters["service.completed"] // [] | map(.[1]) | add // 0) == $$r[0].counts.completed and (.counters["service.holder_crashes"] // [] | map(.[1]) | add // 0) == $$r[0].counts.holder_crashes' _build/TEL_ts.json >/dev/null
+	jq -e --slurpfile r _build/TEL_report.json '(.quantiles["service.latency_ticks"].windows | map(.n) | add // 0) == $$r[0].counts.completed and all(.quantiles[].windows[]; .p50 <= .p99 and .p99 <= .max)' _build/TEL_ts.json >/dev/null
 	jq -e '[.traceEvents[] | select(.ph == "C")] | length > 0' _build/TEL_trace.json >/dev/null
 	jq -e '[.traceEvents[] | select(.ph == "X" and .name == "round")] | length > 0' _build/TEL_trace.json >/dev/null
 	jq -e '[.traceEvents[] | select((has("ph") and has("ts") and has("pid") and has("tid")) | not)] | length == 0' _build/TEL_trace.json >/dev/null

@@ -5,6 +5,7 @@
    [Obs.enter]/[Obs.leave]/[Obs.span] directly, which is how algorithm
    code spells them. *)
 
+module Logbucket = Logbucket
 module Timeseries = Timeseries
 module Probe = Probe
 module Collector = Collector

@@ -1,18 +1,11 @@
 (* Windowed time-series recorder. See timeseries.mli for the model.
 
    Layout notes: each series keeps its per-window cells in growable
-   scalar arrays indexed by window (doubling growth, like the flat
-   kernel's pools), so recording into an already-touched window is a
-   couple of array stores — no allocation, no boxing. Quantile series
-   lazily allocate one bucket array per touched window; untouched
-   windows all share the one empty sentinel array. *)
-
-type bucketing = {
-  b_name : string;
-  b_count : int;
-  b_of_value : float -> int;
-  b_midpoint : int -> float;
-}
+   arrays indexed by window (doubling growth, like the flat kernel's
+   pools), so recording into an already-touched window is a couple of
+   array stores — no allocation, no boxing. A quantile window's cell is
+   a [Logbucket] histogram, whose counts grow to the largest bucket
+   that window has seen. *)
 
 type counter = {
   c_w : float;
@@ -27,17 +20,9 @@ type gauge = {
   mutable g_hi : int;
 }
 
-(* The shared "untouched window" sentinel: physical equality against it
-   is the lazy-allocation test. *)
-let no_buckets : int array = [||]
-
 type quantile = {
   q_w : float;
-  q_b : bucketing;
-  mutable q_counts : int array array;
-  mutable q_n : int array;
-  mutable q_sum : float array;
-  mutable q_max : float array;
+  mutable q_hists : Logbucket.t array;
   mutable q_hi : int;
 }
 
@@ -90,26 +75,15 @@ let gauge t name =
       Hashtbl.add t.tbl name (G g);
       g
 
-let quantile t b name =
-  if b.b_count < 1 then invalid_arg "Timeseries.quantile: empty bucketing";
+let quantile t name =
   match Hashtbl.find_opt t.tbl name with
-  | Some (Q q) ->
-      if q.q_b.b_name <> b.b_name then
-        invalid_arg
-          (Printf.sprintf
-             "Timeseries.quantile: %S re-registered with scheme %S (was %S)"
-             name b.b_name q.q_b.b_name);
-      q
+  | Some (Q q) -> q
   | Some it -> clash name it "quantile"
   | None ->
       let q =
         {
           q_w = t.window;
-          q_b = b;
-          q_counts = Array.make 16 no_buckets;
-          q_n = Array.make 16 0;
-          q_sum = Array.make 16 0.0;
-          q_max = Array.make 16 0.0;
+          q_hists = Array.init 16 (fun _ -> Logbucket.create ());
           q_hi = 0;
         }
       in
@@ -139,10 +113,10 @@ let grow_bool a i =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_arr a i =
-  let b = Array.make (grown_cap (Array.length a) i) no_buckets in
-  Array.blit a 0 b 0 (Array.length a);
-  b
+let grow_hists a i =
+  let len = Array.length a in
+  Array.init (grown_cap len i) (fun j ->
+      if j < len then a.(j) else Logbucket.create ())
 
 let add c ~at v =
   let i = widx c.c_w at in
@@ -164,34 +138,31 @@ let set g ~at v =
 
 let observe q ~at v =
   let i = widx q.q_w at in
-  if i >= Array.length q.q_n then begin
-    q.q_counts <- grow_arr q.q_counts i;
-    q.q_n <- grow_int q.q_n i 0;
-    q.q_sum <- grow_float q.q_sum i 0.0;
-    q.q_max <- grow_float q.q_max i 0.0
-  end;
-  if q.q_counts.(i) == no_buckets then
-    q.q_counts.(i) <- Array.make q.q_b.b_count 0;
-  let b = q.q_b.b_of_value v in
-  q.q_counts.(i).(b) <- q.q_counts.(i).(b) + 1;
-  if q.q_n.(i) = 0 || v > q.q_max.(i) then q.q_max.(i) <- v;
-  q.q_n.(i) <- q.q_n.(i) + 1;
-  q.q_sum.(i) <- q.q_sum.(i) +. v;
+  if i >= Array.length q.q_hists then q.q_hists <- grow_hists q.q_hists i;
+  Logbucket.observe q.q_hists.(i) v;
   if i >= q.q_hi then q.q_hi <- i + 1
 
 (* {1 Snapshots} *)
-
-type qbucket = { qb_idx : int; qb_count : int; qb_mid : float }
 
 type qwindow = {
   qw_win : int;
   qw_n : int;
   qw_sum : float;
   qw_max : float;
-  qw_buckets : qbucket list;
+  qw_hist : Logbucket.t;
 }
 
-type qseries = { qs_scheme : string; qs_windows : qwindow list }
+type qseries = { qs_windows : qwindow list }
+
+(* [h] is the window's own: a snapshot never shares a recorder's. *)
+let qwindow win h =
+  {
+    qw_win = win;
+    qw_n = Logbucket.n h;
+    qw_sum = Logbucket.sum h;
+    qw_max = Logbucket.max h;
+    qw_hist = h;
+  }
 
 type snapshot = {
   s_window : float;
@@ -222,31 +193,11 @@ let snapshot t =
       | Q q ->
           let wins = ref [] in
           for i = q.q_hi - 1 downto 0 do
-            if q.q_n.(i) > 0 then begin
-              let buckets = ref [] in
-              let counts = q.q_counts.(i) in
-              for b = Array.length counts - 1 downto 0 do
-                if counts.(b) > 0 then
-                  buckets :=
-                    {
-                      qb_idx = b;
-                      qb_count = counts.(b);
-                      qb_mid = q.q_b.b_midpoint b;
-                    }
-                    :: !buckets
-              done;
-              wins :=
-                {
-                  qw_win = i;
-                  qw_n = q.q_n.(i);
-                  qw_sum = q.q_sum.(i);
-                  qw_max = q.q_max.(i);
-                  qw_buckets = !buckets;
-                }
-                :: !wins
-            end
+            let h = q.q_hists.(i) in
+            if Logbucket.n h > 0 then
+              wins := qwindow i (Logbucket.copy h) :: !wins
           done;
-          qs := (name, { qs_scheme = q.q_b.b_name; qs_windows = !wins }) :: !qs)
+          qs := (name, { qs_windows = !wins }) :: !qs)
     t.tbl;
   let by_name (a, _) (b, _) = String.compare a b in
   {
@@ -256,53 +207,31 @@ let snapshot t =
     s_quantiles = List.sort by_name !qs;
   }
 
-(* Merge two key-sorted assoc lists, combining values under equal keys.
-   Polymorphic in the key ([compare] is the stdlib total order — keys
-   here are strings or ints, never functions). *)
-let rec merge_assoc combine a b =
+(* Merge two lists sorted by [key], combining the elements of equal
+   keys. Polymorphic in the key ([compare] is the stdlib total order —
+   keys here are strings or ints, never functions). *)
+let rec merge_by key combine a b =
   match (a, b) with
   | [], rest | rest, [] -> rest
-  | (ka, va) :: ta, (kb, vb) :: tb ->
-      let c = compare ka kb in
-      if c < 0 then (ka, va) :: merge_assoc combine ta b
-      else if c > 0 then (kb, vb) :: merge_assoc combine a tb
-      else (ka, combine va vb) :: merge_assoc combine ta tb
+  | x :: ta, y :: tb ->
+      let c = compare (key x) (key y) in
+      if c < 0 then x :: merge_by key combine ta b
+      else if c > 0 then y :: merge_by key combine a tb
+      else combine x y :: merge_by key combine ta tb
 
-let merge_qwindows name a b =
-  let rec go a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | (wa : qwindow) :: ta, wb :: tb ->
-        if wa.qw_win < wb.qw_win then wa :: go ta b
-        else if wa.qw_win > wb.qw_win then wb :: go a tb
-        else
-          let buckets =
-            List.map
-              (fun (idx, (count, mid)) ->
-                { qb_idx = idx; qb_count = count; qb_mid = mid })
-              (merge_assoc
-                 (fun (ca, mid) (cb, _) -> (ca + cb, mid))
-                 (List.map (fun q -> (q.qb_idx, (q.qb_count, q.qb_mid))) wa.qw_buckets)
-                 (List.map (fun q -> (q.qb_idx, (q.qb_count, q.qb_mid))) wb.qw_buckets))
-          in
-          {
-            qw_win = wa.qw_win;
-            qw_n = wa.qw_n + wb.qw_n;
-            qw_sum = wa.qw_sum +. wb.qw_sum;
-            qw_max = Float.max wa.qw_max wb.qw_max;
-            qw_buckets = buckets;
-          }
-          :: go ta tb
-  in
-  ignore name;
-  go a b
+let merge_assoc combine =
+  merge_by fst (fun (k, x) (_, y) -> (k, combine x y))
 
-let merge_qseries name a b =
-  if a.qs_scheme <> b.qs_scheme then
-    invalid_arg
-      (Printf.sprintf "Timeseries.merge: quantile %S has mismatched schemes"
-         name);
-  { qs_scheme = a.qs_scheme; qs_windows = merge_qwindows name a.qs_windows b.qs_windows }
+let merge_qwindow wa wb =
+  let h = Logbucket.copy wa.qw_hist in
+  Logbucket.merge_into ~into:h wb.qw_hist;
+  qwindow wa.qw_win h
+
+let merge_qseries a b =
+  {
+    qs_windows =
+      merge_by (fun w -> w.qw_win) merge_qwindow a.qs_windows b.qs_windows;
+  }
 
 let is_empty s = s.s_counters = [] && s.s_gauges = [] && s.s_quantiles = []
 
@@ -315,24 +244,10 @@ let merge a b =
     {
       s_window = a.s_window;
       s_counters =
-        List.map
-          (fun (name, cells) -> (name, cells))
-          (merge_assoc
-             (merge_assoc (fun x y -> x + y))
-             a.s_counters b.s_counters);
+        merge_assoc (merge_assoc (fun x y -> x + y)) a.s_counters b.s_counters;
       (* Gauges: the right-hand side is the later write in merge order. *)
       s_gauges = merge_assoc (merge_assoc (fun _ y -> y)) a.s_gauges b.s_gauges;
-      s_quantiles =
-        (let rec go a b =
-           match (a, b) with
-           | [], rest | rest, [] -> rest
-           | (na, qa) :: ta, (nb, qb) :: tb ->
-               let c = String.compare na nb in
-               if c < 0 then (na, qa) :: go ta b
-               else if c > 0 then (nb, qb) :: go a tb
-               else (na, merge_qseries na qa qb) :: go ta tb
-         in
-         go a.s_quantiles b.s_quantiles);
+      s_quantiles = merge_assoc merge_qseries a.s_quantiles b.s_quantiles;
     }
 
 let windows s =
@@ -350,22 +265,7 @@ let counter_sum s name =
   | None -> 0
   | Some cells -> List.fold_left (fun acc (_, v) -> acc + v) 0 cells
 
-(* Nearest-rank percentile over the window's sparse buckets, the Histo
-   rank rule: clamp the midpoint to the exact max so a top-bucket
-   midpoint can never exceed the largest observed sample. *)
-let percentile qw p =
-  if qw.qw_n = 0 then 0.0
-  else begin
-    let rank = int_of_float (ceil (p *. float_of_int qw.qw_n)) - 1 in
-    let rank = min (qw.qw_n - 1) (max 0 rank) in
-    let rec walk acc = function
-      | [] -> qw.qw_max
-      | b :: rest ->
-          let acc = acc + b.qb_count in
-          if acc > rank then Float.min b.qb_mid qw.qw_max else walk acc rest
-    in
-    walk 0 qw.qw_buckets
-  end
+let percentile qw p = Logbucket.percentile qw.qw_hist p
 
 (* {1 Export} *)
 
@@ -419,7 +319,7 @@ let to_json s =
       add "]");
   add ",\n";
   obj "quantiles" s.s_quantiles (fun q ->
-      add (Printf.sprintf "{\"scheme\": \"%s\", \"windows\": [" (json_escape q.qs_scheme));
+      add "{\"scheme\": \"logbucket32\", \"windows\": [";
       List.iteri
         (fun i qw ->
           if i > 0 then add ", ";

@@ -8,33 +8,19 @@
       windows equal run totals);
     - {e gauges}: last-write-wins samples of an instantaneous level
       (queue depth, pool high-water);
-    - {e quantiles}: per-window log-bucketed value distributions over an
-      injected {!bucketing} scheme, so percentiles can be read per
-      window without storing samples.
-
-    The bucketing scheme is a parameter (not a dependency): [lib/sim]
-    depends on [lib/obs], so the recorder cannot name
-    [Sim.Stats.Logbucket] — the service layer injects it. The [b_name]
-    tag travels with snapshots and guards merges, since the functions
-    themselves cannot be compared.
+    - {e quantiles}: one {!Logbucket} histogram per window, so
+      percentiles can be read per window without storing samples.
 
     Storage discipline mirrors the flat kernel: per-series cells live in
-    growable scalar arrays indexed by window, doubling on demand, so the
-    steady state inside a window allocates nothing (a quantile series
-    allocates one bucket array the first time a window is touched).
-    A recorder is single-domain mutable state; cross-shard and
+    growable arrays indexed by window, doubling on demand, so the
+    steady state inside a window allocates nothing (a quantile window's
+    bucket counts grow, also by doubling, to the largest bucket it has
+    seen). A recorder is single-domain mutable state; cross-shard and
     cross-domain aggregation goes through immutable {!snapshot} values
     and the associative {!merge}, keyed by window index — exactly the
     {!Collector} discipline with a time axis added. *)
 
 type t
-
-type bucketing = {
-  b_name : string;  (** Scheme tag; merges require equal tags. *)
-  b_count : int;  (** Number of buckets; indices [0 .. b_count - 1]. *)
-  b_of_value : float -> int;  (** Value to bucket index. Monotone. *)
-  b_midpoint : int -> float;  (** Representative value of a bucket. *)
-}
 
 type counter
 type gauge
@@ -50,7 +36,7 @@ val counter : t -> string -> counter
 (** Get-or-create. Raises [Invalid_argument] on a kind clash. *)
 
 val gauge : t -> string -> gauge
-val quantile : t -> bucketing -> string -> quantile
+val quantile : t -> string -> quantile
 
 val bump : counter -> at:float -> unit
 val add : counter -> at:float -> int -> unit
@@ -59,20 +45,15 @@ val observe : quantile -> at:float -> float -> unit
 
 (** {1 Snapshots and aggregation} *)
 
-type qbucket = { qb_idx : int; qb_count : int; qb_mid : float }
-
 type qwindow = {
   qw_win : int;
-  qw_n : int;
+  qw_n : int;  (** [qw_n], [qw_sum] and [qw_max] are [qw_hist]'s. *)
   qw_sum : float;
   qw_max : float;
-  qw_buckets : qbucket list;  (** Ascending [qb_idx]; counts > 0. *)
+  qw_hist : Logbucket.t;  (** The window's own; never mutated. *)
 }
 
-type qseries = {
-  qs_scheme : string;
-  qs_windows : qwindow list;  (** Ascending [qw_win]. *)
-}
+type qseries = { qs_windows : qwindow list  (** Ascending [qw_win]; n > 0. *) }
 
 type snapshot = {
   s_window : float;
@@ -90,12 +71,12 @@ val empty_snapshot : snapshot
 val snapshot : t -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
-(** Keyed by window index: counters and quantile buckets sum pointwise
-    (quantiles must agree on the scheme tag); gauges take the
-    right-hand value where both sides set the same window (last write
-    in merge order). Associative, with {!empty_snapshot} as identity;
-    commutative except for overlapping gauge windows. Raises
-    [Invalid_argument] on window-width or scheme mismatch. *)
+(** Keyed by window index: counters sum and quantile windows merge
+    ({!Logbucket.merge_into}) pointwise; gauges take the right-hand
+    value where both sides set the same window (last write in merge
+    order). Associative, with {!empty_snapshot} as identity; commutative
+    except for overlapping gauge windows. Raises [Invalid_argument] on a
+    window-width mismatch. *)
 
 val windows : snapshot -> int
 (** [1 + ] the largest window index present in any series (0 when the
@@ -104,16 +85,13 @@ val windows : snapshot -> int
 val counter_sum : snapshot -> string -> int
 (** Sum of a counter series across all windows; 0 if absent. *)
 
-val percentile : qwindow -> float -> float
-(** Nearest-rank percentile over the window's buckets, read off bucket
-    midpoints and clamped to the window's exact max; 0 if empty. *)
-
 (** {1 Export} *)
 
 val to_json : snapshot -> string
 (** Deterministic JSON dump: schema ["rtas-timeseries/1"], counters and
     gauges as [[window, value]] pair lists, quantile windows as
-    [{window, n, mean, p50, p90, p99, max}] summaries. *)
+    [{window, n, mean, p50, p90, p99, max}] summaries under the scheme
+    tag ["logbucket32"]. *)
 
 val to_openmetrics : snapshot -> string
 (** OpenMetrics-style text exposition: one metric per series (names

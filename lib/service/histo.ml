@@ -1,11 +1,10 @@
 (* Latency recording for the service driver, in two interchangeable
    modes sharing one interface and one merge algebra:
 
-   - [`Log]: a log-bucketed histogram over Sim.Stats.Logbucket's
-     scheme (32 sub-buckets per octave). Memory is bounded by the
-     bucket count regardless of sample count; percentiles are read off
-     bucket midpoints, within ~1.6% relative error. Mean and max stay
-     exact (tracked as scalars).
+   - [`Log]: one [Obs.Logbucket] histogram (32 sub-buckets per
+     octave). Memory is bounded by the bucket count regardless of
+     sample count; percentiles are read off bucket midpoints, within
+     ~1.6% relative error. Mean and max stay exact.
    - [`Exact]: every sample in a growing float array; percentiles are
      exact nearest-rank. For small runs and for cross-checking the
      bucketed mode in tests.
@@ -15,68 +14,44 @@
    sorts), which is what lets sharded driver runs combine per-shard
    partials into a report identical to the single-shard run. *)
 
-module LB = Sim.Stats.Logbucket
+module LB = Obs.Logbucket
 
-type t = {
-  log : bool;
-  counts : int array;  (* [`Log] buckets; [||] in exact mode *)
-  mutable xs : float array;  (* [`Exact] samples; [||] in log mode *)
+type exact = {
+  mutable xs : float array;
   mutable n : int;
   mutable sum : float;
   mutable mx : float;
 }
 
-let create mode =
-  match mode with
-  | `Exact ->
-      {
-        log = false;
-        counts = [||];
-        xs = Array.make 256 0.0;
-        n = 0;
-        sum = 0.0;
-        mx = neg_infinity;
-      }
-  | `Log ->
-      {
-        log = true;
-        counts = Array.make LB.count 0;
-        xs = [||];
-        n = 0;
-        sum = 0.0;
-        mx = neg_infinity;
-      }
+type t = Log of LB.t | Exact of exact
 
-let mode t = if t.log then `Log else `Exact
-let mode_name t = if t.log then "hist" else "exact"
-let count t = t.n
+let create = function
+  | `Log -> Log (LB.create ())
+  | `Exact ->
+      Exact { xs = Array.make 256 0.0; n = 0; sum = 0.0; mx = neg_infinity }
+
+let mode = function Log _ -> `Log | Exact _ -> `Exact
+let mode_name = function Log _ -> "hist" | Exact _ -> "exact"
+let count = function Log h -> LB.n h | Exact e -> e.n
 
 let observe t v =
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  if v > t.mx then t.mx <- v;
-  if t.log then begin
-    let b = LB.of_value v in
-    t.counts.(b) <- t.counts.(b) + 1
-  end
-  else begin
-    if t.n > Array.length t.xs then begin
-      let nxs = Array.make (2 * Array.length t.xs) 0.0 in
-      Array.blit t.xs 0 nxs 0 (t.n - 1);
-      t.xs <- nxs
-    end;
-    t.xs.(t.n - 1) <- v
-  end
+  match t with
+  | Log h -> LB.observe h v
+  | Exact e ->
+      if e.n = Array.length e.xs then begin
+        let nxs = Array.make (2 * e.n) 0.0 in
+        Array.blit e.xs 0 nxs 0 e.n;
+        e.xs <- nxs
+      end;
+      e.xs.(e.n) <- v;
+      e.n <- e.n + 1;
+      e.sum <- e.sum +. v;
+      if v > e.mx then e.mx <- v
 
 let merge_into ~into src =
-  if into.log <> src.log then
-    invalid_arg "Histo.merge_into: mixed exact/log modes";
-  if src.n > 0 then begin
-    if into.log then
-      Array.iteri
-        (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)
-        src.counts
-    else begin
+  match (into, src) with
+  | Log into, Log src -> LB.merge_into ~into src
+  | Exact into, Exact src ->
       let need = into.n + src.n in
       if need > Array.length into.xs then begin
         let cap = ref (max 256 (Array.length into.xs)) in
@@ -87,12 +62,11 @@ let merge_into ~into src =
         Array.blit into.xs 0 nxs 0 into.n;
         into.xs <- nxs
       end;
-      Array.blit src.xs 0 into.xs into.n src.n
-    end;
-    into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.mx > into.mx then into.mx <- src.mx
-  end
+      Array.blit src.xs 0 into.xs into.n src.n;
+      into.n <- need;
+      into.sum <- into.sum +. src.sum;
+      if src.mx > into.mx then into.mx <- src.mx
+  | _ -> invalid_arg "Histo.merge_into: mixed exact/log modes"
 
 type snapshot = {
   s_n : int;
@@ -104,47 +78,23 @@ type snapshot = {
   s_max : float;
 }
 
-(* Nearest-rank percentile over the bucket counts: same rank rule as
-   Sim.Stats.percentile_sorted, with the bucket midpoint standing in
-   for the sample value. *)
-let log_percentile t p =
-  let rank = int_of_float (ceil (p *. float_of_int t.n)) - 1 in
-  let rank = min (t.n - 1) (max 0 rank) in
-  let acc = ref 0 and b = ref 0 and found = ref (-1) in
-  while !found < 0 && !b < Array.length t.counts do
-    acc := !acc + t.counts.(!b);
-    if !acc > rank then found := !b;
-    incr b
-  done;
-  (* Clamp to the exact max so a top-bucket midpoint can never report
-     a percentile above the largest observed sample. *)
-  Float.min (LB.midpoint (max 0 !found)) t.mx
-
-let snapshot t =
-  if t.n = 0 then None
-  else if t.log then
+let summary n sum mx pct =
+  if n = 0 then None
+  else
     Some
       {
-        s_n = t.n;
-        s_mean = t.sum /. float_of_int t.n;
-        s_p50 = log_percentile t 0.5;
-        s_p95 = log_percentile t 0.95;
-        s_p99 = log_percentile t 0.99;
-        s_p999 = log_percentile t 0.999;
-        s_max = t.mx;
-      }
-  else begin
-    let sorted = Array.sub t.xs 0 t.n in
-    Array.sort Float.compare sorted;
-    let pct = Sim.Stats.percentile_sorted sorted in
-    Some
-      {
-        s_n = t.n;
-        s_mean = t.sum /. float_of_int t.n;
+        s_n = n;
+        s_mean = sum /. float_of_int n;
         s_p50 = pct 0.5;
         s_p95 = pct 0.95;
         s_p99 = pct 0.99;
         s_p999 = pct 0.999;
-        s_max = t.mx;
+        s_max = mx;
       }
-  end
+
+let snapshot = function
+  | Log h -> summary (LB.n h) (LB.sum h) (LB.max h) (LB.percentile h)
+  | Exact e ->
+      let sorted = Array.sub e.xs 0 e.n in
+      Array.sort Float.compare sorted;
+      summary e.n e.sum e.mx (Sim.Stats.percentile_sorted sorted)

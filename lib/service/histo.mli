@@ -1,9 +1,9 @@
 (** Latency recording: exact samples or a log-bucketed histogram.
 
-    [`Log] mode keeps memory bounded by the bucket count (no per-client
-    latency array — the mode million-client runs use); percentiles are
-    bucket midpoints within ~1.6% relative error of exact
-    (Sim.Stats.Logbucket's bound), while mean and max stay exact.
+    [`Log] mode holds one {!Obs.Logbucket} histogram: memory bounded by
+    the bucket count (no per-client latency array — the mode
+    million-client runs use), percentiles read off bucket midpoints
+    within ~1.6% relative error of exact, mean and max exact.
     [`Exact] mode records every sample and yields exact nearest-rank
     percentiles — the small-run default and the cross-check oracle for
     the bucketed mode.

@@ -5,15 +5,6 @@
    checks that they do). *)
 
 module TS = Obs.Timeseries
-module LB = Sim.Stats.Logbucket
-
-let logbucket =
-  {
-    TS.b_name = "logbucket32";
-    b_count = LB.count;
-    b_of_value = LB.of_value;
-    b_midpoint = LB.midpoint;
-  }
 
 type sink = {
   window : float;
@@ -63,11 +54,11 @@ let recorder ~window () =
     recoveries = TS.counter ts "service.forced_expiries";
     stale_wins = TS.counter ts "service.stale_wins";
     rounds = TS.counter ts "service.rounds";
-    round_steps = TS.quantile ts logbucket "service.round_steps";
-    round_rmrs = TS.quantile ts logbucket "service.round_rmrs";
-    round_flips = TS.quantile ts logbucket "service.round_flips";
-    latency = TS.quantile ts logbucket "service.latency_ticks";
-    lag = TS.quantile ts logbucket "service.loop_lag_ticks";
+    round_steps = TS.quantile ts "service.round_steps";
+    round_rmrs = TS.quantile ts "service.round_rmrs";
+    round_flips = TS.quantile ts "service.round_flips";
+    latency = TS.quantile ts "service.latency_ticks";
+    lag = TS.quantile ts "service.loop_lag_ticks";
     wheel_live = TS.gauge ts "service.wheel_live";
     wheel_pool_hw = TS.gauge ts "service.wheel_pool_hw";
     wheel_slots = TS.gauge ts "service.wheel_slots";

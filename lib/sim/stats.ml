@@ -73,55 +73,3 @@ let summarize_array xs =
   summarize_sorted sorted
 
 let summarize xs = summarize_sorted (sorted_of_list xs)
-
-(* Log-spaced bucket indexing for bounded-memory histograms: 32
-   sub-buckets per power of two, so any value maps to a bucket whose
-   width is at most 1/32 of its lower bound — percentiles read off the
-   bucket midpoints are within ~1.6% of the exact ones. Kept here (not
-   in the service layer) so every consumer of bucketed percentiles
-   shares one indexing scheme. *)
-module Logbucket = struct
-  let sub = 32
-  let octaves = 52
-  let count = 1 + (octaves * sub)
-
-  (* Bucket 0 is [0, 1) (and any negative or NaN input); bucket
-     [1 + oct*sub + s] covers [2^oct * (1 + s/sub), 2^oct * (1 +
-     (s+1)/sub)). Monotone in the value. *)
-  let of_value v =
-    if not (v >= 1.0) then 0
-    else begin
-      let m, e = Float.frexp v in
-      (* v = m * 2^e with m in [0.5, 1), so v in [2^oct, 2^(oct+1)). *)
-      let oct = e - 1 in
-      if oct >= octaves then count - 1
-      else begin
-        let s = int_of_float ((Float.ldexp m 1 -. 1.0) *. float_of_int sub) in
-        let s = if s > sub - 1 then sub - 1 else s in
-        1 + (oct * sub) + s
-      end
-    end
-
-  let lower i =
-    if i <= 0 then 0.0
-    else begin
-      let i = min i (count - 1) in
-      let oct = (i - 1) / sub and s = (i - 1) mod sub in
-      Float.ldexp (1.0 +. (float_of_int s /. float_of_int sub)) oct
-    end
-
-  let upper i =
-    if i < 0 then 0.0
-    else if i = 0 then 1.0
-    else if i >= count - 1 then infinity
-    else begin
-      let oct = (i - 1) / sub and s = (i - 1) mod sub in
-      if s = sub - 1 then Float.ldexp 1.0 (oct + 1)
-      else Float.ldexp (1.0 +. (float_of_int (s + 1) /. float_of_int sub)) oct
-    end
-
-  let midpoint i =
-    if i <= 0 then 0.5
-    else if i >= count - 1 then lower (count - 1)
-    else (lower i +. upper i) /. 2.0
-end

@@ -52,35 +52,3 @@ val percentile_sorted_opt : float array -> float -> float option
 (** Total variant of {!percentile_sorted}: [None] on the empty array
     (still raises on [p] outside [\[0, 1\]] — that is a caller bug, not
     a data shape). *)
-
-(** Log-spaced bucket indexing for bounded-memory histograms.
-
-    Values are mapped to buckets with 32 sub-buckets per power of two:
-    bucket 0 covers [\[0, 1)] (and absorbs negative or NaN inputs),
-    and bucket [1 + oct*32 + s] covers
-    [\[2^oct * (1 + s/32), 2^oct * (1 + (s+1)/32))]. Every bucket's
-    width is at most 1/32 of its lower bound, so a percentile read off
-    a bucket midpoint is within ~1.6% (relative) of the exact sample
-    percentile — the contract the service latency histogram tests
-    check. The mapping is monotone, total, and allocation-free. *)
-module Logbucket : sig
-  val sub : int
-  (** Sub-buckets per octave (32). *)
-
-  val count : int
-  (** Total number of buckets; indices are [0 .. count - 1]. Values at
-      or beyond [2^52] clamp into the last bucket. *)
-
-  val of_value : float -> int
-  (** Bucket index for a value. Monotone; never raises. *)
-
-  val lower : int -> float
-  (** Inclusive lower bound of a bucket (0 for bucket 0). *)
-
-  val upper : int -> float
-  (** Exclusive upper bound of a bucket ([infinity] for the last). *)
-
-  val midpoint : int -> float
-  (** Representative value reported for samples in a bucket. Monotone
-      in the index. *)
-end

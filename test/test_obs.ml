@@ -463,19 +463,85 @@ let contains hay needle =
 (* {1 Timeseries} *)
 
 module TS = Obs.Timeseries
+module LB = Obs.Logbucket
 
-(* A toy linear bucketing: bucket i holds values in [i, i+1), midpoint
-   read back as i. Small enough to reason about ranks by hand. *)
-let lin8 =
-  {
-    TS.b_name = "lin8";
-    b_count = 8;
-    b_of_value =
-      (fun v ->
-        let i = int_of_float v in
-        if i < 0 then 0 else if i > 7 then 7 else i);
-    b_midpoint = float_of_int;
-  }
+(* {2 The log-bucket scheme} *)
+
+(* Values across every octave the scheme resolves, each with its
+   neighbours one ulp away, plus the edges: ascending. *)
+let lb_samples =
+  List.concat_map
+    (fun e ->
+      List.concat_map
+        (fun k ->
+          let v = Float.ldexp (1.0 +. (float_of_int k /. 128.0)) e in
+          [ Float.pred v; v; Float.succ v ])
+        (List.init 128 Fun.id))
+    (List.init 57 (fun e -> e - 3))
+  @ [ Float.ldexp 1.0 60; max_float; infinity ]
+
+let test_logbucket_monotone () =
+  ignore
+    (List.fold_left
+       (fun (pv, pb) v ->
+         let b = LB.of_value v in
+         if b < pb then
+           Alcotest.failf "of_value %h = %d < of_value %h = %d" v b pv pb;
+         (v, b))
+       (0.0, 0) lb_samples
+      : float * int)
+
+let test_logbucket_bounds () =
+  List.iter
+    (fun v ->
+      let b = LB.of_value v in
+      if Float.is_finite v && not (LB.lower b <= v && v < LB.upper b) then
+        Alcotest.failf "%h in bucket %d = [%h, %h)" v b (LB.lower b)
+          (LB.upper b))
+    lb_samples;
+  (* A midpoint misses any value of its bucket by at most half the
+     bucket's width, which is at most 1/32 of its lower bound. *)
+  for b = 1 to LB.count - 2 do
+    let lo = LB.lower b and hi = LB.upper b and mid = LB.midpoint b in
+    if
+      not
+        (lo <= mid && mid < hi
+        && mid -. lo <= lo /. 64.0
+        && hi -. mid <= lo /. 64.0)
+    then Alcotest.failf "bucket %d: midpoint %h of [%h, %h)" b mid lo hi
+  done;
+  checkb "bucket 0's midpoint lies in [0, 1)" true
+    (LB.lower 0 <= LB.midpoint 0 && LB.midpoint 0 < LB.upper 0);
+  List.iter
+    (fun v -> checki (Printf.sprintf "of_value %h" v) 0 (LB.of_value v))
+    [ nan; -1.0; -0.0; neg_infinity; 0.0; 0.999 ];
+  List.iter
+    (fun v ->
+      checki (Printf.sprintf "of_value %h" v) (LB.count - 1) (LB.of_value v))
+    [ Float.ldexp 1.0 52; Float.ldexp 1.0 60; max_float; infinity ]
+
+(* The steady state of a quantile series: once its window is touched
+   and the window's counts cover the bucket, an observe is a few array
+   stores, like the wheel's schedule/pop cycle. The samples are boxed
+   before the count starts; boxing a float argument is the caller's
+   cost. *)
+let rec observe_all q = function
+  | [] -> ()
+  | v :: rest ->
+      TS.observe q ~at:5.0 v;
+      observe_all q rest
+
+let test_quantile_observe_allocates_nothing () =
+  let q = TS.quantile (TS.create ~window:10.0 ()) "lat" in
+  let vs = List.init 500 (fun i -> float_of_int (i * 37 mod 5000)) in
+  observe_all q vs;
+  let s0 = Gc.minor_words () in
+  observe_all q vs;
+  let dw = Gc.minor_words () -. s0 in
+  checkb (Printf.sprintf "500 observes allocated %g minor words" dw) true
+    (dw = 0.0)
+
+(* {2 The recorder} *)
 
 let test_timeseries_windows () =
   let ts = TS.create ~window:10.0 () in
@@ -487,7 +553,7 @@ let test_timeseries_windows () =
   TS.set g ~at:5.0 2.0;
   TS.set g ~at:8.0 4.0;
   TS.set g ~at:25.0 1.0;
-  let q = TS.quantile ts lin8 "lat" in
+  let q = TS.quantile ts "lat" in
   TS.observe q ~at:3.0 2.5;
   TS.observe q ~at:4.0 6.5;
   TS.observe q ~at:21.0 3.5;
@@ -500,15 +566,16 @@ let test_timeseries_windows () =
   checkb "gauge keeps the last write per window" true
     (List.assoc "depth" s.TS.s_gauges = [ (0, 4.0); (2, 1.0) ]);
   let qs = List.assoc "lat" s.TS.s_quantiles in
-  checkb "scheme tag travels" true (qs.TS.qs_scheme = "lin8");
   (match qs.TS.qs_windows with
   | [ w0; w2 ] ->
       checki "first quantile window" 0 w0.TS.qw_win;
       checki "its n" 2 w0.TS.qw_n;
       checkf "its exact max" 6.5 w0.TS.qw_max;
-      checkf "p50 reads the low bucket midpoint" 2.0 (TS.percentile w0 0.5);
-      checkf "p99 clamps the midpoint to the exact max" 6.0
-        (TS.percentile w0 0.99);
+      (* 2.5 lies in [2.5, 2.5625), 6.5 in [6.5, 6.625). *)
+      checkf "p50 reads the low bucket midpoint" 2.53125
+        (LB.percentile w0.TS.qw_hist 0.5);
+      checkf "p99 clamps the midpoint to the exact max" 6.5
+        (LB.percentile w0.TS.qw_hist 0.99);
       checki "second quantile window" 2 w2.TS.qw_win
   | ws -> Alcotest.failf "expected 2 quantile windows, got %d" (List.length ws));
   Alcotest.check_raises "counter/gauge kind clash"
@@ -534,7 +601,7 @@ let sharded n =
       match kind with
       | 0 -> TS.bump (TS.counter ts "ev") ~at
       | 1 -> TS.set (TS.gauge ts "depth") ~at (float_of_int (int_of_float (at /. 10.0)))
-      | _ -> TS.observe (TS.quantile ts lin8 "lat") ~at v)
+      | _ -> TS.observe (TS.quantile ts "lat") ~at v)
     tape;
   Array.fold_left
     (fun acc ts -> TS.merge acc (TS.snapshot ts))
@@ -560,12 +627,14 @@ let test_timeseries_export () =
   TS.bump (TS.counter ts "svc.ev") ~at:1.0;
   TS.bump (TS.counter ts "svc.ev") ~at:15.0;
   TS.set (TS.gauge ts "svc.depth") ~at:3.0 5.0;
-  TS.observe (TS.quantile ts lin8 "svc.lat") ~at:2.0 4.5;
+  TS.observe (TS.quantile ts "svc.lat") ~at:2.0 4.5;
   let s = TS.snapshot ts in
   let json = TS.to_json s in
   checkb "json carries the schema tag" true
     (contains json "\"schema\": \"rtas-timeseries/1\"");
   checkb "json counter pairs" true (contains json "[[0, 1], [1, 1]]");
+  checkb "json names the bucket scheme" true
+    (contains json "\"scheme\": \"logbucket32\"");
   let om = TS.to_openmetrics s in
   checkb "openmetrics sanitizes and prefixes" true
     (contains om "rtas_svc_ev_total{window=\"0\"} 1");
@@ -595,6 +664,15 @@ let test_timeseries_export () =
 let () =
   Alcotest.run "obs"
     [
+      ( "logbucket",
+        [
+          Alcotest.test_case "of_value is monotone" `Quick
+            test_logbucket_monotone;
+          Alcotest.test_case "bucket bounds, midpoints and edges" `Quick
+            test_logbucket_bounds;
+          Alcotest.test_case "quantile observe allocates nothing" `Quick
+            test_quantile_observe_allocates_nothing;
+        ] );
       ( "timeseries",
         [
           Alcotest.test_case "windowed counters, gauges, quantiles" `Quick

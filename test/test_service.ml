@@ -481,16 +481,32 @@ let test_driver_pool_tracks_in_flight () =
    promoted_words]: the large arrays) stay under one per client. A
    driver that holds six words per client for the whole run, as the
    schedule drawn up front into per-client arrays did, reads 6.04 here;
-   the in-flight slot pool read 0.078 when this bound was set. *)
+   the in-flight slot pool read 0.078 when this bound was set, and 0.064
+   once the latency histogram's counts grew on demand.
+
+   The same run with a 1000-tick sink adds one quantile window per
+   series per window per shard. Each window allocating all 1,665 bucket
+   counts up front read 2.161 words per client; counts grown by
+   doubling to the largest bucket seen read 0.409. *)
 let test_driver_memory_follows_in_flight () =
   let clients = 400_000 in
-  let _, p0, m0 = Gc.counters () in
-  ignore (Service.Driver.run (svc_scale ~clients) : Service.Report.t);
-  let _, p1, m1 = Gc.counters () in
-  let per_client = (m1 -. m0 -. (p1 -. p0)) /. float_of_int clients in
+  let per_client ?telemetry () =
+    let _, p0, m0 = Gc.counters () in
+    ignore
+      (Service.Driver.run ?telemetry (svc_scale ~clients) : Service.Report.t);
+    let _, p1, m1 = Gc.counters () in
+    (m1 -. m0 -. (p1 -. p0)) /. float_of_int clients
+  in
+  let off = per_client () in
   checkb
-    (Printf.sprintf "%.3f direct major words per client <= 1" per_client)
-    true (per_client <= 1.0)
+    (Printf.sprintf "%.3f direct major words per client <= 1" off)
+    true (off <= 1.0);
+  let sink = Service.Telemetry.sink ~window:1000.0 () in
+  let on = per_client ~telemetry:sink () in
+  checkb
+    (Printf.sprintf "%.3f direct major words per client, 1000-tick sink, <= 0.6"
+       on)
+    true (on <= 0.6)
 
 let test_driver_rejects_domains () =
   List.iter
@@ -629,7 +645,8 @@ let shared_arena_digests =
     ("log*, 512 keys", [ "514e6c41263a042871a2f7c3baffb94a"; "b7b27ba3f0f21ef9fd0c4a4033d97ad0"; "10a91ee39964f924fb37fbc314e6f999" ]);
   ]
 
-let check_report_digests cfgs expected =
+(* The MD5 of [bytes cfg] at seeds 1, 2 and 3 of each configuration. *)
+let check_digests what bytes cfgs expected =
   let actual =
     List.map
       (fun (name, cfg) ->
@@ -638,9 +655,7 @@ let check_report_digests cfgs expected =
             (fun s ->
               Digest.to_hex
                 (Digest.string
-                   (Service.Report.to_json
-                      (Service.Driver.run
-                         { cfg with Service.Driver.seed = Int64.of_int s }))))
+                   (bytes { cfg with Service.Driver.seed = Int64.of_int s })))
             [ 1; 2; 3 ] ))
       cfgs
   in
@@ -650,14 +665,59 @@ let check_report_digests cfgs expected =
         Printf.printf "    (%S, [ %s ]);\n" name
           (String.concat "; " (List.map (Printf.sprintf "%S") ds)))
       actual;
-    Alcotest.fail "report digests moved (the current ones are printed above)"
+    Alcotest.failf "%s digests moved (the current ones are printed above)" what
   end
 
+let report_bytes cfg = Service.Report.to_json (Service.Driver.run cfg)
+
 let test_report_digests_pinned () =
-  check_report_digests golden_cfgs golden_digests
+  check_digests "report" report_bytes golden_cfgs golden_digests
 
 let test_shared_arena_digests_pinned () =
-  check_report_digests shared_arena_cfgs shared_arena_digests
+  check_digests "report" report_bytes shared_arena_cfgs shared_arena_digests
+
+(* The telemetry exports of four golden configurations with a sink at
+   window 1000: the time-series JSON, OpenMetrics text, Perfetto
+   counter tracks and per-window table, concatenated. Next to the
+   report digests they pin every quantile window's buckets, ranks,
+   midpoints and cross-shard merge. Taken before the log-bucket
+   histogram moved into [Obs.Logbucket]. *)
+let export_cfgs =
+  List.filter
+    (fun (name, _) ->
+      List.mem name
+        [
+          "svc-zipf 1%";
+          "svc-overload 1%";
+          "svc-scale 1%";
+          "crash 0.001, bursty, 2 shards";
+        ])
+    golden_cfgs
+
+let export_digests =
+  [
+    ("svc-zipf 1%", [ "cfdd8ccca8c5b1a099cac7c5758eea38"; "184e1bf17b82df6912c2524d2e3a6a2c"; "c33be87f26922625f9feda2912b7b981" ]);
+    ("svc-overload 1%", [ "7ce37f60a9d291284820602be9b1a637"; "39242fbd57d03e4817c33923fe0e26fc"; "c42b5897bf1214513b4bc7b08e651448" ]);
+    ("svc-scale 1%", [ "a73f714ea9ab8dcf45c6b3c9ec4f7612"; "347f5fb351fdaf4ad6b8eee1b6327c72"; "03e3cb813a4a049ae4ab31bcf8e8575e" ]);
+    ("crash 0.001, bursty, 2 shards", [ "626e495dfd30667885f01c44b2d46264"; "06239e3f3c04cac3f3437e648bba5868"; "b78e9a2bc2d432836a4c85938662a705" ]);
+  ]
+
+let export_bytes cfg =
+  let sink = Service.Telemetry.sink ~window:1000.0 () in
+  ignore (Service.Driver.run ~telemetry:sink cfg : Service.Report.t);
+  let s = sink.Service.Telemetry.snapshot in
+  let tr = Obs.Chrome_trace.create () in
+  Obs.Timeseries.to_chrome s tr;
+  String.concat ""
+    [
+      Obs.Timeseries.to_json s;
+      Obs.Timeseries.to_openmetrics s;
+      Obs.Chrome_trace.to_string tr;
+      Fmt.str "%a" Obs.Timeseries.pp s;
+    ]
+
+let test_export_digests_pinned () =
+  check_digests "telemetry export" export_bytes export_cfgs export_digests
 
 (* {1 The wheel in isolation} *)
 
@@ -1101,14 +1161,25 @@ let test_latency_hist_close_to_exact () =
     ]
 
 (* Merge associativity and commutativity, both modes: shard partials
-   must combine into the same snapshot regardless of grouping. *)
+   must combine into the same snapshot regardless of grouping. In the
+   second input the partials cover disjoint magnitudes (values below 8,
+   values near 1e6, both), so a log-bucket merge grows the shorter
+   counts array whichever side it is on. *)
 let test_histo_merge_associative () =
+  let spread i j =
+    1.0 +. float_of_int (((i * 7919) + (j * 104729)) mod 50_000)
+  in
+  let disjoint i j =
+    let small = float_of_int ((i + j) mod 8)
+    and large = 1e6 +. float_of_int (j * 37) in
+    match i with
+    | 0 -> small
+    | 1 -> large
+    | _ -> if j mod 2 = 0 then small else large
+  in
   List.iter
-    (fun mode ->
-      let samples i =
-        List.init 200 (fun j ->
-            1.0 +. float_of_int (((i * 7919) + (j * 104729)) mod 50_000))
-      in
+    (fun (mode, sample) ->
+      let samples i = List.init 200 (sample i) in
       let mk i =
         let h = Service.Histo.create mode in
         List.iter (Service.Histo.observe h) (samples i);
@@ -1124,6 +1195,10 @@ let test_histo_merge_associative () =
       let a = snap [ 0; 1; 2 ] in
       checkb "merge order invariant" true
         (a = snap [ 2; 0; 1 ] && a = snap [ 1; 2; 0 ]);
+      let direct = mk 0 in
+      List.iter (Service.Histo.observe direct) (samples 1 @ samples 2);
+      checkb "merge = one histogram of every sample" true
+        (Some a = Service.Histo.snapshot direct);
       (* Nested grouping: (h0 + h1) + h2 = h0 + (h1 + h2). *)
       let left =
         let x = mk 0 in
@@ -1142,7 +1217,7 @@ let test_histo_merge_associative () =
         Option.get (Service.Histo.snapshot acc)
       in
       checkb "merge associative" true (left = right && left = a))
-    [ `Exact; `Log ]
+    [ (`Exact, spread); (`Log, spread); (`Exact, disjoint); (`Log, disjoint) ]
 
 (* {1 The atomic driver} *)
 
@@ -1521,6 +1596,8 @@ let () =
             test_report_digests_pinned;
           Alcotest.test_case "report digests, many keys on one arena" `Quick
             test_shared_arena_digests_pinned;
+          Alcotest.test_case "telemetry export digests, 4 configs x 3 seeds"
+            `Quick test_export_digests_pinned;
         ] );
       ( "events",
         [

@@ -48,6 +48,9 @@ let usage cmd msg =
   Fmt.epr "rtas %s: %s@." cmd msg;
   exit 2
 
+let write_file file contents =
+  Out_channel.with_open_text file (fun oc -> output_string oc contents)
+
 let require_positive cmd flag v =
   if v < 1 then usage cmd (Printf.sprintf "%s must be >= 1 (got %d)" flag v)
 
@@ -422,10 +425,7 @@ let trace_cmd =
           Sim.Sched.run sched (make_adversary adversary seed);
           Obs.Collector.snapshot collector)
     in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> Obs.Chrome_trace.output chrome oc);
+    write_file out (Obs.Chrome_trace.to_string chrome);
     Fmt.pr "wrote %s (%d events); load it at ui.perfetto.dev@." out
       (Obs.Chrome_trace.n_events chrome);
     Fmt.pr "%a" Rtas.Probe_report.pp_profile snapshot
@@ -518,27 +518,21 @@ let profile_cmd =
         Fmt.pr "%awinners = %d@.@." Rtas.Probe_report.pp_profile snapshot
           winners)
       profiles;
-    match json with
-    | None -> ()
-    | Some file ->
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf
+    Option.iter
+      (fun file ->
+        let algos =
+          List.map
+            (fun (name, snapshot, winners) ->
+              Printf.sprintf "\"%s\":%s" (Obs.Json.escape name)
+                (Rtas.Probe_report.snapshot_to_json ~winners snapshot))
+            profiles
+        in
+        write_file file
           (Printf.sprintf
-             "{\"n\":%d,\"k\":%d,\"trials\":%d,\"seed\":%d,\"algos\":{" n k
-             trials seed);
-        List.iteri
-          (fun i (name, snapshot, winners) ->
-            if i > 0 then Buffer.add_string buf ",";
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":%s" name
-                 (Rtas.Probe_report.snapshot_to_json ~winners snapshot)))
-          profiles;
-        Buffer.add_string buf "}}\n";
-        let oc = open_out file in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> Buffer.output_buffer oc buf);
-        Fmt.pr "wrote %s@." file
+             "{\"n\":%d,\"k\":%d,\"trials\":%d,\"seed\":%d,\"algos\":{%s}}\n"
+             n k trials seed (String.concat "," algos));
+        Fmt.pr "wrote %s@." file)
+      json
   in
   Cmd.v
     (Cmd.info "profile"
@@ -932,12 +926,6 @@ let service_cmd =
       with Invalid_argument msg -> usage msg
     in
     let json = Service.Report.to_json report in
-    let write_file file contents =
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
     (* The human summary, and with a sink the per-window table, go to
        stderr — or to stdout when the JSON report goes to a file. *)
     let human =
@@ -957,22 +945,20 @@ let service_cmd =
       | Some s ->
           let snap = s.Service.Telemetry.snapshot in
           Fmt.pf human "%a@." Obs.Timeseries.pp snap;
+          let export f contents =
+            write_file f contents;
+            Fmt.epr "telemetry: wrote %s@." f
+          in
           Option.iter
-            (fun f ->
-              write_file f (Obs.Timeseries.to_json snap);
-              Fmt.epr "telemetry: wrote %s@." f)
+            (fun f -> export f (Obs.Timeseries.to_json snap))
             telemetry_out;
           Option.iter
-            (fun f ->
-              write_file f (Obs.Timeseries.to_openmetrics snap);
-              Fmt.epr "telemetry: wrote %s@." f)
+            (fun f -> export f (Obs.Timeseries.to_openmetrics snap))
             openmetrics_out;
           Option.iter
             (fun f ->
               match s.Service.Telemetry.trace_json with
-              | Some t ->
-                  write_file f t;
-                  Fmt.epr "telemetry: wrote %s@." f
+              | Some t -> export f t
               | None -> Fmt.epr "rtas service: no trace produced for %s@." f)
             trace_out;
           (* Every windowed counter must sum to its report total. *)

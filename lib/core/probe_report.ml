@@ -1,8 +1,9 @@
 (* Rendering of Probe collector snapshots: the per-phase step/RMR table
    printed by [rtas_cli trace]/[rtas_cli profile], and a JSON form for
-   scripting (validated by `make trace-smoke`). Lives here rather than
-   in lib/obs because the distribution summaries come from {!Sim.Stats},
-   which obs (below sim in the dependency order) cannot see. *)
+   scripting (its bytes are pinned in test_obs and test_cli). Lives
+   here rather than in lib/obs because the distribution summaries come
+   from {!Sim.Stats}, which obs (below sim in the dependency order)
+   cannot see. *)
 
 let pct x total =
   if total = 0 then 0.0 else 100.0 *. float_of_int x /. float_of_int total
@@ -33,23 +34,7 @@ let pp_profile ppf (sn : Obs.Collector.snapshot) =
 
 (* {1 JSON} *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let add_phase buf first (ps : Obs.Collector.phase_snapshot) =
-  if not !first then Buffer.add_string buf ",";
-  first := false;
+let phase_json (ps : Obs.Collector.phase_snapshot) =
   let mean, stddev, median, p95 =
     if Array.length ps.ps_step_samples = 0 then (0.0, 0.0, 0.0, 0.0)
     else
@@ -60,21 +45,15 @@ let add_phase buf first (ps : Obs.Collector.phase_snapshot) =
     if Array.length ps.ps_rmr_samples = 0 then 0.0
     else Sim.Stats.mean_array ps.ps_rmr_samples
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"phase\":\"%s\",\"calls\":%d,\"unclosed\":%d,\"steps\":%d,\"rmrs\":%d,\"writes\":%d,\"invalidated\":%d,\"steps_per_call\":{\"mean\":%.6g,\"stddev\":%.6g,\"median\":%.6g,\"p95\":%.6g},\"rmrs_per_call_mean\":%.6g}"
-       (escape ps.ps_phase) ps.ps_calls ps.ps_unclosed ps.ps_steps ps.ps_rmrs
-       ps.ps_writes ps.ps_invalidations mean stddev median p95 rmr_mean)
+  Printf.sprintf
+    "{\"phase\":\"%s\",\"calls\":%d,\"unclosed\":%d,\"steps\":%d,\"rmrs\":%d,\"writes\":%d,\"invalidated\":%d,\"steps_per_call\":{\"mean\":%.6g,\"stddev\":%.6g,\"median\":%.6g,\"p95\":%.6g},\"rmrs_per_call_mean\":%.6g}"
+    (Obs.Json.escape ps.ps_phase) ps.ps_calls ps.ps_unclosed ps.ps_steps
+    ps.ps_rmrs ps.ps_writes ps.ps_invalidations mean stddev median p95 rmr_mean
 
 let snapshot_to_json ~winners (sn : Obs.Collector.snapshot) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"phases\":[";
-  let first = ref true in
-  List.iter (add_phase buf first) sn.Obs.Collector.sn_phases;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"totals\":{\"steps\":%d,\"rmrs\":%d,\"flips\":%d,\"crashes\":%d,\"finishes\":%d,\"span_errors\":%d},\"counters\":{\"winners\":%d}}"
-       sn.Obs.Collector.sn_steps sn.Obs.Collector.sn_rmrs
-       sn.Obs.Collector.sn_flips sn.Obs.Collector.sn_crashes
-       sn.Obs.Collector.sn_finishes sn.Obs.Collector.sn_span_errors winners);
-  Buffer.contents buf
+  Printf.sprintf
+    "{\"phases\":[%s],\"totals\":{\"steps\":%d,\"rmrs\":%d,\"flips\":%d,\"crashes\":%d,\"finishes\":%d,\"span_errors\":%d},\"counters\":{\"winners\":%d}}"
+    (String.concat "," (List.map phase_json sn.Obs.Collector.sn_phases))
+    sn.Obs.Collector.sn_steps sn.Obs.Collector.sn_rmrs
+    sn.Obs.Collector.sn_flips sn.Obs.Collector.sn_crashes
+    sn.Obs.Collector.sn_finishes sn.Obs.Collector.sn_span_errors winners

@@ -26,21 +26,6 @@ type t = {
 
 let trace_pid = 1
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit t json =
   if t.finalised then invalid_arg "Chrome_trace: trace already finalised";
   if t.first then t.first <- false else Buffer.add_string t.buf ",\n";
@@ -52,7 +37,7 @@ let emit t json =
 let event t ~name ~ph ~ts ~tid ?(extra = "") ?(args = "") () =
   emit t
     (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":%d,\"tid\":%d%s%s}"
-       (escape name) ph ts trace_pid tid extra
+       (Json.escape name) ph ts trace_pid tid extra
        (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args))
 
 let thread_meta t pid =
@@ -76,8 +61,7 @@ let create () =
     }
   in
   event t ~name:"process_name" ~ph:"M" ~ts:0 ~tid:0
-    ~args:(Printf.sprintf "\"name\":\"%s\"" (escape "rtas-sim"))
-    ();
+    ~args:"\"name\":\"rtas-sim\"" ();
   t
 
 let spans t pid =
@@ -156,7 +140,7 @@ let name_thread t ~tid name =
   if not (Hashtbl.mem t.seen tid) then begin
     Hashtbl.add t.seen tid ();
     event t ~name:"thread_name" ~ph:"M" ~ts:0 ~tid
-      ~args:(Printf.sprintf "\"name\":\"%s\"" (escape name))
+      ~args:(Printf.sprintf "\"name\":\"%s\"" (Json.escape name))
       ()
   end
 

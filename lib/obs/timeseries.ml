@@ -269,69 +269,43 @@ let percentile qw p = Logbucket.percentile qw.qw_hist p
 
 (* {1 Export} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json s =
   let b = Buffer.create 4096 in
   let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"rtas-timeseries/1\",\n";
-  add (Printf.sprintf "  \"window_ticks\": %g,\n" s.s_window);
-  add (Printf.sprintf "  \"windows\": %d,\n" (windows s));
+  let list sep f xs = List.iteri (fun i x -> if i > 0 then add sep; f x) xs in
+  Printf.bprintf b
+    "{\n  \"schema\": \"rtas-timeseries/1\",\n  \"window_ticks\": %g,\n  \"windows\": %d,\n"
+    s.s_window (windows s);
   let obj name entries render =
-    add (Printf.sprintf "  \"%s\": {" name);
-    List.iteri
-      (fun i (n, v) ->
-        if i > 0 then add ",";
-        add (Printf.sprintf "\n    \"%s\": " (json_escape n));
+    Printf.bprintf b "  \"%s\": {" name;
+    list ","
+      (fun (n, v) ->
+        Printf.bprintf b "\n    \"%s\": " (Json.escape n);
         render v)
       entries;
     if entries <> [] then add "\n  ";
     add "}"
   in
-  obj "counters" s.s_counters (fun cells ->
-      add "[";
-      List.iteri
-        (fun i (w, v) ->
-          if i > 0 then add ", ";
-          add (Printf.sprintf "[%d, %d]" w v))
-        cells;
-      add "]");
+  let pairs fmt cells =
+    add "[";
+    list ", " (fun (w, v) -> Printf.bprintf b fmt w v) cells;
+    add "]"
+  in
+  obj "counters" s.s_counters (pairs "[%d, %d]");
   add ",\n";
-  obj "gauges" s.s_gauges (fun cells ->
-      add "[";
-      List.iteri
-        (fun i (w, v) ->
-          if i > 0 then add ", ";
-          add (Printf.sprintf "[%d, %g]" w v))
-        cells;
-      add "]");
+  obj "gauges" s.s_gauges (pairs "[%d, %g]");
   add ",\n";
   obj "quantiles" s.s_quantiles (fun q ->
       add "{\"scheme\": \"logbucket32\", \"windows\": [";
-      List.iteri
-        (fun i qw ->
-          if i > 0 then add ", ";
-          add
-            (Printf.sprintf
-               "{\"window\": %d, \"n\": %d, \"mean\": %g, \"p50\": %g, \
-                \"p90\": %g, \"p99\": %g, \"max\": %g}"
-               qw.qw_win
-               qw.qw_n
-               (qw.qw_sum /. float_of_int qw.qw_n)
-               (percentile qw 0.5) (percentile qw 0.9) (percentile qw 0.99)
-               qw.qw_max))
+      list ", "
+        (fun qw ->
+          Printf.bprintf b
+            "{\"window\": %d, \"n\": %d, \"mean\": %g, \"p50\": %g, \
+             \"p90\": %g, \"p99\": %g, \"max\": %g}"
+            qw.qw_win qw.qw_n
+            (qw.qw_sum /. float_of_int qw.qw_n)
+            (percentile qw 0.5) (percentile qw 0.9) (percentile qw 0.99)
+            qw.qw_max)
         q.qs_windows;
       add "]}");
   add "\n}\n";

@@ -19,8 +19,7 @@ module LB = Obs.Logbucket
 type exact = {
   mutable xs : float array;
   mutable n : int;
-  mutable sum : float;
-  mutable mx : float;
+  acc : float array;  (* [| sum; max |]: a float array stores unboxed *)
 }
 
 type t = Log of LB.t | Exact of exact
@@ -28,7 +27,7 @@ type t = Log of LB.t | Exact of exact
 let create = function
   | `Log -> Log (LB.create ())
   | `Exact ->
-      Exact { xs = Array.make 256 0.0; n = 0; sum = 0.0; mx = neg_infinity }
+      Exact { xs = Array.make 256 0.0; n = 0; acc = [| 0.0; neg_infinity |] }
 
 let mode = function Log _ -> `Log | Exact _ -> `Exact
 let mode_name = function Log _ -> "hist" | Exact _ -> "exact"
@@ -45,8 +44,8 @@ let observe t v =
       end;
       e.xs.(e.n) <- v;
       e.n <- e.n + 1;
-      e.sum <- e.sum +. v;
-      if v > e.mx then e.mx <- v
+      e.acc.(0) <- e.acc.(0) +. v;
+      if v > e.acc.(1) then e.acc.(1) <- v
 
 let merge_into ~into src =
   match (into, src) with
@@ -64,8 +63,8 @@ let merge_into ~into src =
       end;
       Array.blit src.xs 0 into.xs into.n src.n;
       into.n <- need;
-      into.sum <- into.sum +. src.sum;
-      if src.mx > into.mx then into.mx <- src.mx
+      into.acc.(0) <- into.acc.(0) +. src.acc.(0);
+      if src.acc.(1) > into.acc.(1) then into.acc.(1) <- src.acc.(1)
   | _ -> invalid_arg "Histo.merge_into: mixed exact/log modes"
 
 type snapshot = {
@@ -97,4 +96,4 @@ let snapshot = function
   | Exact e ->
       let sorted = Array.sub e.xs 0 e.n in
       Array.sort Float.compare sorted;
-      summary e.n e.sum e.mx (Sim.Stats.percentile_sorted sorted)
+      summary e.n e.acc.(0) e.acc.(1) (Sim.Stats.percentile_sorted sorted)

@@ -67,29 +67,17 @@ let balanced ?(shed_terminal = true) c =
   + (if shed_terminal then c.shed else 0)
   = c.clients
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let b = Buffer.create 1024 in
   let add = Buffer.add_string b in
   add "{\n";
-  add (Printf.sprintf "  \"backend\": \"%s\",\n" (json_escape t.backend));
-  add (Printf.sprintf "  \"algorithm\": \"%s\",\n" (json_escape t.algorithm));
+  let esc = Obs.Json.escape in
+  add (Printf.sprintf "  \"backend\": \"%s\",\n" (esc t.backend));
+  add (Printf.sprintf "  \"algorithm\": \"%s\",\n" (esc t.algorithm));
   add (Printf.sprintf "  \"keys\": %d,\n" t.keys);
   add (Printf.sprintf "  \"zipf_s\": %g,\n" t.zipf_s);
-  add (Printf.sprintf "  \"arrival\": \"%s\",\n" (json_escape t.arrival));
-  add (Printf.sprintf "  \"backoff\": \"%s\",\n" (json_escape t.backoff));
+  add (Printf.sprintf "  \"arrival\": \"%s\",\n" (esc t.arrival));
+  add (Printf.sprintf "  \"backoff\": \"%s\",\n" (esc t.backoff));
   add (Printf.sprintf "  \"deadline_ticks\": %g,\n" t.deadline);
   add (Printf.sprintf "  \"hold_ticks\": %g,\n" t.hold);
   add (Printf.sprintf "  \"crash_prob\": %g,\n" t.crash_prob);
@@ -115,12 +103,12 @@ let to_json t =
            "  \"latency\": {\"mode\": \"%s\", \"n\": %d, \"mean\": %.3f, \
             \"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \"p999\": %.3f, \
             \"max\": %.3f},\n"
-           (json_escape l.l_mode) l.l_n l.l_mean l.l_p50 l.l_p95 l.l_p99
+           (esc l.l_mode) l.l_n l.l_mean l.l_p50 l.l_p95 l.l_p99
            l.l_p999 l.l_max));
   add (Printf.sprintf "  \"livelocked\": %b,\n" t.livelocked);
   (match t.diagnosis with
   | None -> add "  \"diagnosis\": null\n"
-  | Some d -> add (Printf.sprintf "  \"diagnosis\": \"%s\"\n" (json_escape d)));
+  | Some d -> add (Printf.sprintf "  \"diagnosis\": \"%s\"\n" (esc d)));
   add "}\n";
   Buffer.contents b
 

@@ -1,7 +1,8 @@
 (* Tests for the Probe observability layer: the no-sink bit-identity
    guarantee, per-worker collector merging across
-   domain counts, collector span accounting (incl. crashes), and the
-   structure of the Perfetto trace-event export. *)
+   domain counts, collector span accounting (incl. crashes), the
+   structure of the Perfetto trace-event export, and the JSON reader and
+   escaper every export shares. *)
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
@@ -197,166 +198,98 @@ let test_collector_unclosed_on_crash () =
         (Array.length doomed.Obs.Collector.ps_step_samples);
       checki "crash seen" 1 sn.Obs.Collector.sn_crashes
 
-(* {1 Perfetto export: JSON validity and span structure}
+(* {1 JSON: the reader and the escaper}
 
-   A miniature JSON parser — no JSON library in the tree — that accepts
-   exactly the standard grammar; enough to assert the exporter emits
-   well-formed documents with the fields Perfetto requires. *)
+   [Obs.Json.parse] checks every exported document in this file. A
+   string written through [escape] must read back as itself, control
+   bytes included, and what RFC 8259 does not allow must be refused. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module J = Obs.Json
 
-exception Bad of string
+let mem = J.member
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some (('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c) ->
-              advance ();
-              Buffer.add_char b c;
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let digits () =
-      let any = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-            any := true;
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      if not !any then fail "expected digit"
-    in
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Jobj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Jarr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          Jarr (elements [])
-        end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "expected value"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing input";
-  v
+let test_json_escape_round_trip =
+  QCheck2.Test.make ~count:500 ~name:"parse (quote (escape s)) = Str s"
+    ~print:String.escaped
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 40))
+    (fun s -> J.parse ("\"" ^ J.escape s ^ "\"") = J.Str s)
 
-let mem key = function Jobj kvs -> List.assoc_opt key kvs | _ -> None
+let test_json_accepts () =
+  let ok text v = checkb (Printf.sprintf "%S" text) true (J.parse text = v) in
+  ok " {\"a\": [1, -0.5, 2e3, true, false, null], \"b\": {}} "
+    (J.Obj
+       [
+         ( "a",
+           J.Arr [ Num 1.0; Num (-0.5); Num 2000.0; Bool true; Bool false; Null ]
+         );
+         ("b", J.Obj []);
+       ]);
+  ok {|"a\nb\tc\u0001\/"|} (J.Str "a\nb\tc\001/");
+  ok {|"\u00e9\ud83d\ude00"|} (J.Str "\xc3\xa9\xf0\x9f\x98\x80");
+  ok "[]" (J.Arr [])
+
+let test_json_rejects () =
+  List.iter
+    (fun (what, text) ->
+      match J.parse text with
+      | _ -> Alcotest.failf "%s: %S parsed" what text
+      | exception J.Error _ -> ())
+    [
+      ("trailing comma in an array", "[1, 2,]");
+      ("trailing comma in an object", {|{"a": 1,}|});
+      ("unterminated string", {|{"a": "bc|});
+      ("bad escape", {|"\x41"|});
+      ("short \\u escape", {|"\u12"|});
+      ("unpaired surrogate", {|"\ud83d"|});
+      ("raw control byte in a string", "\"a\tb\"");
+      ("trailing input", "{} {}");
+      ("bare nan", "nan");
+      ("bare inf", "[inf]");
+      ("negative inf", "-inf");
+      ("leading zero", "012");
+      ("leading plus", "+1");
+      ("bare dot", "1.");
+      ("empty document", "");
+      ("missing colon", {|{"a" 1}|});
+    ]
+
+(* An escaped newline in a phase name reads back as a newline, both in
+   the profile JSON and in the Perfetto trace. *)
+let test_json_escaped_newline_in_phase () =
+  let phase = "two\nlines" in
+  let chrome = Obs.Chrome_trace.create () in
+  let collector = Obs.Collector.create () in
+  let snapshot =
+    Obs.with_sink
+      (Obs.tee (Obs.Chrome_trace.sink chrome) (Obs.Collector.sink collector))
+      (fun () ->
+        let mem = Sim.Memory.create () in
+        let r = Sim.Register.create ~name:"r" mem in
+        let program ctx =
+          Obs.span ~pid:(Sim.Ctx.pid ctx) phase (fun () ->
+              ignore (Sim.Ctx.read ctx r));
+          0
+        in
+        let sched = Sim.Sched.create ~seed:1L [| program |] in
+        Sim.Sched.run sched (Sim.Adversary.round_robin ());
+        Obs.Collector.snapshot collector)
+  in
+  let names doc field items =
+    List.filter_map
+      (fun ev ->
+        match mem field ev with Some (J.Str s) -> Some s | _ -> None)
+      (J.list (Option.get (mem items doc)))
+  in
+  let profile =
+    J.parse (Rtas.Probe_report.snapshot_to_json ~winners:0 snapshot)
+  in
+  checkb "profile phase reads back with its newline" true
+    (List.mem phase (names profile "phase" "phases"));
+  let trace = J.parse (Obs.Chrome_trace.to_string chrome) in
+  checkb "trace span reads back with its newline" true
+    (List.mem phase (names trace "name" "traceEvents"))
+
+(* {1 Perfetto export: JSON validity and span structure} *)
 
 let test_chrome_trace_structure () =
   let chrome = Obs.Chrome_trace.create () in
@@ -366,13 +299,13 @@ let test_chrome_trace_structure () =
       let sched = Sim.Sched.create ~seed:3L progs in
       Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:3L));
   let doc =
-    match parse_json (Obs.Chrome_trace.to_string chrome) with
+    match J.parse (Obs.Chrome_trace.to_string chrome) with
     | doc -> doc
-    | exception Bad msg -> Alcotest.fail ("invalid JSON: " ^ msg)
+    | exception J.Error msg -> Alcotest.fail ("invalid JSON: " ^ msg)
   in
   let events =
     match mem "traceEvents" doc with
-    | Some (Jarr evs) -> evs
+    | Some (J.Arr evs) -> evs
     | _ -> Alcotest.fail "missing traceEvents array"
   in
   checkb "has events" true (events <> []);
@@ -391,18 +324,18 @@ let test_chrome_trace_structure () =
     (fun ev ->
       let ph =
         match mem "ph" ev with
-        | Some (Jstr p) -> p
+        | Some (J.Str p) -> p
         | _ -> Alcotest.fail "event without ph"
       in
       (match (mem "ts" ev, mem "pid" ev, mem "tid" ev) with
-      | Some (Jnum _), Some (Jnum _), Some (Jnum _) -> ()
+      | Some (J.Num _), Some (J.Num _), Some (J.Num _) -> ()
       | _ -> Alcotest.fail "event missing ts/pid/tid number");
       let name =
         match mem "name" ev with
-        | Some (Jstr s) -> s
+        | Some (J.Str s) -> s
         | _ -> Alcotest.fail "event without name"
       in
-      let tid = match mem "tid" ev with Some (Jnum t) -> t | _ -> 0.0 in
+      let tid = match mem "tid" ev with Some (J.Num t) -> t | _ -> 0.0 in
       match ph with
       | "B" -> stack tid := name :: !(stack tid)
       | "E" -> (
@@ -421,11 +354,38 @@ let test_chrome_trace_structure () =
     List.filter_map
       (fun ev ->
         match (mem "ph" ev, mem "name" ev) with
-        | Some (Jstr "B"), Some (Jstr name) -> Some name
+        | Some (J.Str "B"), Some (J.Str name) -> Some name
         | _ -> None)
       events
   in
   checkb "rr_tree span present" true (List.mem "rr_tree" phases)
+
+(* The bytes of both exports of one probed run, pinned: the Perfetto
+   trace and the profile JSON of classic RatRace at n = 8, k = 4, seed
+   3. Taken before the exporters' string escapers merged into
+   [Obs.Json.escape]; [rtas trace] and [rtas profile --json] pin the
+   command-line bytes in test_cli. *)
+let test_export_bytes_pinned () =
+  let chrome = Obs.Chrome_trace.create () in
+  let collector = Obs.Collector.create () in
+  let winners =
+    Obs.with_sink
+      (Obs.tee (Obs.Chrome_trace.sink chrome) (Obs.Collector.sink collector))
+      (fun () ->
+        let mem = Sim.Memory.create () in
+        let sched = Sim.Sched.create ~seed:3L (programs "ratrace" mem ~n:8 ~k:4) in
+        Sim.Sched.run sched (Sim.Adversary.random_oblivious ~seed:3L);
+        Array.fold_left
+          (fun a r -> if r = Some 1 then a + 1 else a)
+          0 (Sim.Sched.results sched))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check Alcotest.string "Perfetto trace" "54956a24667656f981030519c913cade"
+    (md5 (Obs.Chrome_trace.to_string chrome));
+  check Alcotest.string "profile JSON" "2b6fdfe8a0384685b4556ca3a01c4791"
+    (md5
+       (Rtas.Probe_report.snapshot_to_json ~winners
+          (Obs.Collector.snapshot collector)))
 
 let test_chrome_trace_crash_closes_spans () =
   let chrome = Obs.Chrome_trace.create () in
@@ -441,14 +401,14 @@ let test_chrome_trace_crash_closes_spans () =
       let sched = Sim.Sched.create ~seed:1L [| program |] in
       Sim.Sched.step sched 0;
       Sim.Sched.crash sched 0);
-  match parse_json (Obs.Chrome_trace.to_string chrome) with
-  | exception Bad msg -> Alcotest.fail ("invalid JSON: " ^ msg)
+  match J.parse (Obs.Chrome_trace.to_string chrome) with
+  | exception J.Error msg -> Alcotest.fail ("invalid JSON: " ^ msg)
   | doc -> (
       match mem "traceEvents" doc with
-      | Some (Jarr evs) ->
+      | Some (J.Arr evs) ->
           let count ph =
             List.length
-              (List.filter (fun ev -> mem "ph" ev = Some (Jstr ph)) evs)
+              (List.filter (fun ev -> mem "ph" ev = Some (J.Str ph)) evs)
           in
           checki "crashed span closed by exporter" (count "B") (count "E")
       | _ -> Alcotest.fail "missing traceEvents")
@@ -644,13 +604,13 @@ let test_timeseries_export () =
   let tr = Obs.Chrome_trace.create () in
   TS.to_chrome s tr;
   let out = Obs.Chrome_trace.to_string tr in
-  match parse_json out with
-  | exception Bad msg -> Alcotest.fail ("invalid trace JSON: " ^ msg)
+  match J.parse out with
+  | exception J.Error msg -> Alcotest.fail ("invalid trace JSON: " ^ msg)
   | doc -> (
       match mem "traceEvents" doc with
-      | Some (Jarr evs) ->
+      | Some (J.Arr evs) ->
           let counters =
-            List.filter (fun ev -> mem "ph" ev = Some (Jstr "C")) evs
+            List.filter (fun ev -> mem "ph" ev = Some (J.Str "C")) evs
           in
           checkb "counter events present" true (List.length counters > 0);
           checkb "every event carries ph/ts/pid" true
@@ -709,5 +669,16 @@ let () =
             test_chrome_trace_structure;
           Alcotest.test_case "crash closes open spans" `Quick
             test_chrome_trace_crash_closes_spans;
+          Alcotest.test_case "export bytes pinned" `Quick
+            test_export_bytes_pinned;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest test_json_escape_round_trip;
+          Alcotest.test_case "accepts the grammar" `Quick test_json_accepts;
+          Alcotest.test_case "rejects what RFC 8259 does not allow" `Quick
+            test_json_rejects;
+          Alcotest.test_case "escaped newline in a phase name" `Quick
+            test_json_escaped_newline_in_phase;
         ] );
     ]

@@ -325,6 +325,47 @@ let test_wheel_matches_heap_chaos () =
       heap wheel
   done
 
+(* Two documented [rtas service] runs, wheel against heap: poison on
+   the flat kernel at 500 clients, and a dense overload with retry on
+   shed (about 4.7M retries over 23k ticks, some 200 events per tick),
+   where the wheel's level-0 slots chain several event chunks. Each
+   config is the one the command line builds from the flags named in
+   its comment. *)
+let test_wheel_matches_heap_cli_runs () =
+  let cli = Service.Driver.default in
+  List.iter
+    (fun (what, cfg) ->
+      let json events =
+        Service.Report.to_json
+          (Service.Driver.run { cfg with Service.Driver.events; seed = 11L })
+      in
+      Alcotest.(check string) (what ^ ": wheel = heap") (json `Heap)
+        (json `Wheel))
+    [
+      (* --alg poison --kernel flat --clients 500 --keys 8 --seed 11 *)
+      ( "poison, 500 clients",
+        { (cli ~algorithm:"poison") with clients = 500; keys = 8; kernel = `Flat }
+      );
+      (* --alg tournament --kernel flat --clients 60000 --keys 64 --zipf 0
+         --rate 20 --backoff exp:8:256 --contenders 2 --max-waiters 16
+         --hold 20 --on-shed retry --latency hist --seed 11 *)
+      ( "dense overload, 60k clients",
+        {
+          (cli ~algorithm:"tournament") with
+          clients = 60_000;
+          keys = 64;
+          zipf_s = 0.0;
+          arrival = Service.Arrival.Poisson { rate = 20.0 };
+          backoff = Service.Backoff.Exp { base = 8.0; cap = 256.0 };
+          contenders = 2;
+          max_waiters = 16;
+          hold = 20.0;
+          on_shed = `Retry;
+          kernel = `Flat;
+          latency = `Hist;
+        } );
+    ]
+
 (* Sharded execution: the keyspace partition is report-invisible for
    any shard count, on either engine, serial or on a domain pool. *)
 let test_driver_shards_identical () =
@@ -1219,6 +1260,32 @@ let test_histo_merge_associative () =
       checkb "merge associative" true (left = right && left = a))
     [ (`Exact, spread); (`Log, spread); (`Exact, disjoint); (`Log, disjoint) ]
 
+(* A steady-state observe allocates nothing in either mode: the exact
+   mode's running sum and max live in a float array, so neither is
+   boxed, and its sample array has room for the measured batch. The
+   samples are a list so that each float is boxed before the count
+   starts. *)
+let rec observe_all h = function
+  | [] -> ()
+  | v :: rest ->
+      Service.Histo.observe h v;
+      observe_all h rest
+
+let test_histo_observe_allocates_nothing () =
+  let vs = List.init 100 (fun i -> float_of_int (i * 37 mod 5000)) in
+  List.iter
+    (fun mode ->
+      let h = Service.Histo.create mode in
+      observe_all h vs;
+      let w0 = Gc.minor_words () in
+      observe_all h vs;
+      let dw = Gc.minor_words () -. w0 in
+      checkb
+        (Printf.sprintf "%s: 100 observes allocated %g minor words"
+           (Service.Histo.mode_name h) dw)
+        true (dw = 0.0))
+    [ `Exact; `Log ]
+
 (* {1 The atomic driver} *)
 
 let test_mc_driver_smoke () =
@@ -1605,6 +1672,8 @@ let () =
             test_wheel_matches_heap;
           Alcotest.test_case "wheel = heap under chaos (120 seeds)" `Slow
             test_wheel_matches_heap_chaos;
+          Alcotest.test_case "wheel = heap, poison and dense overload runs"
+            `Quick test_wheel_matches_heap_cli_runs;
           Alcotest.test_case "wheel ordering torture" `Quick
             test_wheel_ordering;
           Alcotest.test_case "wheel window start, multi-chunk level 2" `Quick
@@ -1634,6 +1703,8 @@ let () =
             test_latency_hist_close_to_exact;
           Alcotest.test_case "merge associative + commutative" `Quick
             test_histo_merge_associative;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_histo_observe_allocates_nothing;
         ] );
       ( "mc-driver",
         [

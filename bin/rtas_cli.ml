@@ -32,6 +32,11 @@ let adversary_arg =
 let tas_arg =
   Arg.(value & flag & info [ "tas" ] ~doc:"Wrap the election as a test-and-set.")
 
+let trials_arg default per =
+  Arg.(
+    value & opt int default
+    & info [ "trials" ] ~docv:"T" ~doc:("Trials per " ^ per ^ "."))
+
 let domains_arg =
   Arg.(
     value
@@ -65,23 +70,35 @@ let require_algorithm cmd flag name =
       (Printf.sprintf "unknown %s %S; try one of: %s" flag name
          (String.concat ", " (Rtas.Registry.names ())))
 
+let parse_plan cmd =
+  Option.map (fun s ->
+      match Fault.Plan.of_string s with Ok p -> p | Error msg -> usage cmd msg)
+
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
 
-(* Sub-seeds for the adversary are derived from the run seed on
-   dedicated streams (1 = schedule randomness, 2 = crash randomness),
-   matching the convention of the claim tables (lib/claims). *)
-let make_adversary name seed =
+(* The named adversary as a function of the run seed, checked before
+   any output. Sub-seeds are derived from the run seed on dedicated
+   streams (1 = schedule randomness, 2 = crash randomness), matching
+   the convention of the claim tables (lib/claims). *)
+let make_adversary cmd name =
+  let random seed =
+    Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
+  in
   match name with
-  | "round-robin" -> Sim.Adversary.round_robin ()
-  | "random" ->
-      Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
-  | "attack" -> Leaderelect.Attacks.ascending_location ()
+  | "round-robin" -> fun _ -> Sim.Adversary.round_robin ()
+  | "random" -> random
+  | "attack" -> fun _ -> Leaderelect.Attacks.ascending_location ()
   | "crashy" ->
-      Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2)
-        [ Fault.Plan.storm 0.02 ]
-        (Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1))
-  | other -> failwith (Printf.sprintf "unknown adversary %S" other)
+      fun seed ->
+        Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2)
+          [ Fault.Plan.storm 0.02 ] (random seed)
+  | other ->
+      usage cmd
+        (Printf.sprintf
+           "unknown --adversary %S; try one of: round-robin, random, attack, \
+            crashy"
+           other)
 
 let run_cmd =
   let run algorithm n k seed adversary tas trace =
@@ -89,7 +106,7 @@ let run_cmd =
     require_algorithm "run" "--algorithm" algorithm;
     require_k "run" ~n k;
     let seed = Int64.of_int seed in
-    let adv = make_adversary adversary seed in
+    let adv = make_adversary "run" adversary seed in
     let outcome =
       if tas then
         Rtas.Election.run_tas ~seed ~record_trace:trace ~adversary:adv
@@ -185,14 +202,12 @@ let registry_cmd =
     Term.(const registry $ n_arg)
 
 let sweep_cmd =
-  let trials_arg =
-    Arg.(value & opt int 20 & info [ "trials" ] ~docv:"T" ~doc:"Trials per point.")
-  in
   let sweep algorithm n adversary trials seed domains =
     require_algorithm "sweep" "--algorithm" algorithm;
     require_positive "sweep" "-n" n;
     require_positive "sweep" "--trials" trials;
     require_positive "sweep" "--domains" domains;
+    let adversary = make_adversary "sweep" adversary in
     Fmt.pr "%8s %14s %12s %12s@." "k" "avg max steps" "avg rmrs" "registers";
     let rec points k acc = if k > n then List.rev acc else points (k * 4) (k :: acc) in
     List.iter
@@ -201,7 +216,7 @@ let sweep_cmd =
            identical for every --domains value. *)
         let s =
           Claims.Measure.elections ~domains
-            ~adversary:(make_adversary adversary) ~trials
+            ~adversary ~trials
             ~seed:(Int64.of_int seed) ~algorithm ~n ~k ()
         in
         Fmt.pr "%8d %14.1f %12.1f %12d@." k s.Claims.Measure.steps
@@ -212,8 +227,8 @@ let sweep_cmd =
     (Cmd.info "sweep"
        ~doc:"Sweep contention k and print step/RMR complexity curves.")
     Term.(
-      const sweep $ algorithm $ n_arg $ adversary_arg $ trials_arg $ seed_arg
-      $ domains_arg)
+      const sweep $ algorithm $ n_arg $ adversary_arg $ trials_arg 20 "point"
+      $ seed_arg $ domains_arg)
 
 (* The paper's claims: every experiment table of EXPERIMENTS.md with one
    PASS/FAIL line per declared check. *)
@@ -276,12 +291,6 @@ let chaos_cmd =
       & opt (list float) [ 0.0; 0.05; 0.2 ]
       & info [ "probs" ] ~docv:"P,.." ~doc:"Crash probabilities to sweep.")
   in
-  let trials_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "trials" ] ~docv:"T"
-          ~doc:"Trials per (implementation, probability) point.")
-  in
   let timeout_arg =
     Arg.(
       value & opt float 5.0
@@ -319,25 +328,21 @@ let chaos_cmd =
   in
   let chaos algorithms n k seed probs trials timeout retries le mc plan_str
       domains =
-    let plan =
-      match plan_str with
-      | None -> None
-      | Some s -> (
-          match Fault.Plan.of_string s with
-          | Ok p -> Some p
-          | Error msg -> usage "chaos" msg)
-    in
+    let plan = parse_plan "chaos" plan_str in
     List.iter (require_algorithm "chaos" "--algorithms") algorithms;
     require_positive "chaos" "-n" n;
     require_k "chaos" ~n k;
+    require_positive "chaos" "--trials" trials;
     let mode = if le then Fault.Chaos.Le else Fault.Chaos.Tas in
     let sweep mode algorithms =
       Fault.Chaos.sweep ~timeout ~retries ~domains ?plan ~mode ~algorithms ~n
         ~k ~probs ~trials ~seed:(Int64.of_int seed) ()
     in
     let reports =
-      sweep mode algorithms
-      @ if mc then sweep Fault.Chaos.Mc (Fault.Chaos.impl_names ()) else []
+      try
+        sweep mode algorithms
+        @ if mc then sweep Fault.Chaos.Mc (Fault.Chaos.impl_names ()) else []
+      with Invalid_argument msg -> usage "chaos" msg
     in
     Fmt.pr "%a%a" Fault.Chaos.pp_table reports Fault.Chaos.pp_totals reports;
     let failures =
@@ -368,7 +373,8 @@ let chaos_cmd =
           storms and check unique-winner + crash-aware linearizability.")
     Term.(
       const chaos $ algorithms_arg $ n_arg $ k_arg $ seed_arg $ probs_arg
-      $ trials_arg $ timeout_arg $ retries_arg $ le_flag $ mc_flag $ plan_arg
+      $ trials_arg 25 "(implementation, probability) point"
+      $ timeout_arg $ retries_arg $ le_flag $ mc_flag $ plan_arg
       $ domains_arg)
 
 (* {1 Probe subcommands: trace + profile} *)
@@ -412,6 +418,7 @@ let trace_cmd =
     require_positive "trace" "-n" n;
     require_positive "trace" "-k" k;
     let programs = find_target "trace" algo in
+    let adversary = make_adversary "trace" adversary in
     let k = min k n in
     let seed = Int64.of_int seed in
     let chrome = Obs.Chrome_trace.create () in
@@ -422,7 +429,7 @@ let trace_cmd =
         (fun () ->
           let mem = Sim.Memory.create () in
           let sched = Sim.Sched.create ~seed (programs mem ~n ~k) in
-          Sim.Sched.run sched (make_adversary adversary seed);
+          Sim.Sched.run sched (adversary seed);
           Obs.Collector.snapshot collector)
     in
     write_file out (Obs.Chrome_trace.to_string chrome);
@@ -451,11 +458,6 @@ let profile_cmd =
       & opt (list string) [ "ge_logstar"; "log*"; "ratrace" ]
       & info [ "algos" ] ~docv:"NAMES" ~doc)
   in
-  let trials_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "trials" ] ~docv:"T" ~doc:"Trials per target.")
-  in
   let json_arg =
     Arg.(
       value
@@ -466,6 +468,8 @@ let profile_cmd =
   let profile algos n k trials seed adversary domains json =
     require_positive "profile" "-n" n;
     require_positive "profile" "-k" k;
+    require_positive "profile" "--trials" trials;
+    let adv = make_adversary "profile" adversary in
     let k = min k n in
     let seed64 = Int64.of_int seed in
     (* Every name is checked before any target runs. *)
@@ -498,7 +502,7 @@ let profile_cmd =
               (fun (mem, progs, sched, winners) ~trial:_ ~seed ->
                 Sim.Memory.reset mem;
                 Sim.Sched.reset ~seed sched progs;
-                Sim.Sched.run sched (make_adversary adversary seed);
+                Sim.Sched.run sched (adv seed);
                 for pid = 0 to Sim.Sched.n sched - 1 do
                   if Sim.Sched.result sched pid = Some 1 then incr winners
                 done)
@@ -541,8 +545,8 @@ let profile_cmd =
           (one per engine worker, merged after the join) and print \
           per-phase step/RMR attribution tables.")
     Term.(
-      const profile $ algos_arg $ n_arg $ k_arg $ trials_arg $ seed_arg
-      $ adversary_arg $ domains_arg $ json_arg)
+      const profile $ algos_arg $ n_arg $ k_arg $ trials_arg 200 "target"
+      $ seed_arg $ adversary_arg $ domains_arg $ json_arg)
 
 let mc_cmd =
   let mc_domains_arg =
@@ -550,11 +554,6 @@ let mc_cmd =
       value & opt int 4
       & info [ "domains" ] ~docv:"D"
           ~doc:"Contending domains (one slot each).")
-  in
-  let trials_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "trials" ] ~docv:"T" ~doc:"Trials per algorithm.")
   in
   let timeout_arg =
     Arg.(
@@ -567,6 +566,9 @@ let mc_cmd =
   in
   let mc domains trials seed timeout =
     require_positive "mc" "--domains" domains;
+    require_positive "mc" "--trials" trials;
+    if not (Float.is_finite timeout && timeout > 0.0) then
+      usage "mc" (Printf.sprintf "--timeout must be finite and > 0 (got %g)" timeout);
     let failed = ref false in
     Fmt.pr "%-16s %8s %7s %10s  %s@." "algorithm" "domains" "trials"
       "registers" "unique winner";
@@ -616,7 +618,9 @@ let mc_cmd =
           check that each trial elects a unique winner. Exits nonzero on \
           any violation, and within bounded wall-clock on a stuck run \
           (watchdog timeout + per-domain diagnosis).")
-    Term.(const mc $ mc_domains_arg $ trials_arg $ seed_arg $ timeout_arg)
+    Term.(
+      const mc $ mc_domains_arg $ trials_arg 20 "algorithm" $ seed_arg
+      $ timeout_arg)
 
 let service_cmd =
   let alg_arg =
@@ -635,7 +639,8 @@ let service_cmd =
           ~doc:
             "sim: deterministic discrete-event run (bit-reproducible for a \
              fixed seed). atomic: real domains racing Atomic.t CASes, one \
-             tick = 1us.")
+             tick = 1us; a sim-only flag away from its default is a usage \
+             error there.")
   in
   let kernel_arg =
     Arg.(
@@ -725,17 +730,6 @@ let service_cmd =
             "Fault plan applied inside every sim election round, e.g. \
              $(b,storm:0.05).")
   in
-  let events_arg =
-    Arg.(
-      value
-      & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-      & info [ "events" ] ~docv:"wheel|heap"
-          ~doc:
-            "Sim event engine. $(b,wheel) (default) is the hierarchical \
-             timing wheel: O(1) schedule/advance, allocation-free in steady \
-             state. $(b,heap) is the binary-heap oracle. The report is \
-             byte-identical either way.")
-  in
   let shards_arg =
     Arg.(
       value & opt int 1
@@ -751,7 +745,7 @@ let service_cmd =
       & opt (enum [ ("auto", `Auto); ("exact", `Exact); ("hist", `Hist) ]) `Auto
       & info [ "latency" ] ~docv:"auto|exact|hist"
           ~doc:
-            "Latency recording (sim). $(b,exact) keeps every sample; \
+            "Latency recording. $(b,exact) keeps every sample; \
              $(b,hist) uses the bounded-memory log-bucketed histogram \
              (percentiles within ~1.6%); $(b,auto) picks exact up to 65536 \
              clients and hist beyond.")
@@ -829,13 +823,12 @@ let service_cmd =
              microseconds. Sim backend with $(b,--shards) 1 only.")
   in
   let service alg backend kernel arrival rate clients keys zipf backoff
-      deadline hold chaos max_waiters contenders plan_str events shards latency
+      deadline hold chaos max_waiters contenders plan shards latency
       on_shed timeout domains seed out window telemetry_out openmetrics_out
       trace_out =
     (* Bad input — an unparsable policy or plan, an unknown algorithm or
        capability, an out-of-range config field — is a usage error. *)
     let usage msg = usage "service" msg in
-    require_positive "service" "--domains" domains;
     let arrival =
       match arrival with
       | `Poisson -> Service.Arrival.Poisson { rate }
@@ -858,71 +851,38 @@ let service_cmd =
       | [ "rand"; m ] -> Service.Backoff.Rand { max = num m }
       | _ -> usage (Printf.sprintf "bad --backoff %S" backoff)
     in
-    let plan =
-      Option.map
-        (fun s ->
-          match Fault.Plan.of_string s with Ok p -> p | Error msg -> usage msg)
-        plan_str
+    let cfg =
+      {
+        (Service.Driver.default ~algorithm:alg) with
+        clients;
+        keys;
+        zipf_s = zipf;
+        arrival;
+        backoff;
+        deadline;
+        hold;
+        max_waiters;
+        contenders;
+        crash_prob = chaos;
+        plan = parse_plan "service" plan;
+        kernel;
+        shards;
+        latency;
+        on_shed;
+        seed = Int64.of_int seed;
+      }
     in
-    let seed = Int64.of_int seed in
-    let sink =
+    let sink, report =
       try
-        if
-          telemetry_out <> None || openmetrics_out <> None
-          || trace_out <> None
-        then Some (Service.Telemetry.sink ~trace:(trace_out <> None) ~window ())
-        else None
-      with Invalid_argument msg -> usage msg
-    in
-    let report =
-      try
-        match backend with
-        | `Sim ->
-            Service.Driver.run ~domains ?telemetry:sink
-              {
-                (Service.Driver.default ~algorithm:alg) with
-                clients;
-                keys;
-                zipf_s = zipf;
-                arrival;
-                backoff;
-                deadline;
-                hold;
-                max_waiters;
-                contenders;
-                crash_prob = chaos;
-                plan;
-                kernel;
-                events;
-                shards;
-                latency;
-                on_shed;
-                seed;
-              }
-        | `Atomic ->
-            if plan_str <> None then
-              Fmt.epr "rtas service: --plan only applies to the sim backend@.";
-            if kernel <> `Effect then
-              Fmt.epr
-                "rtas service: --kernel only applies to the sim backend@.";
-            if trace_out <> None then
-              Fmt.epr
-                "rtas service: --trace-out only applies to the sim backend@.";
-            Service.Mc_driver.run ?telemetry:sink
-              {
-                (Service.Mc_driver.default ~algorithm:alg) with
-                clients;
-                keys;
-                zipf_s = zipf;
-                arrival;
-                backoff;
-                deadline;
-                hold;
-                crash_prob = chaos;
-                workers = domains;
-                timeout;
-                seed;
-              }
+        let sink =
+          if List.exists Option.is_some [ telemetry_out; openmetrics_out; trace_out ]
+          then Some (Service.Telemetry.sink ~trace:(trace_out <> None) ~window ())
+          else None
+        in
+        ( sink,
+          match backend with
+          | `Sim -> Service.Driver.run ~domains ?telemetry:sink cfg
+          | `Atomic -> Service.Mc_driver.run ~domains ~timeout ?telemetry:sink cfg )
       with Invalid_argument msg -> usage msg
     in
     let json = Service.Report.to_json report in
@@ -984,7 +944,7 @@ let service_cmd =
       const service $ alg_arg $ backend_arg $ kernel_arg $ arrival_arg
       $ rate_arg $ clients_arg $ keys_arg $ zipf_arg $ backoff_arg
       $ deadline_arg $ hold_arg $ chaos_arg $ max_waiters_arg $ contenders_arg
-      $ plan_arg $ events_arg $ shards_arg $ latency_arg $ on_shed_arg
+      $ plan_arg $ shards_arg $ latency_arg $ on_shed_arg
       $ svc_timeout_arg $ svc_domains_arg $ seed_arg $ out_arg $ window_arg
       $ telemetry_arg $ openmetrics_arg $ trace_out_arg)
 

@@ -124,9 +124,9 @@ let mc_trial ~tas ~k ~crash_prob ~seed =
 
 let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan
     ~mode ~algorithm ~n ~k ~crash_prob ~trials ~seed () =
-  (* An unknown name or a k outside 1..n would raise inside every
-     watchdog attempt and be tallied as timeouts; reject them before any
-     trial runs. *)
+  (* An unknown name, a k outside 1..n and a crash_prob outside [0, 1]
+     are rejected before any trial runs: raised inside a watchdog
+     attempt, they would be tallied as timeouts. *)
   let who = "Chaos.run_point" in
   let trial =
     match mode with
@@ -147,6 +147,9 @@ let run_point ?(timeout = 5.0) ?(retries = 2) ?(domains = 1) ?plan
   if k < 1 || k > n then
     invalid_arg
       (Printf.sprintf "%s: k must be in 1..n (got k = %d, n = %d)" who k n);
+  if not (crash_prob >= 0.0 && crash_prob <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "%s: crash_prob must be in [0, 1] (got %g)" who crash_prob);
   (* Trials are independent. Simulated ones fan out over the engine; a
      multicore trial spawns its own domains, so those run one at a time
      with a longer timeout (domain spawn is slow next to simulation).

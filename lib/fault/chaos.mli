@@ -89,8 +89,8 @@ val run_point :
     least 10 s; [plan] is ignored.
 
     Raises [Invalid_argument] before running any trial if [algorithm]
-    is not a {!Rtas.Registry} name ([native] too, in [Mc] mode), or
-    unless [1 <= k <= n]. *)
+    is not a {!Rtas.Registry} name ([native] too, in [Mc] mode),
+    unless [1 <= k <= n], or unless [0 <= crash_prob <= 1]. *)
 
 val sweep :
   ?timeout:float ->

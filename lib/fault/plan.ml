@@ -7,9 +7,18 @@ type action =
 
 type t = action list
 
+(* Written so that NaN fails too. *)
+let is_prob p = p >= 0.0 && p <= 1.0
+
 let crash_after ~pid ~steps = Crash_after { pid; steps }
 let crash_at ~pid ~time = Crash_at { pid; time }
-let storm ?max_crashes prob = Storm { prob; max_crashes }
+
+let storm ?max_crashes prob =
+  if not (is_prob prob) then
+    invalid_arg
+      (Printf.sprintf "Plan.storm: probability must be in [0, 1] (got %g)" prob);
+  Storm { prob; max_crashes }
+
 let stall ~pid ~from_time ~until_time = Stall { pid; from_time; until_time }
 let halt_at time = Halt_at { time }
 
@@ -26,9 +35,16 @@ let pp = Fmt.(list ~sep:comma pp_action)
 let to_string t = Fmt.str "%a" pp t
 
 let action_of_string s =
-  let fail () = Error (Printf.sprintf "cannot parse fault action %S" s) in
-  let int_opt x = int_of_string_opt (String.trim x) in
-  let float_opt x = float_of_string_opt (String.trim x) in
+  let fail () =
+    Error
+      (Printf.sprintf
+         "cannot parse fault action %S (pids, steps, times and budgets are \
+          integers >= 0, a storm probability is in [0, 1])"
+         s)
+  in
+  let valid ok = function Some v when ok v -> Some v | _ -> None in
+  let int_opt x = valid (fun v -> v >= 0) (int_of_string_opt (String.trim x)) in
+  let float_opt x = valid is_prob (float_of_string_opt (String.trim x)) in
   match String.index_opt s ':' with
   | None -> (
       match String.split_on_char '@' s with

@@ -48,6 +48,8 @@ type t = action list
 val crash_after : pid:int -> steps:int -> action
 val crash_at : pid:int -> time:int -> action
 val storm : ?max_crashes:int -> float -> action
+(** Raises [Invalid_argument] unless the probability is in [0, 1]. *)
+
 val stall : pid:int -> from_time:int -> until_time:int -> action
 val halt_at : int -> action
 
@@ -70,4 +72,6 @@ val of_string : string -> (t, string) result
 (** Parse the {!to_string} syntax: comma-separated actions of the forms
     [crash:<pid>@<steps>], [crashat:<pid>@<time>],
     [storm:<prob>], [storm:<prob>@<max_crashes>],
-    [stall:<pid>@<from>-<until>], [halt@<time>]. *)
+    [stall:<pid>@<from>-<until>], [halt@<time>]. Every integer must be
+    [>= 0] and a storm probability in [0, 1]; anything else, NaN
+    included, is an [Error]. *)

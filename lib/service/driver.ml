@@ -69,6 +69,37 @@ let validate cfg =
   Arrival.validate cfg.arrival;
   Backoff.validate cfg.backoff
 
+let latency_mode cfg =
+  match cfg.latency with
+  | `Exact -> `Exact
+  | `Hist -> `Log
+  | `Auto -> if cfg.clients <= auto_exact_max then `Exact else `Log
+
+let report cfg ~backend ~workers ~duration ~livelocked ~diagnosis total =
+  let counts = Tally.counts total ~clients:cfg.clients in
+  if not livelocked then
+    assert (Report.balanced ~shed_terminal:(cfg.on_shed = `Drop) counts);
+  let duration = Float.max 1.0 duration in
+  {
+    Report.backend;
+    algorithm = cfg.algorithm;
+    keys = cfg.keys;
+    zipf_s = cfg.zipf_s;
+    arrival = Arrival.describe cfg.arrival;
+    backoff = Backoff.describe cfg.backoff;
+    deadline = cfg.deadline;
+    hold = cfg.hold;
+    crash_prob = cfg.crash_prob;
+    workers;
+    seed = cfg.seed;
+    duration;
+    throughput = float_of_int counts.completed /. duration *. 1000.0;
+    counts;
+    latency = Tally.latency total;
+    livelocked;
+    diagnosis;
+  }
+
 (* A livelocked election round is cut off after this many steps; its
    unfinished contenders leave as crashed. *)
 let max_round_steps = 1_000_000
@@ -85,7 +116,7 @@ module TS = Obs.Timeseries
    a deterministic function of the config. Both event queues store the
    wheel's packed encoding — [at], [ord = key lsl 42 lor kseq] and
    [meta = kind lsl 60 lor a lsl 30 lor b] (wheel.mli) — and pop in
-   exactly this order, which is what makes `--events heap|wheel`
+   exactly this order, which is what makes [events = `Heap | `Wheel]
    reports byte-identical. *)
 
 let k_arrive = 0
@@ -449,12 +480,7 @@ let run ?telemetry ?(domains = 1) cfg =
         fun () -> flat_round prog ~n
   in
   let seed = cfg.seed in
-  let lmode =
-    match cfg.latency with
-    | `Exact -> `Exact
-    | `Hist -> `Log
-    | `Auto -> if cfg.clients <= auto_exact_max then `Exact else `Log
-  in
+  let lmode = latency_mode cfg in
   (* Dedicated derive streams, in the repo-wide convention: 10 arrival,
      11 key choice (both drawn by the {!Clients} stream), 12 chaos, 13
      round scheduling. Chaos and round streams are split per key and
@@ -801,30 +827,6 @@ let run ?telemetry ?(domains = 1) cfg =
   (* Associative merge in shard order. *)
   let total = Tally.create lmode in
   Array.iter (Tally.merge_into ~into:total) tallies;
-  let counts = Tally.counts total ~clients:cfg.clients in
-  assert (Report.balanced ~shed_terminal:(cfg.on_shed = `Drop) counts);
-  let duration = Float.max 1.0 (Tally.last total) in
-  let report =
-    {
-      Report.backend = "sim";
-      algorithm = cfg.algorithm;
-      keys = cfg.keys;
-      zipf_s = cfg.zipf_s;
-      arrival = Arrival.describe cfg.arrival;
-      backoff = Backoff.describe cfg.backoff;
-      deadline = cfg.deadline;
-      hold = cfg.hold;
-      crash_prob = cfg.crash_prob;
-      workers = 1;
-      seed;
-      duration;
-      throughput = float_of_int counts.completed /. duration *. 1000.0;
-      counts;
-      latency = Tally.latency total;
-      livelocked = false;
-      diagnosis = None;
-    }
-  in
   Option.iter
     (fun s ->
       let merged = Tally.snapshot total in
@@ -835,4 +837,5 @@ let run ?telemetry ?(domains = 1) cfg =
           s.Telemetry.trace_json <- Some (Obs.Chrome_trace.to_string tr))
         trace)
     telemetry;
-  report
+  report cfg ~backend:"sim" ~workers:1 ~duration:(Tally.last total)
+    ~livelocked:false ~diagnosis:None total

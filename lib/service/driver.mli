@@ -101,6 +101,23 @@ val validate : config -> unit
 (** Raises [Invalid_argument], naming the field, on out-of-range fields
     and on NaN or infinite floats. *)
 
+val latency_mode : config -> [ `Exact | `Log ]
+(** The {!Tally} mode [latency] selects; both drivers record in it. *)
+
+val report :
+  config ->
+  backend:string ->
+  workers:int ->
+  duration:float ->
+  livelocked:bool ->
+  diagnosis:string option ->
+  Tally.t ->
+  Report.t
+(** The run's report from its config and merged tally: both drivers
+    build theirs here. [duration] is the run length in ticks (at least
+    1 in the report). Unless [livelocked], asserts that the counts
+    partition the clients. *)
+
 val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
 (** Run the workload to completion (the event engine drains — open-loop
     arrivals are finite). [~domains] (default 1) caps the domain pool

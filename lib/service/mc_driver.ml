@@ -1,57 +1,29 @@
-type config = {
-  algorithm : string;
-  clients : int;
-  keys : int;
-  zipf_s : float;
-  arrival : Arrival.kind;
-  backoff : Backoff.t;
-  deadline : float;
-  hold : float;
-  crash_prob : float;
-  workers : int;
-  timeout : float;
-  seed : int64;
-}
-
-let default ~algorithm =
-  {
-    algorithm;
-    clients = 200;
-    keys = 8;
-    zipf_s = 0.9;
-    arrival = Arrival.Poisson { rate = 0.02 };
-    backoff = Backoff.Exp { base = 8.0; cap = 512.0 };
-    deadline = 20_000.0;
-    hold = 64.0;
-    crash_prob = 0.0;
-    workers = 4;
-    timeout = 30.0;
-    seed = 1L;
-  }
-
-let validate cfg =
-  if cfg.clients < 1 then invalid_arg "Mc_driver: clients must be >= 1";
-  if cfg.keys < 1 then invalid_arg "Mc_driver: keys must be >= 1";
-  if not (Float.is_finite cfg.deadline && cfg.deadline > 0.0) then
-    invalid_arg "Mc_driver: deadline must be finite and > 0";
-  if not (Float.is_finite cfg.hold && cfg.hold >= 0.0) then
-    invalid_arg "Mc_driver: hold must be finite and >= 0";
-  if not (Float.is_finite cfg.zipf_s && cfg.zipf_s >= 0.0) then
-    invalid_arg "Mc_driver: zipf_s must be finite and >= 0";
-  if cfg.workers < 1 then invalid_arg "Mc_driver: workers must be >= 1";
-  if not (Float.is_finite cfg.timeout && cfg.timeout > 0.0) then
+let run ?telemetry ?(domains = 4) ?(timeout = 30.0) (cfg : Driver.config) =
+  Driver.validate cfg;
+  if domains < 1 then invalid_arg "Mc_driver: domains must be >= 1";
+  if not (Float.is_finite timeout && timeout > 0.0) then
     invalid_arg "Mc_driver: timeout must be finite and > 0";
-  if not (cfg.crash_prob >= 0.0 && cfg.crash_prob <= 1.0) then
-    invalid_arg "Mc_driver: crash_prob must be in [0, 1]";
-  Arrival.validate cfg.arrival;
-  Backoff.validate cfg.backoff
-
-module TS = Obs.Timeseries
-
-let run ?telemetry cfg =
-  validate cfg;
+  (* The fields only the sim driver reads: a run that set one away from
+     its default would silently not get what it asked for. *)
+  let d = Driver.default ~algorithm:cfg.algorithm in
+  List.iter
+    (fun (field, set) ->
+      if set then
+        invalid_arg
+          (Printf.sprintf "Mc_driver: %s only applies to the sim backend" field))
+    [
+      ("plan", cfg.plan <> d.plan);
+      ("kernel", cfg.kernel <> d.kernel);
+      ("events", cfg.events <> d.events);
+      ("shards", cfg.shards <> d.shards);
+      ("on_shed", cfg.on_shed <> d.on_shed);
+      ("max_waiters", cfg.max_waiters <> d.max_waiters);
+      ("contenders", cfg.contenders <> d.contenders);
+      ( "telemetry trace",
+        match telemetry with Some s -> s.Telemetry.trace | None -> false );
+    ];
   let make_mc = (Rtas.Registry.lookup ~who:"Mc_driver" cfg.algorithm).make_mc in
-  let w = cfg.workers in
+  let w = domains in
   (* One tick = one microsecond of wall clock. *)
   let t0 = Unix.gettimeofday () in
   let now_ticks () = (Unix.gettimeofday () -. t0) *. 1e6 in
@@ -70,7 +42,8 @@ let run ?telemetry cfg =
      telemetry windows in wall-clock microseconds — the same clock as
      [now_ticks]. [attempts] is the watchdog's per-worker progress
      counter. *)
-  let tallies = Array.init w (fun _ -> Tally.create ?sink:telemetry `Exact) in
+  let lmode = Driver.latency_mode cfg in
+  let tallies = Array.init w (fun _ -> Tally.create ?sink:telemetry lmode) in
   let attempts = Array.make w 0 in
   let lease = cfg.deadline in
   let worker wi =
@@ -184,15 +157,15 @@ let run ?telemetry cfg =
     done
   in
   let outcome =
-    Fault.Watchdog.race ~timeout:cfg.timeout ~n:w
+    Fault.Watchdog.race ~timeout ~n:w
       ~progress:(fun i -> attempts.(i))
       ~label:(fun i -> Printf.sprintf "worker %d" i)
       worker
   in
-  let duration = Float.max 1.0 (now_ticks ()) in
+  let duration = now_ticks () in
   (* A worker the watchdog gave up on is leaked and may still be
      writing its tally, so only finished workers' tallies are read. *)
-  let total = Tally.create `Exact in
+  let total = Tally.create lmode in
   let livelocked, diagnosis =
     match outcome with
     | Ok _ ->
@@ -206,25 +179,6 @@ let run ?telemetry cfg =
           stuck.stuck_progress;
         (true, Some (Format.asprintf "%a" Fault.Watchdog.pp_stuck stuck))
   in
-  let counts = Tally.counts total ~clients:cfg.clients in
-  if not livelocked then assert (Report.balanced counts);
   Option.iter (fun s -> s.Telemetry.snapshot <- Tally.snapshot total) telemetry;
-  {
-    Report.backend = "atomic";
-    algorithm = cfg.algorithm;
-    keys = cfg.keys;
-    zipf_s = cfg.zipf_s;
-    arrival = Arrival.describe cfg.arrival;
-    backoff = Backoff.describe cfg.backoff;
-    deadline = cfg.deadline;
-    hold = cfg.hold;
-    crash_prob = cfg.crash_prob;
-    workers = w;
-    seed = cfg.seed;
-    duration;
-    throughput = float_of_int counts.completed /. duration *. 1000.0;
-    counts;
-    latency = Tally.latency total;
-    livelocked;
-    diagnosis;
-  }
+  Driver.report cfg ~backend:"atomic" ~workers:w ~duration ~livelocked
+    ~diagnosis total

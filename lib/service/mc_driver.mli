@@ -7,15 +7,15 @@
     become [Unix.sleepf] intervals, latencies and throughput come from
     [Unix.gettimeofday], and the report shares the sim driver's schema
     and units. Every worker draws the sim driver's {!Clients} stream
-    and serves every [workers]-th client of it, so both backends face
+    and serves every [domains]-th client of it, so both backends face
     the same offered load for a given seed; wall-clock interleaving
     makes the outcomes nondeterministic.
 
-    Clients are sharded round-robin over [workers] domains. A worker's
-    slot in every one-shot instance is its own index ([n = workers]),
-    and a per-worker, per-key round stamp enforces the at-most-once
-    rule; winners {!Resettable.Make.claim} their round, losers retry
-    under the backoff policy until the deadline.
+    Clients are sharded round-robin over the worker domains. A
+    worker's slot in every one-shot instance is its own index ([n] =
+    the worker count), and a per-worker, per-key round stamp enforces
+    the at-most-once rule; winners {!Resettable.Make.claim} their
+    round, losers retry under the backoff policy until the deadline.
 
     Chaos ([crash_prob]): a winner crashes before claiming with
     probability [p/2] (wedging the round [Open]) or after claiming with
@@ -29,33 +29,27 @@
     [livelocked = true] plus a per-worker progress diagnosis, and the
     caller should exit nonzero. *)
 
-type config = {
-  algorithm : string;  (** A {!Rtas.Registry} entry. *)
-  clients : int;
-  keys : int;
-  zipf_s : float;
-  arrival : Arrival.kind;
-  backoff : Backoff.t;
-  deadline : float;  (** Ticks (µs); also the recovery lease. *)
-  hold : float;
-  crash_prob : float;
-  workers : int;  (** Domains; also the election width [n]. *)
-  timeout : float;  (** Watchdog bound, wall-clock seconds. *)
-  seed : int64;
-}
+val run :
+  ?telemetry:Telemetry.sink ->
+  ?domains:int ->
+  ?timeout:float ->
+  Driver.config ->
+  Report.t
+(** Run the workload on the entry's [Atomic_mem] instance ([make_mc])
+    with [domains] worker domains (default 4; also the election width)
+    under a watchdog bound of [timeout] wall-clock seconds (default
+    30). Latencies record in {!Driver.latency_mode}, and the report
+    comes from {!Driver.report}.
 
-val default : algorithm:string -> config
-
-val validate : config -> unit
-(** Raises [Invalid_argument], naming the field, on out-of-range fields
-    and on NaN or infinite floats. *)
-
-val run : ?telemetry:Telemetry.sink -> config -> Report.t
-(** Run the workload on the entry's [Atomic_mem] instance ([make_mc]).
-    Raises [Invalid_argument] on an unknown algorithm name.
+    Before any worker starts, raises [Invalid_argument] naming the
+    field if {!Driver.validate} rejects the config, if [domains < 1],
+    if [timeout] is not finite and > 0, on an unknown algorithm name,
+    and for every sim-only field set away from {!Driver.default}:
+    [plan], [kernel], [events], [shards], [on_shed], [max_waiters] and
+    [contenders]. A sink with [trace] set raises the same way: there is
+    no virtual clock to span.
 
     When [telemetry] is given, each worker domain records the shared
     {!Telemetry.recorder} schema with windows in wall-clock
     microseconds (the backend's tick), and the sink receives the merged
-    per-worker snapshots after the watchdog joins. The sink's [trace]
-    flag is ignored here — there is no virtual clock to span. *)
+    per-worker snapshots after the watchdog joins. *)

@@ -14,8 +14,8 @@
 
     Ordering is the driver's shard-invariant total order: exact event
     time, then ([key], [kseq]) lexicographically — identical to the
-    binary-heap oracle, which is what makes `--events heap|wheel`
-    reports byte-identical.
+    binary-heap oracle, which is what makes reports byte-identical
+    under either [Driver.config.events].
 
     Each event is three scalars: the time, the ordering word
     [ord = key lsl 42 lor kseq], and the payload word

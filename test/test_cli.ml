@@ -276,8 +276,7 @@ let test_service_scale () =
        [ "--alg"; "tournament"; "--backend"; "sim"; "--kernel"; "flat";
          "--arrival"; "poisson"; "--rate"; "20"; "--clients"; "1000000";
          "--keys"; "256"; "--zipf"; "0.5"; "--backoff"; "exp";
-         "--max-waiters"; "32"; "--hold"; "50"; "--events"; "wheel";
-         "--shards"; "4"; "--domains"; "2"; "--latency"; "hist"; "--seed";
+         "--max-waiters"; "32"; "--hold"; "50"; "--shards"; "4"; "--domains"; "2"; "--latency"; "hist"; "--seed";
          "42"; "-o"; "SVC_scale.json"; "--telemetry"; "SVC_scale_ts.json" ]);
   let r = json_file "SVC_scale.json" and ts = json_file "SVC_scale_ts.json" in
   gate "1M clients served" (served ~clients:1_000_000) r;
@@ -705,14 +704,31 @@ let test_usage_errors () =
     [
       [ "claims"; "e99" ];
       [ "chaos"; "--algorithms"; "nope" ];
+      [ "chaos"; "--probs"; "1.5" ];
+      [ "chaos"; "--probs"; "nan" ];
+      [ "chaos"; "--plan"; "crash:-1@3" ];
+      [ "chaos"; "--trials"; "0" ];
       [ "run"; "-a"; "tournament"; "-n"; "2"; "-k"; "40" ];
       [ "run"; "--alg"; "nope" ];
+      [ "run"; "--adversary"; "nope" ];
       [ "trace"; "-k"; "0"; "-o"; "trace_k0.json" ];
+      [ "trace"; "--adversary"; "nope"; "-o"; "trace_adv.json" ];
+      [ "profile"; "--adversary"; "nope" ];
+      [ "profile"; "--trials"; "0" ];
+      [ "mc"; "--trials"; "0" ];
+      [ "mc"; "--timeout"; "nan" ];
       [ "service"; "--backoff"; "exp:x:1" ];
       [ "service"; "--backoff"; "rand:abc" ];
       [ "service"; "--window"; "0"; "--telemetry"; "SVC_bad_window.json" ];
       [ "service"; "--domains"; "0" ];
-    ]
+      [ "service"; "--plan"; "storm:nan" ];
+      [ "service"; "--backend"; "atomic"; "--plan"; "storm:0.1" ];
+      [ "service"; "--backend"; "atomic"; "--kernel"; "flat" ];
+      [ "service"; "--backend"; "atomic"; "--trace-out"; "SVC_atomic_trace.json" ];
+    ];
+  (* A bad name fails before the table header is printed. *)
+  Alcotest.(check string) "sweep --adversary nope prints nothing" ""
+    (run ~code:2 [ "sweep"; "--adversary"; "nope" ])
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in

@@ -52,6 +52,39 @@ let test_plan_parse_examples () =
   checkb "bad number rejected" true
     (match Fault.Plan.of_string "crash:x@1" with Error _ -> true | Ok _ -> false)
 
+(* A storm probability outside [0, 1] (NaN included) and a negative
+   pid, step count, time or budget are rejected when parsed, and the
+   storm constructor and the chaos runner reject such a probability
+   too, before any trial runs. *)
+let test_out_of_range_rejected () =
+  List.iter
+    (fun s ->
+      checkb (s ^ " rejected") true
+        (match Fault.Plan.of_string s with Error _ -> true | Ok _ -> false))
+    [ "storm:1.5"; "storm:-0.1"; "storm:nan"; "storm:inf"; "storm:0.5@-1";
+      "crash:-1@3"; "crash:0@-1"; "crashat:0@-5"; "crashat:-2@5";
+      "stall:-1@1-2"; "halt@-1" ];
+  List.iter
+    (fun s ->
+      checkb (s ^ " accepted") true
+        (match Fault.Plan.of_string s with Ok _ -> true | Error _ -> false))
+    [ "storm:0"; "storm:1"; "storm:1@0"; "crash:0@0"; "halt@0" ];
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  List.iter
+    (fun p ->
+      checkb (Printf.sprintf "storm %g raises" p) true
+        (raises (fun () -> Fault.Plan.storm p));
+      List.iter
+        (fun mode ->
+          checkb
+            (Fmt.str "%a run_point at %g raises" Fault.Chaos.pp_mode mode p)
+            true
+            (raises (fun () ->
+                 Fault.Chaos.run_point ~mode ~algorithm:"tournament" ~n:4 ~k:2
+                   ~crash_prob:p ~trials:2 ~seed:1L ())))
+        [ Fault.Chaos.Tas; Fault.Chaos.Le; Fault.Chaos.Mc ])
+    [ 1.5; -0.1; Float.nan ]
+
 (* {1 Plan: apply semantics} *)
 
 let test_plan_crash_after () =
@@ -411,6 +444,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_plan_round_trip;
           Alcotest.test_case "parse examples" `Quick test_plan_parse_examples;
+          Alcotest.test_case "out-of-range values rejected" `Quick
+            test_out_of_range_rejected;
         ] );
       ( "plan-apply",
         [

@@ -1288,39 +1288,31 @@ let test_histo_observe_allocates_nothing () =
 
 (* {1 The atomic driver} *)
 
+(* The atomic runs below: 60 clients on 4 keys, 3 worker domains. *)
+let mc_cfg () =
+  {
+    (Service.Driver.default ~algorithm:"tournament") with
+    Service.Driver.clients = 60;
+    keys = 4;
+    arrival = Service.Arrival.Poisson { rate = 0.01 };
+    seed = 5L;
+  }
+
+let mc_run ?telemetry cfg =
+  Service.Mc_driver.run ?telemetry ~domains:3 ~timeout:60.0 cfg
+
 let test_mc_driver_smoke () =
-  let cfg =
-    {
-      (Service.Mc_driver.default ~algorithm:"tournament") with
-      Service.Mc_driver.clients = 60;
-      keys = 4;
-      workers = 3;
-      arrival = Service.Arrival.Poisson { rate = 0.01 };
-      timeout = 60.0;
-      seed = 5L;
-    }
-  in
-  let r = Service.Mc_driver.run cfg in
+  let r = mc_run (mc_cfg ()) in
   checkb "no livelock" false r.Service.Report.livelocked;
   checkb "balanced" true (Service.Report.balanced r.Service.Report.counts);
   checki "all complete without chaos" 60
     r.Service.Report.counts.Service.Report.completed
 
 let test_mc_driver_chaos_no_wedge () =
-  let cfg =
-    {
-      (Service.Mc_driver.default ~algorithm:"tournament") with
-      Service.Mc_driver.clients = 60;
-      keys = 4;
-      workers = 3;
-      arrival = Service.Arrival.Poisson { rate = 0.01 };
-      deadline = 5_000.0;
-      crash_prob = 0.4;
-      timeout = 60.0;
-      seed = 5L;
-    }
+  let r =
+    mc_run
+      { (mc_cfg ()) with Service.Driver.deadline = 5_000.0; crash_prob = 0.4 }
   in
-  let r = Service.Mc_driver.run cfg in
   (* The run finishing at all (inside the watchdog bound) is the no-wedge
      property: every client reached a terminal state even though holders
      crashed without releasing. *)
@@ -1332,19 +1324,8 @@ let test_mc_driver_chaos_no_wedge () =
    microsecond windows; arrivals and completions must still sum to the
    report totals. *)
 let test_mc_driver_telemetry () =
-  let cfg =
-    {
-      (Service.Mc_driver.default ~algorithm:"tournament") with
-      Service.Mc_driver.clients = 60;
-      keys = 4;
-      workers = 3;
-      arrival = Service.Arrival.Poisson { rate = 0.01 };
-      timeout = 60.0;
-      seed = 5L;
-    }
-  in
   let sink = Service.Telemetry.sink ~window:1_000_000.0 () in
-  let r = Service.Mc_driver.run ~telemetry:sink cfg in
+  let r = mc_run ~telemetry:sink (mc_cfg ()) in
   checkb "no livelock" false r.Service.Report.livelocked;
   let snap = sink.Service.Telemetry.snapshot in
   checkb "windows recorded" true (Obs.Timeseries.windows snap > 0);
@@ -1356,6 +1337,50 @@ let test_mc_driver_telemetry () =
   checkb "latency quantiles recorded" true
     (List.mem_assoc "service.latency_ticks"
        snap.Obs.Timeseries.s_quantiles)
+
+(* The atomic backend reads none of the sim-only fields, so setting one
+   away from its default is an error that names it. Each config would
+   take about 100 s of wall clock to serve (one arrival per second), so
+   a check made after the workers started would show in the time. *)
+let test_mc_driver_rejects_sim_only () =
+  let cfg =
+    {
+      (mc_cfg ()) with
+      Service.Driver.clients = 100;
+      arrival = Service.Arrival.Poisson { rate = 1e-6 };
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let rejects field ?telemetry c =
+    match mc_run ?telemetry c with
+    | _ -> Alcotest.failf "%s was accepted" field
+    | exception Invalid_argument msg ->
+        checkb (Printf.sprintf "%s: %S names it" field msg) true
+          (contains msg field)
+  in
+  rejects "plan" { cfg with plan = Some [ Fault.Plan.storm 0.1 ] };
+  rejects "kernel" { cfg with kernel = `Flat };
+  rejects "events" { cfg with events = `Heap };
+  rejects "shards" { cfg with shards = 2 };
+  rejects "on_shed" { cfg with on_shed = `Retry };
+  rejects "max_waiters" { cfg with max_waiters = 8 };
+  rejects "contenders" { cfg with contenders = 3 };
+  rejects "trace"
+    ~telemetry:(Service.Telemetry.sink ~trace:true ~window:1000.0 ())
+    cfg;
+  let dt = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "rejected before any worker ran (%.3f s)" dt) true
+    (dt < 10.0)
+
+(* Latencies record in the config's mode, by the sim driver's rule. *)
+let test_mc_driver_latency_mode () =
+  let mode latency =
+    match (mc_run { (mc_cfg ()) with Service.Driver.latency }).latency with
+    | Some l -> l.Service.Report.l_mode
+    | None -> Alcotest.fail "nothing completed"
+  in
+  Alcotest.(check string) "hist" "hist" (mode `Hist);
+  Alcotest.(check string) "auto at 60 clients" "exact" (mode `Auto)
 
 (* {1 Workload generators} *)
 
@@ -1577,14 +1602,14 @@ let test_registry_dual () =
    hold dies inside the event loop. *)
 
 let test_non_finite_config_rejected () =
-  let cfg = small_cfg () and mc = Service.Mc_driver.default ~algorithm:"log*" in
+  let cfg = small_cfg () in
   let run c = ignore (Service.Driver.run c) in
   let arrival a = run { cfg with Service.Driver.arrival = a } in
   let bursty ?(burst_len = 100.0) ?(idle_len = 400.0) ?(boost = 10.0) () =
     arrival (Service.Arrival.Bursty { rate = 0.01; burst_len; idle_len; boost })
   in
   let backoff b = run { cfg with Service.Driver.backoff = b } in
-  let mc_validate c = Service.Mc_driver.validate c in
+  let mc ?timeout c = ignore (Service.Mc_driver.run ?timeout c) in
   let cases =
     [
       ("deadline", fun x -> run { cfg with Service.Driver.deadline = x });
@@ -1597,10 +1622,10 @@ let test_non_finite_config_rejected () =
       ("base", fun x -> backoff (Service.Backoff.Exp { base = x; cap = 512.0 }));
       ("cap", fun x -> backoff (Service.Backoff.Exp { base = 8.0; cap = x }));
       ("max", fun x -> backoff (Service.Backoff.Rand { max = x }));
-      ("deadline", fun x -> mc_validate { mc with Service.Mc_driver.deadline = x });
-      ("hold", fun x -> mc_validate { mc with Service.Mc_driver.hold = x });
-      ("zipf_s", fun x -> mc_validate { mc with Service.Mc_driver.zipf_s = x });
-      ("timeout", fun x -> mc_validate { mc with Service.Mc_driver.timeout = x });
+      ("deadline", fun x -> mc { (mc_cfg ()) with Service.Driver.deadline = x });
+      ("hold", fun x -> mc { (mc_cfg ()) with Service.Driver.hold = x });
+      ("zipf_s", fun x -> mc { (mc_cfg ()) with Service.Driver.zipf_s = x });
+      ("timeout", fun x -> mc ~timeout:x (mc_cfg ()));
       ("s", fun x -> ignore (Service.Zipf.create ~n:8 ~s:x));
     ]
   in
@@ -1713,6 +1738,10 @@ let () =
             test_mc_driver_chaos_no_wedge;
           Alcotest.test_case "telemetry sums on wall-clock windows" `Slow
             test_mc_driver_telemetry;
+          Alcotest.test_case "atomic backend rejects sim-only settings" `Quick
+            test_mc_driver_rejects_sim_only;
+          Alcotest.test_case "atomic backend honours latency mode" `Slow
+            test_mc_driver_latency_mode;
         ] );
       ( "workload",
         [

@@ -8,16 +8,21 @@ let describe = function
   | Exp { base; cap } -> Printf.sprintf "exp(base=%g,cap=%g)" base cap
   | Rand { max } -> Printf.sprintf "rand(max=%g)" max
 
+(* A delay sets an event that far ahead on the driver's timing wheel,
+   after a round's span: half the wheel's horizon leaves the other half
+   for the span. *)
+let max_delay = float_of_int (Wheel.horizon / 2)
+
 let validate = function
   | Immediate -> ()
   | Exp { base; cap } ->
       if not (Float.is_finite base && base > 0.0) then
         invalid_arg "Backoff: base must be finite and > 0";
-      if not (Float.is_finite cap && cap >= base) then
-        invalid_arg "Backoff: cap must be finite and >= base"
+      if not (cap >= base && cap < max_delay) then
+        invalid_arg "Backoff: cap must be >= base and below 2^47"
   | Rand { max } ->
-      if not (Float.is_finite max && max >= 1.0) then
-        invalid_arg "Backoff: max must be finite and >= 1"
+      if not (max >= 1.0 && max < max_delay) then
+        invalid_arg "Backoff: max must be >= 1 and below 2^47"
 
 (* Jitter is deterministic: the (client, attempt) pair mints its own
    splitmix stream via two Rng.derive hops, so a retry schedule is a

@@ -19,9 +19,15 @@ type t =
 
 val describe : t -> string
 
+val max_delay : float
+(** [2^47] ticks: every [cap] and [max] stays below it, and so do the
+    driver's deadline and hold. *)
+
 val validate : t -> unit
 (** Raises [Invalid_argument], naming the parameter, on nonsense
-    parameters, NaN and infinities included. *)
+    parameters, NaN and infinities included, and on a [cap] or [max] of
+    2^47 ticks or more: half the driver's {!Wheel.horizon}, so that a
+    delay after a round's span stays within it. *)
 
 val delay : t -> seed:int64 -> client:int -> attempt:int -> float
 (** Delay before retry number [attempt] (1-based; values below 1 are

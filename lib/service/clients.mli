@@ -6,8 +6,10 @@
     yet. Arrival times (increasing) come from derive stream 10 of the
     seed and Zipfian keys over [keys] from stream 11; every stream made
     from the same arguments yields the same clients, which is how each
-    shard of {!Driver} and each worker of {!Mc_driver} replays the one
-    schedule, skipping the clients it does not serve.
+    event loop of {!Driver} and each worker of {!Mc_driver} replays the
+    one schedule, skipping the clients it does not serve. Arrival times
+    never decrease, so a loop merges the stream with its event queue
+    without queueing it.
 
     The record is exposed so the drivers read the next client as direct
     field loads; it is private, so they cannot write it. The arrival

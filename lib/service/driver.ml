@@ -53,12 +53,14 @@ let validate cfg =
   if cfg.keys < 1 then invalid_arg "Driver: keys must be >= 1";
   if cfg.keys > Wheel.max_key + 1 then
     invalid_arg "Driver: keys exceeds the event-key range (2^20)";
-  (* Written as [not (finite && in range)] so NaN and infinities fail
-     too: every comparison with NaN is false. *)
-  if not (Float.is_finite cfg.deadline && cfg.deadline > 0.0) then
-    invalid_arg "Driver: deadline must be finite and > 0";
-  if not (Float.is_finite cfg.hold && cfg.hold >= 0.0) then
-    invalid_arg "Driver: hold must be finite and >= 0";
+  (* Written as [not (in range)] so NaN and infinities fail too: every
+     comparison with NaN is false. A lease or a release lies [deadline]
+     or [hold] past a round's span on the timing wheel: below half its
+     horizon, as a backoff delay does. *)
+  if not (cfg.deadline > 0.0 && cfg.deadline < Backoff.max_delay) then
+    invalid_arg "Driver: deadline must be > 0 and below 2^47";
+  if not (cfg.hold >= 0.0 && cfg.hold < Backoff.max_delay) then
+    invalid_arg "Driver: hold must be >= 0 and below 2^47";
   if not (Float.is_finite cfg.zipf_s && cfg.zipf_s >= 0.0) then
     invalid_arg "Driver: zipf_s must be finite and >= 0";
   if cfg.max_waiters < 1 then invalid_arg "Driver: max_waiters must be >= 1";
@@ -139,9 +141,9 @@ let first_event_kseq = Wheel.max_ab + 1
    A binary min-heap over the packed encoding, kept as the differential
    oracle for the wheel: test_service's differential cases and the
    benchmark's "wheel = heap" check on svc-overload (rtasbench/) hold
-   the two to byte-identical reports. [pop] swaps the minimum to the
-   end of the live prefix and returns its index, readable until the
-   next [push]. *)
+   the two to byte-identical reports. The minimum sits at index 0;
+   [pop] swaps it to the end of the live prefix and returns its index,
+   readable until the next [push]. *)
 
 module Heap = struct
   type t = {
@@ -314,23 +316,28 @@ let slot_free p s =
 type queue = {
   schedule :
     at:float -> key:int -> kseq:int -> kind:int -> a:int -> b:int -> unit;
-  pop : unit -> int;  (* the earliest event's id, -1 once drained *)
+  peek : unit -> int;  (* the earliest event's id, -1 when empty *)
+  pop : unit -> int;  (* pops it; the id may differ from [peek]'s *)
   at : int -> float;
   ord : int -> int;
   meta : int -> int;
   sample : Telemetry.recorder -> float -> unit;
 }
 
-(* The wheel samples the event-loop lag (fire tick minus due tick —
-   nonzero only for events scheduled at or before the wheel's clock)
-   per event, and its occupancy / pool gauges, with the loop's live
-   client slots, once per window crossing. *)
+(* The wheel samples the event-loop lag per popped event, and its
+   occupancy / pool gauges, with the loop's live client slots, once per
+   window crossing. The lag is the latest tick popped so far minus the
+   event's due tick, nonzero only for an event queued into the past of
+   an earlier pop. It is not measured against the wheel's clock, which
+   a peek runs ahead of the loop. *)
 let wheel_queue slots =
   let w = Wheel.create () in
-  let last_win = ref (-1) in
+  let last_win = ref (-1) and fired = ref 0 in
   let sample (r : Telemetry.recorder) at =
-    let lag = Wheel.now_tick w - int_of_float at in
-    TS.observe r.lag ~at (float_of_int (if lag > 0 then lag else 0));
+    let tick = int_of_float at in
+    TS.observe r.lag ~at
+      (float_of_int (if !fired > tick then !fired - tick else 0));
+    if tick > !fired then fired := tick;
     let wdx = int_of_float (at /. TS.window r.ts) in
     if wdx > !last_win then begin
       last_win := wdx;
@@ -342,6 +349,7 @@ let wheel_queue slots =
   in
   {
     schedule = Wheel.schedule w;
+    peek = (fun () -> Wheel.peek w);
     pop = (fun () -> Wheel.pop w);
     at = (fun id -> w.Wheel.ev_at.(id));
     ord = (fun id -> w.Wheel.ev_ord.(id));
@@ -353,6 +361,7 @@ let heap_queue () =
   let h = Heap.create () in
   {
     schedule = Heap.push h;
+    peek = (fun () -> if h.Heap.len = 0 then -1 else 0);
     pop = (fun () -> Heap.pop h);
     at = (fun i -> h.Heap.at.(i));
     ord = (fun i -> h.Heap.ord.(i));
@@ -537,11 +546,11 @@ let run ?telemetry ?(domains = 1) cfg =
       assert (live slots c);
       slot_free slots c
     in
-    (* Arrivals stream in global client order: the queue holds this
-       loop's next run of equal-time arrivals, and handling the run's
-       last schedules the next. An arrival's kseq is its rank among its
-       key's arrivals, below [first_event_kseq]; every other event of
-       the key numbers on from there. *)
+    (* Arrivals merge straight from the stream, which yields them in
+       time order: [cl] sits on the loop's next arrival. An arrival's
+       kseq is its rank among its key's arrivals, below
+       [first_event_kseq]; every other event of the key numbers on from
+       there. *)
     let cl =
       Clients.create ~seed cfg.arrival ~keys:cfg.keys ~zipf_s:cfg.zipf_s
         cfg.clients
@@ -550,28 +559,12 @@ let run ?telemetry ?(domains = 1) cfg =
     and owned =
       Array.init cfg.keys (fun k -> k mod cfg.shards mod nloops = loop)
     in
-    let queued = ref 0 in
-    let next_arrivals () =
-      let started = ref false and first_at = ref 0.0 in
-      while
-        cl.Clients.index < cfg.clients
-        && ((not !started) || cl.Clients.time.at = !first_at)
-      do
-        let k = cl.Clients.key in
-        if owned.(k) then begin
-          if not !started then begin
-            started := true;
-            first_at := cl.Clients.time.at
-          end;
-          q.schedule ~at:cl.Clients.time.at ~key:k ~kseq:arank.(k)
-            ~kind:k_arrive ~a:cl.Clients.index ~b:0;
-          arank.(k) <- arank.(k) + 1;
-          incr queued
-        end;
+    let skip () =
+      while cl.Clients.index < cfg.clients && not owned.(cl.Clients.key) do
         Clients.advance cl
       done
     in
-    next_arrivals ();
+    skip ();
     let scratch = Array.make cfg.contenders 0 in
     (* The per-key burned flag: the current round's one-shot instance
        has hosted its election (its contender slots are consumed), so
@@ -675,11 +668,15 @@ let run ?telemetry ?(domains = 1) cfg =
          (* The loop is single-threaded: nothing can move the round
             between the election and the claim. *)
          assert claimed;
-         (* The lease timer is always armed at claim time — recovery
-            does not depend on foreseeing the holder's crash. A lease
-            firing after a clean release finds the round moved on and
-            is ignored. *)
-         push ~at:(t_end +. cfg.deadline) ~key:k ~kind:k_expire ~a:round ~b:0;
+         (* The lease takes its kseq at claim time, but is queued only
+            when it can win: the holder crashed, or the clean release
+            does not come before it. A lease behind a release would find
+            the round moved on, so every other event keeps its place. *)
+         let lease = kseq.(k) and release_at = t_end +. cfg.hold in
+         kseq.(k) <- lease + 1;
+         if u < cfg.crash_prob || release_at >= t_end +. cfg.deadline then
+           q.schedule ~at:(t_end +. cfg.deadline) ~key:k ~kseq:lease
+             ~kind:k_expire ~a:round ~b:0;
          if u < cfg.crash_prob then
            (* The holder crashes without releasing: the key recovers
               through the round-stamp expiry path when the lease runs
@@ -687,8 +684,7 @@ let run ?telemetry ?(domains = 1) cfg =
            Tally.bump tally Holder_crashed ~at:t_end
          else begin
            Tally.complete tally ~at:t_end (t_end -. arrival slots wc);
-           push ~at:(t_end +. cfg.hold) ~key:k ~kind:k_release ~a:round
-             ~b:owner
+           push ~at:release_at ~key:k ~kind:k_release ~a:round ~b:owner
          end;
          resolve wc
        end
@@ -744,17 +740,18 @@ let run ?telemetry ?(domains = 1) cfg =
       end
     in
     (* Arrivals, pending retries and the release or expiry that reopens
-       a key count as activity for the run's duration. An arrival
-       carries the client id and takes a slot; a retry carries the
-       slot, which stays live while its retry is pending. *)
+       a key count as activity for the run's duration. An arrival takes
+       a slot for its client, unless [`Drop] sheds it first; a retry
+       carries the slot, which stays live while its retry is pending. *)
+    let arrive now k client =
+      Tally.touch tally now;
+      Tally.bump tally Arrived ~at:now;
+      if qlen.(k) >= cfg.max_waiters && cfg.on_shed = `Drop then
+        Tally.bump tally Shed ~at:now
+      else join (slot_alloc slots ~client ~arrival:now) k now
+    in
     let handle now k kind a b =
-      if kind = k_arrive then begin
-        decr queued;
-        if !queued = 0 then next_arrivals ();
-        Tally.touch tally now;
-        Tally.bump tally Arrived ~at:now;
-        join (slot_alloc slots ~client:a ~arrival:now) k now
-      end
+      if kind = k_arrive then arrive now k a
       else if kind = k_retry then begin
         assert (live slots a);
         Tally.touch tally now;
@@ -766,9 +763,8 @@ let run ?telemetry ?(domains = 1) cfg =
         else join a k now
       end
       else begin
-        (* A release by the holder, or the always-armed lease. The
-           lease is stale for every round that released cleanly:
-           [force_expire] refuses and the event is a no-op. *)
+        (* A release by the holder, or a lease. A lease on the same
+           instant as its release fires first and wins. *)
         let r = get_res k in
         let reopened =
           if kind = k_release then R.release r ~round:a ~owner:b ~now
@@ -782,15 +778,35 @@ let run ?telemetry ?(domains = 1) cfg =
         end
       end
     in
+    (* While arrivals remain, each step takes the next one if it sorts
+       before the queue's head, and pops the queue otherwise; after the
+       last, each step pops. An arrival tied in time with the one after
+       it goes through the queue, which takes a run of them in key
+       order. *)
     let rec loop () =
-      let id = q.pop () in
-      if id >= 0 then begin
-        let at = q.at id and meta = q.meta id in
+      let arriving = cl.Clients.index < cfg.clients in
+      let id = if arriving then q.peek () else q.pop () in
+      let at = if id >= 0 then q.at id else Float.infinity in
+      let k = cl.Clients.key and now = cl.Clients.time.at in
+      if
+        arriving
+        && (now < at || (now = at && (k lsl 42) lor arank.(k) < q.ord id))
+      then begin
+        let a = cl.Clients.index and r = arank.(k) in
+        arank.(k) <- r + 1;
+        Clients.advance cl;
+        skip ();
+        if cl.Clients.index < cfg.clients && cl.Clients.time.at = now then
+          q.schedule ~at:now ~key:k ~kseq:r ~kind:k_arrive ~a ~b:0
+        else arrive now k a;
+        loop ()
+      end
+      else if id >= 0 then begin
+        let ord = q.ord id and meta = q.meta id in
+        if arriving then ignore (q.pop () : int);
         Tally.record tally q.sample at;
-        handle at
-          (Wheel.key_of_ord (q.ord id))
-          (Wheel.kind_of_meta meta) (Wheel.a_of_meta meta)
-          (Wheel.b_of_meta meta);
+        handle at (Wheel.key_of_ord ord) (Wheel.kind_of_meta meta)
+          (Wheel.a_of_meta meta) (Wheel.b_of_meta meta);
         loop ()
       end
     in

@@ -37,9 +37,13 @@
       loops (see {!run}).
     - [kernel]: flat machines versus effect scheduler.
 
-    Every claimed round arms a lease timer (the deadline): recovery
-    from holder crashes does not rely on foreseeing the crash, and a
-    lease firing after a clean release is ignored as stale.
+    Every claimed round has a lease (the deadline), and a round with no
+    winner waits for one. A lease is queued only when it can fire: its
+    holder crashed, or the clean release does not come before it ([hold
+    >= deadline]; on the same instant the lease fires first). Behind a
+    clean release it would find the round moved on, so it is never
+    queued, but its per-key sequence number is still taken at claim
+    time, and every other event keeps its place in the order.
 
     All times are in ticks. One election round occupies the key for the
     election's simulated span (its {!Sim.Sched.time}), then [hold] more
@@ -131,25 +135,31 @@ val run : ?telemetry:Telemetry.sink -> ?domains:int -> config -> Report.t
     1-shard run has.
 
     Arrivals are streamed: each loop draws the {!Clients} stream once,
-    skips the clients of keys it does not own, and its queue holds only
-    its next run of equal-time arrivals, so the event pool follows the
-    events in flight, not [clients]. Per-client state (arrival,
-    attempts, round stamp, wait-queue link) lives in a slot taken at
-    the arrival event and given back when the client resolves, from the
-    loop's pool of fixed-size chunks, so it too follows the clients in
-    flight. Each arrival's per-key sequence number is its rank among its
-    key's arrivals (below 2^30), and every other event of the key
-    numbers on from 2^30, which keeps the (time, key, kseq) order of a
-    queue holding every arrival from the start. The wheel queue is
-    [Wheel.create ()] with no capacity: its chunk pool grows one chunk
-    at a time and follows the events in flight, so under overload with
-    retry on shed, when most clients of a loop are in flight at once,
-    it grows to hold them, and so does the slot pool.
+    skips the clients of keys it does not own, and merges the stream
+    with its queue. Each step handles the next arrival when it sorts
+    before the queue's head and pops the queue otherwise, so an arrival
+    enters the queue only when the next one ties it in time (the queue
+    then takes the run in key order), and the event pool follows the
+    timers in flight, not [clients]. Under [`Drop] an arrival that
+    finds its key's queue full is shed before it takes a slot.
+    Per-client state (arrival, attempts, round stamp, wait-queue link)
+    lives in a slot taken at the arrival and given back when the client
+    resolves, from the loop's pool of fixed-size chunks, so it too
+    follows the clients in flight. Each arrival's per-key sequence
+    number is its rank among its key's arrivals (below 2^30), and every
+    other event of the key numbers on from 2^30, which keeps the
+    (time, key, kseq) order of a queue holding every arrival and every
+    lease from the start. The wheel queue is [Wheel.create ()] with no
+    capacity: its chunk pool grows one chunk at a time and follows the
+    events in flight, so under overload with retry on shed, when most
+    clients of a loop are in flight at once, it grows to hold them, and
+    so does the slot pool.
 
     With [telemetry], each loop's {!Tally} records the windowed
     {!Telemetry.recorder} schema (windows in virtual ticks), the wheel
-    adds per-event loop lag and occupancy / pool / live-slot gauges at
-    window crossings, and the sink receives the cross-loop merge. The
+    adds the loop lag of each queue pop and occupancy / pool / live-slot
+    gauges at the window crossings of queue pops, and the sink receives
+    the cross-loop merge. The
     gauges are per-loop values: on one domain the whole export equals
     the 1-shard run's, and on several it depends on the loop count. A
     sink with [trace] set (only with [shards = 1]) also receives a

@@ -9,8 +9,8 @@
     the bucketed mode.
 
     {!merge_into} is associative and commutative in both modes, so
-    per-shard partials combine into the same snapshot regardless of
-    shard count or merge grouping. *)
+    per-loop or per-worker partials combine into the same snapshot
+    regardless of their count or merge grouping. *)
 
 type t
 

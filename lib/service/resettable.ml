@@ -38,10 +38,10 @@ module Make (E : ELECTION) = struct
 
   (* [release]/[force_expire] build the next round's instance before
      the CAS; a lost CAS drops it. The simulator driver's factory hands
-     back its shard's one arena, which every round resets as it starts
-     — safe because a shard is single-threaded and runs each round to
-     completion inside one event, so no round is in flight on the arena
-     when the next one, of this key or another, begins. The atomic
+     back its event loop's one arena, which every round resets as it
+     starts — safe because a loop is single-threaded and runs each round
+     to completion inside one event, so no round is in flight on the
+     arena when the next one, of this key or another, begins. The atomic
      factory allocates, so a dropped instance is garbage, nothing
      more. *)
   let install_next t ~round ~now seen =

@@ -3,7 +3,7 @@
 
     The drivers take a {!sink} (a request plus a result slot). Without
     one, reports are byte-identical (pinned by test); with one, each
-    shard or worker's {!Tally} records into its own {!recorder}
+    event loop's or worker's {!Tally} records into its own {!recorder}
     (single-domain mutable state) and the driver stores the
     associatively merged snapshot into the sink on the way out.
 
@@ -16,7 +16,8 @@ type sink = {
   window : float;  (** Window width, in driver clock units. *)
   trace : bool;  (** Also build a Perfetto trace (sim driver, 1 shard). *)
   mutable snapshot : Obs.Timeseries.snapshot;
-      (** Filled by the driver: the merged cross-shard time-series. *)
+      (** Filled by the driver: the time-series merged across loops or
+          workers. *)
   mutable trace_json : string option;
       (** Filled when [trace] was requested and supported. *)
 }

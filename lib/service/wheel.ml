@@ -32,11 +32,18 @@
    Ordering: ties on the same tick are broken by exact event time,
    then by [ord], in the due arrays, which hold the drained tick sorted
    descending (pop from the end). Events scheduled at or before [cur]
-   are binary-inserted into them, preserving the total order even for
-   zero-delay reschedules. Wheel events lie after [cur] and due events
-   at or before it (a cascade's window-start events wait in the
-   level-0 slot at [cur] only until the drain that follows it), so a
-   slot is drained only once the due arrays are empty. *)
+   are binary-inserted into them, preserving the total order for
+   zero-delay reschedules and for events whole ticks before [cur]
+   (after a [peek] has drained a later tick). Wheel events lie after
+   [cur] and due events at or before it (a cascade's window-start
+   events wait in the level-0 slot at [cur] only until the drain that
+   follows it), so a slot is drained only once the due arrays are
+   empty.
+
+   Advancing: once the due arrays are empty, [cur] moves to the next
+   occupied slot directly, through the bitmaps of the lowest level that
+   has one, so an empty stretch of virtual time costs a few bitmap
+   scans however long it is. *)
 
 let bits = 8
 let slots_per_level = 1 lsl bits
@@ -221,12 +228,10 @@ let free_chunk t c =
   t.free <- c
 
 (* The chunk with room for one more event at [tick] (>= [cur]; equal
-   only in a cascade): the head of the tick's slot, or a fresh chunk
-   pushed in front of it. *)
+   only in a cascade; below the horizon): the head of the tick's slot,
+   or a fresh chunk pushed in front of it. *)
 let slot_chunk t tick =
   let delta = tick - t.cur in
-  if delta >= horizon then
-    invalid_arg "Wheel.schedule: event beyond the 2^48-tick horizon";
   let l = ref 0 in
   let bound = ref slots_per_level in
   while delta >= !bound do
@@ -257,6 +262,15 @@ let schedule t ~at ~key ~kseq ~kind ~a ~b =
     lor (kind lsr 2)
     <> 0
   then invalid_arg "Wheel.schedule: field out of packing range";
+  (* An empty wheel has no slot to keep in step: its clock may jump
+     ahead to the event, so a gap in the events costs nothing and does
+     not count against the horizon. The driver relies on it: arrivals
+     it handles straight from their stream do not move the clock. *)
+  if t.live = 0 && at >= float_of_int (t.cur + 1) && at < 0x1p62 then
+    t.cur <- int_of_float at;
+  (* Compared as floats: [int_of_float] wraps at 2^62. *)
+  if at -. float_of_int t.cur >= float_of_int horizon then
+    invalid_arg "Wheel.schedule: event beyond the 2^48-tick horizon";
   let ord = (key lsl kseq_bits) lor kseq
   and meta = (kind lsl (2 * ab_bits)) lor (a lsl ab_bits) lor b in
   let tick = int_of_float at in
@@ -391,17 +405,22 @@ let debruijn_tab =
 let ctz32 x =
   debruijn_tab.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-(* First occupied level-0 slot at or after [cur]'s position in the
-   current 256-tick window, or -1. *)
-let scan_level0 t =
-  let base = t.cur land slot_mask in
-  let w = ref (base lsr 5) in
-  let x = ref (Array.unsafe_get t.occ !w land ((-1) lsl (base land 31))) in
-  while !x = 0 && !w < occ_words - 1 do
-    incr w;
-    x := Array.unsafe_get t.occ !w
-  done;
-  if !x = 0 then -1 else (!w lsl 5) lor ctz32 !x
+(* First occupied slot of level [l] at or after position [from], or
+   -1. *)
+let scan t l from =
+  if from >= slots_per_level then -1
+  else begin
+    let base = l * occ_words in
+    let w = ref (from lsr 5) in
+    let x =
+      ref (Array.unsafe_get t.occ (base + !w) land ((-1) lsl (from land 31)))
+    in
+    while !x = 0 && !w < occ_words - 1 do
+      incr w;
+      x := Array.unsafe_get t.occ (base + !w)
+    done;
+    if !x = 0 then -1 else (!w lsl 5) lor ctz32 !x
+  end
 
 (* Re-place a higher-level slot's events by value now that [cur] has
    entered its window. They land in lower levels, so never back in this
@@ -442,38 +461,62 @@ let cascade t l s =
    exactly when [cur] enters its window — the invariant that keeps
    wrapped entries from being missed. *)
 let rec step_window t l =
-  if l >= levels then
-    failwith "Wheel: internal error: stepped past the top level";
   let w = bits * l in
-  if (t.cur lsr w) land slot_mask = slot_mask then step_window t (l + 1)
+  (* The top level has nothing above it to step: its windows carry into
+     the bits past the horizon. *)
+  if l < levels - 1 && (t.cur lsr w) land slot_mask = slot_mask then
+    step_window t (l + 1)
   else t.cur <- ((t.cur lsr w) + 1) lsl w;
   cascade t l ((t.cur lsr w) land slot_mask)
 
-(* Fill the empty due arrays with the next occupied level-0 slot,
-   stepping (and cascading) window by window until one holds events. *)
+(* Nothing is left at or after [cur] in its level-0 window: move [cur]
+   on as stepping window by window would, cascading the same slots, but
+   without visiting the windows whose slots are empty. Level [l] is the
+   lowest with an occupied slot, so no skipped window holds an event. A
+   slot after [cur]'s position lies in the current level-(l+1) window,
+   and [cur] jumps to its start; a slot only before it has wrapped into
+   the next level-(l+1) window, and [cur] steps there. *)
+let rec advance t l =
+  if l >= levels then failwith "Wheel: internal error: live events in no slot";
+  let w = bits * l in
+  let s = scan t l (((t.cur lsr w) land slot_mask) + 1) in
+  if s >= 0 then begin
+    (* Only above level 0: the refill found level 0 empty past [cur]. *)
+    t.cur <- ((t.cur lsr (w + bits)) lsl (w + bits)) lor (s lsl w);
+    cascade t l s
+  end
+  else if scan t l 0 < 0 then advance t (l + 1)
+  else if l = 0 then step_window t 1
+  else begin
+    t.cur <- (t.cur lor (slot_mask lsl w)) land lnot ((1 lsl w) - 1);
+    step_window t l
+  end
+
+(* Fill the empty due arrays with the next occupied level-0 slot. *)
 let rec refill t =
   if t.live > 0 then begin
-    let s = scan_level0 t in
+    let s = scan t 0 (t.cur land slot_mask) in
     if s >= 0 then begin
       t.cur <- (t.cur land lnot slot_mask) lor s;
       drain_level0 t s
     end
     else begin
-      step_window t 1;
+      advance t 0;
       refill t
     end
   end
 
-(* Pop the earliest event and return its position in the due arrays,
-   or -1 when empty. The position's fields stay readable until the
-   next [schedule] call — callers copy what they need before
-   scheduling follow-up events. *)
-let pop t =
+(* The earliest event's position in the due arrays, or -1 when empty.
+   The position's fields stay readable until the next [schedule] call —
+   callers copy what they need before scheduling follow-up events. *)
+let peek t =
   if t.due_len = 0 then refill t;
-  if t.due_len = 0 then -1
-  else begin
-    let len = t.due_len - 1 in
-    t.due_len <- len;
-    t.live <- t.live - 1;
-    len
-  end
+  t.due_len - 1
+
+let pop t =
+  let i = peek t in
+  if i >= 0 then begin
+    t.due_len <- i;
+    t.live <- t.live - 1
+  end;
+  i

@@ -5,12 +5,13 @@
     stored by value — time, ordering word, payload word — in
     fixed-size chunks of {!chunk} events; each (level, slot) holds a
     short list of chunks, and drained chunks return to a free list, so
-    the pool follows the events in flight and never shrinks. Correct
-    only for a monotone clock — events are popped in nondecreasing
-    time order and [schedule] accepts any [at] at or after the last
-    popped event's tick (zero-delay reschedules into the past of the
-    current tick are ordered correctly; scheduling whole ticks into the
-    past is not supported).
+    the pool follows the events in flight and never shrinks. {!pop}
+    always returns the earliest live event. [schedule] accepts any [at]
+    below 2^48 ticks past the current tick, including times before it:
+    a {!peek} may run the clock ahead to a later tick than the caller's
+    own, and events the caller then schedules between the two are
+    ordered correctly. An empty stretch of virtual time costs a few
+    bitmap scans, however long it is.
 
     Ordering is the driver's shard-invariant total order: exact event
     time, then ([key], [kseq]) lexicographically — identical to the
@@ -52,6 +53,10 @@ type t = {
 val chunk : int
 (** Events per chunk: 32. *)
 
+val horizon : int
+(** [2^48]: an event may be scheduled fewer than this many ticks past
+    the current tick. *)
+
 val max_key : int
 (** Largest schedulable [key]: [2^20 - 1]. *)
 
@@ -88,13 +93,24 @@ val schedule :
   t -> at:float -> key:int -> kseq:int -> kind:int -> a:int -> b:int -> unit
 (** Schedule an event. Raises [Invalid_argument] if [at] is negative,
     NaN, or at least 2^48 ticks beyond the current tick, or if a field
-    exceeds its packing bound. *)
+    exceeds its packing bound. On an empty wheel the current tick first
+    jumps ahead to [at] when [at] is below 2^62 ticks: the driver's loop
+    handles arrivals without the wheel, so its clock may lag them by
+    any stretch of virtual time. *)
+
+val peek : t -> int
+(** The earliest live event's position [i] in the due arrays, without
+    popping it, or [-1] if the wheel is empty. [ev_at.(i)],
+    [ev_ord.(i)] and [ev_meta.(i)] are that event until the next
+    [schedule] call. Advances {!now_tick} to the event's tick when the
+    due arrays were empty. *)
 
 val pop : t -> int
 (** Pop the earliest live event (by the (at, key, kseq) order) and
-    return its position [i] in the due arrays, or [-1] if the wheel is
-    empty. [ev_at.(i)], [ev_ord.(i)] and [ev_meta.(i)] are the popped
-    event until the next [schedule] call. *)
+    return its position [i] in the due arrays, as {!peek} would, or
+    [-1] if the wheel is empty. [ev_at.(i)], [ev_ord.(i)] and
+    [ev_meta.(i)] are the popped event until the next [schedule]
+    call. *)
 
 val live : t -> int
 (** Number of scheduled, not-yet-popped events. *)

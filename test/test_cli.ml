@@ -234,6 +234,23 @@ let test_service_dense_overload () =
   refute "retries > 4,000,000" heavy_retry
     (set [ "counts"; "retries" ] (J.Num 4_000_000.0) r)
 
+(* Arrivals about 10^11 ticks apart: nearly all of the run's virtual
+   time is empty, and crossing it must cost next to nothing. At 10^15
+   ticks apart the gaps pass the timing wheel's 2^48-tick horizon, which
+   the loop's arrivals, taken straight from their stream, do not move
+   the wheel's clock across. *)
+let test_service_sparse () =
+  List.iter
+    (fun rate ->
+      ignore
+        (svc ~timeout:60.0
+           [ "--clients"; "50"; "--rate"; rate; "--seed"; "11"; "-o";
+             "SVC_sparse.json" ]);
+      gate
+        (Printf.sprintf "50 clients served at rate %s" rate)
+        (served ~clients:50) (json_file "SVC_sparse.json"))
+    [ "1e-11"; "1e-15" ]
+
 let test_service_broken_reports () =
   let r = Lazy.force sim_report in
   let bump k d = update [ "counts"; k ] (fun x -> J.Num (J.num x +. d)) r in
@@ -728,6 +745,9 @@ let test_usage_errors () =
       [ "service"; "--backend"; "atomic"; "--kernel"; "flat" ];
       [ "service"; "--backend"; "atomic"; "--trace-out"; "SVC_atomic_trace.json" ];
       [ "service"; "--backend"; "sim"; "--timeout"; "nan" ];
+      [ "service"; "--clients"; "50"; "--deadline"; "1e300" ];
+      [ "service"; "--clients"; "50"; "--hold"; "1e15" ];
+      [ "service"; "--clients"; "50"; "--backoff"; "rand:1e300" ];
     ];
   (* A bad name fails before the table header is printed. *)
   Alcotest.(check string) "sweep --adversary nope prints nothing" ""
@@ -746,6 +766,7 @@ let () =
           case "dense overload retries" test_service_dense_overload;
           case "broken reports rejected" test_service_broken_reports;
           case "1M clients, bounded gauges" test_service_scale;
+          case "sparse arrivals" test_service_sparse;
         ] );
       ( "telemetry",
         [

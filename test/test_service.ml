@@ -742,13 +742,110 @@ let test_report_digests_pinned () =
 let test_shared_arena_digests_pinned () =
   check_digests "report" report_bytes shared_arena_cfgs shared_arena_digests
 
+(* A winner's lease and its clean release on one key, at every order
+   their times can take: the release first ([hold = 0]), both on the
+   same instant ([hold = deadline]: the lease fires first, its kseq being
+   taken first, at claim time), and the lease first with no crash
+   configured ([hold > deadline]: every lease forces its round on).
+   Contended, so forced rounds and deadline misses both occur. These
+   digests were taken while every claim still queued its lease. *)
+let lease_cfgs =
+  let cfg ~hold ~deadline =
+    {
+      (small_cfg ()) with
+      Service.Driver.arrival = Service.Arrival.Poisson { rate = 0.1 };
+      hold;
+      deadline;
+    }
+  in
+  [
+    ("hold = deadline", cfg ~hold:400.0 ~deadline:400.0);
+    ("hold > deadline, no crashes", cfg ~hold:600.0 ~deadline:400.0);
+    ("hold = 0", cfg ~hold:0.0 ~deadline:400.0);
+  ]
+
+let lease_digests =
+  [
+    ("hold = deadline", [ "5b7758ddb4b811af8b65ee1771f7587c"; "64a3d94fb4aa6ca8c10bb9468e411a65"; "2bcf8b25139f3ba6e0fda3d69a76cbbb" ]);
+    ("hold > deadline, no crashes", [ "7fda45c4b642d0cf546e86b5af4d9258"; "7ec4f257d4734f76da71f24104cc3ae0"; "0d67e8e5e2d3e744caa6b42d6e0b6e71" ]);
+    ("hold = 0", [ "b379a5aa2e50226a62b7c3a58556726f"; "3bf2fed3bf076dbf7c563d36183eb3da"; "b94947b8c11ff241d8c3c8123473ba70" ]);
+  ]
+
+let test_lease_digests_pinned () =
+  check_digests "report" report_bytes lease_cfgs lease_digests
+
+(* Equal-time arrivals. After an idle stretch of 2^47 ticks, with a
+   dozen arrivals strewn across it, a burst of 100 arrivals per tick
+   lands where one float step is 1/32 tick, so runs of arrivals share
+   one instant, their keys in stream order. The loop must take each run
+   in key order, as a queue holding every arrival does. Keys never interact, so that order shows only in the
+   order rounds on one instant run: the digests cover the report and
+   the Perfetto trace's round spans in the order they were written.
+   They were taken on the heap while every arrival still passed through
+   the queue. *)
+let tied_arrival_cfgs =
+  let cfg =
+    {
+      (small_cfg ()) with
+      Service.Driver.clients = 600;
+      arrival =
+        Service.Arrival.Bursty
+          { rate = 1e-13; burst_len = 4.0; idle_len = 0x1p47; boost = 1e15 };
+    }
+  in
+  [
+    ("tied arrivals", cfg);
+    ("tied arrivals, heap", { cfg with Service.Driver.events = `Heap });
+  ]
+
+let tied_arrival_digests =
+  [
+    ("tied arrivals", [ "8a0c28cf24a446fd65f1944dc8a4ce71"; "28eaca5f2bdc175b79714c465da96f66"; "eaced0cd5e5af9a73a4334cb9e881f9a" ]);
+    ("tied arrivals, heap", [ "8a0c28cf24a446fd65f1944dc8a4ce71"; "28eaca5f2bdc175b79714c465da96f66"; "eaced0cd5e5af9a73a4334cb9e881f9a" ]);
+  ]
+
+let report_and_rounds cfg =
+  (* Windows as wide as the run's idle stretches. *)
+  let sink = Service.Telemetry.sink ~trace:true ~window:0x1p44 () in
+  let r = Service.Driver.run ~telemetry:sink cfg in
+  let trace = Option.get sink.Service.Telemetry.trace_json in
+  String.concat "\n"
+    (Service.Report.to_json r
+    :: List.filter
+         (fun l -> contains l "\"name\":\"round\"")
+         (String.split_on_char '\n' trace))
+
+let test_tied_arrival_digests_pinned () =
+  let cfg = List.assoc "tied arrivals" tied_arrival_cfgs in
+  let open Service.Driver in
+  let cl =
+    Service.Clients.create ~seed:1L cfg.arrival ~keys:cfg.keys
+      ~zipf_s:cfg.zipf_s cfg.clients
+  in
+  let unordered = ref 0 and at = ref Float.nan and key = ref 0 in
+  while cl.Service.Clients.index < cfg.clients do
+    if cl.Service.Clients.time.at = !at && cl.Service.Clients.key < !key then
+      incr unordered;
+    at := cl.Service.Clients.time.at;
+    key := cl.Service.Clients.key;
+    Service.Clients.advance cl
+  done;
+  checkb
+    (Printf.sprintf "%d tied arrivals out of key order" !unordered)
+    true (!unordered >= 20);
+  check_digests "report and round order" report_and_rounds tied_arrival_cfgs
+    tied_arrival_digests
+
 (* The telemetry exports of four golden configurations with a sink at
    window 1000: the time-series JSON, OpenMetrics text, Perfetto
    counter tracks and per-window table, concatenated. Next to the
    report digests they pin every quantile window's buckets, ranks,
-   midpoints and cross-shard merge. Taken before the log-bucket
-   histogram moved into [Obs.Logbucket], with one event loop per shard
-   ([~domains:shards]), which keeps the wheel gauges per shard. *)
+   midpoints and cross-shard merge. Run with one event loop per shard
+   ([~domains:shards]), which keeps the wheel gauges per shard. Taken
+   once arrivals merged straight from their stream and a lease was
+   queued only when it could win: that moved only the series that
+   describe the queue ({!queue_series}), which the workload digests
+   below pin without. *)
 let export_cfgs =
   List.filter
     (fun (name, _) ->
@@ -763,16 +860,37 @@ let export_cfgs =
 
 let export_digests =
   [
-    ("svc-zipf 1%", [ "cfdd8ccca8c5b1a099cac7c5758eea38"; "184e1bf17b82df6912c2524d2e3a6a2c"; "c33be87f26922625f9feda2912b7b981" ]);
-    ("svc-overload 1%", [ "7ce37f60a9d291284820602be9b1a637"; "39242fbd57d03e4817c33923fe0e26fc"; "c42b5897bf1214513b4bc7b08e651448" ]);
-    ("svc-scale 1%", [ "a73f714ea9ab8dcf45c6b3c9ec4f7612"; "347f5fb351fdaf4ad6b8eee1b6327c72"; "03e3cb813a4a049ae4ab31bcf8e8575e" ]);
-    ("crash 0.001, bursty, 2 shards", [ "626e495dfd30667885f01c44b2d46264"; "06239e3f3c04cac3f3437e648bba5868"; "b78e9a2bc2d432836a4c85938662a705" ]);
+    ("svc-zipf 1%", [ "b4e902f4b7fac2bb5fd64b3cc260c530"; "8624a84f53980a94d1404166cb4856be"; "ab911299c96a6e9e0ab20b600b29953a" ]);
+    ("svc-overload 1%", [ "b4cadb7abcd450607566776a0b791121"; "8574f9c7c10b6429b114958ad2e6ccd9"; "1bcddbdb7ee24e7275c65f21e53316d3" ]);
+    ("svc-scale 1%", [ "45e56203f1809669e35302dd2bd7aaff"; "9f66f28732c65b17f13985489db40054"; "97782ebc27755dd8fc3f0a3347107068" ]);
+    ("crash 0.001, bursty, 2 shards", [ "f21d121bfd325683c8489ab7c02144bc"; "9aaf306c45aab0a31fa90c8f0c0afd70"; "44ceed1de50b5c22afc4029816d16fa2" ]);
   ]
 
-let export_bytes ?domains cfg =
+(* The series that describe the event queue itself rather than the
+   workload: the loop lag and the occupancy gauges, all sampled as
+   queue events pop. *)
+let queue_series =
+  [
+    "service.loop_lag_ticks";
+    "service.wheel_live";
+    "service.wheel_pool_hw";
+    "service.wheel_slots";
+    "service.client_slots";
+  ]
+
+let without_queue_series (s : Obs.Timeseries.snapshot) =
+  let keep (name, _) = not (List.mem name queue_series) in
+  {
+    s with
+    Obs.Timeseries.s_gauges = List.filter keep s.Obs.Timeseries.s_gauges;
+    s_quantiles = List.filter keep s.Obs.Timeseries.s_quantiles;
+  }
+
+let export_bytes ?domains ?(queue = true) cfg =
   let sink = Service.Telemetry.sink ~window:1000.0 () in
   ignore (Service.Driver.run ?domains ~telemetry:sink cfg : Service.Report.t);
   let s = sink.Service.Telemetry.snapshot in
+  let s = if queue then s else without_queue_series s in
   let tr = Obs.Chrome_trace.create () in
   Obs.Timeseries.to_chrome s tr;
   String.concat ""
@@ -787,6 +905,51 @@ let test_export_digests_pinned () =
   check_digests "telemetry export"
     (fun cfg -> export_bytes ~domains:cfg.Service.Driver.shards cfg)
     export_cfgs export_digests
+
+(* The same exports without {!queue_series}: everything that describes
+   the workload. Taken while every arrival and every lease still passed
+   through the queue, so they pin that the queue's contents changed no
+   workload series. *)
+let workload_export_digests =
+  [
+    ("svc-zipf 1%", [ "b8a9c0cc7577654caad5dd534bf5382d"; "5e100ad82829dfd29002d177b3c2581b"; "c9702e7c9573e84018a4bd89ffe8406f" ]);
+    ("svc-overload 1%", [ "48b377b1905ab7605bd1706d6c18f9c9"; "53774cc8ce4011f3fb836428bd248713"; "6a5cd8976071e4d1c69470ed9f4c30e5" ]);
+    ("svc-scale 1%", [ "f6ff7ac5fee08f729cb5c874270514ab"; "98645f04a7590c0c869f08c3797fd27c"; "f448a872db1d4cbfa942e2c917f9eb61" ]);
+    ("crash 0.001, bursty, 2 shards", [ "f773bc3376ed34fa7216439ae56c73cb"; "901263526fd6845155855d8e2064f10f"; "82532867b0fd3a0e1a255bc5524c6fd8" ]);
+  ]
+
+let test_workload_export_digests_pinned () =
+  check_digests "workload export"
+    (fun cfg ->
+      export_bytes ~domains:cfg.Service.Driver.shards ~queue:false cfg)
+    export_cfgs workload_export_digests
+
+(* The loop lag reads 0 in every window of every golden configuration
+   on the wheel: no event is queued into the past of an earlier pop, and
+   the lag does not read the lead a peek gives the wheel's clock. *)
+let test_golden_lag_zero () =
+  List.iter
+    (fun (name, cfg) ->
+      let sink = Service.Telemetry.sink ~window:1000.0 () in
+      ignore
+        (Service.Driver.run ~domains:cfg.Service.Driver.shards ~telemetry:sink
+           cfg
+          : Service.Report.t);
+      let s = sink.Service.Telemetry.snapshot in
+      match
+        List.assoc_opt "service.loop_lag_ticks" s.Obs.Timeseries.s_quantiles
+      with
+      | None -> Alcotest.failf "%s: no loop-lag samples" name
+      | Some q ->
+          List.iter
+            (fun (w : Obs.Timeseries.qwindow) ->
+              if w.qw_max <> 0.0 then
+                Alcotest.failf "%s: window %d reads a lag of up to %g" name
+                  w.qw_win w.qw_max)
+            q.Obs.Timeseries.qs_windows)
+    (List.filter
+       (fun (_, cfg) -> cfg.Service.Driver.events = `Wheel)
+       (golden_cfgs @ shared_arena_cfgs @ lease_cfgs))
 
 (* On one domain a multi-shard run is one event loop holding every key,
    the loop a 1-shard run has, so its whole export, gauges included,
@@ -888,6 +1051,52 @@ let check_pool_bound r ~hint =
        hint hw Service.Wheel.chunk r.peak_slots)
     true (cap <= bound)
 
+(* Empty stretches of 2^8 to 2^47 ticks: each burst of events is
+   scheduled [gap] past the last pop while the previous burst's tail is
+   still live, so the wheel crosses the gap from one level's bitmap to
+   the next. The [peek] that reaches the burst runs the wheel's clock
+   ahead of the last pop, and events scheduled between the two land
+   whole ticks before that clock: they must still pop first. *)
+let wheel_gaps r rng =
+  let last = ref (float_of_int (Service.Wheel.now_tick r.w)) in
+  let key () = Sim.Rng.int rng 16 in
+  let pop_one () =
+    let now = ref_pop r in
+    last := now;
+    if Sim.Rng.int rng 4 = 0 then ref_sched r now (key ())
+  in
+  let min_at () =
+    let at, _, _ = Live.min_elt r.live in
+    at
+  in
+  for e = 8 to 47 do
+    let from = !last and gap = Float.ldexp 1.0 e in
+    let burst = from +. gap in
+    for _ = 1 to 16 do
+      ref_sched r
+        (burst +. float_of_int (Sim.Rng.int rng 300) +. Sim.Rng.float rng)
+        (key ())
+    done;
+    while min_at () < burst do
+      pop_one ()
+    done;
+    let id = Service.Wheel.peek r.w in
+    let at, _, _ = Live.min_elt r.live in
+    checkb "peek is the earliest live event" true
+      (r.w.Service.Wheel.ev_at.(id) = at);
+    checkb
+      (Printf.sprintf "peek ran the clock across a 2^%d-tick gap" e)
+      true
+      (Service.Wheel.now_tick r.w >= int_of_float burst);
+    for _ = 1 to 4 do
+      ref_sched r (!last +. (Sim.Rng.float rng *. gap)) (key ())
+    done;
+    while Live.cardinal r.live > 3 do
+      pop_one ()
+    done
+  done;
+  ref_drain r
+
 (* Torture the event order: a bulk phase of duplicate-heavy random
    times (hitting every wheel level), then an interleaved phase where
    each pop triggers a fresh schedule — including zero-delay events
@@ -933,7 +1142,31 @@ let test_wheel_ordering () =
       ref_sched r (now +. 1.0 +. Sim.Rng.float rng) (Sim.Rng.int rng 16)
   done;
   ref_drain r;
-  check_pool_bound r ~hint:64
+  check_pool_bound r ~hint:64;
+  wheel_gaps r rng
+
+(* Window boundaries at every level: an empty wheel, a first event
+   three ticks before a level-(l+1) window ends, and events a few
+   level-l windows later, past the boundary, so their level-l slots sit
+   before the clock's position there (wrapped into the next window).
+   The wheel must step into that window and find them. At the top
+   level, the step carries past the horizon's bits. *)
+let test_wheel_boundaries () =
+  let r = wheel_ref ~capacity:16 in
+  let rng = Sim.Rng.create 5L in
+  for l = 1 to 5 do
+    let win = 1 lsl (8 * (l + 1)) and sub = 1 lsl (8 * l) in
+    let t = ((Service.Wheel.now_tick r.w / win) + 1) * win - 3 in
+    ref_sched r (float_of_int t) 0;
+    for j = 1 to 3 do
+      ref_sched r (float_of_int (t + (j * sub) + Sim.Rng.int rng sub)) j
+    done;
+    ref_sched r (float_of_int (t + 1)) 4;
+    ref_drain r
+  done;
+  (* An empty wheel takes an event any distance ahead of its clock. *)
+  ref_sched r (float_of_int (Service.Wheel.now_tick r.w) +. 0x1p50) 0;
+  ref_drain r
 
 (* Window starts: a cascade re-places a higher-level slot's events,
    and those at the window's first tick meet events that wrapped into
@@ -1544,7 +1777,8 @@ let test_backoff () =
 (* [Backoff.delay] compares with monomorphic operators, not Stdlib's
    polymorphic [max] or [Float.min] / [Float.max]; for every validated
    policy the delay must be the float the old expressions give, bit
-   for bit, including attempts below 1 and past the 62-doubling cap. *)
+   for bit, including attempts below 1 and past the 62-doubling cap,
+   and the largest caps [validate] allows, just below 2^47 ticks. *)
 let test_backoff_monomorphic () =
   let reference t ~seed ~client ~attempt =
     let attempt = max 1 attempt in
@@ -1569,11 +1803,11 @@ let test_backoff_monomorphic () =
         Exp { base = 0.25; cap = 3.0 };
         Exp { base = 0.5; cap = 0.5 };
         Exp { base = 1e-300; cap = 1e-300 };
-        Exp { base = 1e300; cap = Float.max_float };
-        Exp { base = 1.0; cap = Float.max_float };
+        Exp { base = 0x1p46; cap = Float.pred 0x1p47 };
+        Exp { base = 1.0; cap = Float.pred 0x1p47 };
         Rand { max = 1.0 };
         Rand { max = 64.0 };
-        Rand { max = 1e300 };
+        Rand { max = Float.pred 0x1p47 };
       ]
   in
   List.iter
@@ -1611,7 +1845,12 @@ let test_registry_dual () =
    Every float field the service validates must also reject NaN and
    both infinities, with an error that names the field. Otherwise an
    infinite deadline lands in the report as [inf] (not JSON) and a NaN
-   hold dies inside the event loop. *)
+   hold dies inside the event loop. The times an event lies ahead on
+   the timing wheel (the deadline, the hold and the backoff ceilings)
+   must also stay below half its 2^48-tick horizon, the other half
+   holding a round's span: past the horizon the run used to fail
+   mid-way, and from 2^62 ticks the wheel's tick wrapped and it popped
+   events out of order. *)
 
 let test_non_finite_config_rejected () =
   let cfg = small_cfg () in
@@ -1622,27 +1861,39 @@ let test_non_finite_config_rejected () =
   in
   let backoff b = run { cfg with Service.Driver.backoff = b } in
   let mc ?timeout c = ignore (Service.Mc_driver.run ?timeout c) in
+  let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ] in
+  let past_horizon = non_finite @ [ 0x1p47; 0x1p48; 1e15; 0x1p62; 1e300 ] in
   let cases =
     [
-      ("deadline", fun x -> run { cfg with Service.Driver.deadline = x });
-      ("hold", fun x -> run { cfg with Service.Driver.hold = x });
-      ("zipf_s", fun x -> run { cfg with Service.Driver.zipf_s = x });
-      ("rate", fun x -> arrival (Service.Arrival.Poisson { rate = x }));
-      ("burst_len", fun x -> bursty ~burst_len:x ());
-      ("idle_len", fun x -> bursty ~idle_len:x ());
-      ("boost", fun x -> bursty ~boost:x ());
-      ("base", fun x -> backoff (Service.Backoff.Exp { base = x; cap = 512.0 }));
-      ("cap", fun x -> backoff (Service.Backoff.Exp { base = 8.0; cap = x }));
-      ("max", fun x -> backoff (Service.Backoff.Rand { max = x }));
-      ("deadline", fun x -> mc { (mc_cfg ()) with Service.Driver.deadline = x });
-      ("hold", fun x -> mc { (mc_cfg ()) with Service.Driver.hold = x });
-      ("zipf_s", fun x -> mc { (mc_cfg ()) with Service.Driver.zipf_s = x });
-      ("timeout", fun x -> mc ~timeout:x (mc_cfg ()));
-      ("s", fun x -> ignore (Service.Zipf.create ~n:8 ~s:x));
+      ("deadline", past_horizon, fun x -> run { cfg with Service.Driver.deadline = x });
+      ("hold", past_horizon, fun x -> run { cfg with Service.Driver.hold = x });
+      ("zipf_s", non_finite, fun x -> run { cfg with Service.Driver.zipf_s = x });
+      ("rate", non_finite, fun x -> arrival (Service.Arrival.Poisson { rate = x }));
+      ("burst_len", non_finite, fun x -> bursty ~burst_len:x ());
+      ("idle_len", non_finite, fun x -> bursty ~idle_len:x ());
+      ("boost", non_finite, fun x -> bursty ~boost:x ());
+      ( "base",
+        non_finite,
+        fun x -> backoff (Service.Backoff.Exp { base = x; cap = 512.0 }) );
+      ( "cap",
+        past_horizon,
+        fun x -> backoff (Service.Backoff.Exp { base = 8.0; cap = x }) );
+      ("max", past_horizon, fun x -> backoff (Service.Backoff.Rand { max = x }));
+      ( "deadline",
+        past_horizon,
+        fun x -> mc { (mc_cfg ()) with Service.Driver.deadline = x } );
+      ( "hold",
+        past_horizon,
+        fun x -> mc { (mc_cfg ()) with Service.Driver.hold = x } );
+      ( "zipf_s",
+        non_finite,
+        fun x -> mc { (mc_cfg ()) with Service.Driver.zipf_s = x } );
+      ("timeout", non_finite, fun x -> mc ~timeout:x (mc_cfg ()));
+      ("s", non_finite, fun x -> ignore (Service.Zipf.create ~n:8 ~s:x));
     ]
   in
   List.iter
-    (fun (field, set) ->
+    (fun (field, values, set) ->
       List.iter
         (fun x ->
           match set x with
@@ -1652,8 +1903,12 @@ let test_non_finite_config_rejected () =
                 (Printf.sprintf "%s = %g: %S names the field" field x msg)
                 true
                 (contains msg (field ^ " must")))
-        [ Float.nan; Float.infinity; Float.neg_infinity ])
-    cases
+        values)
+    cases;
+  (* Just below half the horizon is accepted: the other half holds a
+     round's span. *)
+  run { cfg with Service.Driver.deadline = Float.pred 0x1p47 };
+  run { cfg with Service.Driver.hold = Float.pred 0x1p47; clients = 20 }
 
 let () =
   Alcotest.run "service"
@@ -1706,6 +1961,15 @@ let () =
             `Quick test_export_digests_pinned;
           Alcotest.test_case "one domain: export = 1-shard export" `Quick
             test_export_one_loop;
+          Alcotest.test_case "report digests, lease and release ties" `Quick
+            test_lease_digests_pinned;
+          Alcotest.test_case "report digests, equal-time arrivals" `Quick
+            test_tied_arrival_digests_pinned;
+          Alcotest.test_case
+            "workload export digests, 4 configs x 3 seeds" `Quick
+            test_workload_export_digests_pinned;
+          Alcotest.test_case "loop lag 0 on every golden config" `Quick
+            test_golden_lag_zero;
         ] );
       ( "events",
         [
@@ -1725,6 +1989,8 @@ let () =
             test_wheel_zero_alloc;
           Alcotest.test_case "wheel occupancy accessors" `Quick
             test_wheel_occupancy;
+          Alcotest.test_case "wheel window boundaries at every level" `Quick
+            test_wheel_boundaries;
         ] );
       ( "telemetry",
         [

@@ -82,9 +82,7 @@ let trace_arg =
    streams (1 = schedule randomness, 2 = crash randomness), matching
    the convention of the claim tables (lib/claims). *)
 let make_adversary cmd name =
-  let random seed =
-    Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
-  in
+  let random = Claims.Measure.oblivious in
   match name with
   | "round-robin" -> fun _ -> Sim.Adversary.round_robin ()
   | "random" -> random

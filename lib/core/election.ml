@@ -31,33 +31,23 @@ let finish ~mem ~win_value sched =
     sched;
   }
 
-let run ?(seed = 1L) ?record_trace ?adversary ~algorithm ~n ~k () =
+(* The election's [programs] under [adversary]; winners return [win_value]. *)
+let run_with ~programs ~win_value ?(seed = 1L) ?record_trace
+    ?(adversary = Sim.Adversary.round_robin ()) ~algorithm ~n ~k () =
   let entry = lookup algorithm ~n ~k in
-  let adversary =
-    match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
-  in
   let mem = Sim.Memory.create () in
   let le = entry.Registry.make mem ~n in
-  let sched =
-    Sim.Sched.create ~seed ?record_trace (Leaderelect.Le.programs le ~k)
-  in
+  let sched = Sim.Sched.create ~seed ?record_trace (programs mem le ~k) in
   Sim.Sched.run sched adversary;
-  finish ~mem ~win_value:1 sched
+  finish ~mem ~win_value sched
 
-let run_tas ?(seed = 1L) ?record_trace ?adversary ~algorithm ~n ~k () =
-  let entry = lookup algorithm ~n ~k in
-  let adversary =
-    match adversary with Some a -> a | None -> Sim.Adversary.round_robin ()
-  in
-  let mem = Sim.Memory.create () in
-  let le = entry.Registry.make mem ~n in
-  let tas = Primitives.Tas.create mem ~elect:le in
-  let sched =
-    Sim.Sched.create ~seed ?record_trace
-      (Array.init k (fun _ ctx -> Primitives.Tas.apply tas ctx))
-  in
-  Sim.Sched.run sched adversary;
-  finish ~mem ~win_value:0 sched
+let run =
+  run_with ~win_value:1 ~programs:(fun _ le ~k -> Leaderelect.Le.programs le ~k)
+
+let run_tas =
+  run_with ~win_value:0 ~programs:(fun mem le ~k ->
+      let tas = Primitives.Tas.create mem ~elect:le in
+      Array.init k (fun _ ctx -> Primitives.Tas.apply tas ctx))
 
 let pp_outcome ppf o =
   Fmt.pf ppf "winner=%a max_steps=%d max_rmrs=%d total_steps=%d registers=%d"

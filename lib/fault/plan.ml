@@ -119,7 +119,7 @@ let rec due (view : Sim.Sched.view) = function
   | [] -> -1
   | Crash_after { pid; steps } :: _
     when Sim.Running.mem view.runnable pid
-         && (view.pending_of pid).view_steps >= steps ->
+         && Sim.Sched.seen_steps view pid >= steps ->
       pid
   | Crash_at { pid; time } :: _
     when Sim.Running.mem view.runnable pid && view.view_time >= time ->
@@ -160,6 +160,18 @@ let rec hides now runnable = function
       (now >= from_t && now < until_t && Sim.Running.mem runnable pid)
       || hides now runnable rest
 
+(* The wrapper's own set, grown to [runnable]'s capacity if need be
+   and refilled in place with the pids of [runnable] no stall hides. *)
+let refill own now stalls (runnable : Sim.Running.t) =
+  if Array.length !own.Sim.Running.pos < Array.length runnable.pos then
+    own := Sim.Running.create (Array.length runnable.pos);
+  Sim.Running.reset !own 0;
+  for i = 0 to Sim.Running.length runnable - 1 do
+    let pid = Sim.Running.get runnable i in
+    if not (stalled now pid stalls) then Sim.Running.append !own pid
+  done;
+  !own
+
 (* The compiled wrapper splits the plan once: halt times, one-shot
    crashes still pending (in plan order), storms with their budgets,
    and stall windows. Stalled processes are filtered out of the base
@@ -193,28 +205,30 @@ let apply ?(seed = 0xFA17L) (plan : t) (adv : Sim.Sched.adversary) =
         | _ -> None)
       plan
   in
+  let own = ref (Sim.Running.create 0) in
   let decide (view : Sim.Sched.view) =
-    let now = view.view_time in
-    if halted now halts then Sim.Sched.Halt
+    let now = view.view_time and runnable = view.runnable in
+    if halted now halts then Sim.Sched.halt
     else
       let pid = due view !oneshots in
       if pid >= 0 then begin
         (* A crashed pid's other one-shots can never fire. *)
         oneshots := List.filter (fun a -> not (targets pid a)) !oneshots;
-        Sim.Sched.Crash_proc pid
+        Sim.Sched.crash_proc pid
       end
       else
-        let victim = strike rng storms view.runnable 0 in
-        if victim >= 0 then Sim.Sched.Crash_proc victim
-        else if not (hides now view.runnable stalls) then adv.decide view
+        let victim = strike rng storms runnable 0 in
+        if victim >= 0 then Sim.Sched.crash_proc victim
+        else if not (hides now runnable stalls) then adv.decide view
         else
-          let filtered =
-            Sim.Running.filter
-              (fun pid -> not (stalled now pid stalls))
-              view.runnable
-          in
-          if Sim.Running.length filtered = 0 then adv.decide view
-          else adv.decide { view with runnable = filtered }
+          let own = refill own now stalls runnable in
+          if Sim.Running.length own = 0 then adv.decide view
+          else begin
+            view.runnable <- own;
+            let d = adv.decide view in
+            view.runnable <- runnable;
+            d
+          end
   in
   {
     Sim.Sched.adv_name = adv.adv_name ^ "+fault";

@@ -8,11 +8,9 @@
     storms and the rest are each one [action] here, and any list of
     them compiles onto any base adversary.
 
-    The compiled wrapper costs about what the base adversary costs: its
-    halt, storm and stall checks allocate nothing per decision (a
-    pending [Crash_after] reads its process's view, as any adversary
-    does), and stalled processes are filtered out of the view only
-    while a stall window hides a runnable one.
+    The compiled wrapper allocates nothing per decision: while a stall
+    window hides a runnable process, the base adversary decides over a
+    running set the wrapper refills in place.
 
     Fault model: the paper's algorithms are wait-free / solo-
     terminating, so correctness must survive up to [n-1] crash faults at

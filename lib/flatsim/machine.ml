@@ -22,13 +22,11 @@
    Determinism contract: a flat run is {e bit-identical} to the
    effect-handler simulator running the same algorithm — same winner,
    same per-process results, same flip stream — under the same
-   schedule. [run] is [Sched.run]'s loop for any oblivious adversary,
-   a fault plan compiled onto one included, so crashes and fault plans
-   run on both kernels; [run_random] inlines the plan-free uniform
-   schedule because it is faster. Both are pinned by test_flatsim's
-   120-seed differential suite. The effect path stays the oracle for
-   the adversary classes that see pending operations, and for Explore,
-   Lincheck and Probe. *)
+   schedule: [run] is [Sched.run]'s loop, so one oblivious adversary —
+   a fault plan over one included — decides alike on both kernels
+   (pinned by test_flatsim's 120-seed differential suite). The effect
+   path stays the oracle for the classes that see pending operations,
+   and for Explore, Lincheck and Probe. *)
 
 type t = {
   prog : program;
@@ -42,7 +40,7 @@ type t = {
   frames : int array;  (* capacity * frame_words process locals *)
   mutable flip_seed : int64;
       (* The shared flip stream, exactly Sched's [t.rng]: flip i
-         (from 1) is [draw flip_seed i]. *)
+         (from 1) is splitmix64 draw i of [flip_seed] (programs.ml). *)
   mutable flip_idx : int;  (* flips drawn since [reset] *)
   status : int array;  (* 0 running / 1 finished / 2 crashed *)
   results : int array;
@@ -51,6 +49,7 @@ type t = {
   mutable time : int;
   mutable active : int;  (* processes participating in this run *)
   running : Sim.Running.t;  (* the same running set as Sched's *)
+  view : Sim.Sched.view;  (* the one view [run] refreshes per decision *)
   record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
       (* (time, pid, bound, outcome), reversed; bound < 0 encodes a
@@ -61,48 +60,19 @@ and program = {
   p_name : string;
   p_regs : int;  (* register-file size for [n] slots *)
   p_frame : int;  (* locals per process *)
-  p_start : t -> int -> unit;
-      (* Run a process from its entry point up to (but not through)
-         its first shared-memory operation, flipping coins on the
-         way — the flat image of [Sched.create] running a program to
-         its first effect. Leaves the frame pc naming that operation. *)
-  p_resume : t -> int -> unit;
-      (* Execute the pending operation the frame pc names, then run
-         local code to the next operation (updating the pc) or call
-         [finish]. One call = one scheduled step. *)
+  p_start : t -> int -> unit;  (* to the first operation (machine.mli) *)
+  p_resume : t -> int -> unit;  (* one scheduled step (machine.mli) *)
 }
 
-(* Hot-path array accesses are unchecked ([Array.unsafe_get/set]): the
-   scheduling loops only pass pids drawn from [running] (all in
-   [0, active)), and register/frame indices come from the compiled
-   programs, whose layouts are sized by [p_regs]/[p_frame] at [create]
-   and pinned by test_flatsim's differential suite. The operations a
-   program's resume performs (register write, flips, [finish]) live in
-   programs.ml, beside their only caller. *)
+(* Hot-path array accesses are unchecked ([Array.unsafe_get/set]): [run]
+   only steps pids it checked are running (all in [0, active)), and
+   register/frame indices come from the compiled programs, whose
+   layouts are sized by [p_regs]/[p_frame] at [create] and pinned by
+   test_flatsim's differential suite. The operations a program's resume
+   performs (register write, flips, [finish]) live in programs.ml,
+   beside their only caller. *)
 
 (* {1 Construction and arena reuse} *)
-
-(* Splitmix64 draw [i] of the stream seeded [seed], masked to a
-   non-negative int: [Sim.Rng.int]'s value before its [mod] (constants
-   as in rng.ml). The state after [i] draws is [seed + i * golden], so
-   recomputing it per draw inside the caller keeps every Int64 unboxed
-   and skips the record traffic of a heap generator. programs.ml keeps
-   the flip stream's copy: under [-opaque] a call from there to here
-   would not be inlined. *)
-let[@inline] draw seed i =
-  let s = Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int i)) in
-  let z =
-    Int64.mul
-      (Int64.logxor s (Int64.shift_right_logical s 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul
-      (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int (Int64.logand z 0x3FFFFFFFFFFFFFFFL)
 
 let default_seed = 0x5EEDL (* Sched.create's default *)
 
@@ -146,6 +116,7 @@ let reset ~seed ?procs m =
 
 let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
   if procs < 1 then invalid_arg "Machine.create: procs must be >= 1";
+  let steps = Array.make procs 0 and running = Sim.Running.create procs in
   let m =
     {
       prog;
@@ -161,11 +132,12 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
       flip_idx = 0;
       status = Array.make procs 0;
       results = Array.make procs 0;
-      steps = Array.make procs 0;
+      steps;
       flips = Array.make procs 0;
       time = 0;
       active = procs;
-      running = Sim.Running.create procs;
+      running;
+      view = Sim.Sched.oblivious_view ~steps running;
       record_flips;
       flip_log = [];
     }
@@ -173,16 +145,7 @@ let create ?(seed = default_seed) ?(record_flips = false) ~procs prog =
   reset ~seed m;
   m
 
-(* {1 Stepping} *)
-
-(* Execute [pid]'s pending operation and run it to its next one. The
-   caller guarantees [pid] is running (the scheduling loops below only
-   draw from [running]); there is deliberately no status check on this
-   path. *)
-let step m pid =
-  m.time <- m.time + 1;
-  Array.unsafe_set m.steps pid (Array.unsafe_get m.steps pid + 1);
-  m.prog.p_resume m pid
+(* {1 Scheduling} *)
 
 let default_max_steps = 10_000_000 (* Sched.run's default *)
 
@@ -192,64 +155,41 @@ let overrun max_total_steps who =
     (Printf.sprintf "Machine.run: exceeded %d steps under adversary %s"
        max_total_steps who)
 
-(* Replicates {!Sim.Adversary.random_oblivious}: one [Rng.int] draw per
-   decision, indexing the ascending runnable array, on the same
-   [Sim.Rng] stream the effect path's adversary draws from ([draw]).
+(* A crashed pid retires with status 2 and no result. *)
+let crash m pid =
+  Sim.Running.remove m.running pid;
+  m.status.(pid) <- 2
 
-   Software-pipelined: each iteration carries the already-mixed value
-   [v] for the current draw and mixes draw i+1 before calling
-   [resume], so the 3-multiply mix latency overlaps the resume body
-   instead of extending the draw -> index -> resume serial chain. Once
-   one process is left every draw would pick it, and draw i depends on
-   i alone, so the solo tail skips the mix and the [mod]: the draws it
-   leaves out are never read. Both loops keep their state in local
-   refs, so a call allocates nothing. *)
-let run_random ?(max_total_steps = default_max_steps) m ~seed =
-  let resume = m.prog.p_resume in
-  let steps = m.steps in
-  let running = m.running in
-  let run_arr = running.arr in
-  let i = ref 1 and v = ref (draw seed 1) in
-  while running.n > 1 do
-    if m.time >= max_total_steps then
-      overrun max_total_steps "random-oblivious";
-    let v' = draw seed (!i + 1) in
-    let pid = Array.unsafe_get run_arr (running.base + (!v mod running.n)) in
-    m.time <- m.time + 1;
-    Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
-    resume m pid;
-    i := !i + 1;
-    v := v'
-  done;
-  while running.n > 0 do
-    if m.time >= max_total_steps then
-      overrun max_total_steps "random-oblivious";
-    let pid = Array.unsafe_get run_arr running.base in
-    m.time <- m.time + 1;
-    Array.unsafe_set steps pid (Array.unsafe_get steps pid + 1);
-    resume m pid
-  done
-
-(* [Sched.run] over the flat machine. The view is what [Sched] shows
-   an oblivious adversary, so one adversary value decides alike on
-   either kernel. A crashed pid retires with status 2 and no result. *)
+(* [Sched.run] over the flat machine: the same decisions, step bound
+   and failure, through the oblivious view the machine owns. A step
+   checks the pid against [status] inline and calls [p_resume], so it
+   allocates nothing beyond what the adversary does. *)
 let run ?(max_total_steps = default_max_steps) m (adv : Sim.Sched.adversary) =
   if adv.adv_klass <> Oblivious then
     invalid_arg ("Machine.run: adversary " ^ adv.adv_name ^ " is not oblivious");
-  let running = m.running in
-  let pending_of pid =
-    { Sim.Sched.view_pid = pid; view_kind = None; view_reg = None;
-      view_reg_name = None; view_value = None; view_steps = m.steps.(pid) }
-  in
-  let crash pid = Sim.Running.remove running pid; m.status.(pid) <- 2 in
+  let running = m.running and view = m.view and decide = adv.decide in
+  let status = m.status and active = m.active in
+  (* A wrapper that raised mid-decision may have left its own set. *)
+  if view.runnable != running then view.runnable <- running;
   while running.n > 0 do
     if m.time >= max_total_steps then overrun max_total_steps adv.adv_name;
-    match adv.decide { view_time = m.time; runnable = running; pending_of } with
-    | Schedule pid when Sim.Running.mem running pid -> step m pid
-    | Schedule _ -> invalid_arg "Machine.run: process is not running"
-    | Crash_proc pid -> crash pid
-    | Halt -> while running.n > 0 do crash (Sim.Running.get running 0) done
+    view.view_time <- m.time;
+    let d = decide view in
+    if d >= 0 then begin
+      if d >= active || Array.unsafe_get status d <> 0 then
+        invalid_arg "Machine.run: process is not running";
+      m.time <- m.time + 1;
+      Array.unsafe_set m.steps d (Array.unsafe_get m.steps d + 1);
+      m.prog.p_resume m d
+    end
+    else if d = Sim.Sched.halt then
+      while running.n > 0 do crash m (Sim.Running.get running 0) done
+    else crash m (Sim.Sched.crash_proc d)
   done
+
+(* Kept for the benchmark's callers; it goes with them. *)
+let run_random ?max_total_steps m ~seed =
+  run ?max_total_steps m (Sim.Adversary.random_oblivious ~seed)
 
 (* {1 Observation} *)
 

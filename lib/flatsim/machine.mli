@@ -12,14 +12,11 @@
     of trials.
 
     Runs are bit-identical to the effect-handler simulator
-    ({!Sim.Sched}) on the same algorithm, seed and schedule: same
-    winner, same per-process results, same flip stream (pinned by
-    test_flatsim's differential suite). {!run} takes any oblivious
-    adversary, a {!Fault.Plan} over one included, so crashes and fault
-    plans run on both kernels. The effect path remains the oracle for
-    the adversary classes that see pending operations, and for Explore,
-    Lincheck and Probe; this kernel exists for trial throughput
-    (DESIGN.md §13). *)
+    ({!Sim.Sched}) on the same algorithm, seed and schedule (pinned by
+    test_flatsim's differential suite), and {!run} takes any oblivious
+    adversary, a {!Fault.Plan} over one included. The effect path
+    remains the oracle for the classes that see pending operations, and
+    for Explore, Lincheck and Probe (DESIGN.md §13). *)
 
 type t = {
   prog : program;
@@ -43,8 +40,9 @@ type t = {
   mutable active : int;
   running : Sim.Running.t;
       (** The running pids, ascending: the same set {!Sim.Sched} keeps,
-          so the scheduling loops index it exactly as the effect
-          path's adversaries index their view. *)
+          so an adversary indexes it alike on either kernel. *)
+  view : Sim.Sched.view;
+      (** The oblivious view {!run} refreshes before each decision. *)
   record_flips : bool;
   mutable flip_log : (int * int * int * int) list;
 }
@@ -84,15 +82,16 @@ val reset : seed:int64 -> ?procs:int -> t -> unit
 
 val run : ?max_total_steps:int -> t -> Sim.Sched.adversary -> unit
 (** {!Sim.Sched.run} over the machine, with the same decisions, step
-    bound and [Failure]. The adversary sees what [Sched] shows an
-    oblivious one: [runnable], the time and each pid's step count.
-    [Crash_proc] retires the pid with status 2 and no result; [Halt]
-    crashes the running pids, lowest first. Raises [Invalid_argument],
-    before any step, unless the adversary is oblivious. *)
+    bound and [Failure]: the kernel's one scheduling loop. The adversary
+    sees [runnable], the time and each pid's step count. A crashed pid
+    retires with status 2 and no result. A step allocates nothing but
+    what the adversary does, and [random_oblivious], [round_robin] and
+    a plan over them allocate nothing. Raises [Invalid_argument], before
+    any step, unless the adversary is oblivious. *)
 
 val run_random : ?max_total_steps:int -> t -> seed:int64 -> unit
-(** [run m (Sim.Adversary.random_oblivious ~seed)], draw for draw,
-    inlined: the plan-free loop, which allocates nothing. *)
+(** [run m (Sim.Adversary.random_oblivious ~seed)]: an alias kept for
+    the benchmark's callers, retired with them. *)
 
 (** {1 Observation (mirrors Sched)} *)
 

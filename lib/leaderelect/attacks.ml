@@ -4,52 +4,37 @@ let register_index name =
       int_of_string_opt (String.sub name (i + 1) (j - i - 1))
   | _ -> None
 
-let contains_at name sub i =
-  i >= 0
-  && i + String.length sub <= String.length name
-  && String.sub name i (String.length sub) = sub
+let rec matches name sub i j =
+  j = String.length sub || (name.[i + j] = sub.[j] && matches name sub i (j + 1))
 
-let find_sub name sub =
-  let n = String.length name and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if contains_at name sub i then Some i
-    else go (i + 1)
-  in
-  go 0
+(* The index just past the first [sub] in [name] at or after [i], or
+   -1; top-level and compared in place, so a search allocates nothing. *)
+let rec find name sub i =
+  if i + String.length sub > String.length name then -1
+  else if matches name sub i 0 then i + String.length sub
+  else find name sub (i + 1)
+
+let has sub name = find name sub 0 >= 0
+
+(* The level of "<sub><level>]...". *)
+let parse_level_of sub name =
+  let i = find name sub 0 in
+  match if i < 0 then None else String.index_from_opt name i ']' with
+  | Some j -> int_of_string_opt (String.sub name i (j - i))
+  | None -> None
 
 (* Parse "<prefix>.ge[<level>].R[<x>]" / "<prefix>.ge[<level>].flag". *)
 let parse_ge name =
-  match find_sub name ".ge[" with
+  match parse_level_of ".ge[" name with
   | None -> None
-  | Some i -> (
-      let rest = String.sub name (i + 4) (String.length name - i - 4) in
-      match String.index_opt rest ']' with
-      | None -> None
-      | Some j -> (
-          match int_of_string_opt (String.sub rest 0 j) with
-          | None -> None
-          | Some level ->
-              let suffix = String.sub rest j (String.length rest - j) in
-              if find_sub suffix ".R[" <> None then
-                match register_index suffix with
-                | Some x -> Some (level, `Cell x)
-                | None -> None
-              else if find_sub suffix ".flag" <> None then Some (level, `Flag)
-              else None))
-
-let parse_level_of sub name =
-  match find_sub name sub with
-  | None -> None
-  | Some i -> (
-      let rest =
-        String.sub name
-          (i + String.length sub)
-          (String.length name - i - String.length sub)
-      in
-      match String.index_opt rest ']' with
-      | None -> None
-      | Some j -> int_of_string_opt (String.sub rest 0 j))
+  | Some level -> (
+      let i = find name ".ge[" 0 in
+      if find name ".R[" i >= 0 then
+        match register_index name with
+        | Some x -> Some (level, `Cell x)
+        | None -> None
+      else if find name ".flag" i >= 0 then Some (level, `Flag)
+      else None)
 
 (* The paper's attack on the Figure 1 chain (Section 4's motivation).
 
@@ -76,14 +61,12 @@ let chain_attack ~name ~klass ~see_kind =
   let door_grants : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let grants tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
   let bump tbl key = Hashtbl.replace tbl key (1 + grants tbl key) in
-  let has_suffix name suf = find_sub name suf <> None in
-  let score (p : Sim.Sched.pending_view) =
-    match p.Sim.Sched.view_reg_name with
-    | None -> max_int
-    | Some name -> (
-        let pid = p.Sim.Sched.view_pid in
+  let score view pid =
+    match Sim.Sched.seen_reg_name view pid with
+    | "" -> max_int
+    | name -> (
         let is_read family_tbl level ~first_is_read =
-          if see_kind then p.Sim.Sched.view_kind = Some `Read
+          if see_kind then Sim.Sched.seen_kind view pid = Sim.Sched.kind_read
           else if first_is_read then grants family_tbl (pid, level) = 0
           else grants family_tbl (pid, level) = 1
         in
@@ -102,11 +85,11 @@ let chain_attack ~name ~klass ~see_kind =
             match parse_level_of ".sp[" name with
             | Some level ->
                 let base = (level * 1_000_000) + 900_000 in
-                if has_suffix name ".race" then
+                if has ".race" name then
                   if is_read race_grants level ~first_is_read:false then
                     base + 3
                   else base + 0
-                else if has_suffix name ".door" then
+                else if has ".door" name then
                   if is_read door_grants level ~first_is_read:true then
                     base + 1
                   else base + 2
@@ -116,33 +99,32 @@ let chain_attack ~name ~klass ~see_kind =
   let decide (view : Sim.Sched.view) =
     let r = view.Sim.Sched.runnable in
     match Sim.Running.length r with
-    | 0 -> Sim.Sched.Halt
+    | 0 -> Sim.Sched.halt
     | m ->
-        let best = ref None in
-        for i = 0 to m - 1 do
+        (* The first lowest-scoring pid. *)
+        let best = ref (Sim.Running.get r 0) in
+        let best_score = ref (score view !best) in
+        for i = 1 to m - 1 do
           let pid = Sim.Running.get r i in
-          let s = score (view.Sim.Sched.pending_of pid) in
-          match !best with
-          | Some (s', _) when s' <= s -> ()
-          | _ -> best := Some (s, pid)
+          let s = score view pid in
+          if s < !best_score then begin
+            best := pid;
+            best_score := s
+          end
         done;
-        let pid =
-          match !best with Some (_, pid) -> pid | None -> Sim.Running.get r 0
-        in
+        let pid = !best in
         (* Update grant bookkeeping for the chosen process. *)
-        (match (view.Sim.Sched.pending_of pid).Sim.Sched.view_reg_name with
-        | Some rname -> (
-            match parse_ge rname with
-            | Some (level, `Flag) -> bump flag_grants (pid, level)
-            | Some (level, `Cell _) -> bump cell_grants (pid, level)
-            | None -> (
-                match parse_level_of ".sp[" rname with
-                | Some level ->
-                    if has_suffix rname ".race" then bump race_grants (pid, level)
-                    else if has_suffix rname ".door" then bump door_grants (pid, level)
-                | None -> ()))
-        | None -> ());
-        Sim.Sched.Schedule pid
+        let rname = Sim.Sched.seen_reg_name view pid in
+        (match parse_ge rname with
+        | Some (level, `Flag) -> bump flag_grants (pid, level)
+        | Some (level, `Cell _) -> bump cell_grants (pid, level)
+        | None -> (
+            match parse_level_of ".sp[" rname with
+            | Some level ->
+                if has ".race" rname then bump race_grants (pid, level)
+                else if has ".door" rname then bump door_grants (pid, level)
+            | None -> ()));
+        pid
   in
   { Sim.Sched.adv_name = name; adv_klass = klass; decide }
 
@@ -159,17 +141,14 @@ let read_priority () =
   Sim.Adversary.location_oblivious "read-priority" (fun view ->
       let r = view.Sim.Sched.runnable in
       match Sim.Running.length r with
-      | 0 -> Sim.Sched.Halt
-      | m ->
+      | 0 -> Sim.Sched.halt
+      | m -> (
           let reads =
             List.init m (Sim.Running.get r)
             |> List.filter (fun pid ->
-                   (view.Sim.Sched.pending_of pid).Sim.Sched.view_kind
-                   = Some `Read)
+                   Sim.Sched.seen_kind view pid = Sim.Sched.kind_read)
           in
           incr rr;
-          (match reads with
-          | [] -> Sim.Sched.Schedule (Sim.Running.get r (!rr mod m))
-          | _ ->
-              let n = List.length reads in
-              Sim.Sched.Schedule (List.nth reads (!rr mod n))))
+          match reads with
+          | [] -> Sim.Running.get r (!rr mod m)
+          | _ -> List.nth reads (!rr mod List.length reads)))

@@ -396,30 +396,28 @@ type round = {
 }
 
 (* A round's schedule on either kernel: random-oblivious on stream 1,
-   under the plan, if any, on stream 2. *)
-let round_adversary ~plan seed =
-  let adv =
-    Sim.Adversary.random_oblivious ~seed:(Sim.Rng.derive seed ~stream:1)
-  in
-  match plan with
-  | None -> adv
-  | Some p -> Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2) p adv
+   under the plan, if any, on stream 2. Built once per loop, it reseeds
+   one random-oblivious adversary per round, so a round without a plan
+   builds nothing. *)
+let round_adversary ~plan =
+  let rng = Sim.Rng.create 0L in
+  let adv = Sim.Adversary.random_from rng in
+  fun seed ->
+    Sim.Rng.reseed rng (Sim.Rng.derive seed ~stream:1);
+    match plan with
+    | None -> adv
+    | Some p -> Fault.Plan.apply ~seed:(Sim.Rng.derive seed ~stream:2) p adv
 
 let flat_round prog ~n ~plan =
   let module M = Flatsim.Machine in
   let m = M.create ~procs:n prog in
+  let adversary = round_adversary ~plan in
   let span () = Float.max 1.0 (float_of_int (M.time m)) in
   {
     elect =
       (fun seed nc ->
         M.reset ~seed ~procs:nc m;
-        (try
-           if plan = None then
-             M.run_random ~max_total_steps:max_round_steps m
-               ~seed:(Sim.Rng.derive seed ~stream:1)
-           else
-             M.run ~max_total_steps:max_round_steps m
-               (round_adversary ~plan seed)
+        (try M.run ~max_total_steps:max_round_steps m (adversary seed)
          with Failure _ -> (* livelock cut-off *) ());
         span ());
     status =
@@ -436,6 +434,7 @@ let flat_round prog ~n ~plan =
 let effect_round (entry : Rtas.Registry.entry) ~n ~plan =
   let mem = Sim.Memory.create () in
   let le = entry.make mem ~n in
+  let adversary = round_adversary ~plan in
   (* The last round's scheduler and contender count. *)
   let last = ref None in
   let span s = Float.max 1.0 (float_of_int (Sim.Sched.time s)) in
@@ -443,7 +442,7 @@ let effect_round (entry : Rtas.Registry.entry) ~n ~plan =
     elect =
       (fun seed nc ->
         Sim.Memory.reset mem;
-        let adv = round_adversary ~plan seed in
+        let adv = adversary seed in
         let s = Sim.Sched.create ~seed (Leaderelect.Le.programs le ~k:nc) in
         last := Some (s, nc);
         (try Sim.Sched.run ~max_total_steps:max_round_steps s adv

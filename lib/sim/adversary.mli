@@ -16,14 +16,18 @@ val random_oblivious : seed:int64 -> Sched.adversary
     advance (the stream depends only on the seed); slots belonging to
     finished processes are skipped at no cost. *)
 
+val random_from : Rng.t -> Sched.adversary
+(** [random_from (Rng.create seed)] is [random_oblivious ~seed]: a
+    caller that {!Rng.reseed}s [rng] (its only drawer) before each
+    schedule reuses one adversary. *)
+
 val fixed_schedule : ?then_halt:bool -> int array -> Sched.adversary
 (** Oblivious. Follows the given pid sequence, skipping entries for
     processes that are no longer running. When the sequence is
     exhausted: halts (crashing the rest) if [then_halt] (default), else
     continues round-robin. *)
 
-val adaptive : string -> (Sched.view -> Sched.decision) -> Sched.adversary
+val adaptive : string -> (Sched.view -> int) -> Sched.adversary
 (** Fully adaptive custom strategy. *)
 
-val location_oblivious :
-  string -> (Sched.view -> Sched.decision) -> Sched.adversary
+val location_oblivious : string -> (Sched.view -> int) -> Sched.adversary

@@ -51,7 +51,7 @@ let run_path ~tail_seed ~depth ~max_crashes ~max_total_steps ~programs
   let decide (view : Sched.view) =
     let r = view.runnable in
     match Running.length r with
-    | 0 -> Sched.Halt
+    | 0 -> Sched.halt
     | m -> (
         let sched_arity = min m max_branch in
         let crash_arity = if !crashes_left > 0 then min m max_branch else 0 in
@@ -60,13 +60,13 @@ let run_path ~tail_seed ~depth ~max_crashes ~max_total_steps ~programs
             (* The [crash_arity = 0] guard keeps stale paths (shrinking
                can realign a crash choice onto a budget-exhausted point)
                interpreted as schedules rather than illegal crashes. *)
-            Sched.Schedule (Running.get r (c mod m))
+            Running.get r (c mod m)
         | Some c ->
             decr crashes_left;
-            Sched.Crash_proc (Running.get r ((c - sched_arity) mod m))
+            Sched.crash_proc (Running.get r ((c - sched_arity) mod m))
         | None ->
             incr rr;
-            Sched.Schedule (Running.get r (!rr mod m)))
+            Running.get r (!rr mod m))
   in
   let sched = Sched.create ~seed:tail_seed ~flip_oracle:oracle (programs ()) in
   let outcome =

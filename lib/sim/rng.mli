@@ -11,7 +11,9 @@
     allocate nothing; {!float} and {!next} allocate only their boxed
     result. *)
 
-type t
+type t = { mutable base : int64; mutable idx : int }
+(** The seed and the draws taken, exposed so {!Adversary.random_from}
+    can mix a draw ahead. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator. Distinct seeds give

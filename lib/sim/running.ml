@@ -62,8 +62,12 @@ let remove r pid =
     done;
   r.n <- r.n - 1
 
-let filter f r =
-  let kept = Array.of_list (List.filter f (List.init r.n (get r))) in
-  let pos = Array.make (Array.length r.pos) 0 in
-  Array.iteri (fun i pid -> pos.(pid) <- i) kept;
-  { arr = kept; base = 0; n = Array.length kept; pos }
+let append r pid =
+  let top = r.base + r.n in
+  if
+    pid < 0 || pid >= Array.length r.pos || top = Array.length r.arr
+    || (r.n > 0 && Array.unsafe_get r.arr (top - 1) >= pid)
+  then invalid_arg "Running.append: pid not above the running ones";
+  Array.unsafe_set r.arr top pid;
+  Array.unsafe_set r.pos pid top;
+  r.n <- r.n + 1

@@ -1,10 +1,10 @@
 (** The running set of a simulation: the pids still running, in
     ascending order, kept in place. Both kernels hold one — {!Sched}
-    and [Flatsim.Machine] — so an adversary indexing its view and a
-    flat scheduling loop indexing the window make the same choice.
+    and [Flatsim.Machine] — and hand it to an adversary as its view's
+    [runnable], so one adversary chooses alike on either.
 
-    The record is exposed so the flat loops read the window with plain
-    loads; everything else goes through the functions. *)
+    The record is exposed so a hot adversary reads the window with
+    plain loads; everything else goes through the functions. *)
 
 type t = {
   arr : int array;
@@ -36,5 +36,6 @@ val remove : t -> int -> unit
     shifts one slot toward it. Raises [Invalid_argument] if the pid is
     not running. *)
 
-val filter : (int -> bool) -> t -> t
-(** A fresh set of the running pids that satisfy the predicate. *)
+val append : t -> int -> unit
+(** Add a pid above every running one, allocating nothing. Raises
+    [Invalid_argument] otherwise, or beyond the capacity. *)

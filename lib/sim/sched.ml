@@ -8,36 +8,27 @@ let pp_klass ppf = function
 
 type status = Running | Finished of int | Crashed
 
-type pending_view = {
-  view_pid : int;
-  view_kind : [ `Read | `Write ] option;
-  view_reg : int option;
-  view_reg_name : string option;
-  view_value : int option;
-  view_steps : int;
-}
-
-type view = {
-  view_time : int;
-  runnable : Running.t;
-  pending_of : int -> pending_view;
-}
-
-type decision =
-  | Schedule of int
-  | Crash_proc of int
-  | Halt
+(* The operation a running process is poised at, if any. *)
+type poised = Nothing | Reading | Writing
 
 type adversary = {
   adv_name : string;
   adv_klass : klass;
-  decide : view -> decision;
+  decide : view -> int;
 }
 
-(* The operation a running process is poised at, if any. *)
-type poised = Nothing | Reading | Writing
+and view = {
+  mutable view_time : int;
+  mutable runnable : Running.t;
+  view_src : source;
+}
 
-type proc = {
+(* What a view reads pending operations from, with the class that
+   filters them: the effect scheduler's procs, or the step counts of a
+   runner that shows an oblivious adversary nothing else. *)
+and source = Procs of klass * proc array | Steps of int array
+
+and proc = {
   pid : int;
   ctx : Ctx.t;
   mutable p_status : status;
@@ -450,39 +441,63 @@ let crash t pid =
       | Some s -> s.on_crash ~time:t.s_time ~pid)
   | Finished _ | Crashed -> invalid_arg "Sched.crash: process is not running"
 
-(* What a [klass] adversary sees of [p]'s pending operation: the
-   operation type and write value unless it is R/W-oblivious or
-   oblivious, the register unless it is location-oblivious or
-   oblivious. *)
-let filter_pending klass p =
-  let sees_kind = klass = Adaptive || klass = Location_oblivious
-  and sees_reg = klass = Adaptive || klass = Rw_oblivious in
-  let op = if sees_kind then p.p_op else Nothing
-  and reg = if sees_reg && p.p_op <> Nothing then Some p.p_reg else None in
-  {
-    view_pid = p.pid;
-    view_kind =
-      (match op with
-      | Nothing -> None
-      | Reading -> Some `Read
-      | Writing -> Some `Write);
-    view_reg = Option.map (fun r -> r.Register.id) reg;
-    view_reg_name = Option.map (fun r -> r.Register.name) reg;
-    view_value = (if op = Writing then Some p.p_value else None);
-    view_steps = p.p_steps;
-  }
+(* {1 The adversary protocol} *)
+
+let halt = -1
+let crash_proc pid = -2 - pid
+
+let hidden = min_int
+let hidden_name = ""
+let kind_read = 0
+let kind_write = 1
+
+(* The class filter, the one place it lives: R/W-oblivious and
+   oblivious adversaries see no operation type or write value,
+   location-oblivious and oblivious ones no register. *)
+let sees_kind = function Adaptive | Location_oblivious -> true | _ -> false
+let sees_reg = function Adaptive | Rw_oblivious -> true | _ -> false
+
+let seen_kind v pid =
+  match v.view_src with
+  | Procs (klass, procs) when sees_kind klass -> (
+      match procs.(pid).p_op with
+      | Reading -> kind_read
+      | Writing -> kind_write
+      | Nothing -> hidden)
+  | _ -> hidden
+
+let seen_reg v pid =
+  match v.view_src with
+  | Procs (klass, procs) when sees_reg klass && procs.(pid).p_op <> Nothing ->
+      procs.(pid).p_reg.Register.id
+  | _ -> hidden
+
+let seen_reg_name v pid =
+  match v.view_src with
+  | Procs (klass, procs) when sees_reg klass && procs.(pid).p_op <> Nothing ->
+      procs.(pid).p_reg.Register.name
+  | _ -> hidden_name
+
+let seen_value v pid =
+  match v.view_src with
+  | Procs (klass, procs) when sees_kind klass && procs.(pid).p_op = Writing ->
+      procs.(pid).p_value
+  | _ -> hidden
+
+let seen_steps v pid =
+  match v.view_src with
+  | Procs (_, procs) -> procs.(pid).p_steps
+  | Steps steps -> steps.(pid)
 
 let view t klass =
-  {
-    view_time = t.s_time;
-    runnable = t.running;
-    pending_of = (fun pid -> filter_pending klass t.procs.(pid));
-  }
+  { view_time = t.s_time; runnable = t.running; view_src = Procs (klass, t.procs) }
+
+let oblivious_view ~steps runnable =
+  { view_time = 0; runnable; view_src = Steps steps }
 
 let run ?(max_total_steps = 10_000_000) t adv =
-  (* The pending_of closure is allocated once per run, not per step. *)
-  let klass = adv.adv_klass in
-  let pending_of pid = filter_pending klass t.procs.(pid) in
+  (* One view per run, refreshed in place before each decision. *)
+  let v = view t adv.adv_klass in
   while Running.length t.running > 0 do
     (* Inclusive bound: an execution may take exactly [max_total_steps]
        steps; needing even one more fails. *)
@@ -490,16 +505,15 @@ let run ?(max_total_steps = 10_000_000) t adv =
       failwith
         (Printf.sprintf "Sched.run: exceeded %d steps under adversary %s"
            max_total_steps adv.adv_name);
-    match
-      adv.decide { view_time = t.s_time; runnable = t.running; pending_of }
-    with
-    | Schedule pid -> step t pid
-    | Crash_proc pid -> crash t pid
-    | Halt ->
-        (* Lowest pid first, each removal shrinking the set it reads. *)
-        while Running.length t.running > 0 do
-          crash t (Running.get t.running 0)
-        done
+    v.view_time <- t.s_time;
+    let d = adv.decide v in
+    if d >= 0 then step t d
+    else if d = halt then
+      (* Lowest pid first, each removal shrinking the set it reads. *)
+      while Running.length t.running > 0 do
+        crash t (Running.get t.running 0)
+      done
+    else crash t (crash_proc d)
   done
 
 let trace t = List.rev !(t.events)

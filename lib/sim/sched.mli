@@ -15,8 +15,12 @@
     - {e oblivious}: sees nothing; its decisions are a fixed function of
       time (the schedule is determined before the execution starts).
 
-    Information hiding is enforced by construction: the corresponding
-    fields of {!pending_view} are [None]. *)
+    Information hiding is enforced by construction: pending operations
+    are read only through the [seen_*] accessors, which return the
+    sentinel for every part the class hides. Nothing is allocated per
+    step: the runner ({!run}, [Flatsim.Machine.run]) refreshes one
+    {!view} in place, the accessors return ints (and the register's
+    name), and a decision is an immediate int. *)
 
 type klass = Adaptive | Location_oblivious | Rw_oblivious | Oblivious
 
@@ -24,36 +28,68 @@ val pp_klass : klass Fmt.t
 
 type status = Running | Finished of int | Crashed
 
-type pending_view = {
-  view_pid : int;
-  view_kind : [ `Read | `Write ] option;
-  view_reg : int option;  (** Register allocation id. *)
-  view_reg_name : string option;
-  view_value : int option;  (** Pending write value. *)
-  view_steps : int;  (** Shared-memory steps this process has taken. *)
-}
-
-type view = {
-  view_time : int;
-  runnable : Running.t;
-      (** The pids of processes that can be scheduled, ascending: the
-          scheduler's live running set, not a copy. It is valid only
-          during [decide] — the scheduler shrinks it in place as
-          processes finish or crash — so an adversary that keeps pids
-          must copy them out. *)
-  pending_of : int -> pending_view;
-}
-
-type decision =
-  | Schedule of int  (** Let this process perform its pending operation. *)
-  | Crash_proc of int
-  | Halt  (** Crash every process still running. *)
-
 type adversary = {
   adv_name : string;
   adv_klass : klass;
-  decide : view -> decision;
+  decide : view -> int;
+      (** A pid [>= 0] to step, [crash_proc pid], or {!halt}. *)
 }
+
+and view = {
+  mutable view_time : int;  (** Shared-memory steps taken so far. *)
+  mutable runnable : Running.t;
+      (** The pids of processes that can be scheduled, ascending: the
+          runner's live running set, valid only during [decide] (the
+          runner shrinks it in place), so an adversary that keeps pids
+          must copy them out. A wrapper may point it at a set of its
+          own for a nested [decide], and must point it back. *)
+  view_src : source;
+}
+
+and source
+(** The pending operations and the class that filters them: abstract,
+    so only the accessors below read them. *)
+
+val halt : int
+(** The decision to crash every running process, lowest pid first. *)
+
+val crash_proc : int -> int
+(** The decision to crash a pid: an int below {!halt}. Its own inverse:
+    [crash_proc d] is the pid a crash decision [d] crashes. *)
+
+(** {1 What an adversary sees}
+
+    A pid's pending operation as the view's class sees it; a part the
+    class hides reads as the sentinel. *)
+
+val hidden : int
+(** [min_int]. *)
+
+val hidden_name : string
+(** [""]. *)
+
+val kind_read : int
+val kind_write : int
+
+val seen_kind : view -> int -> int
+(** Hidden from R/W-oblivious and oblivious adversaries. *)
+
+val seen_reg : view -> int -> int
+(** The register's allocation id; hidden from location-oblivious and
+    oblivious adversaries. *)
+
+val seen_reg_name : view -> int -> string
+(** The register's name, hidden as {!seen_reg}. *)
+
+val seen_value : view -> int -> int
+(** A pending write's value, hidden as {!seen_kind}. *)
+
+val seen_steps : view -> int -> int
+(** Shared-memory steps taken; every class sees them. *)
+
+val oblivious_view : steps:int array -> Running.t -> view
+(** An oblivious view over step counts alone ([steps.(pid)]), as
+    [Flatsim.Machine] keeps. *)
 
 type t
 
@@ -67,43 +103,33 @@ val create :
     it is poised at its first shared-memory operation (local computation,
     including coin flips, is free). Process [i] gets pid [i].
 
-    [record_trace] (default [false]) logs every event for {!trace}: the
-    log is filled by a recorder sink that sees each event just before
-    the ambient [Obs.Probe] sink does.
-
-    [flip_oracle] overrides coin flips, for model checking: it receives
-    the flipping process and the bound ([-l] encodes the geometric draw
-    of {!Ctx.flip_geometric} with parameter [l]); returning [None] falls
-    back to the scheduler's RNG.
+    [record_trace] (default [false]) logs every event for {!trace}, by a
+    recorder sink that sees each event just before the ambient
+    [Obs.Probe] sink. [flip_oracle] overrides coin flips, for model
+    checking: it receives the flipping process and the bound ([-l]
+    encodes the geometric draw of {!Ctx.flip_geometric} with parameter
+    [l]); [None] falls back to the scheduler's RNG.
 
     The ambient [Obs.Probe] sink is captured here (and re-read at each
     {!reset}), so install a sink {e before} building the system under
-    observation; with no sink installed every probe point is a single
-    field test and the execution is bit-identical to an uninstrumented
-    one. *)
+    observation; with none, every probe point is a single field test
+    and the run is bit-identical to an uninstrumented one. *)
 
 val reset : ?seed:int64 -> t -> (Ctx.t -> int) array -> unit
 (** [reset ~seed t programs] restores [t] to the state
-    [create ~seed programs] would produce — every process Running and
-    poised at its first operation, time 0, empty trace, reseeded RNG —
-    {e without} allocating new proc records, effect handlers, RMR cache
-    pages or running set. It clears only the cache bitsets of
-    registers the previous run touched, so its cost is
-    O(processes + registers touched), not O(registers allocated). [record_trace] and [flip_oracle] keep their
-    [create]-time values. [programs] must have the same length as at [create]; other
-    lengths raise [Invalid_argument].
+    [create ~seed programs] would produce — every process poised at its
+    first operation, time 0, empty trace, reseeded RNG, the ambient
+    [Obs.Probe] sink re-read — {e without} allocating proc records,
+    effect handlers, RMR cache pages or running set, and clearing only
+    the cache bitsets of registers the last run touched: O(processes +
+    registers touched). [record_trace] and [flip_oracle] keep their
+    [create]-time values; [programs] of another length than at
+    [create] raise [Invalid_argument].
 
-    Shared registers are not touched: callers recycling an algorithm
-    structure across trials must {!Memory.reset} the arena(s) it was
-    allocated from first, then [reset] the scheduler. A reused run is
-    bit-identical to a run on freshly created structures with the same
-    seed (tested in [test_sim.ml]).
-
-    [reset] discards all recorded events: with [record_trace] set,
-    {!trace} afterwards returns only events of the new (post-reset)
-    run, never a mix of runs. It also re-reads the ambient [Obs.Probe]
-    sink, so installing a sink between trials takes effect at the next
-    reset. *)
+    Shared registers are not touched: {!Memory.reset} the arenas the
+    algorithm was allocated from first. A reused run is bit-identical
+    to a run on fresh structures with the same seed (tested in
+    [test_sim.ml]), and its {!trace} holds only its own events. *)
 
 val n : t -> int
 val time : t -> int
@@ -117,16 +143,13 @@ val flips : t -> int -> int
 
 val rmrs : t -> int -> int
 (** Remote memory references of a process in the cache-coherent (CC)
-    model: every write is an RMR and invalidates other processes' cached
-    copies; a read is an RMR only when the reader holds no valid cached
-    copy (it then caches the register). This is the cost measure of
-    Golab, Hendler and Woelfel's O(1)-RMR leader election, the paper's
-    reference for the TAS-from-LeaderElect construction.
-
-    The cache bitsets live in pages of 256 registers allocated on first
-    touch, so their memory follows the registers a run touches, not the
-    largest register id. Each register also carries a touched flag, so
-    finding a register's first touch since {!reset} is O(1). *)
+    model, the cost measure of Golab, Hendler and Woelfel's O(1)-RMR
+    leader election (the paper's reference for TAS from LeaderElect):
+    every write is an RMR and invalidates other cached copies; a read is
+    one only when the reader holds no valid copy (it then caches the
+    register). The cache bitsets live in pages of 256 registers
+    allocated on first touch, and a touched flag per register finds its
+    first touch since {!reset} in O(1). *)
 
 val max_rmrs : t -> int
 val pending : t -> int -> Op.pending option
@@ -147,8 +170,9 @@ val step : t -> int -> unit
 val crash : t -> int -> unit
 
 val view : t -> klass -> view
-(** What an adversary of the given class sees now; its [runnable] is
-    the live set, so it goes stale at the next step or crash. *)
+(** A fresh view of what an adversary of the given class sees now; its
+    [runnable] is the live set, so it goes stale at the next step or
+    crash. *)
 
 val run : ?max_total_steps:int -> t -> adversary -> unit
 (** Drive the execution until no process is running. Raises [Failure]

@@ -211,23 +211,22 @@ let hashing_adaptive_adversary seed =
   Sim.Adversary.adaptive "hashing" (fun view ->
       let r = view.Sim.Sched.runnable in
       match Sim.Running.length r with
-      | 0 -> Sim.Sched.Halt
+      | 0 -> Sim.Sched.halt
       | m ->
           let digest =
             List.fold_left
               (fun acc pid ->
-                let p = view.Sim.Sched.pending_of pid in
                 Hashtbl.hash
                   ( acc,
                     pid,
-                    p.Sim.Sched.view_kind,
-                    p.Sim.Sched.view_reg,
-                    p.Sim.Sched.view_value,
-                    p.Sim.Sched.view_steps ))
+                    Sim.Sched.seen_kind view pid,
+                    Sim.Sched.seen_reg view pid,
+                    Sim.Sched.seen_value view pid,
+                    Sim.Sched.seen_steps view pid ))
               (Hashtbl.hash (seed, view.Sim.Sched.view_time))
               (List.init m (Sim.Running.get r))
           in
-          Sim.Sched.Schedule (Sim.Running.get r (abs digest mod m)))
+          Sim.Running.get r (abs digest mod m))
 
 let prop_unique_winner_adaptive =
   QCheck2.Test.make ~count:100

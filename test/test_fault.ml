@@ -208,15 +208,14 @@ let test_random_crashes_explicit_budget () =
 
 (* {1 Plan: decisions and cost} *)
 
-(* [adv] logging its [Crash_proc] decisions as (time, pid): the crash
-   list reads the same on either kernel. *)
+(* [adv] logging its crash decisions as (time, pid): the crash list
+   reads the same on either kernel. *)
 let logging_crashes (adv : Sim.Sched.adversary) =
   let log = ref [] in
   let decide (v : Sim.Sched.view) =
     let d = adv.decide v in
-    (match d with
-    | Sim.Sched.Crash_proc pid -> log := (v.view_time, pid) :: !log
-    | _ -> ());
+    if d < Sim.Sched.halt then
+      log := (v.view_time, Sim.Sched.crash_proc d) :: !log;
     d
   in
   ({ adv with decide }, fun () -> List.rev !log)

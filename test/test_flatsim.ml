@@ -35,7 +35,7 @@ let seq_order_adversary order =
       let pid = Sim.Running.get r i in
       if rank.(pid) < rank.(!best) then best := pid
     done;
-    Sim.Sched.Schedule !best
+    !best
   in
   { Sim.Sched.adv_name = "seq-order"; adv_klass = Oblivious; decide }
 
@@ -84,7 +84,7 @@ let winners (res, _, _, _) =
 let random aseed () = Sim.Adversary.random_oblivious ~seed:aseed
 
 (* The fault-free schedules: random-oblivious on [run] and on
-   [run_random], its inlined loop, and round-robin. *)
+   [run_random], the alias kept for the benchmark, and round-robin. *)
 let fault_free aseed =
   let run adv m = Flatsim.Machine.run m (adv ()) in
   [
@@ -149,8 +149,8 @@ let test_differential (entry : Rtas.Registry.entry) () =
   done
 
 (* Schedule parity without faults: random-oblivious and round-robin
-   decide draw for draw alike on both kernels, and [run_random] agrees
-   with them. *)
+   decide draw for draw alike on both kernels, and the [run_random]
+   alias agrees with them. *)
 let test_schedule_parity (entry : Rtas.Registry.entry) () =
   let make_flat = Option.get entry.Rtas.Registry.make_flat in
   List.iter
@@ -214,9 +214,10 @@ let test_reset_identity () =
           Flatsim.Machine.create ~seed ~record_flips:true ~procs:k
             (make_flat ~n:k)
         in
-        Flatsim.Machine.run_random fresh ~seed:(Sim.Rng.derive seed ~stream:1);
+        let aseed = Sim.Rng.derive seed ~stream:1 in
+        Flatsim.Machine.run fresh (random aseed ());
         Flatsim.Machine.reset ~seed reused;
-        Flatsim.Machine.run_random reused ~seed:(Sim.Rng.derive seed ~stream:1);
+        Flatsim.Machine.run reused (random aseed ());
         checkb "reused = fresh (results)" true
           (Flatsim.Machine.results fresh = Flatsim.Machine.results reused);
         checkb "reused = fresh (flips)" true
@@ -254,7 +255,7 @@ let flat_engine_outcomes ~domains ~trials =
       ~local:(fun () -> Flatsim.Machine.create ~procs:8 prog)
       (fun m ~trial ~seed ->
         Flatsim.Machine.reset ~seed:(Sim.Rng.derive seed ~stream:0) m;
-        Flatsim.Machine.run_random m ~seed:(Sim.Rng.derive seed ~stream:1);
+        Flatsim.Machine.run m (random (Sim.Rng.derive seed ~stream:1) ());
         let w = ref (-1) in
         for pid = 0 to 7 do
           if Flatsim.Machine.result m pid = Some 1 then w := pid
@@ -271,39 +272,55 @@ let test_engine_domain_independence () =
 
 (* --- The kernel's zero-allocation claim ------------------------------- *)
 
+(* Each adversary is built once, before the warm-up, and reused by
+   every trial. The plan's stall builds the plan's own running set at
+   its first hiding decision, in the warm-up; its storm has no budget,
+   so it crashes in every trial rather than only until the default
+   budget of one run is spent. *)
 let test_zero_allocation_steady_state () =
   (* [Gc.minor_words ()] counts exactly; [Gc.quick_stat]'s field only
-     moves at a minor collection. The seeds are derived (and boxed)
-     before the measured window, so it holds the kernel's own
+     moves at a minor collection. The seeds are boxed before the
+     measured window, so it holds the kernel's and the adversary's own
      allocation and nothing of the loop's. *)
   let seeds = Array.init 50 (fun i -> Int64.of_int (i + 1)) in
-  let aseeds = Array.map (fun s -> Sim.Rng.derive s ~stream:1) seeds in
+  let plan =
+    [
+      Fault.Plan.storm ~max_crashes:max_int 0.3;
+      Fault.Plan.stall ~pid:0 ~from_time:1 ~until_time:40;
+    ]
+  in
   List.iter
     (fun (entry : Rtas.Registry.entry) ->
       let make_flat = Option.get entry.Rtas.Registry.make_flat in
       let m = Flatsim.Machine.create ~procs:32 (make_flat ~n:32) in
-      let trial i =
-        Flatsim.Machine.reset ~seed:seeds.(i) m;
-        Flatsim.Machine.run_random m ~seed:aseeds.(i)
-      in
-      (* Warm up, then measure: steady-state trials must allocate nothing
-         (the minor-words delta of 50 trials stays under one small
-         constant's worth of incidental allocation). *)
-      for i = 0 to 9 do
-        trial i
-      done;
-      let w0 = Gc.minor_words () in
-      for i = 0 to 49 do
-        trial i
-      done;
-      let dw = Gc.minor_words () -. w0 in
-      checkb
-        (Printf.sprintf
-           "%s, run_random: steady-state trials allocate nothing (got %.1f \
-            words)"
-           entry.Rtas.Registry.name dw)
-        true
-        (dw < 100.0))
+      List.iter
+        (fun (name, adv) ->
+          let trial i =
+            Flatsim.Machine.reset ~seed:seeds.(i) m;
+            Flatsim.Machine.run m adv
+          in
+          (* Warm up, then measure: steady-state trials must allocate
+             nothing (the minor-words delta of 50 trials stays under one
+             small constant's worth of incidental allocation). *)
+          for i = 0 to 9 do
+            trial i
+          done;
+          let w0 = Gc.minor_words () in
+          for i = 0 to 49 do
+            trial i
+          done;
+          let dw = Gc.minor_words () -. w0 in
+          checkb
+            (Printf.sprintf
+               "%s, %s: steady-state trials allocate nothing (got %.1f words)"
+               entry.Rtas.Registry.name name dw)
+            true (dw < 100.0))
+        [
+          ("random-oblivious", Sim.Adversary.random_oblivious ~seed:3L);
+          ("round-robin", Sim.Adversary.round_robin ());
+          ( "storm 0.3 + stall",
+            Fault.Plan.apply plan (Sim.Adversary.random_oblivious ~seed:5L) );
+        ])
     (Rtas.Registry.flat ())
 
 (* --- Adversary classes ------------------------------------------------ *)

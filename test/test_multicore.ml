@@ -191,7 +191,7 @@ let seq_order_adversary order =
         let pid = Sim.Running.get r i in
         if rank.(pid) < rank.(!best) then best := pid
       done;
-      Sim.Sched.Schedule !best)
+      !best)
 
 let sim_outcomes entry ~k ~order ~seed =
   let mem = Sim.Memory.create () in

@@ -305,27 +305,45 @@ let test_sched_pending_before_step () =
   | Some { Sim.Op.kind = Sim.Op.Write v; _ } -> checki "pending write value" 1 v
   | _ -> Alcotest.fail "expected pending write")
 
+(* What each class sees of a pending write of 7 to a register named
+   "secret", through the accessors: a hidden part reads as the
+   sentinel. The flat machine's view is oblivious: step counts only. *)
 let test_view_filtering () =
   let mem = Sim.Memory.create () in
   let reg = Sim.Register.create ~name:"secret" mem in
+  let reg_id = reg.Sim.Register.id in
   let prog ctx = Sim.Ctx.write ctx reg 7; 0 in
   let sched = Sim.Sched.create [| prog |] in
   let open Sim.Sched in
-  let v_adaptive = (view sched Adaptive).pending_of 0 in
-  checkb "adaptive sees kind" true (v_adaptive.view_kind = Some `Write);
-  checkb "adaptive sees reg" true (v_adaptive.view_reg <> None);
-  checkb "adaptive sees value" true (v_adaptive.view_value = Some 7);
-  let v_loc = (view sched Location_oblivious).pending_of 0 in
-  checkb "loc-obl sees kind" true (v_loc.view_kind = Some `Write);
-  checkb "loc-obl hides reg" true (v_loc.view_reg = None);
-  checkb "loc-obl sees value" true (v_loc.view_value = Some 7);
-  let v_rw = (view sched Rw_oblivious).pending_of 0 in
-  checkb "rw-obl hides kind" true (v_rw.view_kind = None);
-  checkb "rw-obl sees reg" true (v_rw.view_reg <> None);
-  checkb "rw-obl hides value" true (v_rw.view_value = None);
-  let v_obl = (view sched Oblivious).pending_of 0 in
-  checkb "oblivious hides all" true
-    (v_obl.view_kind = None && v_obl.view_reg = None && v_obl.view_value = None)
+  (* Whether [klass] sees the operation type, the register (id and
+     name) and the write value; every class sees step counts. *)
+  let sees klass what ~kind ~reg ~value =
+    let v = view sched klass in
+    let expect visible real = if visible then real else hidden in
+    checki (what ^ " kind") (expect kind kind_write) (seen_kind v 0);
+    checki (what ^ " reg") (expect reg reg_id) (seen_reg v 0);
+    check Alcotest.string (what ^ " reg name")
+      (if reg then "secret" else hidden_name)
+      (seen_reg_name v 0);
+    checki (what ^ " value") (expect value 7) (seen_value v 0);
+    checki (what ^ " steps") 0 (seen_steps v 0)
+  in
+  sees Adaptive "adaptive" ~kind:true ~reg:true ~value:true;
+  sees Location_oblivious "loc-obl" ~kind:true ~reg:false ~value:true;
+  sees Rw_oblivious "rw-obl" ~kind:false ~reg:true ~value:false;
+  sees Oblivious "oblivious" ~kind:false ~reg:false ~value:false;
+  let m = Flatsim.Machine.create ~procs:2 (Flatsim.Programs.tournament ~n:2) in
+  Flatsim.Machine.run m (Sim.Adversary.fixed_schedule [| 1 |]);
+  let v = m.Flatsim.Machine.view in
+  checki "flat steps" 1 (seen_steps v 1);
+  checki "flat steps, unscheduled" 0 (seen_steps v 0);
+  List.iter
+    (fun pid ->
+      checki "flat kind sentinel" hidden (seen_kind v pid);
+      checki "flat reg sentinel" hidden (seen_reg v pid);
+      check Alcotest.string "flat name sentinel" hidden_name (seen_reg_name v pid);
+      checki "flat value sentinel" hidden (seen_value v pid))
+    [ 0; 1 ]
 
 let test_trace_recording () =
   let mem = Sim.Memory.create () in
@@ -657,7 +675,10 @@ let test_rmr_cache_sparse_ids () =
    scheduler, then both RatRaces at n=64, k=16 on a reused arena. The
    RatRace trial replays its warm-up seed, so every tree and grid node
    it touches was built (lazily, once) by the warm-up: the figure is the
-   steady-state step cost. It is a count, identical on every run. *)
+   steady-state step cost. It is a count, identical on every run. Each
+   ceiling is the figure measured when the adversary protocol stopped
+   allocating (5.11, 8.81 and 8.85 words; 11.10, 14.80 and 14.84
+   before), plus 25%. *)
 let test_step_allocation_ceiling () =
   let mem = Sim.Memory.create () in
   let r = Sim.Register.create mem in
@@ -680,31 +701,88 @@ let test_step_allocation_ceiling () =
     ( Sim.Sched.time sched,
       (Gc.minor_words () -. before) /. float_of_int (Sim.Sched.time sched) )
   in
-  let ceiling what w =
+  let ceiling what ~measured w =
+    let bound = measured *. 1.25 in
     checkb
-      (Printf.sprintf "%s: %.2f minor words per step (<= 20)" what w)
-      true (w <= 20.)
+      (Printf.sprintf "%s: %.2f minor words per step (<= %.2f)" what w bound)
+      true (w <= bound)
   in
   let steps, w = per_step ~mem [| prog; prog |] ~warm:1L ~seed:2L in
   checki "steps" 400 steps;
-  ceiling "reads" w;
+  ceiling "reads" ~measured:5.11 w;
   List.iter
-    (fun (name, make) ->
+    (fun (name, make, measured) ->
       let mem = Sim.Memory.create () in
       let le : Leaderelect.Le.t = make mem ~n:64 in
       let _, w =
         per_step ~mem (Leaderelect.Le.programs le ~k:16) ~warm:3L ~seed:3L
       in
-      ceiling name w)
+      ceiling name ~measured w)
     [
-      ("ratrace", Tutil.make "ratrace");
-      ("ratrace-lean", Tutil.make "ratrace-lean");
+      ("ratrace", Tutil.make "ratrace", 8.81);
+      ("ratrace-lean", Tutil.make "ratrace-lean", 8.85);
+    ]
+
+(* Every adversary strategy of [Sim.Adversary] and [Attacks] on the
+   effect path: log*, n = 16, k = 8, on a reused arena, the measured
+   trial replaying the warm-up's seed. Minor words per step, adversary
+   construction included, may not exceed what each cost when a view
+   was a record and every pending operation a record of options (the
+   pinned figures); a count, identical on every run. *)
+let test_adversary_allocation () =
+  let first_read klass =
+    (if klass = Sim.Sched.Adaptive then Sim.Adversary.adaptive
+     else Sim.Adversary.location_oblivious)
+      "first-read"
+      (fun v ->
+        let r = v.Sim.Sched.runnable in
+        let best = ref (Sim.Running.get r 0) in
+        for i = Sim.Running.length r - 1 downto 0 do
+          let pid = Sim.Running.get r i in
+          if Sim.Sched.seen_kind v pid = Sim.Sched.kind_read then best := pid
+        done;
+        !best)
+  in
+  List.iter
+    (fun (name, adv, before) ->
+      let mem = Sim.Memory.create () in
+      let le : Leaderelect.Le.t = Tutil.make "log*" mem ~n:16 in
+      let progs = Leaderelect.Le.programs le ~k:8 in
+      let sched = Sim.Sched.create progs in
+      let trial () =
+        Sim.Memory.reset mem;
+        Sim.Sched.reset ~seed:5L sched progs;
+        Sim.Sched.run sched (adv ())
+      in
+      trial ();
+      let w0 = Gc.minor_words () in
+      trial ();
+      let w =
+        (Gc.minor_words () -. w0) /. float_of_int (Sim.Sched.time sched)
+      in
+      checkb
+        (Printf.sprintf "%s: %.2f minor words per step (<= %.2f)" name w before)
+        true (w <= before))
+    [
+      ("round-robin", Sim.Adversary.round_robin, 22.28);
+      ("random-oblivious", (fun () -> Sim.Adversary.random_oblivious ~seed:5L), 16.75);
+      ( "fixed-schedule",
+        (fun () ->
+          Sim.Adversary.fixed_schedule ~then_halt:false [| 3; 1; 4; 1; 5; 2; 6 |]),
+        21.43 );
+      ("adaptive", (fun () -> first_read Sim.Sched.Adaptive), 105.63);
+      ( "location-oblivious",
+        (fun () -> first_read Sim.Sched.Location_oblivious),
+        68.85 );
+      ("ascending-location", Leaderelect.Attacks.ascending_location, 990.10);
+      ("ascending-location-rw", Leaderelect.Attacks.ascending_location_rw, 1001.30);
+      ("read-priority", Leaderelect.Attacks.read_priority, 87.39);
     ]
 
 (* Process exits allocate nothing: 1,024 processes each do one read and
    exit, on a reused scheduler. A run is 1,024 steps and 1,024 exits;
-   per step it may allocate what a scheduled step costs (the view, the
-   decision, the continuation), but no exit may allocate in proportion
+   per step it may allocate what a scheduled step costs (the effect and
+   the continuation), but no exit may allocate in proportion
    to the processes still running (counted by [allocated_words]). *)
 let test_exit_allocation () =
   let k = 1024 in
@@ -1002,6 +1080,8 @@ let () =
           Alcotest.test_case "exit allocation" `Quick test_exit_allocation;
           Alcotest.test_case "step allocation ceiling" `Quick
             test_step_allocation_ceiling;
+          Alcotest.test_case "adversary allocation" `Quick
+            test_adversary_allocation;
         ] );
       ( "explore",
         [
